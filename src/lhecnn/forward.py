@@ -8,6 +8,7 @@ layer.
 
 from __future__ import annotations
 
+import contextvars
 from concurrent.futures import ThreadPoolExecutor
 
 from .lhe import Ciphertext, SimulatorBackend
@@ -32,8 +33,11 @@ def _accumulate(backend: SimulatorBackend, acc: Ciphertext | None,
 
 def _map_keys(fn, keys, threads: int):
     if threads > 1:
+        # Each worker call runs in a copy of the caller's context, which holds
+        # the caller's meter scopes, so its primitives count under them.
+        caller = contextvars.copy_context()
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return dict(zip(keys, pool.map(fn, keys)))
+            return dict(zip(keys, pool.map(lambda key: caller.copy().run(fn, key), keys)))
     return {key: fn(key) for key in keys}
 
 

@@ -5,10 +5,16 @@ All arithmetic is elementwise across slots (SIMD); ciphertext-ciphertext and
 ciphertext-plaintext multiplications each consume one level, addition and
 rotation are free, and re-encryption restores a ciphertext to the top level.
 
-The simulator computes slot values exactly in double precision (an optional
-Gaussian per-op perturbation, ``noise_sigma``, models approximation error and
-defaults to off), so algorithm correctness can be asserted bit-for-bit while
-level bookkeeping mirrors a real leveled scheme.
+The simulator computes slot values exactly in double precision, so algorithm
+correctness can be asserted bit-for-bit while level bookkeeping mirrors a real
+leveled scheme.  The optional ``noise_sigma`` adds Gaussian noise to the slots
+at ``encrypt`` and ``reencrypt`` only (it defaults to off); the homomorphic
+primitives add no error of their own.
+
+Rotation copies nothing in the simulator: a rotated ciphertext shares its
+operand's slot array and records a shift, which ``add`` and ``mul`` read
+directly.  It is still metered as one ``rot`` at the operand's meter level,
+as a real key-switching rotation would be.
 
 Level accounting for the meter follows lazy rescaling: the product of a
 multiplication stays at its operands' modulus level until the next
@@ -100,17 +106,38 @@ class KeyContext:
         return zlib.crc32(self.key_id.encode())
 
 
-@dataclass(frozen=True, eq=False)
 class Ciphertext:
-    """Immutable slot vector with remaining-level budget and key identity."""
+    """Immutable slot vector with remaining-level budget and key identity.
 
-    slots: np.ndarray
-    level: int
-    key_id: str
-    pending_rescale: bool = False  # product not yet rescaled (affects meter level only)
+    The vector is held as a base array plus a cyclic left shift, so a rotation
+    shares its operand's array instead of copying it.  :attr:`slots` is the
+    rotated vector; it is built on each read of a shifted ciphertext and is
+    read-only either way.
+    """
 
-    def __post_init__(self):
-        self.slots.setflags(write=False)
+    __slots__ = ("_base", "_shift", "level", "key_id", "pending_rescale")
+
+    def __init__(self, slots: np.ndarray, level: int, key_id: str,
+                 pending_rescale: bool = False):
+        slots.setflags(write=False)
+        _set_base(self, slots)
+        _set_shift(self, 0)
+        _set_level(self, level)
+        _set_key_id(self, key_id)
+        _set_pending(self, pending_rescale)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Ciphertext is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Ciphertext is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return Ciphertext, (self.slots, self.level, self.key_id, self.pending_rescale)
+
+    def __repr__(self):
+        return (f"Ciphertext(slots={self.slots!r}, level={self.level}, "
+                f"key_id={self.key_id!r}, pending_rescale={self.pending_rescale})")
 
     def __eq__(self, other):
         return (
@@ -121,12 +148,71 @@ class Ciphertext:
         )
 
     @property
+    def slots(self) -> np.ndarray:
+        base, shift = self._base, self._shift
+        if not shift:
+            return base
+        out = np.concatenate((base[shift:], base[:shift]))
+        out.setflags(write=False)
+        return out
+
+    @property
     def slot_count(self) -> int:
-        return self.slots.shape[0]
+        return self._base.shape[0]
 
     def meter_level(self) -> int:
         """Level at which an add/rotate on this ciphertext physically runs."""
         return self.level + (1 if self.pending_rescale else 0)
+
+
+_new = object.__new__
+_set_base = Ciphertext._base.__set__
+_set_shift = Ciphertext._shift.__set__
+_set_level = Ciphertext.level.__set__
+_set_key_id = Ciphertext.key_id.__set__
+_set_pending = Ciphertext.pending_rescale.__set__
+
+
+def _make(base: np.ndarray, shift: int, level: int, key_id: str,
+          pending_rescale: bool) -> Ciphertext:
+    """A ciphertext over ``base`` (already read-only) rotated left by ``shift``."""
+    ct = _new(Ciphertext)
+    _set_base(ct, base)
+    _set_shift(ct, shift)
+    _set_level(ct, level)
+    _set_key_id(ct, key_id)
+    _set_pending(ct, pending_rescale)
+    return ct
+
+
+def _elementwise(ufunc, a: Ciphertext, b: Ciphertext) -> np.ndarray:
+    """Read-only ``ufunc(a.slots, b.slots)``, computed on the shifted bases.
+
+    The output is split at the operands' wrap points into at most three
+    segments over which both bases are contiguous, so no rotation is copied.
+    ``ufunc`` is ``np.add`` or ``np.multiply``, which are commutative bit for
+    bit, so the operands may be swapped to put the smaller shift first.
+    """
+    if a.key_id != b.key_id:
+        raise KeyMismatch(f"operands under different keys: {a.key_id} vs {b.key_id}")
+    x, sx, y, sy = a._base, a._shift, b._base, b._shift
+    n = x.shape[0]
+    if n != y.shape[0]:
+        raise ValueError(f"slot count mismatch: {n} vs {y.shape[0]}")
+    if sx == sy == 0:
+        out = ufunc(x, y)
+    else:
+        if sx > sy:
+            x, sx, y, sy = y, sy, x, sx
+        out = np.empty(n)
+        wrap_y, wrap_x = n - sy, n - sx
+        ufunc(x[sx:sx + wrap_y], y[sy:], out[:wrap_y])
+        if sx != sy:
+            ufunc(x[sx + wrap_y:], y[:sy - sx], out[wrap_y:wrap_x])
+        if sx:
+            ufunc(x[:sx], y[sy - sx:sy], out[wrap_x:])
+    out.setflags(write=False)
+    return out
 
 
 def as_slots(values, slot_count: int) -> np.ndarray:
@@ -162,13 +248,6 @@ class SimulatorBackend:
         if sigma > 0 and ctx._rng is not None:
             return arr + ctx._rng.normal(0.0, sigma, size=arr.shape)
         return arr
-
-    @staticmethod
-    def _check_pair(a: Ciphertext, b: Ciphertext) -> None:
-        if a.key_id != b.key_id:
-            raise KeyMismatch(f"operands under different keys: {a.key_id} vs {b.key_id}")
-        if a.slot_count != b.slot_count:
-            raise ValueError(f"slot count mismatch: {a.slot_count} vs {b.slot_count}")
 
     # -- key management and data boundary ----------------------------------
 
@@ -210,39 +289,51 @@ class SimulatorBackend:
 
     def add(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         """Elementwise sum; level = min of operand levels."""
-        self._check_pair(a, b)
-        self._record("add", min(a.meter_level(), b.meter_level()))
+        out = _elementwise(np.add, a, b)
+        la, lb, pa, pb = a.level, b.level, a.pending_rescale, b.pending_rescale
+        meter = self.meter
+        if meter is not None:
+            meter.record("add", min(la + pa, lb + pb))
         # Adding a rescaled operand to an unrescaled one aligns scales first,
         # so the sum stays unrescaled only when both operands are.
-        return Ciphertext(
-            a.slots + b.slots,
-            min(a.level, b.level),
-            a.key_id,
-            pending_rescale=a.pending_rescale and b.pending_rescale,
-        )
+        return _make(out, 0, min(la, lb), a.key_id, pa and pb)
 
     def mul(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         """Elementwise ciphertext product; consumes one level."""
-        self._check_pair(a, b)
+        out = _elementwise(np.multiply, a, b)
         level = min(a.level, b.level)
         if level < 1:
             raise LevelExhausted("mul", level, self._scope())
-        self._record("mul", level)
-        return Ciphertext(a.slots * b.slots, level - 1, a.key_id, pending_rescale=True)
+        meter = self.meter
+        if meter is not None:
+            meter.record("mul", level)
+        return _make(out, 0, level - 1, a.key_id, True)
 
     def cmul(self, a: Ciphertext, pt) -> Ciphertext:
         """Elementwise plaintext product; consumes one level."""
-        if a.level < 1:
-            raise LevelExhausted("cmul", a.level, self._scope())
-        vec = as_slots(pt, a.slot_count)
-        self._record("cmul", a.level)
-        return Ciphertext(a.slots * vec, a.level - 1, a.key_id, pending_rescale=True)
+        level = a.level
+        if level < 1:
+            raise LevelExhausted("cmul", level, self._scope())
+        vec = as_slots(pt, a._base.shape[0])
+        meter = self.meter
+        if meter is not None:
+            meter.record("cmul", level)
+        out = a.slots * vec
+        out.setflags(write=False)
+        return _make(out, 0, level - 1, a.key_id, True)
 
     def rot(self, a: Ciphertext, m: int) -> Ciphertext:
-        """Cyclic left rotation by ``m`` slots (negative = right); level unchanged."""
-        m = m % a.slot_count
-        self._record("rot", a.meter_level())
-        return Ciphertext(np.roll(a.slots, -m), a.level, a.key_id, a.pending_rescale)
+        """Cyclic left rotation by ``m`` slots (negative = right); level unchanged.
+
+        The result shares ``a``'s slot array and composes the shift, so no
+        slots are copied; it is still metered as one rotation.
+        """
+        base, level, pending = a._base, a.level, a.pending_rescale
+        shift = (a._shift + m) % base.shape[0]
+        meter = self.meter
+        if meter is not None:
+            meter.record("rot", level + pending)
+        return _make(base, shift, level, a.key_id, pending)
 
 
 # ---------------------------------------------------------------------------
@@ -275,5 +366,7 @@ def deserialize(data: bytes, ctx: KeyContext) -> Ciphertext:
         raise KeyMismatch("serialized ciphertext written under a different key")
     if not 0 <= level <= ctx.params.top_level:
         raise ValueError(f"level {level} outside [0, {ctx.params.top_level}]")
-    slots = np.frombuffer(data, dtype="<f8", offset=HEADER.size).astype(np.float64)
+    # A read-only view of ``data``: no copy on a little-endian host.
+    slots = np.frombuffer(data, dtype="<f8", offset=HEADER.size).astype(np.float64,
+                                                                          copy=False)
     return Ciphertext(slots, level, ctx.key_id)

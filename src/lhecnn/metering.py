@@ -14,6 +14,7 @@ import io
 import threading
 from collections import Counter
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from fractions import Fraction
 PRIMITIVE_KINDS = ("add", "mul", "rot", "cmul")
 BOUNDARY_KINDS = ("encrypt", "decrypt", "reencrypt")
 OP_KINDS = PRIMITIVE_KINDS + BOUNDARY_KINDS
+_OP_KIND_SET = frozenset(OP_KINDS)
 
 UNSCOPED = "(unscoped)"
 
@@ -31,35 +33,42 @@ class OpMeter:
     """Thread-safe counter of primitive calls by (scope, kind, level).
 
     Scopes nest; a call is attributed to the innermost active label only.
-    Counts never decrease.  The scope stack is shared by design so that
-    worker threads spawned inside a scoped stage inherit its label.
+    Counts never decrease.  The scope stack lives in a context variable, so
+    each thread has its own: a thread starts unscoped, and code that hands
+    work to other threads passes its scope on by running that work in a copy
+    of its :mod:`contextvars` context.
     """
 
     def __init__(self):
         self._counts: Counter[tuple[str, str, int]] = Counter()
-        self._stack: list[str] = []
+        self._stack: ContextVar[tuple[str, ...]] = ContextVar(
+            "OpMeter.scope", default=())
         self._lock = threading.Lock()
 
     @property
     def current_scope(self) -> str:
-        return self._stack[-1] if self._stack else UNSCOPED
+        stack = self._stack.get()
+        return stack[-1] if stack else UNSCOPED
 
     @contextmanager
     def scope(self, label: str):
         """Attribute all primitive calls inside the block to ``label``."""
         if not label:
             raise ValueError("scope label must be nonempty")
-        self._stack.append(label)
+        token = self._stack.set(self._stack.get() + (label,))
         try:
             yield self
         finally:
-            self._stack.pop()
+            self._stack.reset(token)
 
     def record(self, kind: str, level: int) -> None:
-        if kind not in OP_KINDS:
+        if kind not in _OP_KIND_SET:
             raise ValueError(f"unknown op kind {kind!r}")
+        stack = self._stack.get()
+        key = (stack[-1] if stack else UNSCOPED, kind, int(level))
+        counts = self._counts
         with self._lock:
-            self._counts[(self.current_scope, kind, int(level))] += 1
+            counts[key] = counts.get(key, 0) + 1
 
     # -- read access ----------------------------------------------------
 

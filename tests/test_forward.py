@@ -11,7 +11,7 @@ from lhecnn.forward import (
 )
 from lhecnn.geometry import CnnConfig, ConvLayer, FcLayer, combined_geometry
 from lhecnn.lhe import LheParams, SimulatorBackend
-from lhecnn.metering import OpMeter
+from lhecnn.metering import UNSCOPED, OpMeter
 from lhecnn.oracle import init_params, plain_forward
 from lhecnn.packing import (
     FL_TYPE1,
@@ -268,3 +268,17 @@ class TestFlForward:
         la, _ = a.infer(images)
         lb, _ = b.infer(images)
         assert np.array_equal(a.reveal_outputs(la), b.reveal_outputs(lb))
+
+    def test_threads_keep_per_scope_counts(self):
+        # worker threads count under the scope of the stage that started them
+        cfg = CnnConfig((ConvLayer(2, 6, 3, 3, 3),), (FcLayer(3 * 4, 3), FcLayer(3, 2)), 4)
+        images = np.random.default_rng(7).normal(size=(4, 2, 6, 6))
+        one, four = session_for(cfg, LheParams(64, 10)), session_for(cfg, LheParams(64, 10))
+        four.threads = 4
+        counts = []
+        for sess in (one, four):
+            mark = sess.meter.checkpoint()
+            sess.infer(images)
+            counts.append(sess.meter.since(mark))
+        assert counts[0] == counts[1]
+        assert UNSCOPED not in {scope for scope, _kind, _level in counts[1]}

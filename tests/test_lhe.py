@@ -1,3 +1,6 @@
+import copy
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,7 @@ from lhecnn.lhe import (
     serialize,
     serialized_size,
 )
+from lhecnn.metering import PRIMITIVE_KINDS, OpMeter
 
 
 def ctx8(backend, levels=6, sigma=0.0, seed=1):
@@ -322,6 +326,86 @@ class TestAlgebraProperties:
         ct = backend.encrypt(ctx8(backend), np.zeros(8))
         with pytest.raises(ValueError):
             ct.slots[0] = 1.0
+        rotated = backend.rot(ct, 3)
+        with pytest.raises(ValueError):
+            rotated.slots[0] = 1.0
+
+    def test_attribute_assignment_raises(self, backend):
+        ct = backend.rot(backend.encrypt(ctx8(backend), np.arange(8.0)), 3)
+        for name, value in (("slots", np.ones(8)), ("level", 0), ("key_id", "other"),
+                            ("pending_rescale", True), ("_shift", 0)):
+            with pytest.raises(AttributeError):
+                setattr(ct, name, value)
+        with pytest.raises(AttributeError):
+            del ct.level
+        assert ct.level == 5 and np.array_equal(ct.slots, np.roll(np.arange(8.0), -3))
+
+
+class TestLazyRotation:
+    """Rotations share their operand's array; every result must equal the
+    ``np.roll`` reference bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_op_chains_match_np_roll_reference(self, data):
+        slot_count = 1 << data.draw(st.integers(1, 7), label="log2 S")
+        meter = OpMeter()
+        backend = SimulatorBackend(meter)
+        ctx = backend.keygen(LheParams(slot_count, 8), seed=3)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        # (ciphertext, reference slots, level, pending_rescale)
+        pool = []
+        for _ in range(2):
+            v = rng.normal(size=slot_count)
+            pool.append((backend.encrypt(ctx, v), v.copy(), 7, False))
+        want = Counter()
+        shifts = st.one_of(st.sampled_from([0, slot_count, -slot_count, 1, -1]),
+                           st.integers(-3 * slot_count, 3 * slot_count))
+        for _ in range(data.draw(st.integers(1, 16), label="chain length")):
+            op = data.draw(st.sampled_from(["rot", "rot", "add", "mul", "cmul"]))
+            a, ra, la, pa = pool[data.draw(st.integers(0, len(pool) - 1))]
+            b, rb, lb, pb = pool[data.draw(st.integers(0, len(pool) - 1))]
+            if op == "rot":
+                m = data.draw(shifts, label="shift")
+                out, ref, level, pending = backend.rot(a, m), np.roll(ra, -m), la, pa
+                want[("rot", la + pa)] += 1
+            elif op == "add":
+                out, ref = backend.add(a, b), ra + rb
+                level, pending = min(la, lb), pa and pb
+                want[("add", min(la + pa, lb + pb))] += 1
+            elif op == "mul":
+                if min(la, lb) < 1:
+                    continue
+                out, ref = backend.mul(a, b), ra * rb
+                level, pending = min(la, lb) - 1, True
+                want[("mul", min(la, lb))] += 1
+            else:
+                if la < 1:
+                    continue
+                pt = rng.normal(size=slot_count)
+                out, ref, level, pending = backend.cmul(a, pt), ra * pt, la - 1, True
+                want[("cmul", la)] += 1
+            assert out.slots.tobytes() == ref.tobytes()
+            assert (out.level, out.pending_rescale) == (level, pending)
+            pool.append((out, ref, level, pending))
+        got = Counter({(kind, level): c for (_scope, kind, level), c in meter.counts().items()
+                       if kind in PRIMITIVE_KINDS})
+        assert got == want
+
+    def test_rotated_ciphertext_through_every_reader(self, backend):
+        ctx = ctx8(backend)
+        v = np.arange(8.0)
+        ct = backend.rot(backend.rot(backend.encrypt(ctx, v), 3), 2)
+        want = np.roll(v, -5)
+        assert np.array_equal(backend.decrypt(ctx, ct), want)
+        assert np.array_equal(backend.decrypt(ctx, backend.reencrypt(ctx, ct)), want)
+        assert np.array_equal(backend.decrypt(ctx, backend.cmul(ct, np.full(8, 2.0))),
+                              2 * want)
+        back = deserialize(serialize(ct), ctx)
+        assert back == ct and np.array_equal(back.slots, want)
+        assert copy.deepcopy(ct) == ct
+        assert ct == backend.encrypt(ctx, want)
+        assert ct != backend.encrypt(ctx, v)
 
 
 class TestNoise:

@@ -1,10 +1,11 @@
+import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from lhecnn.lhe import LheParams, SimulatorBackend
-from lhecnn.metering import CostTable, OpMeter, build_report, scoped
+from lhecnn.metering import UNSCOPED, CostTable, OpMeter, build_report, scoped
 
 
 def run_ops(backend, ctx, count=3):
@@ -46,6 +47,29 @@ class TestScopes:
         ctx = backend.keygen(LheParams(8, 8), seed=1)
         backend.encrypt(ctx, np.ones(8))
         assert meter.totals()["encrypt"] == 1
+
+    def test_threads_on_one_meter_keep_their_own_scopes(self, backend, meter):
+        ctx = backend.keygen(LheParams(8, 8), seed=1)
+        ct = backend.encrypt(ctx, np.ones(8))
+        both_open = threading.Barrier(2, timeout=10)
+
+        def session(label, adds):
+            with meter.scope(label):
+                both_open.wait()   # the other thread's scope is open too
+                for _ in range(adds):
+                    backend.add(ct, ct)
+                both_open.wait()   # neither scope closes while the other runs
+
+        threads = [threading.Thread(target=session, args=("A", 3)),
+                   threading.Thread(target=session, args=("B", 5))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+            assert not t.is_alive()
+        per = meter.scope_totals()
+        assert (per["A"]["add"], per["B"]["add"]) == (3, 5)
+        assert meter.current_scope == UNSCOPED
 
 
 class TestCounts:

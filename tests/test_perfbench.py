@@ -1,0 +1,25 @@
+"""Smoke run of the benchmark's traced mode.
+
+The traced run wraps library names from outside ``src/`` (the backend
+primitives, ``OpMeter.record``/``scope``, the rotate-and-sum helpers, the
+encoders and ``refine.build_report``), so a rename or a changed signature
+shows up here as a failed or incorrect step.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_traced_refine_round_runs_correctly():
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "refine-r22",
+         "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
