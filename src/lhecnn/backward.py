@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .forward import _accumulate
 from .lhe import Ciphertext, SimulatorBackend
 from .packing import (
     CONV_BASIC,
@@ -32,14 +33,6 @@ from .packing import (
 )
 
 
-def _accumulate(backend, acc, term):
-    return term if acc is None else backend.add(acc, term)
-
-
-def _slot_count(tensor: PackedTensor) -> int:
-    return next(iter(tensor.cells.values())).slot_count
-
-
 def activation_gradient(backend: SimulatorBackend, grads: PackedTensor,
                         preacts: PackedTensor | None,
                         exact: bool = True) -> PackedTensor:
@@ -49,7 +42,7 @@ def activation_gradient(backend: SimulatorBackend, grads: PackedTensor,
     the constant 2, which saves two levels per layer (one multiplication and
     the cached operand's level cap) at the cost of a distorted gradient.
     """
-    slot_count = _slot_count(grads)
+    slot_count = grads.slot_count
     two = np.full(slot_count, 2.0)
     cells = {}
     for key, ct in grads.cells.items():
@@ -93,7 +86,7 @@ def fl_backward_type2(backend: SimulatorBackend, out_grads: PackedTensor,
     pi-set blocks so each input gradient is replicated (type-II layout)."""
     if weights.kind != "type2":
         raise ValueError("type II backward needs type2 weights")
-    slot_count = _slot_count(out_grads)
+    slot_count = out_grads.slot_count
     n = out_grads.n
     cells = {}
     for i in range(weights.in_cts):
@@ -179,7 +172,7 @@ def conv_kernel_gradients(backend: SimulatorBackend, cached_inputs: PackedTensor
     gamma = filters.filter_side
     alpha = filters.channel_count
     n = out_grads.n
-    slot_count = _slot_count(out_grads)
+    slot_count = out_grads.slot_count
     raw: dict[tuple[int, int, int, int], Ciphertext] = {}
     for k in range(filters.filter_count):
         for i in range(alpha):
@@ -210,6 +203,37 @@ def pack_count(gradient_count: int, n: int) -> int:
     return -(-gradient_count // n)
 
 
+def _pack_refresh_spread(backend: SimulatorBackend, reencrypt,
+                         cells: dict[tuple, Ciphertext], scale: float, n: int,
+                         apply) -> int:
+    """Pack ``cells``, refresh them through ``reencrypt`` and hand each one
+    back, unpacked and spread, to ``apply(key, ct)``.
+
+    Cell ``idx`` (in sorted key order) is masked by a selector with value
+    ``scale`` at slots congruent to idx mod n and accumulated into packed
+    ciphertext idx // n.  After re-encryption the mask is reapplied and the
+    signed rotations replicate each value over its block.  Returns the number
+    of packed ciphertexts re-encrypted.
+    """
+    order = sorted(cells)
+    if not order:
+        return 0
+    slot_count = cells[order[0]].slot_count
+    packed: dict[int, Ciphertext] = {}
+    for idx, key in enumerate(order):
+        p, k = idx % n, idx // n
+        masked = backend.cmul(cells[key], make_selector(p, n, slot_count, scale))
+        packed[k] = _accumulate(backend, packed.get(k), masked)
+
+    fresh = reencrypt([packed[k] for k in sorted(packed)])
+
+    for idx, key in enumerate(order):
+        p, k = idx % n, idx // n
+        ct = backend.cmul(fresh[k], make_selector(p, n, slot_count, 1.0))
+        apply(key, signed_rotate_spread(backend, ct, compute_rotation_plan(p, n)))
+    return len(packed)
+
+
 def noise_removal_update(backend: SimulatorBackend, reencrypt,
                          raw_grads: dict[tuple, Ciphertext],
                          target_cells: dict[tuple, Ciphertext],
@@ -217,32 +241,15 @@ def noise_removal_update(backend: SimulatorBackend, reencrypt,
     """Pack raw gradients, refresh them through ``reencrypt``, unpack/spread,
     and add them into the parameter ciphertexts.
 
-    Gradient ``idx`` (in sorted key order) is masked by a selector with value
-    -lr/n at slots congruent to idx mod n and accumulated into packed
-    ciphertext idx // n.  After re-encryption the mask is reapplied, the
-    signed rotations replicate each value over its block, and the parameter
-    receives the spread gradient additively.  Returns the number of packed
-    ciphertexts re-encrypted.
+    The packing selector carries -lr/n, so the parameter receives the spread
+    SGD step additively.  Returns the number of packed ciphertexts
+    re-encrypted.
     """
-    order = sorted(raw_grads)
-    if not order:
-        return 0
-    slot_count = raw_grads[order[0]].slot_count
-    packed: dict[int, Ciphertext] = {}
-    for idx, key in enumerate(order):
-        p, k = idx % n, idx // n
-        masked = backend.cmul(raw_grads[key], make_selector(p, n, slot_count, -lr / n))
-        packed[k] = masked if k not in packed else backend.add(packed[k], masked)
-
-    fresh = reencrypt([packed[k] for k in sorted(packed)])
-
-    for idx, key in enumerate(order):
-        p, k = idx % n, idx // n
-        grad = backend.cmul(fresh[k], make_selector(p, n, slot_count, 1.0))
-        grad = signed_rotate_spread(backend, grad, compute_rotation_plan(p, n))
+    def add_into(key, grad):
         tkey = target_key(key)
         target_cells[tkey] = backend.add(target_cells[tkey], grad)
-    return len(packed)
+
+    return _pack_refresh_spread(backend, reencrypt, raw_grads, -lr / n, n, add_into)
 
 
 def fl_noise_removal_update(backend: SimulatorBackend, reencrypt,
@@ -268,18 +275,4 @@ def refresh_parameters(backend: SimulatorBackend, reencrypt,
     because each block holds one replicated value), re-encrypt, and rebuild
     them by unpack-and-spread.  Not used by the default refining pipeline,
     which refreshes gradients instead."""
-    order = sorted(cells)
-    if not order:
-        return 0
-    slot_count = cells[order[0]].slot_count
-    packed: dict[int, Ciphertext] = {}
-    for idx, key in enumerate(order):
-        p, k = idx % n, idx // n
-        masked = backend.cmul(cells[key], make_selector(p, n, slot_count, 1.0))
-        packed[k] = masked if k not in packed else backend.add(packed[k], masked)
-    fresh = reencrypt([packed[k] for k in sorted(packed)])
-    for idx, key in enumerate(order):
-        p, k = idx % n, idx // n
-        ct = backend.cmul(fresh[k], make_selector(p, n, slot_count, 1.0))
-        cells[key] = signed_rotate_spread(backend, ct, compute_rotation_plan(p, n))
-    return len(packed)
+    return _pack_refresh_spread(backend, reencrypt, cells, 1.0, n, cells.__setitem__)

@@ -21,6 +21,7 @@ from .packing import (
     PackedFilters,
     PackedTensor,
     PackedWeights,
+    conv_cell_counts,
     fold_rotate_sum,
 )
 
@@ -44,104 +45,53 @@ def _map_keys(fn, keys, threads: int):
 def conv_forward(backend: SimulatorBackend, inputs: PackedTensor,
                  filters: PackedFilters, out_grid: int, stride: int,
                  threads: int = 1) -> PackedTensor:
-    """Basic-layout convolution: every output cell (k, u, v) accumulates the
-    products of its kernel window's input ciphertexts with filter k."""
-    if inputs.layout != CONV_BASIC:
-        raise ValueError(f"expected {CONV_BASIC} input, got {inputs.layout}")
-    gamma = filters.filter_side
+    """Convolution in the filters' layout: every output cell (a, u, v)
+    accumulates the products of its kernel window's input cells with filter
+    cell a, over every channel cell b.
 
-    def one(key):
-        k, u, v = key
-        acc = None
-        for x in range(gamma):
-            for y in range(gamma):
-                for i in range(filters.channel_count):
-                    term = backend.mul(
-                        inputs.ct(i, stride * u + x, stride * v + y),
-                        filters.cells[(k, i, x, y)],
-                    )
-                    acc = _accumulate(backend, acc, term)
-        return acc
-
-    keys = [(k, u, v) for k in range(filters.filter_count)
-            for u in range(out_grid) for v in range(out_grid)]
-    cells = _map_keys(one, keys, threads)
-    return PackedTensor(cells, CONV_BASIC, inputs.n, inputs.grid_side,
-                        inputs.seg_slots)
-
-
-def conv_forward_cross_channel(backend: SimulatorBackend, inputs: PackedTensor,
-                               filters: PackedFilters, out_grid: int, stride: int,
-                               r: int, threads: int = 1) -> PackedTensor:
-    """Cross-channel convolution: the channel loop shrinks to channel groups,
-    then log2(r) rotate-adds fold the per-channel segments together.
-
-    When the r segments tile the ciphertext exactly the folded output holds r
-    replicas of the result and is directly cross-filter packed; otherwise only
-    segment 0 is valid and downstream consumers must mask the rest.
+    A basic layer produces a basic output.  A cross-filter layer multiplies r
+    filters at once and its output holds one filter per segment, i.e. it is
+    cross-channel packed for the next layer.  A cross-channel layer then folds
+    the r channel segments together with log2(r) rotate-adds; when they tile
+    the ciphertext exactly the folded output holds r replicas and is directly
+    cross-filter packed, otherwise only segment 0 is valid and the output
+    degrades to the basic layout (zero-masked by later stages).
     """
-    if inputs.layout != CONV_CROSS_CHANNEL:
-        raise ValueError(f"expected {CONV_CROSS_CHANNEL} input, got {inputs.layout}")
-    gamma = filters.filter_side
-    groups = -(-filters.channel_count // r)
-    seg = inputs.seg_slots
-    slot_count = next(iter(inputs.cells.values())).slot_count
-    replicated = r * seg == slot_count
-
-    def one(key):
-        k, u, v = key
-        acc = None
-        for x in range(gamma):
-            for y in range(gamma):
-                for g in range(groups):
-                    term = backend.mul(
-                        inputs.ct(g, stride * u + x, stride * v + y),
-                        filters.cells[(k, g, x, y)],
-                    )
-                    acc = _accumulate(backend, acc, term)
-        return fold_rotate_sum(backend, acc, seg, r)
-
-    keys = [(k, u, v) for k in range(filters.filter_count)
-            for u in range(out_grid) for v in range(out_grid)]
-    cells = _map_keys(one, keys, threads)
-    # Without exact tiling the fold leaves valid data in segment 0 only, so
-    # the output degrades to the basic layout (zero-masked by later stages).
-    layout = CONV_CROSS_FILTER if replicated else CONV_BASIC
-    return PackedTensor(cells, layout, inputs.n, inputs.grid_side, seg,
-                        group_size=r if replicated else 1)
-
-
-def conv_forward_cross_filter(backend: SimulatorBackend, inputs: PackedTensor,
-                              filters: PackedFilters, out_grid: int, stride: int,
-                              r: int, threads: int = 1) -> PackedTensor:
-    """Cross-filter convolution: inputs carry r replicas, each filter-group
-    ciphertext multiplies r filters at once.  The output holds one filter per
-    segment, i.e. it is cross-channel packed for the next layer."""
-    if inputs.layout != CONV_CROSS_FILTER:
-        raise ValueError(f"expected {CONV_CROSS_FILTER} input, got {inputs.layout}")
-    if inputs.group_size < r:
+    layout, r = filters.layout, filters.group_size
+    if inputs.layout != layout:
+        raise ValueError(f"expected {layout} input, got {inputs.layout}")
+    if layout == CONV_CROSS_FILTER and inputs.group_size < r:
         raise ValueError(f"input carries {inputs.group_size} replicas, need {r}")
     gamma = filters.filter_side
-    groups = -(-filters.filter_count // r)
+    filter_cells, channel_cells = conv_cell_counts(layout, r, filters.filter_count,
+                                                   filters.channel_count)
+    seg = inputs.seg_slots
+    fold = layout == CONV_CROSS_CHANNEL and r > 1
 
     def one(key):
-        kg, u, v = key
+        a, u, v = key
         acc = None
         for x in range(gamma):
             for y in range(gamma):
-                for i in range(filters.channel_count):
+                for b in range(channel_cells):
                     term = backend.mul(
-                        inputs.ct(i, stride * u + x, stride * v + y),
-                        filters.cells[(kg, i, x, y)],
+                        inputs.ct(b, stride * u + x, stride * v + y),
+                        filters.cells[(a, b, x, y)],
                     )
                     acc = _accumulate(backend, acc, term)
-        return acc
+        return fold_rotate_sum(backend, acc, seg, r) if fold else acc
 
-    keys = [(kg, u, v) for kg in range(groups)
+    keys = [(a, u, v) for a in range(filter_cells)
             for u in range(out_grid) for v in range(out_grid)]
     cells = _map_keys(one, keys, threads)
-    return PackedTensor(cells, CONV_CROSS_CHANNEL, inputs.n, inputs.grid_side,
-                        inputs.seg_slots, group_size=r)
+    if layout == CONV_CROSS_FILTER:
+        out_layout, group = CONV_CROSS_CHANNEL, r
+    elif layout == CONV_CROSS_CHANNEL and r * seg == inputs.slot_count:
+        out_layout, group = CONV_CROSS_FILTER, r
+    else:
+        out_layout, group = CONV_BASIC, 1
+    return PackedTensor(cells, out_layout, inputs.n, inputs.grid_side, seg,
+                        group_size=group)
 
 
 def fl_forward_type1(backend: SimulatorBackend, inputs: PackedTensor,
@@ -154,7 +104,7 @@ def fl_forward_type1(backend: SimulatorBackend, inputs: PackedTensor,
     if weights.kind != "type1":
         raise ValueError("type I propagation needs type1 weights")
     n = inputs.n
-    slot_count = next(iter(inputs.cells.values())).slot_count
+    slot_count = inputs.slot_count
 
     def one(i):
         acc = None
@@ -179,7 +129,7 @@ def fl_forward_type2(backend: SimulatorBackend, inputs: PackedTensor,
     if weights.kind != "type2":
         raise ValueError("type II propagation needs type2 weights")
     n = inputs.n
-    slot_count = next(iter(inputs.cells.values())).slot_count
+    slot_count = inputs.slot_count
 
     def one(j):
         acc = None

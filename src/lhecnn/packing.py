@@ -13,6 +13,11 @@ Slot layout conventions (S slots, n parallel inputs, grid side b):
 * Fully-connected type I input: each ciphertext carries several pi-sets
   (neurons) without replication.  Type II input: one pi-set replicated S/n
   times.  The two alternate layer to layer.
+
+:func:`conv_segments` and :func:`fl_segments` are the one slot map of each
+layout: which filter and channel, or which weight row and column, each
+segment of a cell holds.  The encoders here, the conv kernel and the session's
+decoder and loader all read them.
 """
 
 from __future__ import annotations
@@ -63,6 +68,10 @@ class PackedTensor:
     def cts(self) -> list[Ciphertext]:
         return [self.cells[k] for k in sorted(self.cells)]
 
+    @property
+    def slot_count(self) -> int:
+        return next(iter(self.cells.values())).slot_count
+
     def level(self) -> int:
         levels = {ct.level for ct in self.cells.values()}
         if len(levels) != 1:
@@ -74,9 +83,9 @@ class PackedTensor:
 class PackedFilters:
     """Encrypted filter elements for one conv layer.
 
-    Basic layout keys cells by ``(filter, channel, x, y)``; cross-channel by
-    ``(filter, channel_group, x, y)``; cross-filter by
-    ``(filter_group, channel, x, y)``.
+    Cells are keyed ``(a, b, x, y)``: filter (group) ``a``, channel (group)
+    ``b`` and kernel element ``(x, y)``; :func:`conv_segments` says which
+    filter and channel each segment of a cell holds.
     """
 
     cells: dict[tuple[int, int, int, int], Ciphertext]
@@ -85,6 +94,14 @@ class PackedFilters:
     channel_count: int
     filter_side: int
     group_size: int = 1
+
+    def cell_keys(self) -> list[tuple[int, int, int, int]]:
+        """Every cell key the layout calls for, in encryption order."""
+        filter_cells, channel_cells = conv_cell_counts(
+            self.layout, self.group_size, self.filter_count, self.channel_count)
+        side = range(self.filter_side)
+        return [(a, b, x, y) for a in range(filter_cells) for b in range(channel_cells)
+                for x in side for y in side]
 
 
 @dataclass
@@ -110,6 +127,50 @@ class PackedWeights:
     def weight_key(self, j: int, i: int) -> tuple[int, int]:
         """Cell connecting output-ct index ``j`` and input-ct index ``i``."""
         return (j, i) if self.kind == "type1" else (i, j)
+
+    def cell_keys(self) -> list[tuple[int, int]]:
+        """Every cell key the layout calls for, in encryption order."""
+        return sorted(self.weight_key(j, i) for j in range(self.out_cts)
+                      for i in range(self.in_cts))
+
+
+def conv_segments(layout: str, r: int, a: int, b: int) -> list[tuple[int, int, int]]:
+    """Slot map of conv cell ``(a, b, x, y)`` as ``(q, filter, channel)``:
+    segment ``q`` (slots ``q*seg`` to ``(q+1)*seg``) holds that filter and
+    channel.  Basic cells hold filter ``a`` and channel ``b``; cross-channel
+    cells hold channels ``b*r + q``; cross-filter cells hold filters
+    ``a*r + q``.  Indices past the layer's size are padding."""
+    if layout == CONV_BASIC:
+        return [(0, a, b)]
+    if layout == CONV_CROSS_CHANNEL:
+        return [(q, a, b * r + q) for q in range(r)]
+    if layout == CONV_CROSS_FILTER:
+        return [(q, a * r + q, b) for q in range(r)]
+    raise ValueError(f"not a conv layout: {layout!r}")
+
+
+def conv_cell_counts(layout: str, r: int, filters: int, channels: int) -> tuple[int, int]:
+    """Cell counts along the filter axis ``a`` and the channel axis ``b``."""
+    if layout == CONV_BASIC:
+        return filters, channels
+    if layout == CONV_CROSS_CHANNEL:
+        return filters, -(-channels // r)
+    if layout == CONV_CROSS_FILTER:
+        return -(-filters // r), channels
+    raise ValueError(f"not a conv layout: {layout!r}")
+
+
+def fl_segments(kind: str, per_ct: int, a: int, b: int) -> list[tuple[int, int, int]]:
+    """Slot map of fully-connected weight cell ``(a, b)`` as ``(w, row, col)``:
+    pi-set ``w`` holds weight ``matrix[row, col]``.  Type I cell ``(i, j)``
+    holds row ``i`` for the ``per_ct`` input neurons of input ciphertext ``j``;
+    type II cell ``(i, j)`` holds column ``i`` for the ``per_ct = S/n`` output
+    rows of output ciphertext ``j``.  Indices past the matrix are padding."""
+    if kind == "type1":
+        return [(w, a, b * per_ct + w) for w in range(per_ct)]
+    if kind == "type2":
+        return [(w, b * per_ct + w, a) for w in range(per_ct)]
+    raise ValueError(f"not a weight kind: {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -198,60 +259,38 @@ def _grid_segment(images: np.ndarray, channel: int, u: int, v: int,
 
 
 def encode_inputs(backend: SimulatorBackend, ctx: KeyContext, images: np.ndarray,
-                  geo: CombinedGeometry, replicas: int = 1) -> PackedTensor:
-    """Pack n images into the basic conv layout (one ciphertext per channel
-    and combined-kernel cell).  ``replicas > 1`` repeats each segment to feed
-    cross-filter propagation."""
+                  geo: CombinedGeometry, layout: str = CONV_BASIC,
+                  r: int = 1) -> PackedTensor:
+    """Pack n images into a conv input layout: one ciphertext per channel
+    cell ``b`` and combined-kernel cell ``(u, v)``, whose segments hold the
+    channels :func:`conv_segments` places there.  Cross-channel cells stack
+    ``r`` channels; cross-filter cells repeat one channel ``r`` times to feed
+    ``r`` filters at once."""
     n, channels, side, _ = images.shape
     if n != geo.n:
         raise ValueError(f"expected {geo.n} images, got {n}")
     seg = geo.seg_slots
-    if replicas * seg > geo.slot_count:
-        raise ValueError(f"{replicas} replicas of {seg} slots exceed {geo.slot_count}")
+    span = len(conv_segments(layout, r, 0, 0))
+    if span * seg > geo.slot_count:
+        raise ValueError(f"{span} segments of {seg} slots exceed {geo.slot_count}")
     gamma0 = geo.kernel_sides[0]
     if gamma0 + (geo.grid_side - 1) * geo.strides[0] > side:
         raise ValueError("image side too small for the combined kernel grid")
 
+    _, groups = conv_cell_counts(layout, r, 0, channels)
     cells = {}
-    for i in range(channels):
+    for b in range(groups):
+        segments = [(q, c) for q, _, c in conv_segments(layout, r, 0, b) if c < channels]
         for u in range(gamma0):
             for v in range(gamma0):
                 vec = np.zeros(geo.slot_count)
-                segment = _grid_segment(images, i, u, v, geo)
-                for q in range(replicas):
-                    vec[q * seg:(q + 1) * seg] = segment
-                cells[(i, u, v)] = backend.encrypt(ctx, vec)
-    layout = CONV_CROSS_FILTER if replicas > 1 else CONV_BASIC
-    return PackedTensor(cells, layout, geo.n, geo.grid_side, seg,
-                        group_size=replicas)
-
-
-def encode_inputs_cross_channel(backend: SimulatorBackend, ctx: KeyContext,
-                                images: np.ndarray, geo: CombinedGeometry,
-                                r: int) -> PackedTensor:
-    """Pack r channels per ciphertext (channel group g holds channels
-    g*r .. g*r+r-1 in consecutive segments, zero-padded)."""
-    n, channels, _, _ = images.shape
-    if n != geo.n:
-        raise ValueError(f"expected {geo.n} images, got {n}")
-    seg = geo.seg_slots
-    if r * seg > geo.slot_count:
-        raise ValueError(f"{r} channel segments of {seg} slots exceed {geo.slot_count}")
-    groups = -(-channels // r)
-    gamma0 = geo.kernel_sides[0]
-
-    cells = {}
-    for g in range(groups):
-        for u in range(gamma0):
-            for v in range(gamma0):
-                vec = np.zeros(geo.slot_count)
-                for q in range(r):
-                    i = g * r + q
-                    if i < channels:
-                        vec[q * seg:(q + 1) * seg] = _grid_segment(images, i, u, v, geo)
-                cells[(g, u, v)] = backend.encrypt(ctx, vec)
-    return PackedTensor(cells, CONV_CROSS_CHANNEL, geo.n, geo.grid_side, seg,
-                        group_size=r)
+                # cross-filter segments repeat one channel: gather it once
+                grids = {c: _grid_segment(images, c, u, v, geo)
+                         for c in {c for _, c in segments}}
+                for q, c in segments:
+                    vec[q * seg:(q + 1) * seg] = grids[c]
+                cells[(b, u, v)] = backend.encrypt(ctx, vec)
+    return PackedTensor(cells, layout, geo.n, geo.grid_side, seg, group_size=span)
 
 
 # ---------------------------------------------------------------------------
@@ -270,45 +309,33 @@ def encode_filters(backend: SimulatorBackend, ctx: KeyContext, filters: np.ndarr
     """
     eps, alpha, gamma, _ = filters.shape
     seg = geo.seg_slots
-    cells = {}
-    if layout == CONV_BASIC:
-        for k in range(eps):
-            for i in range(alpha):
-                for x in range(gamma):
-                    for y in range(gamma):
-                        vec = np.zeros(geo.slot_count)
-                        vec[:seg] = filters[k, i, x, y]
-                        cells[(k, i, x, y)] = backend.encrypt(ctx, vec)
-    elif layout == CONV_CROSS_CHANNEL:
-        groups = -(-alpha // r)
-        for k in range(eps):
-            for g in range(groups):
-                for x in range(gamma):
-                    for y in range(gamma):
-                        vec = np.zeros(geo.slot_count)
-                        for q in range(r):
-                            if g * r + q < alpha:
-                                vec[q * seg:(q + 1) * seg] = filters[k, g * r + q, x, y]
-                        cells[(k, g, x, y)] = backend.encrypt(ctx, vec)
-    elif layout == CONV_CROSS_FILTER:
-        groups = -(-eps // r)
-        for kg in range(groups):
-            for i in range(alpha):
-                for x in range(gamma):
-                    for y in range(gamma):
-                        vec = np.zeros(geo.slot_count)
-                        for q in range(r):
-                            if kg * r + q < eps:
-                                vec[q * seg:(q + 1) * seg] = filters[kg * r + q, i, x, y]
-                        cells[(kg, i, x, y)] = backend.encrypt(ctx, vec)
-    else:
-        raise ValueError(f"not a conv layout: {layout!r}")
-    return PackedFilters(cells, layout, eps, alpha, gamma, group_size=r)
+    packed = PackedFilters({}, layout, eps, alpha, gamma, group_size=r)
+    for a, b, x, y in packed.cell_keys():
+        vec = np.zeros(geo.slot_count)
+        for q, k, i in conv_segments(layout, r, a, b):
+            if k < eps and i < alpha:
+                vec[q * seg:(q + 1) * seg] = filters[k, i, x, y]
+        packed.cells[(a, b, x, y)] = backend.encrypt(ctx, vec)
+    return packed
 
 
 # ---------------------------------------------------------------------------
 # Fully-connected weight encoding
 # ---------------------------------------------------------------------------
+
+
+def _encode_weights(backend: SimulatorBackend, ctx: KeyContext, matrix: np.ndarray,
+                    weights: PackedWeights, per_ct: int) -> PackedWeights:
+    """Encrypt every cell of ``weights`` as :func:`fl_segments` lays it out,
+    each weight replicated n times; padding encodes as zero."""
+    n = weights.n
+    for a, b in weights.cell_keys():
+        vec = np.zeros(ctx.params.slot_count)
+        for w, row, col in fl_segments(weights.kind, per_ct, a, b):
+            if row < weights.out_neurons and col < weights.in_neurons:
+                vec[w * n:(w + 1) * n] = matrix[row, col]
+        weights.cells[(a, b)] = backend.encrypt(ctx, vec)
+    return weights
 
 
 def encode_fl_weights_type1(backend: SimulatorBackend, ctx: KeyContext,
@@ -320,20 +347,11 @@ def encode_fl_weights_type1(backend: SimulatorBackend, ctx: KeyContext,
     out_n, in_n = matrix.shape
     if in_cts * pi_per_ct < in_n:
         raise ValueError(f"{in_cts} cts x {pi_per_ct} pi-sets cannot hold {in_n} inputs")
-    slot_count = ctx.params.slot_count
-    if pi_per_ct * n > slot_count:
+    if pi_per_ct * n > ctx.params.slot_count:
         raise ValueError("pi-sets do not fit in one ciphertext")
-    cells = {}
-    for i in range(out_n):
-        for j in range(in_cts):
-            vec = np.zeros(slot_count)
-            for w in range(pi_per_ct):
-                col = j * pi_per_ct + w
-                if col < in_n:
-                    vec[w * n:(w + 1) * n] = matrix[i, col]
-            cells[(i, j)] = backend.encrypt(ctx, vec)
-    return PackedWeights(cells, "type1", out_neurons=out_n, in_neurons=in_n,
-                         in_cts=in_cts, out_cts=out_n, pi_per_ct=pi_per_ct, n=n)
+    return _encode_weights(backend, ctx, matrix, PackedWeights(
+        {}, "type1", out_neurons=out_n, in_neurons=in_n, in_cts=in_cts, out_cts=out_n,
+        pi_per_ct=pi_per_ct, n=n), pi_per_ct)
 
 
 def encode_fl_weights_type2(backend: SimulatorBackend, ctx: KeyContext,
@@ -342,20 +360,11 @@ def encode_fl_weights_type2(backend: SimulatorBackend, ctx: KeyContext,
     land in output ciphertext j (S/n rows per ciphertext), replicated n times,
     zero beyond the last output row."""
     out_n, in_n = matrix.shape
-    slot_count = ctx.params.slot_count
-    block = slot_count // n
+    block = ctx.params.slot_count // n
     out_cts = -(-out_n // block)
-    cells = {}
-    for i in range(in_n):
-        for j in range(out_cts):
-            vec = np.zeros(slot_count)
-            for w in range(block):
-                row = j * block + w
-                if row < out_n:
-                    vec[w * n:(w + 1) * n] = matrix[row, i]
-            cells[(i, j)] = backend.encrypt(ctx, vec)
-    return PackedWeights(cells, "type2", out_neurons=out_n, in_neurons=in_n,
-                         in_cts=in_n, out_cts=out_cts, pi_per_ct=1, n=n)
+    return _encode_weights(backend, ctx, matrix, PackedWeights(
+        {}, "type2", out_neurons=out_n, in_neurons=in_n, in_cts=in_n, out_cts=out_cts,
+        pi_per_ct=1, n=n), block)
 
 
 # ---------------------------------------------------------------------------

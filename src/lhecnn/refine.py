@@ -30,11 +30,13 @@ from .packing import (
     PackedTensor,
     PackedWeights,
     as_fl_input,
+    conv_cell_counts,
+    conv_segments,
     encode_filters,
     encode_fl_weights_type1,
     encode_fl_weights_type2,
     encode_inputs,
-    encode_inputs_cross_channel,
+    fl_segments,
 )
 from .tee import BoundaryStats, TeeService
 
@@ -111,25 +113,25 @@ class RefineSession:
 
     # -- model onboarding ----------------------------------------------------
 
-    def fl_shapes(self) -> list[tuple[str, int, int]]:
-        """Per fc layer: (kind, input ciphertext count, pi-sets per ciphertext)."""
+    def fl_shapes(self) -> list[tuple[str, int, int, int]]:
+        """Per fc layer: (kind, input ciphertext count, output ciphertext
+        count, pi-sets per input ciphertext)."""
         geo, cfg = self.geo, self.cfg
         last = cfg.conv[-1]
+        in_cts, _ = conv_cell_counts(self.layouts[-1], self.r, last.filters, last.channels)
+        pi = geo.grid_side**2
         if self.layouts[-1] == CONV_CROSS_FILTER:
-            in_cts = -(-last.filters // self.r)
-            pi = self.r * geo.grid_side**2
-        else:
-            in_cts = last.filters
-            pi = geo.grid_side**2
+            pi *= self.r
         shapes = []
         block = self.params.slot_count // cfg.n
         for k, layer in enumerate(cfg.fc):
             if k % 2 == 0:
-                shapes.append(("type1", in_cts, pi))
+                shapes.append(("type1", in_cts, layer.outputs, pi))
                 in_cts, pi = layer.outputs, 1
             else:
-                shapes.append(("type2", in_cts, pi))
-                in_cts, pi = -(-layer.outputs * cfg.n // self.params.slot_count), block
+                out_cts = -(-layer.outputs // block)
+                shapes.append(("type2", in_cts, out_cts, pi))
+                in_cts, pi = out_cts, block
         return shapes
 
     def load_base_model(self, plain: PlainParams) -> None:
@@ -147,14 +149,15 @@ class RefineSession:
                 filters.append(encode_filters(self.backend, self.ctx, mats, self.geo,
                                               layout=self.layouts[l], r=self.r))
         weights: list[PackedWeights] = []
-        for k, (mat, shape) in enumerate(zip(plain.weights, self.fl_shapes())):
+        for k, (mat, (kind, in_cts, _, pi)) in enumerate(zip(plain.weights,
+                                                             self.fl_shapes())):
             layer = self.cfg.fc[k]
             if mat.shape != (layer.outputs, layer.inputs):
                 raise ValueError(f"fc layer {k} weight shape mismatch")
             with meter.scope(f"enc.weights.FL{k + 1}"):
-                if shape[0] == "type1":
+                if kind == "type1":
                     weights.append(encode_fl_weights_type1(
-                        self.backend, self.ctx, mat, shape[1], shape[2], self.cfg.n))
+                        self.backend, self.ctx, mat, in_cts, pi, self.cfg.n))
                 else:
                     weights.append(encode_fl_weights_type2(
                         self.backend, self.ctx, mat, self.cfg.n))
@@ -162,41 +165,29 @@ class RefineSession:
 
     def decrypted_model(self) -> PlainParams:
         """Recover the plaintext model through the TEE (model-provider path)."""
+        seg = self.geo.seg_slots
         filters = []
         for l, packed in enumerate(self.filters):
             layer = self.cfg.conv[l]
             mats = np.zeros((layer.filters, layer.channels,
                              layer.filter_side, layer.filter_side))
-            for (k, i, x, y), ct in packed.cells.items():
+            for (a, b, x, y), ct in packed.cells.items():
                 slots = self.tee.backend.decrypt(self.tee._ctx, ct)
-                if packed.layout == CONV_BASIC:
-                    mats[k, i, x, y] = slots[0]
-                elif packed.layout == CONV_CROSS_CHANNEL:
-                    for q in range(packed.group_size):
-                        if i * packed.group_size + q < layer.channels:
-                            mats[k, i * packed.group_size + q, x, y] = slots[q * self.geo.seg_slots]
-                else:
-                    for q in range(packed.group_size):
-                        if k * packed.group_size + q < layer.filters:
-                            mats[k * packed.group_size + q, i, x, y] = slots[q * self.geo.seg_slots]
+                for q, k, i in conv_segments(packed.layout, packed.group_size, a, b):
+                    if k < layer.filters and i < layer.channels:
+                        mats[k, i, x, y] = slots[q * seg]
             filters.append(mats)
         weights = []
+        block = self.params.slot_count // self.cfg.n
         for k, packed in enumerate(self.weights):
             layer = self.cfg.fc[k]
             mat = np.zeros((layer.outputs, layer.inputs))
-            block = self.params.slot_count // self.cfg.n
+            per_ct = packed.pi_per_ct if packed.kind == "type1" else block
             for (a, b), ct in packed.cells.items():
                 slots = self.tee.backend.decrypt(self.tee._ctx, ct)
-                if packed.kind == "type1":
-                    for w in range(packed.pi_per_ct):
-                        col = b * packed.pi_per_ct + w
-                        if col < layer.inputs:
-                            mat[a, col] = slots[w * self.cfg.n]
-                else:
-                    for w in range(block):
-                        row = b * block + w
-                        if row < layer.outputs:
-                            mat[row, a] = slots[w * self.cfg.n]
+                for w, row, col in fl_segments(packed.kind, per_ct, a, b):
+                    if row < layer.outputs and col < layer.inputs:
+                        mat[row, col] = slots[w * self.cfg.n]
             weights.append(mat)
         return PlainParams(filters, weights)
 
@@ -205,12 +196,8 @@ class RefineSession:
     def encrypt_inputs(self, images: np.ndarray) -> PackedTensor:
         images = np.asarray(images, dtype=np.float64)
         with self.meter.scope("enc.inputs"):
-            layout = self.layouts[0]
-            if layout == CONV_CROSS_CHANNEL:
-                return encode_inputs_cross_channel(self.backend, self.ctx, images,
-                                                   self.geo, self.r)
-            replicas = self.r if layout == CONV_CROSS_FILTER else 1
-            return encode_inputs(self.backend, self.ctx, images, self.geo, replicas)
+            return encode_inputs(self.backend, self.ctx, images, self.geo,
+                                 self.layouts[0], self.r)
 
     def _forward(self, tensor: PackedTensor) -> tuple[PackedTensor, _ForwardCache]:
         cache = _ForwardCache()
@@ -220,17 +207,8 @@ class RefineSession:
             cache.conv_inputs.append(tensor)
             out_grid = geo.kernel_side_after(l)
             with meter.scope(f"CL{l + 1}"):
-                if self.layouts[l] == CONV_BASIC:
-                    pre = fwd.conv_forward(self.backend, tensor, self.filters[l],
-                                           out_grid, layer.stride, self.threads)
-                elif self.layouts[l] == CONV_CROSS_CHANNEL:
-                    pre = fwd.conv_forward_cross_channel(
-                        self.backend, tensor, self.filters[l], out_grid,
-                        layer.stride, self.r, self.threads)
-                else:
-                    pre = fwd.conv_forward_cross_filter(
-                        self.backend, tensor, self.filters[l], out_grid,
-                        layer.stride, self.r, self.threads)
+                pre = fwd.conv_forward(self.backend, tensor, self.filters[l],
+                                       out_grid, layer.stride, self.threads)
             cache.conv_pre.append(pre)
             square_idx += 1
             with meter.scope(f"Square{square_idx}"):
@@ -410,13 +388,13 @@ class RefineSession:
              threads: int = 1, party: str = "refine-session") -> "RefineSession":
         root = Path(path)
         entries: dict[str, str] = {}
-        ct_lines: list[tuple[str, str]] = []
+        stored: dict[str, str] = {}
         for line in (root / MANIFEST_NAME).read_text(encoding="utf-8").splitlines():
             if not line.strip():
                 continue
             key, _, value = line.partition(" = ")
             if key.startswith(("filter.", "weight.")):
-                ct_lines.append((key, value))
+                stored[key] = value
             else:
                 entries[key] = value
         if entries.get("format") != FORMAT_TAG:
@@ -434,41 +412,32 @@ class RefineSession:
             raise ValueError(
                 f"stored layouts {stored_layouts} do not match planned {session.layouts}")
         stored_kinds = entries["weight_kinds"].split(",")
-        expected_kinds = [shape[0] for shape in session.fl_shapes()]
+        shapes = session.fl_shapes()
+        expected_kinds = [shape[0] for shape in shapes]
         if stored_kinds != expected_kinds:
             raise ValueError(
                 f"stored weight kinds {stored_kinds} do not match expected {expected_kinds}")
 
-        filters = [dict() for _ in range(cfg.c)]
-        weights = [dict() for _ in range(cfg.f)]
-        for key, name in ct_lines:
-            parts = key.split(".")
-            ct = deserialize((root / name).read_bytes(), session.ctx)
-            idx = tuple(int(p) for p in parts[2:])
-            if parts[0] == "filter":
-                filters[int(parts[1])][idx] = ct
-            else:
-                weights[int(parts[1])][idx] = ct
-
-        packed_filters = []
-        for l, cells in enumerate(filters):
-            layer = cfg.conv[l]
-            packed_filters.append(PackedFilters(
-                cells, session.layouts[l], layer.filters, layer.channels,
-                layer.filter_side, group_size=session.r if session.layouts[l] != CONV_BASIC else 1))
-        packed_weights = []
-        for k, cells in enumerate(weights):
-            kind, in_cts, pi = session.fl_shapes()[k]
-            layer = cfg.fc[k]
-            if kind == "type1":
-                packed_weights.append(PackedWeights(
-                    cells, "type1", layer.outputs, layer.inputs, in_cts,
-                    layer.outputs, pi, cfg.n))
-            else:
-                out_cts = -(-layer.outputs * cfg.n // params.slot_count)
-                packed_weights.append(PackedWeights(
-                    cells, "type2", layer.outputs, layer.inputs, layer.inputs,
-                    out_cts, 1, cfg.n))
+        packed_filters = [
+            PackedFilters({}, session.layouts[l], layer.filters, layer.channels,
+                          layer.filter_side, group_size=session.r)
+            for l, layer in enumerate(cfg.conv)]
+        packed_weights = [
+            PackedWeights({}, kind, layer.outputs, layer.inputs, in_cts, out_cts, pi, cfg.n)
+            for layer, (kind, in_cts, out_cts, pi) in zip(cfg.fc, shapes)]
+        # Every cell the layouts call for, and no other, before any is read.
+        targets = {}
+        for prefix, packed in [("filter", packed_filters), ("weight", packed_weights)]:
+            for l, tensor in enumerate(packed):
+                for key in tensor.cell_keys():
+                    targets[f"{prefix}.{l}.{'.'.join(map(str, key))}"] = (tensor.cells, key)
+        if stored.keys() != targets.keys():
+            raise ValueError(
+                f"stored cells do not match the model: "
+                f"missing {sorted(targets.keys() - stored.keys())[:5]}, "
+                f"extra {sorted(stored.keys() - targets.keys())[:5]}")
+        for entry, (cells, key) in targets.items():
+            cells[key] = deserialize((root / stored[entry]).read_bytes(), session.ctx)
         session.filters, session.weights = packed_filters, packed_weights
         return session
 

@@ -262,6 +262,8 @@ def _handle_loss_head(sock, service: TeeService, payload: bytes, ct_size: int):
     party = payload[1:1 + party_len].decode()
     off = 1 + party_len
     n, classes, layout_code, ct_count = struct.unpack_from("<IIII", payload, off)
+    if layout_code not in (1, 2):
+        raise ValueError(f"unknown logits layout code {layout_code}")
     off += 16
     cts = []
     for _ in range(ct_count):
@@ -328,6 +330,8 @@ class TeeSocketClient:
 
     def loss_head(self, logits: PackedTensor, labels: np.ndarray,
                   classes: int) -> tuple[float, list[Ciphertext]]:
+        if classes > 256:
+            raise ValueError(f"{classes} classes do not fit the one-byte label encoding")
         party = self.party.encode()
         layout_code = 1 if logits.layout == FL_TYPE1 else 2
         cts = logits.cts()

@@ -3,8 +3,6 @@ import pytest
 
 from lhecnn.forward import (
     conv_forward,
-    conv_forward_cross_channel,
-    conv_forward_cross_filter,
     fl_forward_type1,
     fl_forward_type2,
     square_activation,
@@ -125,11 +123,10 @@ class TestConvCrossLayouts:
         conv_forward(backend, basic_in, basic_f, geo.kernel_side_after(0), 2)
         basic_muls = meter.since(mark)[("(unscoped)", "mul", params.top_level)]
 
-        rep_in = encode_inputs(backend, ctx, images, geo, replicas=4)
+        rep_in = encode_inputs(backend, ctx, images, geo, "conv-cross-filter", r=4)
         group_f = encode_filters(backend, ctx, filters, geo, "conv-cross-filter", r=4)
         mark = meter.checkpoint()
-        conv_forward_cross_filter(backend, rep_in, group_f,
-                                  geo.kernel_side_after(0), 2, r=4)
+        conv_forward(backend, rep_in, group_f, geo.kernel_side_after(0), 2)
         grouped_muls = meter.since(mark)[("(unscoped)", "mul", params.top_level)]
         assert grouped_muls * 4 == basic_muls
 
@@ -144,11 +141,10 @@ class TestConvCrossLayouts:
         basic = conv_forward(
             backend, encode_inputs(backend, ctx, images, geo),
             encode_filters(backend, ctx, filters, geo), geo.kernel_side_after(0), 2)
-        from lhecnn.packing import encode_inputs_cross_channel
-        cross = conv_forward_cross_channel(
-            backend, encode_inputs_cross_channel(backend, ctx, images, geo, 1),
+        cross = conv_forward(
+            backend, encode_inputs(backend, ctx, images, geo, "conv-cross-channel", r=1),
             encode_filters(backend, ctx, filters, geo, "conv-cross-channel", r=1),
-            geo.kernel_side_after(0), 2, r=1)
+            geo.kernel_side_after(0), 2)
         for key in basic.cells:
             assert np.array_equal(basic.cells[key].slots, cross.cells[key].slots)
 
@@ -169,12 +165,11 @@ class TestConvCrossLayouts:
                      geo.kernel_side_after(0), 2)
         basic_muls = sum(c for (s, k, _), c in meter.since(mark).items() if k == "mul")
 
-        from lhecnn.packing import encode_inputs_cross_channel
         mark = meter.checkpoint()
-        conv_forward_cross_channel(
-            backend, encode_inputs_cross_channel(backend, ctx, images, geo, 2),
+        conv_forward(
+            backend, encode_inputs(backend, ctx, images, geo, "conv-cross-channel", r=2),
             encode_filters(backend, ctx, filters, geo, "conv-cross-channel", r=2),
-            geo.kernel_side_after(0), 2, r=2)
+            geo.kernel_side_after(0), 2)
         cross_muls = sum(c for (s, k, _), c in meter.since(mark).items() if k == "mul")
         assert cross_muls * 2 == basic_muls
 
@@ -188,15 +183,21 @@ class TestConvCrossLayouts:
 
     def test_layout_tag_validation(self, backend):
         cfg = CnnConfig((ConvLayer(1, 4, 1, 2, 2),), (FcLayer(4, 2),), 2)
-        params = LheParams(8, 6)
+        params = LheParams(32, 6)
         geo = combined_geometry(cfg, params)
         ctx = backend.keygen(params, seed=1)
-        inputs = encode_inputs(backend, ctx, np.ones((2, 1, 4, 4)), geo)
-        filters = encode_filters(backend, ctx, np.ones((1, 1, 2, 2)), geo)
-        with pytest.raises(ValueError):
-            conv_forward_cross_channel(backend, inputs, filters, 1, 2, r=2)
-        with pytest.raises(ValueError):
-            conv_forward_cross_filter(backend, inputs, filters, 1, 2, r=2)
+        images = np.ones((2, 1, 4, 4))
+        inputs = encode_inputs(backend, ctx, images, geo)
+        for layout in ("conv-cross-channel", "conv-cross-filter"):
+            filters = encode_filters(backend, ctx, np.ones((1, 1, 2, 2)), geo, layout, r=2)
+            with pytest.raises(ValueError, match="expected"):
+                conv_forward(backend, inputs, filters, 1, 2)
+        # cross-filter inputs must carry a replica for every filter in a group
+        two = encode_inputs(backend, ctx, images, geo, "conv-cross-filter", r=2)
+        four = encode_filters(backend, ctx, np.ones((1, 1, 2, 2)), geo,
+                              "conv-cross-filter", r=4)
+        with pytest.raises(ValueError, match="replicas"):
+            conv_forward(backend, two, four, 1, 2)
 
 
 class TestFlForward:

@@ -12,7 +12,6 @@ from lhecnn.packing import (
     encode_fl_weights_type1,
     encode_fl_weights_type2,
     encode_inputs,
-    encode_inputs_cross_channel,
     fold_rotate_sum,
     make_selector,
     signed_rotate_spread,
@@ -198,7 +197,7 @@ class TestInputEncoding:
         cfg = CnnConfig((ConvLayer(1, 4, 2, 2, 2),), (FcLayer(8, 2),), 2)
         geo = combined_geometry(cfg, LheParams(32, 6))
         ctx = backend.keygen(LheParams(32, 6), seed=1)
-        packed = encode_inputs(backend, ctx, np.ones((2, 1, 4, 4)), geo, replicas=2)
+        packed = encode_inputs(backend, ctx, np.ones((2, 1, 4, 4)), geo, CONV_CROSS_FILTER, r=2)
         assert packed.layout == CONV_CROSS_FILTER and packed.group_size == 2
         slots = backend.decrypt(ctx, packed.cells[(0, 0, 0)])
         assert np.array_equal(slots[:geo.seg_slots], slots[geo.seg_slots:2 * geo.seg_slots])
@@ -209,9 +208,9 @@ class TestInputEncoding:
         ctx = backend.keygen(LheParams(32, 6), seed=1)
         rng = np.random.default_rng(1)
         images = rng.normal(size=(2, 4, 4, 4))
-        by_two = encode_inputs_cross_channel(backend, ctx, images, geo, 2)
+        by_two = encode_inputs(backend, ctx, images, geo, CONV_CROSS_CHANNEL, r=2)
         assert len(by_two.cells) == 2 * geo.kernel_sides[0] ** 2
-        by_four = encode_inputs_cross_channel(backend, ctx, images, geo, 4)
+        by_four = encode_inputs(backend, ctx, images, geo, CONV_CROSS_CHANNEL, r=4)
         assert len(by_four.cells) == geo.kernel_sides[0] ** 2
         # group ciphertext concatenates the per-channel basic encodings
         basic = encode_inputs(backend, ctx, images, geo)
@@ -228,7 +227,7 @@ class TestInputEncoding:
         rng = np.random.default_rng(2)
         images = rng.normal(size=(2, 2, 4, 4))
         basic = encode_inputs(backend, ctx, images, geo)
-        cross = encode_inputs_cross_channel(backend, ctx, images, geo, 1)
+        cross = encode_inputs(backend, ctx, images, geo, CONV_CROSS_CHANNEL, r=1)
         for key, ct in basic.cells.items():
             assert np.array_equal(ct.slots, cross.cells[key].slots)
 

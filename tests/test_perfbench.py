@@ -23,3 +23,10 @@ def test_traced_refine_round_runs_correctly():
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+    # The traced spans wrap module-level names; a refactor that moves an
+    # encoder or rotate-and-sum helper away from them would read 0 here.
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    for name in ("packing.encode", "packing.fold", "packing.rotate_sum",
+                 "packing.rotate_spread"):
+        assert metrics[f"{name}.busy_ms"] > 0, name
+    assert metrics["packing.rotate_spread.rot_count"] == 1820

@@ -6,7 +6,7 @@ import pytest
 from lhecnn.geometry import CnnConfig, ConvLayer, FcLayer, preset
 from lhecnn.lhe import LevelExhausted, LheParams, SimulatorBackend
 from lhecnn.metering import OpMeter
-from lhecnn.oracle import init_params, plain_backward_step
+from lhecnn.oracle import init_params, plain_backward_step, plain_forward
 from lhecnn.refine import RefineSession, predict_stage_counts
 from lhecnn.tee import TeeService
 
@@ -24,6 +24,13 @@ def small_cfg():
     return CnnConfig((ConvLayer(1, 4, 2, 2, 2),), (FcLayer(8, 4), FcLayer(4, 3)), 4)
 
 
+def padded_cfg(channels):
+    """Two conv layers of 3 filters each: with r = 2 the last filter or channel
+    group is half padding."""
+    return CnnConfig((ConvLayer(channels, 6, 3, 2, 2), ConvLayer(3, 3, 3, 2, 1)),
+                     (FcLayer(12, 5), FcLayer(5, 3)), 4)
+
+
 class TestModelOnboarding:
     def test_refining_preset_loads(self):
         p = preset("refining-2-2")
@@ -34,13 +41,25 @@ class TestModelOnboarding:
         assert len(sess.weights[1].cells) == 32
         assert sess.weights[0].kind == "type1" and sess.weights[1].kind == "type2"
 
-    def test_decrypted_model_roundtrip(self):
-        cfg = small_cfg()
-        sess = make_session(cfg, LheParams(32, 12), seed=4)
+    @pytest.mark.parametrize("cfg, slots, r_mode, layouts", [
+        (small_cfg(), 32, 1, ["conv-basic"]),
+        (padded_cfg(1), 128, 2, ["conv-cross-filter", "conv-cross-channel"]),
+        (padded_cfg(3), 256, 2, ["conv-cross-channel", "conv-basic"]),
+    ], ids=["basic", "cross-filter-then-cross-channel", "cross-channel-then-basic"])
+    def test_decrypted_model_roundtrip(self, cfg, slots, r_mode, layouts):
+        sess = make_session(cfg, LheParams(slots, 12), seed=4, r_mode=r_mode)
+        assert sess.layouts == layouts
         plain = init_params(cfg, 4)
         got = sess.decrypted_model()
         for a, b in zip(got.filters + got.weights, plain.filters + plain.weights):
             assert np.array_equal(a, b)
+        first = cfg.conv[0]
+        images = np.random.default_rng(4).normal(
+            size=(cfg.n, first.channels, first.input_side, first.input_side))
+        logits, _ = sess.infer(images)
+        want = plain_forward(cfg, plain, images).logits
+        err = np.abs(sess.reveal_outputs(logits) - want).max()
+        assert err / max(1.0, np.abs(want).max()) < 1e-9
 
     def test_reload_replaces_parameters_atomically(self):
         cfg = small_cfg()
@@ -224,6 +243,31 @@ class TestPersistence:
         loaded = RefineSession.load(tee, tmp_path / "model")
         lb, _ = loaded.infer(images)
         assert np.array_equal(sess.reveal_outputs(la), loaded.reveal_outputs(lb))
+
+    def test_save_load_keeps_filter_layouts(self, tmp_path):
+        cfg, params = padded_cfg(3), LheParams(256, 12)
+        sess = make_session(cfg, params, seed=7, r_mode=2)
+        sess.save(tmp_path / "model")
+        tee = TeeService(SimulatorBackend(OpMeter()), params, seed=7)
+        loaded = RefineSession.load(tee, tmp_path / "model")
+        assert ([(f.layout, f.group_size) for f in loaded.filters]
+                == [(f.layout, f.group_size) for f in sess.filters])
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda lines: [l for l in lines if not l.startswith("weight.1.0.0 =")],
+         r"missing \['weight\.1\.0\.0'\], extra \[\]"),
+        (lambda lines: lines + ["filter.0.9.0.0.0 = cts/f0_0_0_0_0.lhe"],
+         r"missing \[\], extra \['filter\.0\.9\.0\.0\.0'\]"),
+    ], ids=["missing", "extra"])
+    def test_load_rejects_incomplete_cell_set(self, tmp_path, edit, match):
+        cfg, params = small_cfg(), LheParams(32, 12)
+        make_session(cfg, params, seed=14).save(tmp_path / "model")
+        manifest = tmp_path / "model" / "session.manifest"
+        lines = manifest.read_text().splitlines()
+        manifest.write_text("\n".join(edit(lines)) + "\n")
+        tee = TeeService(SimulatorBackend(OpMeter()), params, seed=14)
+        with pytest.raises(ValueError, match=match):
+            RefineSession.load(tee, tmp_path / "model")
 
     def test_load_rejects_wrong_key(self, tmp_path):
         cfg = small_cfg()

@@ -1,11 +1,20 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from lhecnn.lhe import SecrecyViolation, serialize
 from lhecnn.packing import FL_TYPE1, FL_TYPE2, PackedTensor
-from lhecnn.tee import NotAttested, TeeSocketClient, TeeSocketServer
+from lhecnn.tee import (
+    OP_ERROR,
+    OP_LOSS_HEAD,
+    NotAttested,
+    TeeSocketClient,
+    TeeSocketServer,
+    _recv_frame,
+    _send_frame,
+)
 
 from conftest import make_tee
 
@@ -225,4 +234,35 @@ class TestSocketTransport:
             ct = backend.encrypt(tee.public_context(), np.zeros(16))
             with pytest.raises(RuntimeError, match="not attested"):
                 client.reencrypt_batch([ct])
+            client.close()
+
+    def test_client_rejects_labels_wider_than_a_byte(self, backend, tmp_path):
+        tee = make_tee(backend, slots=16, levels=6)
+        path = str(tmp_path / "tee.sock")
+        with TeeSocketServer(tee, path):
+            ctx = tee.public_context()
+            client = TeeSocketClient(path, ctx, "remote")
+            client.attest()
+            tensor = PackedTensor({(0,): backend.encrypt(ctx, np.zeros(16))}, FL_TYPE1, 2,
+                                  pi_sets=8, neurons=300)
+            # label 300 would arrive as 300 % 256 = 44, a valid class
+            with pytest.raises(ValueError, match="300 classes"):
+                client.loss_head(tensor, np.array([300, 1]), 300)
+            assert client.attest() == ctx.key_id  # nothing was half-sent
+            client.close()
+
+    def test_server_rejects_unknown_layout_code(self, backend, tmp_path):
+        tee = make_tee(backend, slots=16, levels=6)
+        path = str(tmp_path / "tee.sock")
+        with TeeSocketServer(tee, path):
+            ctx = tee.public_context()
+            client = TeeSocketClient(path, ctx, "remote")
+            client.attest()
+            party = b"remote"
+            payload = (bytes([len(party)]) + party + struct.pack("<IIII", 2, 4, 3, 1)
+                       + serialize(backend.encrypt(ctx, np.zeros(16))) + bytes([1, 3]))
+            _send_frame(client._sock, OP_LOSS_HEAD, payload)
+            opcode, body = _recv_frame(client._sock)
+            assert opcode == OP_ERROR
+            assert b"layout code 3" in body
             client.close()
