@@ -16,6 +16,15 @@ operand's slot array and records a shift, which ``add`` and ``mul`` read
 directly.  It is still metered as one ``rot`` at the operand's meter level,
 as a real key-switching rotation would be.
 
+Slot buffers are recycled.  ``add``, ``mul``, ``cmul``, ``encrypt`` and
+``reencrypt`` write into a buffer from their backend's free list, and a
+buffer returns to that list when the last ciphertext holding it (the one it
+was made for, or a rotation sharing it) is dropped, so a steady pipeline
+reuses its working set instead of allocating and page-faulting it anew on
+every pass.  An array anyone else still holds (``ct.slots``, or a slice or
+view of it) is never reused, nor is an array passed to the public
+:class:`Ciphertext` constructor or read by :func:`deserialize`.
+
 Level accounting for the meter follows lazy rescaling: the product of a
 multiplication stays at its operands' modulus level until the next
 multiplication rescales it, so additions and rotations applied to a
@@ -28,7 +37,9 @@ from __future__ import annotations
 
 import secrets
 import struct
+import sys
 import zlib
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -106,19 +117,35 @@ class KeyContext:
         return zlib.crc32(self.key_id.encode())
 
 
+def _alone_counts(getrefcount=sys.getrefcount) -> tuple[int, int]:
+    """The reference counts :meth:`Ciphertext.__del__` reads for a pooled
+    buffer nobody else holds: of a view held in one slot and copied to a
+    local name, and of that view's owner.  Measured here with the same access
+    pattern, so the test matches this interpreter's own counting."""
+    holder = [np.empty(1).view()]
+    base = holder[0]
+    return getrefcount(base), getrefcount(base.base)
+
+
+_VIEW_ALONE, _OWNER_ALONE = _alone_counts()
+
+
 class Ciphertext:
     """Immutable slot vector with remaining-level budget and key identity.
 
     The vector is held as a base array plus a cyclic left shift, so a rotation
     shares its operand's array instead of copying it.  :attr:`slots` is the
     rotated vector; it is built on each read of a shifted ciphertext and is
-    read-only either way.
+    read-only either way.  A ciphertext a backend produced also holds the free
+    list its base array returns to; one built here holds none.
     """
 
-    __slots__ = ("_base", "_shift", "level", "key_id", "pending_rescale")
+    __slots__ = ("_base", "_shift", "level", "key_id", "pending_rescale", "_free",
+                 "__weakref__")
 
     def __init__(self, slots: np.ndarray, level: int, key_id: str,
                  pending_rescale: bool = False):
+        _set_free(self, None)  # first: __del__ reads it even if ``slots`` is rejected
         slots.setflags(write=False)
         _set_base(self, slots)
         _set_shift(self, 0)
@@ -131,6 +158,18 @@ class Ciphertext:
 
     def __delattr__(self, name):
         raise AttributeError(f"Ciphertext is immutable; cannot delete {name!r}")
+
+    def __del__(self, getrefcount=sys.getrefcount, view_alone=_VIEW_ALONE,
+                owner_alone=_OWNER_ALONE):
+        # The base is a pooled read-only view of a writable owner array.  It
+        # is free once this slot and the local name are the view's only
+        # references, and the view the owner's only one: numpy points a
+        # caller's slices of ``slots`` at the owner, not at the view.
+        free = self._free
+        if free is not None:
+            base = self._base
+            if getrefcount(base) == view_alone and getrefcount(base.base) == owner_alone:
+                free.append(base)
 
     def __reduce__(self):
         return Ciphertext, (self.slots, self.level, self.key_id, self.pending_rescale)
@@ -171,22 +210,41 @@ _set_shift = Ciphertext._shift.__set__
 _set_level = Ciphertext.level.__set__
 _set_key_id = Ciphertext.key_id.__set__
 _set_pending = Ciphertext.pending_rescale.__set__
+_set_free = Ciphertext._free.__set__
 
 
 def _make(base: np.ndarray, shift: int, level: int, key_id: str,
-          pending_rescale: bool) -> Ciphertext:
-    """A ciphertext over ``base`` (already read-only) rotated left by ``shift``."""
+          pending_rescale: bool, free: list | None) -> Ciphertext:
+    """A ciphertext over ``base`` (already read-only) rotated left by ``shift``;
+    ``base`` returns to ``free`` when its last holder is dropped."""
     ct = _new(Ciphertext)
     _set_base(ct, base)
     _set_shift(ct, shift)
     _set_level(ct, level)
     _set_key_id(ct, key_id)
     _set_pending(ct, pending_rescale)
+    _set_free(ct, free)
     return ct
 
 
-def _elementwise(ufunc, a: Ciphertext, b: Ciphertext) -> np.ndarray:
-    """Read-only ``ufunc(a.slots, b.slots)``, computed on the shifted bases.
+def _buffer(pools: defaultdict, n: int) -> tuple[np.ndarray, np.ndarray, list]:
+    """A slot buffer of length ``n``: its writable owner, the read-only view a
+    ciphertext holds, and the free list the view returns to."""
+    free = pools[n]
+    try:
+        view = free.pop()
+    except IndexError:
+        owner = np.empty(n)
+        view = owner.view()
+        view.setflags(write=False)
+        return owner, view, free
+    return view.base, view, free
+
+
+def _elementwise(ufunc, a: Ciphertext, b: Ciphertext,
+                 pools: defaultdict) -> tuple[np.ndarray, list]:
+    """``ufunc(a.slots, b.slots)`` computed on the shifted bases into a buffer
+    from ``pools``; returns the buffer's view and free list.
 
     The output is split at the operands' wrap points into at most three
     segments over which both bases are contiguous, so no rotation is copied.
@@ -199,20 +257,19 @@ def _elementwise(ufunc, a: Ciphertext, b: Ciphertext) -> np.ndarray:
     n = x.shape[0]
     if n != y.shape[0]:
         raise ValueError(f"slot count mismatch: {n} vs {y.shape[0]}")
+    out, view, free = _buffer(pools, n)
     if sx == sy == 0:
-        out = ufunc(x, y)
+        ufunc(x, y, out)
     else:
         if sx > sy:
             x, sx, y, sy = y, sy, x, sx
-        out = np.empty(n)
         wrap_y, wrap_x = n - sy, n - sx
         ufunc(x[sx:sx + wrap_y], y[sy:], out[:wrap_y])
         if sx != sy:
             ufunc(x[sx + wrap_y:], y[:sy - sx], out[wrap_y:wrap_x])
         if sx:
             ufunc(x[:sx], y[sy - sx:sy], out[wrap_x:])
-    out.setflags(write=False)
-    return out
+    return view, free
 
 
 def as_slots(values, slot_count: int) -> np.ndarray:
@@ -226,13 +283,16 @@ def as_slots(values, slot_count: int) -> np.ndarray:
 class SimulatorBackend:
     """Exact plaintext simulator implementing the primitive contracts.
 
-    All operations are pure with respect to their ciphertext arguments; the
-    only shared mutable state is the optional :class:`OpMeter`.  A real CKKS
-    backend can replace this class behind the same method surface.
+    All operations are pure with respect to their ciphertext arguments.  The
+    shared mutable state is the optional :class:`OpMeter` and the free lists
+    of recycled slot buffers, one per slot count, which are only appended to
+    and popped from (both atomic).  A real CKKS backend can replace this class
+    behind the same method surface.
     """
 
     def __init__(self, meter: OpMeter | None = None):
         self.meter = meter
+        self._free: defaultdict[int, list] = defaultdict(list)
 
     # -- internals --------------------------------------------------------
 
@@ -243,11 +303,15 @@ class SimulatorBackend:
     def _scope(self) -> str:
         return self.meter.current_scope if self.meter is not None else ""
 
-    def _perturb(self, ctx: KeyContext, arr: np.ndarray) -> np.ndarray:
+    def _fresh(self, ctx: KeyContext, values: np.ndarray) -> Ciphertext:
+        """A top-level ciphertext of ``values``, perturbed when noise is on."""
+        out, view, free = _buffer(self._free, values.shape[0])
         sigma = ctx.params.noise_sigma
         if sigma > 0 and ctx._rng is not None:
-            return arr + ctx._rng.normal(0.0, sigma, size=arr.shape)
-        return arr
+            np.add(values, ctx._rng.normal(0.0, sigma, size=values.shape), out)
+        else:
+            np.copyto(out, values)
+        return _make(view, 0, ctx.params.top_level, ctx.key_id, False, free)
 
     # -- key management and data boundary ----------------------------------
 
@@ -262,9 +326,9 @@ class SimulatorBackend:
         return KeyContext(params=params, key_id=key_id, _rng=rng)
 
     def encrypt(self, ctx: KeyContext, values) -> Ciphertext:
-        arr = self._perturb(ctx, as_slots(values, ctx.params.slot_count).copy())
+        values = as_slots(values, ctx.params.slot_count)
         self._record("encrypt", ctx.params.top_level)
-        return Ciphertext(arr, ctx.params.top_level, ctx.key_id)
+        return self._fresh(ctx, values)
 
     def decrypt(self, ctx: KeyContext, ct: Ciphertext) -> np.ndarray:
         """Recover the slot vector; works at any level, requires the secret key."""
@@ -282,45 +346,51 @@ class SimulatorBackend:
         if ct.key_id != ctx.key_id:
             raise KeyMismatch(f"ciphertext under {ct.key_id}, context {ctx.key_id}")
         self._record("reencrypt", ct.level)
-        arr = self._perturb(ctx, ct.slots.copy())
-        return Ciphertext(arr, ctx.params.top_level, ctx.key_id)
+        return self._fresh(ctx, ct.slots)
 
     # -- homomorphic primitives --------------------------------------------
 
     def add(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         """Elementwise sum; level = min of operand levels."""
-        out = _elementwise(np.add, a, b)
+        view, free = _elementwise(np.add, a, b, self._free)
         la, lb, pa, pb = a.level, b.level, a.pending_rescale, b.pending_rescale
         meter = self.meter
         if meter is not None:
             meter.record("add", min(la + pa, lb + pb))
         # Adding a rescaled operand to an unrescaled one aligns scales first,
         # so the sum stays unrescaled only when both operands are.
-        return _make(out, 0, min(la, lb), a.key_id, pa and pb)
+        return _make(view, 0, min(la, lb), a.key_id, pa and pb, free)
 
     def mul(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         """Elementwise ciphertext product; consumes one level."""
-        out = _elementwise(np.multiply, a, b)
         level = min(a.level, b.level)
+        view, free = _elementwise(np.multiply, a, b, self._free)
         if level < 1:
             raise LevelExhausted("mul", level, self._scope())
         meter = self.meter
         if meter is not None:
             meter.record("mul", level)
-        return _make(out, 0, level - 1, a.key_id, True)
+        return _make(view, 0, level - 1, a.key_id, True, free)
 
     def cmul(self, a: Ciphertext, pt) -> Ciphertext:
         """Elementwise plaintext product; consumes one level."""
         level = a.level
         if level < 1:
             raise LevelExhausted("cmul", level, self._scope())
-        vec = as_slots(pt, a._base.shape[0])
+        base, shift = a._base, a._shift
+        n = base.shape[0]
+        vec = as_slots(pt, n)
         meter = self.meter
         if meter is not None:
             meter.record("cmul", level)
-        out = a.slots * vec
-        out.setflags(write=False)
-        return _make(out, 0, level - 1, a.key_id, True)
+        out, view, free = _buffer(self._free, n)
+        if shift:
+            wrap = n - shift
+            np.multiply(base[shift:], vec[:wrap], out[:wrap])
+            np.multiply(base[:shift], vec[wrap:], out[wrap:])
+        else:
+            np.multiply(base, vec, out)
+        return _make(view, 0, level - 1, a.key_id, True, free)
 
     def rot(self, a: Ciphertext, m: int) -> Ciphertext:
         """Cyclic left rotation by ``m`` slots (negative = right); level unchanged.
@@ -333,7 +403,7 @@ class SimulatorBackend:
         meter = self.meter
         if meter is not None:
             meter.record("rot", level + pending)
-        return _make(base, shift, level, a.key_id, pending)
+        return _make(base, shift, level, a.key_id, pending, a._free)
 
 
 # ---------------------------------------------------------------------------

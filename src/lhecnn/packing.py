@@ -258,6 +258,14 @@ def _grid_segment(images: np.ndarray, channel: int, u: int, v: int,
     return np.transpose(block, (1, 2, 0)).reshape(-1)  # pi-sets row-major
 
 
+def _checked_span(layout: str, r: int, geo: CombinedGeometry) -> int:
+    """Segments per ciphertext of ``layout``; raises if they overflow it."""
+    span = len(conv_segments(layout, r, 0, 0))
+    if span * geo.seg_slots > geo.slot_count:
+        raise ValueError(f"{span} segments of {geo.seg_slots} slots exceed {geo.slot_count}")
+    return span
+
+
 def encode_inputs(backend: SimulatorBackend, ctx: KeyContext, images: np.ndarray,
                   geo: CombinedGeometry, layout: str = CONV_BASIC,
                   r: int = 1) -> PackedTensor:
@@ -270,9 +278,7 @@ def encode_inputs(backend: SimulatorBackend, ctx: KeyContext, images: np.ndarray
     if n != geo.n:
         raise ValueError(f"expected {geo.n} images, got {n}")
     seg = geo.seg_slots
-    span = len(conv_segments(layout, r, 0, 0))
-    if span * seg > geo.slot_count:
-        raise ValueError(f"{span} segments of {seg} slots exceed {geo.slot_count}")
+    span = _checked_span(layout, r, geo)
     gamma0 = geo.kernel_sides[0]
     if gamma0 + (geo.grid_side - 1) * geo.strides[0] > side:
         raise ValueError("image side too small for the combined kernel grid")
@@ -309,6 +315,7 @@ def encode_filters(backend: SimulatorBackend, ctx: KeyContext, filters: np.ndarr
     """
     eps, alpha, gamma, _ = filters.shape
     seg = geo.seg_slots
+    _checked_span(layout, r, geo)
     packed = PackedFilters({}, layout, eps, alpha, gamma, group_size=r)
     for a, b, x, y in packed.cell_keys():
         vec = np.zeros(geo.slot_count)

@@ -199,38 +199,44 @@ class RefineSession:
             return encode_inputs(self.backend, self.ctx, images, self.geo,
                                  self.layouts[0], self.r)
 
-    def _forward(self, tensor: PackedTensor) -> tuple[PackedTensor, _ForwardCache]:
-        cache = _ForwardCache()
+    def _forward(self, tensor: PackedTensor,
+                 cache: _ForwardCache | None = None) -> PackedTensor:
+        """Forward pass to the logits; each layer's input and pre-activation
+        go into ``cache`` when one is given (the backward pass reads them),
+        and are dropped as soon as the next layer has read them otherwise."""
         meter, geo, cfg = self.meter, self.geo, self.cfg
         square_idx = 0
         for l, layer in enumerate(cfg.conv):
-            cache.conv_inputs.append(tensor)
+            if cache is not None:
+                cache.conv_inputs.append(tensor)
             out_grid = geo.kernel_side_after(l)
             with meter.scope(f"CL{l + 1}"):
                 pre = fwd.conv_forward(self.backend, tensor, self.filters[l],
                                        out_grid, layer.stride, self.threads)
-            cache.conv_pre.append(pre)
+            if cache is not None:
+                cache.conv_pre.append(pre)
             square_idx += 1
             with meter.scope(f"Square{square_idx}"):
                 tensor = fwd.square_activation(self.backend, pre, self.threads)
+            del pre
         tensor = as_fl_input(tensor, cfg.fc[0].inputs)
         for k in range(cfg.f):
-            cache.fl_inputs.append(tensor)
+            if cache is not None:
+                cache.fl_inputs.append(tensor)
             with meter.scope(f"FL{k + 1}"):
                 if self.weights[k].kind == "type1":
-                    pre = fwd.fl_forward_type1(self.backend, tensor, self.weights[k],
-                                               self.threads)
+                    tensor = fwd.fl_forward_type1(self.backend, tensor, self.weights[k],
+                                                  self.threads)
                 else:
-                    pre = fwd.fl_forward_type2(self.backend, tensor, self.weights[k],
-                                               self.threads)
-            cache.fl_pre.append(pre)
-            if k < cfg.f - 1:
+                    tensor = fwd.fl_forward_type2(self.backend, tensor, self.weights[k],
+                                                  self.threads)
+            if cache is not None:
+                cache.fl_pre.append(tensor)
+            if k < cfg.f - 1:  # no activation after the final layer
                 square_idx += 1
                 with meter.scope(f"Square{square_idx}"):
-                    tensor = fwd.square_activation(self.backend, pre, self.threads)
-            else:
-                tensor = pre  # no activation after the final layer
-        return tensor, cache
+                    tensor = fwd.square_activation(self.backend, tensor, self.threads)
+        return tensor
 
     def infer(self, images: np.ndarray,
               cost: CostTable | None = None) -> tuple[PackedTensor, OpReport]:
@@ -239,7 +245,7 @@ class RefineSession:
         if not self.filters:
             raise RuntimeError("no model loaded")
         mark = self.meter.checkpoint()
-        logits, _ = self._forward(self.encrypt_inputs(images))
+        logits = self._forward(self.encrypt_inputs(images))
         report = build_report(self.meter, cost or CostTable.default(), self.cfg.n,
                               counts=self.meter.since(mark))
         return logits, report
@@ -293,34 +299,40 @@ class RefineSession:
             vec = np.zeros(self.params.slot_count)
             vec[:cfg.n] = labels
             label_ct = self.backend.encrypt(self.ctx, vec)
-        logits, cache = self._forward(enc)
+        cache = _ForwardCache()
+        logits = self._forward(enc, cache)
         with meter.scope("tee.loss_head"):
             loss, grad = self.tee.loss_head(self.party, logits, label_ct,
                                             cfg.fc[-1].outputs)
         reenc = lambda cts: self.tee.reencrypt_batch(self.party, cts)
 
+        # Each layer's cached tensors are popped as its backward stage starts,
+        # and its raw gradients deleted once applied, so neither stays alive
+        # through the stages after it.
         for k in reversed(range(cfg.f)):
+            pre, inputs = cache.fl_pre.pop(), cache.fl_inputs.pop()
             with meter.scope(f"bwd.FL{k + 1}"):
                 if k < cfg.f - 1:
-                    grad = bwd.activation_gradient(self.backend, grad, cache.fl_pre[k],
+                    grad = bwd.activation_gradient(self.backend, grad, pre,
                                                    self.exact_activation_grad)
-                raw = bwd.fl_weight_gradients(self.backend, grad, cache.fl_inputs[k],
-                                              self.weights[k])
+                raw = bwd.fl_weight_gradients(self.backend, grad, inputs, self.weights[k])
                 if self.weights[k].kind == "type1":
                     grad = bwd.fl_backward_type1(self.backend, grad, self.weights[k])
                 else:
                     grad = bwd.fl_backward_type2(self.backend, grad, self.weights[k])
                 bwd.fl_noise_removal_update(self.backend, reenc, raw,
                                             self.weights[k], lr, cfg.n)
+                del raw
 
         grad = self._as_conv_grad(grad)
         for l in reversed(range(cfg.c)):
+            pre, inputs = cache.conv_pre.pop(), cache.conv_inputs.pop()
             out_grid = geo.kernel_side_after(l)
             with meter.scope(f"bwd.CL{l + 1}"):
-                grad = bwd.activation_gradient(self.backend, grad, cache.conv_pre[l],
+                grad = bwd.activation_gradient(self.backend, grad, pre,
                                                self.exact_activation_grad)
-                raw = bwd.conv_kernel_gradients(self.backend, cache.conv_inputs[l],
-                                                grad, self.filters[l], out_grid,
+                raw = bwd.conv_kernel_gradients(self.backend, inputs, grad,
+                                                self.filters[l], out_grid,
                                                 cfg.conv[l].stride)
                 if l > 0:
                     grad = bwd.conv_backward(self.backend, grad, self.filters[l],
@@ -328,6 +340,7 @@ class RefineSession:
                                              geo.kernel_sides[l])
                 bwd.conv_noise_removal_update(self.backend, reenc, raw,
                                               self.filters[l], lr, cfg.n)
+                del raw
         return loss
 
     def _as_conv_grad(self, tensor: PackedTensor) -> PackedTensor:
@@ -394,6 +407,8 @@ class RefineSession:
                 continue
             key, _, value = line.partition(" = ")
             if key.startswith(("filter.", "weight.")):
+                if key in stored:
+                    raise ValueError(f"manifest lists cell {key!r} twice")
                 stored[key] = value
             else:
                 entries[key] = value

@@ -211,13 +211,23 @@ def _send_frame(sock: socket.socket, opcode: int, payload: bytes) -> None:
     sock.sendall(_LEN.pack(len(payload) + 1) + bytes([opcode]) + payload)
 
 
-def _recv_exact(sock: socket.socket, count: int) -> bytes:
-    buf = b""
-    while len(buf) < count:
-        chunk = sock.recv(count - len(buf))
-        if not chunk:
+_RECV_START = 1 << 16
+
+
+def _recv_exact(sock: socket.socket, count: int) -> bytearray:
+    """Exactly ``count`` bytes, received in place.  The buffer doubles as data
+    arrives, so a frame costs time linear in its length and a length header
+    alone reserves no more than the first 64 KB."""
+    buf = bytearray(min(count, _RECV_START))
+    got = 0
+    while got < count:
+        if got == len(buf):
+            buf.extend(bytes(min(got, count - got)))
+        with memoryview(buf) as view:
+            received = sock.recv_into(view[got:])
+        if not received:
             raise ConnectionError("peer closed")
-        buf += chunk
+        got += received
     return buf
 
 

@@ -24,7 +24,7 @@ from lhecnn.packing import (
     encode_fl_weights_type2,
     encode_inputs,
 )
-from lhecnn.refine import RefineSession
+from lhecnn.refine import RefineSession, _ForwardCache
 from lhecnn.tee import TeeService
 
 
@@ -146,7 +146,8 @@ class TestFlWeightGradients:
         _, grads, _ = plain_gradients(cfg, plain, images, labels)
 
         enc = sess.encrypt_inputs(images)
-        logits, cache = sess._forward(enc)
+        cache = _ForwardCache()
+        logits = sess._forward(enc, cache)
         vec = np.zeros(params.slot_count)
         vec[:4] = labels
         label_ct = sess.backend.encrypt(sess.ctx, vec)
@@ -329,7 +330,8 @@ class TestConvKernelGradients:
         _, grads, _ = plain_gradients(cfg, plain, images, labels)
 
         enc = sess.encrypt_inputs(images)
-        logits, cache = sess._forward(enc)
+        cache = _ForwardCache()
+        logits = sess._forward(enc, cache)
         vec = np.zeros(params.slot_count)
         vec[:4] = labels
         label_ct = sess.backend.encrypt(sess.ctx, vec)

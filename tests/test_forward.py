@@ -1,3 +1,6 @@
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,7 @@ from lhecnn.forward import (
     fl_forward_type2,
     square_activation,
 )
-from lhecnn.geometry import CnnConfig, ConvLayer, FcLayer, combined_geometry
+from lhecnn.geometry import CnnConfig, ConvLayer, FcLayer, combined_geometry, preset
 from lhecnn.lhe import LheParams, SimulatorBackend
 from lhecnn.metering import UNSCOPED, OpMeter
 from lhecnn.oracle import init_params, plain_forward
@@ -20,7 +23,7 @@ from lhecnn.packing import (
     encode_fl_weights_type2,
     encode_inputs,
 )
-from lhecnn.refine import RefineSession
+from lhecnn.refine import RefineSession, _ForwardCache
 from lhecnn.tee import TeeService
 
 
@@ -62,7 +65,8 @@ class TestConvForward:
         sess = session_for(cfg, params)
         rng = np.random.default_rng(0)
         enc = sess.encrypt_inputs(rng.normal(size=(2, 1, 4, 4)))
-        _, cache = sess._forward(enc)
+        cache = _ForwardCache()
+        sess._forward(enc, cache)
         top = params.top_level
         for l, pre in enumerate(cache.conv_pre):
             assert pre.level() == top - 2 * l - 1
@@ -241,7 +245,8 @@ class TestFlForward:
         sess = session_for(cfg, LheParams(16, 10))
         rng = np.random.default_rng(5)
         enc = sess.encrypt_inputs(rng.normal(size=(2, 1, 4, 4)))
-        _, cache = sess._forward(enc)
+        cache = _ForwardCache()
+        sess._forward(enc, cache)
         assert cache.fl_inputs[0].layout == FL_TYPE1
         assert cache.fl_pre[0].layout == FL_TYPE2   # type I output
         assert cache.fl_inputs[1].layout == FL_TYPE2
@@ -266,9 +271,10 @@ class TestFlForward:
         a = session_for(cfg, params)
         b = session_for(cfg, params)
         b.threads = 4
-        la, _ = a.infer(images)
-        lb, _ = b.infer(images)
-        assert np.array_equal(a.reveal_outputs(la), b.reveal_outputs(lb))
+        for _ in range(3):  # later passes run on buffers the workers recycled
+            la, _ = a.infer(images)
+            lb, _ = b.infer(images)
+            assert np.array_equal(a.reveal_outputs(la), b.reveal_outputs(lb))
 
     def test_threads_keep_per_scope_counts(self):
         # worker threads count under the scope of the stage that started them
@@ -283,3 +289,64 @@ class TestFlForward:
             counts.append(sess.meter.since(mark))
         assert counts[0] == counts[1]
         assert UNSCOPED not in {scope for scope, _kind, _level in counts[1]}
+
+
+class _ScopeWatch(SimulatorBackend):
+    """Counts, when FL2 first multiplies, how many CL1 results are alive."""
+
+    def __init__(self, meter):
+        super().__init__(meter)
+        self.cl1 = []
+        self.alive_at_fl2 = None
+
+    def _watch(self, out):
+        scope = self.meter.current_scope
+        if scope == "CL1":
+            self.cl1.append(weakref.ref(out))
+        elif scope == "FL2" and self.alive_at_fl2 is None:
+            self.alive_at_fl2 = sum(ref() is not None for ref in self.cl1)
+        return out
+
+    def add(self, a, b):
+        return self._watch(super().add(a, b))
+
+    def mul(self, a, b):
+        return self._watch(super().mul(a, b))
+
+
+class TestWorkingSet:
+    CFG = CnnConfig((ConvLayer(1, 6, 2, 3, 3),), (FcLayer(2 * 4, 3), FcLayer(3, 2)), 2)
+
+    def watched_session(self):
+        tee = TeeService(_ScopeWatch(OpMeter()), LheParams(32, 10), seed=3)
+        sess = RefineSession(tee, self.CFG, LheParams(32, 10), r_mode=1)
+        sess.load_base_model(init_params(self.CFG, 3))
+        return sess
+
+    def test_inference_drops_conv_pre_activations(self):
+        sess = self.watched_session()
+        images = np.random.default_rng(3).normal(size=(2, 1, 6, 6))
+        sess.infer(images)
+        assert sess.backend.cl1 and sess.backend.alive_at_fl2 == 0
+
+    def test_refining_keeps_them_for_the_backward_pass(self):
+        sess = self.watched_session()
+        rng = np.random.default_rng(3)
+        sess.refine(rng.normal(size=(2, 1, 6, 6)), np.array([0, 1]), lr=0.1)
+        # the CL1 pre-activation cells: one per filter on the 1x1 output grid
+        assert sess.geo.kernel_side_after(0) == 1
+        assert sess.backend.alive_at_fl2 == self.CFG.conv[0].filters
+
+    def test_steady_inference_allocates_little(self):
+        sess = session_for(preset("cnn-1-2").model, preset("cnn-1-2").lhe)
+        images = np.random.default_rng(1).normal(size=(64, 1, 28, 28))
+        for _ in range(2):
+            sess.infer(images)
+        tracemalloc.start()
+        try:
+            sess.infer(images)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # without recycling a step's fresh slot arrays peak at several MB
+        assert peak < 1_000_000

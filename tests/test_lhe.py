@@ -1,4 +1,7 @@
 import copy
+import sys
+import threading
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -406,6 +409,90 @@ class TestLazyRotation:
         assert copy.deepcopy(ct) == ct
         assert ct == backend.encrypt(ctx, want)
         assert ct != backend.encrypt(ctx, v)
+
+
+class TestRecycling:
+    """Dropped results hand their slot buffers back; held arrays stay put."""
+
+    @staticmethod
+    def churn(backend, ctx, rounds=20):
+        for i in range(rounds):
+            x = backend.encrypt(ctx, np.full(8, float(i)))
+            backend.mul(backend.add(x, backend.rot(x, 1)), x)
+
+    def test_dropped_result_buffer_is_reused(self, backend):
+        ctx = ctx8(backend)
+        a = backend.encrypt(ctx, np.arange(8.0))
+        ct = backend.add(a, a)
+        buffer = weakref.ref(ct.slots)
+        del ct
+        assert buffer() is not None and backend.mul(a, a).slots is buffer()
+
+    def test_held_slots_and_slices_keep_their_values(self, backend):
+        ctx = ctx8(backend)
+        a = backend.encrypt(ctx, np.arange(8.0))
+        ct = backend.add(a, a)
+        held = ct.slots
+        del ct
+        ct = backend.mul(a, a)
+        part = ct.slots[2:5]   # a slice points at the buffer's owner, not its view
+        del ct
+        self.churn(backend, ctx)
+        assert np.array_equal(held, 2 * np.arange(8.0))
+        assert np.array_equal(part, np.arange(2.0, 5.0) ** 2)
+        assert not held.flags.writeable and not part.flags.writeable
+
+    def test_rotation_outlives_its_source(self, backend):
+        ctx = ctx8(backend)
+        a = backend.encrypt(ctx, np.arange(8.0))
+        source = backend.add(a, a)
+        rotated = backend.rot(source, 3)
+        del source
+        self.churn(backend, ctx)
+        assert np.array_equal(rotated.slots, np.roll(2 * np.arange(8.0), -3))
+        # once the rotation goes too, the shared buffer is reused
+        buffer = weakref.ref(rotated._base)
+        del rotated
+        assert buffer() is not None and backend.add(a, a).slots is buffer()
+
+    def test_threads_sharing_the_free_lists_get_distinct_buffers(self):
+        backend = SimulatorBackend()
+        ctx = backend.keygen(LheParams(64, 4), seed=2)
+        failures = []
+
+        def work(seed):
+            rng = np.random.default_rng(seed)
+            for _ in range(200):
+                v = rng.normal(size=64)
+                x = backend.encrypt(ctx, v)
+                y = backend.mul(backend.add(x, backend.rot(x, 5)), x)
+                if not np.array_equal(backend.decrypt(ctx, y), (v + np.roll(v, -5)) * v):
+                    failures.append(seed)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
+
+    def test_constructed_and_deserialized_arrays_are_not_reused(self, backend):
+        ctx = ctx8(backend)
+        blob = serialize(backend.encrypt(ctx, np.ones(8)))
+        # a view whose base only it holds, as a pooled buffer's is
+        for make in (lambda: Ciphertext(np.arange(8.0)[:], 5, ctx.key_id),
+                     lambda: deserialize(blob, ctx)):
+            ct = make()
+            freed = weakref.ref(ct.slots)
+            rotated = backend.rot(ct, 2)
+            del ct, rotated
+            assert freed() is None   # released, not kept for reuse
 
 
 class TestNoise:

@@ -280,6 +280,15 @@ class TestFilterEncoding:
             assert np.array_equal(slots[q * seg:(q + 1) * seg],
                                   np.full(seg, filters[q, 0, 1, 0]))
 
+    def test_rejects_segments_past_the_ciphertext(self, backend):
+        cfg = CnnConfig((ConvLayer(1, 4, 4, 2, 2),), (FcLayer(16, 2),), 2)
+        geo = combined_geometry(cfg, LheParams(8, 6))
+        ctx = backend.keygen(LheParams(8, 6), seed=1)
+        assert geo.seg_slots == 8
+        # four filter segments of 8 slots cannot share one 8-slot ciphertext
+        with pytest.raises(ValueError, match="4 segments of 8 slots exceed 8"):
+            encode_filters(backend, ctx, np.ones((4, 1, 2, 2)), geo, CONV_CROSS_FILTER, r=4)
+
     def test_cross_channel_collapses_channel_loop(self, backend):
         cfg = CnnConfig((ConvLayer(4, 4, 1, 2, 2),), (FcLayer(4, 2),), 2)
         geo = combined_geometry(cfg, LheParams(32, 6))

@@ -258,7 +258,9 @@ class TestPersistence:
          r"missing \['weight\.1\.0\.0'\], extra \[\]"),
         (lambda lines: lines + ["filter.0.9.0.0.0 = cts/f0_0_0_0_0.lhe"],
          r"missing \[\], extra \['filter\.0\.9\.0\.0\.0'\]"),
-    ], ids=["missing", "extra"])
+        (lambda lines: lines + ["weight.1.0.0 = cts/f0_0_0_0_0.lhe"],
+         r"cell 'weight\.1\.0\.0' twice"),
+    ], ids=["missing", "extra", "duplicate"])
     def test_load_rejects_incomplete_cell_set(self, tmp_path, edit, match):
         cfg, params = small_cfg(), LheParams(32, 12)
         make_session(cfg, params, seed=14).save(tmp_path / "model")

@@ -226,6 +226,23 @@ class TestSocketTransport:
             assert len(grads) == 1 and grads[0].level == 5
             client.close()
 
+    def test_multi_megabyte_batch_round_trips_exactly(self, backend, tmp_path):
+        # 64 ciphertexts at S = 8192: a ~4 MB frame each way
+        tee = make_tee(backend, slots=8192, levels=6)
+        path = str(tmp_path / "tee.sock")
+        ctx = tee.public_context()
+        rng = np.random.default_rng(4)
+        values = rng.normal(size=(64, 8192))
+        cts = [backend.cmul(backend.encrypt(ctx, v), np.ones(8192)) for v in values]
+        with TeeSocketServer(tee, path):
+            client = TeeSocketClient(path, ctx, "remote")
+            client.attest()
+            out = client.reencrypt_batch(cts)
+            client.close()
+        assert len(out) == 64
+        for ct, v in zip(out, values):
+            assert ct.level == 5 and ct.slots.tobytes() == v.tobytes()
+
     def test_unattested_socket_caller_gets_error(self, backend, tmp_path):
         tee = make_tee(backend, slots=16, levels=6)
         path = str(tmp_path / "tee.sock")
