@@ -23,7 +23,10 @@ was made for, or a rotation sharing it) is dropped, so a steady pipeline
 reuses its working set instead of allocating and page-faulting it anew on
 every pass.  An array anyone else still holds (``ct.slots``, or a slice or
 view of it) is never reused, nor is an array passed to the public
-:class:`Ciphertext` constructor or read by :func:`deserialize`.
+:class:`Ciphertext` constructor or read by :func:`deserialize`.  The free
+lists belong to the backend alone: it keeps its peak working set in them
+until it is dropped, and a result that outlives it releases its buffer as
+usual.
 
 Level accounting for the meter follows lazy rescaling: the product of a
 multiplication stays at its operands' modulus level until the next
@@ -38,6 +41,7 @@ from __future__ import annotations
 import secrets
 import struct
 import sys
+import weakref
 import zlib
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
@@ -136,16 +140,14 @@ class Ciphertext:
     The vector is held as a base array plus a cyclic left shift, so a rotation
     shares its operand's array instead of copying it.  :attr:`slots` is the
     rotated vector; it is built on each read of a shifted ciphertext and is
-    read-only either way.  A ciphertext a backend produced also holds the free
-    list its base array returns to; one built here holds none.
+    read-only either way.
     """
 
-    __slots__ = ("_base", "_shift", "level", "key_id", "pending_rescale", "_free",
-                 "__weakref__")
+    __slots__ = ("_base", "_shift", "level", "key_id", "pending_rescale")
+    _free = None  # no free list: the base array is released as usual
 
     def __init__(self, slots: np.ndarray, level: int, key_id: str,
                  pending_rescale: bool = False):
-        _set_free(self, None)  # first: __del__ reads it even if ``slots`` is rejected
         slots.setflags(write=False)
         _set_base(self, slots)
         _set_shift(self, 0)
@@ -158,18 +160,6 @@ class Ciphertext:
 
     def __delattr__(self, name):
         raise AttributeError(f"Ciphertext is immutable; cannot delete {name!r}")
-
-    def __del__(self, getrefcount=sys.getrefcount, view_alone=_VIEW_ALONE,
-                owner_alone=_OWNER_ALONE):
-        # The base is a pooled read-only view of a writable owner array.  It
-        # is free once this slot and the local name are the view's only
-        # references, and the view the owner's only one: numpy points a
-        # caller's slices of ``slots`` at the owner, not at the view.
-        free = self._free
-        if free is not None:
-            base = self._base
-            if getrefcount(base) == view_alone and getrefcount(base.base) == owner_alone:
-                free.append(base)
 
     def __reduce__(self):
         return Ciphertext, (self.slots, self.level, self.key_id, self.pending_rescale)
@@ -204,32 +194,67 @@ class Ciphertext:
         return self.level + (1 if self.pending_rescale else 0)
 
 
+class _FreeList(list):
+    """Recycled slot buffers of one slot count, owned by one backend.  Its
+    ciphertexts reach it only through :attr:`ref`, so it goes when the
+    backend does."""
+
+    __slots__ = ("ref", "__weakref__")
+
+    def __init__(self):
+        super().__init__()
+        self.ref = weakref.ref(self)
+
+
+class _Pooled(Ciphertext):
+    """A ciphertext over a buffer from a backend's free list: the one it was
+    made for, or a rotation sharing it."""
+
+    __slots__ = ("_free",)  # weak reference to the free list
+
+    def __del__(self, getrefcount=sys.getrefcount, view_alone=_VIEW_ALONE,
+                owner_alone=_OWNER_ALONE):
+        # The base is a pooled read-only view of a writable owner array.  It
+        # is free once this slot and the local name are the view's only
+        # references, and the view the owner's only one: numpy points a
+        # caller's slices of ``slots`` at the owner, not at the view.
+        free = self._free()
+        if free is not None:
+            base = self._base
+            if getrefcount(base) == view_alone and getrefcount(base.base) == owner_alone:
+                free.append(base)
+
+
 _new = object.__new__
 _set_base = Ciphertext._base.__set__
 _set_shift = Ciphertext._shift.__set__
 _set_level = Ciphertext.level.__set__
 _set_key_id = Ciphertext.key_id.__set__
 _set_pending = Ciphertext.pending_rescale.__set__
-_set_free = Ciphertext._free.__set__
+_set_free = _Pooled._free.__set__
 
 
 def _make(base: np.ndarray, shift: int, level: int, key_id: str,
-          pending_rescale: bool, free: list | None) -> Ciphertext:
+          pending_rescale: bool, free: weakref.ref | None) -> Ciphertext:
     """A ciphertext over ``base`` (already read-only) rotated left by ``shift``;
-    ``base`` returns to ``free`` when its last holder is dropped."""
-    ct = _new(Ciphertext)
+    ``base`` returns to the free list ``free`` refers to, if any, when its
+    last holder is dropped."""
+    if free is None:
+        ct = _new(Ciphertext)
+    else:
+        ct = _new(_Pooled)
+        _set_free(ct, free)
     _set_base(ct, base)
     _set_shift(ct, shift)
     _set_level(ct, level)
     _set_key_id(ct, key_id)
     _set_pending(ct, pending_rescale)
-    _set_free(ct, free)
     return ct
 
 
-def _buffer(pools: defaultdict, n: int) -> tuple[np.ndarray, np.ndarray, list]:
+def _buffer(pools: defaultdict, n: int) -> tuple[np.ndarray, np.ndarray, weakref.ref]:
     """A slot buffer of length ``n``: its writable owner, the read-only view a
-    ciphertext holds, and the free list the view returns to."""
+    ciphertext holds, and a reference to the free list the view returns to."""
     free = pools[n]
     try:
         view = free.pop()
@@ -237,14 +262,14 @@ def _buffer(pools: defaultdict, n: int) -> tuple[np.ndarray, np.ndarray, list]:
         owner = np.empty(n)
         view = owner.view()
         view.setflags(write=False)
-        return owner, view, free
-    return view.base, view, free
+        return owner, view, free.ref
+    return view.base, view, free.ref
 
 
 def _elementwise(ufunc, a: Ciphertext, b: Ciphertext,
-                 pools: defaultdict) -> tuple[np.ndarray, list]:
+                 pools: defaultdict) -> tuple[np.ndarray, weakref.ref]:
     """``ufunc(a.slots, b.slots)`` computed on the shifted bases into a buffer
-    from ``pools``; returns the buffer's view and free list.
+    from ``pools``; returns the buffer's view and free-list reference.
 
     The output is split at the operands' wrap points into at most three
     segments over which both bases are contiguous, so no rotation is copied.
@@ -292,7 +317,7 @@ class SimulatorBackend:
 
     def __init__(self, meter: OpMeter | None = None):
         self.meter = meter
-        self._free: defaultdict[int, list] = defaultdict(list)
+        self._free: defaultdict[int, _FreeList] = defaultdict(_FreeList)
 
     # -- internals --------------------------------------------------------
 
@@ -377,19 +402,13 @@ class SimulatorBackend:
         level = a.level
         if level < 1:
             raise LevelExhausted("cmul", level, self._scope())
-        base, shift = a._base, a._shift
-        n = base.shape[0]
+        n = a._base.shape[0]
         vec = as_slots(pt, n)
         meter = self.meter
         if meter is not None:
             meter.record("cmul", level)
         out, view, free = _buffer(self._free, n)
-        if shift:
-            wrap = n - shift
-            np.multiply(base[shift:], vec[:wrap], out[:wrap])
-            np.multiply(base[:shift], vec[wrap:], out[wrap:])
-        else:
-            np.multiply(base, vec, out)
+        np.multiply(a.slots, vec, out)
         return _make(view, 0, level - 1, a.key_id, True, free)
 
     def rot(self, a: Ciphertext, m: int) -> Ciphertext:

@@ -1,5 +1,5 @@
+import gc
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from lhecnn.forward import (
     square_activation,
 )
 from lhecnn.geometry import CnnConfig, ConvLayer, FcLayer, combined_geometry, preset
-from lhecnn.lhe import LheParams, SimulatorBackend
+from lhecnn.lhe import Ciphertext, LheParams, SimulatorBackend
 from lhecnn.metering import UNSCOPED, OpMeter
 from lhecnn.oracle import init_params, plain_forward
 from lhecnn.packing import (
@@ -292,19 +292,24 @@ class TestFlForward:
 
 
 class _ScopeWatch(SimulatorBackend):
-    """Counts, when FL2 first multiplies, how many CL1 results are alive."""
+    """Counts, when FL2 first computes, the live ciphertexts at the level of
+    the CL1 results.  It reads the live set from the garbage collector, so it
+    holds no reference of its own to any ciphertext."""
 
     def __init__(self, meter):
         super().__init__(meter)
-        self.cl1 = []
+        self.cl1_level = None
         self.alive_at_fl2 = None
 
     def _watch(self, out):
         scope = self.meter.current_scope
         if scope == "CL1":
-            self.cl1.append(weakref.ref(out))
+            self.cl1_level = (out.key_id, out.level, out.pending_rescale)
         elif scope == "FL2" and self.alive_at_fl2 is None:
-            self.alive_at_fl2 = sum(ref() is not None for ref in self.cl1)
+            self.alive_at_fl2 = sum(
+                isinstance(obj, Ciphertext)
+                and (obj.key_id, obj.level, obj.pending_rescale) == self.cl1_level
+                for obj in gc.get_objects())
         return out
 
     def add(self, a, b):
@@ -327,7 +332,7 @@ class TestWorkingSet:
         sess = self.watched_session()
         images = np.random.default_rng(3).normal(size=(2, 1, 6, 6))
         sess.infer(images)
-        assert sess.backend.cl1 and sess.backend.alive_at_fl2 == 0
+        assert sess.backend.cl1_level and sess.backend.alive_at_fl2 == 0
 
     def test_refining_keeps_them_for_the_backward_pass(self):
         sess = self.watched_session()

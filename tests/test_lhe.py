@@ -455,6 +455,18 @@ class TestRecycling:
         del rotated
         assert buffer() is not None and backend.add(a, a).slots is buffer()
 
+    def test_results_outliving_their_backend_release_their_buffers(self):
+        backend = SimulatorBackend()
+        ctx = ctx8(backend)
+        a = backend.encrypt(ctx, np.arange(8.0))
+        kept = backend.add(a, a)
+        dropped = backend.rot(backend.mul(a, a), 1)
+        freed = weakref.ref(dropped._base)
+        del backend   # the free lists go with it; the results hold none
+        del dropped
+        assert freed() is None
+        assert np.array_equal(kept.slots, 2 * np.arange(8.0))
+
     def test_threads_sharing_the_free_lists_get_distinct_buffers(self):
         backend = SimulatorBackend()
         ctx = backend.keygen(LheParams(64, 4), seed=2)
