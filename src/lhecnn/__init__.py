@@ -29,7 +29,7 @@ from .lhe import (
 )
 from .metering import CostTable, OpMeter, build_report, scoped
 from .oracle import PlainParams, init_params, plain_backward_step, plain_forward
-from .refine import RefineResult, RefineSession, plan_layouts, predict_stage_counts
+from .refine import RefineResult, RefineSession, plan_layouts
 from .tee import TeeService
 
 __all__ = [
@@ -58,7 +58,6 @@ __all__ = [
     "plain_backward_step",
     "plain_forward",
     "plan_layouts",
-    "predict_stage_counts",
     "preset",
     "scoped",
     "serialize",

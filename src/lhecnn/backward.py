@@ -211,9 +211,11 @@ def _pack_refresh_spread(backend: SimulatorBackend, reencrypt,
 
     Cell ``idx`` (in sorted key order) is masked by a selector with value
     ``scale`` at slots congruent to idx mod n and accumulated into packed
-    ciphertext idx // n.  After re-encryption the mask is reapplied and the
-    signed rotations replicate each value over its block.  Returns the number
-    of packed ciphertexts re-encrypted.
+    ciphertext idx // n.  Each cell is popped from ``cells`` once masked, so
+    it is freed before the re-encryption unless the caller holds it
+    elsewhere.  After re-encryption the mask is reapplied and the signed
+    rotations replicate each value over its block.  Returns the number of
+    packed ciphertexts re-encrypted.
     """
     order = sorted(cells)
     if not order:
@@ -222,7 +224,7 @@ def _pack_refresh_spread(backend: SimulatorBackend, reencrypt,
     packed: dict[int, Ciphertext] = {}
     for idx, key in enumerate(order):
         p, k = idx % n, idx // n
-        masked = backend.cmul(cells[key], make_selector(p, n, slot_count, scale))
+        masked = backend.cmul(cells.pop(key), make_selector(p, n, slot_count, scale))
         packed[k] = _accumulate(backend, packed.get(k), masked)
 
     fresh = reencrypt([packed[k] for k in sorted(packed)])
@@ -242,8 +244,8 @@ def noise_removal_update(backend: SimulatorBackend, reencrypt,
     and add them into the parameter ciphertexts.
 
     The packing selector carries -lr/n, so the parameter receives the spread
-    SGD step additively.  Returns the number of packed ciphertexts
-    re-encrypted.
+    SGD step additively.  ``raw_grads`` is emptied as it is packed.  Returns
+    the number of packed ciphertexts re-encrypted.
     """
     def add_into(key, grad):
         tkey = target_key(key)
@@ -274,5 +276,7 @@ def refresh_parameters(backend: SimulatorBackend, reencrypt,
     """Maintenance variant: pack the parameter ciphertexts themselves (valid
     because each block holds one replicated value), re-encrypt, and rebuild
     them by unpack-and-spread.  Not used by the default refining pipeline,
-    which refreshes gradients instead."""
-    return _pack_refresh_spread(backend, reencrypt, cells, 1.0, n, cells.__setitem__)
+    which refreshes gradients instead.  ``cells`` keeps every parameter if
+    ``reencrypt`` raises."""
+    return _pack_refresh_spread(backend, reencrypt, dict(cells), 1.0, n,
+                                cells.__setitem__)

@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Commands: ``plan`` (geometry and predicted counts), ``init-model`` (create an
+Commands: ``plan`` (geometry, and the counts of a dry run of inference and
+of a refining round on zero images), ``init-model`` (create an
 encrypted base model directory), ``infer``, ``refine``, and
 ``selftest-example`` (golden check of the worked packing example).
 
@@ -19,10 +20,10 @@ import numpy as np
 from .config import RunConfig, load_config, read_dataset
 from .geometry import CnnConfig, ConvLayer, FcLayer, GeometryError, combined_geometry
 from .lhe import LevelExhausted, LheParams, SimulatorBackend
-from .metering import OpMeter
+from .metering import PRIMITIVE_KINDS, OpMeter
 from .oracle import init_params
 from .packing import encode_fl_weights_type1, encode_inputs
-from .refine import RefineSession, plan_layouts, predict_stage_counts
+from .refine import RefineSession
 from .tee import TeeService
 
 EXIT_CONFIG = 2
@@ -39,23 +40,52 @@ def _session(rc: RunConfig, threads: int) -> RefineSession:
                          threads=threads)
 
 
+def _print_stages(per_scope: dict[str, dict[str, int]]) -> None:
+    for scope, per in per_scope.items():
+        if scope.startswith("enc."):
+            print(f"  {scope:<18} {per['encrypt']} encryptions")
+        else:
+            print(f"  {scope:<18} {tuple(per[k] for k in PRIMITIVE_KINDS)}")
+
+
 def cmd_plan(args) -> int:
+    """Dry run: the real pipeline on zero images, printing the meter's counts."""
     rc = load_config(args.config)
-    geo = combined_geometry(rc.model, rc.lhe)
-    r, layouts = plan_layouts(rc.model, geo, rc.run.r_mode)
+    session = _session(rc, 1)
+    geo, cfg = session.geo, rc.model
     print(f"combined kernel sides: {geo.kernel_sides}")
     print(f"combined strides:      {geo.strides}")
     print(f"grid side:             {geo.grid_side} "
-          f"({rc.model.n} x {geo.grid_side}^2 = {geo.seg_slots} slots per channel)")
-    print(f"packing factor r:      {geo.packing_factor} (using {r})")
+          f"({cfg.n} x {geo.grid_side}^2 = {geo.seg_slots} slots per channel)")
+    print(f"packing factor r:      {geo.packing_factor} (using {session.r})")
     print(f"level budget:          {geo.level_budget} of {rc.lhe.max_level} levels")
-    print(f"conv layouts:          {', '.join(layouts)}")
-    print("predicted stage counts (add, mul, rot, cmul):")
-    for stage, tup in predict_stage_counts(rc.model, geo, layouts, r).items():
-        if stage.startswith("enc."):
-            print(f"  {stage:<18} {tup[0]} encryptions")
-        else:
-            print(f"  {stage:<18} {tup}")
+    print(f"conv layouts:          {', '.join(session.layouts)}")
+    session.load_base_model(init_params(cfg, rc.run.seed))
+    first = cfg.conv[0]
+    images = np.zeros((cfg.n, first.channels, first.input_side, first.input_side))
+    session.infer(images)
+    print("inference stage counts (add, mul, rot, cmul):")
+    _print_stages(session.meter.scope_totals())
+    if session.r > 1:
+        print("refining round: not planned, refining needs r = 1")
+        return 0
+    # The first round leaves the parameters below the top level, where every
+    # later round starts, so only the second round shows the steady levels.
+    for rnd in (1, 2):
+        try:
+            result = session.refine(images, np.zeros(cfg.n, dtype=int), lr=rc.run.lr)
+        except LevelExhausted as exc:
+            print(f"refining round does not fit: {exc} (round {rnd})")
+            return 0
+    report, t = result.report, result.tee_delta
+    print("refining round stage counts, steady state (add, mul, rot, cmul):")
+    _print_stages({scope: per for scope, per in report.per_scope.items()
+                   if scope.startswith("bwd.")})
+    print(f"  {'round total':<18} {report.total_tuple()}")
+    print(f"  {'re-encryptions':<18} {t.reencryptions}")
+    print(f"  {'TEE in':<18} {t.cts_in} cts / {t.bytes_in} bytes")
+    print(f"  {'TEE out':<18} {t.cts_out} cts / {t.bytes_out} bytes")
+    print(f"  {'lowest level':<18} {min(report.per_level)}")
     return 0
 
 
@@ -192,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Packed leveled-HE CNN inference and TEE-assisted refining (simulator)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("plan", help="print geometry and predicted op counts")
+    p = sub.add_parser("plan", help="print geometry and the op counts of a dry run")
     p.add_argument("--config", required=True, help="JSON config file or preset:NAME")
     p.set_defaults(func=cmd_plan)
 

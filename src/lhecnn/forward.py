@@ -13,7 +13,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 from .lhe import Ciphertext, SimulatorBackend
 from .packing import (
-    CONV_BASIC,
     CONV_CROSS_CHANNEL,
     CONV_CROSS_FILTER,
     FL_TYPE1,
@@ -22,6 +21,7 @@ from .packing import (
     PackedTensor,
     PackedWeights,
     conv_cell_counts,
+    conv_output_layout,
     fold_rotate_sum,
 )
 
@@ -49,13 +49,10 @@ def conv_forward(backend: SimulatorBackend, inputs: PackedTensor,
     accumulates the products of its kernel window's input cells with filter
     cell a, over every channel cell b.
 
-    A basic layer produces a basic output.  A cross-filter layer multiplies r
-    filters at once and its output holds one filter per segment, i.e. it is
-    cross-channel packed for the next layer.  A cross-channel layer then folds
-    the r channel segments together with log2(r) rotate-adds; when they tile
-    the ciphertext exactly the folded output holds r replicas and is directly
-    cross-filter packed, otherwise only segment 0 is valid and the output
-    degrades to the basic layout (zero-masked by later stages).
+    A cross-filter layer multiplies r filters at once; a cross-channel layer
+    folds its r channel segments together with log2(r) rotate-adds.  The
+    output layout is :func:`~lhecnn.packing.conv_output_layout`'s (where only
+    segment 0 is valid, later stages zero-mask the rest).
     """
     layout, r = filters.layout, filters.group_size
     if inputs.layout != layout:
@@ -84,12 +81,7 @@ def conv_forward(backend: SimulatorBackend, inputs: PackedTensor,
     keys = [(a, u, v) for a in range(filter_cells)
             for u in range(out_grid) for v in range(out_grid)]
     cells = _map_keys(one, keys, threads)
-    if layout == CONV_CROSS_FILTER:
-        out_layout, group = CONV_CROSS_CHANNEL, r
-    elif layout == CONV_CROSS_CHANNEL and r * seg == inputs.slot_count:
-        out_layout, group = CONV_CROSS_FILTER, r
-    else:
-        out_layout, group = CONV_BASIC, 1
+    out_layout, group = conv_output_layout(layout, r, r * seg == inputs.slot_count)
     return PackedTensor(cells, out_layout, inputs.n, inputs.grid_side, seg,
                         group_size=group)
 

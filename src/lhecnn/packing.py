@@ -160,6 +160,30 @@ def conv_cell_counts(layout: str, r: int, filters: int, channels: int) -> tuple[
     raise ValueError(f"not a conv layout: {layout!r}")
 
 
+def conv_output_layout(layout: str, r: int, tiles: bool) -> tuple[str, int]:
+    """Layout and group size of a conv layer's output, i.e. the next layer's
+    input.  Cross-filter outputs hold one filter per segment (cross-channel
+    packed); cross-channel outputs, folded over their r segments, hold r
+    replicas (cross-filter packed) when those segments tile the ciphertext
+    (``tiles``), and only segment 0 (basic) otherwise."""
+    if layout == CONV_CROSS_FILTER:
+        return CONV_CROSS_CHANNEL, r
+    if layout == CONV_CROSS_CHANNEL and tiles:
+        return CONV_CROSS_FILTER, r
+    return CONV_BASIC, 1
+
+
+def conv_output_pi_sets(layout: str, group: int, grid_side: int) -> int:
+    """Pi-sets (fc input neurons) per ciphertext of a conv output with a 1x1
+    cell grid: every grid position of every channel segment it holds.
+    Cross-filter replicas repeat one channel, so they add none."""
+    if layout in (CONV_BASIC, CONV_CROSS_FILTER):
+        return grid_side**2
+    if layout == CONV_CROSS_CHANNEL:
+        return group * grid_side**2
+    raise ValueError(f"not a conv output layout: {layout!r}")
+
+
 def fl_segments(kind: str, per_ct: int, a: int, b: int) -> list[tuple[int, int, int]]:
     """Slot map of fully-connected weight cell ``(a, b)`` as ``(w, row, col)``:
     pi-set ``w`` holds weight ``matrix[row, col]``.  Type I cell ``(i, j)``
@@ -254,7 +278,7 @@ def _grid_segment(images: np.ndarray, channel: int, u: int, v: int,
     b, stride = geo.grid_side, geo.strides[0]
     rows = u + stride * np.arange(b)
     cols = v + stride * np.arange(b)
-    block = images[:, channel][:, rows][:, :, cols]   # (n, b, b)
+    block = images[:, channel, rows[:, None], cols]    # (n, b, b)
     return np.transpose(block, (1, 2, 0)).reshape(-1)  # pi-sets row-major
 
 
@@ -285,11 +309,12 @@ def encode_inputs(backend: SimulatorBackend, ctx: KeyContext, images: np.ndarray
 
     _, groups = conv_cell_counts(layout, r, 0, channels)
     cells = {}
+    vec = np.zeros(geo.slot_count)  # one scratch vector: encrypt copies it
     for b in range(groups):
         segments = [(q, c) for q, _, c in conv_segments(layout, r, 0, b) if c < channels]
         for u in range(gamma0):
             for v in range(gamma0):
-                vec = np.zeros(geo.slot_count)
+                vec.fill(0.0)
                 # cross-filter segments repeat one channel: gather it once
                 grids = {c: _grid_segment(images, c, u, v, geo)
                          for c in {c for _, c in segments}}
@@ -386,14 +411,9 @@ def as_fl_input(tensor: PackedTensor, neurons: int) -> PackedTensor:
     Neuron order is (filter-major, then grid row-major), matching the plain
     flattening ``filter * grid^2 + s * grid + t``.  Cross-filter outputs carry
     several filters per ciphertext as consecutive segments, which preserves
-    the same global order with ``group_size * grid^2`` pi-sets per ciphertext.
+    the same global order (see :func:`conv_output_pi_sets`).
     """
-    if tensor.layout in (CONV_BASIC, CONV_CROSS_FILTER):
-        pi = tensor.grid_side**2
-    elif tensor.layout == CONV_CROSS_CHANNEL:
-        pi = tensor.group_size * tensor.grid_side**2
-    else:
-        raise ValueError(f"not a conv output layout: {tensor.layout!r}")
+    pi = conv_output_pi_sets(tensor.layout, tensor.group_size, tensor.grid_side)
     cells = {}
     for key in sorted(tensor.cells):
         if key[1:] != (0, 0):

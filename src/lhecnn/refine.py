@@ -10,7 +10,6 @@ file per ciphertext.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -31,6 +30,8 @@ from .packing import (
     PackedWeights,
     as_fl_input,
     conv_cell_counts,
+    conv_output_layout,
+    conv_output_pi_sets,
     conv_segments,
     encode_filters,
     encode_fl_weights_type1,
@@ -49,10 +50,8 @@ def plan_layouts(cfg: CnnConfig, geo: CombinedGeometry, r_mode="auto") -> tuple[
 
     With r = 1 every layer uses the basic layout.  Otherwise the first layer
     packs across channels when it has several, or replicates inputs for
-    cross-filter processing when it does not, and the two cross layouts
-    alternate from there (each produces the other's input format).  If the r
-    segments do not tile the ciphertext the fold cannot produce replicas, so
-    later layers fall back to the basic layout.
+    cross-filter processing when it does not, and each later layer takes the
+    layout its predecessor outputs (:func:`~lhecnn.packing.conv_output_layout`).
     """
     if r_mode == "auto":
         r = geo.packing_factor
@@ -65,13 +64,7 @@ def plan_layouts(cfg: CnnConfig, geo: CombinedGeometry, r_mode="auto") -> tuple[
     tiles = r * geo.seg_slots == geo.slot_count
     layouts = [CONV_CROSS_CHANNEL if cfg.conv[0].channels > 1 else CONV_CROSS_FILTER]
     for _ in range(1, cfg.c):
-        prev = layouts[-1]
-        if prev == CONV_CROSS_CHANNEL:
-            layouts.append(CONV_CROSS_FILTER if tiles else CONV_BASIC)
-        elif prev == CONV_CROSS_FILTER:
-            layouts.append(CONV_CROSS_CHANNEL)
-        else:
-            layouts.append(CONV_BASIC)
+        layouts.append(conv_output_layout(layouts[-1], r, tiles)[0])
     return r, layouts
 
 
@@ -116,12 +109,12 @@ class RefineSession:
     def fl_shapes(self) -> list[tuple[str, int, int, int]]:
         """Per fc layer: (kind, input ciphertext count, output ciphertext
         count, pi-sets per input ciphertext)."""
-        geo, cfg = self.geo, self.cfg
+        geo, cfg, r = self.geo, self.cfg, self.r
         last = cfg.conv[-1]
-        in_cts, _ = conv_cell_counts(self.layouts[-1], self.r, last.filters, last.channels)
-        pi = geo.grid_side**2
-        if self.layouts[-1] == CONV_CROSS_FILTER:
-            pi *= self.r
+        in_cts, _ = conv_cell_counts(self.layouts[-1], r, last.filters, last.channels)
+        out_layout, group = conv_output_layout(self.layouts[-1], r,
+                                               r * geo.seg_slots == geo.slot_count)
+        pi = conv_output_pi_sets(out_layout, group, geo.grid_side)
         shapes = []
         block = self.params.slot_count // cfg.n
         for k, layer in enumerate(cfg.fc):
@@ -307,8 +300,8 @@ class RefineSession:
         reenc = lambda cts: self.tee.reencrypt_batch(self.party, cts)
 
         # Each layer's cached tensors are popped as its backward stage starts,
-        # and its raw gradients deleted once applied, so neither stays alive
-        # through the stages after it.
+        # and the noise-removal update pops its raw gradients as it packs them,
+        # so neither stays alive through the stages after it.
         for k in reversed(range(cfg.f)):
             pre, inputs = cache.fl_pre.pop(), cache.fl_inputs.pop()
             with meter.scope(f"bwd.FL{k + 1}"):
@@ -322,7 +315,6 @@ class RefineSession:
                     grad = bwd.fl_backward_type2(self.backend, grad, self.weights[k])
                 bwd.fl_noise_removal_update(self.backend, reenc, raw,
                                             self.weights[k], lr, cfg.n)
-                del raw
 
         grad = self._as_conv_grad(grad)
         for l in reversed(range(cfg.c)):
@@ -340,7 +332,6 @@ class RefineSession:
                                              geo.kernel_sides[l])
                 bwd.conv_noise_removal_update(self.backend, reenc, raw,
                                               self.filters[l], lr, cfg.n)
-                del raw
         return loss
 
     def _as_conv_grad(self, tensor: PackedTensor) -> PackedTensor:
@@ -351,19 +342,13 @@ class RefineSession:
 
     def expected_reencryptions_per_round(self) -> int:
         """Loss-head outputs plus one per packed gradient ciphertext."""
-        total = self._loss_head_outputs()
+        total = self.weights[-1].out_cts
         for w in self.weights:
             total += bwd.pack_count(w.out_cts * w.in_cts, self.cfg.n)
         for layer in self.cfg.conv:
             total += bwd.pack_count(layer.filters * layer.channels * layer.filter_side**2,
                                     self.cfg.n)
         return total
-
-    def _loss_head_outputs(self) -> int:
-        last = self.weights[-1]
-        if last.kind == "type2":
-            return last.out_cts
-        return last.out_neurons  # replicated layout: one ciphertext per class row
 
     # -- persistence ---------------------------------------------------------
 
@@ -473,84 +458,3 @@ def _model_from_dict(data: dict, n: int) -> CnnConfig:
         fc=tuple(FcLayer(f["inputs"], f["outputs"]) for f in data["fc"]),
         n=n,
     )
-
-
-# ---------------------------------------------------------------------------
-# Static planning (counts without execution)
-# ---------------------------------------------------------------------------
-
-
-def predict_stage_counts(cfg: CnnConfig, geo: CombinedGeometry,
-                         layouts: list[str], r: int) -> dict[str, tuple[int, int, int, int]]:
-    """Predicted (add, mul, rot, cmul) per forward stage, plus encryption
-    counts under the ``enc.*`` scopes (returned as (count, 0, 0, 0))."""
-    s = geo.slot_count
-    n = cfg.n
-    counts: dict[str, tuple[int, int, int, int]] = {}
-
-    layout0 = layouts[0]
-    if layout0 == CONV_CROSS_CHANNEL:
-        enc_inputs = -(-cfg.conv[0].channels // r) * geo.kernel_sides[0] ** 2
-    else:
-        enc_inputs = cfg.conv[0].channels * geo.kernel_sides[0] ** 2
-    counts["enc.inputs"] = (enc_inputs, 0, 0, 0)
-
-    enc_filters = 0
-    square_idx = 0
-    for l, layer in enumerate(cfg.conv):
-        gamma2 = layer.filter_side**2
-        out_cells = geo.kernel_side_after(l) ** 2
-        if layouts[l] == CONV_BASIC:
-            enc_filters += layer.filters * layer.channels * gamma2
-            terms = gamma2 * layer.channels
-            mul = layer.filters * out_cells * terms
-            add = layer.filters * out_cells * (terms - 1)
-            rot = 0
-            squares = layer.filters * out_cells
-        elif layouts[l] == CONV_CROSS_CHANNEL:
-            groups = -(-layer.channels // r)
-            enc_filters += layer.filters * groups * gamma2
-            terms = gamma2 * groups
-            fold = int(math.log2(r))
-            mul = layer.filters * out_cells * terms
-            add = layer.filters * out_cells * (terms - 1 + fold)
-            rot = layer.filters * out_cells * fold
-            squares = layer.filters * out_cells
-        else:  # cross-filter
-            fgroups = -(-layer.filters // r)
-            enc_filters += fgroups * layer.channels * gamma2
-            terms = gamma2 * layer.channels
-            mul = fgroups * out_cells * terms
-            add = fgroups * out_cells * (terms - 1)
-            rot = 0
-            squares = fgroups * out_cells
-        counts[f"CL{l + 1}"] = (add, mul, rot, 0)
-        square_idx += 1
-        counts[f"Square{square_idx}"] = (0, squares, 0, 0)
-    counts["enc.filters"] = (enc_filters, 0, 0, 0)
-
-    # fc stages; shapes follow the type alternation
-    last = cfg.conv[-1]
-    in_cts = -(-last.filters // r) if layouts[-1] == CONV_CROSS_FILTER else last.filters
-    for k, layer in enumerate(cfg.fc):
-        if k % 2 == 0:
-            fold = int(math.log2(s // n))
-            mul = layer.outputs * in_cts
-            add = layer.outputs * (in_cts - 1 + fold)
-            rot = layer.outputs * fold
-            counts[f"enc.weights.FL{k + 1}"] = (layer.outputs * in_cts, 0, 0, 0)
-            squares = layer.outputs
-            in_cts = layer.outputs
-        else:
-            out_cts = -(-layer.outputs * n // s)
-            mul = out_cts * in_cts
-            add = out_cts * (in_cts - 1)
-            rot = 0
-            counts[f"enc.weights.FL{k + 1}"] = (in_cts * out_cts, 0, 0, 0)
-            squares = out_cts
-            in_cts = out_cts
-        counts[f"FL{k + 1}"] = (add, mul, rot, 0)
-        if k < cfg.f - 1:
-            square_idx += 1
-            counts[f"Square{square_idx}"] = (0, squares, 0, 0)
-    return counts

@@ -162,42 +162,29 @@ class TeeService:
 
     # -- layout bridges ------------------------------------------------------
 
+    # Logits layouts: neuron ``j*p + w`` sits in pi-set ``w`` of cell ``(j,)``,
+    # with ``p = tensor.pi_sets`` (S/n for type I, 1 for type II, whose one
+    # pi-set is replicated over the ciphertext).
+
     def _decode_outputs(self, tensor: PackedTensor, classes: int) -> np.ndarray:
-        n = tensor.n
-        values = np.zeros((n, classes))
-        plain = {key[0]: self.backend.decrypt(self._ctx, ct)
-                 for key, ct in tensor.cells.items()}
-        if tensor.layout == FL_TYPE1:
-            block = self.params.slot_count // n
-            for w in range(classes):
-                off = (w % block) * n
-                values[:, w] = plain[w // block][off:off + n]
-        elif tensor.layout == FL_TYPE2:
-            for w in range(classes):
-                values[:, w] = plain[w][:n]
-        else:
+        if tensor.layout not in (FL_TYPE1, FL_TYPE2):
             raise ValueError(f"not a fully-connected output layout: {tensor.layout}")
-        return values
+        n, p = tensor.n, tensor.pi_sets
+        neurons = [self.backend.decrypt(self._ctx, tensor.cells[(j,)])[:p * n]
+                   for j in range(len(tensor.cells))]
+        return np.concatenate(neurons).reshape(-1, n)[:classes].T.copy()
 
     def _encode_outputs(self, grad: np.ndarray, like: PackedTensor) -> PackedTensor:
         n, classes = grad.shape
-        slot_count = self.params.slot_count
+        p, count = like.pi_sets, len(like.cells)
+        neurons = np.zeros((count * p, n))
+        neurons[:classes] = grad.T
+        reps = self.params.slot_count // (p * n)
         cells = {}
-        if like.layout == FL_TYPE1:
-            block = slot_count // n
-            for j in sorted(like.cells):
-                vec = np.zeros(slot_count)
-                for w_local in range(block):
-                    w = j[0] * block + w_local
-                    if w < classes:
-                        vec[w_local * n:(w_local + 1) * n] = grad[:, w]
-                cells[j] = self.backend.encrypt(self._ctx, vec)
-        else:  # FL_TYPE2: one replicated pi-set per class
-            for i in sorted(like.cells):
-                vec = np.tile(grad[:, i[0]], slot_count // n)
-                cells[i] = self.backend.encrypt(self._ctx, vec)
-        return PackedTensor(cells, like.layout, n, pi_sets=like.pi_sets,
-                            neurons=like.neurons)
+        for j in range(count):
+            block = neurons[j * p:(j + 1) * p].reshape(-1)
+            cells[(j,)] = self.backend.encrypt(self._ctx, np.tile(block, reps))
+        return PackedTensor(cells, like.layout, n, pi_sets=p, neurons=like.neurons)
 
 
 # ---------------------------------------------------------------------------
@@ -280,9 +267,12 @@ def _handle_loss_head(sock, service: TeeService, payload: bytes, ct_size: int):
         cts.append(deserialize(payload[off:off + ct_size], service._ctx))
         off += ct_size
     labels = np.frombuffer(payload, dtype=np.uint8, count=n, offset=off).astype(int)
-    layout = FL_TYPE1 if layout_code == 1 else FL_TYPE2
+    if layout_code == 1:
+        layout, pi_sets = FL_TYPE1, service.params.slot_count // n
+    else:
+        layout, pi_sets = FL_TYPE2, 1
     tensor = PackedTensor({(j,): ct for j, ct in enumerate(cts)}, layout, n,
-                          pi_sets=service.params.slot_count // n, neurons=classes)
+                          pi_sets=pi_sets, neurons=classes)
     loss, grads = service.loss_head(party, tensor, labels, classes)
     blob = struct.pack("<d", loss) + b"".join(serialize(ct) for ct in grads.cts())
     _send_frame(sock, OP_LOSS_HEAD, blob)

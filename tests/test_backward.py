@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -8,11 +10,12 @@ from lhecnn.backward import (
     fl_backward_type1,
     fl_backward_type2,
     fl_weight_gradients,
+    noise_removal_update,
     pack_count,
     refresh_parameters,
 )
 from lhecnn.geometry import CnnConfig, ConvLayer, FcLayer, combined_geometry
-from lhecnn.lhe import LheParams, SimulatorBackend
+from lhecnn.lhe import Ciphertext, LheParams, SimulatorBackend
 from lhecnn.metering import OpMeter
 from lhecnn.oracle import init_params, plain_backward_step, plain_gradients
 from lhecnn.packing import (
@@ -226,10 +229,32 @@ class TestNoiseRemovalUpdate:
         def reenc(cts):
             calls.append(len(cts))
             return [backend.reencrypt(ctx, ct) for ct in cts]
-        from lhecnn.backward import noise_removal_update
         packed = noise_removal_update(backend, reenc, raw, target,
                                       lambda k: k, lr=0.1, n=4)
         assert packed == 2 and calls == [2]
+
+    def test_raw_gradients_are_freed_before_reencryption(self, backend):
+        ctx = backend.keygen(LheParams(8, 10), seed=1)
+        raw = {}
+        for key in range(6):
+            ct = backend.encrypt(ctx, np.full(8, key + 1.0))
+            for _ in range(4):  # a level no other ciphertext here sits at
+                ct = backend.cmul(ct, np.ones(8))
+            raw[(key,)] = ct
+        raw_level = (ctx.key_id, 6, True)
+        target = {key: backend.encrypt(ctx, np.zeros(8)) for key in raw}
+        alive = []
+
+        def reenc(cts):
+            # reads the live set from the garbage collector: no reference kept
+            alive.append(sum(isinstance(obj, Ciphertext)
+                             and (obj.key_id, obj.level, obj.pending_rescale) == raw_level
+                             for obj in gc.get_objects()))
+            return [backend.reencrypt(ctx, ct) for ct in cts]
+
+        noise_removal_update(backend, reenc, raw, target, lambda k: k, lr=0.1, n=4)
+        assert alive == [0]
+        assert not raw  # the caller's dict no longer holds them either
 
     def test_lr_zero_leaves_values_unchanged(self):
         cfg = CnnConfig((ConvLayer(1, 4, 2, 2, 2),), (FcLayer(8, 3),), 4)
@@ -353,6 +378,19 @@ class TestConvKernelGradients:
 
 
 class TestRefreshParameters:
+    def test_failed_reencryption_keeps_every_parameter(self, backend):
+        ctx = backend.keygen(LheParams(8, 10), seed=1)
+        cells = {(j,): backend.encrypt(ctx, np.full(8, j + 1.0)) for j in range(3)}
+        before = dict(cells)
+
+        def reenc(cts):
+            raise ConnectionError("TEE unreachable")
+
+        with pytest.raises(ConnectionError):
+            refresh_parameters(backend, reenc, cells, n=2)
+        assert cells == before
+        assert all(cells[k] is before[k] for k in before)
+
     def test_rebuilds_block_replicated_ciphertexts_at_high_level(self, backend):
         ctx = backend.keygen(LheParams(8, 10), seed=1)
         cells = {}

@@ -88,6 +88,59 @@ class TestPlan:
         assert "(6, 2)" in out
         assert "grid side:             8" in out
 
+    @staticmethod
+    def constant_slope_r22(tmp_path, levels=10):
+        p = preset("refining-2-2")
+        path = tmp_path / "r22.json"
+        path.write_text(json.dumps({
+            "model": {"conv": [vars(c) for c in p.model.conv],
+                      "fc": [vars(f) for f in p.model.fc]},
+            "lhe": {"slots": p.lhe.slot_count, "levels": levels},
+            "run": {"n": p.model.n, "r_mode": 1, "exact_activation_grad": False},
+        }))
+        return str(path)
+
+    def test_plan_runs_a_refining_round(self, tmp_path, capsys):
+        assert main(["plan", "--config", self.constant_slope_r22(tmp_path)]) == 0
+        lines = [" ".join(line.split()) for line in capsys.readouterr().out.splitlines()]
+        # the refine-r22 benchmark pins, here on zero inputs
+        assert "round total (5735, 1012, 4624, 572)" in lines
+        assert "re-encryptions 5" in lines
+        assert "TEE in 6 cts / 393312 bytes" in lines
+        assert "TEE out 5 cts / 327760 bytes" in lines
+        assert "lowest level 0" in lines
+        stages = [line.split()[0] for line in lines if line.startswith("bwd.")]
+        assert stages == ["bwd.FL2", "bwd.FL1", "bwd.CL2", "bwd.CL1"]
+
+    def test_plan_catches_a_round_that_fits_only_from_fresh_parameters(self, tmp_path,
+                                                                       capsys):
+        # at 9 levels the first round fits; the second, whose parameters start
+        # below the top level, runs out in bwd.FL2
+        assert main(["plan", "--config", self.constant_slope_r22(tmp_path, 9)]) == 0
+        out = capsys.readouterr().out
+        assert "refining round does not fit:" in out
+        assert "in scope 'bwd.FL2' (round 2)" in out
+
+    def test_plan_reports_a_refining_round_that_does_not_fit(self, capsys):
+        # exact gradients need more than the preset's 10 levels
+        assert main(["plan", "--config", "preset:refining-2-2"]) == 0
+        out = capsys.readouterr().out
+        assert "refining round does not fit:" in out
+        assert "in scope 'bwd.CL2'" in out
+
+    def test_plan_skips_refining_with_cross_layouts(self, tmp_path, capsys):
+        path = mnist_config(tmp_path, slots=64)
+        data = json.loads(open(path).read())
+        data["run"]["r_mode"] = "auto"
+        open(path, "w").write(json.dumps(data))
+        assert main(["plan", "--config", path]) == 0
+        out = capsys.readouterr().out
+        assert "(using 2)" in out and "refining needs r = 1" in out
+
+    def test_plan_inference_level_exhaustion_exits_3(self, tmp_path, capsys):
+        assert main(["plan", "--config", mnist_config(tmp_path, levels=3)]) == 3
+        assert "level exhausted" in capsys.readouterr().err
+
     def test_infeasible_config_exits_2(self, tmp_path, capsys):
         # the second layer's kernel exceeds its input side
         cfg = {

@@ -220,6 +220,23 @@ class TestInputEncoding:
         assert np.array_equal(got[seg:2 * seg],
                               backend.decrypt(ctx, basic.cells[(3, 0, 0)])[:seg])
 
+    def test_padding_segments_are_zero_in_every_cell(self, backend):
+        # 3 channels in groups of 2: group 1 holds channel 2 and a padding
+        # segment, encoded after group 0 has filled both segments
+        cfg = CnnConfig((ConvLayer(3, 4, 2, 2, 2),), (FcLayer(8, 2),), 2)
+        geo = combined_geometry(cfg, LheParams(16, 6))
+        ctx = backend.keygen(LheParams(16, 6), seed=1)
+        images = np.random.default_rng(3).normal(size=(2, 3, 4, 4))
+        packed = encode_inputs(backend, ctx, images, geo, CONV_CROSS_CHANNEL, r=2)
+        basic = encode_inputs(backend, ctx, images, geo)
+        seg = geo.seg_slots
+        for (b, u, v), ct in packed.cells.items():
+            want = np.zeros(16)
+            for q in range(2):
+                if 2 * b + q < 3:
+                    want[q * seg:(q + 1) * seg] = basic.cells[(2 * b + q, u, v)].slots[:seg]
+            assert np.array_equal(backend.decrypt(ctx, ct), want), (b, u, v)
+
     def test_cross_channel_r1_reduces_to_basic(self, backend):
         cfg = CnnConfig((ConvLayer(2, 4, 1, 2, 2),), (FcLayer(4, 2),), 2)
         geo = combined_geometry(cfg, LheParams(16, 6))

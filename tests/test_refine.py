@@ -7,7 +7,7 @@ from lhecnn.geometry import CnnConfig, ConvLayer, FcLayer, preset
 from lhecnn.lhe import LevelExhausted, LheParams, SimulatorBackend
 from lhecnn.metering import OpMeter
 from lhecnn.oracle import init_params, plain_backward_step, plain_forward
-from lhecnn.refine import RefineSession, predict_stage_counts
+from lhecnn.refine import RefineSession
 from lhecnn.tee import TeeService
 
 
@@ -87,48 +87,58 @@ class TestInfer:
         logits, _ = sess.infer(np.zeros((4, 1, 4, 4)))
         assert np.array_equal(sess.reveal_outputs(logits), np.zeros((4, 3)))
 
+    # Expected counts below are literals, recorded from the closed-form
+    # planner the library once had, so each test keeps a value independent
+    # of the pipeline it checks.
+    STAGES = {
+        "cnn-1-2": {"CL1": (192, 196, 0, 0), "Square1": (0, 4, 0, 0),
+                    "FL1": (576, 256, 384, 0), "Square2": (0, 64, 0, 0),
+                    "FL2": (63, 64, 0, 0)},
+        "refining-2-2": {"CL1": (128, 144, 0, 0), "Square1": (0, 16, 0, 0),
+                         "CL2": (60, 64, 0, 0), "Square2": (0, 4, 0, 0),
+                         "FL1": (288, 128, 192, 0), "Square3": (0, 32, 0, 0),
+                         "FL2": (31, 32, 0, 0)},
+    }
+
+    @staticmethod
+    def run_counts(sess, images):
+        mark = sess.meter.checkpoint()
+        sess.infer(images)
+        got = sess.meter.since(mark)
+        return got, {scope: sess.meter.scope_tuple(scope, got)
+                     for scope in sess.meter.scope_totals(got)
+                     if not scope.startswith("enc.")}
+
     def test_report_counts_equal_static_plan(self):
-        for name in ("cnn-1-2", "refining-2-2"):
+        for name, want in self.STAGES.items():
             p = preset(name)
             sess = make_session(p.model, p.lhe)
             rng = np.random.default_rng(0)
             images = rng.normal(size=(p.model.n, p.model.conv[0].channels, 28, 28))
-            mark = sess.meter.checkpoint()
-            sess.infer(images)
-            got = sess.meter.since(mark)
-            predicted = predict_stage_counts(p.model, sess.geo, sess.layouts, sess.r)
-            for stage, want in predicted.items():
-                if stage.startswith("enc."):
-                    continue
-                assert sess.meter.scope_tuple(stage, got) == want, stage
+            assert self.run_counts(sess, images)[1] == want, name
 
     def test_plan_matches_run_for_cross_layouts(self):
         cfg = CnnConfig((ConvLayer(4, 6, 4, 2, 2), ConvLayer(4, 3, 2, 2, 1)),
                         (FcLayer(2 * 4, 3),), 4)
         params = LheParams(512, 12)
         sess = make_session(cfg, params, r_mode="auto")
+        assert sess.layouts == ["conv-cross-channel", "conv-cross-filter"]
         rng = np.random.default_rng(1)
-        mark = sess.meter.checkpoint()
-        sess.infer(rng.normal(size=(4, 4, 6, 6)))
-        got = sess.meter.since(mark)
-        predicted = predict_stage_counts(cfg, sess.geo, sess.layouts, sess.r)
-        for stage, want in predicted.items():
-            if stage == "enc.inputs":
-                enc = sum(c for (s, k, _), c in got.items()
-                          if s == stage and k == "encrypt")
-                assert enc == want[0], stage
-            elif not stage.startswith("enc."):
-                assert sess.meter.scope_tuple(stage, got) == want, stage
+        got, stages = self.run_counts(sess, rng.normal(size=(4, 4, 6, 6)))
+        assert stages == {"CL1": (128, 64, 80, 0), "Square1": (0, 16, 0, 0),
+                          "CL2": (15, 16, 0, 0), "Square2": (0, 1, 0, 0),
+                          "FL1": (21, 3, 21, 0)}
+        assert sess.meter.scope_totals(got)["enc.inputs"]["encrypt"] == 16
 
     def test_plan_predicts_encryption_counts(self):
         p = preset("cnn-1-2")
-        geo_session = make_session(p.model, p.lhe)
-        predicted = predict_stage_counts(p.model, geo_session.geo,
-                                         geo_session.layouts, geo_session.r)
-        assert predicted["enc.inputs"][0] == 49
-        assert predicted["enc.filters"][0] == 196
-        assert predicted["enc.weights.FL1"][0] == 256
-        assert predicted["enc.weights.FL2"][0] == 64
+        sess = make_session(p.model, p.lhe)
+        sess.infer(np.zeros((p.model.n, 1, 28, 28)))
+        encryptions = {scope: per["encrypt"]
+                       for scope, per in sess.meter.scope_totals().items()
+                       if scope.startswith("enc.")}
+        assert encryptions == {"enc.inputs": 49, "enc.filters": 196,
+                               "enc.weights.FL1": 256, "enc.weights.FL2": 64}
 
 
 class TestRefine:

@@ -201,7 +201,22 @@ class TestSecrecyBoundary:
 
 
 class TestSocketTransport:
-    def test_attest_reencrypt_and_loss_head_over_socket(self, backend, tmp_path):
+    @staticmethod
+    def logits(backend, ctx, layout, values):
+        """(n, classes) ``values`` packed as type I (all classes as pi-sets
+        of one ciphertext) or type II (one replicated ciphertext per class)."""
+        n, classes = values.shape
+        if layout == FL_TYPE1:
+            vec = np.zeros(16)
+            vec[:n * classes] = values.T.reshape(-1)
+            return PackedTensor({(0,): backend.encrypt(ctx, vec)}, FL_TYPE1, n,
+                                pi_sets=16 // n, neurons=classes)
+        return PackedTensor({(w,): backend.encrypt(ctx, np.tile(values[:, w], 16 // n))
+                             for w in range(classes)}, FL_TYPE2, n, pi_sets=1,
+                            neurons=classes)
+
+    @pytest.mark.parametrize("layout", [FL_TYPE1, FL_TYPE2], ids=["type1", "type2"])
+    def test_attest_reencrypt_and_loss_head_over_socket(self, backend, tmp_path, layout):
         tee = make_tee(backend, slots=16, levels=6)
         path = str(tmp_path / "tee.sock")
         with TeeSocketServer(tee, path):
@@ -215,16 +230,19 @@ class TestSocketTransport:
             assert out[0].level == 5
             assert np.array_equal(out[0].slots, np.arange(16.0))
 
-            values = np.zeros((2, 4))
-            vec = np.zeros(16)
-            for w in range(4):
-                vec[w * 2:(w + 1) * 2] = values[:, w]
-            tensor = PackedTensor({(0,): backend.encrypt(ctx, vec)}, FL_TYPE1, 2,
-                                  pi_sets=8, neurons=4)
-            loss, grads = client.loss_head(tensor, np.array([1, 3]), 4)
+            labels = np.array([1, 3])
+            tensor = self.logits(backend, ctx, layout, np.zeros((2, 4)))
+            loss, grads = client.loss_head(tensor, labels, 4)
             assert abs(loss - math.log(4)) < 1e-12
-            assert len(grads) == 1 and grads[0].level == 5
+            assert len(grads) == len(tensor.cells) and grads[0].level == 5
+
+            tensor = self.logits(backend, ctx, layout,
+                                 np.random.default_rng(2).normal(size=(2, 4)))
+            loss, grads = client.loss_head(tensor, labels, 4)
             client.close()
+        want_loss, want = tee.loss_head("remote", tensor, labels, 4)
+        assert loss == want_loss
+        assert [g.slots.tobytes() for g in grads] == [g.slots.tobytes() for g in want.cts()]
 
     def test_multi_megabyte_batch_round_trips_exactly(self, backend, tmp_path):
         # 64 ciphertexts at S = 8192: a ~4 MB frame each way
