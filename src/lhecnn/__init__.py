@@ -14,7 +14,6 @@ from .geometry import (
     FcLayer,
     GeometryError,
     combined_geometry,
-    level_budget,
     packing_factor,
     preset,
 )
@@ -27,7 +26,7 @@ from .lhe import (
     deserialize,
     serialize,
 )
-from .metering import CostTable, OpMeter, build_report, scoped
+from .metering import CostTable, OpMeter, build_report
 from .oracle import PlainParams, init_params, plain_backward_step, plain_forward
 from .refine import RefineResult, RefineSession, plan_layouts
 from .tee import TeeService
@@ -53,13 +52,11 @@ __all__ = [
     "combined_geometry",
     "deserialize",
     "init_params",
-    "level_budget",
     "packing_factor",
     "plain_backward_step",
     "plain_forward",
     "plan_layouts",
     "preset",
-    "scoped",
     "serialize",
 ]
 

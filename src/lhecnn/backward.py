@@ -203,39 +203,6 @@ def pack_count(gradient_count: int, n: int) -> int:
     return -(-gradient_count // n)
 
 
-def _pack_refresh_spread(backend: SimulatorBackend, reencrypt,
-                         cells: dict[tuple, Ciphertext], scale: float, n: int,
-                         apply) -> int:
-    """Pack ``cells``, refresh them through ``reencrypt`` and hand each one
-    back, unpacked and spread, to ``apply(key, ct)``.
-
-    Cell ``idx`` (in sorted key order) is masked by a selector with value
-    ``scale`` at slots congruent to idx mod n and accumulated into packed
-    ciphertext idx // n.  Each cell is popped from ``cells`` once masked, so
-    it is freed before the re-encryption unless the caller holds it
-    elsewhere.  After re-encryption the mask is reapplied and the signed
-    rotations replicate each value over its block.  Returns the number of
-    packed ciphertexts re-encrypted.
-    """
-    order = sorted(cells)
-    if not order:
-        return 0
-    slot_count = cells[order[0]].slot_count
-    packed: dict[int, Ciphertext] = {}
-    for idx, key in enumerate(order):
-        p, k = idx % n, idx // n
-        masked = backend.cmul(cells.pop(key), make_selector(p, n, slot_count, scale))
-        packed[k] = _accumulate(backend, packed.get(k), masked)
-
-    fresh = reencrypt([packed[k] for k in sorted(packed)])
-
-    for idx, key in enumerate(order):
-        p, k = idx % n, idx // n
-        ct = backend.cmul(fresh[k], make_selector(p, n, slot_count, 1.0))
-        apply(key, signed_rotate_spread(backend, ct, compute_rotation_plan(p, n)))
-    return len(packed)
-
-
 def noise_removal_update(backend: SimulatorBackend, reencrypt,
                          raw_grads: dict[tuple, Ciphertext],
                          target_cells: dict[tuple, Ciphertext],
@@ -243,15 +210,35 @@ def noise_removal_update(backend: SimulatorBackend, reencrypt,
     """Pack raw gradients, refresh them through ``reencrypt``, unpack/spread,
     and add them into the parameter ciphertexts.
 
-    The packing selector carries -lr/n, so the parameter receives the spread
-    SGD step additively.  ``raw_grads`` is emptied as it is packed.  Returns
-    the number of packed ciphertexts re-encrypted.
+    Gradient ``idx`` (in sorted key order) is masked by a selector with value
+    -lr/n at slots congruent to idx mod n and accumulated into packed
+    ciphertext idx // n, so the parameter receives the spread SGD step
+    additively.  Each gradient is popped from ``raw_grads`` once masked, so it
+    is freed before the re-encryption unless the caller holds it elsewhere.
+    After re-encryption the mask is reapplied and the signed rotations
+    replicate each value over its block.  Returns the number of packed
+    ciphertexts re-encrypted.
     """
-    def add_into(key, grad):
-        tkey = target_key(key)
-        target_cells[tkey] = backend.add(target_cells[tkey], grad)
+    order = sorted(raw_grads)
+    if not order:
+        return 0
+    slot_count = raw_grads[order[0]].slot_count
+    scale = -lr / n
+    packed: dict[int, Ciphertext] = {}
+    for idx, key in enumerate(order):
+        p, k = idx % n, idx // n
+        masked = backend.cmul(raw_grads.pop(key), make_selector(p, n, slot_count, scale))
+        packed[k] = _accumulate(backend, packed.get(k), masked)
 
-    return _pack_refresh_spread(backend, reencrypt, raw_grads, -lr / n, n, add_into)
+    fresh = reencrypt([packed[k] for k in sorted(packed)])
+
+    for idx, key in enumerate(order):
+        p, k = idx % n, idx // n
+        ct = backend.cmul(fresh[k], make_selector(p, n, slot_count, 1.0))
+        ct = signed_rotate_spread(backend, ct, compute_rotation_plan(p, n))
+        tkey = target_key(key)
+        target_cells[tkey] = backend.add(target_cells[tkey], ct)
+    return len(packed)
 
 
 def fl_noise_removal_update(backend: SimulatorBackend, reencrypt,
@@ -270,13 +257,3 @@ def conv_noise_removal_update(backend: SimulatorBackend, reencrypt,
     return noise_removal_update(
         backend, reencrypt, raw_grads, filters.cells, lambda key: key, lr, n)
 
-
-def refresh_parameters(backend: SimulatorBackend, reencrypt,
-                       cells: dict[tuple, Ciphertext], n: int) -> int:
-    """Maintenance variant: pack the parameter ciphertexts themselves (valid
-    because each block holds one replicated value), re-encrypt, and rebuild
-    them by unpack-and-spread.  Not used by the default refining pipeline,
-    which refreshes gradients instead.  ``cells`` keeps every parameter if
-    ``reencrypt`` raises."""
-    return _pack_refresh_spread(backend, reencrypt, dict(cells), 1.0, n,
-                                cells.__setitem__)

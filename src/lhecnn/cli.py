@@ -31,13 +31,12 @@ EXIT_LEVELS = 3
 EXIT_IO = 4
 
 
-def _session(rc: RunConfig, threads: int) -> RefineSession:
+def _session(rc: RunConfig) -> RefineSession:
     meter = OpMeter()
     backend = SimulatorBackend(meter)
     tee = TeeService(backend, rc.lhe, seed=rc.run.seed)
     return RefineSession(tee, rc.model, rc.lhe, r_mode=rc.run.r_mode,
-                         exact_activation_grad=rc.run.exact_activation_grad,
-                         threads=threads)
+                         exact_activation_grad=rc.run.exact_activation_grad)
 
 
 def _print_stages(per_scope: dict[str, dict[str, int]]) -> None:
@@ -51,19 +50,20 @@ def _print_stages(per_scope: dict[str, dict[str, int]]) -> None:
 def cmd_plan(args) -> int:
     """Dry run: the real pipeline on zero images, printing the meter's counts."""
     rc = load_config(args.config)
-    session = _session(rc, 1)
+    session = _session(rc)
     geo, cfg = session.geo, rc.model
     print(f"combined kernel sides: {geo.kernel_sides}")
     print(f"combined strides:      {geo.strides}")
     print(f"grid side:             {geo.grid_side} "
           f"({cfg.n} x {geo.grid_side}^2 = {geo.seg_slots} slots per channel)")
     print(f"packing factor r:      {geo.packing_factor} (using {session.r})")
-    print(f"level budget:          {geo.level_budget} of {rc.lhe.max_level} levels")
     print(f"conv layouts:          {', '.join(session.layouts)}")
     session.load_base_model(init_params(cfg, rc.run.seed))
     first = cfg.conv[0]
     images = np.zeros((cfg.n, first.channels, first.input_side, first.input_side))
-    session.infer(images)
+    logits, _ = session.infer(images)
+    used = rc.lhe.max_level - min(ct.level for ct in logits.cts())
+    print(f"inference uses {used} of {rc.lhe.max_level} levels")
     print("inference stage counts (add, mul, rot, cmul):")
     _print_stages(session.meter.scope_totals())
     if session.r > 1:
@@ -91,7 +91,7 @@ def cmd_plan(args) -> int:
 
 def cmd_init_model(args) -> int:
     rc = load_config(args.config)
-    session = _session(rc, args.threads)
+    session = _session(rc)
     session.load_base_model(init_params(rc.model, rc.run.seed))
     session.save(args.model)
     print(f"encrypted base model written to {args.model}")
@@ -103,7 +103,7 @@ def cmd_infer(args) -> int:
     meter = OpMeter()
     backend = SimulatorBackend(meter)
     tee = TeeService(backend, rc.lhe, seed=rc.run.seed)
-    session = RefineSession.load(tee, args.model, threads=args.threads)
+    session = RefineSession.load(tee, args.model)
     images, _labels = read_dataset(args.inputs, session.cfg)
     if images.shape[0] != session.cfg.n:
         raise ValueError(f"inference takes exactly n={session.cfg.n} images")
@@ -124,7 +124,7 @@ def cmd_refine(args) -> int:
     meter = OpMeter()
     backend = SimulatorBackend(meter)
     tee = TeeService(backend, rc.lhe, seed=rc.run.seed)
-    session = RefineSession.load(tee, args.model, threads=args.threads)
+    session = RefineSession.load(tee, args.model)
     images, labels = read_dataset(args.data, session.cfg)
     lr = args.lr if args.lr is not None else rc.run.lr
     epochs = args.epochs if args.epochs is not None else rc.run.epochs
@@ -229,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("init-model", help="create an encrypted base model directory")
     p.add_argument("--config", required=True)
     p.add_argument("--model", required=True, help="output directory")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_init_model)
 
     p = sub.add_parser("infer", help="run encrypted inference")
@@ -239,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", help="write the CSV op report here")
     p.add_argument("--out", help="write decrypted logits (CSV) here")
     p.add_argument("--format", choices=("csv", "text"), default="text")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("refine", help="run encrypted refining rounds")
@@ -250,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, help="epochs (default from config)")
     p.add_argument("--out", help="write the refined model here instead of in place")
     p.add_argument("--report", help="write the CSV op report here")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_refine)
 
     p = sub.add_parser("selftest-example",

@@ -8,9 +8,6 @@ layer.
 
 from __future__ import annotations
 
-import contextvars
-from concurrent.futures import ThreadPoolExecutor
-
 from .lhe import Ciphertext, SimulatorBackend
 from .packing import (
     CONV_CROSS_CHANNEL,
@@ -32,19 +29,8 @@ def _accumulate(backend: SimulatorBackend, acc: Ciphertext | None,
     return term if acc is None else backend.add(acc, term)
 
 
-def _map_keys(fn, keys, threads: int):
-    if threads > 1:
-        # Each worker call runs in a copy of the caller's context, which holds
-        # the caller's meter scopes, so its primitives count under them.
-        caller = contextvars.copy_context()
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return dict(zip(keys, pool.map(lambda key: caller.copy().run(fn, key), keys)))
-    return {key: fn(key) for key in keys}
-
-
 def conv_forward(backend: SimulatorBackend, inputs: PackedTensor,
-                 filters: PackedFilters, out_grid: int, stride: int,
-                 threads: int = 1) -> PackedTensor:
+                 filters: PackedFilters, out_grid: int, stride: int) -> PackedTensor:
     """Convolution in the filters' layout: every output cell (a, u, v)
     accumulates the products of its kernel window's input cells with filter
     cell a, over every channel cell b.
@@ -64,30 +50,25 @@ def conv_forward(backend: SimulatorBackend, inputs: PackedTensor,
                                                    filters.channel_count)
     seg = inputs.seg_slots
     fold = layout == CONV_CROSS_CHANNEL and r > 1
-
-    def one(key):
-        a, u, v = key
-        acc = None
-        for x in range(gamma):
-            for y in range(gamma):
-                for b in range(channel_cells):
-                    term = backend.mul(
-                        inputs.ct(b, stride * u + x, stride * v + y),
-                        filters.cells[(a, b, x, y)],
-                    )
-                    acc = _accumulate(backend, acc, term)
-        return fold_rotate_sum(backend, acc, seg, r) if fold else acc
-
-    keys = [(a, u, v) for a in range(filter_cells)
-            for u in range(out_grid) for v in range(out_grid)]
-    cells = _map_keys(one, keys, threads)
+    cells = {}
+    for a in range(filter_cells):
+        for u in range(out_grid):
+            for v in range(out_grid):
+                acc = None
+                for x in range(gamma):
+                    for y in range(gamma):
+                        for b in range(channel_cells):
+                            acc = _accumulate(backend, acc, backend.mul(
+                                inputs.ct(b, stride * u + x, stride * v + y),
+                                filters.cells[(a, b, x, y)]))
+                cells[(a, u, v)] = fold_rotate_sum(backend, acc, seg, r) if fold else acc
     out_layout, group = conv_output_layout(layout, r, r * seg == inputs.slot_count)
     return PackedTensor(cells, out_layout, inputs.n, inputs.grid_side, seg,
                         group_size=group)
 
 
 def fl_forward_type1(backend: SimulatorBackend, inputs: PackedTensor,
-                     weights: PackedWeights, threads: int = 1) -> PackedTensor:
+                     weights: PackedWeights) -> PackedTensor:
     """Type I fully-connected layer: products against per-output-row weight
     ciphertexts, then a doubling rotate-sum folds all pi-set blocks so every
     output ciphertext holds S/n replicas of its n per-image dot products."""
@@ -97,21 +78,18 @@ def fl_forward_type1(backend: SimulatorBackend, inputs: PackedTensor,
         raise ValueError("type I propagation needs type1 weights")
     n = inputs.n
     slot_count = inputs.slot_count
-
-    def one(i):
+    cells = {}
+    for i in range(weights.out_neurons):
         acc = None
         for j in range(weights.in_cts):
             acc = _accumulate(backend, acc,
                               backend.mul(inputs.ct(j), weights.cells[(i, j)]))
-        return fold_rotate_sum(backend, acc, n, slot_count // n)
-
-    cells = {(i,): ct for i, ct in _map_keys(one, range(weights.out_neurons),
-                                             threads).items()}
+        cells[(i,)] = fold_rotate_sum(backend, acc, n, slot_count // n)
     return PackedTensor(cells, FL_TYPE2, n, pi_sets=1, neurons=weights.out_neurons)
 
 
 def fl_forward_type2(backend: SimulatorBackend, inputs: PackedTensor,
-                     weights: PackedWeights, threads: int = 1) -> PackedTensor:
+                     weights: PackedWeights) -> PackedTensor:
     """Type II fully-connected layer: each replicated input ciphertext meets
     its per-input-column weight ciphertext; no rotations are needed.  The
     output packs the o output neurons as consecutive pi-sets (a type I input
@@ -122,25 +100,20 @@ def fl_forward_type2(backend: SimulatorBackend, inputs: PackedTensor,
         raise ValueError("type II propagation needs type2 weights")
     n = inputs.n
     slot_count = inputs.slot_count
-
-    def one(j):
+    cells = {}
+    for j in range(weights.out_cts):
         acc = None
         for i in range(weights.in_cts):
             acc = _accumulate(backend, acc,
                               backend.mul(inputs.ct(i), weights.cells[(i, j)]))
-        return acc
-
-    cells = {(j,): ct for j, ct in _map_keys(one, range(weights.out_cts),
-                                             threads).items()}
+        cells[(j,)] = acc
     return PackedTensor(cells, FL_TYPE1, n, pi_sets=slot_count // n,
                         neurons=weights.out_neurons)
 
 
-def square_activation(backend: SimulatorBackend, tensor: PackedTensor,
-                      threads: int = 1) -> PackedTensor:
+def square_activation(backend: SimulatorBackend, tensor: PackedTensor) -> PackedTensor:
     """Square every slot (one ciphertext-ciphertext product per cell)."""
-    cells = _map_keys(lambda key: backend.mul(tensor.cells[key], tensor.cells[key]),
-                      list(tensor.cells), threads)
+    cells = {key: backend.mul(ct, ct) for key, ct in tensor.cells.items()}
     return PackedTensor(cells, tensor.layout, tensor.n, tensor.grid_side,
                         tensor.seg_slots, tensor.group_size, tensor.pi_sets,
                         tensor.neurons)

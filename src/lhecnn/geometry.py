@@ -106,7 +106,6 @@ class CombinedGeometry:
     strides: tuple[int, ...]       # combined stride per conv layer
     grid_side: int                 # kernel positions per axis (pi-set grid side)
     packing_factor: int            # largest usable power-of-two replication r
-    level_budget: int              # levels supported by the LHE parameters
     slot_count: int
     n: int
 
@@ -128,17 +127,6 @@ def packing_factor(slot_count: int, n: int, grid_side: int) -> int:
     if base > slot_count:
         raise GeometryError(f"{base} packed values exceed {slot_count} slots")
     return 1 << ((slot_count // base).bit_length() - 1)
-
-
-def level_budget(c: int, f: int) -> int:
-    """Levels needed when every layer plus its activation costs two: 2(c+f).
-
-    Presets may carry a different table value; refining setups override this
-    to fund the backward pass.
-    """
-    if c < 1 or f < 1:
-        raise ValueError("c and f must be >= 1")
-    return 2 * (c + f)
 
 
 def combined_geometry(cfg: CnnConfig, params: LheParams) -> CombinedGeometry:
@@ -183,7 +171,6 @@ def combined_geometry(cfg: CnnConfig, params: LheParams) -> CombinedGeometry:
         strides=tuple(strides),
         grid_side=grid_side,
         packing_factor=packing_factor(params.slot_count, cfg.n, grid_side),
-        level_budget=params.max_level,
         slot_count=params.slot_count,
         n=cfg.n,
     )

@@ -38,6 +38,7 @@ budget.  Ciphertexts carry this as :attr:`Ciphertext.pending_rescale`; the
 
 from __future__ import annotations
 
+import os
 import secrets
 import struct
 import sys
@@ -442,20 +443,40 @@ def serialize(ct: Ciphertext) -> bytes:
     ).tobytes()
 
 
-def deserialize(data: bytes, ctx: KeyContext) -> Ciphertext:
-    """Parse the wire format; the key hash must match ``ctx``."""
-    if len(data) < HEADER.size:
+def _check_header(header: bytes, size: int, ctx: KeyContext) -> tuple[int, int]:
+    """Slot count and level of a serialized ciphertext of ``size`` bytes
+    whose header is ``header``; the key hash must match ``ctx``."""
+    if len(header) < HEADER.size:
         raise ValueError("truncated ciphertext header")
-    magic, s, level, key_hash = HEADER.unpack_from(data)
+    magic, s, level, key_hash = HEADER.unpack_from(header)
     if magic != MAGIC:
         raise ValueError(f"bad magic {magic!r}")
-    if len(data) != serialized_size(s):
-        raise ValueError(f"expected {serialized_size(s)} bytes, got {len(data)}")
+    if size != serialized_size(s):
+        raise ValueError(f"expected {serialized_size(s)} bytes, got {size}")
     if key_hash != ctx.key_hash:
         raise KeyMismatch("serialized ciphertext written under a different key")
     if not 0 <= level <= ctx.params.top_level:
         raise ValueError(f"level {level} outside [0, {ctx.params.top_level}]")
+    return s, level
+
+
+def deserialize(data: bytes, ctx: KeyContext) -> Ciphertext:
+    """Parse the wire format; the key hash must match ``ctx``."""
+    _, level = _check_header(data, len(data), ctx)
     # A read-only view of ``data``: no copy on a little-endian host.
     slots = np.frombuffer(data, dtype="<f8", offset=HEADER.size).astype(np.float64,
                                                                           copy=False)
     return Ciphertext(slots, level, ctx.key_id)
+
+
+def read_ciphertext(path, ctx: KeyContext, out: np.ndarray) -> Ciphertext:
+    """Read the serialized ciphertext in file ``path`` straight into ``out``,
+    a writable little-endian float64 array of ``ctx``'s slot count, with the
+    checks of :func:`deserialize`.  The ciphertext keeps ``out`` as its slots."""
+    with open(path, "rb") as fh:
+        s, level = _check_header(fh.read(HEADER.size), os.fstat(fh.fileno()).st_size, ctx)
+        if s != out.size:
+            raise ValueError(f"{path} holds {s} slots, expected {out.size}")
+        if fh.readinto(out) != out.nbytes:
+            raise ValueError(f"{path} is shorter than its header says")
+    return Ciphertext(out, level, ctx.key_id)

@@ -34,9 +34,8 @@ class OpMeter:
 
     Scopes nest; a call is attributed to the innermost active label only.
     Counts never decrease.  The scope stack lives in a context variable, so
-    each thread has its own: a thread starts unscoped, and code that hands
-    work to other threads passes its scope on by running that work in a copy
-    of its :mod:`contextvars` context.
+    each thread has its own: the TEE socket server's thread starts unscoped,
+    and the ops it runs never land in a session's open scope.
     """
 
     def __init__(self):
@@ -84,26 +83,27 @@ class OpMeter:
         delta.subtract(mark)
         return +delta
 
-    def counts(self) -> Counter:
-        return self.checkpoint()
+    def _view(self, counts: Counter | None) -> Counter:
+        # An empty snapshot is a window with no ops, not "the whole run".
+        return self.checkpoint() if counts is None else counts
 
     def scope_totals(self, counts: Counter | None = None) -> dict[str, dict[str, int]]:
         """Per-scope totals across levels: scope -> kind -> count."""
         out: dict[str, dict[str, int]] = {}
-        for (scope, kind, _level), c in (counts or self.counts()).items():
+        for (scope, kind, _level), c in self._view(counts).items():
             out.setdefault(scope, {k: 0 for k in OP_KINDS})[kind] += c
         return out
 
     def level_totals(self, counts: Counter | None = None) -> dict[int, dict[str, int]]:
         """Per-level totals across scopes: level -> kind -> count."""
         out: dict[int, dict[str, int]] = {}
-        for (_scope, kind, level), c in (counts or self.counts()).items():
+        for (_scope, kind, level), c in self._view(counts).items():
             out.setdefault(level, {k: 0 for k in OP_KINDS})[kind] += c
         return out
 
     def totals(self, counts: Counter | None = None) -> dict[str, int]:
         out = {k: 0 for k in OP_KINDS}
-        for (_scope, kind, _level), c in (counts or self.counts()).items():
+        for (_scope, kind, _level), c in self._view(counts).items():
             out[kind] += c
         return out
 
@@ -111,12 +111,6 @@ class OpMeter:
         """(add, mul, rot, cmul) totals for one scope, in reporting order."""
         per = self.scope_totals(counts).get(scope, {})
         return tuple(per.get(k, 0) for k in PRIMITIVE_KINDS)  # type: ignore[return-value]
-
-
-def scoped(meter: OpMeter, label: str, body, *args, **kwargs):
-    """Run ``body(*args, **kwargs)`` attributing its primitive calls to ``label``."""
-    with meter.scope(label):
-        return body(*args, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +236,7 @@ def build_report(meter: OpMeter, cost: CostTable, n_inputs: int,
     """Aggregate ``meter`` (or an explicit counts snapshot) into an :class:`OpReport`."""
     if n_inputs < 1:
         raise ValueError("n_inputs must be positive")
-    raw = counts if counts is not None else meter.counts()
+    raw = meter.checkpoint() if counts is None else counts
     totals = meter.totals(raw)
     latency = 0.0
     gap_counter: Counter[tuple[str, int]] = Counter()

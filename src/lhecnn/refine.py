@@ -18,7 +18,7 @@ import numpy as np
 from . import backward as bwd
 from . import forward as fwd
 from .geometry import CnnConfig, CombinedGeometry, ConvLayer, FcLayer, combined_geometry
-from .lhe import LheParams, deserialize, serialize
+from .lhe import LheParams, read_ciphertext, serialize
 from .metering import CostTable, OpReport, build_report
 from .oracle import PlainParams
 from .packing import (
@@ -89,7 +89,7 @@ class RefineSession:
 
     def __init__(self, tee: TeeService, cfg: CnnConfig, params: LheParams, *,
                  r_mode="auto", exact_activation_grad: bool = True,
-                 threads: int = 1, party: str = "refine-session"):
+                 party: str = "refine-session"):
         self.tee = tee
         self.backend = tee.backend
         self.meter = tee.backend.meter
@@ -100,7 +100,6 @@ class RefineSession:
         self.geo = combined_geometry(cfg, params)
         self.r, self.layouts = plan_layouts(cfg, self.geo, r_mode)
         self.exact_activation_grad = exact_activation_grad
-        self.threads = threads
         self.filters: list[PackedFilters] = []
         self.weights: list[PackedWeights] = []
 
@@ -205,12 +204,12 @@ class RefineSession:
             out_grid = geo.kernel_side_after(l)
             with meter.scope(f"CL{l + 1}"):
                 pre = fwd.conv_forward(self.backend, tensor, self.filters[l],
-                                       out_grid, layer.stride, self.threads)
+                                       out_grid, layer.stride)
             if cache is not None:
                 cache.conv_pre.append(pre)
             square_idx += 1
             with meter.scope(f"Square{square_idx}"):
-                tensor = fwd.square_activation(self.backend, pre, self.threads)
+                tensor = fwd.square_activation(self.backend, pre)
             del pre
         tensor = as_fl_input(tensor, cfg.fc[0].inputs)
         for k in range(cfg.f):
@@ -218,17 +217,15 @@ class RefineSession:
                 cache.fl_inputs.append(tensor)
             with meter.scope(f"FL{k + 1}"):
                 if self.weights[k].kind == "type1":
-                    tensor = fwd.fl_forward_type1(self.backend, tensor, self.weights[k],
-                                                  self.threads)
+                    tensor = fwd.fl_forward_type1(self.backend, tensor, self.weights[k])
                 else:
-                    tensor = fwd.fl_forward_type2(self.backend, tensor, self.weights[k],
-                                                  self.threads)
+                    tensor = fwd.fl_forward_type2(self.backend, tensor, self.weights[k])
             if cache is not None:
                 cache.fl_pre.append(tensor)
             if k < cfg.f - 1:  # no activation after the final layer
                 square_idx += 1
                 with meter.scope(f"Square{square_idx}"):
-                    tensor = fwd.square_activation(self.backend, tensor, self.threads)
+                    tensor = fwd.square_activation(self.backend, tensor)
         return tensor
 
     def infer(self, images: np.ndarray,
@@ -274,16 +271,7 @@ class RefineSession:
                 rounds += 1
         report = build_report(self.meter, cost or CostTable.default(), n,
                               counts=self.meter.since(mark))
-        after = self.tee.stats
-        delta = BoundaryStats(
-            cts_in=after.cts_in - tee_before.cts_in,
-            cts_out=after.cts_out - tee_before.cts_out,
-            bytes_in=after.bytes_in - tee_before.bytes_in,
-            bytes_out=after.bytes_out - tee_before.bytes_out,
-            reencryptions=after.reencryptions - tee_before.reencryptions,
-            requests=after.requests - tee_before.requests,
-        )
-        return RefineResult(losses, report, delta, rounds)
+        return RefineResult(losses, report, self.tee.stats.since(tee_before), rounds)
 
     def _refine_round(self, images: np.ndarray, labels: np.ndarray, lr: float) -> float:
         meter, cfg, geo = self.meter, self.cfg, self.geo
@@ -384,6 +372,10 @@ class RefineSession:
     @classmethod
     def load(cls, tee: TeeService, path: str | Path, *,
              threads: int = 1, party: str = "refine-session") -> "RefineSession":
+        """Read a session written by :meth:`save`.  The pipeline runs on one
+        thread; ``threads`` stays only so that callers passing 1 keep working."""
+        if threads != 1:
+            raise ValueError(f"threads={threads}: the pipeline runs on one thread")
         root = Path(path)
         entries: dict[str, str] = {}
         stored: dict[str, str] = {}
@@ -404,7 +396,7 @@ class RefineSession:
         cfg = _model_from_dict(json.loads(entries["model"]), int(entries["n"]))
         session = cls(tee, cfg, params, r_mode=int(entries["r"]),
                       exact_activation_grad=entries["exact_activation_grad"] == "true",
-                      threads=threads, party=party)
+                      party=party)
         if int(entries["key_hash"]) != session.ctx.key_hash:
             raise ValueError("session was written under a different key")
         stored_layouts = entries["layouts"].split(",")
@@ -436,8 +428,12 @@ class RefineSession:
                 f"stored cells do not match the model: "
                 f"missing {sorted(targets.keys() - stored.keys())[:5]}, "
                 f"extra {sorted(stored.keys() - targets.keys())[:5]}")
-        for entry, (cells, key) in targets.items():
-            cells[key] = deserialize((root / stored[entry]).read_bytes(), session.ctx)
+        # One array holds every slot read: a session is one allocation, not
+        # one heap block per file that the allocator may hand back and fault
+        # in again on the next load.
+        slots = np.empty((len(targets), params.slot_count), dtype="<f8")
+        for row, (entry, (cells, key)) in zip(slots, targets.items()):
+            cells[key] = read_ciphertext(root / stored[entry], session.ctx, row)
         session.filters, session.weights = packed_filters, packed_weights
         return session
 

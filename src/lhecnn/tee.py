@@ -16,7 +16,7 @@ import socket
 import socketserver
 import struct
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -54,6 +54,11 @@ class BoundaryStats:
 
     def snapshot(self) -> "BoundaryStats":
         return BoundaryStats(**vars(self))
+
+    def since(self, before: "BoundaryStats") -> "BoundaryStats":
+        """Traffic counted after ``before`` was taken, field by field."""
+        return BoundaryStats(**{f.name: getattr(self, f.name) - getattr(before, f.name)
+                                for f in fields(self)})
 
 
 class TeeService:

@@ -12,7 +12,6 @@ from lhecnn.backward import (
     fl_weight_gradients,
     noise_removal_update,
     pack_count,
-    refresh_parameters,
 )
 from lhecnn.geometry import CnnConfig, ConvLayer, FcLayer, combined_geometry
 from lhecnn.lhe import Ciphertext, LheParams, SimulatorBackend
@@ -256,6 +255,19 @@ class TestNoiseRemovalUpdate:
         assert alive == [0]
         assert not raw  # the caller's dict no longer holds them either
 
+    def test_failed_reencryption_keeps_every_parameter(self, backend):
+        ctx = backend.keygen(LheParams(8, 10), seed=1)
+        raw = {(j,): backend.encrypt(ctx, np.full(8, j + 1.0)) for j in range(3)}
+        target = {key: backend.encrypt(ctx, np.zeros(8)) for key in raw}
+        before = dict(target)
+
+        def reenc(cts):
+            raise ConnectionError("TEE unreachable")
+
+        with pytest.raises(ConnectionError):
+            noise_removal_update(backend, reenc, raw, target, lambda k: k, lr=0.1, n=2)
+        assert all(target[k] is before[k] for k in before) and target.keys() == before.keys()
+
     def test_lr_zero_leaves_values_unchanged(self):
         cfg = CnnConfig((ConvLayer(1, 4, 2, 2, 2),), (FcLayer(8, 3),), 4)
         params = LheParams(32, 16)
@@ -375,34 +387,3 @@ class TestConvKernelGradients:
             want = grads.filters[0][k, i, x, y]
             scale = max(1.0, abs(want))
             assert abs(slots[idx] - want) / scale < 1e-9
-
-
-class TestRefreshParameters:
-    def test_failed_reencryption_keeps_every_parameter(self, backend):
-        ctx = backend.keygen(LheParams(8, 10), seed=1)
-        cells = {(j,): backend.encrypt(ctx, np.full(8, j + 1.0)) for j in range(3)}
-        before = dict(cells)
-
-        def reenc(cts):
-            raise ConnectionError("TEE unreachable")
-
-        with pytest.raises(ConnectionError):
-            refresh_parameters(backend, reenc, cells, n=2)
-        assert cells == before
-        assert all(cells[k] is before[k] for k in before)
-
-    def test_rebuilds_block_replicated_ciphertexts_at_high_level(self, backend):
-        ctx = backend.keygen(LheParams(8, 10), seed=1)
-        cells = {}
-        for j in range(3):
-            vec = np.repeat([j + 1.0, 2 * j + 1.0], 4)[:8]
-            ct = backend.encrypt(ctx, np.repeat([j + 1.0, 10 * j + 2.0], 4))
-            for _ in range(5):  # burn levels
-                ct = backend.cmul(ct, np.ones(8))
-            cells[(j,)] = ct
-        before = {k: ct.slots.copy() for k, ct in cells.items()}
-        refresh_parameters(backend, lambda cts: [backend.reencrypt(ctx, c) for c in cts],
-                           cells, n=2)
-        for k, ct in cells.items():
-            assert np.array_equal(ct.slots, before[k])
-            assert ct.level == 10 - 2  # reencrypt then one unpack cmul

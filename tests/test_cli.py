@@ -81,12 +81,15 @@ class TestPlan:
         assert "(576, 256, 384, 0)" in out    # FL1
         assert "(63, 64, 0, 0)" in out        # FL2
         assert "49 encryptions" in out
+        # the logits of the dry run sit at level 0: all six levels are spent
+        assert "inference uses 6 of 6 levels" in out.splitlines()
 
     def test_plan_refining_preset_geometry(self, capsys):
         assert main(["plan", "--config", "preset:refining-2-2"]) == 0
         out = capsys.readouterr().out
         assert "(6, 2)" in out
         assert "grid side:             8" in out
+        assert "inference uses 8 of 10 levels" in out.splitlines()
 
     @staticmethod
     def constant_slope_r22(tmp_path, levels=10):

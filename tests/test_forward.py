@@ -12,7 +12,7 @@ from lhecnn.forward import (
 )
 from lhecnn.geometry import CnnConfig, ConvLayer, FcLayer, combined_geometry, preset
 from lhecnn.lhe import Ciphertext, LheParams, SimulatorBackend
-from lhecnn.metering import UNSCOPED, OpMeter
+from lhecnn.metering import OpMeter
 from lhecnn.oracle import init_params, plain_forward
 from lhecnn.packing import (
     FL_TYPE1,
@@ -262,33 +262,6 @@ class TestFlForward:
         fl_forward_type2(backend, inp, weights)
         delta = meter.since(mark)
         assert not any(k[1] == "rot" for k in delta)
-
-    def test_threads_produce_identical_values(self):
-        cfg = CnnConfig((ConvLayer(2, 6, 3, 3, 3),), (FcLayer(3 * 4, 3),), 4)
-        params = LheParams(64, 10)
-        rng = np.random.default_rng(7)
-        images = rng.normal(size=(4, 2, 6, 6))
-        a = session_for(cfg, params)
-        b = session_for(cfg, params)
-        b.threads = 4
-        for _ in range(3):  # later passes run on buffers the workers recycled
-            la, _ = a.infer(images)
-            lb, _ = b.infer(images)
-            assert np.array_equal(a.reveal_outputs(la), b.reveal_outputs(lb))
-
-    def test_threads_keep_per_scope_counts(self):
-        # worker threads count under the scope of the stage that started them
-        cfg = CnnConfig((ConvLayer(2, 6, 3, 3, 3),), (FcLayer(3 * 4, 3), FcLayer(3, 2)), 4)
-        images = np.random.default_rng(7).normal(size=(4, 2, 6, 6))
-        one, four = session_for(cfg, LheParams(64, 10)), session_for(cfg, LheParams(64, 10))
-        four.threads = 4
-        counts = []
-        for sess in (one, four):
-            mark = sess.meter.checkpoint()
-            sess.infer(images)
-            counts.append(sess.meter.since(mark))
-        assert counts[0] == counts[1]
-        assert UNSCOPED not in {scope for scope, _kind, _level in counts[1]}
 
 
 class _ScopeWatch(SimulatorBackend):

@@ -9,7 +9,6 @@ from lhecnn.geometry import (
     FcLayer,
     GeometryError,
     combined_geometry,
-    level_budget,
     packing_factor,
     preset,
 )
@@ -151,14 +150,6 @@ class TestPackingFactor:
 
 
 class TestLevelBudget:
-    @pytest.mark.parametrize("c,f,want", [(1, 2, 6), (2, 1, 6), (4, 2, 12), (2, 2, 8)])
-    def test_two_levels_per_layer(self, c, f, want):
-        assert level_budget(c, f) == want
-
-    def test_rejects_empty_stacks(self):
-        with pytest.raises(ValueError):
-            level_budget(0, 1)
-
     def test_presets_carry_reference_levels(self):
         # two of the reference level counts deviate from 2(c+f) by one;
         # presets carry the reference values

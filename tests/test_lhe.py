@@ -17,6 +17,7 @@ from lhecnn.lhe import (
     SecrecyViolation,
     SimulatorBackend,
     deserialize,
+    read_ciphertext,
     serialize,
     serialized_size,
 )
@@ -391,7 +392,7 @@ class TestLazyRotation:
             assert out.slots.tobytes() == ref.tobytes()
             assert (out.level, out.pending_rescale) == (level, pending)
             pool.append((out, ref, level, pending))
-        got = Counter({(kind, level): c for (_scope, kind, level), c in meter.counts().items()
+        got = Counter({(kind, level): c for (_scope, kind, level), c in meter.checkpoint().items()
                        if kind in PRIMITIVE_KINDS})
         assert got == want
 
@@ -546,3 +547,34 @@ class TestSerialization:
             deserialize(b"XXXX" + blob[4:], ctx)
         with pytest.raises(ValueError):
             deserialize(blob[:20], ctx)
+
+    def test_read_from_file_into_a_given_row(self, backend, tmp_path):
+        ctx = ctx8(backend)
+        ct = backend.cmul(backend.encrypt(ctx, np.arange(8.0)), np.full(8, 2.0))
+        path = tmp_path / "ct.lhe"
+        path.write_bytes(serialize(ct))
+        rows = np.empty((2, 8))
+        got = read_ciphertext(path, ctx, rows[1])
+        assert got == ct and got.slots.base is rows   # no copy of its own
+        assert not got.slots.flags.writeable
+
+    @pytest.mark.parametrize("edit", [lambda b: b + b"\0", lambda b: b[:-1],
+                                      lambda b: b"XXXX" + b[4:]],
+                             ids=["trailing", "truncated", "magic"])
+    def test_read_from_file_rejects_what_deserialize_rejects(self, backend, tmp_path,
+                                                             edit):
+        ctx = ctx8(backend)
+        blob = edit(serialize(backend.encrypt(ctx, np.zeros(8))))
+        path = tmp_path / "ct.lhe"
+        path.write_bytes(blob)
+        with pytest.raises(ValueError):
+            deserialize(blob, ctx)
+        with pytest.raises(ValueError):
+            read_ciphertext(path, ctx, np.empty(8))
+
+    def test_read_from_file_rejects_another_slot_count(self, backend, tmp_path):
+        ctx = ctx8(backend)
+        path = tmp_path / "ct.lhe"
+        path.write_bytes(serialize(backend.encrypt(ctx, np.zeros(8))))
+        with pytest.raises(ValueError, match="holds 8 slots, expected 16"):
+            read_ciphertext(path, ctx, np.empty(16))

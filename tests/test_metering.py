@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lhecnn.lhe import LheParams, SimulatorBackend
-from lhecnn.metering import UNSCOPED, CostTable, OpMeter, build_report, scoped
+from lhecnn.metering import UNSCOPED, CostTable, OpMeter, build_report
 
 
 def run_ops(backend, ctx, count=3):
@@ -18,14 +18,16 @@ def run_ops(backend, ctx, count=3):
 class TestScopes:
     def test_scoped_attributes_to_label(self, backend, meter):
         ctx = backend.keygen(LheParams(8, 8), seed=1)
-        scoped(meter, "CL1", run_ops, backend, ctx)
+        with meter.scope("CL1"):
+            run_ops(backend, ctx)
         per = meter.scope_totals()
         assert per["CL1"]["mul"] == 3
         assert per["CL1"]["encrypt"] == 1
 
     def test_empty_body_changes_nothing(self, meter):
         before = meter.checkpoint()
-        scoped(meter, "CL1", lambda: None)
+        with meter.scope("CL1"):
+            pass
         assert meter.since(before) == {}
 
     def test_innermost_scope_wins(self, backend, meter):
@@ -122,7 +124,7 @@ class TestCounts:
             with meter.scope("stage"):
                 for _ in range(4):
                     ct = backend.add(ct, backend.rot(ct, 2))
-            return meter.counts()
+            return meter.checkpoint()
 
         assert profile(1) == profile(2)
 
@@ -155,6 +157,18 @@ class TestReports:
         assert report.total_tuple() == (0, 0, 0, 0)
         assert report.est_latency_us == 0
         assert report.gaps == []
+
+    def test_empty_window_reports_no_ops(self, backend, meter):
+        # an empty snapshot is a window in which nothing ran, not the whole run
+        ctx = backend.keygen(LheParams(8, 8), seed=1)
+        a = backend.encrypt(ctx, np.ones(8))
+        backend.mul(a, a)
+        window = meter.since(meter.checkpoint())
+        assert meter.totals(window) == {k: 0 for k in meter.totals()}
+        report = build_report(meter, CostTable.default(), 1, counts=window)
+        assert report.total_tuple() == (0, 0, 0, 0)
+        assert report.per_scope == {} and report.per_level == {}
+        assert report.est_latency_us == 0
 
     def test_latency_and_amortized(self, backend, meter):
         ctx = backend.keygen(LheParams(8, 8), seed=1)

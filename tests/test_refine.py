@@ -8,7 +8,7 @@ from lhecnn.lhe import LevelExhausted, LheParams, SimulatorBackend
 from lhecnn.metering import OpMeter
 from lhecnn.oracle import init_params, plain_backward_step, plain_forward
 from lhecnn.refine import RefineSession
-from lhecnn.tee import TeeService
+from lhecnn.tee import BoundaryStats, TeeService
 
 
 def make_session(cfg, params, seed=0, exact=True, r_mode=1):
@@ -191,6 +191,28 @@ class TestRefine:
                           rng.integers(0, 3, size=8), lr=0.1, epochs=1)
         assert res.tee_delta.reencryptions == 2 * sess.expected_reencryptions_per_round()
 
+    def test_tee_delta_is_the_stats_difference_in_every_field(self):
+        sess = make_session(small_cfg(), LheParams(32, 16), seed=5)
+        rng = np.random.default_rng(5)
+        images, labels = rng.normal(size=(4, 1, 4, 4)), rng.integers(0, 3, size=4)
+        sess.refine(images, labels, lr=0.1)  # the window starts from nonzero stats
+        before = sess.tee.stats.snapshot()
+        res = sess.refine(images, labels, lr=0.1)
+        for f in dataclasses.fields(BoundaryStats):
+            got = getattr(res.tee_delta, f.name)
+            assert got == getattr(sess.tee.stats, f.name) - getattr(before, f.name), f.name
+            assert got > 0, f.name   # a round moves every counter
+
+    def test_refine_on_no_images_reports_an_empty_window(self):
+        # the report covers this call only, even when nothing ran in it
+        sess = make_session(small_cfg(), LheParams(32, 16), seed=4)
+        sess.infer(np.zeros((4, 1, 4, 4)))
+        res = sess.refine(np.zeros((0, 1, 4, 4)), np.zeros(0, dtype=int), lr=0.1)
+        assert res.rounds == 0 and res.losses == []
+        assert res.report.total_tuple() == (0, 0, 0, 0)
+        assert res.report.per_scope == {} and res.report.est_latency_us == 0
+        assert res.tee_delta == BoundaryStats()
+
     def test_tee_traffic_is_minimal(self):
         # per round the boundary carries exactly the loss-head I/O plus the
         # packed gradient batches, nothing else
@@ -280,6 +302,15 @@ class TestPersistence:
         tee = TeeService(SimulatorBackend(OpMeter()), params, seed=14)
         with pytest.raises(ValueError, match=match):
             RefineSession.load(tee, tmp_path / "model")
+
+    def test_load_accepts_only_one_thread(self, tmp_path):
+        cfg, params = small_cfg(), LheParams(32, 12)
+        make_session(cfg, params, seed=15).save(tmp_path / "model")
+        tee = TeeService(SimulatorBackend(OpMeter()), params, seed=15)
+        with pytest.raises(ValueError, match="one thread"):
+            RefineSession.load(tee, tmp_path / "model", threads=2)
+        assert tee.attested_parties == frozenset()   # rejected before attesting
+        RefineSession.load(tee, tmp_path / "model", threads=1)
 
     def test_load_rejects_wrong_key(self, tmp_path):
         cfg = small_cfg()
