@@ -471,8 +471,9 @@ def deserialize(data: bytes, ctx: KeyContext) -> Ciphertext:
 
 def read_ciphertext(path, ctx: KeyContext, out: np.ndarray) -> Ciphertext:
     """Read the serialized ciphertext in file ``path`` straight into ``out``,
-    a writable little-endian float64 array of ``ctx``'s slot count, with the
-    checks of :func:`deserialize`.  The ciphertext keeps ``out`` as its slots."""
+    a writable little-endian float64 array of the slot count the file must
+    hold, with the checks of :func:`deserialize`.  The ciphertext keeps
+    ``out`` as its slots."""
     with open(path, "rb") as fh:
         s, level = _check_header(fh.read(HEADER.size), os.fstat(fh.fileno()).st_size, ctx)
         if s != out.size:
