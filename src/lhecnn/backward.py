@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .forward import _accumulate
 from .lhe import Ciphertext, SimulatorBackend
 from .packing import (
     CONV_BASIC,
@@ -71,11 +70,8 @@ def fl_backward_type1(backend: SimulatorBackend, out_grads: PackedTensor,
         raise ValueError("type I backward needs type1 weights")
     cells = {}
     for i in range(weights.in_cts):
-        acc = None
-        for j in range(weights.out_neurons):
-            acc = _accumulate(backend, acc,
-                              backend.mul(out_grads.ct(j), weights.cells[(j, i)]))
-        cells[(i,)] = acc
+        cells[(i,)] = backend.mul_sum((out_grads.ct(j), weights.cells[(j, i)])
+                                      for j in range(weights.out_neurons))
     return PackedTensor(cells, FL_TYPE1, out_grads.n,
                         pi_sets=weights.pi_per_ct, neurons=weights.in_neurons)
 
@@ -90,10 +86,8 @@ def fl_backward_type2(backend: SimulatorBackend, out_grads: PackedTensor,
     n = out_grads.n
     cells = {}
     for i in range(weights.in_cts):
-        acc = None
-        for j in range(weights.out_cts):
-            acc = _accumulate(backend, acc,
-                              backend.mul(out_grads.ct(j), weights.cells[(i, j)]))
+        acc = backend.mul_sum((out_grads.ct(j), weights.cells[(i, j)])
+                              for j in range(weights.out_cts))
         cells[(i,)] = fold_rotate_sum(backend, acc, n, slot_count // n)
     return PackedTensor(cells, FL_TYPE2, n, pi_sets=1, neurons=weights.in_neurons)
 
@@ -137,13 +131,10 @@ def conv_backward(backend: SimulatorBackend, out_grads: PackedTensor,
                 for x in range(gamma):
                     for y in range(gamma):
                         target = (i, stride * u + x, stride * v + y)
-                        acc = cells.get(target)
-                        for k in range(filters.filter_count):
-                            acc = _accumulate(
-                                backend, acc,
-                                backend.mul(out_grads.ct(k, u, v),
-                                            filters.cells[(k, i, x, y)]))
-                        cells[target] = acc
+                        cells[target] = backend.mul_sum(
+                            ((out_grads.ct(k, u, v), filters.cells[(k, i, x, y)])
+                             for k in range(filters.filter_count)),
+                            cells.get(target))
     # Never-visited positions carry an exact zero; represent it directly
     # (the additive identity needs no encryption).
     sample = next(iter(cells.values()))
@@ -173,19 +164,15 @@ def conv_kernel_gradients(backend: SimulatorBackend, cached_inputs: PackedTensor
     alpha = filters.channel_count
     n = out_grads.n
     slot_count = out_grads.slot_count
+    grid = [(u, v) for u in range(out_grid) for v in range(out_grid)]
     raw: dict[tuple[int, int, int, int], Ciphertext] = {}
     for k in range(filters.filter_count):
         for i in range(alpha):
             for x in range(gamma):
                 for y in range(gamma):
-                    acc = None
-                    for u in range(out_grid):
-                        for v in range(out_grid):
-                            acc = _accumulate(
-                                backend, acc,
-                                backend.mul(
-                                    cached_inputs.ct(i, stride * u + x, stride * v + y),
-                                    out_grads.ct(k, u, v)))
+                    acc = backend.mul_sum(
+                        (cached_inputs.ct(i, stride * u + x, stride * v + y),
+                         out_grads.ct(k, u, v)) for u, v in grid)
                     acc = fold_rotate_sum(backend, acc, n, slot_count // n)
                     idx = k * alpha * gamma**2 + i * gamma**2 + x * gamma + y
                     raw[(k, i, x, y)] = signed_rotate_sum(
@@ -218,26 +205,34 @@ def noise_removal_update(backend: SimulatorBackend, reencrypt,
     After re-encryption the mask is reapplied and the signed rotations
     replicate each value over its block.  Returns the number of packed
     ciphertexts re-encrypted.
+
+    Both passes walk the gradients offset by offset, so each selector is
+    built once and only one is alive at a time; every packed ciphertext still
+    sums its gradients in index order.
     """
     order = sorted(raw_grads)
     if not order:
         return 0
     slot_count = raw_grads[order[0]].slot_count
-    scale = -lr / n
+    offsets = range(min(n, len(order)))
     packed: dict[int, Ciphertext] = {}
-    for idx, key in enumerate(order):
-        p, k = idx % n, idx // n
-        masked = backend.cmul(raw_grads.pop(key), make_selector(p, n, slot_count, scale))
-        packed[k] = _accumulate(backend, packed.get(k), masked)
+    for p in offsets:
+        selector = make_selector(p, n, slot_count, -lr / n)
+        for idx in range(p, len(order), n):
+            masked = backend.cmul(raw_grads.pop(order[idx]), selector)
+            k = idx // n
+            packed[k] = masked if p == 0 else backend.add(packed[k], masked)
 
     fresh = reencrypt([packed[k] for k in sorted(packed)])
 
-    for idx, key in enumerate(order):
-        p, k = idx % n, idx // n
-        ct = backend.cmul(fresh[k], make_selector(p, n, slot_count, 1.0))
-        ct = signed_rotate_spread(backend, ct, compute_rotation_plan(p, n))
-        tkey = target_key(key)
-        target_cells[tkey] = backend.add(target_cells[tkey], ct)
+    for p in offsets:
+        selector = make_selector(p, n, slot_count, 1.0)
+        plan = compute_rotation_plan(p, n)
+        for idx in range(p, len(order), n):
+            ct = backend.cmul(fresh[idx // n], selector)
+            ct = signed_rotate_spread(backend, ct, plan)
+            tkey = target_key(order[idx])
+            target_cells[tkey] = backend.add(target_cells[tkey], ct)
     return len(packed)
 
 

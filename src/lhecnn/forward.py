@@ -8,7 +8,7 @@ layer.
 
 from __future__ import annotations
 
-from .lhe import Ciphertext, SimulatorBackend
+from .lhe import SimulatorBackend
 from .packing import (
     CONV_CROSS_CHANNEL,
     CONV_CROSS_FILTER,
@@ -21,12 +21,6 @@ from .packing import (
     conv_output_layout,
     fold_rotate_sum,
 )
-
-
-def _accumulate(backend: SimulatorBackend, acc: Ciphertext | None,
-                term: Ciphertext) -> Ciphertext:
-    # Accumulators start from the first term: k terms cost k-1 additions.
-    return term if acc is None else backend.add(acc, term)
 
 
 def conv_forward(backend: SimulatorBackend, inputs: PackedTensor,
@@ -50,17 +44,15 @@ def conv_forward(backend: SimulatorBackend, inputs: PackedTensor,
                                                    filters.channel_count)
     seg = inputs.seg_slots
     fold = layout == CONV_CROSS_CHANNEL and r > 1
+    window = [(x, y, b) for x in range(gamma) for y in range(gamma)
+              for b in range(channel_cells)]
     cells = {}
     for a in range(filter_cells):
         for u in range(out_grid):
             for v in range(out_grid):
-                acc = None
-                for x in range(gamma):
-                    for y in range(gamma):
-                        for b in range(channel_cells):
-                            acc = _accumulate(backend, acc, backend.mul(
-                                inputs.ct(b, stride * u + x, stride * v + y),
-                                filters.cells[(a, b, x, y)]))
+                acc = backend.mul_sum(
+                    (inputs.ct(b, stride * u + x, stride * v + y),
+                     filters.cells[(a, b, x, y)]) for x, y, b in window)
                 cells[(a, u, v)] = fold_rotate_sum(backend, acc, seg, r) if fold else acc
     out_layout, group = conv_output_layout(layout, r, r * seg == inputs.slot_count)
     return PackedTensor(cells, out_layout, inputs.n, inputs.grid_side, seg,
@@ -80,10 +72,8 @@ def fl_forward_type1(backend: SimulatorBackend, inputs: PackedTensor,
     slot_count = inputs.slot_count
     cells = {}
     for i in range(weights.out_neurons):
-        acc = None
-        for j in range(weights.in_cts):
-            acc = _accumulate(backend, acc,
-                              backend.mul(inputs.ct(j), weights.cells[(i, j)]))
+        acc = backend.mul_sum((inputs.ct(j), weights.cells[(i, j)])
+                              for j in range(weights.in_cts))
         cells[(i,)] = fold_rotate_sum(backend, acc, n, slot_count // n)
     return PackedTensor(cells, FL_TYPE2, n, pi_sets=1, neurons=weights.out_neurons)
 
@@ -102,11 +92,8 @@ def fl_forward_type2(backend: SimulatorBackend, inputs: PackedTensor,
     slot_count = inputs.slot_count
     cells = {}
     for j in range(weights.out_cts):
-        acc = None
-        for i in range(weights.in_cts):
-            acc = _accumulate(backend, acc,
-                              backend.mul(inputs.ct(i), weights.cells[(i, j)]))
-        cells[(j,)] = acc
+        cells[(j,)] = backend.mul_sum((inputs.ct(i), weights.cells[(i, j)])
+                                      for i in range(weights.in_cts))
     return PackedTensor(cells, FL_TYPE1, n, pi_sets=slot_count // n,
                         neurons=weights.out_neurons)
 

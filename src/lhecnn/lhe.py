@@ -16,17 +16,26 @@ operand's slot array and records a shift, which ``add`` and ``mul`` read
 directly.  It is still metered as one ``rot`` at the operand's meter level,
 as a real key-switching rotation would be.
 
-Slot buffers are recycled.  ``add``, ``mul``, ``cmul``, ``encrypt`` and
-``reencrypt`` write into a buffer from their backend's free list, and a
-buffer returns to that list when the last ciphertext holding it (the one it
-was made for, or a rotation sharing it) is dropped, so a steady pipeline
-reuses its working set instead of allocating and page-faulting it anew on
-every pass.  An array anyone else still holds (``ct.slots``, or a slice or
-view of it) is never reused, nor is an array passed to the public
+Slot buffers are recycled.  Every primitive that makes new slots (all but
+``rot`` and ``decrypt``) writes into a buffer from its backend's free list,
+and a buffer returns to that list when the last ciphertext holding it (the
+one it was made for, or a rotation sharing it) is dropped, so a steady
+pipeline reuses its working set instead of allocating and page-faulting it
+anew on every pass.  An array anyone else still holds (``ct.slots``, or a
+slice or view of it) is never reused, nor is an array passed to the public
 :class:`Ciphertext` constructor or read by :func:`deserialize`.  The free
 lists belong to the backend alone: it keeps its peak working set in them
 until it is dropped, and a result that outlives it releases its buffer as
 usual.
+
+Two batched primitives run the pipeline's hot patterns with fewer Python
+calls and the same arithmetic: ``mul_sum`` is the left fold of products
+``acc + a0*b0 + a1*b1 + ...`` (kernel windows, weight rows), and
+``rotate_add`` is a chain ``v <- v + rot(v, s)`` over a list of shifts (batch
+sums, spreads, folds).  Each gives the slots, level and rescale flag of the
+per-op loop it stands for, and meters the same ops at the same levels: one
+``mul`` per product and one ``add`` per sum, recorded in batches, and one
+``rot`` per chain step, each issued through :meth:`SimulatorBackend.rot`.
 
 Level accounting for the meter follows lazy rescaling: the product of a
 multiplication stays at its operands' modulus level until the next
@@ -45,6 +54,7 @@ import sys
 import weakref
 import zlib
 from collections import defaultdict
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -267,34 +277,45 @@ def _buffer(pools: defaultdict, n: int) -> tuple[np.ndarray, np.ndarray, weakref
     return view.base, view, free.ref
 
 
-def _elementwise(ufunc, a: Ciphertext, b: Ciphertext,
-                 pools: defaultdict) -> tuple[np.ndarray, weakref.ref]:
-    """``ufunc(a.slots, b.slots)`` computed on the shifted bases into a buffer
-    from ``pools``; returns the buffer's view and free-list reference.
+def _into(ufunc, x: np.ndarray, sx: int, y: np.ndarray, sy: int,
+          out: np.ndarray) -> None:
+    """``ufunc`` of ``x`` rotated left by ``sx`` and ``y`` rotated left by
+    ``sy``, written into ``out``.
 
     The output is split at the operands' wrap points into at most three
-    segments over which both bases are contiguous, so no rotation is copied.
+    segments over which both arrays are contiguous, so no rotation is copied.
     ``ufunc`` is ``np.add`` or ``np.multiply``, which are commutative bit for
     bit, so the operands may be swapped to put the smaller shift first.
     """
-    if a.key_id != b.key_id:
-        raise KeyMismatch(f"operands under different keys: {a.key_id} vs {b.key_id}")
-    x, sx, y, sy = a._base, a._shift, b._base, b._shift
-    n = x.shape[0]
-    if n != y.shape[0]:
-        raise ValueError(f"slot count mismatch: {n} vs {y.shape[0]}")
-    out, view, free = _buffer(pools, n)
     if sx == sy == 0:
         ufunc(x, y, out)
-    else:
-        if sx > sy:
-            x, sx, y, sy = y, sy, x, sx
-        wrap_y, wrap_x = n - sy, n - sx
-        ufunc(x[sx:sx + wrap_y], y[sy:], out[:wrap_y])
-        if sx != sy:
-            ufunc(x[sx + wrap_y:], y[:sy - sx], out[wrap_y:wrap_x])
-        if sx:
-            ufunc(x[:sx], y[sy - sx:sy], out[wrap_x:])
+        return
+    n = out.shape[0]
+    if sx > sy:
+        x, sx, y, sy = y, sy, x, sx
+    wrap_y, wrap_x = n - sy, n - sx
+    ufunc(x[sx:sx + wrap_y], y[sy:], out[:wrap_y])
+    if sx != sy:
+        ufunc(x[sx + wrap_y:], y[:sy - sx], out[wrap_y:wrap_x])
+    if sx:
+        ufunc(x[:sx], y[sy - sx:sy], out[wrap_x:])
+
+
+def _check_pair(a: Ciphertext, b: Ciphertext) -> None:
+    """Operands of one elementwise op share a key and a slot count."""
+    if a.key_id != b.key_id:
+        raise KeyMismatch(f"operands under different keys: {a.key_id} vs {b.key_id}")
+    if a._base.shape[0] != b._base.shape[0]:
+        raise ValueError(f"slot count mismatch: {a._base.shape[0]} vs {b._base.shape[0]}")
+
+
+def _elementwise(ufunc, a: Ciphertext, b: Ciphertext,
+                 pools: defaultdict) -> tuple[np.ndarray, weakref.ref]:
+    """``ufunc(a.slots, b.slots)`` computed on the shifted bases into a buffer
+    from ``pools``; returns the buffer's view and free-list reference."""
+    _check_pair(a, b)
+    out, view, free = _buffer(pools, a._base.shape[0])
+    _into(ufunc, a._base, a._shift, b._base, b._shift, out)
     return view, free
 
 
@@ -424,6 +445,92 @@ class SimulatorBackend:
         if meter is not None:
             meter.record("rot", level + pending)
         return _make(base, shift, level, a.key_id, pending, a._free)
+
+    # -- batched primitives ------------------------------------------------
+
+    def mul_sum(self, pairs: Iterable[tuple[Ciphertext, Ciphertext]],
+                acc: Ciphertext | None = None) -> Ciphertext:
+        """``acc + a0*b0 + a1*b1 + ...`` over the ``(a, b)`` pairs, as the
+        left fold of :meth:`mul` and :meth:`add` (from ``a0*b0`` when ``acc``
+        is None), with that fold's slots, level, rescale flag and meter
+        counts: a ``mul`` at ``min(a.level, b.level)`` per product and an
+        ``add`` per sum at the level :meth:`add` records.  It raises what the
+        fold raises, at the same term, after metering the terms before it.
+
+        The products go through one scratch buffer and are summed in place
+        into the result's buffer.
+        """
+        pools, counts = self._free, {}
+        ref = acc  # the operand each later term is added to, for its checks
+        if acc is not None:
+            level, pending = acc.level, acc.pending_rescale
+        out = tmp = None
+        try:
+            for a, b in pairs:
+                _check_pair(a, b)
+                lab = min(a.level, b.level)
+                if lab < 1:
+                    raise LevelExhausted("mul", lab, self._scope())
+                key = ("mul", lab)
+                counts[key] = counts.get(key, 0) + 1
+                if ref is None:
+                    ref = a
+                else:
+                    _check_pair(ref, a)
+                if out is None:
+                    out, view, free = _buffer(pools, a._base.shape[0])
+                    _into(np.multiply, a._base, a._shift, b._base, b._shift, out)
+                    if acc is None:  # the first product starts the sum
+                        level, pending = lab - 1, True
+                        continue
+                    _into(np.add, acc._base, acc._shift, out, 0, out)
+                else:
+                    if tmp is None:
+                        tmp, tmp_view, _ = _buffer(pools, out.shape[0])
+                    _into(np.multiply, a._base, a._shift, b._base, b._shift, tmp)
+                    np.add(out, tmp, out)
+                # the product runs one level above its remaining budget ``lab - 1``
+                key = ("add", min(level + pending, lab))
+                counts[key] = counts.get(key, 0) + 1
+                level = min(level, lab - 1)
+        finally:
+            meter = self.meter
+            if meter is not None:
+                for (kind, lv), c in counts.items():
+                    meter.record_many(kind, lv, c)
+        if out is None:
+            raise ValueError("mul_sum needs at least one product")
+        if tmp is not None:
+            pools[out.shape[0]].append(tmp_view)
+        return _make(view, 0, level, ref.key_id, pending, free)
+
+    def rotate_add(self, ct: Ciphertext, shifts: Sequence[int]) -> Ciphertext:
+        """``v <- v + rot(v, s)`` for each shift ``s`` in turn, from ``v = ct``:
+        the chain of :meth:`rot` and :meth:`add` calls, with its slots, level
+        and meter counts.
+
+        Every step issues its rotation through :meth:`rot` (on ``ct``, whose
+        level and rescale flag every step shares), so the meter and any
+        subclass see one ``rot`` per step; the adds are metered together.
+        The steps write into two buffers in turn.
+        """
+        if not shifts:
+            return ct
+        n = ct._base.shape[0]
+        bufs = [_buffer(self._free, n) for _ in range(min(len(shifts), 2))]
+        x, sx = ct._base, ct._shift
+        for step, s in enumerate(shifts):
+            self.rot(ct, s)
+            out = bufs[step & 1][0]
+            _into(np.add, x, sx, x, (sx + s) % n, out)
+            x, sx = out, 0
+        if self.meter is not None:
+            self.meter.record_many("add", ct.meter_level(), len(shifts))
+        last = len(shifts) - 1
+        if last:  # hand back the buffer the last step read
+            self._free[n].append(bufs[(last - 1) & 1][1])
+        _, view, free = bufs[last & 1]
+        return _make(view, 0, ct.level, ct.key_id, ct.pending_rescale, free)
 
 
 # ---------------------------------------------------------------------------

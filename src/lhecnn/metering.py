@@ -69,6 +69,20 @@ class OpMeter:
         with self._lock:
             counts[key] = counts.get(key, 0) + 1
 
+    def record_many(self, kind: str, level: int, count: int) -> None:
+        """Record ``count`` calls of ``kind`` at ``level`` at once."""
+        if kind not in _OP_KIND_SET:
+            raise ValueError(f"unknown op kind {kind!r}")
+        if count < 0:
+            raise ValueError(f"negative op count {count}")
+        if not count:
+            return
+        stack = self._stack.get()
+        key = (stack[-1] if stack else UNSCOPED, kind, int(level))
+        counts = self._counts
+        with self._lock:
+            counts[key] = counts.get(key, 0) + count
+
     # -- read access ----------------------------------------------------
 
     def checkpoint(self) -> Counter:

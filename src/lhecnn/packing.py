@@ -242,29 +242,24 @@ def fold_rotate_sum(backend: SimulatorBackend, ct: Ciphertext, block_slots: int,
     block 0 is guaranteed valid."""
     if count & (count - 1):
         raise ValueError(f"block count must be a power of two, got {count}")
-    step = block_slots
-    while step < block_slots * count:
-        ct = backend.add(ct, backend.rot(ct, step))
-        step *= 2
-    return ct
+    return backend.rotate_add(
+        ct, [block_slots << k for k in range(count.bit_length() - 1)])
 
 
 def signed_rotate_sum(backend: SimulatorBackend, ct: Ciphertext,
                       plan: RotationPlan) -> Ciphertext:
     """Aggregate each n-block into its slot ``plan.offset`` (other slots are
     garbage and must be masked before use)."""
-    for k, direction in enumerate(plan.directions):
-        ct = backend.add(ct, backend.rot(ct, direction * (1 << k)))
-    return ct
+    return backend.rotate_add(
+        ct, [direction << k for k, direction in enumerate(plan.directions)])
 
 
 def signed_rotate_spread(backend: SimulatorBackend, ct: Ciphertext,
                          plan: RotationPlan) -> Ciphertext:
     """Inverse of aggregation: replicate each block's slot ``plan.offset``
     value (other slots must be zero) over the whole block."""
-    for k, direction in enumerate(plan.directions):
-        ct = backend.add(ct, backend.rot(ct, -direction * (1 << k)))
-    return ct
+    return backend.rotate_add(
+        ct, [-direction << k for k, direction in enumerate(plan.directions)])
 
 
 # ---------------------------------------------------------------------------

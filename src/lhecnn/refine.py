@@ -10,6 +10,7 @@ file per ciphertext.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -251,6 +252,7 @@ class RefineSession:
 
         Each round: forward, TEE loss head, layer-by-layer backward with
         gradient packing and TEE noise removal, additive parameter update.
+        A round that raises leaves the parameters as that round found them.
         """
         if not self.filters:
             raise RuntimeError("no model loaded")
@@ -274,6 +276,19 @@ class RefineSession:
         return RefineResult(losses, report, self.tee.stats.since(tee_before), rounds)
 
     def _refine_round(self, images: np.ndarray, labels: np.ndarray, lr: float) -> float:
+        """One round, applied whole or not at all: if anything raises, every
+        parameter cell is put back as it was and the error propagates.
+        Ciphertexts are immutable, so copying the cell dicts suffices."""
+        saved = [dict(packed.cells) for packed in self.filters + self.weights]
+        try:
+            return self._run_round(images, labels, lr)
+        except BaseException:
+            for packed, cells in zip(self.filters + self.weights, saved):
+                packed.cells.clear()
+                packed.cells.update(cells)
+            raise
+
+    def _run_round(self, images: np.ndarray, labels: np.ndarray, lr: float) -> float:
         meter, cfg, geo = self.meter, self.cfg, self.geo
         enc = self.encrypt_inputs(images)
         with meter.scope("enc.labels"):
@@ -430,10 +445,12 @@ class RefineSession:
                 f"extra {sorted(stored.keys() - targets.keys())[:5]}")
         # One array holds every slot read: a session is one allocation, not
         # one heap block per file that the allocator may hand back and fault
-        # in again on the next load.
+        # in again on the next load.  Paths are joined as strings, since a
+        # Path per cell would intern each of its parts.
         slots = np.empty((len(targets), params.slot_count), dtype="<f8")
+        base = os.fspath(root)
         for row, (entry, (cells, key)) in zip(slots, targets.items()):
-            cells[key] = read_ciphertext(root / stored[entry], session.ctx, row)
+            cells[key] = read_ciphertext(os.path.join(base, stored[entry]), session.ctx, row)
         session.filters, session.weights = packed_filters, packed_weights
         return session
 

@@ -224,7 +224,12 @@ def _recv_exact(sock: socket.socket, count: int) -> bytearray:
 
 
 def _recv_frame(sock: socket.socket) -> tuple[int, bytes]:
+    """One frame's opcode and payload.  A zero-length frame, which lacks even
+    the opcode, raises ``ValueError``; the next frame starts right after its
+    header, so the stream stays in step."""
     (length,) = _LEN.unpack(_recv_exact(sock, 4))
+    if not length:
+        raise ValueError("empty frame: no opcode")
     body = _recv_exact(sock, length)
     return body[0], body[1:]
 
@@ -238,6 +243,9 @@ class _TeeHandler(socketserver.BaseRequestHandler):
                 opcode, payload = _recv_frame(self.request)
             except ConnectionError:
                 return
+            except ValueError as exc:
+                _send_frame(self.request, OP_ERROR, str(exc).encode())
+                continue
             try:
                 if opcode == OP_ATTEST:
                     ctx = service.attest(payload.decode())

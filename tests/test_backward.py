@@ -3,6 +3,7 @@ import gc
 import numpy as np
 import pytest
 
+from lhecnn import backward
 from lhecnn.backward import (
     activation_gradient,
     conv_backward,
@@ -21,10 +22,13 @@ from lhecnn.packing import (
     FL_TYPE1,
     FL_TYPE2,
     PackedTensor,
+    compute_rotation_plan,
     encode_filters,
     encode_fl_weights_type1,
     encode_fl_weights_type2,
     encode_inputs,
+    make_selector,
+    signed_rotate_spread,
 )
 from lhecnn.refine import RefineSession, _ForwardCache
 from lhecnn.tee import TeeService
@@ -267,6 +271,45 @@ class TestNoiseRemovalUpdate:
         with pytest.raises(ConnectionError):
             noise_removal_update(backend, reenc, raw, target, lambda k: k, lr=0.1, n=2)
         assert all(target[k] is before[k] for k in before) and target.keys() == before.keys()
+
+    @pytest.mark.parametrize("count", [11, 3], ids=["three-packs", "part-of-one"])
+    def test_matches_the_per_gradient_loop_and_builds_each_selector_once(
+            self, monkeypatch, count):
+        # n = 4 offsets: 11 gradients fill three packs, the last one partly
+        def run(update):
+            backend = SimulatorBackend(OpMeter())
+            ctx = backend.keygen(LheParams(16, 10), seed=2)
+            rng = np.random.default_rng(2)
+            raw = {(key,): backend.cmul(backend.encrypt(ctx, rng.normal(size=16)),
+                                        rng.normal(size=16)) for key in range(count)}
+            target = {key: backend.encrypt(ctx, rng.normal(size=16)) for key in raw}
+            reenc = lambda cts: [backend.reencrypt(ctx, ct) for ct in cts]
+            packed = update(backend, reenc, raw, target, lambda k: k, 0.3, 4)
+            return (packed, {k: ct.slots.tobytes() for k, ct in target.items()},
+                    backend.meter.checkpoint())
+
+        def per_gradient(backend, reenc, raw, target, target_key, lr, n):
+            """The update with a fresh selector per gradient and use."""
+            order = sorted(raw)
+            size = raw[order[0]].slot_count
+            packed = {}
+            for idx, key in enumerate(order):
+                masked = backend.cmul(raw[key], make_selector(idx % n, n, size, -lr / n))
+                k = idx // n
+                packed[k] = masked if k not in packed else backend.add(packed[k], masked)
+            fresh = reenc([packed[k] for k in sorted(packed)])
+            for idx, key in enumerate(order):
+                ct = backend.cmul(fresh[idx // n], make_selector(idx % n, n, size, 1.0))
+                ct = signed_rotate_spread(backend, ct, compute_rotation_plan(idx % n, n))
+                target[target_key(key)] = backend.add(target[target_key(key)], ct)
+            return len(packed)
+
+        built = []
+        monkeypatch.setattr(backward, "make_selector",
+                            lambda *args: built.append((args[0], args[3])) or make_selector(*args))
+        assert run(noise_removal_update) == run(per_gradient)
+        assert sorted(built) == sorted((p, beta) for p in range(min(4, count))
+                                       for beta in (-0.3 / 4, 1.0))
 
     def test_lr_zero_leaves_values_unchanged(self):
         cfg = CnnConfig((ConvLayer(1, 4, 2, 2, 2),), (FcLayer(8, 3),), 4)

@@ -291,6 +291,12 @@ class _ScopeWatch(SimulatorBackend):
     def mul(self, a, b):
         return self._watch(super().mul(a, b))
 
+    def mul_sum(self, pairs, acc=None):
+        return self._watch(super().mul_sum(pairs, acc))
+
+    def rotate_add(self, ct, shifts):
+        return self._watch(super().rotate_add(ct, shifts))
+
 
 class TestWorkingSet:
     CFG = CnnConfig((ConvLayer(1, 6, 2, 3, 3),), (FcLayer(2 * 4, 3), FcLayer(3, 2)), 2)

@@ -412,6 +412,167 @@ class TestLazyRotation:
         assert ct != backend.encrypt(ctx, v)
 
 
+def loop_mul_sum(backend, pairs, acc=None):
+    """The per-op fold :meth:`SimulatorBackend.mul_sum` replaces."""
+    for a, b in pairs:
+        term = backend.mul(a, b)
+        acc = term if acc is None else backend.add(acc, term)
+    return acc
+
+
+def loop_rotate_add(backend, ct, shifts):
+    """The per-op chain :meth:`SimulatorBackend.rotate_add` replaces."""
+    for s in shifts:
+        ct = backend.add(ct, backend.rot(ct, s))
+    return ct
+
+
+def side_by_side(batched, per_op):
+    """Run ``batched(backend)`` and ``per_op(backend)`` on two metered
+    backends in the same scope; returns both results (or the exceptions
+    they raised) and both meter deltas."""
+    results = []
+    for run in (batched, per_op):
+        meter = OpMeter()
+        backend = SimulatorBackend(meter)
+        with meter.scope("S"):
+            try:
+                out = run(backend)
+            except Exception as exc:  # compared between the two paths
+                out = exc
+        results.append((out, meter.checkpoint()))
+    return results
+
+
+def assert_same_ct(got, want):
+    assert got.slots.tobytes() == want.slots.tobytes()
+    assert (got.level, got.pending_rescale, got.key_id) == (
+        want.level, want.pending_rescale, want.key_id)
+
+
+class TestBatchedPrimitives:
+    """``mul_sum`` and ``rotate_add`` against the per-op loops they replace:
+    bit-identical slots, the same level and rescale flag, the same errors and
+    the same (scope, kind, level) counts."""
+
+    @staticmethod
+    def operands(backend, slot_count=16):
+        """Ciphertexts at several levels, rescale flags and shifts."""
+        ctx = backend.keygen(LheParams(slot_count, 8), seed=2)
+        rng = np.random.default_rng(2)
+        fresh = [backend.encrypt(ctx, rng.normal(size=slot_count)) for _ in range(3)]
+        product = backend.mul(fresh[0], fresh[1])                         # 6, pending
+        lower = backend.cmul(backend.cmul(fresh[2], rng.normal(size=slot_count)),
+                             rng.normal(size=slot_count))                 # 5, pending
+        refreshed = backend.reencrypt(ctx, lower)                         # 7, not pending
+        return ctx, fresh + [product, lower, refreshed, backend.rot(fresh[1], 3),
+                             backend.rot(product, -5), backend.rot(lower, 11)]
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_mul_sum_matches_the_per_op_fold(self, data):
+        _, pool = self.operands(SimulatorBackend())
+        index = st.integers(0, len(pool) - 1)
+        pairs = [(pool[data.draw(index)], pool[data.draw(index)])
+                 for _ in range(data.draw(st.integers(1, 6), label="terms"))]
+        acc = data.draw(st.none() | index.map(pool.__getitem__), label="acc")
+        (got, got_counts), (want, want_counts) = side_by_side(
+            lambda b: b.mul_sum(pairs, acc), lambda b: loop_mul_sum(b, pairs, acc))
+        assert_same_ct(got, want)
+        assert got_counts == want_counts
+
+    @pytest.mark.parametrize("acc_index", [None, 3, 5, 7])
+    def test_single_term(self, acc_index):
+        _, pool = self.operands(SimulatorBackend())
+        acc = None if acc_index is None else pool[acc_index]
+        pairs = [(pool[6], pool[4])]
+        (got, got_counts), (want, want_counts) = side_by_side(
+            lambda b: b.mul_sum(pairs, acc), lambda b: loop_mul_sum(b, pairs, acc))
+        assert_same_ct(got, want)
+        assert got_counts == want_counts
+
+    def test_mul_sum_needs_a_product(self, backend):
+        _, pool = self.operands(backend)
+        for acc in (None, pool[0]):
+            with pytest.raises(ValueError, match="at least one product"):
+                backend.mul_sum([], acc)
+
+    def test_level_exhaustion_matches_the_per_op_fold(self, backend):
+        ctx, pool = self.operands(backend)
+        spent = backend.encrypt(backend.keygen(LheParams(16, 1), seed=2), np.ones(16))
+        assert spent.level == 0 and spent.key_id == ctx.key_id
+        pairs = [(pool[0], pool[1]), (pool[3], pool[4]), (pool[2], spent), (pool[0], pool[0])]
+        for acc in (None, pool[5]):
+            (got, got_counts), (want, want_counts) = side_by_side(
+                lambda b: b.mul_sum(pairs, acc), lambda b: loop_mul_sum(b, pairs, acc))
+            assert isinstance(got, LevelExhausted) and isinstance(want, LevelExhausted)
+            assert (got.op, got.level, got.scope) == (want.op, want.level, want.scope)
+            assert (got.op, got.level, got.scope) == ("mul", 0, "S")
+            assert got_counts == want_counts  # the terms before it were metered
+
+    @pytest.mark.parametrize("where", ["pair", "later pair", "acc"])
+    def test_key_mismatch_matches_the_per_op_fold(self, backend, where):
+        _, pool = self.operands(backend)
+        other = backend.encrypt(backend.keygen(LheParams(16, 8), seed=9), np.ones(16))
+        pairs = [(pool[0], pool[1]), (pool[2], pool[3])]
+        acc = None
+        if where == "pair":
+            pairs[0] = (pool[0], other)
+        elif where == "later pair":
+            pairs[1] = (other, other)
+        else:
+            acc = other
+        (got, got_counts), (want, want_counts) = side_by_side(
+            lambda b: b.mul_sum(pairs, acc), lambda b: loop_mul_sum(b, pairs, acc))
+        assert isinstance(got, KeyMismatch) and isinstance(want, KeyMismatch)
+        assert str(got) == str(want)
+        assert got_counts == want_counts
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_rotate_add_matches_the_per_op_chain(self, data):
+        _, pool = self.operands(SimulatorBackend())
+        ct = pool[data.draw(st.integers(0, len(pool) - 1), label="operand")]
+        shifts = data.draw(st.lists(
+            st.sampled_from([0, 16, -16, 1, -1, 8]) | st.integers(-48, 48), max_size=8),
+            label="shifts")
+        (got, got_counts), (want, want_counts) = side_by_side(
+            lambda b: b.rotate_add(ct, shifts), lambda b: loop_rotate_add(b, ct, shifts))
+        assert_same_ct(got, want)
+        assert got_counts == want_counts
+
+    def test_rotate_add_without_shifts_returns_its_operand(self, backend):
+        _, pool = self.operands(backend)
+        assert backend.rotate_add(pool[7], []) is pool[7]
+
+    def test_every_chain_step_rotates_through_rot(self, backend):
+        calls = []
+
+        class Counting(SimulatorBackend):
+            def rot(self, a, m):
+                calls.append(m)
+                return super().rot(a, m)
+
+        _, pool = self.operands(backend)
+        Counting().rotate_add(pool[0], [4, -2, 0, 1])
+        assert calls == [4, -2, 0, 1]
+
+    def test_results_keep_their_values_while_buffers_recycle(self, backend):
+        _, pool = self.operands(backend)
+        kept = [backend.mul_sum([(pool[0], pool[1]), (pool[2], pool[3])]),
+                backend.rotate_add(pool[4], [1, 2, 4])]
+        values = [ct.slots.copy() for ct in kept]
+        for _ in range(3):
+            backend.mul_sum([(pool[0], pool[0]), (pool[1], pool[1]), (pool[2], pool[2])])
+            backend.rotate_add(pool[1], [3, -1, 2])
+        free = len(backend._free[16])
+        for _ in range(3):  # a steady caller neither grows nor drains the free list
+            backend.mul_sum([(pool[0], pool[0]), (pool[1], pool[1]), (pool[2], pool[2])])
+            backend.rotate_add(pool[1], [3, -1, 2])
+        assert len(backend._free[16]) == free
+        assert all(ct.slots.tobytes() == v.tobytes() for ct, v in zip(kept, values))
+
+
 class TestRecycling:
     """Dropped results hand their slot buffers back; held arrays stay put."""
 

@@ -114,6 +114,17 @@ class TestCounts:
             assert sum(d[kind] for d in by_scope.values()) == totals[kind]
             assert sum(d[kind] for d in by_level.values()) == totals[kind]
 
+    def test_record_many_adds_a_batch_under_the_current_scope(self, meter):
+        with meter.scope("A"):
+            meter.record_many("add", 4, 3)
+            meter.record("add", 4)
+            meter.record_many("rot", 4, 0)  # an empty batch leaves no entry
+        assert meter.checkpoint() == {("A", "add", 4): 4}
+        with pytest.raises(ValueError, match="unknown op kind"):
+            meter.record_many("fma", 4, 1)
+        with pytest.raises(ValueError, match="negative"):
+            meter.record_many("add", 4, -1)
+
     def test_determinism_independent_of_slot_values(self):
         def profile(seed):
             meter = OpMeter()

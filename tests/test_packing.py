@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from lhecnn.geometry import CnnConfig, ConvLayer, FcLayer, combined_geometry, preset
-from lhecnn.lhe import LheParams
+from lhecnn.lhe import LheParams, SimulatorBackend
+from lhecnn.metering import OpMeter
 from lhecnn.packing import (
     CONV_BASIC,
     CONV_CROSS_CHANNEL,
@@ -104,6 +105,38 @@ class TestRotationPlan:
             assert np.allclose(agg, plain_aggregate(v, plan), atol=0)
             spread = backend.decrypt(ctx, signed_rotate_spread(backend, ct, plan))
             assert np.allclose(spread, plain_spread(v, plan), atol=0)
+
+
+class TestRotateAddHelpers:
+    """The rotate-and-sum helpers are one ``rotate_add`` chain each: the same
+    slots, levels and counts as the per-step ``rot`` + ``add`` loops."""
+
+    @staticmethod
+    def per_op(backend, ct, shifts):
+        for s in shifts:
+            ct = backend.add(ct, backend.rot(ct, s))
+        return ct
+
+    @pytest.mark.parametrize("helper, shifts", [
+        (lambda b, ct: fold_rotate_sum(b, ct, 4, 8), [4, 8, 16]),
+        (lambda b, ct: fold_rotate_sum(b, ct, 3, 1), []),
+        (lambda b, ct: signed_rotate_sum(b, ct, compute_rotation_plan(5, 8)), [-1, 2, -4]),
+        (lambda b, ct: signed_rotate_spread(b, ct, compute_rotation_plan(5, 8)), [1, -2, 4]),
+        (lambda b, ct: signed_rotate_spread(b, ct, compute_rotation_plan(0, 1)), []),
+    ], ids=["fold", "fold-one-block", "sum", "spread", "spread-n1"])
+    def test_matches_per_step_loop(self, helper, shifts):
+        results = []
+        for run in (helper, lambda b, ct: self.per_op(b, ct, shifts)):
+            meter = OpMeter()
+            backend = SimulatorBackend(meter)
+            ctx = backend.keygen(LheParams(32, 8), seed=4)
+            ct = backend.encrypt(ctx, np.random.default_rng(4).normal(size=32))
+            ct = backend.rot(backend.cmul(ct, np.full(32, 0.5)), 7)  # shifted, pending
+            mark = meter.checkpoint()
+            out = run(backend, ct)
+            results.append((out.slots.tobytes(), out.level, out.pending_rescale,
+                            meter.since(mark)))
+        assert results[0] == results[1]
 
 
 class TestSelector:

@@ -260,6 +260,27 @@ class TestRefine:
         assert "level" in str(err.value)
 
 
+    def test_a_round_that_runs_out_of_levels_changes_no_parameter(self):
+        # Exact activation gradients need 16 levels on refining-2-2: at the
+        # preset's 10 the round fails in bwd.CL2, after both fc layers had
+        # been stepped.
+        p = preset("refining-2-2")
+        sess = make_session(p.model, p.lhe, seed=3, exact=True)
+        before = sess.decrypted_model()
+        cells = [dict(packed.cells) for packed in sess.filters + sess.weights]
+        rng = np.random.default_rng(3)
+        with pytest.raises(LevelExhausted) as err:
+            sess.refine(rng.normal(size=(p.model.n, 1, 28, 28)) * 0.2,
+                        rng.integers(0, 10, size=p.model.n), lr=0.05)
+        assert err.value.scope == "bwd.CL2"
+        after = sess.decrypted_model()
+        for a, b in zip(after.filters + after.weights, before.filters + before.weights):
+            assert a.tobytes() == b.tobytes()
+        for packed, kept in zip(sess.filters + sess.weights, cells):
+            assert packed.cells.keys() == kept.keys()
+            assert all(packed.cells[k] is kept[k] for k in kept)
+
+
 class TestPersistence:
     def test_save_load_roundtrip(self, tmp_path):
         cfg = small_cfg()

@@ -301,3 +301,20 @@ class TestSocketTransport:
             assert opcode == OP_ERROR
             assert b"layout code 3" in body
             client.close()
+
+    def test_empty_frame_gets_an_error_and_the_connection_keeps_serving(
+            self, backend, tmp_path, capsys):
+        tee = make_tee(backend, slots=16, levels=6)
+        path = str(tmp_path / "tee.sock")
+        with TeeSocketServer(tee, path):
+            ctx = tee.public_context()
+            client = TeeSocketClient(path, ctx, "remote")
+            client._sock.sendall(struct.pack("<I", 0))  # a header with no opcode
+            opcode, body = _recv_frame(client._sock)
+            assert opcode == OP_ERROR and b"empty frame" in body
+            assert client.attest() == ctx.key_id  # same connection, still in step
+            client.close()
+            other = TeeSocketClient(path, ctx, "remote")
+            assert other.attest() == ctx.key_id
+            other.close()
+        assert "Traceback" not in capsys.readouterr().err
