@@ -63,13 +63,16 @@ def parse_config(data: dict) -> RunConfig:
     r_mode = run.get("r_mode", "auto")
     if r_mode != "auto":
         r_mode = int(r_mode)
+    exact = run.get("exact_activation_grad", True)
+    if not isinstance(exact, bool):
+        raise ValueError(f"run.exact_activation_grad must be true or false, got {exact!r}")
     settings = RunSettings(
         n=n,
         r_mode=r_mode,
         lr=float(run.get("lr", 0.05)),
         epochs=int(run.get("epochs", 1)),
         seed=int(run.get("seed", 0)),
-        exact_activation_grad=bool(run.get("exact_activation_grad", True)),
+        exact_activation_grad=exact,
     )
     return RunConfig(cfg, params, settings)
 

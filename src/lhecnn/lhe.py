@@ -47,7 +47,6 @@ budget.  Ciphertexts carry this as :attr:`Ciphertext.pending_rescale`; the
 
 from __future__ import annotations
 
-import os
 import secrets
 import struct
 import sys
@@ -544,47 +543,52 @@ def serialized_size(slot_count: int) -> int:
 
 def serialize(ct: Ciphertext) -> bytes:
     """16-byte header (magic, S, level, key hash) + S little-endian float64 slots."""
-    key_hash = zlib.crc32(ct.key_id.encode())
-    return HEADER.pack(MAGIC, ct.slot_count, ct.level, key_hash) + ct.slots.astype(
-        "<f8"
-    ).tobytes()
+    header = HEADER.pack(MAGIC, ct.slot_count, ct.level, zlib.crc32(ct.key_id.encode()))
+    return header + ct.slots.astype("<f8", copy=False).tobytes()
 
 
-def _check_header(header: bytes, size: int, ctx: KeyContext) -> tuple[int, int]:
-    """Slot count and level of a serialized ciphertext of ``size`` bytes
-    whose header is ``header``; the key hash must match ``ctx``."""
-    if len(header) < HEADER.size:
+def deserialize(data, ctx: KeyContext) -> Ciphertext:
+    """Parse one serialized ciphertext from any bytes-like ``data``.  It must
+    hold ``ctx``'s slot count, key hash and a level in ``0..top_level``.  The
+    slots are a read-only view of ``data``: no copy on a little-endian host."""
+    if len(data) < HEADER.size:
         raise ValueError("truncated ciphertext header")
-    magic, s, level, key_hash = HEADER.unpack_from(header)
+    magic, s, level, key_hash = HEADER.unpack_from(data)
     if magic != MAGIC:
         raise ValueError(f"bad magic {magic!r}")
-    if size != serialized_size(s):
-        raise ValueError(f"expected {serialized_size(s)} bytes, got {size}")
+    if s != ctx.params.slot_count:
+        raise ValueError(f"ciphertext holds {s} slots, expected {ctx.params.slot_count}")
+    if len(data) != serialized_size(s):
+        raise ValueError(f"expected {serialized_size(s)} bytes, got {len(data)}")
     if key_hash != ctx.key_hash:
         raise KeyMismatch("serialized ciphertext written under a different key")
     if not 0 <= level <= ctx.params.top_level:
         raise ValueError(f"level {level} outside [0, {ctx.params.top_level}]")
-    return s, level
-
-
-def deserialize(data: bytes, ctx: KeyContext) -> Ciphertext:
-    """Parse the wire format; the key hash must match ``ctx``."""
-    _, level = _check_header(data, len(data), ctx)
-    # A read-only view of ``data``: no copy on a little-endian host.
     slots = np.frombuffer(data, dtype="<f8", offset=HEADER.size).astype(np.float64,
                                                                           copy=False)
     return Ciphertext(slots, level, ctx.key_id)
 
 
-def read_ciphertext(path, ctx: KeyContext, out: np.ndarray) -> Ciphertext:
-    """Read the serialized ciphertext in file ``path`` straight into ``out``,
-    a writable little-endian float64 array of the slot count the file must
-    hold, with the checks of :func:`deserialize`.  The ciphertext keeps
-    ``out`` as its slots."""
-    with open(path, "rb") as fh:
-        s, level = _check_header(fh.read(HEADER.size), os.fstat(fh.fileno()).st_size, ctx)
-        if s != out.size:
-            raise ValueError(f"{path} holds {s} slots, expected {out.size}")
-        if fh.readinto(out) != out.nbytes:
-            raise ValueError(f"{path} is shorter than its header says")
-    return Ciphertext(out, level, ctx.key_id)
+def serialize_many(cts: Iterable[Ciphertext]) -> bytes:
+    """The sequence format: each ciphertext serialized, back to back, with no
+    count or framing, so the length in bytes fixes the count."""
+    return b"".join(map(serialize, cts))
+
+
+def write_many(fh, cts: Iterable[Ciphertext]) -> None:
+    """Write the sequence format of ``cts`` to the binary file ``fh`` one
+    ciphertext at a time, so no copy of the whole sequence is held."""
+    for ct in cts:
+        fh.write(serialize(ct))
+
+
+def deserialize_many(buffer, ctx: KeyContext) -> list[Ciphertext]:
+    """Parse the sequence format from any bytes-like ``buffer``, each
+    ciphertext with the checks of :func:`deserialize`.  Nothing is copied:
+    every ciphertext's slots are a read-only view of ``buffer``."""
+    view = memoryview(buffer).cast("B")
+    size = serialized_size(ctx.params.slot_count)
+    if len(view) % size:
+        raise ValueError(f"{len(view)} bytes is not a whole number of "
+                         f"{size}-byte ciphertexts")
+    return [deserialize(view[o:o + size], ctx) for o in range(0, len(view), size)]

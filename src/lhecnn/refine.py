@@ -3,8 +3,9 @@
 A :class:`RefineSession` owns the encrypted parameters of one model, attests
 against a :class:`~lhecnn.tee.TeeService`, and runs metered forward passes and
 full refining rounds (forward, TEE loss head, backward, gradient aggregation,
-TEE noise removal, additive update).  Sessions persist as a manifest plus one
-file per ciphertext.
+TEE noise removal, additive update).  A saved session is ``session.manifest``
+(``key = value`` lines) plus one cells file: every parameter ciphertext in the
+wire format's sequence form, in ``cell_keys()`` order.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from . import backward as bwd
 from . import forward as fwd
 from .geometry import CnnConfig, CombinedGeometry, ConvLayer, FcLayer, combined_geometry
-from .lhe import LheParams, read_ciphertext, serialize
+from .lhe import LheParams, deserialize_many, serialized_size, write_many
 from .metering import CostTable, OpReport, build_report
 from .oracle import PlainParams
 from .packing import (
@@ -43,7 +44,7 @@ from .packing import (
 from .tee import BoundaryStats, TeeService
 
 MANIFEST_NAME = "session.manifest"
-FORMAT_TAG = "lhecnn-session-v1"
+FORMAT_TAG = "lhecnn-session-v2"
 
 
 def plan_layouts(cfg: CnnConfig, geo: CombinedGeometry, r_mode="auto") -> tuple[int, list[str]]:
@@ -252,12 +253,18 @@ class RefineSession:
 
         Each round: forward, TEE loss head, layer-by-layer backward with
         gradient packing and TEE noise removal, additive parameter update.
-        A round that raises leaves the parameters as that round found them.
+        The labels are checked before anything is encrypted, and a round
+        that raises leaves the parameters as that round found them.
         """
         if not self.filters:
             raise RuntimeError("no model loaded")
         images = np.asarray(images, dtype=np.float64)
-        labels = np.asarray(labels, dtype=int)
+        labels, classes = np.asarray(labels), self.cfg.fc[-1].outputs
+        if labels.shape != images.shape[:1]:
+            raise ValueError(f"{labels.size} labels for {images.shape[0]} images")
+        if not np.all((labels == np.rint(labels)) & (labels >= 0) & (labels < classes)):
+            raise ValueError(f"labels must be integers in [0, {classes})")
+        labels = labels.astype(int)
         n = self.cfg.n
         if images.shape[0] % n:
             raise ValueError(f"batch count {images.shape[0]} not divisible by n={n}")
@@ -356,8 +363,12 @@ class RefineSession:
     # -- persistence ---------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
+        """Write the session to directory ``path``, replacing any session there
+        whole: a new cells file and the manifest naming it reach the disk, then
+        one ``os.replace`` of the manifest commits.  One writer at a time."""
         root = Path(path)
-        (root / "cts").mkdir(parents=True, exist_ok=True)
+        root.mkdir(parents=True, exist_ok=True)
+        cells = f"cells-{os.urandom(8).hex()}.lhe"
         lines = [
             f"format = {FORMAT_TAG}",
             f"key_hash = {self.ctx.key_hash}",
@@ -368,21 +379,22 @@ class RefineSession:
             f"layouts = {','.join(self.layouts)}",
             f"weight_kinds = {','.join(w.kind for w in self.weights)}",
             f"exact_activation_grad = {str(self.exact_activation_grad).lower()}",
-            f"geometry.kernel_sides = {','.join(map(str, self.geo.kernel_sides))}",
-            f"geometry.strides = {','.join(map(str, self.geo.strides))}",
-            f"geometry.grid_side = {self.geo.grid_side}",
+            f"cells = {cells}",
         ]
-        for l, packed in enumerate(self.filters):
-            for key, ct in sorted(packed.cells.items()):
-                name = f"cts/f{l}_" + "_".join(map(str, key)) + ".lhe"
-                (root / name).write_bytes(serialize(ct))
-                lines.append(f"filter.{l}.{'.'.join(map(str, key))} = {name}")
-        for k, packed in enumerate(self.weights):
-            for key, ct in sorted(packed.cells.items()):
-                name = f"cts/w{k}_" + "_".join(map(str, key)) + ".lhe"
-                (root / name).write_bytes(serialize(ct))
-                lines.append(f"weight.{k}.{'.'.join(map(str, key))} = {name}")
-        (root / MANIFEST_NAME).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with open(root / cells, "xb") as fh:
+            write_many(fh, (packed.cells[key] for packed in self.filters + self.weights
+                            for key in packed.cell_keys()))
+            fh.flush()
+            os.fsync(fh.fileno())
+        staged = root / (MANIFEST_NAME + ".tmp")
+        with open(staged, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(staged, root / MANIFEST_NAME)
+        for stale in root.glob("cells-*.lhe"):
+            if stale.name != cells:
+                stale.unlink()
 
     @classmethod
     def load(cls, tee: TeeService, path: str | Path, *,
@@ -392,18 +404,9 @@ class RefineSession:
         if threads != 1:
             raise ValueError(f"threads={threads}: the pipeline runs on one thread")
         root = Path(path)
-        entries: dict[str, str] = {}
-        stored: dict[str, str] = {}
-        for line in (root / MANIFEST_NAME).read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
-            key, _, value = line.partition(" = ")
-            if key.startswith(("filter.", "weight.")):
-                if key in stored:
-                    raise ValueError(f"manifest lists cell {key!r} twice")
-                stored[key] = value
-            else:
-                entries[key] = value
+        entries = dict(line.partition(" = ")[::2] for line in
+                       (root / MANIFEST_NAME).read_text(encoding="utf-8").splitlines()
+                       if line.strip())
         if entries.get("format") != FORMAT_TAG:
             raise ValueError(f"unsupported session format {entries.get('format')!r}")
         lhe = json.loads(entries["lhe"])
@@ -432,25 +435,21 @@ class RefineSession:
         packed_weights = [
             PackedWeights({}, kind, layer.outputs, layer.inputs, in_cts, out_cts, pi, cfg.n)
             for layer, (kind, in_cts, out_cts, pi) in zip(cfg.fc, shapes)]
-        # Every cell the layouts call for, and no other, before any is read.
-        targets = {}
-        for prefix, packed in [("filter", packed_filters), ("weight", packed_weights)]:
-            for l, tensor in enumerate(packed):
-                for key in tensor.cell_keys():
-                    targets[f"{prefix}.{l}.{'.'.join(map(str, key))}"] = (tensor.cells, key)
-        if stored.keys() != targets.keys():
-            raise ValueError(
-                f"stored cells do not match the model: "
-                f"missing {sorted(targets.keys() - stored.keys())[:5]}, "
-                f"extra {sorted(stored.keys() - targets.keys())[:5]}")
-        # One array holds every slot read: a session is one allocation, not
-        # one heap block per file that the allocator may hand back and fault
-        # in again on the next load.  Paths are joined as strings, since a
-        # Path per cell would intern each of its parts.
-        slots = np.empty((len(targets), params.slot_count), dtype="<f8")
-        base = os.fspath(root)
-        for row, (entry, (cells, key)) in zip(slots, targets.items()):
-            cells[key] = read_ciphertext(os.path.join(base, stored[entry]), session.ctx, row)
+        targets = [(packed.cells, key) for packed in packed_filters + packed_weights
+                   for key in packed.cell_keys()]
+        # Every cell is a view of one array holding the file: a load is one
+        # allocation, which numpy backs with huge pages, so no load re-faults.
+        size = serialized_size(params.slot_count)
+        with open(root / entries["cells"], "rb") as fh:
+            stored = os.fstat(fh.fileno()).st_size
+            if stored != len(targets) * size:
+                raise ValueError(f"{entries['cells']} holds {stored / size:g} cells of "
+                                 f"{size} bytes, the model has {len(targets)}")
+            data = np.empty(stored, dtype=np.uint8)
+            if fh.readinto(data) != stored:
+                raise ValueError(f"{entries['cells']} shrank while it was read")
+        for (cells, key), ct in zip(targets, deserialize_many(data, session.ctx)):
+            cells[key] = ct
         session.filters, session.weights = packed_filters, packed_weights
         return session
 

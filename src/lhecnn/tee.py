@@ -25,8 +25,8 @@ from .lhe import (
     KeyContext,
     LheParams,
     SimulatorBackend,
-    deserialize,
-    serialize,
+    deserialize_many,
+    serialize_many,
     serialized_size,
 )
 from .packing import FL_TYPE1, FL_TYPE2, PackedTensor
@@ -237,7 +237,6 @@ def _recv_frame(sock: socket.socket) -> tuple[int, bytes]:
 class _TeeHandler(socketserver.BaseRequestHandler):
     def handle(self):
         service: TeeService = self.server.service  # type: ignore[attr-defined]
-        ct_size = serialized_size(service.params.slot_count)
         while True:
             try:
                 opcode, payload = _recv_frame(self.request)
@@ -253,33 +252,29 @@ class _TeeHandler(socketserver.BaseRequestHandler):
                 elif opcode == OP_REENCRYPT:
                     party_len = payload[0]
                     party = payload[1:1 + party_len].decode()
-                    blob = payload[1 + party_len:]
-                    cts = [deserialize(blob[o:o + ct_size], service._ctx)
-                           for o in range(0, len(blob), ct_size)]
+                    cts = deserialize_many(memoryview(payload)[1 + party_len:],
+                                           service._ctx)
                     out = service.reencrypt_batch(party, cts)
-                    _send_frame(self.request, OP_REENCRYPT,
-                                b"".join(serialize(ct) for ct in out))
+                    _send_frame(self.request, OP_REENCRYPT, serialize_many(out))
                 elif opcode == OP_LOSS_HEAD:
-                    _handle_loss_head(self.request, service, payload, ct_size)
+                    _handle_loss_head(self.request, service, payload)
                 else:
                     _send_frame(self.request, OP_ERROR, b"bad opcode")
             except Exception as exc:  # surface service errors to the client
                 _send_frame(self.request, OP_ERROR, str(exc).encode())
 
 
-def _handle_loss_head(sock, service: TeeService, payload: bytes, ct_size: int):
+def _handle_loss_head(sock, service: TeeService, payload: bytes):
     party_len = payload[0]
     party = payload[1:1 + party_len].decode()
     off = 1 + party_len
     n, classes, layout_code, ct_count = struct.unpack_from("<IIII", payload, off)
     if layout_code not in (1, 2):
         raise ValueError(f"unknown logits layout code {layout_code}")
-    off += 16
-    cts = []
-    for _ in range(ct_count):
-        cts.append(deserialize(payload[off:off + ct_size], service._ctx))
-        off += ct_size
-    labels = np.frombuffer(payload, dtype=np.uint8, count=n, offset=off).astype(int)
+    # the logits ciphertexts, then one label byte per image
+    end = min(off + 16 + ct_count * serialized_size(service.params.slot_count), len(payload))
+    cts = deserialize_many(memoryview(payload)[off + 16:end], service._ctx)
+    labels = np.frombuffer(payload, dtype=np.uint8, offset=end).astype(int)
     if layout_code == 1:
         layout, pi_sets = FL_TYPE1, service.params.slot_count // n
     else:
@@ -287,8 +282,7 @@ def _handle_loss_head(sock, service: TeeService, payload: bytes, ct_size: int):
     tensor = PackedTensor({(j,): ct for j, ct in enumerate(cts)}, layout, n,
                           pi_sets=pi_sets, neurons=classes)
     loss, grads = service.loss_head(party, tensor, labels, classes)
-    blob = struct.pack("<d", loss) + b"".join(serialize(ct) for ct in grads.cts())
-    _send_frame(sock, OP_LOSS_HEAD, blob)
+    _send_frame(sock, OP_LOSS_HEAD, struct.pack("<d", loss) + serialize_many(grads.cts()))
 
 
 class TeeSocketServer:
@@ -333,13 +327,11 @@ class TeeSocketClient:
 
     def reencrypt_batch(self, cts: list[Ciphertext]) -> list[Ciphertext]:
         party = self.party.encode()
-        payload = bytes([len(party)]) + party + b"".join(serialize(ct) for ct in cts)
+        payload = bytes([len(party)]) + party + serialize_many(cts)
         _send_frame(self._sock, OP_REENCRYPT, payload)
         opcode, body = _recv_frame(self._sock)
         self._check(opcode, OP_REENCRYPT, body)
-        size = serialized_size(self._ctx.params.slot_count)
-        return [deserialize(body[o:o + size], self._ctx)
-                for o in range(0, len(body), size)]
+        return deserialize_many(body, self._ctx)
 
     def loss_head(self, logits: PackedTensor, labels: np.ndarray,
                   classes: int) -> tuple[float, list[Ciphertext]]:
@@ -350,16 +342,13 @@ class TeeSocketClient:
         cts = logits.cts()
         payload = (bytes([len(party)]) + party
                    + struct.pack("<IIII", logits.n, classes, layout_code, len(cts))
-                   + b"".join(serialize(ct) for ct in cts)
+                   + serialize_many(cts)
                    + np.asarray(labels, dtype=np.uint8).tobytes())
         _send_frame(self._sock, OP_LOSS_HEAD, payload)
         opcode, body = _recv_frame(self._sock)
         self._check(opcode, OP_LOSS_HEAD, body)
         (loss,) = struct.unpack_from("<d", body)
-        size = serialized_size(self._ctx.params.slot_count)
-        cts = [deserialize(body[o:o + size], self._ctx)
-               for o in range(8, len(body), size)]
-        return loss, cts
+        return loss, deserialize_many(memoryview(body)[8:], self._ctx)
 
     @staticmethod
     def _check(opcode: int, expected: int, payload: bytes) -> None:

@@ -1,12 +1,14 @@
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lhecnn.cli import main
-from lhecnn.config import load_config, read_dataset, write_dataset
+from lhecnn.config import load_config, parse_config, read_dataset, write_dataset
 from lhecnn.geometry import preset
+from lhecnn.lhe import serialized_size
 
 
 def mnist_config(tmp_path, n=8, slots=512, levels=6, lr=0.3, epochs=1, seed=3):
@@ -48,7 +50,7 @@ class TestDatasetFormat:
     def test_header_is_little_endian_count(self, tmp_path):
         cfg_path = mnist_config(tmp_path)
         path, _, _ = make_dataset(tmp_path, cfg_path, 8)
-        raw = open(path, "rb").read()
+        raw = Path(path).read_bytes()
         assert int.from_bytes(raw[:4], "little") == 8
         assert len(raw) == 4 + 8 * 64 * 8 + 8
 
@@ -56,10 +58,29 @@ class TestDatasetFormat:
         cfg_path = mnist_config(tmp_path)
         rc = load_config(cfg_path)
         path, _, _ = make_dataset(tmp_path, cfg_path, 8)
-        raw = open(path, "rb").read()
-        open(path, "wb").write(raw[:-3])
+        raw = Path(path).read_bytes()
+        Path(path).write_bytes(raw[:-3])
         with pytest.raises(ValueError):
             read_dataset(path, rc.model)
+
+
+class TestConfigParsing:
+    @pytest.mark.parametrize("value", ["false", "true", 0, None])
+    def test_exact_activation_grad_must_be_a_boolean(self, tmp_path, capsys, value):
+        path = mnist_config(tmp_path)
+        data = json.loads(Path(path).read_text())
+        data["run"]["exact_activation_grad"] = value
+        with pytest.raises(ValueError, match="must be true or false"):
+            parse_config(data)
+        Path(path).write_text(json.dumps(data))
+        assert main(["plan", "--config", path]) == 2
+        assert "must be true or false" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_exact_activation_grad_reads_a_boolean(self, tmp_path, value):
+        data = json.loads(Path(mnist_config(tmp_path)).read_text())
+        data["run"]["exact_activation_grad"] = value
+        assert parse_config(data).run.exact_activation_grad is value
 
 
 class TestPlan:
@@ -133,9 +154,9 @@ class TestPlan:
 
     def test_plan_skips_refining_with_cross_layouts(self, tmp_path, capsys):
         path = mnist_config(tmp_path, slots=64)
-        data = json.loads(open(path).read())
+        data = json.loads(Path(path).read_text())
         data["run"]["r_mode"] = "auto"
-        open(path, "w").write(json.dumps(data))
+        Path(path).write_text(json.dumps(data))
         assert main(["plan", "--config", path]) == 0
         out = capsys.readouterr().out
         assert "(using 2)" in out and "refining needs r = 1" in out
@@ -189,7 +210,7 @@ class TestInferCommand:
         assert main(["infer", "--config", cfg_path, "--model", model_dir,
                      "--inputs", data_path, "--report", report_path,
                      "--out", out_path, "--format", "csv"]) == 0
-        rows = open(report_path).read().strip().splitlines()
+        rows = Path(report_path).read_text().strip().splitlines()
         assert rows[0] == "scope,level,add,mul,rot,cmul"
         # stage rows appear with the counts the static plan predicts
         assert any(r.startswith("CL1,5,16,18,0,0") for r in rows)
@@ -220,16 +241,20 @@ class TestRefineCommand:
         cfg_path = mnist_config(tmp_path, levels=16)
         model_dir = str(tmp_path / "model")
         main(["init-model", "--config", cfg_path, "--model", model_dir])
-        before = {f.name: f.read_bytes()
-                  for f in (tmp_path / "model" / "cts").iterdir()}
+        (before,) = (tmp_path / "model").glob("cells-*.lhe")
+        before = before.read_bytes()
         data_path, _, _ = make_dataset(tmp_path, cfg_path, 8)
         out_dir = str(tmp_path / "refined")
         assert main(["refine", "--config", cfg_path, "--model", model_dir,
                      "--data", data_path, "--lr", "0", "--out", out_dir]) == 0
-        for f in (tmp_path / "refined" / "cts").iterdir():
-            got = np.frombuffer(f.read_bytes()[16:], "<f8")
-            want = np.frombuffer(before[f.name][16:], "<f8")
-            assert np.array_equal(got, want), f.name
+        (after,) = (tmp_path / "refined").glob("cells-*.lhe")
+        after = after.read_bytes()
+        # one row per cell: its 16-byte header (two float64 widths), then its
+        # slots; only the slots are compared, not the levels in the headers
+        size = serialized_size(load_config(cfg_path).lhe.slot_count)
+        got, want = (np.frombuffer(raw, "<f8").reshape(-1, size // 8)[:, 2:]
+                     for raw in (after, before))
+        assert got.shape == want.shape and np.array_equal(got, want)
 
     def test_prints_tee_accounting_matching_closed_form(self, tmp_path, capsys):
         cfg_path = mnist_config(tmp_path, levels=16)

@@ -1,4 +1,5 @@
 import copy
+import struct
 import sys
 import threading
 import weakref
@@ -17,9 +18,11 @@ from lhecnn.lhe import (
     SecrecyViolation,
     SimulatorBackend,
     deserialize,
-    read_ciphertext,
+    deserialize_many,
     serialize,
+    serialize_many,
     serialized_size,
+    write_many,
 )
 from lhecnn.metering import PRIMITIVE_KINDS, OpMeter
 
@@ -680,6 +683,10 @@ class TestNoise:
         assert np.abs(out - v).max() < 0.1
 
 
+def _put_u32(blob: bytes, offset: int, value: int) -> bytes:
+    return blob[:offset] + struct.pack("<I", value) + blob[offset + 4:]
+
+
 class TestSerialization:
     def test_header_layout(self, backend):
         ctx = ctx8(backend)
@@ -709,33 +716,36 @@ class TestSerialization:
         with pytest.raises(ValueError):
             deserialize(blob[:20], ctx)
 
-    def test_read_from_file_into_a_given_row(self, backend, tmp_path):
+    def test_many_round_trips_as_views_of_one_buffer(self, backend, tmp_path):
         ctx = ctx8(backend)
-        ct = backend.cmul(backend.encrypt(ctx, np.arange(8.0)), np.full(8, 2.0))
-        path = tmp_path / "ct.lhe"
-        path.write_bytes(serialize(ct))
-        rows = np.empty((2, 8))
-        got = read_ciphertext(path, ctx, rows[1])
-        assert got == ct and got.slots.base is rows   # no copy of its own
-        assert not got.slots.flags.writeable
+        x = backend.encrypt(ctx, np.arange(8.0))
+        cts = [x, backend.cmul(x, np.full(8, 2.0)), backend.rot(x, 3)]
+        blob = serialize_many(cts)
+        assert blob == b"".join(serialize(ct) for ct in cts)
+        path = tmp_path / "cts.lhe"
+        with open(path, "wb") as fh:
+            write_many(fh, iter(cts))
+        assert path.read_bytes() == blob
+        buf = np.frombuffer(blob, np.uint8).copy()   # writable, as a loaded file is
+        got = deserialize_many(buf, ctx)
+        assert got == cts
+        for ct in got:   # no copy of its own
+            assert np.shares_memory(ct.slots, buf) and not ct.slots.flags.writeable
+        assert deserialize_many(b"", ctx) == []
 
-    @pytest.mark.parametrize("edit", [lambda b: b + b"\0", lambda b: b[:-1],
-                                      lambda b: b"XXXX" + b[4:]],
-                             ids=["trailing", "truncated", "magic"])
-    def test_read_from_file_rejects_what_deserialize_rejects(self, backend, tmp_path,
-                                                             edit):
+    # The second of two serialized ciphertexts (bytes 80-159) is edited.
+    @pytest.mark.parametrize("edit, error, match", [
+        (lambda b: b + b"\0", ValueError, "161 bytes is not a whole number of 80-byte"),
+        (lambda b: b[:-1], ValueError, "159 bytes is not a whole number of 80-byte"),
+        (lambda b: b[:80] + b"XXXX" + b[84:], ValueError, "bad magic"),
+        (lambda b: _put_u32(b, 92, int.from_bytes(b[92:96], "little") ^ 1),
+         KeyMismatch, "different key"),
+        (lambda b: _put_u32(b, 84, 4), ValueError, "holds 4 slots, expected 8"),
+        (lambda b: _put_u32(b, 88, 6), ValueError, r"level 6 outside \[0, 5\]"),
+    ], ids=["trailing", "truncated", "magic", "key", "slot-count", "level"])
+    def test_many_rejects_a_bad_sequence(self, backend, edit, error, match):
         ctx = ctx8(backend)
-        blob = edit(serialize(backend.encrypt(ctx, np.zeros(8))))
-        path = tmp_path / "ct.lhe"
-        path.write_bytes(blob)
-        with pytest.raises(ValueError):
-            deserialize(blob, ctx)
-        with pytest.raises(ValueError):
-            read_ciphertext(path, ctx, np.empty(8))
-
-    def test_read_from_file_rejects_another_slot_count(self, backend, tmp_path):
-        ctx = ctx8(backend)
-        path = tmp_path / "ct.lhe"
-        path.write_bytes(serialize(backend.encrypt(ctx, np.zeros(8))))
-        with pytest.raises(ValueError, match="holds 8 slots, expected 16"):
-            read_ciphertext(path, ctx, np.empty(16))
+        blob = serialize_many([backend.encrypt(ctx, np.zeros(8))] * 2)
+        deserialize_many(blob, ctx)
+        with pytest.raises(error, match=match):
+            deserialize_many(edit(blob), ctx)

@@ -1,10 +1,12 @@
 import dataclasses
+import os
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from lhecnn.geometry import CnnConfig, ConvLayer, FcLayer, preset
-from lhecnn.lhe import LevelExhausted, LheParams, SimulatorBackend
+from lhecnn.lhe import LevelExhausted, LheParams, SimulatorBackend, serialized_size
 from lhecnn.metering import OpMeter
 from lhecnn.oracle import init_params, plain_backward_step, plain_forward
 from lhecnn.refine import RefineSession
@@ -18,6 +20,11 @@ def make_session(cfg, params, seed=0, exact=True, r_mode=1):
                          exact_activation_grad=exact)
     sess.load_base_model(init_params(cfg, seed))
     return sess
+
+
+def model_bytes(sess):
+    model = sess.decrypted_model()
+    return [a.tobytes() for a in model.filters + model.weights]
 
 
 def small_cfg():
@@ -280,6 +287,21 @@ class TestRefine:
             assert packed.cells.keys() == kept.keys()
             assert all(packed.cells[k] is kept[k] for k in kept)
 
+    @pytest.mark.parametrize("labels, match", [
+        ([0, 1, 2, 0, 1, 3, 0, 1], r"integers in \[0, 3\)"),
+        ([0, 1, 2, 0, 1, 2, 0], "7 labels for 8 images"),
+        ([0, 1, 2, 0, 1, 2.5, 0, 1], r"integers in \[0, 3\)"),
+    ], ids=["out-of-range-in-round-2", "one-short", "fractional"])
+    def test_bad_labels_are_rejected_before_anything_is_encrypted(self, labels, match):
+        sess = make_session(small_cfg(), LheParams(32, 16), seed=17)
+        before = model_bytes(sess)
+        mark = sess.meter.checkpoint()
+        images = np.random.default_rng(17).normal(size=(8, 1, 4, 4))
+        with pytest.raises(ValueError, match=match):
+            sess.refine(images, np.array(labels), lr=0.5)
+        assert sess.meter.since(mark) == Counter()
+        assert model_bytes(sess) == before
+
 
 class TestPersistence:
     def test_save_load_roundtrip(self, tmp_path):
@@ -306,23 +328,76 @@ class TestPersistence:
         assert ([(f.layout, f.group_size) for f in loaded.filters]
                 == [(f.layout, f.group_size) for f in sess.filters])
 
-    @pytest.mark.parametrize("edit, match", [
-        (lambda lines: [l for l in lines if not l.startswith("weight.1.0.0 =")],
-         r"missing \['weight\.1\.0\.0'\], extra \[\]"),
-        (lambda lines: lines + ["filter.0.9.0.0.0 = cts/f0_0_0_0_0.lhe"],
-         r"missing \[\], extra \['filter\.0\.9\.0\.0\.0'\]"),
-        (lambda lines: lines + ["weight.1.0.0 = cts/f0_0_0_0_0.lhe"],
-         r"cell 'weight\.1\.0\.0' twice"),
-    ], ids=["missing", "extra", "duplicate"])
-    def test_load_rejects_incomplete_cell_set(self, tmp_path, edit, match):
+    @pytest.mark.parametrize("edit, stored", [
+        (lambda cells, size: cells[:-size], -1),
+        (lambda cells, size: cells + cells[:size], 1),
+        (lambda cells, size: cells[:-1], -1 / serialized_size(32)),
+    ], ids=["missing", "extra", "truncated"])
+    def test_load_rejects_incomplete_cell_set(self, tmp_path, monkeypatch, edit, stored):
+        cfg, params = small_cfg(), LheParams(32, 12)
+        sess = make_session(cfg, params, seed=14)
+        sess.save(tmp_path / "model")
+        count = sum(len(packed.cells) for packed in sess.filters + sess.weights)
+        (path,) = (tmp_path / "model").glob("cells-*.lhe")
+        size = serialized_size(32)
+        path.write_bytes(edit(path.read_bytes(), size))
+
+        def parse(*args):
+            raise AssertionError("a cell was parsed")
+        monkeypatch.setattr("lhecnn.refine.deserialize_many", parse)
+        tee = TeeService(SimulatorBackend(OpMeter()), params, seed=14)
+        with pytest.raises(ValueError, match=f"holds {count + stored:g} cells of {size} "
+                                             f"bytes, the model has {count}"):
+            RefineSession.load(tee, tmp_path / "model")
+
+    def test_load_rejects_a_corrupt_cell(self, tmp_path):
+        cfg, params = small_cfg(), LheParams(32, 12)
+        make_session(cfg, params, seed=14).save(tmp_path / "model")
+        (path,) = (tmp_path / "model").glob("cells-*.lhe")
+        cells = path.read_bytes()
+        last = len(cells) - serialized_size(32)
+        path.write_bytes(cells[:last] + b"XXXX" + cells[last + 4:])
+        tee = TeeService(SimulatorBackend(OpMeter()), params, seed=14)
+        with pytest.raises(ValueError, match="bad magic"):
+            RefineSession.load(tee, tmp_path / "model")
+
+    def test_load_rejects_the_previous_format(self, tmp_path):
         cfg, params = small_cfg(), LheParams(32, 12)
         make_session(cfg, params, seed=14).save(tmp_path / "model")
         manifest = tmp_path / "model" / "session.manifest"
-        lines = manifest.read_text().splitlines()
-        manifest.write_text("\n".join(edit(lines)) + "\n")
+        manifest.write_text(manifest.read_text().replace("lhecnn-session-v2",
+                                                         "lhecnn-session-v1"))
         tee = TeeService(SimulatorBackend(OpMeter()), params, seed=14)
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ValueError, match="unsupported session format 'lhecnn-session-v1'"):
             RefineSession.load(tee, tmp_path / "model")
+
+    def test_a_save_that_fails_before_its_commit_leaves_the_old_session(
+            self, tmp_path, monkeypatch):
+        cfg, params = small_cfg(), LheParams(32, 16)
+        sess = make_session(cfg, params, seed=16)
+        root = tmp_path / "model"
+        sess.save(root)
+        saved = model_bytes(sess)
+        rng = np.random.default_rng(16)
+        sess.refine(rng.normal(size=(4, 1, 4, 4)), rng.integers(0, 3, size=4), lr=0.5)
+        refined = model_bytes(sess)
+        assert refined != saved
+
+        def crash(src, dst):
+            raise OSError("crashed at the commit point")
+        monkeypatch.setattr(os, "replace", crash)
+        with pytest.raises(OSError, match="commit point"):
+            sess.save(root)
+        monkeypatch.undo()
+        tee = TeeService(SimulatorBackend(OpMeter()), params, seed=16)
+        assert model_bytes(RefineSession.load(tee, root)) == saved
+
+        sess.save(root)
+        names = sorted(p.name for p in root.iterdir())
+        assert len(names) == 2 and names[1] == "session.manifest"
+        assert names[0].startswith("cells-") and names[0].endswith(".lhe")
+        tee = TeeService(SimulatorBackend(OpMeter()), params, seed=16)
+        assert model_bytes(RefineSession.load(tee, root)) == refined
 
     def test_load_accepts_only_one_thread(self, tmp_path):
         cfg, params = small_cfg(), LheParams(32, 12)

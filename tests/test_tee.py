@@ -9,6 +9,7 @@ from lhecnn.packing import FL_TYPE1, FL_TYPE2, PackedTensor
 from lhecnn.tee import (
     OP_ERROR,
     OP_LOSS_HEAD,
+    OP_REENCRYPT,
     NotAttested,
     TeeSocketClient,
     TeeSocketServer,
@@ -300,6 +301,42 @@ class TestSocketTransport:
             opcode, body = _recv_frame(client._sock)
             assert opcode == OP_ERROR
             assert b"layout code 3" in body
+            client.close()
+
+    def test_ragged_reencrypt_blob_gets_an_error_and_the_connection_keeps_serving(
+            self, backend, tmp_path):
+        tee = make_tee(backend, slots=16, levels=6)
+        path = str(tmp_path / "tee.sock")
+        with TeeSocketServer(tee, path):
+            ctx = tee.public_context()
+            client = TeeSocketClient(path, ctx, "remote")
+            client.attest()
+            party = b"remote"
+            blob = serialize(backend.encrypt(ctx, np.zeros(16))) * 2
+            _send_frame(client._sock, OP_REENCRYPT,
+                        bytes([len(party)]) + party + blob[:-8])
+            opcode, body = _recv_frame(client._sock)
+            assert opcode == OP_ERROR
+            assert b"280 bytes is not a whole number of 144-byte ciphertexts" in body
+            assert tee.stats.requests == 0   # rejected before the service ran
+            ct = backend.encrypt(ctx, np.ones(16))
+            assert client.reencrypt_batch([ct]) == [ct]   # same connection, still in step
+            client.close()
+
+    def test_server_rejects_a_frame_short_of_its_labels(self, backend, tmp_path):
+        tee = make_tee(backend, slots=16, levels=6)
+        path = str(tmp_path / "tee.sock")
+        with TeeSocketServer(tee, path):
+            ctx = tee.public_context()
+            client = TeeSocketClient(path, ctx, "remote")
+            client.attest()
+            party = b"remote"
+            payload = (bytes([len(party)]) + party + struct.pack("<IIII", 8, 4, 1, 1)
+                       + serialize(backend.encrypt(ctx, np.zeros(16))) + bytes([1, 3]))
+            _send_frame(client._sock, OP_LOSS_HEAD, payload)
+            opcode, body = _recv_frame(client._sock)
+            assert opcode == OP_ERROR
+            assert b"expected 8 labels" in body
             client.close()
 
     def test_empty_frame_gets_an_error_and_the_connection_keeps_serving(
