@@ -14,6 +14,8 @@ batch mean.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .lhe import Ciphertext, SimulatorBackend
@@ -51,9 +53,7 @@ def activation_gradient(backend: SimulatorBackend, grads: PackedTensor,
                 raise ValueError("exact activation gradient needs cached pre-activations")
             g = backend.mul(g, preacts.cells[key])
         cells[key] = g
-    return PackedTensor(cells, grads.layout, grads.n, grads.grid_side,
-                        grads.seg_slots, grads.group_size, grads.pi_sets,
-                        grads.neurons)
+    return replace(grads, cells=cells)
 
 
 # ---------------------------------------------------------------------------
@@ -234,21 +234,3 @@ def noise_removal_update(backend: SimulatorBackend, reencrypt,
             tkey = target_key(order[idx])
             target_cells[tkey] = backend.add(target_cells[tkey], ct)
     return len(packed)
-
-
-def fl_noise_removal_update(backend: SimulatorBackend, reencrypt,
-                            raw_grads: dict[tuple[int, int], Ciphertext],
-                            weights: PackedWeights, lr: float, n: int) -> int:
-    """Weight-gradient noise removal for one fully-connected layer."""
-    return noise_removal_update(
-        backend, reencrypt, raw_grads, weights.cells,
-        lambda key: weights.weight_key(*key), lr, n)
-
-
-def conv_noise_removal_update(backend: SimulatorBackend, reencrypt,
-                              raw_grads: dict[tuple[int, int, int, int], Ciphertext],
-                              filters: PackedFilters, lr: float, n: int) -> int:
-    """Kernel-gradient noise removal for one conv layer."""
-    return noise_removal_update(
-        backend, reencrypt, raw_grads, filters.cells, lambda key: key, lr, n)
-

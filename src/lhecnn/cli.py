@@ -22,7 +22,7 @@ from .geometry import CnnConfig, ConvLayer, FcLayer, GeometryError, combined_geo
 from .lhe import LevelExhausted, LheParams, SimulatorBackend
 from .metering import PRIMITIVE_KINDS, OpMeter
 from .oracle import init_params
-from .packing import encode_fl_weights_type1, encode_inputs
+from .packing import empty_weights, encode_inputs, encode_params
 from .refine import RefineSession
 from .tee import TeeService
 
@@ -185,7 +185,8 @@ def cmd_selftest(args) -> int:
     weights_row = np.array([[1.0, 0.0, 0.0, 1.0]])
     if args.corrupt_weight:
         weights_row[0, 0] = 9.0  # negative control: must make the chain fail
-    packed_w = encode_fl_weights_type1(backend, ctx, weights_row, 1, 4, 2)
+    packed_w = encode_params(backend, ctx, weights_row, empty_weights(
+        "type1", weights_row.shape, cfg.n, params.slot_count, in_cts=1, pi_per_ct=4))
     check("weight ciphertext", backend.decrypt(ctx, packed_w.cells[(0, 0)]),
           [1, 1, 0, 0, 0, 0, 1, 1])
 

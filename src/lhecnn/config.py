@@ -31,7 +31,6 @@ from .lhe import LheParams
 
 @dataclass(frozen=True)
 class RunSettings:
-    n: int
     r_mode: str | int = "auto"
     lr: float = 0.05
     epochs: int = 1
@@ -46,17 +45,30 @@ class RunConfig:
     run: RunSettings
 
 
-def parse_config(data: dict) -> RunConfig:
-    model = data["model"]
-    run = data.get("run", {})
-    n = int(run.get("n", 1))
-    cfg = CnnConfig(
+def model_dict(cfg: CnnConfig) -> dict:
+    """The ``model`` block of a config file (also a saved session's ``model``)."""
+    return {
+        "conv": [{"channels": c.channels, "input_side": c.input_side,
+                  "filters": c.filters, "filter_side": c.filter_side,
+                  "stride": c.stride} for c in cfg.conv],
+        "fc": [{"inputs": f.inputs, "outputs": f.outputs} for f in cfg.fc],
+    }
+
+
+def model_from_dict(model: dict, n: int) -> CnnConfig:
+    """Inverse of :func:`model_dict`, for ``n`` parallel inputs."""
+    return CnnConfig(
         conv=tuple(ConvLayer(int(c["channels"]), int(c["input_side"]),
                              int(c["filters"]), int(c["filter_side"]),
                              int(c["stride"])) for c in model["conv"]),
         fc=tuple(FcLayer(int(f["inputs"]), int(f["outputs"])) for f in model["fc"]),
         n=n,
     )
+
+
+def parse_config(data: dict) -> RunConfig:
+    run = data.get("run", {})
+    cfg = model_from_dict(data["model"], int(run.get("n", 1)))
     lhe = data.get("lhe", {})
     params = LheParams(int(lhe.get("slots", 4096)), int(lhe.get("levels", 6)),
                        float(lhe.get("noise_sigma", 0.0)))
@@ -67,7 +79,6 @@ def parse_config(data: dict) -> RunConfig:
     if not isinstance(exact, bool):
         raise ValueError(f"run.exact_activation_grad must be true or false, got {exact!r}")
     settings = RunSettings(
-        n=n,
         r_mode=r_mode,
         lr=float(run.get("lr", 0.05)),
         epochs=int(run.get("epochs", 1)),
@@ -84,7 +95,7 @@ def load_config(spec: str) -> RunConfig:
         if p.model is None:
             raise ValueError(
                 f"preset {p.name!r} carries LHE parameters only (no model definition)")
-        return RunConfig(p.model, p.lhe, RunSettings(n=p.model.n))
+        return RunConfig(p.model, p.lhe, RunSettings())
     data = json.loads(Path(spec).read_text(encoding="utf-8"))
     return parse_config(data)
 

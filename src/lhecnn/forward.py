@@ -8,6 +8,8 @@ layer.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .lhe import SimulatorBackend
 from .packing import (
     CONV_CROSS_CHANNEL,
@@ -101,6 +103,4 @@ def fl_forward_type2(backend: SimulatorBackend, inputs: PackedTensor,
 def square_activation(backend: SimulatorBackend, tensor: PackedTensor) -> PackedTensor:
     """Square every slot (one ciphertext-ciphertext product per cell)."""
     cells = {key: backend.mul(ct, ct) for key, ct in tensor.cells.items()}
-    return PackedTensor(cells, tensor.layout, tensor.n, tensor.grid_side,
-                        tensor.seg_slots, tensor.group_size, tensor.pi_sets,
-                        tensor.neurons)
+    return replace(tensor, cells=cells)

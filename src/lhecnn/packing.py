@@ -14,10 +14,11 @@ Slot layout conventions (S slots, n parallel inputs, grid side b):
   (neurons) without replication.  Type II input: one pi-set replicated S/n
   times.  The two alternate layer to layer.
 
-:func:`conv_segments` and :func:`fl_segments` are the one slot map of each
-layout: which filter and channel, or which weight row and column, each
-segment of a cell holds.  The encoders here, the conv kernel and the session's
-decoder and loader all read them.
+:func:`conv_segments` is the slot map of each conv layout: which filter and
+channel each segment of a cell holds.  Each parameter container,
+:class:`PackedFilters` and :class:`PackedWeights`, turns it (or the fc rule)
+into its own ``slot_map``: which slot ranges of a cell hold which parameter.
+:func:`encode_params` and the session's decoder both read that map.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ class PackedFilters:
 
     Cells are keyed ``(a, b, x, y)``: filter (group) ``a``, channel (group)
     ``b`` and kernel element ``(x, y)``; :func:`conv_segments` says which
-    filter and channel each segment of a cell holds.
+    filter and channel each ``seg_slots``-slot segment of a cell holds.
     """
 
     cells: dict[tuple[int, int, int, int], Ciphertext]
@@ -93,7 +94,13 @@ class PackedFilters:
     filter_count: int
     channel_count: int
     filter_side: int
+    seg_slots: int
     group_size: int = 1
+
+    @property
+    def shape(self) -> tuple[int, int, int, int]:
+        side = self.filter_side
+        return self.filter_count, self.channel_count, side, side
 
     def cell_keys(self) -> list[tuple[int, int, int, int]]:
         """Every cell key the layout calls for, in encryption order."""
@@ -103,10 +110,21 @@ class PackedFilters:
         return [(a, b, x, y) for a in range(filter_cells) for b in range(channel_cells)
                 for x in side for y in side]
 
+    def slot_map(self, key: tuple[int, int, int, int]) -> list[tuple[int, int, tuple]]:
+        """``(start, stop, index)`` per segment of cell ``key``: slots
+        ``start:stop`` hold filter element ``index`` = (filter, channel, x, y).
+        Padding segments are left out."""
+        a, b, x, y = key
+        seg = self.seg_slots
+        return [(q * seg, (q + 1) * seg, (k, i, x, y))
+                for q, k, i in conv_segments(self.layout, self.group_size, a, b)
+                if k < self.filter_count and i < self.channel_count]
+
 
 @dataclass
 class PackedWeights:
-    """Encrypted fully-connected weight matrix.
+    """Encrypted fully-connected weight matrix; build an empty one with
+    :func:`empty_weights`.
 
     Type I ("many pi-sets in" layers): cell ``(i, j)`` holds row ``i`` of the
     weight matrix restricted to input-ciphertext ``j``'s neurons, each value
@@ -121,8 +139,12 @@ class PackedWeights:
     in_neurons: int    # logical input neuron count
     in_cts: int        # input ciphertext count the layout expects
     out_cts: int       # forward output ciphertext count
-    pi_per_ct: int     # pi-sets per input ciphertext
+    pi_per_ct: int     # pi-sets per cell: input neurons (type I), output rows (type II)
     n: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.out_neurons, self.in_neurons
 
     def weight_key(self, j: int, i: int) -> tuple[int, int]:
         """Cell connecting output-ct index ``j`` and input-ct index ``i``."""
@@ -132,6 +154,41 @@ class PackedWeights:
         """Every cell key the layout calls for, in encryption order."""
         return sorted(self.weight_key(j, i) for j in range(self.out_cts)
                       for i in range(self.in_cts))
+
+    def slot_map(self, key: tuple[int, int]) -> list[tuple[int, int, tuple[int, int]]]:
+        """``(start, stop, (row, col))`` per pi-set of cell ``key`` = ``(a, b)``:
+        slots ``start:stop`` hold ``matrix[row, col]``.  Pi-set ``w`` holds
+        row ``a`` and column ``b * pi_per_ct + w`` (type I), or row
+        ``b * pi_per_ct + w`` and column ``a`` (type II).  Padding past the
+        matrix is left out."""
+        a, b = key
+        n, first = self.n, b * self.pi_per_ct
+        indices = [(a, first + w) if self.kind == "type1" else (first + w, a)
+                   for w in range(self.pi_per_ct)]
+        return [(w * n, (w + 1) * n, (row, col)) for w, (row, col) in enumerate(indices)
+                if row < self.out_neurons and col < self.in_neurons]
+
+
+def empty_weights(kind: str, shape: tuple[int, int], n: int, slot_count: int,
+                  in_cts: int = 0, pi_per_ct: int = 0) -> PackedWeights:
+    """An empty weight container for an ``(outputs, inputs)`` matrix.
+
+    Type I takes its input layout, ``in_cts`` ciphertexts of ``pi_per_ct``
+    neurons each, and has one cell row per output neuron.  Type II has one
+    input ciphertext per input neuron and packs ``S/n`` output rows per cell;
+    it ignores ``in_cts`` and ``pi_per_ct``.
+    """
+    out_n, in_n = shape
+    if kind == "type1":
+        if in_cts * pi_per_ct < in_n:
+            raise ValueError(f"{in_cts} cts x {pi_per_ct} pi-sets cannot hold {in_n} inputs")
+        if pi_per_ct * n > slot_count:
+            raise ValueError("pi-sets do not fit in one ciphertext")
+        return PackedWeights({}, kind, out_n, in_n, in_cts, out_n, pi_per_ct, n)
+    if kind == "type2":
+        block = slot_count // n
+        return PackedWeights({}, kind, out_n, in_n, in_n, -(-out_n // block), block, n)
+    raise ValueError(f"not a weight kind: {kind!r}")
 
 
 def conv_segments(layout: str, r: int, a: int, b: int) -> list[tuple[int, int, int]]:
@@ -182,19 +239,6 @@ def conv_output_pi_sets(layout: str, group: int, grid_side: int) -> int:
     if layout == CONV_CROSS_CHANNEL:
         return group * grid_side**2
     raise ValueError(f"not a conv output layout: {layout!r}")
-
-
-def fl_segments(kind: str, per_ct: int, a: int, b: int) -> list[tuple[int, int, int]]:
-    """Slot map of fully-connected weight cell ``(a, b)`` as ``(w, row, col)``:
-    pi-set ``w`` holds weight ``matrix[row, col]``.  Type I cell ``(i, j)``
-    holds row ``i`` for the ``per_ct`` input neurons of input ciphertext ``j``;
-    type II cell ``(i, j)`` holds column ``i`` for the ``per_ct = S/n`` output
-    rows of output ciphertext ``j``.  Indices past the matrix are padding."""
-    if kind == "type1":
-        return [(w, a, b * per_ct + w) for w in range(per_ct)]
-    if kind == "type2":
-        return [(w, b * per_ct + w, a) for w in range(per_ct)]
-    raise ValueError(f"not a weight kind: {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -320,78 +364,34 @@ def encode_inputs(backend: SimulatorBackend, ctx: KeyContext, images: np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# Filter encoding
+# Parameter encoding
 # ---------------------------------------------------------------------------
+
+
+def encode_params(backend: SimulatorBackend, ctx: KeyContext, values: np.ndarray,
+                  packed: PackedFilters | PackedWeights) -> PackedFilters | PackedWeights:
+    """Encrypt every cell of the empty container ``packed`` from the plaintext
+    filters or weight matrix ``values``, as its ``slot_map`` lays them out.
+    Each value fills its slot range; padding stays zero, so stray data in the
+    operand it multiplies is masked away."""
+    vec = np.zeros(ctx.params.slot_count)  # one scratch vector: encrypt copies it
+    for key in packed.cell_keys():
+        vec.fill(0.0)
+        for start, stop, index in packed.slot_map(key):
+            vec[start:stop] = values[index]
+        packed.cells[key] = backend.encrypt(ctx, vec)
+    return packed
 
 
 def encode_filters(backend: SimulatorBackend, ctx: KeyContext, filters: np.ndarray,
                    geo: CombinedGeometry, layout: str = CONV_BASIC,
                    r: int = 1) -> PackedFilters:
-    """Encrypt one conv layer's filter elements to match an input layout.
-
-    ``filters`` has shape (filter_count, channels, side, side).  Every cell
-    holds a single filter element replicated across the slots it multiplies;
-    unused slots stay zero so stray data in the input is masked away.
-    """
-    eps, alpha, gamma, _ = filters.shape
-    seg = geo.seg_slots
+    """Encrypt one conv layer's filter elements, of shape (filter_count,
+    channels, side, side), to match an input layout."""
     _checked_span(layout, r, geo)
-    packed = PackedFilters({}, layout, eps, alpha, gamma, group_size=r)
-    for a, b, x, y in packed.cell_keys():
-        vec = np.zeros(geo.slot_count)
-        for q, k, i in conv_segments(layout, r, a, b):
-            if k < eps and i < alpha:
-                vec[q * seg:(q + 1) * seg] = filters[k, i, x, y]
-        packed.cells[(a, b, x, y)] = backend.encrypt(ctx, vec)
-    return packed
-
-
-# ---------------------------------------------------------------------------
-# Fully-connected weight encoding
-# ---------------------------------------------------------------------------
-
-
-def _encode_weights(backend: SimulatorBackend, ctx: KeyContext, matrix: np.ndarray,
-                    weights: PackedWeights, per_ct: int) -> PackedWeights:
-    """Encrypt every cell of ``weights`` as :func:`fl_segments` lays it out,
-    each weight replicated n times; padding encodes as zero."""
-    n = weights.n
-    for a, b in weights.cell_keys():
-        vec = np.zeros(ctx.params.slot_count)
-        for w, row, col in fl_segments(weights.kind, per_ct, a, b):
-            if row < weights.out_neurons and col < weights.in_neurons:
-                vec[w * n:(w + 1) * n] = matrix[row, col]
-        weights.cells[(a, b)] = backend.encrypt(ctx, vec)
-    return weights
-
-
-def encode_fl_weights_type1(backend: SimulatorBackend, ctx: KeyContext,
-                            matrix: np.ndarray, in_cts: int, pi_per_ct: int,
-                            n: int) -> PackedWeights:
-    """Type I weights: cell (i, j) packs row i's weights for input ciphertext
-    j's ``pi_per_ct`` neurons, each replicated n times.  Columns past the
-    matrix width (padded layouts) encode as zero."""
-    out_n, in_n = matrix.shape
-    if in_cts * pi_per_ct < in_n:
-        raise ValueError(f"{in_cts} cts x {pi_per_ct} pi-sets cannot hold {in_n} inputs")
-    if pi_per_ct * n > ctx.params.slot_count:
-        raise ValueError("pi-sets do not fit in one ciphertext")
-    return _encode_weights(backend, ctx, matrix, PackedWeights(
-        {}, "type1", out_neurons=out_n, in_neurons=in_n, in_cts=in_cts, out_cts=out_n,
-        pi_per_ct=pi_per_ct, n=n), pi_per_ct)
-
-
-def encode_fl_weights_type2(backend: SimulatorBackend, ctx: KeyContext,
-                            matrix: np.ndarray, n: int) -> PackedWeights:
-    """Type II weights: cell (i, j) packs column i for the output rows that
-    land in output ciphertext j (S/n rows per ciphertext), replicated n times,
-    zero beyond the last output row."""
-    out_n, in_n = matrix.shape
-    block = ctx.params.slot_count // n
-    out_cts = -(-out_n // block)
-    return _encode_weights(backend, ctx, matrix, PackedWeights(
-        {}, "type2", out_neurons=out_n, in_neurons=in_n, in_cts=in_n, out_cts=out_cts,
-        pi_per_ct=1, n=n), block)
+    eps, alpha, gamma, _ = filters.shape
+    return encode_params(backend, ctx, filters, PackedFilters(
+        {}, layout, eps, alpha, gamma, geo.seg_slots, group_size=r))
 
 
 # ---------------------------------------------------------------------------

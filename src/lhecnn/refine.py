@@ -19,7 +19,8 @@ import numpy as np
 
 from . import backward as bwd
 from . import forward as fwd
-from .geometry import CnnConfig, CombinedGeometry, ConvLayer, FcLayer, combined_geometry
+from .config import model_dict, model_from_dict
+from .geometry import CnnConfig, CombinedGeometry, combined_geometry
 from .lhe import LheParams, deserialize_many, serialized_size, write_many
 from .metering import CostTable, OpReport, build_report
 from .oracle import PlainParams
@@ -34,12 +35,9 @@ from .packing import (
     conv_cell_counts,
     conv_output_layout,
     conv_output_pi_sets,
-    conv_segments,
-    encode_filters,
-    encode_fl_weights_type1,
-    encode_fl_weights_type2,
+    empty_weights,
     encode_inputs,
-    fl_segments,
+    encode_params,
 )
 from .tee import BoundaryStats, TeeService
 
@@ -107,83 +105,58 @@ class RefineSession:
 
     # -- model onboarding ----------------------------------------------------
 
-    def fl_shapes(self) -> list[tuple[str, int, int, int]]:
-        """Per fc layer: (kind, input ciphertext count, output ciphertext
-        count, pi-sets per input ciphertext)."""
+    def _empty_params(self) -> tuple[list[PackedFilters], list[PackedWeights]]:
+        """Empty filter and weight containers in the planned layouts; fc layers
+        alternate type I and type II, each taking its predecessor's output."""
         geo, cfg, r = self.geo, self.cfg, self.r
+        filters = [PackedFilters({}, layout, layer.filters, layer.channels,
+                                 layer.filter_side, geo.seg_slots, group_size=r)
+                   for layout, layer in zip(self.layouts, cfg.conv)]
         last = cfg.conv[-1]
         in_cts, _ = conv_cell_counts(self.layouts[-1], r, last.filters, last.channels)
         out_layout, group = conv_output_layout(self.layouts[-1], r,
                                                r * geo.seg_slots == geo.slot_count)
         pi = conv_output_pi_sets(out_layout, group, geo.grid_side)
-        shapes = []
-        block = self.params.slot_count // cfg.n
+        weights = []
         for k, layer in enumerate(cfg.fc):
-            if k % 2 == 0:
-                shapes.append(("type1", in_cts, layer.outputs, pi))
-                in_cts, pi = layer.outputs, 1
-            else:
-                out_cts = -(-layer.outputs // block)
-                shapes.append(("type2", in_cts, out_cts, pi))
-                in_cts, pi = out_cts, block
-        return shapes
+            packed = empty_weights("type1" if k % 2 == 0 else "type2",
+                                   (layer.outputs, layer.inputs), cfg.n,
+                                   self.params.slot_count, in_cts, pi)
+            weights.append(packed)
+            in_cts, pi = packed.out_cts, packed.pi_per_ct
+        return filters, weights
 
     def load_base_model(self, plain: PlainParams) -> None:
         """Encrypt and install a plaintext model (replaces any existing one)."""
         if len(plain.filters) != self.cfg.c or len(plain.weights) != self.cfg.f:
             raise ValueError("model does not match the configured layer counts")
-        meter = self.meter
-        filters: list[PackedFilters] = []
-        with meter.scope("enc.filters"):
-            for l, mats in enumerate(plain.filters):
-                layer = self.cfg.conv[l]
-                if mats.shape != (layer.filters, layer.channels,
-                                  layer.filter_side, layer.filter_side):
-                    raise ValueError(f"conv layer {l} filter shape mismatch")
-                filters.append(encode_filters(self.backend, self.ctx, mats, self.geo,
-                                              layout=self.layouts[l], r=self.r))
-        weights: list[PackedWeights] = []
-        for k, (mat, (kind, in_cts, _, pi)) in enumerate(zip(plain.weights,
-                                                             self.fl_shapes())):
-            layer = self.cfg.fc[k]
-            if mat.shape != (layer.outputs, layer.inputs):
+        filters, weights = self._empty_params()
+        for l, (mats, packed) in enumerate(zip(plain.filters, filters)):
+            if mats.shape != packed.shape:
+                raise ValueError(f"conv layer {l} filter shape mismatch")
+        for k, (mat, packed) in enumerate(zip(plain.weights, weights)):
+            if mat.shape != packed.shape:
                 raise ValueError(f"fc layer {k} weight shape mismatch")
-            with meter.scope(f"enc.weights.FL{k + 1}"):
-                if kind == "type1":
-                    weights.append(encode_fl_weights_type1(
-                        self.backend, self.ctx, mat, in_cts, pi, self.cfg.n))
-                else:
-                    weights.append(encode_fl_weights_type2(
-                        self.backend, self.ctx, mat, self.cfg.n))
+        with self.meter.scope("enc.filters"):
+            for mats, packed in zip(plain.filters, filters):
+                encode_params(self.backend, self.ctx, mats, packed)
+        for k, (mat, packed) in enumerate(zip(plain.weights, weights)):
+            with self.meter.scope(f"enc.weights.FL{k + 1}"):
+                encode_params(self.backend, self.ctx, mat, packed)
         self.filters, self.weights = filters, weights  # atomic swap
 
     def decrypted_model(self) -> PlainParams:
-        """Recover the plaintext model through the TEE (model-provider path)."""
-        seg = self.geo.seg_slots
-        filters = []
-        for l, packed in enumerate(self.filters):
-            layer = self.cfg.conv[l]
-            mats = np.zeros((layer.filters, layer.channels,
-                             layer.filter_side, layer.filter_side))
-            for (a, b, x, y), ct in packed.cells.items():
+        """Recover the plaintext model through the TEE (model-provider path):
+        each parameter is read from the first slot of its range."""
+        values = []
+        for packed in self.filters + self.weights:
+            array = np.zeros(packed.shape)
+            for key, ct in packed.cells.items():
                 slots = self.tee.backend.decrypt(self.tee._ctx, ct)
-                for q, k, i in conv_segments(packed.layout, packed.group_size, a, b):
-                    if k < layer.filters and i < layer.channels:
-                        mats[k, i, x, y] = slots[q * seg]
-            filters.append(mats)
-        weights = []
-        block = self.params.slot_count // self.cfg.n
-        for k, packed in enumerate(self.weights):
-            layer = self.cfg.fc[k]
-            mat = np.zeros((layer.outputs, layer.inputs))
-            per_ct = packed.pi_per_ct if packed.kind == "type1" else block
-            for (a, b), ct in packed.cells.items():
-                slots = self.tee.backend.decrypt(self.tee._ctx, ct)
-                for w, row, col in fl_segments(packed.kind, per_ct, a, b):
-                    if row < layer.outputs and col < layer.inputs:
-                        mat[row, col] = slots[w * self.cfg.n]
-            weights.append(mat)
-        return PlainParams(filters, weights)
+                for start, _, index in packed.slot_map(key):
+                    array[index] = slots[start]
+            values.append(array)
+        return PlainParams(values[:self.cfg.c], values[self.cfg.c:])
 
     # -- forward -------------------------------------------------------------
 
@@ -314,17 +287,18 @@ class RefineSession:
         # so neither stays alive through the stages after it.
         for k in reversed(range(cfg.f)):
             pre, inputs = cache.fl_pre.pop(), cache.fl_inputs.pop()
+            weights = self.weights[k]
             with meter.scope(f"bwd.FL{k + 1}"):
                 if k < cfg.f - 1:
                     grad = bwd.activation_gradient(self.backend, grad, pre,
                                                    self.exact_activation_grad)
-                raw = bwd.fl_weight_gradients(self.backend, grad, inputs, self.weights[k])
-                if self.weights[k].kind == "type1":
-                    grad = bwd.fl_backward_type1(self.backend, grad, self.weights[k])
+                raw = bwd.fl_weight_gradients(self.backend, grad, inputs, weights)
+                if weights.kind == "type1":
+                    grad = bwd.fl_backward_type1(self.backend, grad, weights)
                 else:
-                    grad = bwd.fl_backward_type2(self.backend, grad, self.weights[k])
-                bwd.fl_noise_removal_update(self.backend, reenc, raw,
-                                            self.weights[k], lr, cfg.n)
+                    grad = bwd.fl_backward_type2(self.backend, grad, weights)
+                bwd.noise_removal_update(self.backend, reenc, raw, weights.cells,
+                                         lambda key: weights.weight_key(*key), lr, cfg.n)
 
         grad = self._as_conv_grad(grad)
         for l in reversed(range(cfg.c)):
@@ -340,8 +314,8 @@ class RefineSession:
                     grad = bwd.conv_backward(self.backend, grad, self.filters[l],
                                              out_grid, cfg.conv[l].stride,
                                              geo.kernel_sides[l])
-                bwd.conv_noise_removal_update(self.backend, reenc, raw,
-                                              self.filters[l], lr, cfg.n)
+                bwd.noise_removal_update(self.backend, reenc, raw, self.filters[l].cells,
+                                         lambda key: key, lr, cfg.n)
         return loss
 
     def _as_conv_grad(self, tensor: PackedTensor) -> PackedTensor:
@@ -372,7 +346,7 @@ class RefineSession:
         lines = [
             f"format = {FORMAT_TAG}",
             f"key_hash = {self.ctx.key_hash}",
-            f"model = {json.dumps(_model_dict(self.cfg))}",
+            f"model = {json.dumps(model_dict(self.cfg))}",
             f"lhe = {json.dumps({'slots': self.params.slot_count, 'levels': self.params.max_level, 'noise_sigma': self.params.noise_sigma})}",
             f"n = {self.cfg.n}",
             f"r = {self.r}",
@@ -411,7 +385,7 @@ class RefineSession:
             raise ValueError(f"unsupported session format {entries.get('format')!r}")
         lhe = json.loads(entries["lhe"])
         params = LheParams(lhe["slots"], lhe["levels"], lhe.get("noise_sigma", 0.0))
-        cfg = _model_from_dict(json.loads(entries["model"]), int(entries["n"]))
+        cfg = model_from_dict(json.loads(entries["model"]), int(entries["n"]))
         session = cls(tee, cfg, params, r_mode=int(entries["r"]),
                       exact_activation_grad=entries["exact_activation_grad"] == "true",
                       party=party)
@@ -421,20 +395,12 @@ class RefineSession:
         if stored_layouts != session.layouts:
             raise ValueError(
                 f"stored layouts {stored_layouts} do not match planned {session.layouts}")
+        packed_filters, packed_weights = session._empty_params()
         stored_kinds = entries["weight_kinds"].split(",")
-        shapes = session.fl_shapes()
-        expected_kinds = [shape[0] for shape in shapes]
+        expected_kinds = [packed.kind for packed in packed_weights]
         if stored_kinds != expected_kinds:
             raise ValueError(
                 f"stored weight kinds {stored_kinds} do not match expected {expected_kinds}")
-
-        packed_filters = [
-            PackedFilters({}, session.layouts[l], layer.filters, layer.channels,
-                          layer.filter_side, group_size=session.r)
-            for l, layer in enumerate(cfg.conv)]
-        packed_weights = [
-            PackedWeights({}, kind, layer.outputs, layer.inputs, in_cts, out_cts, pi, cfg.n)
-            for layer, (kind, in_cts, out_cts, pi) in zip(cfg.fc, shapes)]
         targets = [(packed.cells, key) for packed in packed_filters + packed_weights
                    for key in packed.cell_keys()]
         # Every cell is a view of one array holding the file: a load is one
@@ -452,21 +418,3 @@ class RefineSession:
             cells[key] = ct
         session.filters, session.weights = packed_filters, packed_weights
         return session
-
-
-def _model_dict(cfg: CnnConfig) -> dict:
-    return {
-        "conv": [{"channels": c.channels, "input_side": c.input_side,
-                  "filters": c.filters, "filter_side": c.filter_side,
-                  "stride": c.stride} for c in cfg.conv],
-        "fc": [{"inputs": f.inputs, "outputs": f.outputs} for f in cfg.fc],
-    }
-
-
-def _model_from_dict(data: dict, n: int) -> CnnConfig:
-    return CnnConfig(
-        conv=tuple(ConvLayer(c["channels"], c["input_side"], c["filters"],
-                             c["filter_side"], c["stride"]) for c in data["conv"]),
-        fc=tuple(FcLayer(f["inputs"], f["outputs"]) for f in data["fc"]),
-        n=n,
-    )

@@ -204,17 +204,21 @@ def _send_frame(sock: socket.socket, opcode: int, payload: bytes) -> None:
 
 
 _RECV_START = 1 << 16
+_ZEROS = bytes(_RECV_START)
 
 
 def _recv_exact(sock: socket.socket, count: int) -> bytearray:
     """Exactly ``count`` bytes, received in place.  The buffer doubles as data
     arrives, so a frame costs time linear in its length and a length header
-    alone reserves no more than the first 64 KB."""
+    alone reserves no more than the first 64 KB.  It grows by a 64 KB zero
+    block at a time, so no temporary as large as the growth sits beside it."""
     buf = bytearray(min(count, _RECV_START))
     got = 0
     while got < count:
         if got == len(buf):
-            buf.extend(bytes(min(got, count - got)))
+            grow = min(got, count - got)
+            for done in range(0, grow, _RECV_START):
+                buf += _ZEROS[:grow - done]
         with memoryview(buf) as view:
             received = sock.recv_into(view[got:])
         if not received:
@@ -223,15 +227,16 @@ def _recv_exact(sock: socket.socket, count: int) -> bytearray:
     return buf
 
 
-def _recv_frame(sock: socket.socket) -> tuple[int, bytes]:
-    """One frame's opcode and payload.  A zero-length frame, which lacks even
-    the opcode, raises ``ValueError``; the next frame starts right after its
-    header, so the stream stays in step."""
+def _recv_frame(sock: socket.socket) -> tuple[int, bytearray]:
+    """One frame's opcode and payload.  The opcode is received on its own, so
+    the payload is the receive buffer itself, never copied.  A zero-length
+    frame, which lacks even the opcode, raises ``ValueError``; the next frame
+    starts right after its header, so the stream stays in step."""
     (length,) = _LEN.unpack(_recv_exact(sock, 4))
     if not length:
         raise ValueError("empty frame: no opcode")
-    body = _recv_exact(sock, length)
-    return body[0], body[1:]
+    opcode = _recv_exact(sock, 1)[0]
+    return opcode, _recv_exact(sock, length - 1)
 
 
 class _TeeHandler(socketserver.BaseRequestHandler):

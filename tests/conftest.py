@@ -4,6 +4,7 @@ import pytest
 from lhecnn.geometry import CnnConfig, ConvLayer, FcLayer
 from lhecnn.lhe import LheParams, SimulatorBackend
 from lhecnn.metering import OpMeter
+from lhecnn.packing import empty_weights, encode_params
 from lhecnn.tee import TeeService
 
 
@@ -15,6 +16,12 @@ def meter():
 @pytest.fixture
 def backend(meter):
     return SimulatorBackend(meter)
+
+
+def encode_weights(backend, ctx, matrix, kind, n, in_cts=0, pi_per_ct=0):
+    """Encrypt a weight matrix into an fc container of ``kind``."""
+    return encode_params(backend, ctx, matrix, empty_weights(
+        kind, matrix.shape, n, ctx.params.slot_count, in_cts, pi_per_ct))
 
 
 def make_tee(backend, slots=32, levels=8, seed=7, sigma=0.0):

@@ -28,11 +28,11 @@ from lhecnn.oracle import (
     predict,
     softmax_cross_entropy,
 )
-from lhecnn.packing import compute_rotation_plan, encode_fl_weights_type1
+from lhecnn.packing import compute_rotation_plan
 from lhecnn.refine import RefineSession
 from lhecnn.tee import TeeService
 
-from conftest import random_small_config
+from conftest import encode_weights, random_small_config
 
 
 def report(num, text):
@@ -55,7 +55,8 @@ def test_criterion_1_worked_example_golden():
     backend = SimulatorBackend(OpMeter())
     ctx = backend.keygen(LheParams(8, 6), seed=1)
     inp = backend.encrypt(ctx, [20, 40, 28, 56, 84, 168, 92, 184])
-    weights = encode_fl_weights_type1(backend, ctx, np.array([[1.0, 0, 0, 1]]), 1, 4, 2)
+    weights = encode_weights(backend, ctx, np.array([[1.0, 0, 0, 1]]),
+                             "type1", n=2, in_cts=1, pi_per_ct=4)
 
     step0 = backend.mul(inp, weights.cells[(0, 0)])
     assert backend.decrypt(ctx, step0).tolist() == [20, 40, 0, 0, 0, 0, 92, 184]

@@ -24,14 +24,14 @@ from lhecnn.packing import (
     PackedTensor,
     compute_rotation_plan,
     encode_filters,
-    encode_fl_weights_type1,
-    encode_fl_weights_type2,
     encode_inputs,
     make_selector,
     signed_rotate_spread,
 )
 from lhecnn.refine import RefineSession, _ForwardCache
 from lhecnn.tee import TeeService
+
+from conftest import encode_weights
 
 
 def make_session(cfg, params, seed=0, exact=True):
@@ -72,7 +72,8 @@ class TestFlBackward:
                              FL_TYPE2, 2, pi_sets=1, neurons=1)
         pre = PackedTensor({(0,): backend.encrypt(ctx, np.ones(8))},
                            FL_TYPE2, 2, pi_sets=1, neurons=1)
-        weights = encode_fl_weights_type1(backend, ctx, np.ones((1, 4)), 1, 4, 2)
+        weights = encode_weights(backend, ctx, np.ones((1, 4)),
+                                 "type1", n=2, in_cts=1, pi_per_ct=4)
         g = activation_gradient(backend, out_g, pre, exact=True)
         out = fl_backward_type1(backend, g, weights)
         assert np.array_equal(backend.decrypt(ctx, out.cells[(0,)]), np.full(8, 10.0))
@@ -83,7 +84,8 @@ class TestFlBackward:
                              FL_TYPE2, 2, pi_sets=1, neurons=1)
         pre = PackedTensor({(0,): backend.encrypt(ctx, np.ones(8))},
                            FL_TYPE2, 2, pi_sets=1, neurons=1)
-        weights = encode_fl_weights_type1(backend, ctx, np.ones((1, 4)), 1, 4, 2)
+        weights = encode_weights(backend, ctx, np.ones((1, 4)),
+                                 "type1", n=2, in_cts=1, pi_per_ct=4)
         g = activation_gradient(backend, out_g, pre, exact=True)
         out = fl_backward_type1(backend, g, weights)
         assert out.level() == out_g.level() - 3  # cmul x2, preact mul, weight mul
@@ -94,7 +96,7 @@ class TestFlBackward:
                              FL_TYPE1, 2, pi_sets=4, neurons=1)
         pre = PackedTensor({(0,): backend.encrypt(ctx, np.tile([0.5, 0.25], 4))},
                            FL_TYPE1, 2, pi_sets=4, neurons=1)
-        weights = encode_fl_weights_type2(backend, ctx, np.array([[1.0]]), 2)
+        weights = encode_weights(backend, ctx, np.array([[1.0]]), "type2", n=2)
         g = activation_gradient(backend, out_g, pre, exact=True)
         out = fl_backward_type2(backend, g, weights)
         assert out.layout == FL_TYPE2
@@ -107,7 +109,7 @@ class TestFlBackward:
         ctx = backend.keygen(LheParams(8, 10), seed=1)
         out_g = PackedTensor({(0,): backend.encrypt(ctx, np.ones(8))},
                              FL_TYPE1, 2, pi_sets=4, neurons=2)
-        weights = encode_fl_weights_type2(backend, ctx, np.ones((2, 3)), 2)
+        weights = encode_weights(backend, ctx, np.ones((2, 3)), "type2", n=2)
         out = fl_backward_type2(backend, activation_gradient(backend, out_g, out_g),
                                 weights)
         assert out.layout == FL_TYPE2 and len(out.cells) == 3
@@ -122,7 +124,8 @@ class TestFlWeightGradients:
                              FL_TYPE2, 2, pi_sets=1, neurons=1)
         inp = PackedTensor({(0,): backend.encrypt(ctx, [1, 2, 10, 20, 100, 200, 5, 6])},
                            FL_TYPE1, 2, pi_sets=4, neurons=4)
-        weights = encode_fl_weights_type1(backend, ctx, np.ones((1, 4)), 1, 4, 2)
+        weights = encode_weights(backend, ctx, np.ones((1, 4)),
+                                 "type1", n=2, in_cts=1, pi_per_ct=4)
         raw = fl_weight_gradients(backend, out_g, inp, weights)
         got = backend.decrypt(ctx, raw[(0, 0)])
         p = 0  # (j*in_cts + i) mod n = 0
@@ -136,7 +139,8 @@ class TestFlWeightGradients:
                              FL_TYPE2, 2, pi_sets=1, neurons=1)
         inp = PackedTensor({(0,): backend.encrypt(ctx, np.arange(8.0))},
                            FL_TYPE1, 2, pi_sets=4, neurons=4)
-        weights = encode_fl_weights_type1(backend, ctx, np.ones((1, 4)), 1, 4, 2)
+        weights = encode_weights(backend, ctx, np.ones((1, 4)),
+                                 "type1", n=2, in_cts=1, pi_per_ct=4)
         raw = fl_weight_gradients(backend, out_g, inp, weights)
         assert all(np.array_equal(ct.slots, np.zeros(8)) for ct in raw.values())
 

@@ -19,12 +19,12 @@ from lhecnn.packing import (
     FL_TYPE2,
     PackedTensor,
     encode_filters,
-    encode_fl_weights_type1,
-    encode_fl_weights_type2,
     encode_inputs,
 )
 from lhecnn.refine import RefineSession, _ForwardCache
 from lhecnn.tee import TeeService
+
+from conftest import encode_weights
 
 
 def session_for(cfg, params, r_mode=1, seed=0):
@@ -209,8 +209,8 @@ class TestFlForward:
         ctx = backend.keygen(LheParams(8, 6), seed=1)
         inp = PackedTensor({(0,): backend.encrypt(ctx, [20, 40, 28, 56, 84, 168, 92, 184])},
                            FL_TYPE1, 2, pi_sets=4, neurons=4)
-        weights = encode_fl_weights_type1(
-            backend, ctx, np.array([[1.0, 0, 0, 1], [0, 1.0, 1, 0]]), 1, 4, 2)
+        matrix = np.array([[1.0, 0, 0, 1], [0, 1.0, 1, 0]])
+        weights = encode_weights(backend, ctx, matrix, "type1", n=2, in_cts=1, pi_per_ct=4)
         out = fl_forward_type1(backend, inp, weights)
         assert out.layout == FL_TYPE2
         assert np.array_equal(backend.decrypt(ctx, out.cells[(0,)]),
@@ -222,7 +222,8 @@ class TestFlForward:
         ctx = backend.keygen(LheParams(8, 8), seed=1)
         inp = PackedTensor({(0,): backend.encrypt(ctx, [1, 10, 2, 20, 3, 30, 4, 40])},
                            FL_TYPE1, 2, pi_sets=4, neurons=4)
-        weights = encode_fl_weights_type1(backend, ctx, np.ones((1, 4)), 1, 4, 2)
+        weights = encode_weights(backend, ctx, np.ones((1, 4)),
+                                 "type1", n=2, in_cts=1, pi_per_ct=4)
         out = fl_forward_type1(backend, inp, weights)
         assert np.array_equal(backend.decrypt(ctx, out.cells[(0,)]),
                               np.tile([10, 100], 4))
@@ -232,7 +233,7 @@ class TestFlForward:
         cells = {(i,): backend.encrypt(ctx, np.tile([i + 1.0, 10 * (i + 1)], 4))
                  for i in range(3)}
         inp = PackedTensor(cells, FL_TYPE2, 2, pi_sets=1, neurons=3)
-        weights = encode_fl_weights_type2(backend, ctx, np.ones((1, 3)), 2)
+        weights = encode_weights(backend, ctx, np.ones((1, 3)), "type2", n=2)
         out = fl_forward_type2(backend, inp, weights)
         assert len(out.cells) == 1
         got = backend.decrypt(ctx, out.cells[(0,)])
@@ -257,7 +258,7 @@ class TestFlForward:
         ctx = backend.keygen(LheParams(8, 8), seed=1)
         cells = {(i,): backend.encrypt(ctx, np.ones(8)) for i in range(3)}
         inp = PackedTensor(cells, FL_TYPE2, 2, pi_sets=1, neurons=3)
-        weights = encode_fl_weights_type2(backend, ctx, np.ones((2, 3)), 2)
+        weights = encode_weights(backend, ctx, np.ones((2, 3)), "type2", n=2)
         mark = meter.checkpoint()
         fl_forward_type2(backend, inp, weights)
         delta = meter.since(mark)

@@ -10,14 +10,14 @@ from lhecnn.packing import (
     CONV_CROSS_FILTER,
     compute_rotation_plan,
     encode_filters,
-    encode_fl_weights_type1,
-    encode_fl_weights_type2,
     encode_inputs,
     fold_rotate_sum,
     make_selector,
     signed_rotate_spread,
     signed_rotate_sum,
 )
+
+from conftest import encode_weights
 
 
 def example_geometry(slots=8, levels=6):
@@ -351,40 +351,42 @@ class TestFilterEncoding:
 class TestWeightEncoding:
     def test_type1_worked_example_row(self, backend):
         ctx = backend.keygen(LheParams(8, 6), seed=1)
-        packed = encode_fl_weights_type1(backend, ctx, np.array([[1.0, 0.0, 0.0, 1.0]]),
-                                         1, 4, 2)
+        packed = encode_weights(backend, ctx, np.array([[1.0, 0.0, 0.0, 1.0]]),
+                                "type1", n=2, in_cts=1, pi_per_ct=4)
         assert np.array_equal(backend.decrypt(ctx, packed.cells[(0, 0)]),
                               [1, 1, 0, 0, 0, 0, 1, 1])
 
     def test_type1_count_for_mnist_model(self, backend):
         p = preset("cnn-1-2")
         ctx = backend.keygen(p.lhe, seed=1)
-        packed = encode_fl_weights_type1(backend, ctx, np.zeros((64, 256)), 4, 64, 64)
+        packed = encode_weights(backend, ctx, np.zeros((64, 256)),
+                                "type1", n=64, in_cts=4, pi_per_ct=64)
         assert len(packed.cells) == 256
 
     def test_type1_single_weight(self, backend):
         ctx = backend.keygen(LheParams(8, 6), seed=1)
-        packed = encode_fl_weights_type1(backend, ctx, np.array([[3.0]]), 1, 1, 2)
+        packed = encode_weights(backend, ctx, np.array([[3.0]]),
+                                "type1", n=2, in_cts=1, pi_per_ct=1)
         assert np.array_equal(backend.decrypt(ctx, packed.cells[(0, 0)]),
                               [3, 3, 0, 0, 0, 0, 0, 0])
 
     def test_type2_count_for_mnist_model(self, backend):
         p = preset("cnn-1-2")
         ctx = backend.keygen(p.lhe, seed=1)
-        packed = encode_fl_weights_type2(backend, ctx, np.zeros((10, 64)), 64)
+        packed = encode_weights(backend, ctx, np.zeros((10, 64)), "type2", n=64)
         assert len(packed.cells) == 64
         assert packed.out_cts == 1
 
     def test_type2_refining_count(self, backend):
         p = preset("refining-2-2")
         ctx = backend.keygen(p.lhe, seed=1)
-        packed = encode_fl_weights_type2(backend, ctx, np.zeros((10, 32)), 128)
+        packed = encode_weights(backend, ctx, np.zeros((10, 32)), "type2", n=128)
         assert len(packed.cells) == 32
 
     def test_type2_column_layout_with_padding(self, backend):
         ctx = backend.keygen(LheParams(8, 6), seed=1)
         m = np.array([[1.0, 2.0], [3.0, 4.0]])  # o=2, S/n=4 rows per ct
-        packed = encode_fl_weights_type2(backend, ctx, m, 2)
+        packed = encode_weights(backend, ctx, m, "type2", n=2)
         assert np.array_equal(backend.decrypt(ctx, packed.cells[(0, 0)]),
                               [1, 1, 3, 3, 0, 0, 0, 0])
         assert np.array_equal(backend.decrypt(ctx, packed.cells[(1, 0)]),
@@ -393,11 +395,15 @@ class TestWeightEncoding:
     def test_type2_exact_fill_no_padding(self, backend):
         ctx = backend.keygen(LheParams(8, 6), seed=1)
         m = np.arange(1.0, 5.0).reshape(4, 1)  # o = S/n exactly
-        packed = encode_fl_weights_type2(backend, ctx, m, 2)
+        packed = encode_weights(backend, ctx, m, "type2", n=2)
         assert np.array_equal(backend.decrypt(ctx, packed.cells[(0, 0)]),
                               [1, 1, 2, 2, 3, 3, 4, 4])
 
     def test_type1_capacity_validation(self, backend):
         ctx = backend.keygen(LheParams(8, 6), seed=1)
-        with pytest.raises(ValueError):
-            encode_fl_weights_type1(backend, ctx, np.zeros((1, 9)), 2, 4, 2)
+        with pytest.raises(ValueError, match="cannot hold 9 inputs"):
+            encode_weights(backend, ctx, np.zeros((1, 9)), "type1",
+                           n=2, in_cts=2, pi_per_ct=4)
+        with pytest.raises(ValueError, match="do not fit"):
+            encode_weights(backend, ctx, np.zeros((1, 8)), "type1",
+                           n=2, in_cts=1, pi_per_ct=8)

@@ -38,6 +38,13 @@ def padded_cfg(channels):
                      (FcLayer(12, 5), FcLayer(5, 3)), 4)
 
 
+def three_fc_cfg():
+    """Type I, type II, then type I again: the last fc layer's input is a type
+    II output (S/n pi-sets per ciphertext)."""
+    return CnnConfig((ConvLayer(1, 4, 2, 2, 2),),
+                     (FcLayer(8, 5), FcLayer(5, 6), FcLayer(6, 3)), 4)
+
+
 class TestModelOnboarding:
     def test_refining_preset_loads(self):
         p = preset("refining-2-2")
@@ -52,7 +59,9 @@ class TestModelOnboarding:
         (small_cfg(), 32, 1, ["conv-basic"]),
         (padded_cfg(1), 128, 2, ["conv-cross-filter", "conv-cross-channel"]),
         (padded_cfg(3), 256, 2, ["conv-cross-channel", "conv-basic"]),
-    ], ids=["basic", "cross-filter-then-cross-channel", "cross-channel-then-basic"])
+        (three_fc_cfg(), 16, 1, ["conv-basic"]),
+    ], ids=["basic", "cross-filter-then-cross-channel", "cross-channel-then-basic",
+            "type1-after-type2"])
     def test_decrypted_model_roundtrip(self, cfg, slots, r_mode, layouts):
         sess = make_session(cfg, LheParams(slots, 12), seed=4, r_mode=r_mode)
         assert sess.layouts == layouts
@@ -163,18 +172,19 @@ class TestRefine:
         assert len(result.losses) == 1
 
     def test_one_round_equals_oracle_sgd_step(self):
-        cfg = small_cfg()
-        sess = make_session(cfg, LheParams(32, 16), seed=3)
-        plain0 = sess.decrypted_model()
-        rng = np.random.default_rng(3)
-        images = rng.normal(size=(4, 1, 4, 4))
-        labels = rng.integers(0, 3, size=4)
-        res = sess.refine(images, labels, lr=0.4, epochs=1)
-        want, wloss = plain_backward_step(cfg, plain0, images, labels, 0.4)
-        assert abs(res.losses[0] - wloss) < 1e-12
-        got = sess.decrypted_model()
-        for a, b in zip(got.filters + got.weights, want.filters + want.weights):
-            assert np.abs(a - b).max() < 1e-8
+        for cfg, params in ((small_cfg(), LheParams(32, 16)),
+                            (three_fc_cfg(), LheParams(16, 24))):
+            sess = make_session(cfg, params, seed=3)
+            plain0 = sess.decrypted_model()
+            rng = np.random.default_rng(3)
+            images = rng.normal(size=(4, 1, 4, 4))
+            labels = rng.integers(0, 3, size=4)
+            res = sess.refine(images, labels, lr=0.4, epochs=1)
+            want, wloss = plain_backward_step(cfg, plain0, images, labels, 0.4)
+            assert abs(res.losses[0] - wloss) < 1e-12
+            got = sess.decrypted_model()
+            for a, b in zip(got.filters + got.weights, want.filters + want.weights):
+                assert np.abs(a - b).max() < 1e-8
 
     def test_batching_multiple_rounds_per_epoch(self):
         cfg = small_cfg()
@@ -305,19 +315,20 @@ class TestRefine:
 
 class TestPersistence:
     def test_save_load_roundtrip(self, tmp_path):
-        cfg = small_cfg()
-        params = LheParams(32, 12)
-        sess = make_session(cfg, params, seed=8)
-        rng = np.random.default_rng(8)
-        images = rng.normal(size=(4, 1, 4, 4))
-        la, _ = sess.infer(images)
-        sess.save(tmp_path / "model")
+        for name, cfg, params in (("small", small_cfg(), LheParams(32, 12)),
+                                  ("three-fc", three_fc_cfg(), LheParams(16, 24))):
+            sess = make_session(cfg, params, seed=8)
+            rng = np.random.default_rng(8)
+            images = rng.normal(size=(4, 1, 4, 4))
+            la, _ = sess.infer(images)
+            sess.save(tmp_path / name)
 
-        backend = SimulatorBackend(OpMeter())
-        tee = TeeService(backend, params, seed=8)  # same key seed
-        loaded = RefineSession.load(tee, tmp_path / "model")
-        lb, _ = loaded.infer(images)
-        assert np.array_equal(sess.reveal_outputs(la), loaded.reveal_outputs(lb))
+            backend = SimulatorBackend(OpMeter())
+            tee = TeeService(backend, params, seed=8)  # same key seed
+            loaded = RefineSession.load(tee, tmp_path / name)
+            assert model_bytes(loaded) == model_bytes(sess)
+            lb, _ = loaded.infer(images)
+            assert np.array_equal(sess.reveal_outputs(la), loaded.reveal_outputs(lb))
 
     def test_save_load_keeps_filter_layouts(self, tmp_path):
         cfg, params = padded_cfg(3), LheParams(256, 12)

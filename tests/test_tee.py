@@ -1,5 +1,8 @@
 import math
+import socket
 import struct
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -355,3 +358,25 @@ class TestSocketTransport:
             assert other.attest() == ctx.key_id
             other.close()
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_received_payload_is_not_copied(self):
+        # A 4 MiB payload must not be held twice: the payload is the receive
+        # buffer itself, and growing that buffer leaves no large temporary.
+        size = 4 << 20
+        payload = bytes(range(256)) * (size // 256)
+        frame = struct.pack("<I", size + 1) + bytes([OP_REENCRYPT]) + payload
+        sender, receiver = socket.socketpair()
+        writer = threading.Thread(target=sender.sendall, args=(frame,))
+        tracemalloc.start()
+        try:
+            writer.start()
+            opcode, body = _recv_frame(receiver)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            writer.join()
+            sender.close()
+            receiver.close()
+        assert opcode == OP_REENCRYPT
+        assert body == payload
+        assert peak < 1.5 * size
