@@ -1,15 +1,20 @@
 """Backward propagation and TEE-assisted parameter updates.
 
-Gradients flow in the mirror layouts of their forward counterparts.  Per-image
-weight gradients are summed over the n parallel inputs with a signed rotation
-plan that parks each sum at a per-weight slot offset, so many gradients can be
-masked into few ciphertexts before the trusted service re-encrypts them; the
-reverse rotations then spread each refreshed gradient back over its blocks and
-the parameters are updated with a plain homomorphic addition.
+Gradients flow in the mirror layouts of their forward counterparts.  The
+layer functions return raw per-image weight gradients (conv kernel gradients
+already folded over their grid positions).  :func:`noise_removal_update`
+then packs them: a signed rotation plan sums each gradient over the n
+parallel inputs into a per-weight slot offset ``p`` of every n-slot block,
+and the mask that keeps those slots rides in the same call
+(:func:`~lhecnn.packing.signed_rotate_sum`), adding the gradient into one of
+few packed ciphertexts for the trusted service to re-encrypt.  After
+re-encryption, :func:`~lhecnn.packing.signed_rotate_spread` keeps slot ``p``
+again and spreads it back over its blocks, added straight into the parameter
+cell: the update is a plain homomorphic addition.
 
-The descent sign and learning-rate scaling ride in the packing selector
-(value -lr/n at the masked slots), so the additive update performs SGD on the
-batch mean.
+The descent sign and learning-rate scaling ride in the packing mask (scale
+-lr/n at the kept slots), so the additive update performs SGD on the batch
+mean.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ from .packing import (
     PackedWeights,
     compute_rotation_plan,
     fold_rotate_sum,
-    make_selector,
     signed_rotate_spread,
     signed_rotate_sum,
 )
@@ -95,18 +99,11 @@ def fl_backward_type2(backend: SimulatorBackend, out_grads: PackedTensor,
 def fl_weight_gradients(backend: SimulatorBackend, out_grads: PackedTensor,
                         cached_inputs: PackedTensor,
                         weights: PackedWeights) -> dict[tuple[int, int], Ciphertext]:
-    """Raw weight-gradient ciphertexts: product of output gradient j with
-    cached forward input i, then a signed rotate-sum that parks the sum over
-    the n parallel images at in-block offset (j * in_cts + i) mod n of every
-    pi-set block."""
-    n = out_grads.n
-    raw: dict[tuple[int, int], Ciphertext] = {}
-    for j in range(weights.out_cts):
-        for i in range(weights.in_cts):
-            prod = backend.mul(out_grads.ct(j), cached_inputs.ct(i))
-            plan = compute_rotation_plan((j * weights.in_cts + i) % n, n)
-            raw[(j, i)] = signed_rotate_sum(backend, prod, plan)
-    return raw
+    """Raw weight-gradient ciphertexts: the product of output gradient j with
+    cached forward input i, one image per slot of each pi-set block.
+    :func:`noise_removal_update` sums it over the n images."""
+    return {(j, i): backend.mul(out_grads.ct(j), cached_inputs.ct(i))
+            for j in range(weights.out_cts) for i in range(weights.in_cts)}
 
 
 # ---------------------------------------------------------------------------
@@ -156,27 +153,23 @@ def conv_kernel_gradients(backend: SimulatorBackend, cached_inputs: PackedTensor
 
     Each kernel element correlates the cached inputs it touched with the
     output gradients.  Every pi-set block then holds a partial sum restricted
-    to its grid position, so a full rotate-sum folds all blocks before the
-    signed plan parks the batch-and-position total at in-block offset
-    (flat kernel index) mod n of every block.
+    to its grid position, so a full rotate-sum folds all blocks: each block
+    holds the position total, one image per slot.
+    :func:`noise_removal_update` sums it over the n images.
     """
     gamma = filters.filter_side
-    alpha = filters.channel_count
     n = out_grads.n
     slot_count = out_grads.slot_count
     grid = [(u, v) for u in range(out_grid) for v in range(out_grid)]
     raw: dict[tuple[int, int, int, int], Ciphertext] = {}
     for k in range(filters.filter_count):
-        for i in range(alpha):
+        for i in range(filters.channel_count):
             for x in range(gamma):
                 for y in range(gamma):
                     acc = backend.mul_sum(
                         (cached_inputs.ct(i, stride * u + x, stride * v + y),
                          out_grads.ct(k, u, v)) for u, v in grid)
-                    acc = fold_rotate_sum(backend, acc, n, slot_count // n)
-                    idx = k * alpha * gamma**2 + i * gamma**2 + x * gamma + y
-                    raw[(k, i, x, y)] = signed_rotate_sum(
-                        backend, acc, compute_rotation_plan(idx % n, n))
+                    raw[(k, i, x, y)] = fold_rotate_sum(backend, acc, n, slot_count // n)
     return raw
 
 
@@ -197,40 +190,30 @@ def noise_removal_update(backend: SimulatorBackend, reencrypt,
     """Pack raw gradients, refresh them through ``reencrypt``, unpack/spread,
     and add them into the parameter ciphertexts.
 
-    Gradient ``idx`` (in sorted key order) is masked by a selector with value
-    -lr/n at slots congruent to idx mod n and accumulated into packed
-    ciphertext idx // n, so the parameter receives the spread SGD step
-    additively.  Each gradient is popped from ``raw_grads`` once masked, so it
-    is freed before the re-encryption unless the caller holds it elsewhere.
-    After re-encryption the mask is reapplied and the signed rotations
-    replicate each value over its block.  Returns the number of packed
-    ciphertexts re-encrypted.
-
-    Both passes walk the gradients offset by offset, so each selector is
-    built once and only one is alive at a time; every packed ciphertext still
-    sums its gradients in index order.
+    Gradient ``idx`` (in sorted key order) is summed over the n images into
+    slot offset ``p = idx mod n`` of every block, masked there with scale
+    -lr/n and added into packed ciphertext idx // n, all in one
+    :func:`signed_rotate_sum`, so the parameter receives the spread SGD step
+    additively.  Each gradient is popped from ``raw_grads`` as it is packed,
+    so it is freed before the re-encryption unless the caller holds it
+    elsewhere.  After re-encryption :func:`signed_rotate_spread` keeps offset
+    ``p`` again, replicates it over its block and adds it into the gradient's
+    parameter cell.  Returns the number of packed ciphertexts re-encrypted.
     """
     order = sorted(raw_grads)
-    if not order:
-        return 0
-    slot_count = raw_grads[order[0]].slot_count
-    offsets = range(min(n, len(order)))
+    plans = [compute_rotation_plan(p, n) for p in range(min(n, len(order)))]
     packed: dict[int, Ciphertext] = {}
-    for p in offsets:
-        selector = make_selector(p, n, slot_count, -lr / n)
-        for idx in range(p, len(order), n):
-            masked = backend.cmul(raw_grads.pop(order[idx]), selector)
-            k = idx // n
-            packed[k] = masked if p == 0 else backend.add(packed[k], masked)
+    for idx, key in enumerate(order):
+        k = idx // n
+        packed[k] = signed_rotate_sum(backend, raw_grads.pop(key), plans[idx % n],
+                                      -lr / n, packed.get(k))
+    if not packed:
+        return 0
 
-    fresh = reencrypt([packed[k] for k in sorted(packed)])
+    fresh = reencrypt(list(packed.values()))
 
-    for p in offsets:
-        selector = make_selector(p, n, slot_count, 1.0)
-        plan = compute_rotation_plan(p, n)
-        for idx in range(p, len(order), n):
-            ct = backend.cmul(fresh[idx // n], selector)
-            ct = signed_rotate_spread(backend, ct, plan)
-            tkey = target_key(order[idx])
-            target_cells[tkey] = backend.add(target_cells[tkey], ct)
+    for idx, key in enumerate(order):
+        tkey = target_key(key)
+        target_cells[tkey] = signed_rotate_spread(backend, fresh[idx // n],
+                                                  plans[idx % n], target_cells[tkey])
     return len(packed)

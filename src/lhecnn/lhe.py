@@ -28,13 +28,20 @@ lists belong to the backend alone: it keeps its peak working set in them
 until it is dropped, and a result that outlives it releases its buffer as
 usual.
 
-Two batched primitives run the pipeline's hot patterns with fewer Python
-calls and the same arithmetic: ``mul_sum`` is the left fold of products
+Batched primitives run the pipeline's hot patterns with fewer Python calls
+and the same arithmetic: ``mul_sum`` is the left fold of products
 ``acc + a0*b0 + a1*b1 + ...`` (kernel windows, weight rows), and
-``rotate_add`` is a chain ``v <- v + rot(v, s)`` over a list of shifts (batch
-sums, spreads, folds).  Each gives the slots, level and rescale flag of the
-per-op loop it stands for, and meters the same ops at the same levels: one
-``mul`` per product and one ``add`` per sum, recorded in batches, and one
+``rotate_add`` is a chain ``v <- v + rot(v, s)`` over a list of shifts (the
+folds).  Two more fold the noise-removal mask into a chain, so only the slots
+that survive it are computed: ``rotate_add_select`` sums each n-slot block
+into its slot ``p`` and keeps those slots times a scale (the batch sum that
+packs a gradient, in ``acc``, for re-encryption), and ``select_rotate_add``
+keeps slot ``p`` of each block and spreads it over the block (the refreshed
+gradient, added straight into its parameter cell).  The mask lives in these
+two calls; no selector vector is built.  Each primitive gives the level and
+rescale flag of the per-op calls it stands for, their slots (the masked two
+up to the sign of an exact zero), and meters the same ops at the same
+levels: the ``mul``, ``cmul`` and ``add`` calls recorded in batches, and one
 ``rot`` per chain step, each issued through :meth:`SimulatorBackend.rot`.
 
 Level accounting for the meter follows lazy rescaling: the product of a
@@ -55,6 +62,7 @@ import zlib
 from collections import defaultdict
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -300,6 +308,48 @@ def _into(ufunc, x: np.ndarray, sx: int, y: np.ndarray, sy: int,
         ufunc(x[:sx], y[sy - sx:sy], out[wrap_x:])
 
 
+@lru_cache(maxsize=4096)
+def _chain_terms(p: int, n: int, shifts: tuple[int, ...], slot_count: int) -> np.ndarray:
+    """In-block offsets of the terms that the chain ``v <- v + rot(v, s)``
+    over ``shifts`` sums into slot ``p`` of each n-slot block.
+
+    Step k adds ``v[o + s_k]`` to ``v[o]``, so the terms are built from
+    ``[p]`` by appending ``terms + s`` for the shifts taken last to first:
+    step k then adds the second half of its terms to the first half.  Raises
+    ValueError unless ``n`` is a power of two no larger than ``slot_count``,
+    ``0 <= p < n``, there are at
+    most log2(n) shifts (so the terms of all blocks fit one slot buffer) and
+    every term lies in the block, i.e. the chain's partial sums never carry
+    slot ``p`` out of it."""
+    if n < 1 or n & (n - 1):
+        raise ValueError(f"n must be a power of two, got {n}")
+    if n > slot_count:
+        raise ValueError(f"{n}-slot blocks exceed the {slot_count} slots")
+    if not 0 <= p < n:
+        raise ValueError(f"offset {p} outside [0, {n})")
+    if 1 << len(shifts) > n:
+        raise ValueError(f"{len(shifts)} shifts exceed log2({n}) steps")
+    terms = np.array([p])
+    for s in reversed(shifts):
+        terms = np.concatenate((terms, terms + s))
+    if terms.min() < 0 or terms.max() >= n:
+        raise ValueError(f"shifts {list(shifts)} carry slot {p} out of its {n}-slot block")
+    terms.setflags(write=False)
+    return terms
+
+
+@lru_cache(maxsize=4096)
+def _check_spread(p: int, n: int, shifts: tuple[int, ...], slot_count: int) -> None:
+    """Raise ValueError unless the chain over ``shifts`` carries every slot
+    of an n-slot block to slot ``p`` by exactly one term, inside the block:
+    the terms the negated chain sums into slot ``p`` are then the whole
+    block, each once.  Only the verdict is cached, not those terms."""
+    terms = _chain_terms.__wrapped__(p, n, tuple(-s for s in shifts), slot_count)
+    if sorted(terms.tolist()) != list(range(n)):
+        raise ValueError(f"shifts {list(shifts)} do not spread slot {p} over "
+                         f"its {n}-slot block once")
+
+
 def _check_pair(a: Ciphertext, b: Ciphertext) -> None:
     """Operands of one elementwise op share a key and a slot count."""
     if a.key_id != b.key_id:
@@ -348,6 +398,18 @@ class SimulatorBackend:
 
     def _scope(self) -> str:
         return self.meter.current_scope if self.meter is not None else ""
+
+    def _add_masked(self, acc: Ciphertext | None, ct: Ciphertext,
+                    level: int) -> tuple[int, bool]:
+        """Check and meter the add into ``acc`` of a masked result made from
+        ``ct`` by a ``cmul`` at ``level``; returns the level and rescale flag
+        of the sum (of the masked result alone when ``acc`` is None)."""
+        if acc is None:
+            return level - 1, True
+        _check_pair(acc, ct)
+        if self.meter is not None:  # the masked result runs at ``level``
+            self.meter.record("add", min(acc.level + acc.pending_rescale, level))
+        return min(acc.level, level - 1), acc.pending_rescale
 
     def _fresh(self, ctx: KeyContext, values: np.ndarray) -> Ciphertext:
         """A top-level ciphertext of ``values``, perturbed when noise is on."""
@@ -530,6 +592,94 @@ class SimulatorBackend:
             self._free[n].append(bufs[(last - 1) & 1][1])
         _, view, free = bufs[last & 1]
         return _make(view, 0, ct.level, ct.key_id, ct.pending_rescale, free)
+
+    def rotate_add_select(self, ct: Ciphertext, shifts: Sequence[int], p: int, n: int,
+                          scale: float, acc: Ciphertext | None = None) -> Ciphertext:
+        """``acc + cmul(rotate_add(ct, shifts), selector)``, where the selector
+        is ``scale`` at slots ``p::n`` and zero elsewhere: a chain that sums
+        into slot ``p`` of every n-slot block, then the mask that keeps those
+        slots.  The level, rescale flag, errors and meter counts are those of
+        the per-op :meth:`rotate_add`, :meth:`cmul` and :meth:`add` calls, and
+        every chain step still issues its rotation through :meth:`rot`.
+
+        Only slots ``p::n`` are computed: one gather of the terms the chain
+        sums into them (see :func:`_chain_terms`), then one halving add per
+        step, pairing the terms as the chain does, so each kept value is bit
+        for bit the chain's.  The other slots are ``acc`` (or zero), where the
+        per-op product writes ``x * 0.0``: equal, up to the sign of an exact
+        zero, for finite slots.  Raises ValueError, before any op, unless the
+        chain keeps slot ``p`` in its block (``n`` a power of two up to S, at
+        most log2(n) shifts).
+        """
+        terms = _chain_terms(p, n, tuple(shifts), ct._base.shape[0])
+        for s in shifts:
+            self.rot(ct, s)
+        level, meter = ct.level, self.meter
+        if meter is not None:
+            meter.record_many("add", ct.meter_level(), len(shifts))
+        if level < 1:
+            raise LevelExhausted("cmul", level, self._scope())
+        if meter is not None:
+            meter.record("cmul", level)
+        out_level, pending = self._add_masked(acc, ct, level)
+        # one row per chain term, one column per block, gathered into a
+        # pooled scratch buffer; step k halves the rows
+        size = ct._base.shape[0]
+        pools = self._free
+        scratch, scratch_view, _ = _buffer(pools, size)
+        half = len(terms)
+        rows = scratch[:half * (size // n)].reshape(half, -1)
+        np.take(ct.slots.reshape(-1, n).T, terms, axis=0, out=rows, mode="clip")
+        while half > 1:
+            half //= 2
+            np.add(rows[:half], rows[half:2 * half], rows[:half])
+        kept = np.multiply(rows[0], scale, rows[0])
+        out, view, free = _buffer(pools, size)
+        if acc is None:
+            out.fill(0.0)
+            out[p::n] = kept
+        else:
+            np.copyto(out, acc.slots)
+            selected = out[p::n]
+            np.add(selected, kept, selected)
+        pools[size].append(scratch_view)
+        return _make(view, 0, out_level, ct.key_id, pending, free)
+
+    def select_rotate_add(self, ct: Ciphertext, p: int, n: int, shifts: Sequence[int],
+                          acc: Ciphertext | None = None) -> Ciphertext:
+        """``acc + rotate_add(cmul(ct, selector), shifts)``, where the selector
+        is 1.0 at slots ``p::n`` and zero elsewhere: the mask that keeps slot
+        ``p`` of every n-slot block, then a chain that spreads it over the
+        block.  The level, rescale flag, errors and meter counts are those of
+        the per-op :meth:`cmul`, :meth:`rotate_add` and :meth:`add` calls, and
+        every chain step still issues its rotation through :meth:`rot`.
+
+        The shifts must carry every slot of a block to slot ``p`` by exactly
+        one of the chain's terms, inside the block (ValueError, before any
+        op, otherwise), so
+        the chain adds each kept value to exact zeros only and the result is
+        ``acc + repeat(ct[p::n], n)``: bit for bit the chain's where the value
+        is not zero, and up to the sign of an exact zero elsewhere, for
+        finite slots.
+        """
+        _check_spread(p, n, tuple(shifts), ct._base.shape[0])
+        level, meter = ct.level, self.meter
+        if level < 1:
+            raise LevelExhausted("cmul", level, self._scope())
+        if meter is not None:
+            meter.record("cmul", level)
+        # the masked product the chain rotates: one level down, rescale pending
+        masked = _make(ct._base, ct._shift, level - 1, ct.key_id, True, None)
+        for s in shifts:
+            self.rot(masked, s)
+        if meter is not None:
+            meter.record_many("add", level, len(shifts))
+        out_level, pending = self._add_masked(acc, ct, level)
+        out, view, free = _buffer(self._free, ct._base.shape[0])
+        out.reshape(-1, n)[...] = ct.slots[p::n, None]
+        if acc is not None:
+            _into(np.add, out, 0, acc._base, acc._shift, out)
+        return _make(view, 0, out_level, ct.key_id, pending, free)
 
 
 # ---------------------------------------------------------------------------

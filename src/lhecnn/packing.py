@@ -1,4 +1,4 @@
-"""Ciphertext layouts: image/filter/weight encoders, selectors, rotation plans.
+"""Ciphertext layouts: image/filter/weight encoders, rotation plans.
 
 Slot layout conventions (S slots, n parallel inputs, grid side b):
 
@@ -264,15 +264,6 @@ def compute_rotation_plan(p: int, n: int) -> RotationPlan:
     return RotationPlan(p, n, tuple(-1 if (p >> k) & 1 else 1 for k in range(bits)))
 
 
-def make_selector(p: int, n: int, slot_count: int, beta: float) -> np.ndarray:
-    """Plaintext mask: value ``beta`` at every slot congruent to p mod n."""
-    if not 0 <= p < n <= slot_count:
-        raise ValueError(f"need 0 <= p < n <= S, got p={p} n={n} S={slot_count}")
-    sel = np.zeros(slot_count)
-    sel[p::n] = beta
-    return sel
-
-
 # ---------------------------------------------------------------------------
 # Rotate-and-sum helpers
 # ---------------------------------------------------------------------------
@@ -290,20 +281,23 @@ def fold_rotate_sum(backend: SimulatorBackend, ct: Ciphertext, block_slots: int,
         ct, [block_slots << k for k in range(count.bit_length() - 1)])
 
 
-def signed_rotate_sum(backend: SimulatorBackend, ct: Ciphertext,
-                      plan: RotationPlan) -> Ciphertext:
-    """Aggregate each n-block into its slot ``plan.offset`` (other slots are
-    garbage and must be masked before use)."""
-    return backend.rotate_add(
-        ct, [direction << k for k, direction in enumerate(plan.directions)])
+def signed_rotate_sum(backend: SimulatorBackend, ct: Ciphertext, plan: RotationPlan,
+                      scale: float, acc: Ciphertext | None = None) -> Ciphertext:
+    """Aggregate each n-block into its slot ``plan.offset`` and keep only those
+    slots, times ``scale``, added to ``acc``: ``acc + cmul(sum, selector)``
+    with the selector ``scale`` at slots ``offset::n``."""
+    return backend.rotate_add_select(
+        ct, [direction << k for k, direction in enumerate(plan.directions)],
+        plan.offset, plan.n, scale, acc)
 
 
-def signed_rotate_spread(backend: SimulatorBackend, ct: Ciphertext,
-                         plan: RotationPlan) -> Ciphertext:
-    """Inverse of aggregation: replicate each block's slot ``plan.offset``
-    value (other slots must be zero) over the whole block."""
-    return backend.rotate_add(
-        ct, [-direction << k for k, direction in enumerate(plan.directions)])
+def signed_rotate_spread(backend: SimulatorBackend, ct: Ciphertext, plan: RotationPlan,
+                         acc: Ciphertext | None) -> Ciphertext:
+    """Inverse of aggregation: keep each block's slot ``plan.offset`` and
+    replicate it over the whole block, added to ``acc``."""
+    return backend.select_rotate_add(
+        ct, plan.offset, plan.n,
+        [-direction << k for k, direction in enumerate(plan.directions)], acc)
 
 
 # ---------------------------------------------------------------------------

@@ -313,29 +313,52 @@ class TeeSocketServer:
 
 
 class TeeSocketClient:
-    """Client for the socket transport; mirrors the in-process API."""
+    """Client for the socket transport; mirrors the in-process API.
 
-    def __init__(self, path: str, ctx: KeyContext, party_id: str):
+    ``timeout`` (seconds, default :attr:`DEFAULT_TIMEOUT`) bounds the connect
+    and every send and receive; ``None`` waits forever.  The default is far
+    above any reply the simulated service takes (milliseconds, even for the
+    largest re-encryption batch of a refining round), so only a stalled or
+    hung server reaches it.  A request that gets no reply within it raises
+    ``TimeoutError`` and closes the client, since a late reply would
+    otherwise be read as the answer to the next request.
+    """
+
+    DEFAULT_TIMEOUT = 60.0
+
+    def __init__(self, path: str, ctx: KeyContext, party_id: str,
+                 timeout: float | None = DEFAULT_TIMEOUT):
         self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        self._sock.connect(path)
+        try:
+            self._sock.settimeout(timeout)
+            self._sock.connect(path)
+        except BaseException:
+            self._sock.close()
+            raise
         self._ctx = ctx
         self.party = party_id
+        self.timeout = timeout
 
     def close(self):
         self._sock.close()
 
+    def _call(self, opcode: int, payload: bytes) -> bytearray:
+        """Send one request and return the payload of its reply."""
+        try:
+            _send_frame(self._sock, opcode, payload)
+            reply, body = _recv_frame(self._sock)
+        except TimeoutError:
+            self.close()
+            raise TimeoutError(f"no reply from the TEE within {self.timeout} s") from None
+        self._check(reply, opcode, body)
+        return body
+
     def attest(self) -> str:
-        _send_frame(self._sock, OP_ATTEST, self.party.encode())
-        opcode, payload = _recv_frame(self._sock)
-        self._check(opcode, OP_ATTEST, payload)
-        return payload.decode()
+        return self._call(OP_ATTEST, self.party.encode()).decode()
 
     def reencrypt_batch(self, cts: list[Ciphertext]) -> list[Ciphertext]:
         party = self.party.encode()
-        payload = bytes([len(party)]) + party + serialize_many(cts)
-        _send_frame(self._sock, OP_REENCRYPT, payload)
-        opcode, body = _recv_frame(self._sock)
-        self._check(opcode, OP_REENCRYPT, body)
+        body = self._call(OP_REENCRYPT, bytes([len(party)]) + party + serialize_many(cts))
         return deserialize_many(body, self._ctx)
 
     def loss_head(self, logits: PackedTensor, labels: np.ndarray,
@@ -349,9 +372,7 @@ class TeeSocketClient:
                    + struct.pack("<IIII", logits.n, classes, layout_code, len(cts))
                    + serialize_many(cts)
                    + np.asarray(labels, dtype=np.uint8).tobytes())
-        _send_frame(self._sock, OP_LOSS_HEAD, payload)
-        opcode, body = _recv_frame(self._sock)
-        self._check(opcode, OP_LOSS_HEAD, body)
+        body = self._call(OP_LOSS_HEAD, payload)
         (loss,) = struct.unpack_from("<d", body)
         return loss, deserialize_many(memoryview(body)[8:], self._ctx)
 

@@ -4,7 +4,7 @@ import pytest
 from lhecnn.geometry import CnnConfig, ConvLayer, FcLayer
 from lhecnn.lhe import LheParams, SimulatorBackend
 from lhecnn.metering import OpMeter
-from lhecnn.packing import empty_weights, encode_params
+from lhecnn.packing import compute_rotation_plan, empty_weights, encode_params
 from lhecnn.tee import TeeService
 
 
@@ -22,6 +22,60 @@ def encode_weights(backend, ctx, matrix, kind, n, in_cts=0, pi_per_ct=0):
     """Encrypt a weight matrix into an fc container of ``kind``."""
     return encode_params(backend, ctx, matrix, empty_weights(
         kind, matrix.shape, n, ctx.params.slot_count, in_cts, pi_per_ct))
+
+
+def make_selector(p, n, slot_count, beta):
+    """Plaintext mask: value ``beta`` at every slot congruent to p mod n."""
+    if not 0 <= p < n <= slot_count:
+        raise ValueError(f"need 0 <= p < n <= S, got p={p} n={n} S={slot_count}")
+    sel = np.zeros(slot_count)
+    sel[p::n] = beta
+    return sel
+
+
+def plan_shifts(p, n):
+    """The batch-sum shifts of ``compute_rotation_plan(p, n)``; the spread
+    uses their negations."""
+    return [d << k for k, d in enumerate(compute_rotation_plan(p, n).directions)]
+
+
+def per_op_rotate_add_select(backend, ct, shifts, p, n, scale, acc=None):
+    """What ``SimulatorBackend.rotate_add_select`` computes, as per-op calls:
+    the chain, a selector ``cmul`` and an ``add`` into ``acc``."""
+    masked = backend.cmul(backend.rotate_add(ct, shifts),
+                          make_selector(p, n, ct.slot_count, scale))
+    return masked if acc is None else backend.add(acc, masked)
+
+
+def per_op_select_rotate_add(backend, ct, p, n, shifts, acc=None):
+    """What ``SimulatorBackend.select_rotate_add`` computes, as per-op calls:
+    a selector ``cmul``, the chain and an ``add`` into ``acc``."""
+    spread = backend.rotate_add(backend.cmul(ct, make_selector(p, n, ct.slot_count, 1.0)),
+                                shifts)
+    return spread if acc is None else backend.add(acc, spread)
+
+
+def per_op_noise_removal_update(backend, reencrypt, raw_grads, target_cells,
+                                target_key, lr, n):
+    """``backward.noise_removal_update`` from per-op calls: each gradient's
+    batch sum is a ``rotate_add`` chain masked by a selector ``cmul`` and
+    added into its pack; each refreshed gradient is masked again, spread by
+    the reversed chain and added into its parameter cell."""
+    order = sorted(raw_grads)
+    packed = {}
+    for idx, key in enumerate(order):
+        p, k = idx % n, idx // n
+        packed[k] = per_op_rotate_add_select(backend, raw_grads.pop(key), plan_shifts(p, n),
+                                             p, n, -lr / n, packed.get(k))
+    if not packed:
+        return 0
+    fresh = reencrypt(list(packed.values()))
+    for idx, key in enumerate(order):
+        p, tkey = idx % n, target_key(key)
+        target_cells[tkey] = per_op_select_rotate_add(
+            backend, fresh[idx // n], p, n, [-s for s in plan_shifts(p, n)],
+            target_cells[tkey])
+    return len(packed)
 
 
 def make_tee(backend, slots=32, levels=8, seed=7, sigma=0.0):

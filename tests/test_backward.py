@@ -25,13 +25,12 @@ from lhecnn.packing import (
     compute_rotation_plan,
     encode_filters,
     encode_inputs,
-    make_selector,
-    signed_rotate_spread,
+    signed_rotate_sum,
 )
 from lhecnn.refine import RefineSession, _ForwardCache
 from lhecnn.tee import TeeService
 
-from conftest import encode_weights
+from conftest import encode_weights, per_op_noise_removal_update
 
 
 def make_session(cfg, params, seed=0, exact=True):
@@ -118,7 +117,7 @@ class TestFlBackward:
 class TestFlWeightGradients:
     def test_two_image_slot_sum(self, backend):
         # out grad g replicated, inputs (a1, a2): slot p of every block holds
-        # g*a1 + g*a2 after the signed rotate-sum
+        # g*a1 + g*a2 after the signed rotate-sum the update applies
         ctx = backend.keygen(LheParams(8, 10), seed=1)
         out_g = PackedTensor({(0,): backend.encrypt(ctx, np.tile([3.0, 3.0], 4))},
                              FL_TYPE2, 2, pi_sets=1, neurons=1)
@@ -127,8 +126,9 @@ class TestFlWeightGradients:
         weights = encode_weights(backend, ctx, np.ones((1, 4)),
                                  "type1", n=2, in_cts=1, pi_per_ct=4)
         raw = fl_weight_gradients(backend, out_g, inp, weights)
-        got = backend.decrypt(ctx, raw[(0, 0)])
         p = 0  # (j*in_cts + i) mod n = 0
+        got = backend.decrypt(ctx, signed_rotate_sum(backend, raw[(0, 0)],
+                                                     compute_rotation_plan(p, 2), 1.0))
         assert got[0 * 2 + p] == 3 * 1 + 3 * 2
         assert got[1 * 2 + p] == 3 * 10 + 3 * 20
         assert got[2 * 2 + p] == 3 * 100 + 3 * 200
@@ -163,11 +163,13 @@ class TestFlWeightGradients:
         label_ct = sess.backend.encrypt(sess.ctx, vec)
         _, g = sess.tee.loss_head(sess.party, logits, label_ct, 3)
         raw = fl_weight_gradients(sess.backend, g, cache.fl_inputs[1], sess.weights[1])
-        # FL2 is type II: gradient for weight (row w, col i) sits in raw[(0, i)]
-        # at slot w*n + p with p = i mod n
+        # FL2 is type II: gradient for weight (row w, col i) sits in the batch
+        # sum of raw[(0, i)] at slot w*n + p with p = i mod n
         for i in range(4):
-            slots = sess.tee.backend.decrypt(sess.tee._ctx, raw[(0, i)])
             p = i % 4
+            summed = signed_rotate_sum(sess.backend, raw[(0, i)],
+                                       compute_rotation_plan(p, 4), 1.0)
+            slots = sess.tee.backend.decrypt(sess.tee._ctx, summed)
             for w in range(3):
                 assert abs(slots[w * 4 + p] - grads.weights[1][w, i]) < 1e-9
 
@@ -277,43 +279,57 @@ class TestNoiseRemovalUpdate:
         assert all(target[k] is before[k] for k in before) and target.keys() == before.keys()
 
     @pytest.mark.parametrize("count", [11, 3], ids=["three-packs", "part-of-one"])
-    def test_matches_the_per_gradient_loop_and_builds_each_selector_once(
-            self, monkeypatch, count):
-        # n = 4 offsets: 11 gradients fill three packs, the last one partly
+    def test_matches_the_per_gradient_loop_and_builds_each_selector_once(self, count):
+        # n = 4 offsets: 11 gradients fill three packs, the last one partly.
+        # The mask now lives in the fused sum and spread, so the update
+        # builds no selector at all: "each once" has become "none".
+        class CountingCmul(SimulatorBackend):
+            cmuls = 0
+
+            def cmul(self, a, pt):
+                self.cmuls += 1
+                return super().cmul(a, pt)
+
         def run(update):
-            backend = SimulatorBackend(OpMeter())
+            backend = CountingCmul(OpMeter())
             ctx = backend.keygen(LheParams(16, 10), seed=2)
             rng = np.random.default_rng(2)
             raw = {(key,): backend.cmul(backend.encrypt(ctx, rng.normal(size=16)),
                                         rng.normal(size=16)) for key in range(count)}
             target = {key: backend.encrypt(ctx, rng.normal(size=16)) for key in raw}
             reenc = lambda cts: [backend.reencrypt(ctx, ct) for ct in cts]
+            backend.cmuls = 0  # every cmul from here on takes a selector
             packed = update(backend, reenc, raw, target, lambda k: k, 0.3, 4)
             return (packed, {k: ct.slots.tobytes() for k, ct in target.items()},
-                    backend.meter.checkpoint())
+                    backend.meter.checkpoint()), backend.cmuls
 
-        def per_gradient(backend, reenc, raw, target, target_key, lr, n):
-            """The update with a fresh selector per gradient and use."""
-            order = sorted(raw)
-            size = raw[order[0]].slot_count
-            packed = {}
-            for idx, key in enumerate(order):
-                masked = backend.cmul(raw[key], make_selector(idx % n, n, size, -lr / n))
-                k = idx // n
-                packed[k] = masked if k not in packed else backend.add(packed[k], masked)
-            fresh = reenc([packed[k] for k in sorted(packed)])
-            for idx, key in enumerate(order):
-                ct = backend.cmul(fresh[idx // n], make_selector(idx % n, n, size, 1.0))
-                ct = signed_rotate_spread(backend, ct, compute_rotation_plan(idx % n, n))
-                target[target_key(key)] = backend.add(target[target_key(key)], ct)
-            return len(packed)
+        (fused, built), (per_op, per_op_built) = (
+            run(noise_removal_update), run(per_op_noise_removal_update))
+        assert fused == per_op
+        assert built == 0 and per_op_built == 2 * count
+        assert not hasattr(backward, "make_selector")
 
-        built = []
-        monkeypatch.setattr(backward, "make_selector",
-                            lambda *args: built.append((args[0], args[3])) or make_selector(*args))
-        assert run(noise_removal_update) == run(per_gradient)
-        assert sorted(built) == sorted((p, beta) for p in range(min(4, count))
-                                       for beta in (-0.3 / 4, 1.0))
+    @pytest.mark.parametrize("sigma", [0.0, 1e-6], ids=["noiseless", "noisy"])
+    def test_rounds_match_the_per_op_update_byte_for_byte(self, monkeypatch, sigma):
+        # Two refining rounds through the fused update and through the per-op
+        # reference (rotate_add, selector cmul, add): the same model, bit for
+        # bit, and the same op counts.
+        cfg = CnnConfig((ConvLayer(1, 6, 2, 2, 2),), (FcLayer(18, 4), FcLayer(4, 3)), 4)
+        params = LheParams(256, 16, sigma)
+        rng = np.random.default_rng(11)
+        images = rng.normal(size=(4, 1, 6, 6))
+        labels = rng.integers(0, 3, size=4)
+
+        def two_rounds(update):
+            monkeypatch.setattr(backward, "noise_removal_update", update)
+            sess = make_session(cfg, params, seed=11)
+            for _ in range(2):
+                sess.refine(images, labels, lr=0.2, epochs=1)
+            model = sess.decrypted_model()
+            return ([a.tobytes() for a in model.filters + model.weights],
+                    sess.meter.checkpoint())
+
+        assert two_rounds(noise_removal_update) == two_rounds(per_op_noise_removal_update)
 
     def test_lr_zero_leaves_values_unchanged(self):
         cfg = CnnConfig((ConvLayer(1, 4, 2, 2, 2),), (FcLayer(8, 3),), 4)
@@ -429,8 +445,9 @@ class TestConvKernelGradients:
                                     delta)
         n = cfg.n
         for (k, i, x, y), ct in raw.items():
-            slots = sess.tee.backend.decrypt(sess.tee._ctx, ct)
             idx = (k * 1 * gamma**2 + i * gamma**2 + x * gamma + y) % n
+            summed = signed_rotate_sum(sess.backend, ct, compute_rotation_plan(idx, n), 1.0)
+            slots = sess.tee.backend.decrypt(sess.tee._ctx, summed)
             want = grads.filters[0][k, i, x, y]
             scale = max(1.0, abs(want))
             assert abs(slots[idx] - want) / scale < 1e-9

@@ -12,12 +12,16 @@ from lhecnn.packing import (
     encode_filters,
     encode_inputs,
     fold_rotate_sum,
-    make_selector,
     signed_rotate_spread,
     signed_rotate_sum,
 )
 
-from conftest import encode_weights
+from conftest import (
+    encode_weights,
+    make_selector,
+    per_op_rotate_add_select,
+    per_op_select_rotate_add,
+)
 
 
 def example_geometry(slots=8, levels=6):
@@ -95,45 +99,58 @@ class TestRotationPlan:
             assert np.allclose(out, want, atol=1e-12)
 
     def test_encrypted_helpers_match_plain_reference(self, backend):
+        # the helpers mask as they sum or spread: compare with the masked
+        # plain chains
         ctx = backend.keygen(LheParams(16, 8), seed=3)
         rng = np.random.default_rng(5)
         v = rng.normal(size=16)
         for p in range(4):
             plan = compute_rotation_plan(p, 4)
+            keep = np.arange(16) % 4 == p
             ct = backend.encrypt(ctx, v)
-            agg = backend.decrypt(ctx, signed_rotate_sum(backend, ct, plan))
-            assert np.allclose(agg, plain_aggregate(v, plan), atol=0)
-            spread = backend.decrypt(ctx, signed_rotate_spread(backend, ct, plan))
-            assert np.allclose(spread, plain_spread(v, plan), atol=0)
+            agg = backend.decrypt(ctx, signed_rotate_sum(backend, ct, plan, 1.0))
+            assert np.allclose(agg, np.where(keep, plain_aggregate(v, plan), 0.0), atol=0)
+            spread = backend.decrypt(ctx, signed_rotate_spread(backend, ct, plan, None))
+            assert np.allclose(spread, plain_spread(np.where(keep, v, 0.0), plan), atol=0)
+
+
+def per_step_chain(backend, ct, shifts):
+    for s in shifts:
+        ct = backend.add(ct, backend.rot(ct, s))
+    return ct
 
 
 class TestRotateAddHelpers:
-    """The rotate-and-sum helpers are one ``rotate_add`` chain each: the same
-    slots, levels and counts as the per-step ``rot`` + ``add`` loops."""
+    """The rotate-and-sum helpers are one backend call each: the same slots,
+    levels and counts as the per-step ``rot`` + ``add`` loop (the fold) and
+    as the chain, selector ``cmul`` and ``add`` into ``acc`` (the batch sum
+    and the spread).  ``acc`` is nonzero in every slot, so the unselected
+    slots are byte-identical too."""
 
-    @staticmethod
-    def per_op(backend, ct, shifts):
-        for s in shifts:
-            ct = backend.add(ct, backend.rot(ct, s))
-        return ct
-
-    @pytest.mark.parametrize("helper, shifts", [
-        (lambda b, ct: fold_rotate_sum(b, ct, 4, 8), [4, 8, 16]),
-        (lambda b, ct: fold_rotate_sum(b, ct, 3, 1), []),
-        (lambda b, ct: signed_rotate_sum(b, ct, compute_rotation_plan(5, 8)), [-1, 2, -4]),
-        (lambda b, ct: signed_rotate_spread(b, ct, compute_rotation_plan(5, 8)), [1, -2, 4]),
-        (lambda b, ct: signed_rotate_spread(b, ct, compute_rotation_plan(0, 1)), []),
+    @pytest.mark.parametrize("helper, reference", [
+        (lambda b, ct, acc: fold_rotate_sum(b, ct, 4, 8),
+         lambda b, ct, acc: per_step_chain(b, ct, [4, 8, 16])),
+        (lambda b, ct, acc: fold_rotate_sum(b, ct, 3, 1),
+         lambda b, ct, acc: per_step_chain(b, ct, [])),
+        (lambda b, ct, acc: signed_rotate_sum(b, ct, compute_rotation_plan(5, 8), 0.5, acc),
+         lambda b, ct, acc: per_op_rotate_add_select(b, ct, [-1, 2, -4], 5, 8, 0.5, acc)),
+        (lambda b, ct, acc: signed_rotate_spread(b, ct, compute_rotation_plan(5, 8), acc),
+         lambda b, ct, acc: per_op_select_rotate_add(b, ct, 5, 8, [1, -2, 4], acc)),
+        (lambda b, ct, acc: signed_rotate_spread(b, ct, compute_rotation_plan(0, 1), None),
+         lambda b, ct, acc: per_op_select_rotate_add(b, ct, 0, 1, [])),
     ], ids=["fold", "fold-one-block", "sum", "spread", "spread-n1"])
-    def test_matches_per_step_loop(self, helper, shifts):
+    def test_matches_per_step_loop(self, helper, reference):
         results = []
-        for run in (helper, lambda b, ct: self.per_op(b, ct, shifts)):
+        for run in (helper, reference):
             meter = OpMeter()
             backend = SimulatorBackend(meter)
             ctx = backend.keygen(LheParams(32, 8), seed=4)
-            ct = backend.encrypt(ctx, np.random.default_rng(4).normal(size=32))
+            rng = np.random.default_rng(4)
+            ct = backend.encrypt(ctx, rng.normal(size=32))
             ct = backend.rot(backend.cmul(ct, np.full(32, 0.5)), 7)  # shifted, pending
+            acc = backend.rot(backend.encrypt(ctx, rng.normal(size=32)), 3)
             mark = meter.checkpoint()
-            out = run(backend, ct)
+            out = run(backend, ct, acc)
             results.append((out.slots.tobytes(), out.level, out.pending_rescale,
                             meter.since(mark)))
         assert results[0] == results[1]
