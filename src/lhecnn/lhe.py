@@ -309,45 +309,26 @@ def _into(ufunc, x: np.ndarray, sx: int, y: np.ndarray, sy: int,
 
 
 @lru_cache(maxsize=4096)
-def _chain_terms(p: int, n: int, shifts: tuple[int, ...], slot_count: int) -> np.ndarray:
-    """In-block offsets of the terms that the chain ``v <- v + rot(v, s)``
-    over ``shifts`` sums into slot ``p`` of each n-slot block.
+def _chain_terms(directions: tuple[int, ...], slot_count: int) -> np.ndarray:
+    """In-block offsets of the terms that the signed plan ``directions`` sums
+    into its slot ``p`` of each n-slot block, where ``n = 2**len(directions)``
+    and ``p`` has bit k set where ``directions[k]`` is -1.
 
-    Step k adds ``v[o + s_k]`` to ``v[o]``, so the terms are built from
-    ``[p]`` by appending ``terms + s`` for the shifts taken last to first:
-    step k then adds the second half of its terms to the first half.  Raises
-    ValueError unless ``n`` is a power of two no larger than ``slot_count``,
-    ``0 <= p < n``, there are at
-    most log2(n) shifts (so the terms of all blocks fit one slot buffer) and
-    every term lies in the block, i.e. the chain's partial sums never carry
-    slot ``p`` out of it."""
-    if n < 1 or n & (n - 1):
-        raise ValueError(f"n must be a power of two, got {n}")
-    if n > slot_count:
-        raise ValueError(f"{n}-slot blocks exceed the {slot_count} slots")
-    if not 0 <= p < n:
-        raise ValueError(f"offset {p} outside [0, {n})")
-    if 1 << len(shifts) > n:
-        raise ValueError(f"{len(shifts)} shifts exceed log2({n}) steps")
-    terms = np.array([p])
-    for s in reversed(shifts):
-        terms = np.concatenate((terms, terms + s))
-    if terms.min() < 0 or terms.max() >= n:
-        raise ValueError(f"shifts {list(shifts)} carry slot {p} out of its {n}-slot block")
+    The chain's step k is ``v <- v + rot(v, s_k)`` with ``s_k = d_k << k``,
+    and adds ``v[o + s_k]`` to ``v[o]``, so the terms are built from ``[p]`` by
+    appending ``terms + s`` for the shifts taken last to first: step k then
+    adds the second half of its terms to the first half.  They are the whole
+    block, each once, so ``p = terms[0]`` and ``n = len(terms)``.  Raises
+    ValueError unless every direction is 1 or -1 and ``n <= slot_count``."""
+    if any(d not in (1, -1) for d in directions):
+        raise ValueError(f"directions must be 1 or -1, got {list(directions)}")
+    if 1 << len(directions) > slot_count:
+        raise ValueError(f"{1 << len(directions)}-slot blocks exceed the {slot_count} slots")
+    terms = np.array([sum(1 << k for k, d in enumerate(directions) if d < 0)])
+    for k in reversed(range(len(directions))):
+        terms = np.concatenate((terms, terms + (directions[k] << k)))
     terms.setflags(write=False)
     return terms
-
-
-@lru_cache(maxsize=4096)
-def _check_spread(p: int, n: int, shifts: tuple[int, ...], slot_count: int) -> None:
-    """Raise ValueError unless the chain over ``shifts`` carries every slot
-    of an n-slot block to slot ``p`` by exactly one term, inside the block:
-    the terms the negated chain sums into slot ``p`` are then the whole
-    block, each once.  Only the verdict is cached, not those terms."""
-    terms = _chain_terms.__wrapped__(p, n, tuple(-s for s in shifts), slot_count)
-    if sorted(terms.tolist()) != list(range(n)):
-        raise ValueError(f"shifts {list(shifts)} do not spread slot {p} over "
-                         f"its {n}-slot block once")
 
 
 def _check_pair(a: Ciphertext, b: Ciphertext) -> None:
@@ -593,30 +574,32 @@ class SimulatorBackend:
         _, view, free = bufs[last & 1]
         return _make(view, 0, ct.level, ct.key_id, ct.pending_rescale, free)
 
-    def rotate_add_select(self, ct: Ciphertext, shifts: Sequence[int], p: int, n: int,
-                          scale: float, acc: Ciphertext | None = None) -> Ciphertext:
-        """``acc + cmul(rotate_add(ct, shifts), selector)``, where the selector
-        is ``scale`` at slots ``p::n`` and zero elsewhere: a chain that sums
-        into slot ``p`` of every n-slot block, then the mask that keeps those
-        slots.  The level, rescale flag, errors and meter counts are those of
-        the per-op :meth:`rotate_add`, :meth:`cmul` and :meth:`add` calls, and
-        every chain step still issues its rotation through :meth:`rot`.
+    def rotate_add_select(self, ct: Ciphertext, directions: Sequence[int], scale: float,
+                          acc: Ciphertext | None = None) -> Ciphertext:
+        """``acc + cmul(rotate_add(ct, shifts), selector)`` for the signed plan
+        ``directions`` (shifts ``d_k << k``, n-slot blocks with
+        ``n = 2**len(directions)``, offset ``p`` with bit k set where ``d_k`` is
+        -1; see :func:`_chain_terms`), where the selector is ``scale`` at slots
+        ``p::n`` and zero elsewhere: a chain that sums every n-slot block into
+        its slot ``p``, then the mask that keeps those slots.  The level,
+        rescale flag, errors and meter counts are those of the per-op
+        :meth:`rotate_add`, :meth:`cmul` and :meth:`add` calls, and every chain
+        step still issues its rotation through :meth:`rot`.
 
         Only slots ``p::n`` are computed: one gather of the terms the chain
-        sums into them (see :func:`_chain_terms`), then one halving add per
-        step, pairing the terms as the chain does, so each kept value is bit
-        for bit the chain's.  The other slots are ``acc`` (or zero), where the
-        per-op product writes ``x * 0.0``: equal, up to the sign of an exact
-        zero, for finite slots.  Raises ValueError, before any op, unless the
-        chain keeps slot ``p`` in its block (``n`` a power of two up to S, at
-        most log2(n) shifts).
+        sums into them, then one halving add per step, pairing the terms as
+        the chain does, so each kept value is bit for bit the chain's.  The
+        other slots are ``acc`` (or zero), where the per-op product writes
+        ``x * 0.0``: equal, up to the sign of an exact zero, for finite slots.
         """
-        terms = _chain_terms(p, n, tuple(shifts), ct._base.shape[0])
-        for s in shifts:
-            self.rot(ct, s)
+        size = ct._base.shape[0]
+        terms = _chain_terms(tuple(directions), size)
+        p, n = int(terms[0]), len(terms)
+        for k, d in enumerate(directions):
+            self.rot(ct, d << k)
         level, meter = ct.level, self.meter
         if meter is not None:
-            meter.record_many("add", ct.meter_level(), len(shifts))
+            meter.record_many("add", ct.meter_level(), len(directions))
         if level < 1:
             raise LevelExhausted("cmul", level, self._scope())
         if meter is not None:
@@ -624,7 +607,6 @@ class SimulatorBackend:
         out_level, pending = self._add_masked(acc, ct, level)
         # one row per chain term, one column per block, gathered into a
         # pooled scratch buffer; step k halves the rows
-        size = ct._base.shape[0]
         pools = self._free
         scratch, scratch_view, _ = _buffer(pools, size)
         half = len(terms)
@@ -645,24 +627,25 @@ class SimulatorBackend:
         pools[size].append(scratch_view)
         return _make(view, 0, out_level, ct.key_id, pending, free)
 
-    def select_rotate_add(self, ct: Ciphertext, p: int, n: int, shifts: Sequence[int],
+    def select_rotate_add(self, ct: Ciphertext, directions: Sequence[int],
                           acc: Ciphertext | None = None) -> Ciphertext:
-        """``acc + rotate_add(cmul(ct, selector), shifts)``, where the selector
-        is 1.0 at slots ``p::n`` and zero elsewhere: the mask that keeps slot
-        ``p`` of every n-slot block, then a chain that spreads it over the
-        block.  The level, rescale flag, errors and meter counts are those of
-        the per-op :meth:`cmul`, :meth:`rotate_add` and :meth:`add` calls, and
-        every chain step still issues its rotation through :meth:`rot`.
+        """``acc + rotate_add(cmul(ct, selector), shifts)`` for the signed plan
+        ``directions`` spread back (shifts ``-d_k << k``; ``p`` and ``n`` as in
+        :meth:`rotate_add_select`), where the selector is 1.0 at slots ``p::n``
+        and zero elsewhere: the mask that keeps slot ``p`` of every n-slot
+        block, then a chain that spreads it over the block.  The level,
+        rescale flag, errors and meter counts are those of the per-op
+        :meth:`cmul`, :meth:`rotate_add` and :meth:`add` calls, and every chain
+        step still issues its rotation through :meth:`rot`.
 
-        The shifts must carry every slot of a block to slot ``p`` by exactly
-        one of the chain's terms, inside the block (ValueError, before any
-        op, otherwise), so
-        the chain adds each kept value to exact zeros only and the result is
+        The chain carries every slot of a block to slot ``p`` by exactly one
+        term, so it adds each kept value to exact zeros only and the result is
         ``acc + repeat(ct[p::n], n)``: bit for bit the chain's where the value
-        is not zero, and up to the sign of an exact zero elsewhere, for
-        finite slots.
+        is not zero, and up to the sign of an exact zero elsewhere, for finite
+        slots.
         """
-        _check_spread(p, n, tuple(shifts), ct._base.shape[0])
+        terms = _chain_terms(tuple(directions), ct._base.shape[0])
+        p, n = int(terms[0]), len(terms)
         level, meter = ct.level, self.meter
         if level < 1:
             raise LevelExhausted("cmul", level, self._scope())
@@ -670,10 +653,10 @@ class SimulatorBackend:
             meter.record("cmul", level)
         # the masked product the chain rotates: one level down, rescale pending
         masked = _make(ct._base, ct._shift, level - 1, ct.key_id, True, None)
-        for s in shifts:
-            self.rot(masked, s)
+        for k, d in enumerate(directions):
+            self.rot(masked, -d << k)
         if meter is not None:
-            meter.record_many("add", level, len(shifts))
+            meter.record_many("add", level, len(directions))
         out_level, pending = self._add_masked(acc, ct, level)
         out, view, free = _buffer(self._free, ct._base.shape[0])
         out.reshape(-1, n)[...] = ct.slots[p::n, None]

@@ -286,18 +286,14 @@ def signed_rotate_sum(backend: SimulatorBackend, ct: Ciphertext, plan: RotationP
     """Aggregate each n-block into its slot ``plan.offset`` and keep only those
     slots, times ``scale``, added to ``acc``: ``acc + cmul(sum, selector)``
     with the selector ``scale`` at slots ``offset::n``."""
-    return backend.rotate_add_select(
-        ct, [direction << k for k, direction in enumerate(plan.directions)],
-        plan.offset, plan.n, scale, acc)
+    return backend.rotate_add_select(ct, plan.directions, scale, acc)
 
 
 def signed_rotate_spread(backend: SimulatorBackend, ct: Ciphertext, plan: RotationPlan,
                          acc: Ciphertext | None) -> Ciphertext:
     """Inverse of aggregation: keep each block's slot ``plan.offset`` and
     replicate it over the whole block, added to ``acc``."""
-    return backend.select_rotate_add(
-        ct, plan.offset, plan.n,
-        [-direction << k for k, direction in enumerate(plan.directions)], acc)
+    return backend.select_rotate_add(ct, plan.directions, acc)
 
 
 # ---------------------------------------------------------------------------

@@ -315,29 +315,26 @@ class TeeSocketServer:
 class TeeSocketClient:
     """Client for the socket transport; mirrors the in-process API.
 
-    ``timeout`` (seconds, default :attr:`DEFAULT_TIMEOUT`) bounds the connect
-    and every send and receive; ``None`` waits forever.  The default is far
-    above any reply the simulated service takes (milliseconds, even for the
-    largest re-encryption batch of a refining round), so only a stalled or
-    hung server reaches it.  A request that gets no reply within it raises
-    ``TimeoutError`` and closes the client, since a late reply would
-    otherwise be read as the answer to the next request.
+    The connect and every send and receive wait at most :attr:`TIMEOUT`
+    seconds, far above any reply the simulated service takes (milliseconds,
+    even for the largest re-encryption batch of a refining round), so only a
+    stalled or hung server reaches it.  A request that gets no reply within
+    it raises ``TimeoutError`` and closes the client, since a late reply
+    would otherwise be read as the answer to the next request.
     """
 
-    DEFAULT_TIMEOUT = 60.0
+    TIMEOUT = 60.0
 
-    def __init__(self, path: str, ctx: KeyContext, party_id: str,
-                 timeout: float | None = DEFAULT_TIMEOUT):
+    def __init__(self, path: str, ctx: KeyContext, party_id: str):
         self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         try:
-            self._sock.settimeout(timeout)
+            self._sock.settimeout(self.TIMEOUT)
             self._sock.connect(path)
         except BaseException:
             self._sock.close()
             raise
         self._ctx = ctx
         self.party = party_id
-        self.timeout = timeout
 
     def close(self):
         self._sock.close()
@@ -349,7 +346,7 @@ class TeeSocketClient:
             reply, body = _recv_frame(self._sock)
         except TimeoutError:
             self.close()
-            raise TimeoutError(f"no reply from the TEE within {self.timeout} s") from None
+            raise TimeoutError(f"no reply from the TEE within {self.TIMEOUT} s") from None
         self._check(reply, opcode, body)
         return body
 

@@ -33,25 +33,30 @@ def make_selector(p, n, slot_count, beta):
     return sel
 
 
-def plan_shifts(p, n):
-    """The batch-sum shifts of ``compute_rotation_plan(p, n)``; the spread
-    uses their negations."""
-    return [d << k for k, d in enumerate(compute_rotation_plan(p, n).directions)]
+def signed_chain(directions):
+    """``(p, n, shifts)`` of a signed rotation plan: n-slot blocks with
+    ``n = 2**len(directions)``, offset ``p`` with bit k set where
+    ``directions[k]`` is -1, and the batch sum's shifts ``directions[k] << k``
+    (the spread uses their negations)."""
+    p = sum(1 << k for k, d in enumerate(directions) if d == -1)
+    return p, 1 << len(directions), [d << k for k, d in enumerate(directions)]
 
 
-def per_op_rotate_add_select(backend, ct, shifts, p, n, scale, acc=None):
+def per_op_rotate_add_select(backend, ct, directions, scale, acc=None):
     """What ``SimulatorBackend.rotate_add_select`` computes, as per-op calls:
     the chain, a selector ``cmul`` and an ``add`` into ``acc``."""
+    p, n, shifts = signed_chain(directions)
     masked = backend.cmul(backend.rotate_add(ct, shifts),
                           make_selector(p, n, ct.slot_count, scale))
     return masked if acc is None else backend.add(acc, masked)
 
 
-def per_op_select_rotate_add(backend, ct, p, n, shifts, acc=None):
+def per_op_select_rotate_add(backend, ct, directions, acc=None):
     """What ``SimulatorBackend.select_rotate_add`` computes, as per-op calls:
-    a selector ``cmul``, the chain and an ``add`` into ``acc``."""
+    a selector ``cmul``, the reversed chain and an ``add`` into ``acc``."""
+    p, n, shifts = signed_chain(directions)
     spread = backend.rotate_add(backend.cmul(ct, make_selector(p, n, ct.slot_count, 1.0)),
-                                shifts)
+                                [-s for s in shifts])
     return spread if acc is None else backend.add(acc, spread)
 
 
@@ -65,15 +70,16 @@ def per_op_noise_removal_update(backend, reencrypt, raw_grads, target_cells,
     packed = {}
     for idx, key in enumerate(order):
         p, k = idx % n, idx // n
-        packed[k] = per_op_rotate_add_select(backend, raw_grads.pop(key), plan_shifts(p, n),
-                                             p, n, -lr / n, packed.get(k))
+        packed[k] = per_op_rotate_add_select(
+            backend, raw_grads.pop(key), compute_rotation_plan(p, n).directions, -lr / n,
+            packed.get(k))
     if not packed:
         return 0
     fresh = reencrypt(list(packed.values()))
     for idx, key in enumerate(order):
         p, tkey = idx % n, target_key(key)
         target_cells[tkey] = per_op_select_rotate_add(
-            backend, fresh[idx // n], p, n, [-s for s in plan_shifts(p, n)],
+            backend, fresh[idx // n], compute_rotation_plan(p, n).directions,
             target_cells[tkey])
     return len(packed)
 

@@ -26,7 +26,7 @@ from lhecnn.lhe import (
 )
 from lhecnn.metering import PRIMITIVE_KINDS, OpMeter
 
-from conftest import per_op_rotate_add_select, per_op_select_rotate_add, plan_shifts
+from conftest import per_op_rotate_add_select, per_op_select_rotate_add, signed_chain
 
 
 def ctx8(backend, levels=6, sigma=0.0, seed=1):
@@ -578,44 +578,8 @@ class TestBatchedPrimitives:
         assert all(ct.slots.tobytes() == v.tobytes() for ct, v in zip(kept, values))
 
 
-def subset_sums(shifts):
-    """Every sum of a subset of ``shifts``, with multiplicity."""
-    sums = [0]
-    for s in shifts:
-        sums += [t + s for t in sums]
-    return sums
-
-
-def stays_in_block(p, n, shifts):
-    """Whether the chain over ``shifts`` sums only slots of slot ``p``'s
-    n-block into it, in at most log2(n) steps."""
-    return (1 << len(shifts) <= n
-            and all(0 <= p + t < n for t in subset_sums(shifts)))
-
-
-def spreads_once(p, n, shifts):
-    """Whether the chain over ``shifts`` carries every slot of the n-block
-    to slot ``p`` exactly once, inside the block."""
-    return sorted(p - t for t in subset_sums(shifts)) == list(range(n))
-
-
-@st.composite
-def chains(draw, spread):
-    """``(p, n, shifts)``: a signed plan (negated for a spread), its steps
-    reordered, or any short list of shifts, in or out of the block."""
-    n = draw(st.sampled_from([1, 2, 4, 8, 16]), label="n")
-    p = draw(st.integers(0, n - 1), label="p")
-    plan = [-s for s in plan_shifts(p, n)] if spread else plan_shifts(p, n)
-    kind = draw(st.sampled_from(["plan", "reordered", "any"]), label="kind")
-    if kind == "plan":
-        shifts = plan
-    elif kind == "reordered":
-        shifts = draw(st.permutations(plan))
-        if not spread:
-            shifts = shifts[:draw(st.integers(0, len(shifts)))]
-    else:
-        shifts = draw(st.lists(st.integers(-n, n), max_size=n.bit_length()))
-    return p, n, list(shifts)
+#: signed rotation plans of up to 16-slot blocks (the operands have 16 slots)
+directions = st.lists(st.sampled_from([1, -1]), max_size=4).map(tuple)
 
 
 def assert_same_masked(got, want, p, n):
@@ -644,15 +608,12 @@ class TestMaskedChains:
         index = st.integers(0, len(pool) - 1)
         ct = pool[data.draw(index, label="operand")]
         acc = data.draw(st.none() | index.map(pool.__getitem__), label="acc")
-        p, n, shifts = data.draw(chains(spread=False))
+        plan = data.draw(directions, label="directions")
         scale = data.draw(st.sampled_from([1.0, -0.3 / 4, 2.5]), label="scale")
-        fused = lambda b: b.rotate_add_select(ct, shifts, p, n, scale, acc)
-        if not stays_in_block(p, n, shifts):
-            with pytest.raises(ValueError):
-                fused(SimulatorBackend())
-            return
         (got, got_counts), (want, want_counts) = side_by_side(
-            fused, lambda b: per_op_rotate_add_select(b, ct, shifts, p, n, scale, acc))
+            lambda b: b.rotate_add_select(ct, plan, scale, acc),
+            lambda b: per_op_rotate_add_select(b, ct, plan, scale, acc))
+        p, n, _ = signed_chain(plan)
         assert_same_masked(got, want, p, n)
         assert got_counts == want_counts
 
@@ -663,14 +624,11 @@ class TestMaskedChains:
         index = st.integers(0, len(pool) - 1)
         ct = pool[data.draw(index, label="operand")]
         acc = data.draw(st.none() | index.map(pool.__getitem__), label="acc")
-        p, n, shifts = data.draw(chains(spread=True))
-        fused = lambda b: b.select_rotate_add(ct, p, n, shifts, acc)
-        if not spreads_once(p, n, shifts):
-            with pytest.raises(ValueError):
-                fused(SimulatorBackend())
-            return
+        plan = data.draw(directions, label="directions")
         (got, got_counts), (want, want_counts) = side_by_side(
-            fused, lambda b: per_op_select_rotate_add(b, ct, p, n, shifts, acc))
+            lambda b: b.select_rotate_add(ct, plan, acc),
+            lambda b: per_op_select_rotate_add(b, ct, plan, acc))
+        p, n, _ = signed_chain(plan)
         assert_same_masked(got, want, p, n)
         assert np.array_equal(got.slots, (0 if acc is None else acc.slots)
                               + np.repeat(ct.slots[p::n], n))
@@ -683,10 +641,10 @@ class TestMaskedChains:
         assert spent.level == 0 and spent.key_id == ctx.key_id
         acc = None if acc_index is None else pool[acc_index]
         for fused, per_op in [
-                (lambda b: b.rotate_add_select(spent, [-1, 2], 1, 4, 0.5, acc),
-                 lambda b: per_op_rotate_add_select(b, spent, [-1, 2], 1, 4, 0.5, acc)),
-                (lambda b: b.select_rotate_add(spent, 1, 4, [1, -2], acc),
-                 lambda b: per_op_select_rotate_add(b, spent, 1, 4, [1, -2], acc))]:
+                (lambda b: b.rotate_add_select(spent, (-1, 1), 0.5, acc),
+                 lambda b: per_op_rotate_add_select(b, spent, (-1, 1), 0.5, acc)),
+                (lambda b: b.select_rotate_add(spent, (-1, 1), acc),
+                 lambda b: per_op_select_rotate_add(b, spent, (-1, 1), acc))]:
             (got, got_counts), (want, want_counts) = side_by_side(fused, per_op)
             assert isinstance(got, LevelExhausted) and isinstance(want, LevelExhausted)
             assert (got.op, got.level, got.scope) == (want.op, want.level, want.scope)
@@ -697,35 +655,24 @@ class TestMaskedChains:
         _, pool = self.operands(backend)
         other = backend.encrypt(backend.keygen(LheParams(16, 8), seed=9), np.ones(16))
         for fused, per_op in [
-                (lambda b: b.rotate_add_select(pool[4], [1, 2], 0, 4, 0.5, other),
-                 lambda b: per_op_rotate_add_select(b, pool[4], [1, 2], 0, 4, 0.5, other)),
-                (lambda b: b.select_rotate_add(pool[4], 0, 4, [-1, -2], other),
-                 lambda b: per_op_select_rotate_add(b, pool[4], 0, 4, [-1, -2], other))]:
+                (lambda b: b.rotate_add_select(pool[4], (1, 1), 0.5, other),
+                 lambda b: per_op_rotate_add_select(b, pool[4], (1, 1), 0.5, other)),
+                (lambda b: b.select_rotate_add(pool[4], (1, 1), other),
+                 lambda b: per_op_select_rotate_add(b, pool[4], (1, 1), other))]:
             (got, got_counts), (want, want_counts) = side_by_side(fused, per_op)
             assert isinstance(got, KeyMismatch) and isinstance(want, KeyMismatch)
             assert str(got) == str(want)
             assert got_counts == want_counts  # chain and cmul metered before the add
 
-    @pytest.mark.parametrize("p, n, shifts", [
-        (0, 4, [-1]), (3, 4, [1]), (1, 4, [-1, -2]), (0, 4, [1, 2, 4]),
-        (0, 3, []), (4, 4, []), (0, 2, [1, 1]), (0, 32, []),
-    ])
-    def test_sum_shifts_must_stay_in_the_block(self, backend, p, n, shifts):
+    @pytest.mark.parametrize("plan", [(0,), (1, 2), (1, 1, 1, 1, 1)],
+                             ids=["zero", "two", "wider-than-S"])
+    def test_plan_must_be_signed_bits_within_the_slots(self, backend, plan):
         _, pool = self.operands(backend)
         mark = backend.meter.checkpoint()
         with pytest.raises(ValueError):
-            backend.rotate_add_select(pool[0], shifts, p, n, 1.0)
-        assert backend.meter.since(mark) == {}  # raised before any op
-
-    @pytest.mark.parametrize("p, n, shifts", [
-        (0, 4, [1, 2]), (0, 4, [-1, -1]), (0, 4, [-1]), (1, 4, [-1, -2]), (0, 3, []),
-        (0, 32, [-1, -2, -4, -8, -16]),
-    ])
-    def test_spread_shifts_must_cover_the_block_once(self, backend, p, n, shifts):
-        _, pool = self.operands(backend)
-        mark = backend.meter.checkpoint()
+            backend.rotate_add_select(pool[0], plan, 1.0)
         with pytest.raises(ValueError):
-            backend.select_rotate_add(pool[0], p, n, shifts)
+            backend.select_rotate_add(pool[0], plan)
         assert backend.meter.since(mark) == {}  # raised before any op
 
     def test_every_chain_step_rotates_through_rot(self):
@@ -739,8 +686,8 @@ class TestMaskedChains:
         backend = Counting()
         _, pool = self.operands(backend)
         calls.clear()  # the operands' own rotations
-        backend.rotate_add_select(pool[0], [-1, 2, -4], 5, 8, 1.0)
-        backend.select_rotate_add(pool[0], 5, 8, [1, -2, 4])
+        backend.rotate_add_select(pool[0], (-1, 1, -1), 1.0)
+        backend.select_rotate_add(pool[0], (-1, 1, -1))
         assert calls == [-1, 2, -4, 1, -2, 4]
 
 

@@ -133,11 +133,11 @@ class TestRotateAddHelpers:
         (lambda b, ct, acc: fold_rotate_sum(b, ct, 3, 1),
          lambda b, ct, acc: per_step_chain(b, ct, [])),
         (lambda b, ct, acc: signed_rotate_sum(b, ct, compute_rotation_plan(5, 8), 0.5, acc),
-         lambda b, ct, acc: per_op_rotate_add_select(b, ct, [-1, 2, -4], 5, 8, 0.5, acc)),
+         lambda b, ct, acc: per_op_rotate_add_select(b, ct, (-1, 1, -1), 0.5, acc)),
         (lambda b, ct, acc: signed_rotate_spread(b, ct, compute_rotation_plan(5, 8), acc),
-         lambda b, ct, acc: per_op_select_rotate_add(b, ct, 5, 8, [1, -2, 4], acc)),
+         lambda b, ct, acc: per_op_select_rotate_add(b, ct, (-1, 1, -1), acc)),
         (lambda b, ct, acc: signed_rotate_spread(b, ct, compute_rotation_plan(0, 1), None),
-         lambda b, ct, acc: per_op_select_rotate_add(b, ct, 0, 1, [])),
+         lambda b, ct, acc: per_op_select_rotate_add(b, ct, ())),
     ], ids=["fold", "fold-one-block", "sum", "spread", "spread-n1"])
     def test_matches_per_step_loop(self, helper, reference):
         results = []

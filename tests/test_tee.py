@@ -360,15 +360,16 @@ class TestSocketTransport:
             other.close()
         assert "Traceback" not in capsys.readouterr().err
 
-    def test_silent_server_times_out_the_client(self, backend, tmp_path):
+    def test_silent_server_times_out_the_client(self, backend, tmp_path, monkeypatch):
         # A server that accepts the connection but never replies: the request
         # raises within the timeout, and the client closes its socket.
+        monkeypatch.setattr(TeeSocketClient, "TIMEOUT", 0.2)
         ctx = make_tee(backend, slots=16, levels=6).public_context()
         path = str(tmp_path / "silent.sock")
         with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as server:
             server.bind(path)
             server.listen(1)
-            client = TeeSocketClient(path, ctx, "remote", timeout=0.2)
+            client = TeeSocketClient(path, ctx, "remote")
             assert client._sock.gettimeout() == 0.2
             conn, _ = server.accept()
             with conn:
@@ -379,20 +380,19 @@ class TestSocketTransport:
                 assert client._sock.fileno() == -1  # closed: nothing leaks
                 assert conn.recv(1 << 16)  # the request itself did go out
 
-    def test_client_timeout_has_a_default_and_can_be_switched_off(self, backend, tmp_path):
+    def test_client_timeout_has_a_default(self, backend, tmp_path):
         tee = make_tee(backend, slots=16, levels=6)
         path = str(tmp_path / "tee.sock")
         with TeeSocketServer(tee, path):
-            for kwargs, want in (({}, TeeSocketClient.DEFAULT_TIMEOUT), ({"timeout": None}, None)):
-                client = TeeSocketClient(path, tee.public_context(), "remote", **kwargs)
-                assert client._sock.gettimeout() == want
-                assert client.attest() == tee.public_context().key_id
-                client.close()
+            client = TeeSocketClient(path, tee.public_context(), "remote")
+            assert client._sock.gettimeout() == TeeSocketClient.TIMEOUT == 60.0
+            assert client.attest() == tee.public_context().key_id
+            client.close()
 
     def test_failed_connect_leaks_no_socket(self, backend, tmp_path):
         ctx = make_tee(backend, slots=16, levels=6).public_context()
         with pytest.raises(OSError):
-            TeeSocketClient(str(tmp_path / "nobody.sock"), ctx, "remote", timeout=0.2)
+            TeeSocketClient(str(tmp_path / "nobody.sock"), ctx, "remote")
 
     def test_received_payload_is_not_copied(self):
         # A 4 MiB payload must not be held twice: the payload is the receive
