@@ -1,16 +1,18 @@
 """Backward propagation and TEE-assisted parameter updates.
 
-Gradients flow in the mirror layouts of their forward counterparts.  The
-layer functions return raw per-image weight gradients (conv kernel gradients
-already folded over their grid positions).  :func:`noise_removal_update`
-then packs them: a signed rotation plan sums each gradient over the n
-parallel inputs into a per-weight slot offset ``p`` of every n-slot block,
-and the mask that keeps those slots rides in the same call
-(:func:`~lhecnn.packing.signed_rotate_sum`), adding the gradient into one of
-few packed ciphertexts for the trusted service to re-encrypt.  After
+Gradients flow in the mirror layouts of their forward counterparts, and, as
+there, each layer function reads its form from its parameters
+(:func:`fl_backward` from the weights' kind).  The layer functions return
+raw per-image weight gradients keyed by the parameter cell each updates
+(conv kernel gradients already folded over their grid positions).
+:func:`noise_removal_update` then packs them: a signed rotation plan sums
+each gradient over the n parallel inputs into a per-weight slot offset ``p``
+of every n-slot block, and the mask that keeps those slots rides in the same
+call (:func:`~lhecnn.packing.signed_rotate_sum`), adding the gradient into
+one of few packed ciphertexts for the trusted service to re-encrypt.  After
 re-encryption, :func:`~lhecnn.packing.signed_rotate_spread` keeps slot ``p``
 again and spreads it back over its blocks, added straight into the parameter
-cell: the update is a plain homomorphic addition.
+cell under the gradient's key: the update is a plain homomorphic addition.
 
 The descent sign and learning-rate scaling ride in the packing mask (scale
 -lr/n at the kept slots), so the additive update performs SGD on the batch
@@ -65,44 +67,34 @@ def activation_gradient(backend: SimulatorBackend, grads: PackedTensor,
 # ---------------------------------------------------------------------------
 
 
-def fl_backward_type1(backend: SimulatorBackend, out_grads: PackedTensor,
-                      weights: PackedWeights) -> PackedTensor:
-    """Input gradients of a type-I layer: for each input ciphertext i,
-    sum the products of every output gradient with its weight ciphertext.
-    The result is in the layer's (multi-pi-set) input layout."""
-    if weights.kind != "type1":
-        raise ValueError("type I backward needs type1 weights")
-    cells = {}
-    for i in range(weights.in_cts):
-        cells[(i,)] = backend.mul_sum((out_grads.ct(j), weights.cells[(j, i)])
-                                      for j in range(weights.out_neurons))
-    return PackedTensor(cells, FL_TYPE1, out_grads.n,
-                        pi_sets=weights.pi_per_ct, neurons=weights.in_neurons)
-
-
-def fl_backward_type2(backend: SimulatorBackend, out_grads: PackedTensor,
-                      weights: PackedWeights) -> PackedTensor:
-    """Input gradients of a type-II layer; the closing rotate-sum folds the
-    pi-set blocks so each input gradient is replicated (type-II layout)."""
-    if weights.kind != "type2":
-        raise ValueError("type II backward needs type2 weights")
-    slot_count = out_grads.slot_count
+def fl_backward(backend: SimulatorBackend, out_grads: PackedTensor,
+                weights: PackedWeights) -> PackedTensor:
+    """Input gradients of a fully-connected layer, in its input layout: input
+    cell i sums the products of every output gradient j with weight cell
+    ``weights.weight_key(j, i)``.  A type II layer then folds the pi-set
+    blocks, so each input gradient is replicated (type II layout); a type I
+    layer's gradients keep its many-pi-set input layout."""
+    type2 = weights.kind == "type2"
     n = out_grads.n
+    blocks = out_grads.slot_count // n
     cells = {}
     for i in range(weights.in_cts):
-        acc = backend.mul_sum((out_grads.ct(j), weights.cells[(i, j)])
+        acc = backend.mul_sum((out_grads.ct(j), weights.cells[weights.weight_key(j, i)])
                               for j in range(weights.out_cts))
-        cells[(i,)] = fold_rotate_sum(backend, acc, n, slot_count // n)
-    return PackedTensor(cells, FL_TYPE2, n, pi_sets=1, neurons=weights.in_neurons)
+        cells[(i,)] = fold_rotate_sum(backend, acc, n, blocks) if type2 else acc
+    if type2:
+        return PackedTensor(cells, FL_TYPE2, n, pi_sets=1)
+    return PackedTensor(cells, FL_TYPE1, n, pi_sets=weights.pi_per_ct)
 
 
 def fl_weight_gradients(backend: SimulatorBackend, out_grads: PackedTensor,
                         cached_inputs: PackedTensor,
                         weights: PackedWeights) -> dict[tuple[int, int], Ciphertext]:
-    """Raw weight-gradient ciphertexts: the product of output gradient j with
-    cached forward input i, one image per slot of each pi-set block.
+    """Raw weight-gradient ciphertexts, keyed by the weight cell each updates:
+    the product of output gradient j with cached forward input i, one image
+    per slot of each pi-set block, under ``weights.weight_key(j, i)``.
     :func:`noise_removal_update` sums it over the n images."""
-    return {(j, i): backend.mul(out_grads.ct(j), cached_inputs.ct(i))
+    return {weights.weight_key(j, i): backend.mul(out_grads.ct(j), cached_inputs.ct(i))
             for j in range(weights.out_cts) for i in range(weights.in_cts)}
 
 
@@ -186,21 +178,23 @@ def pack_count(gradient_count: int, n: int) -> int:
 def noise_removal_update(backend: SimulatorBackend, reencrypt,
                          raw_grads: dict[tuple, Ciphertext],
                          target_cells: dict[tuple, Ciphertext],
-                         target_key, lr: float, n: int) -> int:
+                         lr: float, n: int) -> int:
     """Pack raw gradients, refresh them through ``reencrypt``, unpack/spread,
-    and add them into the parameter ciphertexts.
+    and add each into the parameter ciphertext under its key in
+    ``target_cells``.
 
-    Gradient ``idx`` (in sorted key order) is summed over the n images into
-    slot offset ``p = idx mod n`` of every block, masked there with scale
-    -lr/n and added into packed ciphertext idx // n, all in one
-    :func:`signed_rotate_sum`, so the parameter receives the spread SGD step
-    additively.  Each gradient is popped from ``raw_grads`` as it is packed,
-    so it is freed before the re-encryption unless the caller holds it
-    elsewhere.  After re-encryption :func:`signed_rotate_spread` keeps offset
-    ``p`` again, replicates it over its block and adds it into the gradient's
-    parameter cell.  Returns the number of packed ciphertexts re-encrypted.
+    Gradient ``idx`` (in the insertion order of ``raw_grads``) is summed over
+    the n images into slot offset ``p = idx mod n`` of every block, masked
+    there with scale -lr/n and added into packed ciphertext idx // n, all in
+    one :func:`signed_rotate_sum`, so the parameter receives the spread SGD
+    step additively.  Each gradient is popped from ``raw_grads`` as it is
+    packed, so it is freed before the re-encryption unless the caller holds
+    it elsewhere.  After re-encryption :func:`signed_rotate_spread` keeps
+    offset ``p`` again, replicates it over its block and adds it into the
+    gradient's parameter cell.  Returns the number of packed ciphertexts
+    re-encrypted.
     """
-    order = sorted(raw_grads)
+    order = list(raw_grads)
     plans = [compute_rotation_plan(p, n) for p in range(min(n, len(order)))]
     packed: dict[int, Ciphertext] = {}
     for idx, key in enumerate(order):
@@ -213,7 +207,6 @@ def noise_removal_update(backend: SimulatorBackend, reencrypt,
     fresh = reencrypt(list(packed.values()))
 
     for idx, key in enumerate(order):
-        tkey = target_key(key)
-        target_cells[tkey] = signed_rotate_spread(backend, fresh[idx // n],
-                                                  plans[idx % n], target_cells[tkey])
+        target_cells[key] = signed_rotate_spread(backend, fresh[idx // n],
+                                                 plans[idx % n], target_cells[key])
     return len(packed)

@@ -31,11 +31,13 @@ EXIT_LEVELS = 3
 EXIT_IO = 4
 
 
+def _tee(rc: RunConfig) -> TeeService:
+    """A TEE over a fresh metered backend, keyed by the run's seed."""
+    return TeeService(SimulatorBackend(OpMeter()), rc.lhe, seed=rc.run.seed)
+
+
 def _session(rc: RunConfig) -> RefineSession:
-    meter = OpMeter()
-    backend = SimulatorBackend(meter)
-    tee = TeeService(backend, rc.lhe, seed=rc.run.seed)
-    return RefineSession(tee, rc.model, rc.lhe, r_mode=rc.run.r_mode,
+    return RefineSession(_tee(rc), rc.model, rc.lhe, r_mode=rc.run.r_mode,
                          exact_activation_grad=rc.run.exact_activation_grad)
 
 
@@ -100,10 +102,7 @@ def cmd_init_model(args) -> int:
 
 def cmd_infer(args) -> int:
     rc = load_config(args.config)
-    meter = OpMeter()
-    backend = SimulatorBackend(meter)
-    tee = TeeService(backend, rc.lhe, seed=rc.run.seed)
-    session = RefineSession.load(tee, args.model)
+    session = RefineSession.load(_tee(rc), args.model)
     images, _labels = read_dataset(args.inputs, session.cfg)
     if images.shape[0] != session.cfg.n:
         raise ValueError(f"inference takes exactly n={session.cfg.n} images")
@@ -121,10 +120,7 @@ def cmd_infer(args) -> int:
 
 def cmd_refine(args) -> int:
     rc = load_config(args.config)
-    meter = OpMeter()
-    backend = SimulatorBackend(meter)
-    tee = TeeService(backend, rc.lhe, seed=rc.run.seed)
-    session = RefineSession.load(tee, args.model)
+    session = RefineSession.load(_tee(rc), args.model)
     images, labels = read_dataset(args.data, session.cfg)
     lr = args.lr if args.lr is not None else rc.run.lr
     epochs = args.epochs if args.epochs is not None else rc.run.epochs
@@ -200,11 +196,11 @@ def cmd_selftest(args) -> int:
     check("after rotate-add by two pi-sets", backend.decrypt(ctx, step2),
           [112, 224, 112, 224, 112, 224, 112, 224])
 
-    from .forward import fl_forward_type1
+    from .forward import fl_forward
     from .packing import FL_TYPE1, PackedTensor
 
-    tensor = PackedTensor({(0,): fl_input}, FL_TYPE1, 2, pi_sets=4, neurons=4)
-    out = fl_forward_type1(backend, tensor, packed_w)
+    tensor = PackedTensor({(0,): fl_input}, FL_TYPE1, 2, pi_sets=4)
+    out = fl_forward(backend, tensor, packed_w)
     check("dense-layer operation output", backend.decrypt(ctx, out.cells[(0,)]),
           backend.decrypt(ctx, step2))
 

@@ -1,5 +1,8 @@
 """Forward propagation over packed ciphertexts.
 
+Each layer function reads its form from its parameters (the filters' layout
+and r, the weights' kind) and checks that its input is in that form.
+
 Layer functions return pre-activations; :func:`square_activation` is applied
 separately so pipelines can meter it under its own stage label, cache the
 pre-activation ciphertexts for the backward pass, and skip it after the final
@@ -61,43 +64,34 @@ def conv_forward(backend: SimulatorBackend, inputs: PackedTensor,
                         group_size=group)
 
 
-def fl_forward_type1(backend: SimulatorBackend, inputs: PackedTensor,
-                     weights: PackedWeights) -> PackedTensor:
-    """Type I fully-connected layer: products against per-output-row weight
-    ciphertexts, then a doubling rotate-sum folds all pi-set blocks so every
-    output ciphertext holds S/n replicas of its n per-image dot products."""
-    if inputs.layout != FL_TYPE1:
-        raise ValueError(f"expected {FL_TYPE1} input, got {inputs.layout}")
-    if weights.kind != "type1":
-        raise ValueError("type I propagation needs type1 weights")
-    n = inputs.n
-    slot_count = inputs.slot_count
-    cells = {}
-    for i in range(weights.out_neurons):
-        acc = backend.mul_sum((inputs.ct(j), weights.cells[(i, j)])
-                              for j in range(weights.in_cts))
-        cells[(i,)] = fold_rotate_sum(backend, acc, n, slot_count // n)
-    return PackedTensor(cells, FL_TYPE2, n, pi_sets=1, neurons=weights.out_neurons)
+def fl_forward(backend: SimulatorBackend, inputs: PackedTensor,
+               weights: PackedWeights) -> PackedTensor:
+    """Fully-connected layer in the weights' form: output cell j sums the
+    products of every input ciphertext i with weight cell
+    ``weights.weight_key(j, i)``.
 
-
-def fl_forward_type2(backend: SimulatorBackend, inputs: PackedTensor,
-                     weights: PackedWeights) -> PackedTensor:
-    """Type II fully-connected layer: each replicated input ciphertext meets
-    its per-input-column weight ciphertext; no rotations are needed.  The
-    output packs the o output neurons as consecutive pi-sets (a type I input
-    for the next layer)."""
-    if inputs.layout != FL_TYPE2:
-        raise ValueError(f"expected {FL_TYPE2} input, got {inputs.layout}")
-    if weights.kind != "type2":
-        raise ValueError("type II propagation needs type2 weights")
+    Type I weights take a many-pi-set input; a doubling rotate-sum then folds
+    the pi-set blocks, so each output ciphertext holds S/n replicas of its n
+    per-image dot products (a type II input).  Type II weights take one
+    replicated pi-set per input neuron and need no rotation; each output
+    ciphertext packs S/n output neurons as consecutive pi-sets (a type I
+    input).
+    """
+    type1 = weights.kind == "type1"
+    expected = FL_TYPE1 if type1 else FL_TYPE2
+    if inputs.layout != expected:
+        raise ValueError(f"{weights.kind} weights expect {expected} input, "
+                         f"got {inputs.layout}")
     n = inputs.n
-    slot_count = inputs.slot_count
+    blocks = inputs.slot_count // n
     cells = {}
     for j in range(weights.out_cts):
-        cells[(j,)] = backend.mul_sum((inputs.ct(i), weights.cells[(i, j)])
-                                      for i in range(weights.in_cts))
-    return PackedTensor(cells, FL_TYPE1, n, pi_sets=slot_count // n,
-                        neurons=weights.out_neurons)
+        acc = backend.mul_sum((inputs.ct(i), weights.cells[weights.weight_key(j, i)])
+                              for i in range(weights.in_cts))
+        cells[(j,)] = fold_rotate_sum(backend, acc, n, blocks) if type1 else acc
+    if type1:
+        return PackedTensor(cells, FL_TYPE2, n, pi_sets=1)
+    return PackedTensor(cells, FL_TYPE1, n, pi_sets=blocks)
 
 
 def square_activation(backend: SimulatorBackend, tensor: PackedTensor) -> PackedTensor:

@@ -160,12 +160,6 @@ def combined_geometry(cfg: CnnConfig, params: LheParams) -> CombinedGeometry:
         )
     grid_side = 1 + (beta0 - kernel_sides[0]) // strides[0]
 
-    packed = cfg.n * grid_side**2
-    if packed > params.slot_count:
-        raise GeometryError(
-            f"{packed} packed values per ciphertext exceed {params.slot_count} slots"
-        )
-
     return CombinedGeometry(
         kernel_sides=tuple(kernel_sides),
         strides=tuple(strides),

@@ -12,9 +12,11 @@ at ``encrypt`` and ``reencrypt`` only (it defaults to off); the homomorphic
 primitives add no error of their own.
 
 Rotation copies nothing in the simulator: a rotated ciphertext shares its
-operand's slot array and records a shift, which ``add`` and ``mul`` read
-directly.  It is still metered as one ``rot`` at the operand's meter level,
-as a real key-switching rotation would be.
+operand's slot array and records a shift.  Only :attr:`Ciphertext.slots`
+applies it, and every primitive reads its operands through it.  The pipeline
+reads no rotated ciphertext: its chains add two slices of an unrotated
+vector.  A rotation is still metered as one ``rot`` at the operand's meter
+level, as a real key-switching rotation would be.
 
 Slot buffers are recycled.  Every primitive that makes new slots (all but
 ``rot`` and ``decrypt``) writes into a buffer from its backend's free list,
@@ -284,28 +286,12 @@ def _buffer(pools: defaultdict, n: int) -> tuple[np.ndarray, np.ndarray, weakref
     return view.base, view, free.ref
 
 
-def _into(ufunc, x: np.ndarray, sx: int, y: np.ndarray, sy: int,
-          out: np.ndarray) -> None:
-    """``ufunc`` of ``x`` rotated left by ``sx`` and ``y`` rotated left by
-    ``sy``, written into ``out``.
-
-    The output is split at the operands' wrap points into at most three
-    segments over which both arrays are contiguous, so no rotation is copied.
-    ``ufunc`` is ``np.add`` or ``np.multiply``, which are commutative bit for
-    bit, so the operands may be swapped to put the smaller shift first.
-    """
-    if sx == sy == 0:
-        ufunc(x, y, out)
-        return
-    n = out.shape[0]
-    if sx > sy:
-        x, sx, y, sy = y, sy, x, sx
-    wrap_y, wrap_x = n - sy, n - sx
-    ufunc(x[sx:sx + wrap_y], y[sy:], out[:wrap_y])
-    if sx != sy:
-        ufunc(x[sx + wrap_y:], y[:sy - sx], out[wrap_y:wrap_x])
-    if sx:
-        ufunc(x[:sx], y[sy - sx:sy], out[wrap_x:])
+def _add_rotated(x: np.ndarray, s: int, out: np.ndarray) -> None:
+    """``x + rot(x, s)`` written into ``out`` (not ``x``), as two slices
+    split where the rotation wraps, so the rotation is not copied."""
+    cut = x.shape[0] - s % x.shape[0]
+    np.add(x[:cut], x[-cut:], out[:cut])
+    np.add(x[cut:], x[:-cut], out[cut:])
 
 
 @lru_cache(maxsize=4096)
@@ -341,11 +327,11 @@ def _check_pair(a: Ciphertext, b: Ciphertext) -> None:
 
 def _elementwise(ufunc, a: Ciphertext, b: Ciphertext,
                  pools: defaultdict) -> tuple[np.ndarray, weakref.ref]:
-    """``ufunc(a.slots, b.slots)`` computed on the shifted bases into a buffer
-    from ``pools``; returns the buffer's view and free-list reference."""
+    """``ufunc(a.slots, b.slots)`` computed into a buffer from ``pools``;
+    returns the buffer's view and free-list reference."""
     _check_pair(a, b)
     out, view, free = _buffer(pools, a._base.shape[0])
-    _into(ufunc, a._base, a._shift, b._base, b._shift, out)
+    ufunc(a.slots, b.slots, out)
     return view, free
 
 
@@ -521,15 +507,15 @@ class SimulatorBackend:
                     _check_pair(ref, a)
                 if out is None:
                     out, view, free = _buffer(pools, a._base.shape[0])
-                    _into(np.multiply, a._base, a._shift, b._base, b._shift, out)
+                    np.multiply(a.slots, b.slots, out)
                     if acc is None:  # the first product starts the sum
                         level, pending = lab - 1, True
                         continue
-                    _into(np.add, acc._base, acc._shift, out, 0, out)
+                    np.add(acc.slots, out, out)
                 else:
                     if tmp is None:
                         tmp, tmp_view, _ = _buffer(pools, out.shape[0])
-                    _into(np.multiply, a._base, a._shift, b._base, b._shift, tmp)
+                    np.multiply(a.slots, b.slots, tmp)
                     np.add(out, tmp, out)
                 # the product runs one level above its remaining budget ``lab - 1``
                 key = ("add", min(level + pending, lab))
@@ -560,12 +546,12 @@ class SimulatorBackend:
             return ct
         n = ct._base.shape[0]
         bufs = [_buffer(self._free, n) for _ in range(min(len(shifts), 2))]
-        x, sx = ct._base, ct._shift
+        x = ct.slots
         for step, s in enumerate(shifts):
             self.rot(ct, s)
             out = bufs[step & 1][0]
-            _into(np.add, x, sx, x, (sx + s) % n, out)
-            x, sx = out, 0
+            _add_rotated(x, s, out)
+            x = out
         if self.meter is not None:
             self.meter.record_many("add", ct.meter_level(), len(shifts))
         last = len(shifts) - 1
@@ -661,7 +647,7 @@ class SimulatorBackend:
         out, view, free = _buffer(self._free, ct._base.shape[0])
         out.reshape(-1, n)[...] = ct.slots[p::n, None]
         if acc is not None:
-            _into(np.add, out, 0, acc._base, acc._shift, out)
+            np.add(out, acc.slots, out)
         return _make(view, 0, out_level, ct.key_id, pending, free)
 
 

@@ -12,7 +12,9 @@ Slot layout conventions (S slots, n parallel inputs, grid side b):
   at once.
 * Fully-connected type I input: each ciphertext carries several pi-sets
   (neurons) without replication.  Type II input: one pi-set replicated S/n
-  times.  The two alternate layer to layer.
+  times.  The two alternate layer to layer; a layer's form is the kind of its
+  :class:`PackedWeights`.  A tensor holds no neuron count: the weights on
+  either side of it say how many of its pi-sets are neurons.
 
 :func:`conv_segments` is the slot map of each conv layout: which filter and
 channel each segment of a cell holds.  Each parameter container,
@@ -57,7 +59,6 @@ class PackedTensor:
     seg_slots: int = 0
     group_size: int = 1
     pi_sets: int = 0
-    neurons: int = 0  # logical neuron count for fl layouts (<= cts * pi_sets)
 
     def __post_init__(self):
         if self.layout not in LAYOUTS:
@@ -389,7 +390,7 @@ def encode_filters(backend: SimulatorBackend, ctx: KeyContext, filters: np.ndarr
 # ---------------------------------------------------------------------------
 
 
-def as_fl_input(tensor: PackedTensor, neurons: int) -> PackedTensor:
+def as_fl_input(tensor: PackedTensor) -> PackedTensor:
     """View the final conv output (grid collapsed to 1x1) as a type I
     fully-connected input.
 
@@ -404,4 +405,4 @@ def as_fl_input(tensor: PackedTensor, neurons: int) -> PackedTensor:
         if key[1:] != (0, 0):
             raise ValueError("conv output grid must be 1x1 to feed an fc layer")
         cells[(key[0],)] = tensor.cells[key]
-    return PackedTensor(cells, FL_TYPE1, tensor.n, pi_sets=pi, neurons=neurons)
+    return PackedTensor(cells, FL_TYPE1, tensor.n, pi_sets=pi)

@@ -186,15 +186,12 @@ class RefineSession:
             with meter.scope(f"Square{square_idx}"):
                 tensor = fwd.square_activation(self.backend, pre)
             del pre
-        tensor = as_fl_input(tensor, cfg.fc[0].inputs)
+        tensor = as_fl_input(tensor)
         for k in range(cfg.f):
             if cache is not None:
                 cache.fl_inputs.append(tensor)
             with meter.scope(f"FL{k + 1}"):
-                if self.weights[k].kind == "type1":
-                    tensor = fwd.fl_forward_type1(self.backend, tensor, self.weights[k])
-                else:
-                    tensor = fwd.fl_forward_type2(self.backend, tensor, self.weights[k])
+                tensor = fwd.fl_forward(self.backend, tensor, self.weights[k])
             if cache is not None:
                 cache.fl_pre.append(tensor)
             if k < cfg.f - 1:  # no activation after the final layer
@@ -203,15 +200,14 @@ class RefineSession:
                     tensor = fwd.square_activation(self.backend, tensor)
         return tensor
 
-    def infer(self, images: np.ndarray,
-              cost: CostTable | None = None) -> tuple[PackedTensor, OpReport]:
+    def infer(self, images: np.ndarray) -> tuple[PackedTensor, OpReport]:
         """Encrypted forward pass; returns the logits tensor and an op report
         covering exactly this call."""
         if not self.filters:
             raise RuntimeError("no model loaded")
         mark = self.meter.checkpoint()
         logits = self._forward(self.encrypt_inputs(images))
-        report = build_report(self.meter, cost or CostTable.default(), self.cfg.n,
+        report = build_report(self.meter, CostTable.default(), self.cfg.n,
                               counts=self.meter.since(mark))
         return logits, report
 
@@ -221,7 +217,7 @@ class RefineSession:
     # -- refining ------------------------------------------------------------
 
     def refine(self, images: np.ndarray, labels: np.ndarray, lr: float,
-               epochs: int = 1, cost: CostTable | None = None) -> RefineResult:
+               epochs: int = 1) -> RefineResult:
         """Run ``epochs`` passes over the data in batches of n images each.
 
         Each round: forward, TEE loss head, layer-by-layer backward with
@@ -251,7 +247,7 @@ class RefineSession:
                 losses.append(self._refine_round(images[start:start + n],
                                                  labels[start:start + n], lr))
                 rounds += 1
-        report = build_report(self.meter, cost or CostTable.default(), n,
+        report = build_report(self.meter, CostTable.default(), n,
                               counts=self.meter.since(mark))
         return RefineResult(losses, report, self.tee.stats.since(tee_before), rounds)
 
@@ -293,12 +289,8 @@ class RefineSession:
                     grad = bwd.activation_gradient(self.backend, grad, pre,
                                                    self.exact_activation_grad)
                 raw = bwd.fl_weight_gradients(self.backend, grad, inputs, weights)
-                if weights.kind == "type1":
-                    grad = bwd.fl_backward_type1(self.backend, grad, weights)
-                else:
-                    grad = bwd.fl_backward_type2(self.backend, grad, weights)
-                bwd.noise_removal_update(self.backend, reenc, raw, weights.cells,
-                                         lambda key: weights.weight_key(*key), lr, cfg.n)
+                grad = bwd.fl_backward(self.backend, grad, weights)
+                bwd.noise_removal_update(self.backend, reenc, raw, weights.cells, lr, cfg.n)
 
         grad = self._as_conv_grad(grad)
         for l in reversed(range(cfg.c)):
@@ -315,7 +307,7 @@ class RefineSession:
                                              out_grid, cfg.conv[l].stride,
                                              geo.kernel_sides[l])
                 bwd.noise_removal_update(self.backend, reenc, raw, self.filters[l].cells,
-                                         lambda key: key, lr, cfg.n)
+                                         lr, cfg.n)
         return loss
 
     def _as_conv_grad(self, tensor: PackedTensor) -> PackedTensor:

@@ -189,7 +189,7 @@ class TeeService:
         for j in range(count):
             block = neurons[j * p:(j + 1) * p].reshape(-1)
             cells[(j,)] = self.backend.encrypt(self._ctx, np.tile(block, reps))
-        return PackedTensor(cells, like.layout, n, pi_sets=p, neurons=like.neurons)
+        return PackedTensor(cells, like.layout, n, pi_sets=p)
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +284,7 @@ def _handle_loss_head(sock, service: TeeService, payload: bytes):
         layout, pi_sets = FL_TYPE1, service.params.slot_count // n
     else:
         layout, pi_sets = FL_TYPE2, 1
-    tensor = PackedTensor({(j,): ct for j, ct in enumerate(cts)}, layout, n,
-                          pi_sets=pi_sets, neurons=classes)
+    tensor = PackedTensor({(j,): ct for j, ct in enumerate(cts)}, layout, n, pi_sets=pi_sets)
     loss, grads = service.loss_head(party, tensor, labels, classes)
     _send_frame(sock, OP_LOSS_HEAD, struct.pack("<d", loss) + serialize_many(grads.cts()))
 

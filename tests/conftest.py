@@ -60,13 +60,13 @@ def per_op_select_rotate_add(backend, ct, directions, acc=None):
     return spread if acc is None else backend.add(acc, spread)
 
 
-def per_op_noise_removal_update(backend, reencrypt, raw_grads, target_cells,
-                                target_key, lr, n):
-    """``backward.noise_removal_update`` from per-op calls: each gradient's
-    batch sum is a ``rotate_add`` chain masked by a selector ``cmul`` and
-    added into its pack; each refreshed gradient is masked again, spread by
-    the reversed chain and added into its parameter cell."""
-    order = sorted(raw_grads)
+def per_op_noise_removal_update(backend, reencrypt, raw_grads, target_cells, lr, n):
+    """``backward.noise_removal_update`` from per-op calls: each gradient, in
+    insertion order, has its batch sum made by a ``rotate_add`` chain masked
+    by a selector ``cmul`` and added into its pack; each refreshed gradient
+    is masked again, spread by the reversed chain and added into the
+    parameter cell its key names."""
+    order = list(raw_grads)
     packed = {}
     for idx, key in enumerate(order):
         p, k = idx % n, idx // n
@@ -77,10 +77,9 @@ def per_op_noise_removal_update(backend, reencrypt, raw_grads, target_cells,
         return 0
     fresh = reencrypt(list(packed.values()))
     for idx, key in enumerate(order):
-        p, tkey = idx % n, target_key(key)
-        target_cells[tkey] = per_op_select_rotate_add(
-            backend, fresh[idx // n], compute_rotation_plan(p, n).directions,
-            target_cells[tkey])
+        target_cells[key] = per_op_select_rotate_add(
+            backend, fresh[idx // n], compute_rotation_plan(idx % n, n).directions,
+            target_cells[key])
     return len(packed)
 
 

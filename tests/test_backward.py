@@ -8,8 +8,7 @@ from lhecnn.backward import (
     activation_gradient,
     conv_backward,
     conv_kernel_gradients,
-    fl_backward_type1,
-    fl_backward_type2,
+    fl_backward,
     fl_weight_gradients,
     noise_removal_update,
     pack_count,
@@ -45,9 +44,9 @@ class TestActivationGradient:
     def test_doubles_and_applies_preactivation(self, backend):
         ctx = backend.keygen(LheParams(8, 8), seed=1)
         g = PackedTensor({(0,): backend.encrypt(ctx, np.full(8, 3.0))},
-                         FL_TYPE2, 2, pi_sets=1, neurons=1)
+                         FL_TYPE2, 2, pi_sets=1)
         z = PackedTensor({(0,): backend.encrypt(ctx, np.arange(8.0))},
-                         FL_TYPE2, 2, pi_sets=1, neurons=1)
+                         FL_TYPE2, 2, pi_sets=1)
         out = activation_gradient(backend, g, z, exact=True)
         assert np.array_equal(backend.decrypt(ctx, out.cells[(0,)]),
                               2.0 * 3.0 * np.arange(8.0))
@@ -56,9 +55,9 @@ class TestActivationGradient:
         # exact mode: one plaintext and one ciphertext multiplication
         ctx = backend.keygen(LheParams(8, 8), seed=1)
         g = PackedTensor({(0,): backend.encrypt(ctx, np.ones(8))},
-                         FL_TYPE2, 2, pi_sets=1, neurons=1)
+                         FL_TYPE2, 2, pi_sets=1)
         z = PackedTensor({(0,): backend.encrypt(ctx, np.ones(8))},
-                         FL_TYPE2, 2, pi_sets=1, neurons=1)
+                         FL_TYPE2, 2, pi_sets=1)
         assert activation_gradient(backend, g, z, exact=True).level() == 5
         assert activation_gradient(backend, g, None, exact=False).level() == 6
 
@@ -68,36 +67,36 @@ class TestFlBackward:
         # o=1, unit weights, unit preacts: input grad = 2 * out_grad everywhere
         ctx = backend.keygen(LheParams(8, 8), seed=1)
         out_g = PackedTensor({(0,): backend.encrypt(ctx, np.full(8, 5.0))},
-                             FL_TYPE2, 2, pi_sets=1, neurons=1)
+                             FL_TYPE2, 2, pi_sets=1)
         pre = PackedTensor({(0,): backend.encrypt(ctx, np.ones(8))},
-                           FL_TYPE2, 2, pi_sets=1, neurons=1)
+                           FL_TYPE2, 2, pi_sets=1)
         weights = encode_weights(backend, ctx, np.ones((1, 4)),
                                  "type1", n=2, in_cts=1, pi_per_ct=4)
         g = activation_gradient(backend, out_g, pre, exact=True)
-        out = fl_backward_type1(backend, g, weights)
+        out = fl_backward(backend, g, weights)
         assert np.array_equal(backend.decrypt(ctx, out.cells[(0,)]), np.full(8, 10.0))
 
     def test_input_grads_three_levels_below_output_grads(self, backend):
         ctx = backend.keygen(LheParams(8, 10), seed=1)
         out_g = PackedTensor({(0,): backend.encrypt(ctx, np.ones(8))},
-                             FL_TYPE2, 2, pi_sets=1, neurons=1)
+                             FL_TYPE2, 2, pi_sets=1)
         pre = PackedTensor({(0,): backend.encrypt(ctx, np.ones(8))},
-                           FL_TYPE2, 2, pi_sets=1, neurons=1)
+                           FL_TYPE2, 2, pi_sets=1)
         weights = encode_weights(backend, ctx, np.ones((1, 4)),
                                  "type1", n=2, in_cts=1, pi_per_ct=4)
         g = activation_gradient(backend, out_g, pre, exact=True)
-        out = fl_backward_type1(backend, g, weights)
+        out = fl_backward(backend, g, weights)
         assert out.level() == out_g.level() - 3  # cmul x2, preact mul, weight mul
 
     def test_type2_identity_single_neuron(self, backend):
         ctx = backend.keygen(LheParams(8, 10), seed=1)
         out_g = PackedTensor({(0,): backend.encrypt(ctx, np.tile([4.0, 6.0], 4))},
-                             FL_TYPE1, 2, pi_sets=4, neurons=1)
+                             FL_TYPE1, 2, pi_sets=4)
         pre = PackedTensor({(0,): backend.encrypt(ctx, np.tile([0.5, 0.25], 4))},
-                           FL_TYPE1, 2, pi_sets=4, neurons=1)
+                           FL_TYPE1, 2, pi_sets=4)
         weights = encode_weights(backend, ctx, np.array([[1.0]]), "type2", n=2)
         g = activation_gradient(backend, out_g, pre, exact=True)
-        out = fl_backward_type2(backend, g, weights)
+        out = fl_backward(backend, g, weights)
         assert out.layout == FL_TYPE2
         # grad value per image replicated over the whole ciphertext: only the
         # first block of the type-II output carries the single output row
@@ -107,10 +106,9 @@ class TestFlBackward:
     def test_type_alternation_mirror(self, backend):
         ctx = backend.keygen(LheParams(8, 10), seed=1)
         out_g = PackedTensor({(0,): backend.encrypt(ctx, np.ones(8))},
-                             FL_TYPE1, 2, pi_sets=4, neurons=2)
+                             FL_TYPE1, 2, pi_sets=4)
         weights = encode_weights(backend, ctx, np.ones((2, 3)), "type2", n=2)
-        out = fl_backward_type2(backend, activation_gradient(backend, out_g, out_g),
-                                weights)
+        out = fl_backward(backend, activation_gradient(backend, out_g, out_g), weights)
         assert out.layout == FL_TYPE2 and len(out.cells) == 3
 
 
@@ -120,9 +118,9 @@ class TestFlWeightGradients:
         # g*a1 + g*a2 after the signed rotate-sum the update applies
         ctx = backend.keygen(LheParams(8, 10), seed=1)
         out_g = PackedTensor({(0,): backend.encrypt(ctx, np.tile([3.0, 3.0], 4))},
-                             FL_TYPE2, 2, pi_sets=1, neurons=1)
+                             FL_TYPE2, 2, pi_sets=1)
         inp = PackedTensor({(0,): backend.encrypt(ctx, [1, 2, 10, 20, 100, 200, 5, 6])},
-                           FL_TYPE1, 2, pi_sets=4, neurons=4)
+                           FL_TYPE1, 2, pi_sets=4)
         weights = encode_weights(backend, ctx, np.ones((1, 4)),
                                  "type1", n=2, in_cts=1, pi_per_ct=4)
         raw = fl_weight_gradients(backend, out_g, inp, weights)
@@ -136,9 +134,9 @@ class TestFlWeightGradients:
     def test_zero_out_grads_zero_gradients(self, backend):
         ctx = backend.keygen(LheParams(8, 10), seed=1)
         out_g = PackedTensor({(0,): backend.encrypt(ctx, np.zeros(8))},
-                             FL_TYPE2, 2, pi_sets=1, neurons=1)
+                             FL_TYPE2, 2, pi_sets=1)
         inp = PackedTensor({(0,): backend.encrypt(ctx, np.arange(8.0))},
-                           FL_TYPE1, 2, pi_sets=4, neurons=4)
+                           FL_TYPE1, 2, pi_sets=4)
         weights = encode_weights(backend, ctx, np.ones((1, 4)),
                                  "type1", n=2, in_cts=1, pi_per_ct=4)
         raw = fl_weight_gradients(backend, out_g, inp, weights)
@@ -164,10 +162,10 @@ class TestFlWeightGradients:
         _, g = sess.tee.loss_head(sess.party, logits, label_ct, 3)
         raw = fl_weight_gradients(sess.backend, g, cache.fl_inputs[1], sess.weights[1])
         # FL2 is type II: gradient for weight (row w, col i) sits in the batch
-        # sum of raw[(0, i)] at slot w*n + p with p = i mod n
+        # sum of raw[(i, 0)], its type II cell, at slot w*n + p with p = i mod n
         for i in range(4):
             p = i % 4
-            summed = signed_rotate_sum(sess.backend, raw[(0, i)],
+            summed = signed_rotate_sum(sess.backend, raw[(i, 0)],
                                        compute_rotation_plan(p, 4), 1.0)
             slots = sess.tee.backend.decrypt(sess.tee._ctx, summed)
             for w in range(3):
@@ -238,8 +236,7 @@ class TestNoiseRemovalUpdate:
         def reenc(cts):
             calls.append(len(cts))
             return [backend.reencrypt(ctx, ct) for ct in cts]
-        packed = noise_removal_update(backend, reenc, raw, target,
-                                      lambda k: k, lr=0.1, n=4)
+        packed = noise_removal_update(backend, reenc, raw, target, lr=0.1, n=4)
         assert packed == 2 and calls == [2]
 
     def test_raw_gradients_are_freed_before_reencryption(self, backend):
@@ -261,7 +258,7 @@ class TestNoiseRemovalUpdate:
                              for obj in gc.get_objects()))
             return [backend.reencrypt(ctx, ct) for ct in cts]
 
-        noise_removal_update(backend, reenc, raw, target, lambda k: k, lr=0.1, n=4)
+        noise_removal_update(backend, reenc, raw, target, lr=0.1, n=4)
         assert alive == [0]
         assert not raw  # the caller's dict no longer holds them either
 
@@ -275,7 +272,7 @@ class TestNoiseRemovalUpdate:
             raise ConnectionError("TEE unreachable")
 
         with pytest.raises(ConnectionError):
-            noise_removal_update(backend, reenc, raw, target, lambda k: k, lr=0.1, n=2)
+            noise_removal_update(backend, reenc, raw, target, lr=0.1, n=2)
         assert all(target[k] is before[k] for k in before) and target.keys() == before.keys()
 
     @pytest.mark.parametrize("count", [11, 3], ids=["three-packs", "part-of-one"])
@@ -299,7 +296,7 @@ class TestNoiseRemovalUpdate:
             target = {key: backend.encrypt(ctx, rng.normal(size=16)) for key in raw}
             reenc = lambda cts: [backend.reencrypt(ctx, ct) for ct in cts]
             backend.cmuls = 0  # every cmul from here on takes a selector
-            packed = update(backend, reenc, raw, target, lambda k: k, 0.3, 4)
+            packed = update(backend, reenc, raw, target, 0.3, 4)
             return (packed, {k: ct.slots.tobytes() for k, ct in target.items()},
                     backend.meter.checkpoint()), backend.cmuls
 
@@ -437,7 +434,7 @@ class TestConvKernelGradients:
         label_ct = sess.backend.encrypt(sess.ctx, vec)
         _, g = sess.tee.loss_head(sess.party, logits, label_ct, 3)
         # propagate through the only fc layer, then the conv activation
-        g = fl_backward_type1(sess.backend, g, sess.weights[0])
+        g = fl_backward(sess.backend, g, sess.weights[0])
         g = sess._as_conv_grad(g)
         g = activation_gradient(sess.backend, g, cache.conv_pre[0], exact=True)
         raw = conv_kernel_gradients(sess.backend, cache.conv_inputs[0], g,

@@ -6,8 +6,7 @@ import pytest
 
 from lhecnn.forward import (
     conv_forward,
-    fl_forward_type1,
-    fl_forward_type2,
+    fl_forward,
     square_activation,
 )
 from lhecnn.geometry import CnnConfig, ConvLayer, FcLayer, combined_geometry, preset
@@ -208,10 +207,10 @@ class TestFlForward:
     def test_type1_worked_example_chain(self, backend):
         ctx = backend.keygen(LheParams(8, 6), seed=1)
         inp = PackedTensor({(0,): backend.encrypt(ctx, [20, 40, 28, 56, 84, 168, 92, 184])},
-                           FL_TYPE1, 2, pi_sets=4, neurons=4)
+                           FL_TYPE1, 2, pi_sets=4)
         matrix = np.array([[1.0, 0, 0, 1], [0, 1.0, 1, 0]])
         weights = encode_weights(backend, ctx, matrix, "type1", n=2, in_cts=1, pi_per_ct=4)
-        out = fl_forward_type1(backend, inp, weights)
+        out = fl_forward(backend, inp, weights)
         assert out.layout == FL_TYPE2
         assert np.array_equal(backend.decrypt(ctx, out.cells[(0,)]),
                               [112, 224, 112, 224, 112, 224, 112, 224])
@@ -221,10 +220,10 @@ class TestFlForward:
     def test_type1_all_ones_sums_block(self, backend):
         ctx = backend.keygen(LheParams(8, 8), seed=1)
         inp = PackedTensor({(0,): backend.encrypt(ctx, [1, 10, 2, 20, 3, 30, 4, 40])},
-                           FL_TYPE1, 2, pi_sets=4, neurons=4)
+                           FL_TYPE1, 2, pi_sets=4)
         weights = encode_weights(backend, ctx, np.ones((1, 4)),
                                  "type1", n=2, in_cts=1, pi_per_ct=4)
-        out = fl_forward_type1(backend, inp, weights)
+        out = fl_forward(backend, inp, weights)
         assert np.array_equal(backend.decrypt(ctx, out.cells[(0,)]),
                               np.tile([10, 100], 4))
 
@@ -232,9 +231,9 @@ class TestFlForward:
         ctx = backend.keygen(LheParams(8, 8), seed=1)
         cells = {(i,): backend.encrypt(ctx, np.tile([i + 1.0, 10 * (i + 1)], 4))
                  for i in range(3)}
-        inp = PackedTensor(cells, FL_TYPE2, 2, pi_sets=1, neurons=3)
+        inp = PackedTensor(cells, FL_TYPE2, 2, pi_sets=1)
         weights = encode_weights(backend, ctx, np.ones((1, 3)), "type2", n=2)
-        out = fl_forward_type2(backend, inp, weights)
+        out = fl_forward(backend, inp, weights)
         assert len(out.cells) == 1
         got = backend.decrypt(ctx, out.cells[(0,)])
         assert np.array_equal(got[:2], [6, 60])
@@ -253,14 +252,25 @@ class TestFlForward:
         assert cache.fl_inputs[1].layout == FL_TYPE2
         assert cache.fl_pre[1].layout == FL_TYPE1   # type II output
 
+    @pytest.mark.parametrize("kind,expected,other",
+                             [("type1", FL_TYPE1, FL_TYPE2), ("type2", FL_TYPE2, FL_TYPE1)])
+    def test_rejects_the_other_input_form_naming_both(self, backend, kind, expected, other):
+        ctx = backend.keygen(LheParams(8, 8), seed=1)
+        weights = encode_weights(backend, ctx, np.ones((1, 4)), kind, n=2,
+                                 in_cts=1, pi_per_ct=4)
+        cells = {(i,): backend.encrypt(ctx, np.ones(8)) for i in range(weights.in_cts)}
+        inp = PackedTensor(cells, other, 2, pi_sets=4 if other == FL_TYPE1 else 1)
+        with pytest.raises(ValueError, match=f"expect {expected} input, got {other}$"):
+            fl_forward(backend, inp, weights)
+
     def test_no_rotations_in_type2(self, backend):
         meter = backend.meter
         ctx = backend.keygen(LheParams(8, 8), seed=1)
         cells = {(i,): backend.encrypt(ctx, np.ones(8)) for i in range(3)}
-        inp = PackedTensor(cells, FL_TYPE2, 2, pi_sets=1, neurons=3)
+        inp = PackedTensor(cells, FL_TYPE2, 2, pi_sets=1)
         weights = encode_weights(backend, ctx, np.ones((2, 3)), "type2", n=2)
         mark = meter.checkpoint()
-        fl_forward_type2(backend, inp, weights)
+        fl_forward(backend, inp, weights)
         delta = meter.since(mark)
         assert not any(k[1] == "rot" for k in delta)
 

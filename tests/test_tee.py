@@ -96,10 +96,10 @@ def logits_tensor(backend, ctx, values, n, layout=FL_TYPE1):
         for w in range(classes):
             vec[w * n:(w + 1) * n] = values[:, w]
         cells = {(0,): backend.encrypt(ctx, vec)}
-        return PackedTensor(cells, FL_TYPE1, n, pi_sets=S // n, neurons=classes)
+        return PackedTensor(cells, FL_TYPE1, n, pi_sets=S // n)
     cells = {(w,): backend.encrypt(ctx, np.tile(values[:, w], S // n))
              for w in range(classes)}
-    return PackedTensor(cells, FL_TYPE2, n, pi_sets=1, neurons=classes)
+    return PackedTensor(cells, FL_TYPE2, n, pi_sets=1)
 
 
 class TestLossHead:
@@ -215,10 +215,9 @@ class TestSocketTransport:
             vec = np.zeros(16)
             vec[:n * classes] = values.T.reshape(-1)
             return PackedTensor({(0,): backend.encrypt(ctx, vec)}, FL_TYPE1, n,
-                                pi_sets=16 // n, neurons=classes)
+                                pi_sets=16 // n)
         return PackedTensor({(w,): backend.encrypt(ctx, np.tile(values[:, w], 16 // n))
-                             for w in range(classes)}, FL_TYPE2, n, pi_sets=1,
-                            neurons=classes)
+                             for w in range(classes)}, FL_TYPE2, n, pi_sets=1)
 
     @pytest.mark.parametrize("layout", [FL_TYPE1, FL_TYPE2], ids=["type1", "type2"])
     def test_attest_reencrypt_and_loss_head_over_socket(self, backend, tmp_path, layout):
@@ -284,7 +283,7 @@ class TestSocketTransport:
             client = TeeSocketClient(path, ctx, "remote")
             client.attest()
             tensor = PackedTensor({(0,): backend.encrypt(ctx, np.zeros(16))}, FL_TYPE1, 2,
-                                  pi_sets=8, neurons=300)
+                                  pi_sets=8)
             # label 300 would arrive as 300 % 256 = 44, a valid class
             with pytest.raises(ValueError, match="300 classes"):
                 client.loss_head(tensor, np.array([300, 1]), 300)
