@@ -8,11 +8,12 @@ raw per-image weight gradients keyed by the parameter cell each updates
 :func:`noise_removal_update` then packs them: a signed rotation plan sums
 each gradient over the n parallel inputs into a per-weight slot offset ``p``
 of every n-slot block, and the mask that keeps those slots rides in the same
-call (:func:`~lhecnn.packing.signed_rotate_sum`), adding the gradient into
-one of few packed ciphertexts for the trusted service to re-encrypt.  After
-re-encryption, :func:`~lhecnn.packing.signed_rotate_spread` keeps slot ``p``
-again and spreads it back over its blocks, added straight into the parameter
-cell under the gradient's key: the update is a plain homomorphic addition.
+call, one :func:`~lhecnn.packing.signed_rotate_sum` per packed ciphertext
+of n gradients for the trusted service to re-encrypt.  After re-encryption,
+one :func:`~lhecnn.packing.signed_rotate_spread` per packed ciphertext keeps
+each slot ``p`` again and spreads it back over its blocks, added straight
+into the parameter cell under its gradient's key: the update is a plain
+homomorphic addition.
 
 The descent sign and learning-rate scaling ride in the packing mask (scale
 -lr/n at the kept slots), so the additive update performs SGD on the batch
@@ -183,30 +184,29 @@ def noise_removal_update(backend: SimulatorBackend, reencrypt,
     and add each into the parameter ciphertext under its key in
     ``target_cells``.
 
-    Gradient ``idx`` (in the insertion order of ``raw_grads``) is summed over
-    the n images into slot offset ``p = idx mod n`` of every block, masked
-    there with scale -lr/n and added into packed ciphertext idx // n, all in
-    one :func:`signed_rotate_sum`, so the parameter receives the spread SGD
-    step additively.  Each gradient is popped from ``raw_grads`` as it is
-    packed, so it is freed before the re-encryption unless the caller holds
-    it elsewhere.  After re-encryption :func:`signed_rotate_spread` keeps
-    offset ``p`` again, replicates it over its block and adds it into the
+    The gradients go, in the insertion order of ``raw_grads``, n to a packed
+    ciphertext: gradient ``idx`` is summed over the n images into slot offset
+    ``p = idx mod n`` of every block and masked there with scale -lr/n, one
+    :func:`signed_rotate_sum` per packed ciphertext, so the parameter receives
+    the spread SGD step additively.  Each pack's gradients are popped from
+    ``raw_grads`` as it is made, so they are freed before the re-encryption
+    unless the caller holds them elsewhere.  After re-encryption, one
+    :func:`signed_rotate_spread` per packed ciphertext keeps each offset
+    ``p`` again, replicates it over its block and adds it into its
     gradient's parameter cell.  Returns the number of packed ciphertexts
     re-encrypted.
     """
     order = list(raw_grads)
+    packs = [order[start:start + n] for start in range(0, len(order), n)]
     plans = [compute_rotation_plan(p, n) for p in range(min(n, len(order)))]
-    packed: dict[int, Ciphertext] = {}
-    for idx, key in enumerate(order):
-        k = idx // n
-        packed[k] = signed_rotate_sum(backend, raw_grads.pop(key), plans[idx % n],
-                                      -lr / n, packed.get(k))
+    packed = [signed_rotate_sum(backend, [raw_grads.pop(key) for key in keys],
+                                plans[:len(keys)], -lr / n) for keys in packs]
     if not packed:
         return 0
 
-    fresh = reencrypt(list(packed.values()))
+    fresh = reencrypt(packed)
 
-    for idx, key in enumerate(order):
-        target_cells[key] = signed_rotate_spread(backend, fresh[idx // n],
-                                                 plans[idx % n], target_cells[key])
+    for ct, keys in zip(fresh, packs):
+        target_cells.update(zip(keys, signed_rotate_spread(
+            backend, ct, plans[:len(keys)], [target_cells[key] for key in keys])))
     return len(packed)

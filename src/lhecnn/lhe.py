@@ -15,8 +15,7 @@ Rotation copies nothing in the simulator: a rotated ciphertext shares its
 operand's slot array and records a shift.  Only :attr:`Ciphertext.slots`
 applies it, and every primitive reads its operands through it.  The pipeline
 reads no rotated ciphertext: its chains add two slices of an unrotated
-vector.  A rotation is still metered as one ``rot`` at the operand's meter
-level, as a real key-switching rotation would be.
+vector, or sum the slots of each block pairwise.
 
 Slot buffers are recycled.  Every primitive that makes new slots (all but
 ``rot`` and ``decrypt``) writes into a buffer from its backend's free list,
@@ -34,17 +33,17 @@ Batched primitives run the pipeline's hot patterns with fewer Python calls
 and the same arithmetic: ``mul_sum`` is the left fold of products
 ``acc + a0*b0 + a1*b1 + ...`` (kernel windows, weight rows), and
 ``rotate_add`` is a chain ``v <- v + rot(v, s)`` over a list of shifts (the
-folds).  Two more fold the noise-removal mask into a chain, so only the slots
-that survive it are computed: ``rotate_add_select`` sums each n-slot block
-into its slot ``p`` and keeps those slots times a scale (the batch sum that
-packs a gradient, in ``acc``, for re-encryption), and ``select_rotate_add``
-keeps slot ``p`` of each block and spreads it over the block (the refreshed
-gradient, added straight into its parameter cell).  The mask lives in these
-two calls; no selector vector is built.  Each primitive gives the level and
-rescale flag of the per-op calls it stands for, their slots (the masked two
-up to the sign of an exact zero), and meters the same ops at the same
-levels: the ``mul``, ``cmul`` and ``add`` calls recorded in batches, and one
-``rot`` per chain step, each issued through :meth:`SimulatorBackend.rot`.
+folds).  Two more run the noise-removal update a packed ciphertext at a time
+with its mask folded in, computing only the slots that survive it:
+``pack_sums`` sums the n-slot blocks of up to n gradients, each into its own
+offset, and keeps those slots times a scale, and ``unpack_spreads`` spreads
+each offset of a refreshed pack over its block, into the gradient's
+parameter cell.  Each primitive gives the level and rescale flag of the
+per-op calls it stands for, their slots (the masked two up to the sign of an
+exact zero), and meters the same ops at the same levels, in batches through
+:meth:`OpMeter.record_many`.  Only the spread issues its rotations through
+:meth:`SimulatorBackend.rot`, one per chain step, so that a traced backend
+can count them; no other chain step makes a ``rot`` call.
 
 Level accounting for the meter follows lazy rescaling: the product of a
 multiplication stays at its operands' modulus level until the next
@@ -295,26 +294,27 @@ def _add_rotated(x: np.ndarray, s: int, out: np.ndarray) -> None:
 
 
 @lru_cache(maxsize=4096)
-def _chain_terms(directions: tuple[int, ...], slot_count: int) -> np.ndarray:
-    """In-block offsets of the terms that the signed plan ``directions`` sums
-    into its slot ``p`` of each n-slot block, where ``n = 2**len(directions)``
-    and ``p`` has bit k set where ``directions[k]`` is -1.
-
-    The chain's step k is ``v <- v + rot(v, s_k)`` with ``s_k = d_k << k``,
-    and adds ``v[o + s_k]`` to ``v[o]``, so the terms are built from ``[p]`` by
-    appending ``terms + s`` for the shifts taken last to first: step k then
-    adds the second half of its terms to the first half.  They are the whole
-    block, each once, so ``p = terms[0]`` and ``n = len(terms)``.  Raises
-    ValueError unless every direction is 1 or -1 and ``n <= slot_count``."""
+def _plan_offset(directions: tuple[int, ...]) -> int:
+    """The in-block offset ``p`` that the signed plan ``directions`` sums each
+    block of ``2**len(directions)`` slots into: bit k of ``p`` is set where
+    ``directions[k]`` is -1.  Raises ValueError unless each is 1 or -1."""
     if any(d not in (1, -1) for d in directions):
         raise ValueError(f"directions must be 1 or -1, got {list(directions)}")
-    if 1 << len(directions) > slot_count:
-        raise ValueError(f"{1 << len(directions)}-slot blocks exceed the {slot_count} slots")
-    terms = np.array([sum(1 << k for k, d in enumerate(directions) if d < 0)])
-    for k in reversed(range(len(directions))):
-        terms = np.concatenate((terms, terms + (directions[k] << k)))
-    terms.setflags(write=False)
-    return terms
+    return sum(1 << k for k, d in enumerate(directions) if d < 0)
+
+
+def _pack_offsets(plans: Sequence[Sequence[int]], slot_count: int) -> tuple[list[int], int]:
+    """The offsets (:func:`_plan_offset`) of the signed plans of one pack and
+    the block size n they share.  Raises ValueError unless they share one
+    ``n <= slot_count`` and name distinct offsets, so a pack holds at most n."""
+    offsets = [_plan_offset(tuple(plan)) for plan in plans]
+    n = 1 << len(plans[0])
+    if (n > slot_count or any(1 << len(plan) != n for plan in plans)
+            or len(set(offsets)) < len(offsets)):
+        raise ValueError(f"the {len(plans)} plans of a pack must share one block size of "
+                         f"at most {slot_count} slots and name distinct offsets, got "
+                         f"{[len(plan) for plan in plans]} steps to offsets {offsets}")
+    return offsets, n
 
 
 def _check_pair(a: Ciphertext, b: Ciphertext) -> None:
@@ -366,17 +366,10 @@ class SimulatorBackend:
     def _scope(self) -> str:
         return self.meter.current_scope if self.meter is not None else ""
 
-    def _add_masked(self, acc: Ciphertext | None, ct: Ciphertext,
-                    level: int) -> tuple[int, bool]:
-        """Check and meter the add into ``acc`` of a masked result made from
-        ``ct`` by a ``cmul`` at ``level``; returns the level and rescale flag
-        of the sum (of the masked result alone when ``acc`` is None)."""
-        if acc is None:
-            return level - 1, True
-        _check_pair(acc, ct)
-        if self.meter is not None:  # the masked result runs at ``level``
-            self.meter.record("add", min(acc.level + acc.pending_rescale, level))
-        return min(acc.level, level - 1), acc.pending_rescale
+    def _record_counts(self, counts: dict[tuple[str, int], int]) -> None:
+        if self.meter is not None:
+            for (kind, level), c in counts.items():
+                self.meter.record_many(kind, level, c)
 
     def _fresh(self, ctx: KeyContext, values: np.ndarray) -> Ciphertext:
         """A top-level ciphertext of ``values``, perturbed when noise is on."""
@@ -488,7 +481,7 @@ class SimulatorBackend:
         The products go through one scratch buffer and are summed in place
         into the result's buffer.
         """
-        pools, counts = self._free, {}
+        pools, counts = self._free, defaultdict(int)
         ref = acc  # the operand each later term is added to, for its checks
         if acc is not None:
             level, pending = acc.level, acc.pending_rescale
@@ -499,8 +492,7 @@ class SimulatorBackend:
                 lab = min(a.level, b.level)
                 if lab < 1:
                     raise LevelExhausted("mul", lab, self._scope())
-                key = ("mul", lab)
-                counts[key] = counts.get(key, 0) + 1
+                counts[("mul", lab)] += 1
                 if ref is None:
                     ref = a
                 else:
@@ -518,14 +510,10 @@ class SimulatorBackend:
                     np.multiply(a.slots, b.slots, tmp)
                     np.add(out, tmp, out)
                 # the product runs one level above its remaining budget ``lab - 1``
-                key = ("add", min(level + pending, lab))
-                counts[key] = counts.get(key, 0) + 1
+                counts[("add", min(level + pending, lab))] += 1
                 level = min(level, lab - 1)
         finally:
-            meter = self.meter
-            if meter is not None:
-                for (kind, lv), c in counts.items():
-                    meter.record_many(kind, lv, c)
+            self._record_counts(counts)
         if out is None:
             raise ValueError("mul_sum needs at least one product")
         if tmp is not None:
@@ -535,12 +523,9 @@ class SimulatorBackend:
     def rotate_add(self, ct: Ciphertext, shifts: Sequence[int]) -> Ciphertext:
         """``v <- v + rot(v, s)`` for each shift ``s`` in turn, from ``v = ct``:
         the chain of :meth:`rot` and :meth:`add` calls, with its slots, level
-        and meter counts.
-
-        Every step issues its rotation through :meth:`rot` (on ``ct``, whose
-        level and rescale flag every step shares), so the meter and any
-        subclass see one ``rot`` per step; the adds are metered together.
-        The steps write into two buffers in turn.
+        and meter counts.  Every step runs at ``ct``'s meter level, so its
+        rotations and adds are metered in one batch each, and none goes
+        through :meth:`rot`.  The steps write into two buffers in turn.
         """
         if not shifts:
             return ct
@@ -548,107 +533,116 @@ class SimulatorBackend:
         bufs = [_buffer(self._free, n) for _ in range(min(len(shifts), 2))]
         x = ct.slots
         for step, s in enumerate(shifts):
-            self.rot(ct, s)
             out = bufs[step & 1][0]
             _add_rotated(x, s, out)
             x = out
-        if self.meter is not None:
-            self.meter.record_many("add", ct.meter_level(), len(shifts))
+        self._record_counts({("rot", ct.meter_level()): len(shifts),
+                             ("add", ct.meter_level()): len(shifts)})
         last = len(shifts) - 1
         if last:  # hand back the buffer the last step read
             self._free[n].append(bufs[(last - 1) & 1][1])
         _, view, free = bufs[last & 1]
         return _make(view, 0, ct.level, ct.key_id, ct.pending_rescale, free)
 
-    def rotate_add_select(self, ct: Ciphertext, directions: Sequence[int], scale: float,
-                          acc: Ciphertext | None = None) -> Ciphertext:
-        """``acc + cmul(rotate_add(ct, shifts), selector)`` for the signed plan
-        ``directions`` (shifts ``d_k << k``, n-slot blocks with
-        ``n = 2**len(directions)``, offset ``p`` with bit k set where ``d_k`` is
-        -1; see :func:`_chain_terms`), where the selector is ``scale`` at slots
-        ``p::n`` and zero elsewhere: a chain that sums every n-slot block into
-        its slot ``p``, then the mask that keeps those slots.  The level,
-        rescale flag, errors and meter counts are those of the per-op
-        :meth:`rotate_add`, :meth:`cmul` and :meth:`add` calls, and every chain
-        step still issues its rotation through :meth:`rot`.
+    def pack_sums(self, cts: Sequence[Ciphertext], plans: Sequence[Sequence[int]],
+                  scale: float) -> Ciphertext:
+        """One ciphertext holding ``scale`` times the block sums of each
+        ``cts[g]`` at its offset: the per-op calls ``rotate_add(cts[g],
+        shifts_g)``, a ``cmul`` by the selector that is ``scale`` at ``p_g::n``
+        and an ``add`` into the pack so far, where ``plans[g]`` is the signed
+        plan (directions) that sums n-slot blocks into offset ``p_g`` (see
+        :func:`_plan_offset`).  It gives those calls' level, rescale flag,
+        errors (at the same ciphertext, after metering the ones before it) and
+        meter counts, but no chain step goes through :meth:`rot`.
+        :func:`_pack_offsets` checks the plans first.
 
-        Only slots ``p::n`` are computed: one gather of the terms the chain
-        sums into them, then one halving add per step, pairing the terms as
-        the chain does, so each kept value is bit for bit the chain's.  The
-        other slots are ``acc`` (or zero), where the per-op product writes
-        ``x * 0.0``: equal, up to the sign of an exact zero, for finite slots.
+        Only the kept slots are computed.  Chain step k adds to each slot
+        ``o`` that reaches ``p`` the slot ``o ^ 2**k`` (``o`` shares bit k
+        with ``p``, so the signed shift flips it), and IEEE addition commutes,
+        so the chain leaves at ``p`` the pairwise sum ``x <- x[0::2] +
+        x[1::2]``, K times, of its block, whatever ``p`` is.  Those halvings
+        run through one pooled scratch buffer, and the scaled sums go straight
+        into their column of the output: the chain's bit for bit (up to the
+        sign of an exact zero).  The other slots are zero where the per-op
+        products write ``x * 0.0``: equal, for finite slots.
         """
-        size = ct._base.shape[0]
-        terms = _chain_terms(tuple(directions), size)
-        p, n = int(terms[0]), len(terms)
-        for k, d in enumerate(directions):
-            self.rot(ct, d << k)
-        level, meter = ct.level, self.meter
-        if meter is not None:
-            meter.record_many("add", ct.meter_level(), len(directions))
-        if level < 1:
-            raise LevelExhausted("cmul", level, self._scope())
-        if meter is not None:
-            meter.record("cmul", level)
-        out_level, pending = self._add_masked(acc, ct, level)
-        # one row per chain term, one column per block, gathered into a
-        # pooled scratch buffer; step k halves the rows
-        pools = self._free
-        scratch, scratch_view, _ = _buffer(pools, size)
-        half = len(terms)
-        rows = scratch[:half * (size // n)].reshape(half, -1)
-        np.take(ct.slots.reshape(-1, n).T, terms, axis=0, out=rows, mode="clip")
-        while half > 1:
-            half //= 2
-            np.add(rows[:half], rows[half:2 * half], rows[:half])
-        kept = np.multiply(rows[0], scale, rows[0])
+        if not cts or len(cts) != len(plans):
+            raise ValueError(f"{len(plans)} plans for a pack of {len(cts)} ciphertexts")
+        size = cts[0]._base.shape[0]
+        offsets, n = _pack_offsets(plans, size)
+        pools, counts, steps = self._free, defaultdict(int), n.bit_length() - 1
         out, view, free = _buffer(pools, size)
-        if acc is None:
+        if len(cts) < n:  # offsets no ciphertext fills
             out.fill(0.0)
-            out[p::n] = kept
-        else:
-            np.copyto(out, acc.slots)
-            selected = out[p::n]
-            np.add(selected, kept, selected)
+        scratch, scratch_view, _ = _buffer(pools, size)
+        # step k writes its size >> (k + 1) sums after those of the steps before
+        halves = [scratch[size - (size >> k):size - (size >> (k + 1))]
+                  for k in range(steps)]
+        try:
+            for g, (ct, p) in enumerate(zip(cts, offsets)):
+                level = ct.level
+                counts[("rot", ct.meter_level())] += steps
+                counts[("add", ct.meter_level())] += steps
+                if level < 1:
+                    raise LevelExhausted("cmul", level, self._scope())
+                counts[("cmul", level)] += 1
+                if g:  # added into the pack, which has a rescale pending
+                    _check_pair(cts[0], ct)
+                    counts[("add", min(out_level + 1, level))] += 1
+                    out_level = min(out_level, level - 1)
+                else:
+                    out_level = level - 1
+                x = ct.slots
+                for half in halves:
+                    np.add(x[0::2], x[1::2], half)
+                    x = half
+                np.multiply(x, scale, out.reshape(-1, n)[:, p])
+        finally:
+            self._record_counts(counts)
         pools[size].append(scratch_view)
-        return _make(view, 0, out_level, ct.key_id, pending, free)
+        return _make(view, 0, out_level, cts[0].key_id, True, free)
 
-    def select_rotate_add(self, ct: Ciphertext, directions: Sequence[int],
-                          acc: Ciphertext | None = None) -> Ciphertext:
-        """``acc + rotate_add(cmul(ct, selector), shifts)`` for the signed plan
-        ``directions`` spread back (shifts ``-d_k << k``; ``p`` and ``n`` as in
-        :meth:`rotate_add_select`), where the selector is 1.0 at slots ``p::n``
-        and zero elsewhere: the mask that keeps slot ``p`` of every n-slot
-        block, then a chain that spreads it over the block.  The level,
-        rescale flag, errors and meter counts are those of the per-op
-        :meth:`cmul`, :meth:`rotate_add` and :meth:`add` calls, and every chain
-        step still issues its rotation through :meth:`rot`.
+    def unpack_spreads(self, ct: Ciphertext, plans: Sequence[Sequence[int]],
+                       accs: Sequence[Ciphertext]) -> list[Ciphertext]:
+        """``accs[g] + repeat(ct[p_g::n], n)`` for each plan, with ``p_g`` and
+        n as in :meth:`pack_sums`: the per-op calls, plan by plan, of a
+        ``cmul`` by the selector that is 1.0 at ``p_g::n``, ``rotate_add`` by
+        the reversed shifts of ``plans[g]`` and an ``add`` into ``accs[g]``.
+        The level, rescale flag, errors (at the same plan, after metering the
+        ones before it) and meter counts are those calls', and every chain
+        step issues its rotation through :meth:`rot`.  :func:`_pack_offsets`
+        checks the plans first.
 
-        The chain carries every slot of a block to slot ``p`` by exactly one
-        term, so it adds each kept value to exact zeros only and the result is
-        ``acc + repeat(ct[p::n], n)``: bit for bit the chain's where the value
-        is not zero, and up to the sign of an exact zero elsewhere, for finite
-        slots.
+        A signed plan's reversed chain carries every slot of a block to ``p``
+        by exactly one term, so it adds each kept value to exact zeros only:
+        the result is the chain's bit for bit where the value is not zero,
+        and up to the sign of an exact zero elsewhere, for finite slots.
         """
-        terms = _chain_terms(tuple(directions), ct._base.shape[0])
-        p, n = int(terms[0]), len(terms)
-        level, meter = ct.level, self.meter
+        if not accs or len(accs) != len(plans):
+            raise ValueError(f"{len(plans)} plans for {len(accs)} accumulators")
+        size, level = ct._base.shape[0], ct.level
+        offsets, n = _pack_offsets(plans, size)
         if level < 1:
             raise LevelExhausted("cmul", level, self._scope())
-        if meter is not None:
-            meter.record("cmul", level)
-        # the masked product the chain rotates: one level down, rescale pending
+        # the masked product each chain rotates: one level down, rescale pending
         masked = _make(ct._base, ct._shift, level - 1, ct.key_id, True, None)
-        for k, d in enumerate(directions):
-            self.rot(masked, -d << k)
-        if meter is not None:
-            meter.record_many("add", level, len(directions))
-        out_level, pending = self._add_masked(acc, ct, level)
-        out, view, free = _buffer(self._free, ct._base.shape[0])
-        out.reshape(-1, n)[...] = ct.slots[p::n, None]
-        if acc is not None:
-            np.add(out, acc.slots, out)
-        return _make(view, 0, out_level, ct.key_id, pending, free)
+        blocks, counts, out = ct.slots.reshape(-1, n), defaultdict(int), []
+        try:
+            for plan, acc, p in zip(plans, accs, offsets):
+                counts[("cmul", level)] += 1
+                for k, d in enumerate(plan):
+                    self.rot(masked, -d << k)
+                counts[("add", level)] += len(plan)
+                _check_pair(acc, ct)
+                counts[("add", min(acc.level + acc.pending_rescale, level))] += 1
+                cell, view, free = _buffer(self._free, size)
+                np.add(acc.slots.reshape(-1, n), blocks[:, p, None],
+                       cell.reshape(-1, n))
+                out.append(_make(view, 0, min(acc.level, level - 1), ct.key_id,
+                                 acc.pending_rescale, free))
+        finally:
+            self._record_counts(counts)
+        return out
 
 
 # ---------------------------------------------------------------------------

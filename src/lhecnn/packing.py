@@ -25,7 +25,9 @@ into its own ``slot_map``: which slot ranges of a cell hold which parameter.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -256,7 +258,10 @@ class RotationPlan:
     directions: tuple[int, ...]
 
 
+@lru_cache(maxsize=4096)
 def compute_rotation_plan(p: int, n: int) -> RotationPlan:
+    """The plan for offset ``p`` of n-slot blocks; built once per (p, n) and
+    shared, as a plan is immutable."""
     if n < 1 or n & (n - 1):
         raise ValueError(f"n must be a power of two, got {n}")
     if not 0 <= p < n:
@@ -282,19 +287,21 @@ def fold_rotate_sum(backend: SimulatorBackend, ct: Ciphertext, block_slots: int,
         ct, [block_slots << k for k in range(count.bit_length() - 1)])
 
 
-def signed_rotate_sum(backend: SimulatorBackend, ct: Ciphertext, plan: RotationPlan,
-                      scale: float, acc: Ciphertext | None = None) -> Ciphertext:
-    """Aggregate each n-block into its slot ``plan.offset`` and keep only those
-    slots, times ``scale``, added to ``acc``: ``acc + cmul(sum, selector)``
-    with the selector ``scale`` at slots ``offset::n``."""
-    return backend.rotate_add_select(ct, plan.directions, scale, acc)
+def signed_rotate_sum(backend: SimulatorBackend, cts: Sequence[Ciphertext],
+                      plans: Sequence[RotationPlan], scale: float) -> Ciphertext:
+    """Pack ``cts`` into one ciphertext: each n-block of ``cts[g]`` aggregated
+    into its slot ``plans[g].offset``, and only those slots kept, times
+    ``scale``.  The plans share one n and name distinct offsets."""
+    return backend.pack_sums(cts, [plan.directions for plan in plans], scale)
 
 
-def signed_rotate_spread(backend: SimulatorBackend, ct: Ciphertext, plan: RotationPlan,
-                         acc: Ciphertext | None) -> Ciphertext:
-    """Inverse of aggregation: keep each block's slot ``plan.offset`` and
-    replicate it over the whole block, added to ``acc``."""
-    return backend.select_rotate_add(ct, plan.directions, acc)
+def signed_rotate_spread(backend: SimulatorBackend, ct: Ciphertext,
+                         plans: Sequence[RotationPlan],
+                         accs: Sequence[Ciphertext]) -> list[Ciphertext]:
+    """Inverse of :func:`signed_rotate_sum`: for each plan, keep each block's
+    slot ``plans[g].offset`` of ``ct``, replicate it over the whole block and
+    add it to ``accs[g]``; returns one ciphertext per plan."""
+    return backend.unpack_spreads(ct, [plan.directions for plan in plans], accs)
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,23 @@ def per_op_select_rotate_add(backend, ct, directions, acc=None):
     return spread if acc is None else backend.add(acc, spread)
 
 
+def per_op_pack_sums(backend, cts, directions, scale):
+    """What ``SimulatorBackend.pack_sums`` computes, as the per-op calls of
+    :func:`per_op_rotate_add_select` for each ciphertext in turn, added into
+    the pack so far."""
+    acc = None
+    for ct, plan in zip(cts, directions):
+        acc = per_op_rotate_add_select(backend, ct, plan, scale, acc)
+    return acc
+
+
+def per_op_unpack_spreads(backend, ct, directions, accs):
+    """What ``SimulatorBackend.unpack_spreads`` computes, as the per-op calls
+    of :func:`per_op_select_rotate_add` for each plan in turn."""
+    return [per_op_select_rotate_add(backend, ct, plan, acc)
+            for plan, acc in zip(directions, accs)]
+
+
 def per_op_noise_removal_update(backend, reencrypt, raw_grads, target_cells, lr, n):
     """``backward.noise_removal_update`` from per-op calls: each gradient, in
     insertion order, has its batch sum made by a ``rotate_add`` chain masked

@@ -1,4 +1,5 @@
 import gc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from lhecnn.backward import (
     noise_removal_update,
     pack_count,
 )
-from lhecnn.geometry import CnnConfig, ConvLayer, FcLayer, combined_geometry
+from lhecnn.geometry import CnnConfig, ConvLayer, FcLayer, combined_geometry, preset
 from lhecnn.lhe import Ciphertext, LheParams, SimulatorBackend
 from lhecnn.metering import OpMeter
 from lhecnn.oracle import init_params, plain_backward_step, plain_gradients
@@ -125,8 +126,8 @@ class TestFlWeightGradients:
                                  "type1", n=2, in_cts=1, pi_per_ct=4)
         raw = fl_weight_gradients(backend, out_g, inp, weights)
         p = 0  # (j*in_cts + i) mod n = 0
-        got = backend.decrypt(ctx, signed_rotate_sum(backend, raw[(0, 0)],
-                                                     compute_rotation_plan(p, 2), 1.0))
+        got = backend.decrypt(ctx, signed_rotate_sum(backend, [raw[(0, 0)]],
+                                                     [compute_rotation_plan(p, 2)], 1.0))
         assert got[0 * 2 + p] == 3 * 1 + 3 * 2
         assert got[1 * 2 + p] == 3 * 10 + 3 * 20
         assert got[2 * 2 + p] == 3 * 100 + 3 * 200
@@ -165,8 +166,8 @@ class TestFlWeightGradients:
         # sum of raw[(i, 0)], its type II cell, at slot w*n + p with p = i mod n
         for i in range(4):
             p = i % 4
-            summed = signed_rotate_sum(sess.backend, raw[(i, 0)],
-                                       compute_rotation_plan(p, 4), 1.0)
+            summed = signed_rotate_sum(sess.backend, [raw[(i, 0)]],
+                                       [compute_rotation_plan(p, 4)], 1.0)
             slots = sess.tee.backend.decrypt(sess.tee._ctx, summed)
             for w in range(3):
                 assert abs(slots[w * 4 + p] - grads.weights[1][w, i]) < 1e-9
@@ -306,6 +307,42 @@ class TestNoiseRemovalUpdate:
         assert built == 0 and per_op_built == 2 * count
         assert not hasattr(backward, "make_selector")
 
+    def test_a_round_calls_rot_only_inside_the_spread(self, monkeypatch):
+        # A refining-2-2 round meters 4624 rotations.  Only the spread's 1820
+        # (260 gradients, 7 steps each) go through ``rot``, where a traced
+        # backend counts them; the folds and the batch sums meter theirs
+        # without a call.
+        class Counting(SimulatorBackend):
+            where = "outside"
+
+            def rot(self, a, m):
+                calls[self.where] += 1
+                return super().rot(a, m)
+
+        calls = Counter()
+        spread = backward.signed_rotate_spread
+
+        def watched_spread(backend, *args):
+            backend.where = "spread"
+            try:
+                return spread(backend, *args)
+            finally:
+                backend.where = "outside"
+
+        monkeypatch.setattr(backward, "signed_rotate_spread", watched_spread)
+        cfg, params = preset("refining-2-2").model, preset("refining-2-2").lhe
+        tee = TeeService(Counting(OpMeter()), params, seed=3)
+        sess = RefineSession(tee, cfg, params, r_mode=1, exact_activation_grad=False)
+        sess.load_base_model(init_params(cfg, 3))
+        first = cfg.conv[0]
+        rng = np.random.default_rng(3)
+        images = rng.normal(size=(cfg.n, first.channels, first.input_side,
+                                  first.input_side)) * 0.2
+        labels = rng.integers(0, cfg.fc[-1].outputs, size=cfg.n)
+        report = sess.refine(images, labels, lr=0.05).report
+        assert report.totals["rot"] == 4624
+        assert calls == {"spread": 1820}
+
     @pytest.mark.parametrize("sigma", [0.0, 1e-6], ids=["noiseless", "noisy"])
     def test_rounds_match_the_per_op_update_byte_for_byte(self, monkeypatch, sigma):
         # Two refining rounds through the fused update and through the per-op
@@ -443,7 +480,7 @@ class TestConvKernelGradients:
         n = cfg.n
         for (k, i, x, y), ct in raw.items():
             idx = (k * 1 * gamma**2 + i * gamma**2 + x * gamma + y) % n
-            summed = signed_rotate_sum(sess.backend, ct, compute_rotation_plan(idx, n), 1.0)
+            summed = signed_rotate_sum(sess.backend, [ct], [compute_rotation_plan(idx, n)], 1.0)
             slots = sess.tee.backend.decrypt(sess.tee._ctx, summed)
             want = grads.filters[0][k, i, x, y]
             scale = max(1.0, abs(want))

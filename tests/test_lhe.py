@@ -2,6 +2,7 @@ import copy
 import struct
 import sys
 import threading
+import tracemalloc
 import weakref
 from collections import Counter
 
@@ -25,8 +26,9 @@ from lhecnn.lhe import (
     write_many,
 )
 from lhecnn.metering import PRIMITIVE_KINDS, OpMeter
+from lhecnn.packing import compute_rotation_plan
 
-from conftest import per_op_rotate_add_select, per_op_select_rotate_add, signed_chain
+from conftest import per_op_pack_sums, per_op_unpack_spreads
 
 
 def ctx8(backend, levels=6, sigma=0.0, seed=1):
@@ -455,6 +457,18 @@ def assert_same_ct(got, want):
         want.level, want.pending_rescale, want.key_id)
 
 
+class CountingRot(SimulatorBackend):
+    """Records the shift of every ``rot`` call."""
+
+    def __init__(self, meter=None):
+        super().__init__(meter)
+        self.calls = []
+
+    def rot(self, a, m):
+        self.calls.append(m)
+        return super().rot(a, m)
+
+
 class TestBatchedPrimitives:
     """``mul_sum`` and ``rotate_add`` against the per-op loops they replace:
     bit-identical slots, the same level and rescale flag, the same errors and
@@ -550,17 +564,19 @@ class TestBatchedPrimitives:
         _, pool = self.operands(backend)
         assert backend.rotate_add(pool[7], []) is pool[7]
 
-    def test_every_chain_step_rotates_through_rot(self, backend):
-        calls = []
-
-        class Counting(SimulatorBackend):
-            def rot(self, a, m):
-                calls.append(m)
-                return super().rot(a, m)
-
+    def test_every_chain_step_rotates_through_rot(self):
+        # Every step is metered as one rot at the operand's meter level, and
+        # none is issued through ``rot``: the fold reads no rotated result.
+        backend = CountingRot(OpMeter())
         _, pool = self.operands(backend)
-        Counting().rotate_add(pool[0], [4, -2, 0, 1])
-        assert calls == [4, -2, 0, 1]
+        for ct in (pool[0], pool[4]):  # not pending, and pending
+            mark = backend.meter.checkpoint()
+            backend.calls.clear()
+            backend.rotate_add(ct, [4, -2, 0, 1])
+            assert backend.calls == []
+            assert backend.meter.since(mark) == {
+                ("(unscoped)", "rot", ct.meter_level()): 4,
+                ("(unscoped)", "add", ct.meter_level()): 4}
 
     def test_results_keep_their_values_while_buffers_recycle(self, backend):
         _, pool = self.operands(backend)
@@ -578,87 +594,130 @@ class TestBatchedPrimitives:
         assert all(ct.slots.tobytes() == v.tobytes() for ct, v in zip(kept, values))
 
 
-#: signed rotation plans of up to 16-slot blocks (the operands have 16 slots)
-directions = st.lists(st.sampled_from([1, -1]), max_size=4).map(tuple)
+def plans_for(offsets, n):
+    return [compute_rotation_plan(p, n).directions for p in offsets]
 
 
-def assert_same_masked(got, want, p, n):
-    """Equal slots, and bit for bit at ``p::n``; the level, rescale flag and
-    key of the per-op calls."""
+def assert_same_masked(got, want, offsets, n):
+    """Equal slots, and bit for bit at ``p::n`` for each kept offset ``p``;
+    the level, rescale flag and key of the per-op calls."""
     assert np.array_equal(got.slots, want.slots)
-    assert got.slots[p::n].tobytes() == want.slots[p::n].tobytes()
+    for p in offsets:
+        assert got.slots[p::n].tobytes() == want.slots[p::n].tobytes()
     assert (got.level, got.pending_rescale, got.key_id) == (
         want.level, want.pending_rescale, want.key_id)
 
 
+@st.composite
+def packs(draw, pool_size, slot_count=16):
+    """Pool indices of 1..n ciphertexts, their distinct offsets and the
+    block size n (a power of two up to ``slot_count``)."""
+    n = 1 << draw(st.integers(0, slot_count.bit_length() - 1), label="log2 n")
+    offsets = draw(st.permutations(range(n)), label="offsets")
+    m = draw(st.integers(1, n), label="m")
+    indices = draw(st.lists(st.integers(0, pool_size - 1), min_size=m, max_size=m),
+                   label="ciphertexts")
+    return indices, list(offsets[:m]), n
+
+
 class TestMaskedChains:
-    """``rotate_add_select`` and ``select_rotate_add`` against the per-op
-    ``rotate_add``, selector ``cmul`` and ``add`` calls they fold together:
-    the same (scope, kind, level) counts, the same errors at the same point,
-    slots equal under ``np.array_equal`` and bit for bit at the kept slots
-    ``p::n``.  The per-op product writes ``x * 0.0`` into the other slots, so
-    there the two may differ in the sign of an exact zero."""
+    """``pack_sums`` and ``unpack_spreads`` against the per-op
+    ``rotate_add``, selector ``cmul`` and ``add`` calls they fold together,
+    applied gradient by gradient: the same (scope, kind, level) counts, the
+    same errors at the same gradient, slots equal under ``np.array_equal``
+    and bit for bit at the kept slots ``p::n``.  The per-op product writes
+    ``x * 0.0`` into the other slots, so there the two may differ in the sign
+    of an exact zero."""
 
     operands = staticmethod(TestBatchedPrimitives.operands)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_rotate_add_select_matches_the_per_op_calls(self, data):
+        # the pack: full, partial, m = 1 and n = 1, with shifted operands and
+        # operands with a rescale pending among the gradients
         _, pool = self.operands(SimulatorBackend())
-        index = st.integers(0, len(pool) - 1)
-        ct = pool[data.draw(index, label="operand")]
-        acc = data.draw(st.none() | index.map(pool.__getitem__), label="acc")
-        plan = data.draw(directions, label="directions")
+        indices, offsets, n = data.draw(packs(len(pool)))
+        cts, plans = [pool[i] for i in indices], plans_for(offsets, n)
         scale = data.draw(st.sampled_from([1.0, -0.3 / 4, 2.5]), label="scale")
         (got, got_counts), (want, want_counts) = side_by_side(
-            lambda b: b.rotate_add_select(ct, plan, scale, acc),
-            lambda b: per_op_rotate_add_select(b, ct, plan, scale, acc))
-        p, n, _ = signed_chain(plan)
-        assert_same_masked(got, want, p, n)
+            lambda b: b.pack_sums(cts, plans, scale),
+            lambda b: per_op_pack_sums(b, cts, plans, scale))
+        assert_same_masked(got, want, offsets, n)
         assert got_counts == want_counts
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_select_rotate_add_matches_the_per_op_calls(self, data):
         _, pool = self.operands(SimulatorBackend())
-        index = st.integers(0, len(pool) - 1)
-        ct = pool[data.draw(index, label="operand")]
-        acc = data.draw(st.none() | index.map(pool.__getitem__), label="acc")
-        plan = data.draw(directions, label="directions")
+        ct = pool[data.draw(st.integers(0, len(pool) - 1), label="operand")]
+        indices, offsets, n = data.draw(packs(len(pool)))
+        accs, plans = [pool[i] for i in indices], plans_for(offsets, n)
         (got, got_counts), (want, want_counts) = side_by_side(
-            lambda b: b.select_rotate_add(ct, plan, acc),
-            lambda b: per_op_select_rotate_add(b, ct, plan, acc))
-        p, n, _ = signed_chain(plan)
-        assert_same_masked(got, want, p, n)
-        assert np.array_equal(got.slots, (0 if acc is None else acc.slots)
-                              + np.repeat(ct.slots[p::n], n))
+            lambda b: b.unpack_spreads(ct, plans, accs),
+            lambda b: per_op_unpack_spreads(b, ct, plans, accs))
+        assert len(got) == len(want) == len(accs)
+        for cell, want_cell, acc, p in zip(got, want, accs, offsets):
+            assert_same_masked(cell, want_cell, range(n), n)
+            assert np.array_equal(cell.slots, acc.slots + np.repeat(ct.slots[p::n], n))
+        assert got_counts == want_counts
+
+    @pytest.mark.parametrize("n, m", [(8, 8), (8, 3), (8, 1), (1, 1)],
+                             ids=["full", "partial", "one", "n1"])
+    def test_pack_shapes_match_the_per_op_calls(self, n, m):
+        # noise-removal packs: gradient g at offset g; every operand shifted
+        # or with a rescale pending
+        _, pool = self.operands(SimulatorBackend())
+        shifted_or_pending = [pool[i] for i in (3, 4, 6, 7, 8)]
+        cts = [shifted_or_pending[g % 5] for g in range(m)]
+        plans = plans_for(range(m), n)
+        (got, got_counts), (want, want_counts) = side_by_side(
+            lambda b: b.pack_sums(cts, plans, -0.05 / n),
+            lambda b: per_op_pack_sums(b, cts, plans, -0.05 / n))
+        assert_same_masked(got, want, range(m), n)
+        assert got_counts == want_counts
+        accs = [pool[g % 9] for g in range(m)]
+        (got, got_counts), (want, want_counts) = side_by_side(
+            lambda b: b.unpack_spreads(pool[7], plans, accs),
+            lambda b: per_op_unpack_spreads(b, pool[7], plans, accs))
+        for cell, want_cell in zip(got, want, strict=True):
+            assert_same_masked(cell, want_cell, range(n), n)
         assert got_counts == want_counts
 
     @pytest.mark.parametrize("acc_index", [None, 5])
     def test_level_exhaustion_matches_the_per_op_calls(self, backend, acc_index):
+        # the spent gradient comes first, or after pool[acc_index]
         ctx, pool = self.operands(backend)
         spent = backend.encrypt(backend.keygen(LheParams(16, 1), seed=2), np.ones(16))
         assert spent.level == 0 and spent.key_id == ctx.key_id
-        acc = None if acc_index is None else pool[acc_index]
+        cts = ([] if acc_index is None else [pool[acc_index]]) + [spent, pool[0]]
+        plans = plans_for(range(len(cts)), 4)
+        accs = [pool[1 if acc_index is None else acc_index]] * 2
         for fused, per_op in [
-                (lambda b: b.rotate_add_select(spent, (-1, 1), 0.5, acc),
-                 lambda b: per_op_rotate_add_select(b, spent, (-1, 1), 0.5, acc)),
-                (lambda b: b.select_rotate_add(spent, (-1, 1), acc),
-                 lambda b: per_op_select_rotate_add(b, spent, (-1, 1), acc))]:
+                (lambda b: b.pack_sums(cts, plans, 0.5),
+                 lambda b: per_op_pack_sums(b, cts, plans, 0.5)),
+                (lambda b: b.unpack_spreads(spent, plans[:2], accs),
+                 lambda b: per_op_unpack_spreads(b, spent, plans[:2], accs))]:
             (got, got_counts), (want, want_counts) = side_by_side(fused, per_op)
             assert isinstance(got, LevelExhausted) and isinstance(want, LevelExhausted)
             assert (got.op, got.level, got.scope) == (want.op, want.level, want.scope)
             assert (got.op, got.level, got.scope) == ("cmul", 0, "S")
-            assert got_counts == want_counts  # the sum's chain was metered first
+            assert got_counts == want_counts  # the gradients before it were metered
 
     def test_key_mismatch_matches_the_per_op_calls(self, backend):
         _, pool = self.operands(backend)
         other = backend.encrypt(backend.keygen(LheParams(16, 8), seed=9), np.ones(16))
+        plans = plans_for(range(3), 4)
+        # the foreign key in the last, the first and a middle place
+        last, first, middle = ([pool[4], pool[1], other], [other, pool[1]],
+                               [pool[0], other, pool[2]])
         for fused, per_op in [
-                (lambda b: b.rotate_add_select(pool[4], (1, 1), 0.5, other),
-                 lambda b: per_op_rotate_add_select(b, pool[4], (1, 1), 0.5, other)),
-                (lambda b: b.select_rotate_add(pool[4], (1, 1), other),
-                 lambda b: per_op_select_rotate_add(b, pool[4], (1, 1), other))]:
+                (lambda b: b.pack_sums(last, plans, 0.5),
+                 lambda b: per_op_pack_sums(b, last, plans, 0.5)),
+                (lambda b: b.pack_sums(first, plans[:2], 0.5),
+                 lambda b: per_op_pack_sums(b, first, plans[:2], 0.5)),
+                (lambda b: b.unpack_spreads(pool[4], plans, middle),
+                 lambda b: per_op_unpack_spreads(b, pool[4], plans, middle))]:
             (got, got_counts), (want, want_counts) = side_by_side(fused, per_op)
             assert isinstance(got, KeyMismatch) and isinstance(want, KeyMismatch)
             assert str(got) == str(want)
@@ -670,25 +729,68 @@ class TestMaskedChains:
         _, pool = self.operands(backend)
         mark = backend.meter.checkpoint()
         with pytest.raises(ValueError):
-            backend.rotate_add_select(pool[0], plan, 1.0)
+            backend.pack_sums([pool[0]], [plan], 1.0)
         with pytest.raises(ValueError):
-            backend.select_rotate_add(pool[0], plan)
+            backend.unpack_spreads(pool[0], [plan], [pool[1]])
+        assert backend.meter.since(mark) == {}  # raised before any op
+
+    @pytest.mark.parametrize("plans, count", [
+        (plans_for([0, 1, 2, 3, 0], 4), 5),
+        (plans_for([1, 1], 4), 2),
+        (plans_for([0], 4) + plans_for([1], 8), 2),
+        (plans_for([0, 1], 4), 3),
+        ([], 0),
+    ], ids=["more-than-n", "offset-twice", "two-block-sizes", "count", "empty"])
+    def test_a_pack_holds_at_most_n_distinct_offsets(self, backend, plans, count):
+        _, pool = self.operands(backend)
+        mark = backend.meter.checkpoint()
+        with pytest.raises(ValueError):
+            backend.pack_sums(pool[:count], plans, 1.0)
+        with pytest.raises(ValueError):
+            backend.unpack_spreads(pool[6], plans, pool[:count])
         assert backend.meter.since(mark) == {}  # raised before any op
 
     def test_every_chain_step_rotates_through_rot(self):
-        calls = []
-
-        class Counting(SimulatorBackend):
-            def rot(self, a, m):
-                calls.append(m)
-                return super().rot(a, m)
-
-        backend = Counting()
+        # Both meter one rot per chain step at the per-op calls' level; only
+        # the spread issues them through ``rot``, one call per step.
+        backend = CountingRot(OpMeter())
         _, pool = self.operands(backend)
-        calls.clear()  # the operands' own rotations
-        backend.rotate_add_select(pool[0], (-1, 1, -1), 1.0)
-        backend.select_rotate_add(pool[0], (-1, 1, -1))
-        assert calls == [-1, 2, -4, 1, -2, 4]
+        plans = plans_for([5, 2], 8)  # directions (-1, 1, -1) and (1, -1, 1)
+        backend.calls.clear()  # the operands' own rotations
+        mark = backend.meter.checkpoint()
+        backend.pack_sums([pool[0], pool[4]], plans, 1.0)
+        assert backend.calls == []
+        rots = {key: c for key, c in backend.meter.since(mark).items() if key[1] == "rot"}
+        assert rots == {("(unscoped)", "rot", pool[0].meter_level()): 3,
+                        ("(unscoped)", "rot", pool[4].meter_level()): 3}
+        mark = backend.meter.checkpoint()
+        backend.unpack_spreads(pool[0], plans, [pool[1], pool[2]])
+        assert backend.calls == [1, -2, 4, -1, 2, -4]
+        rots = {key: c for key, c in backend.meter.since(mark).items() if key[1] == "rot"}
+        assert rots == {("(unscoped)", "rot", pool[0].level): 6}
+
+    def test_packing_allocates_no_block_larger_than_one_buffer(self):
+        # n gradients at S = 8192 go through one scratch buffer into the
+        # output: never an (n, S) stack of them.
+        slots, n = 8192, 128
+        backend = SimulatorBackend(OpMeter())
+        ctx = backend.keygen(LheParams(slots, 4), seed=3)
+        rng = np.random.default_rng(3)
+        base = backend.encrypt(ctx, rng.normal(size=slots))
+        grads = [backend.cmul(base, rng.normal(size=slots)) for _ in range(n)]
+        plans = plans_for(range(n), n)
+        buffer = 8 * slots
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            packed = backend.pack_sums(grads, plans, -0.01)
+            peak = tracemalloc.get_traced_memory()[1] - before
+            largest = max(t.size for t in tracemalloc.take_snapshot().traces)
+        finally:
+            tracemalloc.stop()
+        assert packed.level == 1
+        assert largest <= buffer
+        assert peak < 3 * buffer  # the scratch and the output buffer
 
 
 class TestRecycling:

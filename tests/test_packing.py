@@ -19,7 +19,7 @@ from lhecnn.packing import (
 from conftest import (
     encode_weights,
     make_selector,
-    per_op_rotate_add_select,
+    per_op_pack_sums,
     per_op_select_rotate_add,
 )
 
@@ -50,6 +50,13 @@ class TestRotationPlan:
         assert compute_rotation_plan(1, 2).directions == (-1,)
         assert compute_rotation_plan(2, 4).directions == (1, -1)
         assert compute_rotation_plan(5, 8).directions == (-1, 1, -1)
+
+    def test_plans_are_built_once(self):
+        # a plan is immutable, so every caller shares the one built first
+        plan = compute_rotation_plan(5, 8)
+        assert compute_rotation_plan(5, 8) is plan
+        assert compute_rotation_plan(p=5, n=8) == plan
+        assert compute_rotation_plan(3, 8) is not plan
 
     def test_n_one_is_empty(self):
         assert compute_rotation_plan(0, 1).directions == ()
@@ -104,14 +111,16 @@ class TestRotationPlan:
         ctx = backend.keygen(LheParams(16, 8), seed=3)
         rng = np.random.default_rng(5)
         v = rng.normal(size=16)
+        zero = backend.encrypt(ctx, np.zeros(16))
         for p in range(4):
             plan = compute_rotation_plan(p, 4)
             keep = np.arange(16) % 4 == p
             ct = backend.encrypt(ctx, v)
-            agg = backend.decrypt(ctx, signed_rotate_sum(backend, ct, plan, 1.0))
+            agg = backend.decrypt(ctx, signed_rotate_sum(backend, [ct], [plan], 1.0))
             assert np.allclose(agg, np.where(keep, plain_aggregate(v, plan), 0.0), atol=0)
-            spread = backend.decrypt(ctx, signed_rotate_spread(backend, ct, plan, None))
-            assert np.allclose(spread, plain_spread(np.where(keep, v, 0.0), plan), atol=0)
+            [spread] = signed_rotate_spread(backend, ct, [plan], [zero])
+            assert np.allclose(backend.decrypt(ctx, spread),
+                               plain_spread(np.where(keep, v, 0.0), plan), atol=0)
 
 
 def per_step_chain(backend, ct, shifts):
@@ -120,24 +129,30 @@ def per_step_chain(backend, ct, shifts):
     return ct
 
 
+#: the plans of a full pack of 8-slot blocks, which keeps every slot
+FULL_PACK = [compute_rotation_plan(p, 8) for p in range(8)]
+
+
 class TestRotateAddHelpers:
     """The rotate-and-sum helpers are one backend call each: the same slots,
     levels and counts as the per-step ``rot`` + ``add`` loop (the fold) and
-    as the chain, selector ``cmul`` and ``add`` into ``acc`` (the batch sum
-    and the spread).  ``acc`` is nonzero in every slot, so the unselected
-    slots are byte-identical too."""
+    as the chains, selector ``cmul`` and ``add`` of each gradient (the batch
+    sum of a full pack, and the spread into ``acc``).  A full pack keeps
+    every slot and ``acc`` is nonzero in every slot, so no slot is a masked
+    zero and all are byte-identical."""
 
     @pytest.mark.parametrize("helper, reference", [
         (lambda b, ct, acc: fold_rotate_sum(b, ct, 4, 8),
          lambda b, ct, acc: per_step_chain(b, ct, [4, 8, 16])),
         (lambda b, ct, acc: fold_rotate_sum(b, ct, 3, 1),
          lambda b, ct, acc: per_step_chain(b, ct, [])),
-        (lambda b, ct, acc: signed_rotate_sum(b, ct, compute_rotation_plan(5, 8), 0.5, acc),
-         lambda b, ct, acc: per_op_rotate_add_select(b, ct, (-1, 1, -1), 0.5, acc)),
-        (lambda b, ct, acc: signed_rotate_spread(b, ct, compute_rotation_plan(5, 8), acc),
+        (lambda b, ct, acc: signed_rotate_sum(b, [ct, acc] * 4, FULL_PACK, 0.5),
+         lambda b, ct, acc: per_op_pack_sums(
+             b, [ct, acc] * 4, [plan.directions for plan in FULL_PACK], 0.5)),
+        (lambda b, ct, acc: signed_rotate_spread(b, ct, [compute_rotation_plan(5, 8)], [acc])[0],
          lambda b, ct, acc: per_op_select_rotate_add(b, ct, (-1, 1, -1), acc)),
-        (lambda b, ct, acc: signed_rotate_spread(b, ct, compute_rotation_plan(0, 1), None),
-         lambda b, ct, acc: per_op_select_rotate_add(b, ct, ())),
+        (lambda b, ct, acc: signed_rotate_spread(b, ct, [compute_rotation_plan(0, 1)], [acc])[0],
+         lambda b, ct, acc: per_op_select_rotate_add(b, ct, (), acc)),
     ], ids=["fold", "fold-one-block", "sum", "spread", "spread-n1"])
     def test_matches_per_step_loop(self, helper, reference):
         results = []
