@@ -34,7 +34,6 @@ from .packing import (
     PackedFilters,
     PackedTensor,
     PackedWeights,
-    compute_rotation_plan,
     fold_rotate_sum,
     signed_rotate_spread,
     signed_rotate_sum,
@@ -109,22 +108,22 @@ def conv_backward(backend: SimulatorBackend, out_grads: PackedTensor,
                   in_grid: int) -> PackedTensor:
     """Input gradients of a conv layer: each output-gradient cell multiplies
     every filter element and accumulates into the input grid position it read
-    in the forward pass.  Grid positions the kernel never visits get a zero
-    gradient."""
+    in the forward pass, one :meth:`~lhecnn.lhe.SimulatorBackend.mul_sum`
+    per position over all its terms.  Grid positions the kernel never visits
+    get a zero gradient."""
     if filters.layout != CONV_BASIC:
         raise ValueError("backward propagation supports the basic conv layout")
     gamma = filters.filter_side
-    cells: dict[tuple, Ciphertext] = {}
+    terms: dict[tuple, list] = {}
     for i in range(filters.channel_count):
         for u in range(out_grid):
             for v in range(out_grid):
                 for x in range(gamma):
                     for y in range(gamma):
-                        target = (i, stride * u + x, stride * v + y)
-                        cells[target] = backend.mul_sum(
-                            ((out_grads.ct(k, u, v), filters.cells[(k, i, x, y)])
-                             for k in range(filters.filter_count)),
-                            cells.get(target))
+                        terms.setdefault((i, stride * u + x, stride * v + y), []).extend(
+                            (out_grads.ct(k, u, v), filters.cells[(k, i, x, y)])
+                            for k in range(filters.filter_count))
+    cells = {target: backend.mul_sum(pairs) for target, pairs in terms.items()}
     # Never-visited positions carry an exact zero; represent it directly
     # (the additive identity needs no encryption).
     sample = next(iter(cells.values()))
@@ -198,9 +197,8 @@ def noise_removal_update(backend: SimulatorBackend, reencrypt,
     """
     order = list(raw_grads)
     packs = [order[start:start + n] for start in range(0, len(order), n)]
-    plans = [compute_rotation_plan(p, n) for p in range(min(n, len(order)))]
-    packed = [signed_rotate_sum(backend, [raw_grads.pop(key) for key in keys],
-                                plans[:len(keys)], -lr / n) for keys in packs]
+    packed = [signed_rotate_sum(backend, [raw_grads.pop(key) for key in keys], n, -lr / n)
+              for keys in packs]
     if not packed:
         return 0
 
@@ -208,5 +206,5 @@ def noise_removal_update(backend: SimulatorBackend, reencrypt,
 
     for ct, keys in zip(fresh, packs):
         target_cells.update(zip(keys, signed_rotate_spread(
-            backend, ct, plans[:len(keys)], [target_cells[key] for key in keys])))
+            backend, ct, n, [target_cells[key] for key in keys])))
     return len(packed)

@@ -67,22 +67,22 @@ def model_from_dict(model: dict, n: int) -> CnnConfig:
 
 
 def parse_config(data: dict) -> RunConfig:
-    run = data.get("run", {})
+    run, defaults = data.get("run", {}), RunSettings()
     cfg = model_from_dict(data["model"], int(run.get("n", 1)))
     lhe = data.get("lhe", {})
     params = LheParams(int(lhe.get("slots", 4096)), int(lhe.get("levels", 6)),
                        float(lhe.get("noise_sigma", 0.0)))
-    r_mode = run.get("r_mode", "auto")
+    r_mode = run.get("r_mode", defaults.r_mode)
     if r_mode != "auto":
         r_mode = int(r_mode)
-    exact = run.get("exact_activation_grad", True)
+    exact = run.get("exact_activation_grad", defaults.exact_activation_grad)
     if not isinstance(exact, bool):
         raise ValueError(f"run.exact_activation_grad must be true or false, got {exact!r}")
     settings = RunSettings(
         r_mode=r_mode,
-        lr=float(run.get("lr", 0.05)),
-        epochs=int(run.get("epochs", 1)),
-        seed=int(run.get("seed", 0)),
+        lr=float(run.get("lr", defaults.lr)),
+        epochs=int(run.get("epochs", defaults.epochs)),
+        seed=int(run.get("seed", defaults.seed)),
         exact_activation_grad=exact,
     )
     return RunConfig(cfg, params, settings)

@@ -31,19 +31,19 @@ usual.
 
 Batched primitives run the pipeline's hot patterns with fewer Python calls
 and the same arithmetic: ``mul_sum`` is the left fold of products
-``acc + a0*b0 + a1*b1 + ...`` (kernel windows, weight rows), and
-``rotate_add`` is a chain ``v <- v + rot(v, s)`` over a list of shifts (the
-folds).  Two more run the noise-removal update a packed ciphertext at a time
-with its mask folded in, computing only the slots that survive it:
-``pack_sums`` sums the n-slot blocks of up to n gradients, each into its own
-offset, and keeps those slots times a scale, and ``unpack_spreads`` spreads
-each offset of a refreshed pack over its block, into the gradient's
-parameter cell.  Each primitive gives the level and rescale flag of the
-per-op calls it stands for, their slots (the masked two up to the sign of an
-exact zero), and meters the same ops at the same levels, in batches through
-:meth:`OpMeter.record_many`.  Only the spread issues its rotations through
-:meth:`SimulatorBackend.rot`, one per chain step, so that a traced backend
-can count them; no other chain step makes a ``rot`` call.
+``a0*b0 + a1*b1 + ...`` (kernel windows, weight rows, and every term an input
+gradient cell gathers), and ``rotate_add`` is a chain ``v <- v + rot(v, s)``
+over a list of shifts (the folds).  Two more run the noise-removal update a
+packed ciphertext at a time with its mask folded in, computing only the slots
+that survive it: ``pack_sums`` sums the n-slot blocks of up to n gradients,
+gradient g into offset g, and keeps those slots times a scale, and
+``unpack_spreads`` spreads offset g of a refreshed pack over its block, into
+gradient g's parameter cell.  Each primitive gives the level and rescale flag
+of the per-op calls it stands for, their slots (the masked two up to the sign
+of an exact zero), and meters the same ops at the same levels, in batches
+through :meth:`OpMeter.record_many`.  Only the spread makes its rotations
+through :meth:`SimulatorBackend.rot`, one per chain step, so that a traced
+backend can count them; no other chain step makes a ``rot`` call.
 
 Level accounting for the meter follows lazy rescaling: the product of a
 multiplication stays at its operands' modulus level until the next
@@ -63,7 +63,6 @@ import zlib
 from collections import defaultdict
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -293,28 +292,13 @@ def _add_rotated(x: np.ndarray, s: int, out: np.ndarray) -> None:
     np.add(x[cut:], x[:-cut], out[cut:])
 
 
-@lru_cache(maxsize=4096)
-def _plan_offset(directions: tuple[int, ...]) -> int:
-    """The in-block offset ``p`` that the signed plan ``directions`` sums each
-    block of ``2**len(directions)`` slots into: bit k of ``p`` is set where
-    ``directions[k]`` is -1.  Raises ValueError unless each is 1 or -1."""
-    if any(d not in (1, -1) for d in directions):
-        raise ValueError(f"directions must be 1 or -1, got {list(directions)}")
-    return sum(1 << k for k, d in enumerate(directions) if d < 0)
-
-
-def _pack_offsets(plans: Sequence[Sequence[int]], slot_count: int) -> tuple[list[int], int]:
-    """The offsets (:func:`_plan_offset`) of the signed plans of one pack and
-    the block size n they share.  Raises ValueError unless they share one
-    ``n <= slot_count`` and name distinct offsets, so a pack holds at most n."""
-    offsets = [_plan_offset(tuple(plan)) for plan in plans]
-    n = 1 << len(plans[0])
-    if (n > slot_count or any(1 << len(plan) != n for plan in plans)
-            or len(set(offsets)) < len(offsets)):
-        raise ValueError(f"the {len(plans)} plans of a pack must share one block size of "
-                         f"at most {slot_count} slots and name distinct offsets, got "
-                         f"{[len(plan) for plan in plans]} steps to offsets {offsets}")
-    return offsets, n
+def _check_pack(count: int, n: int, slot_count: int) -> None:
+    """A pack holds gradient g at offset g of every n-slot block: raises
+    ValueError unless ``1 <= count <= n`` and n is a power of two no larger
+    than ``slot_count``."""
+    if not 1 <= count <= n <= slot_count or n & (n - 1):
+        raise ValueError(f"a pack holds 1 to n gradients, n a power of two of at most "
+                         f"{slot_count} slots; got {count} gradients and n = {n}")
 
 
 def _check_pair(a: Ciphertext, b: Ciphertext) -> None:
@@ -347,29 +331,22 @@ class SimulatorBackend:
     """Exact plaintext simulator implementing the primitive contracts.
 
     All operations are pure with respect to their ciphertext arguments.  The
-    shared mutable state is the optional :class:`OpMeter` and the free lists
-    of recycled slot buffers, one per slot count, which are only appended to
-    and popped from (both atomic).  A real CKKS backend can replace this class
-    behind the same method surface.
+    shared mutable state is the :class:`OpMeter` every op is recorded on (the
+    one passed in, or one of its own) and the free lists of recycled slot
+    buffers, one per slot count, which are only appended to and popped from
+    (both atomic).  A real CKKS backend can replace this class behind the
+    same method surface.
     """
 
     def __init__(self, meter: OpMeter | None = None):
-        self.meter = meter
+        self.meter = OpMeter() if meter is None else meter
         self._free: defaultdict[int, _FreeList] = defaultdict(_FreeList)
 
     # -- internals --------------------------------------------------------
 
-    def _record(self, kind: str, level: int) -> None:
-        if self.meter is not None:
-            self.meter.record(kind, level)
-
-    def _scope(self) -> str:
-        return self.meter.current_scope if self.meter is not None else ""
-
     def _record_counts(self, counts: dict[tuple[str, int], int]) -> None:
-        if self.meter is not None:
-            for (kind, level), c in counts.items():
-                self.meter.record_many(kind, level, c)
+        for (kind, level), c in counts.items():
+            self.meter.record_many(kind, level, c)
 
     def _fresh(self, ctx: KeyContext, values: np.ndarray) -> Ciphertext:
         """A top-level ciphertext of ``values``, perturbed when noise is on."""
@@ -395,7 +372,7 @@ class SimulatorBackend:
 
     def encrypt(self, ctx: KeyContext, values) -> Ciphertext:
         values = as_slots(values, ctx.params.slot_count)
-        self._record("encrypt", ctx.params.top_level)
+        self.meter.record("encrypt", ctx.params.top_level)
         return self._fresh(ctx, values)
 
     def decrypt(self, ctx: KeyContext, ct: Ciphertext) -> np.ndarray:
@@ -404,7 +381,7 @@ class SimulatorBackend:
             raise SecrecyViolation("decryption requires the secret key context")
         if ct.key_id != ctx.key_id:
             raise KeyMismatch(f"ciphertext under {ct.key_id}, context {ctx.key_id}")
-        self._record("decrypt", ct.level)
+        self.meter.record("decrypt", ct.level)
         return ct.slots.copy()
 
     def reencrypt(self, ctx: KeyContext, ct: Ciphertext) -> Ciphertext:
@@ -413,7 +390,7 @@ class SimulatorBackend:
             raise SecrecyViolation("re-encryption requires the secret key context")
         if ct.key_id != ctx.key_id:
             raise KeyMismatch(f"ciphertext under {ct.key_id}, context {ctx.key_id}")
-        self._record("reencrypt", ct.level)
+        self.meter.record("reencrypt", ct.level)
         return self._fresh(ctx, ct.slots)
 
     # -- homomorphic primitives --------------------------------------------
@@ -422,9 +399,7 @@ class SimulatorBackend:
         """Elementwise sum; level = min of operand levels."""
         view, free = _elementwise(np.add, a, b, self._free)
         la, lb, pa, pb = a.level, b.level, a.pending_rescale, b.pending_rescale
-        meter = self.meter
-        if meter is not None:
-            meter.record("add", min(la + pa, lb + pb))
+        self.meter.record("add", min(la + pa, lb + pb))
         # Adding a rescaled operand to an unrescaled one aligns scales first,
         # so the sum stays unrescaled only when both operands are.
         return _make(view, 0, min(la, lb), a.key_id, pa and pb, free)
@@ -434,22 +409,18 @@ class SimulatorBackend:
         level = min(a.level, b.level)
         view, free = _elementwise(np.multiply, a, b, self._free)
         if level < 1:
-            raise LevelExhausted("mul", level, self._scope())
-        meter = self.meter
-        if meter is not None:
-            meter.record("mul", level)
+            raise LevelExhausted("mul", level, self.meter.current_scope)
+        self.meter.record("mul", level)
         return _make(view, 0, level - 1, a.key_id, True, free)
 
     def cmul(self, a: Ciphertext, pt) -> Ciphertext:
         """Elementwise plaintext product; consumes one level."""
         level = a.level
         if level < 1:
-            raise LevelExhausted("cmul", level, self._scope())
+            raise LevelExhausted("cmul", level, self.meter.current_scope)
         n = a._base.shape[0]
         vec = as_slots(pt, n)
-        meter = self.meter
-        if meter is not None:
-            meter.record("cmul", level)
+        self.meter.record("cmul", level)
         out, view, free = _buffer(self._free, n)
         np.multiply(a.slots, vec, out)
         return _make(view, 0, level - 1, a.key_id, True, free)
@@ -462,63 +433,52 @@ class SimulatorBackend:
         """
         base, level, pending = a._base, a.level, a.pending_rescale
         shift = (a._shift + m) % base.shape[0]
-        meter = self.meter
-        if meter is not None:
-            meter.record("rot", level + pending)
+        self.meter.record("rot", level + pending)
         return _make(base, shift, level, a.key_id, pending, a._free)
 
     # -- batched primitives ------------------------------------------------
 
-    def mul_sum(self, pairs: Iterable[tuple[Ciphertext, Ciphertext]],
-                acc: Ciphertext | None = None) -> Ciphertext:
-        """``acc + a0*b0 + a1*b1 + ...`` over the ``(a, b)`` pairs, as the
-        left fold of :meth:`mul` and :meth:`add` (from ``a0*b0`` when ``acc``
-        is None), with that fold's slots, level, rescale flag and meter
-        counts: a ``mul`` at ``min(a.level, b.level)`` per product and an
-        ``add`` per sum at the level :meth:`add` records.  It raises what the
-        fold raises, at the same term, after metering the terms before it.
+    def mul_sum(self, pairs: Iterable[tuple[Ciphertext, Ciphertext]]) -> Ciphertext:
+        """``a0*b0 + a1*b1 + ...`` over the ``(a, b)`` pairs, as the left fold
+        of :meth:`mul` and :meth:`add` from ``a0*b0``, with that fold's
+        slots, level, rescale flag and meter counts: a ``mul`` at
+        ``min(a.level, b.level)`` per product and an ``add`` per sum at the
+        level :meth:`add` records.  It raises what the fold raises, at the
+        same term, after metering the terms before it.
 
         The products go through one scratch buffer and are summed in place
         into the result's buffer.
         """
         pools, counts = self._free, defaultdict(int)
-        ref = acc  # the operand each later term is added to, for its checks
-        if acc is not None:
-            level, pending = acc.level, acc.pending_rescale
-        out = tmp = None
+        first = out = tmp = None
         try:
             for a, b in pairs:
                 _check_pair(a, b)
                 lab = min(a.level, b.level)
                 if lab < 1:
-                    raise LevelExhausted("mul", lab, self._scope())
+                    raise LevelExhausted("mul", lab, self.meter.current_scope)
                 counts[("mul", lab)] += 1
-                if ref is None:
-                    ref = a
-                else:
-                    _check_pair(ref, a)
-                if out is None:
+                if out is None:  # the first product starts the sum
+                    first, level = a, lab - 1
                     out, view, free = _buffer(pools, a._base.shape[0])
                     np.multiply(a.slots, b.slots, out)
-                    if acc is None:  # the first product starts the sum
-                        level, pending = lab - 1, True
-                        continue
-                    np.add(acc.slots, out, out)
-                else:
-                    if tmp is None:
-                        tmp, tmp_view, _ = _buffer(pools, out.shape[0])
-                    np.multiply(a.slots, b.slots, tmp)
-                    np.add(out, tmp, out)
-                # the product runs one level above its remaining budget ``lab - 1``
-                counts[("add", min(level + pending, lab))] += 1
+                    continue
+                _check_pair(first, a)
+                if tmp is None:
+                    tmp, tmp_view, _ = _buffer(pools, out.shape[0])
+                np.multiply(a.slots, b.slots, tmp)
+                np.add(out, tmp, out)
+                # both summands have a rescale pending: the add runs one
+                # level above the sum's remaining budget
                 level = min(level, lab - 1)
+                counts[("add", level + 1)] += 1
         finally:
             self._record_counts(counts)
         if out is None:
             raise ValueError("mul_sum needs at least one product")
         if tmp is not None:
             pools[out.shape[0]].append(tmp_view)
-        return _make(view, 0, level, ref.key_id, pending, free)
+        return _make(view, 0, level, first.key_id, True, free)
 
     def rotate_add(self, ct: Ciphertext, shifts: Sequence[int]) -> Ciphertext:
         """``v <- v + rot(v, s)`` for each shift ``s`` in turn, from ``v = ct``:
@@ -544,32 +504,28 @@ class SimulatorBackend:
         _, view, free = bufs[last & 1]
         return _make(view, 0, ct.level, ct.key_id, ct.pending_rescale, free)
 
-    def pack_sums(self, cts: Sequence[Ciphertext], plans: Sequence[Sequence[int]],
-                  scale: float) -> Ciphertext:
-        """One ciphertext holding ``scale`` times the block sums of each
-        ``cts[g]`` at its offset: the per-op calls ``rotate_add(cts[g],
-        shifts_g)``, a ``cmul`` by the selector that is ``scale`` at ``p_g::n``
-        and an ``add`` into the pack so far, where ``plans[g]`` is the signed
-        plan (directions) that sums n-slot blocks into offset ``p_g`` (see
-        :func:`_plan_offset`).  It gives those calls' level, rescale flag,
-        errors (at the same ciphertext, after metering the ones before it) and
-        meter counts, but no chain step goes through :meth:`rot`.
-        :func:`_pack_offsets` checks the plans first.
+    def pack_sums(self, cts: Sequence[Ciphertext], n: int, scale: float) -> Ciphertext:
+        """One ciphertext holding ``scale`` times the n-slot block sums of
+        each ``cts[g]`` at offset g: the per-op calls ``rotate_add(cts[g],
+        shifts)`` by the signed rotation plan of offset g, a ``cmul`` by the
+        selector that is ``scale`` at ``g::n`` and an ``add`` into the pack so
+        far.  It gives those calls' level, rescale flag, errors (at the same
+        ciphertext, after metering the ones before it) and meter counts, but
+        no chain step goes through :meth:`rot`.  :func:`_check_pack` checks
+        the pack's shape first.
 
         Only the kept slots are computed.  Chain step k adds to each slot
-        ``o`` that reaches ``p`` the slot ``o ^ 2**k`` (``o`` shares bit k
-        with ``p``, so the signed shift flips it), and IEEE addition commutes,
-        so the chain leaves at ``p`` the pairwise sum ``x <- x[0::2] +
-        x[1::2]``, K times, of its block, whatever ``p`` is.  Those halvings
+        ``o`` that reaches ``g`` the slot ``o ^ 2**k`` (``o`` shares bit k
+        with ``g``, so the signed shift flips it), and IEEE addition commutes,
+        so the chain leaves at ``g`` the pairwise sum ``x <- x[0::2] +
+        x[1::2]``, K times, of its block, whatever ``g`` is.  Those halvings
         run through one pooled scratch buffer, and the scaled sums go straight
         into their column of the output: the chain's bit for bit (up to the
         sign of an exact zero).  The other slots are zero where the per-op
         products write ``x * 0.0``: equal, for finite slots.
         """
-        if not cts or len(cts) != len(plans):
-            raise ValueError(f"{len(plans)} plans for a pack of {len(cts)} ciphertexts")
-        size = cts[0]._base.shape[0]
-        offsets, n = _pack_offsets(plans, size)
+        size = cts[0]._base.shape[0] if cts else 0
+        _check_pack(len(cts), n, size)
         pools, counts, steps = self._free, defaultdict(int), n.bit_length() - 1
         out, view, free = _buffer(pools, size)
         if len(cts) < n:  # offsets no ciphertext fills
@@ -579,12 +535,12 @@ class SimulatorBackend:
         halves = [scratch[size - (size >> k):size - (size >> (k + 1))]
                   for k in range(steps)]
         try:
-            for g, (ct, p) in enumerate(zip(cts, offsets)):
+            for g, ct in enumerate(cts):
                 level = ct.level
                 counts[("rot", ct.meter_level())] += steps
                 counts[("add", ct.meter_level())] += steps
                 if level < 1:
-                    raise LevelExhausted("cmul", level, self._scope())
+                    raise LevelExhausted("cmul", level, self.meter.current_scope)
                 counts[("cmul", level)] += 1
                 if g:  # added into the pack, which has a rescale pending
                     _check_pair(cts[0], ct)
@@ -596,47 +552,46 @@ class SimulatorBackend:
                 for half in halves:
                     np.add(x[0::2], x[1::2], half)
                     x = half
-                np.multiply(x, scale, out.reshape(-1, n)[:, p])
+                np.multiply(x, scale, out.reshape(-1, n)[:, g])
         finally:
             self._record_counts(counts)
         pools[size].append(scratch_view)
         return _make(view, 0, out_level, cts[0].key_id, True, free)
 
-    def unpack_spreads(self, ct: Ciphertext, plans: Sequence[Sequence[int]],
+    def unpack_spreads(self, ct: Ciphertext, n: int,
                        accs: Sequence[Ciphertext]) -> list[Ciphertext]:
-        """``accs[g] + repeat(ct[p_g::n], n)`` for each plan, with ``p_g`` and
-        n as in :meth:`pack_sums`: the per-op calls, plan by plan, of a
-        ``cmul`` by the selector that is 1.0 at ``p_g::n``, ``rotate_add`` by
-        the reversed shifts of ``plans[g]`` and an ``add`` into ``accs[g]``.
-        The level, rescale flag, errors (at the same plan, after metering the
-        ones before it) and meter counts are those calls', and every chain
-        step issues its rotation through :meth:`rot`.  :func:`_pack_offsets`
-        checks the plans first.
+        """``accs[g] + repeat(ct[g::n], n)`` for each accumulator g: the
+        per-op calls, gradient by gradient, of a ``cmul`` by the selector that
+        is 1.0 at ``g::n``, ``rotate_add`` by the reversed shifts of offset
+        g's signed plan and an ``add`` into ``accs[g]``.  The level, rescale
+        flag, errors (at the same gradient, after metering the ones before
+        it) and meter counts are those calls', and every chain step makes
+        its rotation through :meth:`rot`: ``2**k`` where bit k of g is set,
+        else ``-2**k``.  :func:`_check_pack` checks the pack's shape first.
 
-        A signed plan's reversed chain carries every slot of a block to ``p``
+        A signed plan's reversed chain carries every slot of a block to ``g``
         by exactly one term, so it adds each kept value to exact zeros only:
         the result is the chain's bit for bit where the value is not zero,
         and up to the sign of an exact zero elsewhere, for finite slots.
         """
-        if not accs or len(accs) != len(plans):
-            raise ValueError(f"{len(plans)} plans for {len(accs)} accumulators")
         size, level = ct._base.shape[0], ct.level
-        offsets, n = _pack_offsets(plans, size)
+        _check_pack(len(accs), n, size)
         if level < 1:
-            raise LevelExhausted("cmul", level, self._scope())
+            raise LevelExhausted("cmul", level, self.meter.current_scope)
         # the masked product each chain rotates: one level down, rescale pending
         masked = _make(ct._base, ct._shift, level - 1, ct.key_id, True, None)
         blocks, counts, out = ct.slots.reshape(-1, n), defaultdict(int), []
+        steps = n.bit_length() - 1
         try:
-            for plan, acc, p in zip(plans, accs, offsets):
+            for g, acc in enumerate(accs):
                 counts[("cmul", level)] += 1
-                for k, d in enumerate(plan):
-                    self.rot(masked, -d << k)
-                counts[("add", level)] += len(plan)
+                for k in range(steps):
+                    self.rot(masked, 1 << k if g >> k & 1 else -1 << k)
+                counts[("add", level)] += steps
                 _check_pair(acc, ct)
                 counts[("add", min(acc.level + acc.pending_rescale, level))] += 1
                 cell, view, free = _buffer(self._free, size)
-                np.add(acc.slots.reshape(-1, n), blocks[:, p, None],
+                np.add(acc.slots.reshape(-1, n), blocks[:, g, None],
                        cell.reshape(-1, n))
                 out.append(_make(view, 0, min(acc.level, level - 1), ct.key_id,
                                  acc.pending_rescale, free))

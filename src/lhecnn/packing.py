@@ -288,20 +288,19 @@ def fold_rotate_sum(backend: SimulatorBackend, ct: Ciphertext, block_slots: int,
 
 
 def signed_rotate_sum(backend: SimulatorBackend, cts: Sequence[Ciphertext],
-                      plans: Sequence[RotationPlan], scale: float) -> Ciphertext:
-    """Pack ``cts`` into one ciphertext: each n-block of ``cts[g]`` aggregated
-    into its slot ``plans[g].offset``, and only those slots kept, times
-    ``scale``.  The plans share one n and name distinct offsets."""
-    return backend.pack_sums(cts, [plan.directions for plan in plans], scale)
+                      n: int, scale: float) -> Ciphertext:
+    """Pack 1 to n ciphertexts into one: each n-block of ``cts[g]``
+    aggregated into its slot g by the plan ``compute_rotation_plan(g, n)``,
+    and only those slots kept, times ``scale``."""
+    return backend.pack_sums(cts, n, scale)
 
 
-def signed_rotate_spread(backend: SimulatorBackend, ct: Ciphertext,
-                         plans: Sequence[RotationPlan],
+def signed_rotate_spread(backend: SimulatorBackend, ct: Ciphertext, n: int,
                          accs: Sequence[Ciphertext]) -> list[Ciphertext]:
-    """Inverse of :func:`signed_rotate_sum`: for each plan, keep each block's
-    slot ``plans[g].offset`` of ``ct``, replicate it over the whole block and
-    add it to ``accs[g]``; returns one ciphertext per plan."""
-    return backend.unpack_spreads(ct, [plan.directions for plan in plans], accs)
+    """Inverse of :func:`signed_rotate_sum`: for each accumulator g, keep
+    each n-block's slot g of ``ct``, replicate it over the whole block and
+    add it to ``accs[g]``; returns one ciphertext per accumulator."""
+    return backend.unpack_spreads(ct, n, accs)
 
 
 # ---------------------------------------------------------------------------

@@ -88,15 +88,14 @@ class RefineSession:
     """Encrypted model state plus the machinery to run it."""
 
     def __init__(self, tee: TeeService, cfg: CnnConfig, params: LheParams, *,
-                 r_mode="auto", exact_activation_grad: bool = True,
-                 party: str = "refine-session"):
+                 r_mode="auto", exact_activation_grad: bool = True):
         self.tee = tee
         self.backend = tee.backend
         self.meter = tee.backend.meter
         self.cfg = cfg
         self.params = params
-        self.party = party
-        self.ctx = tee.attest(party)
+        self.party = "refine-session"
+        self.ctx = tee.attest(self.party)
         self.geo = combined_geometry(cfg, params)
         self.r, self.layouts = plan_layouts(cfg, self.geo, r_mode)
         self.exact_activation_grad = exact_activation_grad
@@ -364,7 +363,7 @@ class RefineSession:
 
     @classmethod
     def load(cls, tee: TeeService, path: str | Path, *,
-             threads: int = 1, party: str = "refine-session") -> "RefineSession":
+             threads: int = 1) -> "RefineSession":
         """Read a session written by :meth:`save`.  The pipeline runs on one
         thread; ``threads`` stays only so that callers passing 1 keep working."""
         if threads != 1:
@@ -379,8 +378,7 @@ class RefineSession:
         params = LheParams(lhe["slots"], lhe["levels"], lhe.get("noise_sigma", 0.0))
         cfg = model_from_dict(json.loads(entries["model"]), int(entries["n"]))
         session = cls(tee, cfg, params, r_mode=int(entries["r"]),
-                      exact_activation_grad=entries["exact_activation_grad"] == "true",
-                      party=party)
+                      exact_activation_grad=entries["exact_activation_grad"] == "true")
         if int(entries["key_hash"]) != session.ctx.key_hash:
             raise ValueError("session was written under a different key")
         stored_layouts = entries["layouts"].split(",")

@@ -312,7 +312,12 @@ class TeeSocketServer:
 
 
 class TeeSocketClient:
-    """Client for the socket transport; mirrors the in-process API.
+    """Client for the socket transport: attestation, re-encryption and the
+    loss head of :class:`TeeService`, as the party named at construction, so
+    no method takes a party.  It has no ``reveal_outputs``.  Its
+    :meth:`loss_head` takes plaintext labels (one byte each) and returns the
+    loss and the gradient ciphertexts as a list, in the order of
+    ``logits.cts()``, not as a :class:`PackedTensor`.
 
     The connect and every send and receive wait at most :attr:`TIMEOUT`
     seconds, far above any reply the simulated service takes (milliseconds,

@@ -33,48 +33,44 @@ def make_selector(p, n, slot_count, beta):
     return sel
 
 
-def signed_chain(directions):
-    """``(p, n, shifts)`` of a signed rotation plan: n-slot blocks with
-    ``n = 2**len(directions)``, offset ``p`` with bit k set where
-    ``directions[k]`` is -1, and the batch sum's shifts ``directions[k] << k``
-    (the spread uses their negations)."""
-    p = sum(1 << k for k, d in enumerate(directions) if d == -1)
-    return p, 1 << len(directions), [d << k for k, d in enumerate(directions)]
+def plan_shifts(g, n):
+    """The batch sum's shifts for offset ``g`` of n-slot blocks, from the
+    signed rotation plan ``compute_rotation_plan(g, n)``: ``directions[k] <<
+    k`` (the spread uses their negations)."""
+    return [d << k for k, d in enumerate(compute_rotation_plan(g, n).directions)]
 
 
-def per_op_rotate_add_select(backend, ct, directions, scale, acc=None):
-    """What ``SimulatorBackend.rotate_add_select`` computes, as per-op calls:
-    the chain, a selector ``cmul`` and an ``add`` into ``acc``."""
-    p, n, shifts = signed_chain(directions)
-    masked = backend.cmul(backend.rotate_add(ct, shifts),
-                          make_selector(p, n, ct.slot_count, scale))
+def per_op_rotate_add_select(backend, ct, g, n, scale, acc=None):
+    """Gradient ``g`` of ``SimulatorBackend.pack_sums`` as per-op calls: the
+    chain of offset g, a selector ``cmul`` and an ``add`` into ``acc``."""
+    masked = backend.cmul(backend.rotate_add(ct, plan_shifts(g, n)),
+                          make_selector(g, n, ct.slot_count, scale))
     return masked if acc is None else backend.add(acc, masked)
 
 
-def per_op_select_rotate_add(backend, ct, directions, acc=None):
-    """What ``SimulatorBackend.select_rotate_add`` computes, as per-op calls:
-    a selector ``cmul``, the reversed chain and an ``add`` into ``acc``."""
-    p, n, shifts = signed_chain(directions)
-    spread = backend.rotate_add(backend.cmul(ct, make_selector(p, n, ct.slot_count, 1.0)),
-                                [-s for s in shifts])
+def per_op_select_rotate_add(backend, ct, g, n, acc=None):
+    """Gradient ``g`` of ``SimulatorBackend.unpack_spreads`` as per-op calls:
+    a selector ``cmul``, the reversed chain of offset g and an ``add`` into
+    ``acc``."""
+    spread = backend.rotate_add(backend.cmul(ct, make_selector(g, n, ct.slot_count, 1.0)),
+                                [-s for s in plan_shifts(g, n)])
     return spread if acc is None else backend.add(acc, spread)
 
 
-def per_op_pack_sums(backend, cts, directions, scale):
+def per_op_pack_sums(backend, cts, n, scale):
     """What ``SimulatorBackend.pack_sums`` computes, as the per-op calls of
-    :func:`per_op_rotate_add_select` for each ciphertext in turn, added into
-    the pack so far."""
+    :func:`per_op_rotate_add_select` for each ciphertext g in turn, added
+    into the pack so far."""
     acc = None
-    for ct, plan in zip(cts, directions):
-        acc = per_op_rotate_add_select(backend, ct, plan, scale, acc)
+    for g, ct in enumerate(cts):
+        acc = per_op_rotate_add_select(backend, ct, g, n, scale, acc)
     return acc
 
 
-def per_op_unpack_spreads(backend, ct, directions, accs):
+def per_op_unpack_spreads(backend, ct, n, accs):
     """What ``SimulatorBackend.unpack_spreads`` computes, as the per-op calls
-    of :func:`per_op_select_rotate_add` for each plan in turn."""
-    return [per_op_select_rotate_add(backend, ct, plan, acc)
-            for plan, acc in zip(directions, accs)]
+    of :func:`per_op_select_rotate_add` for each accumulator g in turn."""
+    return [per_op_select_rotate_add(backend, ct, g, n, acc) for g, acc in enumerate(accs)]
 
 
 def per_op_noise_removal_update(backend, reencrypt, raw_grads, target_cells, lr, n):
@@ -86,17 +82,14 @@ def per_op_noise_removal_update(backend, reencrypt, raw_grads, target_cells, lr,
     order = list(raw_grads)
     packed = {}
     for idx, key in enumerate(order):
-        p, k = idx % n, idx // n
-        packed[k] = per_op_rotate_add_select(
-            backend, raw_grads.pop(key), compute_rotation_plan(p, n).directions, -lr / n,
-            packed.get(k))
+        packed[idx // n] = per_op_rotate_add_select(
+            backend, raw_grads.pop(key), idx % n, n, -lr / n, packed.get(idx // n))
     if not packed:
         return 0
     fresh = reencrypt(list(packed.values()))
     for idx, key in enumerate(order):
         target_cells[key] = per_op_select_rotate_add(
-            backend, fresh[idx // n], compute_rotation_plan(idx % n, n).directions,
-            target_cells[key])
+            backend, fresh[idx // n], idx % n, n, target_cells[key])
     return len(packed)
 
 

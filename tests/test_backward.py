@@ -22,7 +22,6 @@ from lhecnn.packing import (
     FL_TYPE1,
     FL_TYPE2,
     PackedTensor,
-    compute_rotation_plan,
     encode_filters,
     encode_inputs,
     signed_rotate_sum,
@@ -125,9 +124,8 @@ class TestFlWeightGradients:
         weights = encode_weights(backend, ctx, np.ones((1, 4)),
                                  "type1", n=2, in_cts=1, pi_per_ct=4)
         raw = fl_weight_gradients(backend, out_g, inp, weights)
-        p = 0  # (j*in_cts + i) mod n = 0
-        got = backend.decrypt(ctx, signed_rotate_sum(backend, [raw[(0, 0)]],
-                                                     [compute_rotation_plan(p, 2)], 1.0))
+        p = 0  # (j*in_cts + i) mod n = 0: the first gradient of its pack
+        got = backend.decrypt(ctx, signed_rotate_sum(backend, [raw[(0, 0)]], 2, 1.0))
         assert got[0 * 2 + p] == 3 * 1 + 3 * 2
         assert got[1 * 2 + p] == 3 * 10 + 3 * 20
         assert got[2 * 2 + p] == 3 * 100 + 3 * 200
@@ -163,14 +161,13 @@ class TestFlWeightGradients:
         _, g = sess.tee.loss_head(sess.party, logits, label_ct, 3)
         raw = fl_weight_gradients(sess.backend, g, cache.fl_inputs[1], sess.weights[1])
         # FL2 is type II: gradient for weight (row w, col i) sits in the batch
-        # sum of raw[(i, 0)], its type II cell, at slot w*n + p with p = i mod n
+        # sum of raw[(i, 0)], its type II cell, packed as gradient i of 4: at
+        # slot w*n + i
+        summed = signed_rotate_sum(sess.backend, [raw[(i, 0)] for i in range(4)], 4, 1.0)
+        slots = sess.tee.backend.decrypt(sess.tee._ctx, summed)
         for i in range(4):
-            p = i % 4
-            summed = signed_rotate_sum(sess.backend, [raw[(i, 0)]],
-                                       [compute_rotation_plan(p, 4)], 1.0)
-            slots = sess.tee.backend.decrypt(sess.tee._ctx, summed)
             for w in range(3):
-                assert abs(slots[w * 4 + p] - grads.weights[1][w, i]) < 1e-9
+                assert abs(slots[w * 4 + i] - grads.weights[1][w, i]) < 1e-9
 
 
 class TestNoiseRemovalUpdate:
@@ -477,11 +474,14 @@ class TestConvKernelGradients:
         raw = conv_kernel_gradients(sess.backend, cache.conv_inputs[0], g,
                                     sess.filters[0], sess.geo.kernel_side_after(0),
                                     delta)
-        n = cfg.n
-        for (k, i, x, y), ct in raw.items():
-            idx = (k * 1 * gamma**2 + i * gamma**2 + x * gamma + y) % n
-            summed = signed_rotate_sum(sess.backend, [ct], [compute_rotation_plan(idx, n)], 1.0)
+        n, keys = cfg.n, list(raw)
+        # packed n at a time in flat kernel order, as the update packs them
+        assert keys == sorted(keys)
+        for start in range(0, len(keys), n):
+            pack = keys[start:start + n]
+            summed = signed_rotate_sum(sess.backend, [raw[key] for key in pack], n, 1.0)
             slots = sess.tee.backend.decrypt(sess.tee._ctx, summed)
-            want = grads.filters[0][k, i, x, y]
-            scale = max(1.0, abs(want))
-            assert abs(slots[idx] - want) / scale < 1e-9
+            for idx, key in enumerate(pack):
+                want = grads.filters[0][key]
+                scale = max(1.0, abs(want))
+                assert abs(slots[idx] - want) / scale < 1e-9

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from lhecnn.cli import main
-from lhecnn.config import load_config, parse_config, read_dataset, write_dataset
+from lhecnn.config import (
+    RunSettings,
+    load_config,
+    parse_config,
+    read_dataset,
+    write_dataset,
+)
 from lhecnn.geometry import preset
 from lhecnn.lhe import serialized_size
 
@@ -65,6 +71,13 @@ class TestDatasetFormat:
 
 
 class TestConfigParsing:
+    def test_an_empty_run_block_parses_to_the_run_defaults(self, tmp_path):
+        data = json.loads(Path(mnist_config(tmp_path)).read_text())
+        data["run"] = {}
+        assert parse_config(data).run == RunSettings()
+        del data["run"]
+        assert parse_config(data).run == RunSettings()
+
     @pytest.mark.parametrize("value", ["false", "true", 0, None])
     def test_exact_activation_grad_must_be_a_boolean(self, tmp_path, capsys, value):
         path = mnist_config(tmp_path)

@@ -302,8 +302,8 @@ class _ScopeWatch(SimulatorBackend):
     def mul(self, a, b):
         return self._watch(super().mul(a, b))
 
-    def mul_sum(self, pairs, acc=None):
-        return self._watch(super().mul_sum(pairs, acc))
+    def mul_sum(self, pairs):
+        return self._watch(super().mul_sum(pairs))
 
     def rotate_add(self, ct, shifts):
         return self._watch(super().rotate_add(ct, shifts))

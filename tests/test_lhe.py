@@ -420,7 +420,8 @@ class TestLazyRotation:
 
 
 def loop_mul_sum(backend, pairs, acc=None):
-    """The per-op fold :meth:`SimulatorBackend.mul_sum` replaces."""
+    """The per-op fold :meth:`SimulatorBackend.mul_sum` replaces, continued
+    from the sum ``acc`` when it is given."""
     for a, b in pairs:
         term = backend.mul(a, b)
         acc = term if acc is None else backend.add(acc, term)
@@ -494,55 +495,61 @@ class TestBatchedPrimitives:
         index = st.integers(0, len(pool) - 1)
         pairs = [(pool[data.draw(index)], pool[data.draw(index)])
                  for _ in range(data.draw(st.integers(1, 6), label="terms"))]
-        acc = data.draw(st.none() | index.map(pool.__getitem__), label="acc")
+        # one call over all the terms equals a call over the first ``split``
+        # of them continued term by term (the per-op fold when it is 0), as
+        # a conv layer's input gradient cell relies on
+        split = data.draw(st.integers(0, len(pairs) - 1), label="split")
         (got, got_counts), (want, want_counts) = side_by_side(
-            lambda b: b.mul_sum(pairs, acc), lambda b: loop_mul_sum(b, pairs, acc))
+            lambda b: b.mul_sum(pairs),
+            lambda b: loop_mul_sum(b, pairs[split:],
+                                   b.mul_sum(pairs[:split]) if split else None))
         assert_same_ct(got, want)
         assert got_counts == want_counts
 
-    @pytest.mark.parametrize("acc_index", [None, 3, 5, 7])
-    def test_single_term(self, acc_index):
+    @pytest.mark.parametrize("lead_index", [None, 3, 5, 7])
+    def test_single_term(self, lead_index):
+        # one term alone, or after the square of ``pool[lead_index]``: one
+        # call over both equals the chained calls
         _, pool = self.operands(SimulatorBackend())
-        acc = None if acc_index is None else pool[acc_index]
+        lead = [] if lead_index is None else [(pool[lead_index], pool[lead_index])]
         pairs = [(pool[6], pool[4])]
         (got, got_counts), (want, want_counts) = side_by_side(
-            lambda b: b.mul_sum(pairs, acc), lambda b: loop_mul_sum(b, pairs, acc))
+            lambda b: b.mul_sum(lead + pairs),
+            lambda b: loop_mul_sum(b, pairs, b.mul_sum(lead) if lead else None))
         assert_same_ct(got, want)
         assert got_counts == want_counts
 
     def test_mul_sum_needs_a_product(self, backend):
-        _, pool = self.operands(backend)
-        for acc in (None, pool[0]):
-            with pytest.raises(ValueError, match="at least one product"):
-                backend.mul_sum([], acc)
+        with pytest.raises(ValueError, match="at least one product"):
+            backend.mul_sum([])
 
     def test_level_exhaustion_matches_the_per_op_fold(self, backend):
         ctx, pool = self.operands(backend)
         spent = backend.encrypt(backend.keygen(LheParams(16, 1), seed=2), np.ones(16))
         assert spent.level == 0 and spent.key_id == ctx.key_id
         pairs = [(pool[0], pool[1]), (pool[3], pool[4]), (pool[2], spent), (pool[0], pool[0])]
-        for acc in (None, pool[5]):
+        for lead in ([], [(pool[5], pool[5])]):
+            terms = lead + pairs
             (got, got_counts), (want, want_counts) = side_by_side(
-                lambda b: b.mul_sum(pairs, acc), lambda b: loop_mul_sum(b, pairs, acc))
+                lambda b: b.mul_sum(terms), lambda b: loop_mul_sum(b, terms))
             assert isinstance(got, LevelExhausted) and isinstance(want, LevelExhausted)
             assert (got.op, got.level, got.scope) == (want.op, want.level, want.scope)
             assert (got.op, got.level, got.scope) == ("mul", 0, "S")
             assert got_counts == want_counts  # the terms before it were metered
 
-    @pytest.mark.parametrize("where", ["pair", "later pair", "acc"])
+    @pytest.mark.parametrize("where", ["pair", "later pair", "first pair"])
     def test_key_mismatch_matches_the_per_op_fold(self, backend, where):
         _, pool = self.operands(backend)
         other = backend.encrypt(backend.keygen(LheParams(16, 8), seed=9), np.ones(16))
         pairs = [(pool[0], pool[1]), (pool[2], pool[3])]
-        acc = None
         if where == "pair":
             pairs[0] = (pool[0], other)
         elif where == "later pair":
             pairs[1] = (other, other)
-        else:
-            acc = other
+        else:  # the sum so far is foreign: the first add raises
+            pairs.insert(0, (other, other))
         (got, got_counts), (want, want_counts) = side_by_side(
-            lambda b: b.mul_sum(pairs, acc), lambda b: loop_mul_sum(b, pairs, acc))
+            lambda b: b.mul_sum(pairs), lambda b: loop_mul_sum(b, pairs))
         assert isinstance(got, KeyMismatch) and isinstance(want, KeyMismatch)
         assert str(got) == str(want)
         assert got_counts == want_counts
@@ -594,10 +601,6 @@ class TestBatchedPrimitives:
         assert all(ct.slots.tobytes() == v.tobytes() for ct, v in zip(kept, values))
 
 
-def plans_for(offsets, n):
-    return [compute_rotation_plan(p, n).directions for p in offsets]
-
-
 def assert_same_masked(got, want, offsets, n):
     """Equal slots, and bit for bit at ``p::n`` for each kept offset ``p``;
     the level, rescale flag and key of the per-op calls."""
@@ -610,14 +613,13 @@ def assert_same_masked(got, want, offsets, n):
 
 @st.composite
 def packs(draw, pool_size, slot_count=16):
-    """Pool indices of 1..n ciphertexts, their distinct offsets and the
+    """Pool indices of m <= n ciphertexts, ciphertext g at offset g, and the
     block size n (a power of two up to ``slot_count``)."""
     n = 1 << draw(st.integers(0, slot_count.bit_length() - 1), label="log2 n")
-    offsets = draw(st.permutations(range(n)), label="offsets")
     m = draw(st.integers(1, n), label="m")
     indices = draw(st.lists(st.integers(0, pool_size - 1), min_size=m, max_size=m),
                    label="ciphertexts")
-    return indices, list(offsets[:m]), n
+    return indices, n
 
 
 class TestMaskedChains:
@@ -637,13 +639,13 @@ class TestMaskedChains:
         # the pack: full, partial, m = 1 and n = 1, with shifted operands and
         # operands with a rescale pending among the gradients
         _, pool = self.operands(SimulatorBackend())
-        indices, offsets, n = data.draw(packs(len(pool)))
-        cts, plans = [pool[i] for i in indices], plans_for(offsets, n)
+        indices, n = data.draw(packs(len(pool)))
+        cts = [pool[i] for i in indices]
         scale = data.draw(st.sampled_from([1.0, -0.3 / 4, 2.5]), label="scale")
         (got, got_counts), (want, want_counts) = side_by_side(
-            lambda b: b.pack_sums(cts, plans, scale),
-            lambda b: per_op_pack_sums(b, cts, plans, scale))
-        assert_same_masked(got, want, offsets, n)
+            lambda b: b.pack_sums(cts, n, scale),
+            lambda b: per_op_pack_sums(b, cts, n, scale))
+        assert_same_masked(got, want, range(len(cts)), n)
         assert got_counts == want_counts
 
     @settings(max_examples=200, deadline=None)
@@ -651,15 +653,15 @@ class TestMaskedChains:
     def test_select_rotate_add_matches_the_per_op_calls(self, data):
         _, pool = self.operands(SimulatorBackend())
         ct = pool[data.draw(st.integers(0, len(pool) - 1), label="operand")]
-        indices, offsets, n = data.draw(packs(len(pool)))
-        accs, plans = [pool[i] for i in indices], plans_for(offsets, n)
+        indices, n = data.draw(packs(len(pool)))
+        accs = [pool[i] for i in indices]
         (got, got_counts), (want, want_counts) = side_by_side(
-            lambda b: b.unpack_spreads(ct, plans, accs),
-            lambda b: per_op_unpack_spreads(b, ct, plans, accs))
+            lambda b: b.unpack_spreads(ct, n, accs),
+            lambda b: per_op_unpack_spreads(b, ct, n, accs))
         assert len(got) == len(want) == len(accs)
-        for cell, want_cell, acc, p in zip(got, want, accs, offsets):
+        for g, (cell, want_cell, acc) in enumerate(zip(got, want, accs)):
             assert_same_masked(cell, want_cell, range(n), n)
-            assert np.array_equal(cell.slots, acc.slots + np.repeat(ct.slots[p::n], n))
+            assert np.array_equal(cell.slots, acc.slots + np.repeat(ct.slots[g::n], n))
         assert got_counts == want_counts
 
     @pytest.mark.parametrize("n, m", [(8, 8), (8, 3), (8, 1), (1, 1)],
@@ -670,16 +672,15 @@ class TestMaskedChains:
         _, pool = self.operands(SimulatorBackend())
         shifted_or_pending = [pool[i] for i in (3, 4, 6, 7, 8)]
         cts = [shifted_or_pending[g % 5] for g in range(m)]
-        plans = plans_for(range(m), n)
         (got, got_counts), (want, want_counts) = side_by_side(
-            lambda b: b.pack_sums(cts, plans, -0.05 / n),
-            lambda b: per_op_pack_sums(b, cts, plans, -0.05 / n))
+            lambda b: b.pack_sums(cts, n, -0.05 / n),
+            lambda b: per_op_pack_sums(b, cts, n, -0.05 / n))
         assert_same_masked(got, want, range(m), n)
         assert got_counts == want_counts
         accs = [pool[g % 9] for g in range(m)]
         (got, got_counts), (want, want_counts) = side_by_side(
-            lambda b: b.unpack_spreads(pool[7], plans, accs),
-            lambda b: per_op_unpack_spreads(b, pool[7], plans, accs))
+            lambda b: b.unpack_spreads(pool[7], n, accs),
+            lambda b: per_op_unpack_spreads(b, pool[7], n, accs))
         for cell, want_cell in zip(got, want, strict=True):
             assert_same_masked(cell, want_cell, range(n), n)
         assert got_counts == want_counts
@@ -691,13 +692,12 @@ class TestMaskedChains:
         spent = backend.encrypt(backend.keygen(LheParams(16, 1), seed=2), np.ones(16))
         assert spent.level == 0 and spent.key_id == ctx.key_id
         cts = ([] if acc_index is None else [pool[acc_index]]) + [spent, pool[0]]
-        plans = plans_for(range(len(cts)), 4)
         accs = [pool[1 if acc_index is None else acc_index]] * 2
         for fused, per_op in [
-                (lambda b: b.pack_sums(cts, plans, 0.5),
-                 lambda b: per_op_pack_sums(b, cts, plans, 0.5)),
-                (lambda b: b.unpack_spreads(spent, plans[:2], accs),
-                 lambda b: per_op_unpack_spreads(b, spent, plans[:2], accs))]:
+                (lambda b: b.pack_sums(cts, 4, 0.5),
+                 lambda b: per_op_pack_sums(b, cts, 4, 0.5)),
+                (lambda b: b.unpack_spreads(spent, 4, accs),
+                 lambda b: per_op_unpack_spreads(b, spent, 4, accs))]:
             (got, got_counts), (want, want_counts) = side_by_side(fused, per_op)
             assert isinstance(got, LevelExhausted) and isinstance(want, LevelExhausted)
             assert (got.op, got.level, got.scope) == (want.op, want.level, want.scope)
@@ -707,67 +707,56 @@ class TestMaskedChains:
     def test_key_mismatch_matches_the_per_op_calls(self, backend):
         _, pool = self.operands(backend)
         other = backend.encrypt(backend.keygen(LheParams(16, 8), seed=9), np.ones(16))
-        plans = plans_for(range(3), 4)
         # the foreign key in the last, the first and a middle place
         last, first, middle = ([pool[4], pool[1], other], [other, pool[1]],
                                [pool[0], other, pool[2]])
         for fused, per_op in [
-                (lambda b: b.pack_sums(last, plans, 0.5),
-                 lambda b: per_op_pack_sums(b, last, plans, 0.5)),
-                (lambda b: b.pack_sums(first, plans[:2], 0.5),
-                 lambda b: per_op_pack_sums(b, first, plans[:2], 0.5)),
-                (lambda b: b.unpack_spreads(pool[4], plans, middle),
-                 lambda b: per_op_unpack_spreads(b, pool[4], plans, middle))]:
+                (lambda b: b.pack_sums(last, 4, 0.5),
+                 lambda b: per_op_pack_sums(b, last, 4, 0.5)),
+                (lambda b: b.pack_sums(first, 4, 0.5),
+                 lambda b: per_op_pack_sums(b, first, 4, 0.5)),
+                (lambda b: b.unpack_spreads(pool[4], 4, middle),
+                 lambda b: per_op_unpack_spreads(b, pool[4], 4, middle))]:
             (got, got_counts), (want, want_counts) = side_by_side(fused, per_op)
             assert isinstance(got, KeyMismatch) and isinstance(want, KeyMismatch)
             assert str(got) == str(want)
             assert got_counts == want_counts  # chain and cmul metered before the add
 
-    @pytest.mark.parametrize("plan", [(0,), (1, 2), (1, 1, 1, 1, 1)],
-                             ids=["zero", "two", "wider-than-S"])
-    def test_plan_must_be_signed_bits_within_the_slots(self, backend, plan):
+    @pytest.mark.parametrize("n, count", [
+        (4, 5), (1, 2), (4, 0), (0, 1), (3, 1), (32, 1),
+    ], ids=["more-than-n", "count", "empty", "n-zero", "n-three", "n-wider-than-S"])
+    def test_a_pack_holds_at_most_n_distinct_offsets(self, backend, n, count):
+        # gradient g goes to offset g, so a pack holds 1 to n of them, in
+        # blocks of n slots: a power of two no wider than the ciphertext
         _, pool = self.operands(backend)
         mark = backend.meter.checkpoint()
         with pytest.raises(ValueError):
-            backend.pack_sums([pool[0]], [plan], 1.0)
+            backend.pack_sums(pool[:count], n, 1.0)
         with pytest.raises(ValueError):
-            backend.unpack_spreads(pool[0], [plan], [pool[1]])
-        assert backend.meter.since(mark) == {}  # raised before any op
-
-    @pytest.mark.parametrize("plans, count", [
-        (plans_for([0, 1, 2, 3, 0], 4), 5),
-        (plans_for([1, 1], 4), 2),
-        (plans_for([0], 4) + plans_for([1], 8), 2),
-        (plans_for([0, 1], 4), 3),
-        ([], 0),
-    ], ids=["more-than-n", "offset-twice", "two-block-sizes", "count", "empty"])
-    def test_a_pack_holds_at_most_n_distinct_offsets(self, backend, plans, count):
-        _, pool = self.operands(backend)
-        mark = backend.meter.checkpoint()
-        with pytest.raises(ValueError):
-            backend.pack_sums(pool[:count], plans, 1.0)
-        with pytest.raises(ValueError):
-            backend.unpack_spreads(pool[6], plans, pool[:count])
+            backend.unpack_spreads(pool[6], n, pool[:count])
         assert backend.meter.since(mark) == {}  # raised before any op
 
     def test_every_chain_step_rotates_through_rot(self):
         # Both meter one rot per chain step at the per-op calls' level; only
-        # the spread issues them through ``rot``, one call per step.
+        # the spread makes them through ``rot``, one call per step, by the
+        # reversed shifts of each offset's signed plan.
         backend = CountingRot(OpMeter())
         _, pool = self.operands(backend)
-        plans = plans_for([5, 2], 8)  # directions (-1, 1, -1) and (1, -1, 1)
         backend.calls.clear()  # the operands' own rotations
         mark = backend.meter.checkpoint()
-        backend.pack_sums([pool[0], pool[4]], plans, 1.0)
+        backend.pack_sums([pool[0], pool[4]], 8, 1.0)
         assert backend.calls == []
         rots = {key: c for key, c in backend.meter.since(mark).items() if key[1] == "rot"}
         assert rots == {("(unscoped)", "rot", pool[0].meter_level()): 3,
                         ("(unscoped)", "rot", pool[4].meter_level()): 3}
         mark = backend.meter.checkpoint()
-        backend.unpack_spreads(pool[0], plans, [pool[1], pool[2]])
-        assert backend.calls == [1, -2, 4, -1, 2, -4]
+        accs = [pool[i] for i in (1, 2, 3, 5, 6, 8)]
+        backend.unpack_spreads(pool[0], 8, accs)
+        assert backend.calls == [-d << k for g in range(len(accs)) for k, d in
+                                 enumerate(compute_rotation_plan(g, 8).directions)]
+        assert backend.calls[15:18] == [1, -2, 4]  # offset 5: directions (-1, 1, -1)
         rots = {key: c for key, c in backend.meter.since(mark).items() if key[1] == "rot"}
-        assert rots == {("(unscoped)", "rot", pool[0].level): 6}
+        assert rots == {("(unscoped)", "rot", pool[0].level): 18}
 
     def test_packing_allocates_no_block_larger_than_one_buffer(self):
         # n gradients at S = 8192 go through one scratch buffer into the
@@ -778,12 +767,11 @@ class TestMaskedChains:
         rng = np.random.default_rng(3)
         base = backend.encrypt(ctx, rng.normal(size=slots))
         grads = [backend.cmul(base, rng.normal(size=slots)) for _ in range(n)]
-        plans = plans_for(range(n), n)
         buffer = 8 * slots
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            packed = backend.pack_sums(grads, plans, -0.01)
+            packed = backend.pack_sums(grads, n, -0.01)
             peak = tracemalloc.get_traced_memory()[1] - before
             largest = max(t.size for t in tracemalloc.take_snapshot().traces)
         finally:

@@ -21,6 +21,7 @@ from conftest import (
     make_selector,
     per_op_pack_sums,
     per_op_select_rotate_add,
+    per_op_unpack_spreads,
 )
 
 
@@ -113,12 +114,13 @@ class TestRotationPlan:
         v = rng.normal(size=16)
         zero = backend.encrypt(ctx, np.zeros(16))
         for p in range(4):
+            # ``ct`` is gradient p of its pack, after p zero gradients
             plan = compute_rotation_plan(p, 4)
             keep = np.arange(16) % 4 == p
             ct = backend.encrypt(ctx, v)
-            agg = backend.decrypt(ctx, signed_rotate_sum(backend, [ct], [plan], 1.0))
+            agg = backend.decrypt(ctx, signed_rotate_sum(backend, [zero] * p + [ct], 4, 1.0))
             assert np.allclose(agg, np.where(keep, plain_aggregate(v, plan), 0.0), atol=0)
-            [spread] = signed_rotate_spread(backend, ct, [plan], [zero])
+            spread = signed_rotate_spread(backend, ct, 4, [zero] * (p + 1))[p]
             assert np.allclose(backend.decrypt(ctx, spread),
                                plain_spread(np.where(keep, v, 0.0), plan), atol=0)
 
@@ -127,10 +129,6 @@ def per_step_chain(backend, ct, shifts):
     for s in shifts:
         ct = backend.add(ct, backend.rot(ct, s))
     return ct
-
-
-#: the plans of a full pack of 8-slot blocks, which keeps every slot
-FULL_PACK = [compute_rotation_plan(p, 8) for p in range(8)]
 
 
 class TestRotateAddHelpers:
@@ -146,13 +144,12 @@ class TestRotateAddHelpers:
          lambda b, ct, acc: per_step_chain(b, ct, [4, 8, 16])),
         (lambda b, ct, acc: fold_rotate_sum(b, ct, 3, 1),
          lambda b, ct, acc: per_step_chain(b, ct, [])),
-        (lambda b, ct, acc: signed_rotate_sum(b, [ct, acc] * 4, FULL_PACK, 0.5),
-         lambda b, ct, acc: per_op_pack_sums(
-             b, [ct, acc] * 4, [plan.directions for plan in FULL_PACK], 0.5)),
-        (lambda b, ct, acc: signed_rotate_spread(b, ct, [compute_rotation_plan(5, 8)], [acc])[0],
-         lambda b, ct, acc: per_op_select_rotate_add(b, ct, (-1, 1, -1), acc)),
-        (lambda b, ct, acc: signed_rotate_spread(b, ct, [compute_rotation_plan(0, 1)], [acc])[0],
-         lambda b, ct, acc: per_op_select_rotate_add(b, ct, (), acc)),
+        (lambda b, ct, acc: signed_rotate_sum(b, [ct, acc] * 4, 8, 0.5),
+         lambda b, ct, acc: per_op_pack_sums(b, [ct, acc] * 4, 8, 0.5)),
+        (lambda b, ct, acc: signed_rotate_spread(b, ct, 8, [acc] * 6)[5],
+         lambda b, ct, acc: per_op_unpack_spreads(b, ct, 8, [acc] * 6)[5]),
+        (lambda b, ct, acc: signed_rotate_spread(b, ct, 1, [acc])[0],
+         lambda b, ct, acc: per_op_select_rotate_add(b, ct, 0, 1, acc)),
     ], ids=["fold", "fold-one-block", "sum", "spread", "spread-n1"])
     def test_matches_per_step_loop(self, helper, reference):
         results = []

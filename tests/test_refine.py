@@ -158,6 +158,22 @@ class TestInfer:
 
 
 class TestRefine:
+    def test_a_backend_built_without_a_meter_meters_a_round(self):
+        # SimulatorBackend() builds its own meter: a session on it runs a
+        # round and meters it as a session on a meter passed in does
+        cfg, params = small_cfg(), LheParams(32, 16)
+        rng = np.random.default_rng(4)
+        images, labels = rng.normal(size=(4, 1, 4, 4)), rng.integers(0, 3, size=4)
+        tee = TeeService(SimulatorBackend(), params, seed=4)
+        sess = RefineSession(tee, cfg, params, r_mode=1)
+        assert isinstance(sess.meter, OpMeter) and sess.meter is tee.backend.meter
+        assert sess.party == "refine-session" and tee.attested_parties == {sess.party}
+        sess.load_base_model(init_params(cfg, 4))
+        report = sess.refine(images, labels, lr=0.1).report
+        assert report.total_tuple() == make_session(cfg, params, seed=4).refine(
+            images, labels, lr=0.1).report.total_tuple()
+        assert report.totals["rot"] > 0 and sess.meter.scope_totals()["bwd.FL2"]["rot"] > 0
+
     def test_lr_zero_round_is_bit_exact_noop(self):
         cfg = small_cfg()
         sess = make_session(cfg, LheParams(32, 16), seed=2)
