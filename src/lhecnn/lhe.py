@@ -24,10 +24,10 @@ one it was made for, or a rotation sharing it) is dropped, so a steady
 pipeline reuses its working set instead of allocating and page-faulting it
 anew on every pass.  An array anyone else still holds (``ct.slots``, or a
 slice or view of it) is never reused, nor is an array passed to the public
-:class:`Ciphertext` constructor or read by :func:`deserialize`.  The free
-lists belong to the backend alone: it keeps its peak working set in them
-until it is dropped, and a result that outlives it releases its buffer as
-usual.
+:class:`Ciphertext` constructor or read by :func:`deserialize` or
+:func:`deserialize_many`.  The free lists belong to the backend alone: it
+keeps its peak working set in them until it is dropped, and a result that
+outlives it releases its buffer as usual.
 
 Batched primitives run the pipeline's hot patterns with fewer Python calls
 and the same arithmetic: ``mul_sum`` is the left fold of products
@@ -653,10 +653,34 @@ def write_many(fh, cts: Iterable[Ciphertext]) -> None:
 def deserialize_many(buffer, ctx: KeyContext) -> list[Ciphertext]:
     """Parse the sequence format from any bytes-like ``buffer``, each
     ciphertext with the checks of :func:`deserialize`.  Nothing is copied:
-    every ciphertext's slots are a read-only view of ``buffer``."""
+    every ciphertext's slots are a read-only view of ``buffer``.
+
+    The headers are checked together, one vectorised comparison per field;
+    when one fails, :func:`deserialize` parses the first cell that fails, so
+    the error is the one that cell alone raises."""
     view = memoryview(buffer).cast("B")
-    size = serialized_size(ctx.params.slot_count)
+    s = ctx.params.slot_count
+    size = serialized_size(s)
     if len(view) % size:
         raise ValueError(f"{len(view)} bytes is not a whole number of "
                          f"{size}-byte ciphertexts")
-    return [deserialize(view[o:o + size], ctx) for o in range(0, len(view), size)]
+    if not view:
+        return []
+    cells = np.frombuffer(view, dtype=np.dtype({
+        "names": ["magic", "slots", "level", "key_hash", "data"],
+        "formats": ["<u4", "<u4", "<u4", "<u4", ("<f8", (s,))],
+        "offsets": [0, 4, 8, 12, HEADER.size],
+        "itemsize": size,
+    }))
+    bad = ((cells["magic"] != int.from_bytes(MAGIC, "little"))
+           | (cells["slots"] != s)
+           | (cells["key_hash"] != ctx.key_hash)
+           | (cells["level"] > ctx.params.top_level))
+    if bad.any():
+        first = int(bad.argmax()) * size
+        deserialize(view[first:first + size], ctx)  # raises that cell's error
+    rows = cells["data"].astype(np.float64, copy=False)
+    rows.setflags(write=False)
+    key_id = ctx.key_id
+    return [_make(row, 0, level, key_id, False, None)
+            for row, level in zip(rows, cells["level"].tolist())]

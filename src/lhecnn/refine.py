@@ -11,6 +11,7 @@ wire format's sequence form, in ``cell_keys()`` order.
 from __future__ import annotations
 
 import json
+import mmap
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -393,17 +394,19 @@ class RefineSession:
                 f"stored weight kinds {stored_kinds} do not match expected {expected_kinds}")
         targets = [(packed.cells, key) for packed in packed_filters + packed_weights
                    for key in packed.cell_keys()]
-        # Every cell is a view of one array holding the file: a load is one
-        # allocation, which numpy backs with huge pages, so no load re-faults.
+        # Every cell is a read-only row of one read-only mapping of the file:
+        # a load copies no slot, and the mapping goes with the last cell that
+        # uses it.  The library never rewrites a cells file in place (a save
+        # writes a new one and unlinks the old), so only a writer outside it
+        # can change what a live session reads, or truncate the file under
+        # it, which raises SIGBUS on the next read past the new end.
         size = serialized_size(params.slot_count)
         with open(root / entries["cells"], "rb") as fh:
             stored = os.fstat(fh.fileno()).st_size
             if stored != len(targets) * size:
                 raise ValueError(f"{entries['cells']} holds {stored / size:g} cells of "
                                  f"{size} bytes, the model has {len(targets)}")
-            data = np.empty(stored, dtype=np.uint8)
-            if fh.readinto(data) != stored:
-                raise ValueError(f"{entries['cells']} shrank while it was read")
+            data = mmap.mmap(fh.fileno(), stored, access=mmap.ACCESS_READ)
         for (cells, key), ct in zip(targets, deserialize_many(data, session.ctx)):
             cells[key] = ct
         session.filters, session.weights = packed_filters, packed_weights

@@ -931,9 +931,10 @@ class TestSerialization:
         with open(path, "wb") as fh:
             write_many(fh, iter(cts))
         assert path.read_bytes() == blob
-        buf = np.frombuffer(blob, np.uint8).copy()   # writable, as a loaded file is
+        buf = np.frombuffer(blob, np.uint8).copy()   # writable: its cells are read-only
         got = deserialize_many(buf, ctx)
         assert got == cts
+        assert all(type(ct.level) is int for ct in got)
         for ct in got:   # no copy of its own
             assert np.shares_memory(ct.slots, buf) and not ct.slots.flags.writeable
         assert deserialize_many(b"", ctx) == []
@@ -954,3 +955,48 @@ class TestSerialization:
         deserialize_many(blob, ctx)
         with pytest.raises(error, match=match):
             deserialize_many(edit(blob), ctx)
+
+    # One header field of one cell of five is corrupted: (byte offset in the
+    # 16-byte header, u32 written there).  The top level is 5.
+    HEADER_EDITS = {
+        "magic": (0, int.from_bytes(b"XXXX", "little")),
+        "slot-count": (4, 4),
+        "key": (12, 0),
+        "level": (8, 6),
+    }
+
+    @pytest.mark.parametrize("cell", [0, 2, 4], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("field", sorted(HEADER_EDITS))
+    def test_many_raises_what_the_corrupt_cell_alone_raises(self, backend, field, cell):
+        ctx = ctx8(backend)
+        size = serialized_size(8)
+        blob = serialize_many(backend.encrypt(ctx, np.full(8, float(k))) for k in range(5))
+        offset, value = self.HEADER_EDITS[field]
+        bad = _put_u32(blob, cell * size + offset, value)
+        with pytest.raises(Exception) as alone:
+            deserialize(bad[cell * size:(cell + 1) * size], ctx)
+        with pytest.raises(type(alone.value)) as many:
+            deserialize_many(bad, ctx)
+        assert type(many.value) is type(alone.value)
+        assert str(many.value) == str(alone.value)
+
+    def test_many_reports_the_first_corrupt_cell(self, backend):
+        ctx = ctx8(backend)
+        size = serialized_size(8)
+        blob = serialize_many([backend.encrypt(ctx, np.zeros(8))] * 4)
+        blob = _put_u32(_put_u32(blob, 3 * size, 0), size + 8, 7)   # magic, then level
+        with pytest.raises(ValueError, match=r"level 7 outside \[0, 5\]"):
+            deserialize_many(blob, ctx)
+
+    @pytest.mark.parametrize("cell", [0, 2, 4], ids=["first", "middle", "last"])
+    def test_many_rejects_a_cut_cell_by_the_total_length(self, backend, cell):
+        # A cell short of a byte makes the sequence a ragged length, whichever
+        # cell it is; the cell alone fails its own length check.
+        ctx = ctx8(backend)
+        size = serialized_size(8)
+        blob = serialize_many([backend.encrypt(ctx, np.zeros(8))] * 5)
+        cut = blob[:(cell + 1) * size - 1] + blob[(cell + 1) * size:]
+        with pytest.raises(ValueError, match="expected 80 bytes, got 79"):
+            deserialize(cut[cell * size:(cell + 1) * size - 1], ctx)
+        with pytest.raises(ValueError, match="399 bytes is not a whole number of 80-byte"):
+            deserialize_many(cut, ctx)

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -486,6 +487,63 @@ class TestPersistence:
         tee = TeeService(backend, params, seed=13)
         loaded = RefineSession.load(tee, tmp_path / "model")
         loaded.refine(images, labels, lr=0.2, epochs=1)
+
+    def test_a_loaded_session_outlives_the_unlink_of_its_cells_file(self, tmp_path):
+        # A save into the directory replaces the cells file the loaded session
+        # maps; the session keeps reading the unlinked file's pages.
+        cfg, params = small_cfg(), LheParams(32, 16)
+        root = tmp_path / "model"
+        make_session(cfg, params, seed=17).save(root)
+        (mapped,) = root.glob("cells-*.lhe")
+        loaded = RefineSession.load(TeeService(SimulatorBackend(OpMeter()), params, seed=17),
+                                    root)
+        loaded.save(root)
+        assert not mapped.exists()
+        fresh = make_session(cfg, params, seed=17)
+        rng = np.random.default_rng(17)
+        images, labels = rng.normal(size=(4, 1, 4, 4)), rng.integers(0, 3, size=4)
+        outputs = [sess.reveal_outputs(sess.infer(images)[0]).tobytes()
+                   for sess in (loaded, fresh)]
+        assert outputs[0] == outputs[1]
+        for sess in (loaded, fresh):
+            sess.refine(images, labels, lr=0.3)
+        assert model_bytes(loaded) == model_bytes(fresh)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="reads the process's mappings and fds from /proc")
+    def test_the_mapping_goes_with_the_last_cell_that_uses_it(self, tmp_path):
+        cfg, params = small_cfg(), LheParams(32, 16)
+        root = tmp_path / "model"
+        make_session(cfg, params, seed=18).save(root)
+        (path,) = root.glob("cells-*.lhe")
+
+        def mapped():
+            with open("/proc/self/maps", encoding="utf-8") as fh:
+                return str(path) in fh.read()
+
+        fds = len(os.listdir("/proc/self/fd"))
+        loaded = RefineSession.load(TeeService(SimulatorBackend(OpMeter()), params, seed=18),
+                                    root)
+        assert mapped() and len(os.listdir("/proc/self/fd")) == fds + 1
+        rng = np.random.default_rng(18)
+        # a round replaces every parameter cell
+        loaded.refine(rng.normal(size=(4, 1, 4, 4)), rng.integers(0, 3, size=4), lr=0.3)
+        assert not mapped() and len(os.listdir("/proc/self/fd")) == fds
+        loaded.infer(rng.normal(size=(4, 1, 4, 4)))   # the session lives on
+
+    def test_a_load_copies_no_cell(self, tmp_path):
+        p = preset("refining-2-2")
+        make_session(p.model, p.lhe, seed=19).save(tmp_path / "model")
+        (path,) = (tmp_path / "model").glob("cells-*.lhe")
+        tee = TeeService(SimulatorBackend(OpMeter()), p.lhe, seed=19)
+        tracemalloc.start()
+        try:
+            loaded = RefineSession.load(tee, tmp_path / "model")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 16
+        assert len(loaded.weights[0].cells) == 32 * 4
 
 
 class TestLayoutPlanning:

@@ -8,7 +8,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lhecnn.lhe import SecrecyViolation, serialize
+from lhecnn.lhe import (
+    SecrecyViolation,
+    deserialize,
+    serialize,
+    serialize_many,
+    serialized_size,
+)
 from lhecnn.packing import FL_TYPE1, FL_TYPE2, PackedTensor
 from lhecnn.tee import (
     OP_ERROR,
@@ -321,6 +327,29 @@ class TestSocketTransport:
             opcode, body = _recv_frame(client._sock)
             assert opcode == OP_ERROR
             assert b"280 bytes is not a whole number of 144-byte ciphertexts" in body
+            assert tee.stats.requests == 0   # rejected before the service ran
+            ct = backend.encrypt(ctx, np.ones(16))
+            assert client.reencrypt_batch([ct]) == [ct]   # same connection, still in step
+            client.close()
+
+    def test_a_corrupt_cell_in_a_reencrypt_frame_gets_its_own_error(self, backend, tmp_path):
+        tee = make_tee(backend, slots=16, levels=6)
+        path = str(tmp_path / "tee.sock")
+        with TeeSocketServer(tee, path):
+            ctx = tee.public_context()
+            client = TeeSocketClient(path, ctx, "remote")
+            client.attest()
+            party = b"remote"
+            size = serialized_size(16)
+            cells = bytearray(serialize_many(backend.encrypt(ctx, np.full(16, float(k)))
+                                             for k in range(3)))
+            struct.pack_into("<I", cells, size + 8, 9)   # the middle cell's level
+            with pytest.raises(ValueError) as alone:
+                deserialize(cells[size:2 * size], ctx)
+            _send_frame(client._sock, OP_REENCRYPT, bytes([len(party)]) + party + cells)
+            opcode, body = _recv_frame(client._sock)
+            assert opcode == OP_ERROR
+            assert body.decode() == str(alone.value) == "level 9 outside [0, 5]"
             assert tee.stats.requests == 0   # rejected before the service ran
             ct = backend.encrypt(ctx, np.ones(16))
             assert client.reencrypt_batch([ct]) == [ct]   # same connection, still in step
