@@ -4,8 +4,10 @@ Gradients flow in the mirror layouts of their forward counterparts, and, as
 there, each layer function reads its form from its parameters
 (:func:`fl_backward` from the weights' kind).  The layer functions return
 raw per-image weight gradients keyed by the parameter cell each updates
-(conv kernel gradients already folded over their grid positions).
-:func:`noise_removal_update` then packs them: a signed rotation plan sums
+(conv kernel gradients already folded over their grid positions), as a
+:class:`RawGradients` that holds only their operands: each gradient is made
+when :func:`noise_removal_update` packs it, and packed while it is fresh.
+:func:`noise_removal_update` packs them: a signed rotation plan sums
 each gradient over the n parallel inputs into a per-weight slot offset ``p``
 of every n-slot block, and the mask that keeps those slots rides in the same
 call, one :func:`~lhecnn.packing.signed_rotate_sum` per packed ciphertext
@@ -22,6 +24,7 @@ mean.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import replace
 
 import numpy as np
@@ -77,10 +80,10 @@ def fl_backward(backend: SimulatorBackend, out_grads: PackedTensor,
     type2 = weights.kind == "type2"
     n = out_grads.n
     blocks = out_grads.slot_count // n
+    grads = [out_grads.cells[(j,)] for j in range(weights.out_cts)]
     cells = {}
     for i in range(weights.in_cts):
-        acc = backend.mul_sum((out_grads.ct(j), weights.cells[weights.weight_key(j, i)])
-                              for j in range(weights.out_cts))
+        acc = backend.mul_sum(zip(grads, weights.column(i)))
         cells[(i,)] = fold_rotate_sum(backend, acc, n, blocks) if type2 else acc
     if type2:
         return PackedTensor(cells, FL_TYPE2, n, pi_sets=1)
@@ -88,14 +91,16 @@ def fl_backward(backend: SimulatorBackend, out_grads: PackedTensor,
 
 
 def fl_weight_gradients(backend: SimulatorBackend, out_grads: PackedTensor,
-                        cached_inputs: PackedTensor,
-                        weights: PackedWeights) -> dict[tuple[int, int], Ciphertext]:
+                        cached_inputs: PackedTensor, weights: PackedWeights) -> RawGradients:
     """Raw weight-gradient ciphertexts, keyed by the weight cell each updates:
     the product of output gradient j with cached forward input i, one image
     per slot of each pi-set block, under ``weights.weight_key(j, i)``.
     :func:`noise_removal_update` sums it over the n images."""
-    return {weights.weight_key(j, i): backend.mul(out_grads.ct(j), cached_inputs.ct(i))
-            for j in range(weights.out_cts) for i in range(weights.in_cts)}
+    grads = [out_grads.cells[(j,)] for j in range(weights.out_cts)]
+    inputs = [cached_inputs.cells[(i,)] for i in range(weights.in_cts)]
+    return RawGradients(backend.mul, {weights.weight_key(j, i): (grad, inp)
+                                      for j, grad in enumerate(grads)
+                                      for i, inp in enumerate(inputs)})
 
 
 # ---------------------------------------------------------------------------
@@ -139,9 +144,9 @@ def conv_backward(backend: SimulatorBackend, out_grads: PackedTensor,
 
 def conv_kernel_gradients(backend: SimulatorBackend, cached_inputs: PackedTensor,
                           out_grads: PackedTensor, filters: PackedFilters,
-                          out_grid: int, stride: int,
-                          ) -> dict[tuple[int, int, int, int], Ciphertext]:
-    """Raw kernel-gradient ciphertexts for one conv layer.
+                          out_grid: int, stride: int) -> RawGradients:
+    """Raw kernel-gradient ciphertexts for one conv layer, keyed by kernel
+    element ``(k, i, x, y)``.
 
     Each kernel element correlates the cached inputs it touched with the
     output gradients.  Every pi-set block then holds a partial sum restricted
@@ -151,23 +156,65 @@ def conv_kernel_gradients(backend: SimulatorBackend, cached_inputs: PackedTensor
     """
     gamma = filters.filter_side
     n = out_grads.n
-    slot_count = out_grads.slot_count
+    blocks = out_grads.slot_count // n
     grid = [(u, v) for u in range(out_grid) for v in range(out_grid)]
-    raw: dict[tuple[int, int, int, int], Ciphertext] = {}
-    for k in range(filters.filter_count):
-        for i in range(filters.channel_count):
-            for x in range(gamma):
-                for y in range(gamma):
-                    acc = backend.mul_sum(
-                        (cached_inputs.ct(i, stride * u + x, stride * v + y),
-                         out_grads.ct(k, u, v)) for u, v in grid)
-                    raw[(k, i, x, y)] = fold_rotate_sum(backend, acc, n, slot_count // n)
-    return raw
+    in_cells, grad_cells = cached_inputs.cells, out_grads.cells
+    grads = [[grad_cells[(k, u, v)] for u, v in grid] for k in range(filters.filter_count)]
+    windows = {(i, x, y): [in_cells[(i, stride * u + x, stride * v + y)] for u, v in grid]
+               for i in range(filters.channel_count)
+               for x in range(gamma) for y in range(gamma)}
+
+    def kernel_gradient(window, grads_k):
+        return fold_rotate_sum(backend, backend.mul_sum(zip(window, grads_k)), n, blocks)
+
+    return RawGradients(kernel_gradient, {(k, *cell): (window, grads_k)
+                                          for k, grads_k in enumerate(grads)
+                                          for cell, window in windows.items()})
 
 
 # ---------------------------------------------------------------------------
 # Noise removal and parameter update
 # ---------------------------------------------------------------------------
+
+
+class RawGradients(Mapping):
+    """A layer's raw gradients, keyed by the parameter cell each updates, in
+    update order.  It holds their operands, not the gradients: each is made
+    when it is read, and :meth:`pop` makes it and drops its key, so
+    :func:`noise_removal_update` makes each gradient as its pack takes it."""
+
+    def __init__(self, make: Callable[..., Ciphertext], operands: dict[tuple, tuple]):
+        self._make = make
+        self._operands = operands
+
+    def __getitem__(self, key: tuple) -> Ciphertext:
+        return self._make(*self._operands[key])
+
+    def __iter__(self) -> Iterator[tuple]:
+        return iter(self._operands)
+
+    def __len__(self) -> int:
+        return len(self._operands)
+
+    def pop(self, key: tuple) -> Ciphertext:
+        """Make the gradient under ``key`` and drop the key."""
+        return self._make(*self._operands.pop(key))
+
+
+class _Popped:
+    """The gradients under ``keys``, each popped from ``grads`` as it is
+    iterated: a sized iterable that a pack reads once."""
+
+    __slots__ = ("grads", "keys")
+
+    def __init__(self, grads, keys: list[tuple]):
+        self.grads, self.keys = grads, keys
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __iter__(self) -> Iterator[Ciphertext]:
+        return map(self.grads.pop, self.keys)
 
 
 def pack_count(gradient_count: int, n: int) -> int:
@@ -176,20 +223,21 @@ def pack_count(gradient_count: int, n: int) -> int:
 
 
 def noise_removal_update(backend: SimulatorBackend, reencrypt,
-                         raw_grads: dict[tuple, Ciphertext],
+                         raw_grads: RawGradients | dict[tuple, Ciphertext],
                          target_cells: dict[tuple, Ciphertext],
                          lr: float, n: int) -> int:
     """Pack raw gradients, refresh them through ``reencrypt``, unpack/spread,
     and add each into the parameter ciphertext under its key in
     ``target_cells``.
 
-    The gradients go, in the insertion order of ``raw_grads``, n to a packed
+    The gradients go, in the iteration order of ``raw_grads``, n to a packed
     ciphertext: gradient ``idx`` is summed over the n images into slot offset
     ``p = idx mod n`` of every block and masked there with scale -lr/n, one
     :func:`signed_rotate_sum` per packed ciphertext, so the parameter receives
-    the spread SGD step additively.  Each pack's gradients are popped from
-    ``raw_grads`` as it is made, so they are freed before the re-encryption
-    unless the caller holds them elsewhere.  After re-encryption, one
+    the spread SGD step additively.  The pack pops each gradient from
+    ``raw_grads`` as it takes it: a :class:`RawGradients` makes it then, so
+    it is packed while it is fresh, and none is alive at the re-encryption
+    unless the caller holds it elsewhere.  After re-encryption, one
     :func:`signed_rotate_spread` per packed ciphertext keeps each offset
     ``p`` again, replicates it over its block and adds it into its
     gradient's parameter cell.  Returns the number of packed ciphertexts
@@ -197,7 +245,7 @@ def noise_removal_update(backend: SimulatorBackend, reencrypt,
     """
     order = list(raw_grads)
     packs = [order[start:start + n] for start in range(0, len(order), n)]
-    packed = [signed_rotate_sum(backend, [raw_grads.pop(key) for key in keys], n, -lr / n)
+    packed = [signed_rotate_sum(backend, _Popped(raw_grads, keys), n, -lr / n)
               for keys in packs]
     if not packed:
         return 0

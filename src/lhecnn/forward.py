@@ -51,14 +51,18 @@ def conv_forward(backend: SimulatorBackend, inputs: PackedTensor,
     fold = layout == CONV_CROSS_CHANNEL and r > 1
     window = [(x, y, b) for x in range(gamma) for y in range(gamma)
               for b in range(channel_cells)]
+    # each operand list is read from the cells once: an input window per
+    # output position, shared by every filter cell, and a window per filter
+    grid = [(u, v) for u in range(out_grid) for v in range(out_grid)]
+    in_cells, kernel_cells = inputs.cells, filters.cells
+    in_windows = [[in_cells[(b, stride * u + x, stride * v + y)] for x, y, b in window]
+                  for u, v in grid]
     cells = {}
     for a in range(filter_cells):
-        for u in range(out_grid):
-            for v in range(out_grid):
-                acc = backend.mul_sum(
-                    (inputs.ct(b, stride * u + x, stride * v + y),
-                     filters.cells[(a, b, x, y)]) for x, y, b in window)
-                cells[(a, u, v)] = fold_rotate_sum(backend, acc, seg, r) if fold else acc
+        filter_window = [kernel_cells[(a, b, x, y)] for x, y, b in window]
+        for (u, v), in_window in zip(grid, in_windows):
+            acc = backend.mul_sum(zip(in_window, filter_window))
+            cells[(a, u, v)] = fold_rotate_sum(backend, acc, seg, r) if fold else acc
     out_layout, group = conv_output_layout(layout, r, r * seg == inputs.slot_count)
     return PackedTensor(cells, out_layout, inputs.n, inputs.grid_side, seg,
                         group_size=group)
@@ -84,10 +88,10 @@ def fl_forward(backend: SimulatorBackend, inputs: PackedTensor,
                          f"got {inputs.layout}")
     n = inputs.n
     blocks = inputs.slot_count // n
+    in_cts = [inputs.cells[(i,)] for i in range(weights.in_cts)]
     cells = {}
     for j in range(weights.out_cts):
-        acc = backend.mul_sum((inputs.ct(i), weights.cells[weights.weight_key(j, i)])
-                              for i in range(weights.in_cts))
+        acc = backend.mul_sum(zip(in_cts, weights.row(j)))
         cells[(j,)] = fold_rotate_sum(backend, acc, n, blocks) if type1 else acc
     if type1:
         return PackedTensor(cells, FL_TYPE2, n, pi_sets=1)

@@ -38,12 +38,18 @@ packed ciphertext at a time with its mask folded in, computing only the slots
 that survive it: ``pack_sums`` sums the n-slot blocks of up to n gradients,
 gradient g into offset g, and keeps those slots times a scale, and
 ``unpack_spreads`` spreads offset g of a refreshed pack over its block, into
-gradient g's parameter cell.  Each primitive gives the level and rescale flag
-of the per-op calls it stands for, their slots (the masked two up to the sign
-of an exact zero), and meters the same ops at the same levels, in batches
-through :meth:`OpMeter.record_many`.  Only the spread makes its rotations
-through :meth:`SimulatorBackend.rot`, one per chain step, so that a traced
-backend can count them; no other chain step makes a ``rot`` call.
+gradient g's parameter cell.  ``pack_sums`` reads its gradients once, in
+order, so the update makes each one only as the pack takes it, and packs it
+while its slots are still in cache.  Each primitive gives the level and
+rescale flag of the per-op calls it stands for, their slots (the masked two
+up to the sign of an exact zero), and meters the same ops at the same
+levels.  The Python cost of a call is kept off its terms and steps: operand
+keys and slot counts are checked inline, falling back to the per-op checks
+only to raise their errors, and the counts are tallied per level and
+recorded once per kind and level through :meth:`OpMeter.record_many`.  Only
+the spread makes its rotations through :meth:`SimulatorBackend.rot`, one per
+chain step, so that a traced backend can count them; no other chain step
+makes a ``rot`` call.
 
 Level accounting for the meter follows lazy rescaling: the product of a
 multiplication stays at its operands' modulus level until the next
@@ -63,6 +69,7 @@ import zlib
 from collections import defaultdict
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 
@@ -284,14 +291,6 @@ def _buffer(pools: defaultdict, n: int) -> tuple[np.ndarray, np.ndarray, weakref
     return view.base, view, free.ref
 
 
-def _add_rotated(x: np.ndarray, s: int, out: np.ndarray) -> None:
-    """``x + rot(x, s)`` written into ``out`` (not ``x``), as two slices
-    split where the rotation wraps, so the rotation is not copied."""
-    cut = x.shape[0] - s % x.shape[0]
-    np.add(x[:cut], x[-cut:], out[:cut])
-    np.add(x[cut:], x[:-cut], out[cut:])
-
-
 def _check_pack(count: int, n: int, slot_count: int) -> None:
     """A pack holds gradient g at offset g of every n-slot block: raises
     ValueError unless ``1 <= count <= n`` and n is a power of two no larger
@@ -447,64 +446,92 @@ class SimulatorBackend:
         same term, after metering the terms before it.
 
         The products go through one scratch buffer and are summed in place
-        into the result's buffer.
+        into the result's buffer.  The counts are tallied per level and
+        recorded once per kind and level, when the call ends.
         """
-        pools, counts = self._free, defaultdict(int)
-        first = out = tmp = None
+        muls, adds = {}, {}
+        pairs = iter(pairs)
         try:
+            for a, b in pairs:  # the first product starts the sum
+                first, key, size = a, a.key_id, a._base.shape[0]
+                low = a.level if a.level < b.level else b.level
+                if b.key_id != key or b._base.shape[0] != size or low < 1:
+                    self._term_error(a, a, b, low, muls)
+                muls[low] = 1
+                out, view, free = _buffer(self._free, size)
+                np.multiply(a.slots, b.slots, out)
+                break
+            else:
+                raise ValueError("mul_sum needs at least one product")
+            tmp = None
             for a, b in pairs:
-                _check_pair(a, b)
-                lab = min(a.level, b.level)
-                if lab < 1:
-                    raise LevelExhausted("mul", lab, self.meter.current_scope)
-                counts[("mul", lab)] += 1
-                if out is None:  # the first product starts the sum
-                    first, level = a, lab - 1
-                    out, view, free = _buffer(pools, a._base.shape[0])
-                    np.multiply(a.slots, b.slots, out)
-                    continue
-                _check_pair(first, a)
+                lab = a.level if a.level < b.level else b.level
+                if (a.key_id != key or b.key_id != key or a._base.shape[0] != size
+                        or b._base.shape[0] != size or lab < 1):
+                    self._term_error(first, a, b, lab, muls)
+                muls[lab] = muls.get(lab, 0) + 1
                 if tmp is None:
-                    tmp, tmp_view, _ = _buffer(pools, out.shape[0])
+                    tmp, tmp_view, _ = _buffer(self._free, size)
                 np.multiply(a.slots, b.slots, tmp)
                 np.add(out, tmp, out)
-                # both summands have a rescale pending: the add runs one
-                # level above the sum's remaining budget
-                level = min(level, lab - 1)
-                counts[("add", level + 1)] += 1
+                # both summands have a rescale pending: the add runs at the
+                # lowest product level so far, one above the sum's budget
+                if lab < low:
+                    low = lab
+                adds[low] = adds.get(low, 0) + 1
         finally:
-            self._record_counts(counts)
-        if out is None:
-            raise ValueError("mul_sum needs at least one product")
+            record = self.meter.record_many
+            for level, count in muls.items():
+                record("mul", level, count)
+            for level, count in adds.items():
+                record("add", level, count)
         if tmp is not None:
-            pools[out.shape[0]].append(tmp_view)
-        return _make(view, 0, level, first.key_id, True, free)
+            self._free[size].append(tmp_view)
+        return _make(view, 0, low - 1, key, True, free)
+
+    def _term_error(self, first: Ciphertext, a: Ciphertext, b: Ciphertext,
+                    level: int, muls: dict[int, int]) -> None:
+        """Raise what the per-op fold raises at the term ``a * b`` of a sum
+        that ``first * ...`` started: the pair's own mismatch, then its
+        level's exhaustion, then, its product metered, the add's mismatch
+        with the sum."""
+        _check_pair(a, b)
+        if level < 1:
+            raise LevelExhausted("mul", level, self.meter.current_scope)
+        muls[level] = muls.get(level, 0) + 1
+        _check_pair(first, a)
 
     def rotate_add(self, ct: Ciphertext, shifts: Sequence[int]) -> Ciphertext:
         """``v <- v + rot(v, s)`` for each shift ``s`` in turn, from ``v = ct``:
         the chain of :meth:`rot` and :meth:`add` calls, with its slots, level
         and meter counts.  Every step runs at ``ct``'s meter level, so its
         rotations and adds are metered in one batch each, and none goes
-        through :meth:`rot`.  The steps write into two buffers in turn.
+        through :meth:`rot`.  The steps write into two buffers in turn, each
+        step as two slice adds split where its rotation wraps, so the
+        rotation is not copied.
         """
-        if not shifts:
+        steps = len(shifts)
+        if not steps:
             return ct
-        n = ct._base.shape[0]
-        bufs = [_buffer(self._free, n) for _ in range(min(len(shifts), 2))]
+        size, pools = ct._base.shape[0], self._free
+        even, even_view, free = _buffer(pools, size)
+        odd, odd_view, _ = _buffer(pools, size) if steps > 1 else (None, None, None)
         x = ct.slots
-        for step, s in enumerate(shifts):
-            out = bufs[step & 1][0]
-            _add_rotated(x, s, out)
+        for s, out in zip(shifts, (even, odd) * (steps + 1 >> 1)):
+            cut = size - s % size
+            np.add(x[:cut], x[-cut:], out[:cut])
+            np.add(x[cut:], x[:-cut], out[cut:])
             x = out
-        self._record_counts({("rot", ct.meter_level()): len(shifts),
-                             ("add", ct.meter_level()): len(shifts)})
-        last = len(shifts) - 1
-        if last:  # hand back the buffer the last step read
-            self._free[n].append(bufs[(last - 1) & 1][1])
-        _, view, free = bufs[last & 1]
-        return _make(view, 0, ct.level, ct.key_id, ct.pending_rescale, free)
+        level = ct.meter_level()
+        self.meter.record_many("rot", level, steps)
+        self.meter.record_many("add", level, steps)
+        # the last step wrote the even buffer when the step count is odd
+        last, spare = (even_view, odd_view) if steps & 1 else (odd_view, even_view)
+        if spare is not None:
+            pools[size].append(spare)
+        return _make(last, 0, ct.level, ct.key_id, ct.pending_rescale, free)
 
-    def pack_sums(self, cts: Sequence[Ciphertext], n: int, scale: float) -> Ciphertext:
+    def pack_sums(self, cts: Iterable[Ciphertext], n: int, scale: float) -> Ciphertext:
         """One ciphertext holding ``scale`` times the n-slot block sums of
         each ``cts[g]`` at offset g: the per-op calls ``rotate_add(cts[g],
         shifts)`` by the signed rotation plan of offset g, a ``cmul`` by the
@@ -512,7 +539,9 @@ class SimulatorBackend:
         far.  It gives those calls' level, rescale flag, errors (at the same
         ciphertext, after metering the ones before it) and meter counts, but
         no chain step goes through :meth:`rot`.  :func:`_check_pack` checks
-        the pack's shape first.
+        the pack's shape, ``len(cts)`` and the first ciphertext's slot count,
+        before any op.  ``cts`` is iterated once, in order, so each
+        ciphertext can be made as the pack takes it and dropped once packed.
 
         Only the kept slots are computed.  Chain step k adds to each slot
         ``o`` that reaches ``g`` the slot ``o ^ 2**k`` (``o`` shares bit k
@@ -524,18 +553,20 @@ class SimulatorBackend:
         sign of an exact zero).  The other slots are zero where the per-op
         products write ``x * 0.0``: equal, for finite slots.
         """
-        size = cts[0]._base.shape[0] if cts else 0
-        _check_pack(len(cts), n, size)
+        count, cts = len(cts), iter(cts)
+        first = next(cts, None)
+        size = 0 if first is None else first._base.shape[0]
+        _check_pack(count, n, size)
         pools, counts, steps = self._free, defaultdict(int), n.bit_length() - 1
         out, view, free = _buffer(pools, size)
-        if len(cts) < n:  # offsets no ciphertext fills
+        if count < n:  # offsets no ciphertext fills
             out.fill(0.0)
         scratch, scratch_view, _ = _buffer(pools, size)
         # step k writes its size >> (k + 1) sums after those of the steps before
         halves = [scratch[size - (size >> k):size - (size >> (k + 1))]
                   for k in range(steps)]
         try:
-            for g, ct in enumerate(cts):
+            for g, ct in enumerate(chain((first,), cts)):
                 level = ct.level
                 counts[("rot", ct.meter_level())] += steps
                 counts[("add", ct.meter_level())] += steps
@@ -543,7 +574,7 @@ class SimulatorBackend:
                     raise LevelExhausted("cmul", level, self.meter.current_scope)
                 counts[("cmul", level)] += 1
                 if g:  # added into the pack, which has a rescale pending
-                    _check_pair(cts[0], ct)
+                    _check_pair(first, ct)
                     counts[("add", min(out_level + 1, level))] += 1
                     out_level = min(out_level, level - 1)
                 else:
@@ -556,7 +587,7 @@ class SimulatorBackend:
         finally:
             self._record_counts(counts)
         pools[size].append(scratch_view)
-        return _make(view, 0, out_level, cts[0].key_id, True, free)
+        return _make(view, 0, out_level, first.key_id, True, free)
 
     def unpack_spreads(self, ct: Ciphertext, n: int,
                        accs: Sequence[Ciphertext]) -> list[Ciphertext]:

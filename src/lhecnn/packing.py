@@ -153,6 +153,22 @@ class PackedWeights:
         """Cell connecting output-ct index ``j`` and input-ct index ``i``."""
         return (j, i) if self.kind == "type1" else (i, j)
 
+    def row(self, j: int) -> list[Ciphertext]:
+        """The cells output-ct ``j`` reads, by input-ct index ``i``: the cell
+        under ``weight_key(j, i)`` for each i."""
+        cells, inputs = self.cells, range(self.in_cts)
+        if self.kind == "type1":
+            return [cells[(j, i)] for i in inputs]
+        return [cells[(i, j)] for i in inputs]
+
+    def column(self, i: int) -> list[Ciphertext]:
+        """The cells input-ct ``i`` feeds, by output-ct index ``j``: the cell
+        under ``weight_key(j, i)`` for each j."""
+        cells, outputs = self.cells, range(self.out_cts)
+        if self.kind == "type1":
+            return [cells[(j, i)] for j in outputs]
+        return [cells[(i, j)] for j in outputs]
+
     def cell_keys(self) -> list[tuple[int, int]]:
         """Every cell key the layout calls for, in encryption order."""
         return sorted(self.weight_key(j, i) for j in range(self.out_cts)
@@ -308,16 +324,6 @@ def signed_rotate_spread(backend: SimulatorBackend, ct: Ciphertext, n: int,
 # ---------------------------------------------------------------------------
 
 
-def _grid_segment(images: np.ndarray, channel: int, u: int, v: int,
-                  geo: CombinedGeometry) -> np.ndarray:
-    """The n*b*b slot segment for kernel cell (u, v) of one channel."""
-    b, stride = geo.grid_side, geo.strides[0]
-    rows = u + stride * np.arange(b)
-    cols = v + stride * np.arange(b)
-    block = images[:, channel, rows[:, None], cols]    # (n, b, b)
-    return np.transpose(block, (1, 2, 0)).reshape(-1)  # pi-sets row-major
-
-
 def _checked_span(layout: str, r: int, geo: CombinedGeometry) -> int:
     """Segments per ciphertext of ``layout``; raises if they overflow it."""
     span = len(conv_segments(layout, r, 0, 0))
@@ -333,29 +339,46 @@ def encode_inputs(backend: SimulatorBackend, ctx: KeyContext, images: np.ndarray
     cell ``b`` and combined-kernel cell ``(u, v)``, whose segments hold the
     channels :func:`conv_segments` places there.  Cross-channel cells stack
     ``r`` channels; cross-filter cells repeat one channel ``r`` times to feed
-    ``r`` filters at once."""
+    ``r`` filters at once.
+
+    The segment of channel c for cell (u, v) holds, at pi-set ``s*b + t``,
+    pixel ``(u + stride*s, v + stride*t)`` of every image: one gather from
+    the flat images, whose indices are those of channel 0 and cell (0, 0)
+    offset by ``(c*side + u)*side + v``."""
     n, channels, side, _ = images.shape
     if n != geo.n:
         raise ValueError(f"expected {geo.n} images, got {n}")
     seg = geo.seg_slots
     span = _checked_span(layout, r, geo)
     gamma0 = geo.kernel_sides[0]
-    if gamma0 + (geo.grid_side - 1) * geo.strides[0] > side:
+    grid, stride = geo.grid_side, geo.strides[0]
+    if gamma0 + (grid - 1) * stride > side:
         raise ValueError("image side too small for the combined kernel grid")
 
+    flat = np.ascontiguousarray(images, dtype=np.float64).reshape(-1)
+    steps = stride * np.arange(grid)
+    gather = (steps[:, None, None] * side + steps[None, :, None]
+              + np.arange(n) * (channels * side * side)).reshape(-1)
     _, groups = conv_cell_counts(layout, r, 0, channels)
     cells = {}
     vec = np.zeros(geo.slot_count)  # one scratch vector: encrypt copies it
     for b in range(groups):
         segments = [(q, c) for q, _, c in conv_segments(layout, r, 0, b) if c < channels]
+        tiles = len(segments) * seg == geo.slot_count
         for u in range(gamma0):
             for v in range(gamma0):
-                vec.fill(0.0)
-                # cross-filter segments repeat one channel: gather it once
-                grids = {c: _grid_segment(images, c, u, v, geo)
-                         for c in {c for _, c in segments}}
+                if not tiles:
+                    vec.fill(0.0)
+                gathered = {}  # cross-filter segments repeat one channel: gather it once
                 for q, c in segments:
-                    vec[q * seg:(q + 1) * seg] = grids[c]
+                    out = vec[q * seg:(q + 1) * seg]
+                    if c in gathered:
+                        out[:] = gathered[c]
+                        continue
+                    # every index is in range (checked above): "clip" clips
+                    # nothing, and unlike "raise" it writes straight into out
+                    flat[(c * side + u) * side + v:].take(gather, out=out, mode="clip")
+                    gathered[c] = out
                 cells[(b, u, v)] = backend.encrypt(ctx, vec)
     return PackedTensor(cells, layout, geo.n, geo.grid_side, seg, group_size=span)
 

@@ -279,8 +279,10 @@ class RefineSession:
         reenc = lambda cts: self.tee.reencrypt_batch(self.party, cts)
 
         # Each layer's cached tensors are popped as its backward stage starts,
-        # and the noise-removal update pops its raw gradients as it packs them,
-        # so neither stays alive through the stages after it.
+        # so none stays alive through the stages after it.  The raw gradients
+        # are made only as the noise-removal update packs them, after the
+        # layer's input gradients: each goes into its pack while it is fresh,
+        # and no layer's gradients are ever all alive at once.
         for k in reversed(range(cfg.f)):
             pre, inputs = cache.fl_pre.pop(), cache.fl_inputs.pop()
             weights = self.weights[k]

@@ -18,6 +18,34 @@ def backend(meter):
     return SimulatorBackend(meter)
 
 
+def loop_mul_sum(backend, pairs, acc=None):
+    """The per-op fold :meth:`SimulatorBackend.mul_sum` replaces, continued
+    from the sum ``acc`` when it is given."""
+    for a, b in pairs:
+        term = backend.mul(a, b)
+        acc = term if acc is None else backend.add(acc, term)
+    return acc
+
+
+def loop_rotate_add(backend, ct, shifts):
+    """The per-op chain :meth:`SimulatorBackend.rotate_add` replaces."""
+    for s in shifts:
+        ct = backend.add(ct, backend.rot(ct, s))
+    return ct
+
+
+class PerOpBackend(SimulatorBackend):
+    """The reference for the batched primitives: ``mul_sum`` and
+    ``rotate_add`` run as the per-op ``mul``/``add``/``rot`` loops they
+    stand for, one call per op."""
+
+    def mul_sum(self, pairs):
+        return loop_mul_sum(self, pairs)
+
+    def rotate_add(self, ct, shifts):
+        return loop_rotate_add(self, ct, shifts)
+
+
 def encode_weights(backend, ctx, matrix, kind, n, in_cts=0, pi_per_ct=0):
     """Encrypt a weight matrix into an fc container of ``kind``."""
     return encode_params(backend, ctx, matrix, empty_weights(

@@ -1,0 +1,28 @@
+"""Smoke run of ``tools/ab_steps.py`` with this tree on both sides."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("workload, pairs", [("infer-cnn12", 3), ("refine-r22", 2)])
+def test_both_sides_this_tree(tmp_path, workload, pairs):
+    # the same code on both sides reveals the same outputs in every pair,
+    # and the sessions' temporary directory is gone at exit
+    proc = subprocess.run(
+        [sys.executable, "tools/ab_steps.py", "--a", "src", "--b", "src",
+         "--workload", workload, "--pairs", str(pairs), "--warmup", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+        env={**os.environ, "TMPDIR": str(tmp_path)})
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    lines = proc.stdout.splitlines()
+    assert lines[0] == f"{workload}: {pairs} pairs"
+    assert any(line.strip().startswith("a  p50") for line in lines)
+    assert f"of {pairs} pairs" in proc.stdout
+    assert lines[-1].strip() == "same outputs in every pair: yes"
+    assert list(tmp_path.iterdir()) == []

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -259,6 +260,36 @@ class TestNoiseRemovalUpdate:
         noise_removal_update(backend, reenc, raw, target, lr=0.1, n=4)
         assert alive == [0]
         assert not raw  # the caller's dict no longer holds them either
+
+    def test_fl1_gradients_are_made_as_the_pack_takes_them(self, backend):
+        # refining-2-2's bwd.FL1: 32 x 4 type I cells at S = 8192, one pack of
+        # n = 128 gradients.  Each product is made as the pack takes it and
+        # dropped once packed, so the pass peaks at a few slot buffers, not
+        # at the 128 that making every gradient first would hold.
+        slots, n = 8192, 128
+        ctx = backend.keygen(LheParams(slots, 4), seed=3)
+        rng = np.random.default_rng(3)
+        weights = encode_weights(backend, ctx, np.zeros((32, 256)), "type1", n,
+                                 in_cts=4, pi_per_ct=64)
+        out_g = PackedTensor({(j,): backend.encrypt(ctx, rng.normal(size=slots))
+                              for j in range(32)}, FL_TYPE2, n, pi_sets=1)
+        inputs = PackedTensor({(i,): backend.encrypt(ctx, rng.normal(size=slots))
+                               for i in range(4)}, FL_TYPE1, n, pi_sets=64)
+        peaks = []
+
+        def reenc(cts):
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            return [backend.reencrypt(ctx, ct) for ct in cts]
+
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            raw = fl_weight_gradients(backend, out_g, inputs, weights)
+            assert len(raw) == 128
+            assert noise_removal_update(backend, reenc, raw, weights.cells, 0.05, n) == 1
+        finally:
+            tracemalloc.stop()
+        assert peaks[0] < 8 * 8 * slots  # under 8 slot buffers
 
     def test_failed_reencryption_keeps_every_parameter(self, backend):
         ctx = backend.keygen(LheParams(8, 10), seed=1)

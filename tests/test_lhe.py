@@ -28,7 +28,12 @@ from lhecnn.lhe import (
 from lhecnn.metering import PRIMITIVE_KINDS, OpMeter
 from lhecnn.packing import compute_rotation_plan
 
-from conftest import per_op_pack_sums, per_op_unpack_spreads
+from conftest import (
+    loop_mul_sum,
+    loop_rotate_add,
+    per_op_pack_sums,
+    per_op_unpack_spreads,
+)
 
 
 def ctx8(backend, levels=6, sigma=0.0, seed=1):
@@ -417,22 +422,6 @@ class TestLazyRotation:
         assert copy.deepcopy(ct) == ct
         assert ct == backend.encrypt(ctx, want)
         assert ct != backend.encrypt(ctx, v)
-
-
-def loop_mul_sum(backend, pairs, acc=None):
-    """The per-op fold :meth:`SimulatorBackend.mul_sum` replaces, continued
-    from the sum ``acc`` when it is given."""
-    for a, b in pairs:
-        term = backend.mul(a, b)
-        acc = term if acc is None else backend.add(acc, term)
-    return acc
-
-
-def loop_rotate_add(backend, ct, shifts):
-    """The per-op chain :meth:`SimulatorBackend.rotate_add` replaces."""
-    for s in shifts:
-        ct = backend.add(ct, backend.rot(ct, s))
-    return ct
 
 
 def side_by_side(batched, per_op):

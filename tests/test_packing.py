@@ -9,6 +9,8 @@ from lhecnn.packing import (
     CONV_CROSS_CHANNEL,
     CONV_CROSS_FILTER,
     compute_rotation_plan,
+    conv_cell_counts,
+    conv_segments,
     encode_filters,
     encode_inputs,
     fold_rotate_sum,
@@ -206,7 +208,58 @@ class TestFold:
         assert np.array_equal(out[:3], [5, 7, 9])
 
 
+def segment_by_transpose(images, channel, u, v, geo):
+    """The n*b*b slot segment for kernel cell (u, v) of one channel, gathered
+    as an (n, b, b) block and transposed into pi-set order."""
+    b, stride = geo.grid_side, geo.strides[0]
+    rows = u + stride * np.arange(b)
+    cols = v + stride * np.arange(b)
+    return np.transpose(images[:, channel, rows[:, None], cols], (1, 2, 0)).reshape(-1)
+
+
+def encoding_by_transpose(images, geo, layout, r):
+    """Every input cell's slots, each segment gathered by
+    :func:`segment_by_transpose` into a zeroed vector."""
+    channels, seg, gamma0 = images.shape[1], geo.seg_slots, geo.kernel_sides[0]
+    _, groups = conv_cell_counts(layout, r, 0, channels)
+    cells = {}
+    for b in range(groups):
+        for u in range(gamma0):
+            for v in range(gamma0):
+                vec = np.zeros(geo.slot_count)
+                for q, _, c in conv_segments(layout, r, 0, b):
+                    if c < channels:
+                        vec[q * seg:(q + 1) * seg] = segment_by_transpose(images, c, u, v, geo)
+                cells[(b, u, v)] = vec
+    return cells
+
+
 class TestInputEncoding:
+    @pytest.mark.parametrize("layout, r, channels, slots", [
+        (CONV_BASIC, 1, 2, 64),
+        (CONV_BASIC, 1, 2, 128),
+        (CONV_CROSS_CHANNEL, 2, 3, 128),
+        (CONV_CROSS_CHANNEL, 4, 4, 256),
+        (CONV_CROSS_FILTER, 2, 2, 128),
+        (CONV_CROSS_FILTER, 4, 1, 512),
+    ], ids=["basic", "basic-part", "cross-channel-padded", "cross-channel",
+            "cross-filter", "cross-filter-part"])
+    def test_slots_match_the_transposed_gather(self, backend, layout, r, channels, slots):
+        # a 3x3 kernel grid at stride 2 on 9x9 images, n = 4: 64-slot segments
+        # that fill the ciphertext, or leave part of it (or a padding
+        # segment) zero; the images are a non-contiguous view
+        cfg = CnnConfig((ConvLayer(channels, 9, 2, 3, 2),), (FcLayer(32, 2),), 4)
+        params = LheParams(slots, 6)
+        geo = combined_geometry(cfg, params)
+        assert (geo.grid_side, geo.strides[0], geo.seg_slots) == (4, 2, 64)
+        ctx = backend.keygen(params, seed=1)
+        images = np.random.default_rng(4).normal(size=(9, 9, channels, 4)).transpose(3, 2, 0, 1)
+        packed = encode_inputs(backend, ctx, images, geo, layout, r)
+        want = encoding_by_transpose(images, geo, layout, r)
+        assert packed.cells.keys() == want.keys()
+        for key, vec in want.items():
+            assert packed.cells[key].slots.tobytes() == vec.tobytes(), key
+
     def test_worked_example_shape(self, backend):
         cfg, geo = example_geometry()
         ctx = backend.keygen(LheParams(8, 6), seed=1)

@@ -13,9 +13,11 @@ from lhecnn.oracle import init_params, plain_backward_step, plain_forward
 from lhecnn.refine import RefineSession
 from lhecnn.tee import BoundaryStats, TeeService
 
+from conftest import PerOpBackend
 
-def make_session(cfg, params, seed=0, exact=True, r_mode=1):
-    backend = SimulatorBackend(OpMeter())
+
+def make_session(cfg, params, seed=0, exact=True, r_mode=1, backend_type=SimulatorBackend):
+    backend = backend_type(OpMeter())
     tee = TeeService(backend, params, seed=seed)
     sess = RefineSession(tee, cfg, params, r_mode=r_mode,
                          exact_activation_grad=exact)
@@ -156,6 +158,60 @@ class TestInfer:
                        if scope.startswith("enc.")}
         assert encryptions == {"enc.inputs": 49, "enc.filters": 196,
                                "enc.weights.FL1": 256, "enc.weights.FL2": 64}
+
+
+class TestPerOpReference:
+    """The presets' pipelines through the batched primitives and through
+    :class:`conftest.PerOpBackend`, whose ``mul_sum`` and ``rotate_add`` are
+    the per-op loops: byte-identical slots and equal (scope, kind, level)
+    count maps."""
+
+    @staticmethod
+    def batch(cfg, seed=5):
+        rng = np.random.default_rng(seed)
+        first = cfg.conv[0]
+        images = rng.normal(size=(cfg.n, first.channels, first.input_side,
+                                  first.input_side)) * 0.2
+        return images, rng.integers(0, cfg.fc[-1].outputs, size=cfg.n)
+
+    @staticmethod
+    def cell_bytes(cells):
+        return {key: (ct.slots.tobytes(), ct.level, ct.pending_rescale)
+                for key, ct in cells.items()}
+
+    @pytest.mark.parametrize("name, params", [
+        ("cnn-1-2", preset("cnn-1-2").lhe),
+        ("refining-2-2", LheParams(32768, 10)),
+    ], ids=["cnn-1-2", "refining-2-2-wide"])
+    def test_inference_matches_the_per_op_loops(self, name, params):
+        cfg = preset(name).model
+        images, _ = self.batch(cfg)
+
+        def run(backend_type):
+            sess = make_session(cfg, params, seed=5, r_mode="auto",
+                                backend_type=backend_type)
+            logits, _ = sess.infer(images)
+            return sess.layouts, self.cell_bytes(logits.cells), sess.meter.checkpoint()
+
+        fast, per_op = run(SimulatorBackend), run(PerOpBackend)
+        assert fast == per_op
+        if name == "refining-2-2":  # the cross layouts, r = 4, and their folds
+            assert fast[0] == ["conv-cross-filter", "conv-cross-channel"]
+
+    @pytest.mark.parametrize("sigma", [0.0, 1e-6], ids=["noiseless", "noisy"])
+    def test_rounds_match_the_per_op_loops(self, sigma):
+        p = preset("refining-2-2")
+        params = dataclasses.replace(p.lhe, noise_sigma=sigma)
+        images, labels = self.batch(p.model)
+
+        def two_rounds(backend_type):
+            sess = make_session(p.model, params, seed=5, exact=False,
+                                backend_type=backend_type)
+            losses = [sess.refine(images, labels, lr=0.05).losses[0] for _ in range(2)]
+            cells = [self.cell_bytes(packed.cells) for packed in sess.filters + sess.weights]
+            return losses, cells, sess.meter.checkpoint()
+
+        assert two_rounds(SimulatorBackend) == two_rounds(PerOpBackend)
 
 
 class TestRefine:

@@ -1,0 +1,162 @@
+#!/usr/bin/env python3
+"""Same-process A/B step timing of two copies of the library.
+
+    python3 tools/ab_steps.py --a ../parent/src --b src --workload refine-r22 --pairs 300
+
+imports the ``lhecnn`` package of each ``src/`` tree under its own alias in
+this one process, opens one session per side on the same model, and times
+steps in pairs: each pair runs one step on each side with the same batch,
+the side that runs first alternating from pair to pair.  It prints each
+side's p50 and p90 step time, the median of the per-pair ratios b/a, the
+pairs b won, and whether both sides revealed the same outputs (inference)
+or losses (refining) in every pair.
+
+Pairs run back to back share the host's state, so a change of a few percent
+shows in a few hundred pairs where separate benchmark runs, whose medians
+drift with the host, cannot resolve it.  The workloads are those of
+``perfbench`` by name and shape.  The sessions are saved to and loaded from
+a temporary directory that is removed at exit; nothing else is written.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import os
+import shutil
+import statistics
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+# One BLAS thread, as the benchmark runs.  Must precede importing numpy.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+
+LR = 0.05
+WORKLOADS = ("infer-cnn12", "infer-r22-wide", "refine-r22")
+
+
+def import_tree(src: Path, alias: str):
+    """The ``lhecnn`` package under ``src`` imported as module ``alias``; its
+    relative imports resolve within the alias, so two trees never mix."""
+    init = Path(src).resolve() / "lhecnn" / "__init__.py"
+    if not init.is_file():
+        raise SystemExit(f"no lhecnn package under {src}")
+    spec = importlib.util.spec_from_file_location(
+        alias, init, submodule_search_locations=[str(init.parent)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[alias] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+@dataclass
+class Side:
+    """One tree's session and its step times."""
+
+    name: str
+    lib: object
+    session: object
+    refine: bool
+    times_ns: list
+
+    def step(self, images, labels):
+        """One timed step; returns what it revealed, to compare the sides."""
+        start = time.perf_counter_ns()
+        if self.refine:
+            out = self.session.refine(images, labels, lr=LR).losses[0]
+        else:
+            logits, _ = self.session.infer(images)
+            out = self.session.reveal_outputs(logits)
+        self.times_ns.append(time.perf_counter_ns() - start)
+        return np.asarray(out).tobytes()
+
+
+def workload(lib, name: str):
+    """(model, LHE parameters, r mode, refines) of the named workload."""
+    if name == "infer-cnn12":
+        cnn = lib.preset("cnn-1-2")
+        return cnn.model, cnn.lhe, "auto", False
+    r22 = lib.preset("refining-2-2")
+    if name == "infer-r22-wide":
+        return r22.model, lib.LheParams(32768, 10), "auto", False
+    if name == "refine-r22":
+        return r22.model, r22.lhe, 1, True
+    raise SystemExit(f"unknown workload {name!r}; choose from {', '.join(WORKLOADS)}")
+
+
+def open_side(name: str, lib, wl: str, seed: int, tmp: Path) -> Side:
+    """A session of ``wl`` saved by ``lib`` to ``tmp`` and loaded back."""
+    cfg, lhe, r_mode, refine = workload(lib, wl)
+    backend = lambda: lib.SimulatorBackend(lib.OpMeter())  # noqa: E731
+    first = lib.RefineSession(lib.TeeService(backend(), lhe, seed=seed), cfg, lhe,
+                              r_mode=r_mode, exact_activation_grad=False)
+    first.load_base_model(lib.init_params(cfg, seed))
+    path = tmp / name
+    first.save(path)
+    session = lib.RefineSession.load(lib.TeeService(backend(), lhe, seed=seed), path)
+    return Side(name, lib, session, refine, [])
+
+
+def run(a_src: Path, b_src: Path, wl: str, pairs: int, warmup: int, seed: int) -> dict:
+    tmp = Path(tempfile.mkdtemp(prefix="ab_steps-"))
+    try:
+        sides = [open_side(name, import_tree(src, f"lhecnn_ab_{name}"), wl, seed, tmp)
+                 for name, src in (("a", a_src), ("b", b_src))]
+        cfg = workload(sides[0].lib, wl)[0]
+        first = cfg.conv[0]
+        rng = np.random.default_rng(seed)
+        same = True
+        for index in range(warmup + pairs):
+            images = rng.normal(size=(cfg.n, first.channels, first.input_side,
+                                      first.input_side)) * 0.2
+            labels = rng.integers(0, cfg.fc[-1].outputs, size=cfg.n)
+            order = sides if index % 2 == 0 else sides[::-1]
+            outs = {side.name: side.step(images, labels) for side in order}
+            same &= outs["a"] == outs["b"]
+            if index < warmup:
+                for side in sides:
+                    side.times_ns.pop()
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    a_ms, b_ms = ([t / 1e6 for t in side.times_ns] for side in sides)
+    ratios = [b / a for a, b in zip(a_ms, b_ms)]
+    return {
+        "workload": wl,
+        "pairs": pairs,
+        "a_p50": np.percentile(a_ms, 50), "a_p90": np.percentile(a_ms, 90),
+        "b_p50": np.percentile(b_ms, 50), "b_p90": np.percentile(b_ms, 90),
+        "median_ratio": statistics.median(ratios),
+        "b_won": sum(b < a for a, b in zip(a_ms, b_ms)),
+        "same_outputs": same,
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--a", type=Path, required=True, help="src/ tree of side a (the base)")
+    parser.add_argument("--b", type=Path, required=True, help="src/ tree of side b")
+    parser.add_argument("--workload", choices=WORKLOADS, required=True)
+    parser.add_argument("--pairs", type=int, default=200)
+    parser.add_argument("--warmup", type=int, default=3, help="untimed pairs first")
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    if args.pairs < 1 or args.warmup < 0:
+        parser.error("--pairs must be positive and --warmup nonnegative")
+    r = run(args.a, args.b, args.workload, args.pairs, args.warmup, args.seed)
+    print(f"{r['workload']}: {r['pairs']} pairs")
+    print(f"  a  p50 {r['a_p50']:.2f} ms  p90 {r['a_p90']:.2f} ms")
+    print(f"  b  p50 {r['b_p50']:.2f} ms  p90 {r['b_p90']:.2f} ms")
+    print(f"  median ratio b/a {r['median_ratio']:.3f}; b faster in "
+          f"{r['b_won']} of {r['pairs']} pairs")
+    print(f"  same outputs in every pair: {'yes' if r['same_outputs'] else 'NO'}")
+    return 0 if r["same_outputs"] else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
