@@ -223,7 +223,7 @@ def pack_count(gradient_count: int, n: int) -> int:
 
 
 def noise_removal_update(backend: SimulatorBackend, reencrypt,
-                         raw_grads: RawGradients | dict[tuple, Ciphertext],
+                         raw_grads: RawGradients,
                          target_cells: dict[tuple, Ciphertext],
                          lr: float, n: int) -> int:
     """Pack raw gradients, refresh them through ``reencrypt``, unpack/spread,
@@ -235,13 +235,13 @@ def noise_removal_update(backend: SimulatorBackend, reencrypt,
     ``p = idx mod n`` of every block and masked there with scale -lr/n, one
     :func:`signed_rotate_sum` per packed ciphertext, so the parameter receives
     the spread SGD step additively.  The pack pops each gradient from
-    ``raw_grads`` as it takes it: a :class:`RawGradients` makes it then, so
-    it is packed while it is fresh, and none is alive at the re-encryption
-    unless the caller holds it elsewhere.  After re-encryption, one
-    :func:`signed_rotate_spread` per packed ciphertext keeps each offset
-    ``p`` again, replicates it over its block and adds it into its
-    gradient's parameter cell.  Returns the number of packed ciphertexts
-    re-encrypted.
+    ``raw_grads`` as it takes it, which makes it then, so it is packed while
+    it is fresh, and neither it nor its operands are alive at the
+    re-encryption unless the caller holds them elsewhere.  After
+    re-encryption, one :func:`signed_rotate_spread` per packed ciphertext
+    keeps each offset ``p`` again, replicates it over its block and adds it
+    into its gradient's parameter cell.  Returns the number of packed
+    ciphertexts re-encrypted.
     """
     order = list(raw_grads)
     packs = [order[start:start + n] for start in range(0, len(order), n)]

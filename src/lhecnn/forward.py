@@ -4,9 +4,10 @@ Each layer function reads its form from its parameters (the filters' layout
 and r, the weights' kind) and checks that its input is in that form.
 
 Layer functions return pre-activations; :func:`square_activation` is applied
-separately so pipelines can meter it under its own stage label, cache the
-pre-activation ciphertexts for the backward pass, and skip it after the final
-layer.
+separately so pipelines can meter it under its own stage label and skip it
+after the final layer.  It takes ownership of the pre-activation tensor and
+frees each cell as it squares it: a pipeline whose backward pass reads the
+pre-activations caches its own dict of the same cells first.
 """
 
 from __future__ import annotations
@@ -99,6 +100,14 @@ def fl_forward(backend: SimulatorBackend, inputs: PackedTensor,
 
 
 def square_activation(backend: SimulatorBackend, tensor: PackedTensor) -> PackedTensor:
-    """Square every slot (one ciphertext-ciphertext product per cell)."""
-    cells = {key: backend.mul(ct, ct) for key, ct in tensor.cells.items()}
+    """Square every slot (one ciphertext-ciphertext product per cell).
+
+    Consumes ``tensor``: each cell is popped from ``tensor.cells`` as it is
+    squared, so a pre-activation nobody else holds is freed before the next
+    square is made, and ``tensor`` is left with no cells.
+    """
+    pre, cells = tensor.cells, {}
+    for key in list(pre):
+        ct = pre.pop(key)
+        cells[key] = backend.mul(ct, ct)
     return replace(tensor, cells=cells)

@@ -341,6 +341,14 @@ class SimulatorBackend:
         self.meter = OpMeter() if meter is None else meter
         self._free: defaultdict[int, _FreeList] = defaultdict(_FreeList)
 
+    @property
+    def free_buffers(self) -> dict[int, int]:
+        """Slot buffers the free lists hold, per slot count.  A buffer is made
+        only when its list is empty, so this is the most buffers of a size
+        ever alive at once, less those still held: after a pass that kept
+        none, the pass's peak pooled working set."""
+        return {n: len(free) for n, free in self._free.items()}
+
     # -- internals --------------------------------------------------------
 
     def _record_counts(self, counts: dict[tuple[str, int], int]) -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import mmap
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -79,10 +79,13 @@ class RefineResult:
 
 @dataclass
 class _ForwardCache:
+    """What the backward pass reads, one entry per layer.  A pre-activation
+    is ``None`` unless activation gradients are exact."""
+
     conv_inputs: list[PackedTensor] = field(default_factory=list)
-    conv_pre: list[PackedTensor] = field(default_factory=list)
+    conv_pre: list[PackedTensor | None] = field(default_factory=list)
     fl_inputs: list[PackedTensor] = field(default_factory=list)
-    fl_pre: list[PackedTensor] = field(default_factory=list)
+    fl_pre: list[PackedTensor | None] = field(default_factory=list)
 
 
 class RefineSession:
@@ -168,24 +171,27 @@ class RefineSession:
 
     def _forward(self, tensor: PackedTensor,
                  cache: _ForwardCache | None = None) -> PackedTensor:
-        """Forward pass to the logits; each layer's input and pre-activation
-        go into ``cache`` when one is given (the backward pass reads them),
-        and are dropped as soon as the next layer has read them otherwise."""
+        """Forward pass to the logits.  With a ``cache``, each layer's input
+        goes into it, and so does its pre-activation when activation
+        gradients are exact (they read them), as the cache's own dict of the
+        same cells; otherwise ``None``.  Every other ciphertext is dropped once
+        its last reader is done: each square consumes its pre-activations."""
         meter, geo, cfg = self.meter, self.geo, self.cfg
+        keep = self.exact_activation_grad
         square_idx = 0
         for l, layer in enumerate(cfg.conv):
             if cache is not None:
                 cache.conv_inputs.append(tensor)
             out_grid = geo.kernel_side_after(l)
             with meter.scope(f"CL{l + 1}"):
-                pre = fwd.conv_forward(self.backend, tensor, self.filters[l],
-                                       out_grid, layer.stride)
+                tensor = fwd.conv_forward(self.backend, tensor, self.filters[l],
+                                          out_grid, layer.stride)
             if cache is not None:
-                cache.conv_pre.append(pre)
+                cache.conv_pre.append(replace(tensor, cells=dict(tensor.cells))
+                                      if keep else None)
             square_idx += 1
             with meter.scope(f"Square{square_idx}"):
-                tensor = fwd.square_activation(self.backend, pre)
-            del pre
+                tensor = fwd.square_activation(self.backend, tensor)
         tensor = as_fl_input(tensor)
         for k in range(cfg.f):
             if cache is not None:
@@ -193,7 +199,8 @@ class RefineSession:
             with meter.scope(f"FL{k + 1}"):
                 tensor = fwd.fl_forward(self.backend, tensor, self.weights[k])
             if cache is not None:
-                cache.fl_pre.append(tensor)
+                cache.fl_pre.append(replace(tensor, cells=dict(tensor.cells))
+                                    if keep else None)
             if k < cfg.f - 1:  # no activation after the final layer
                 square_idx += 1
                 with meter.scope(f"Square{square_idx}"):
@@ -273,16 +280,20 @@ class RefineSession:
             label_ct = self.backend.encrypt(self.ctx, vec)
         cache = _ForwardCache()
         logits = self._forward(enc, cache)
+        del enc  # the cache holds the inputs for as long as bwd.CL1 reads them
         with meter.scope("tee.loss_head"):
             loss, grad = self.tee.loss_head(self.party, logits, label_ct,
                                             cfg.fc[-1].outputs)
+        del logits, label_ct
         reenc = lambda cts: self.tee.reencrypt_batch(self.party, cts)
 
-        # Each layer's cached tensors are popped as its backward stage starts,
-        # so none stays alive through the stages after it.  The raw gradients
-        # are made only as the noise-removal update packs them, after the
-        # layer's input gradients: each goes into its pack while it is fresh,
-        # and no layer's gradients are ever all alive at once.
+        # Each layer's cached tensors are popped as its backward stage starts
+        # and dropped once its raw gradients hold the operands they need, so
+        # a cached cell dies as the last pack that reads it is made, before
+        # the re-encryption and the spread.  The raw gradients are made only
+        # as the noise-removal update packs them, after the layer's input
+        # gradients: each goes into its pack while it is fresh, and no layer's
+        # gradients are ever all alive at once.
         for k in reversed(range(cfg.f)):
             pre, inputs = cache.fl_pre.pop(), cache.fl_inputs.pop()
             weights = self.weights[k]
@@ -291,6 +302,7 @@ class RefineSession:
                     grad = bwd.activation_gradient(self.backend, grad, pre,
                                                    self.exact_activation_grad)
                 raw = bwd.fl_weight_gradients(self.backend, grad, inputs, weights)
+                del pre, inputs
                 grad = bwd.fl_backward(self.backend, grad, weights)
                 bwd.noise_removal_update(self.backend, reenc, raw, weights.cells, lr, cfg.n)
 
@@ -304,10 +316,13 @@ class RefineSession:
                 raw = bwd.conv_kernel_gradients(self.backend, inputs, grad,
                                                 self.filters[l], out_grid,
                                                 cfg.conv[l].stride)
+                del pre, inputs
                 if l > 0:
                     grad = bwd.conv_backward(self.backend, grad, self.filters[l],
                                              out_grid, cfg.conv[l].stride,
                                              geo.kernel_sides[l])
+                else:
+                    del grad  # no later stage reads bwd.CL1's gradients
                 bwd.noise_removal_update(self.backend, reenc, raw, self.filters[l].cells,
                                          lr, cfg.n)
         return loss

@@ -23,6 +23,14 @@ def test_both_sides_this_tree(tmp_path, workload, pairs):
     lines = proc.stdout.splitlines()
     assert lines[0] == f"{workload}: {pairs} pairs"
     assert any(line.strip().startswith("a  p50") for line in lines)
+    # the same tree ends the same steps with the same free lists, and they
+    # are not empty: a step's working set goes back to them
+    counts = {line.split()[0]: line.split(None, 1)[1] for line in lines
+              if "free buffers" in line}
+    assert counts.keys() == {"a", "b"} and counts["a"] == counts["b"]
+    count, mb = counts["a"].removeprefix("free buffers ").split(" (")
+    slots = {"infer-cnn12": 4096, "refine-r22": 8192}[workload]
+    assert int(count) > 0 and mb == f"{8 * slots * int(count) / 2**20:.2f} MB)"
     assert f"of {pairs} pairs" in proc.stdout
     assert lines[-1].strip() == "same outputs in every pair: yes"
     assert list(tmp_path.iterdir()) == []

@@ -12,6 +12,7 @@ from lhecnn.backward import (
     conv_kernel_gradients,
     fl_backward,
     fl_weight_gradients,
+    RawGradients,
     noise_removal_update,
     pack_count,
 )
@@ -31,6 +32,11 @@ from lhecnn.refine import RefineSession, _ForwardCache
 from lhecnn.tee import TeeService
 
 from conftest import encode_weights, per_op_noise_removal_update
+
+
+def made(grads: dict) -> RawGradients:
+    """Gradients already made, as the update takes them: each popped as is."""
+    return RawGradients(lambda ct: ct, {key: (ct,) for key, ct in grads.items()})
 
 
 def make_session(cfg, params, seed=0, exact=True):
@@ -227,8 +233,8 @@ class TestNoiseRemovalUpdate:
     def test_tee_batch_size_ceiling(self, backend):
         # 6 gradients packed with n=4 -> two ciphertexts re-encrypted
         ctx = backend.keygen(LheParams(8, 10), seed=1)
-        raw = {(j, i): backend.encrypt(ctx, np.ones(8))
-               for j in range(3) for i in range(2)}
+        raw = made({(j, i): backend.encrypt(ctx, np.ones(8))
+                    for j in range(3) for i in range(2)})
         target = {(j, i): backend.encrypt(ctx, np.zeros(8))
                   for j in range(3) for i in range(2)}
         calls = []
@@ -240,14 +246,16 @@ class TestNoiseRemovalUpdate:
 
     def test_raw_gradients_are_freed_before_reencryption(self, backend):
         ctx = backend.keygen(LheParams(8, 10), seed=1)
-        raw = {}
+        grads = {}
         for key in range(6):
             ct = backend.encrypt(ctx, np.full(8, key + 1.0))
             for _ in range(4):  # a level no other ciphertext here sits at
                 ct = backend.cmul(ct, np.ones(8))
-            raw[(key,)] = ct
-        raw_level = (ctx.key_id, 6, True)
+            grads[(key,)] = ct
+        raw_level = (ct.key_id, ct.level, ct.pending_rescale)
+        raw = made(grads)
         target = {key: backend.encrypt(ctx, np.zeros(8)) for key in raw}
+        del grads, ct  # only the raw gradients hold them now
         alive = []
 
         def reenc(cts):
@@ -259,7 +267,7 @@ class TestNoiseRemovalUpdate:
 
         noise_removal_update(backend, reenc, raw, target, lr=0.1, n=4)
         assert alive == [0]
-        assert not raw  # the caller's dict no longer holds them either
+        assert not raw  # no operands left: the update popped every one
 
     def test_fl1_gradients_are_made_as_the_pack_takes_them(self, backend):
         # refining-2-2's bwd.FL1: 32 x 4 type I cells at S = 8192, one pack of
@@ -293,7 +301,7 @@ class TestNoiseRemovalUpdate:
 
     def test_failed_reencryption_keeps_every_parameter(self, backend):
         ctx = backend.keygen(LheParams(8, 10), seed=1)
-        raw = {(j,): backend.encrypt(ctx, np.full(8, j + 1.0)) for j in range(3)}
+        raw = made({(j,): backend.encrypt(ctx, np.full(8, j + 1.0)) for j in range(3)})
         target = {key: backend.encrypt(ctx, np.zeros(8)) for key in raw}
         before = dict(target)
 
@@ -320,8 +328,8 @@ class TestNoiseRemovalUpdate:
             backend = CountingCmul(OpMeter())
             ctx = backend.keygen(LheParams(16, 10), seed=2)
             rng = np.random.default_rng(2)
-            raw = {(key,): backend.cmul(backend.encrypt(ctx, rng.normal(size=16)),
-                                        rng.normal(size=16)) for key in range(count)}
+            raw = made({(key,): backend.cmul(backend.encrypt(ctx, rng.normal(size=16)),
+                                             rng.normal(size=16)) for key in range(count)})
             target = {key: backend.encrypt(ctx, rng.normal(size=16)) for key in raw}
             reenc = lambda cts: [backend.reencrypt(ctx, ct) for ct in cts]
             backend.cmuls = 0  # every cmul from here on takes a selector

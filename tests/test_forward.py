@@ -277,22 +277,24 @@ class TestFlForward:
 
 class _ScopeWatch(SimulatorBackend):
     """Counts, when FL2 first computes, the live ciphertexts at the level of
-    the CL1 results.  It reads the live set from the garbage collector, so it
-    holds no reference of its own to any ciphertext."""
+    the results of the ``watched`` stage.  It reads the live set from the
+    garbage collector, so it holds no reference of its own to any
+    ciphertext."""
 
-    def __init__(self, meter):
+    def __init__(self, meter, watched="CL1"):
         super().__init__(meter)
-        self.cl1_level = None
+        self.watched = watched
+        self.watched_level = None
         self.alive_at_fl2 = None
 
     def _watch(self, out):
         scope = self.meter.current_scope
-        if scope == "CL1":
-            self.cl1_level = (out.key_id, out.level, out.pending_rescale)
+        if scope == self.watched:
+            self.watched_level = (out.key_id, out.level, out.pending_rescale)
         elif scope == "FL2" and self.alive_at_fl2 is None:
             self.alive_at_fl2 = sum(
                 isinstance(obj, Ciphertext)
-                and (obj.key_id, obj.level, obj.pending_rescale) == self.cl1_level
+                and (obj.key_id, obj.level, obj.pending_rescale) == self.watched_level
                 for obj in gc.get_objects())
         return out
 
@@ -312,9 +314,10 @@ class _ScopeWatch(SimulatorBackend):
 class TestWorkingSet:
     CFG = CnnConfig((ConvLayer(1, 6, 2, 3, 3),), (FcLayer(2 * 4, 3), FcLayer(3, 2)), 2)
 
-    def watched_session(self):
-        tee = TeeService(_ScopeWatch(OpMeter()), LheParams(32, 10), seed=3)
-        sess = RefineSession(tee, self.CFG, LheParams(32, 10), r_mode=1)
+    def watched_session(self, watched="CL1", exact=True):
+        tee = TeeService(_ScopeWatch(OpMeter(), watched), LheParams(32, 10), seed=3)
+        sess = RefineSession(tee, self.CFG, LheParams(32, 10), r_mode=1,
+                             exact_activation_grad=exact)
         sess.load_base_model(init_params(self.CFG, 3))
         return sess
 
@@ -322,7 +325,13 @@ class TestWorkingSet:
         sess = self.watched_session()
         images = np.random.default_rng(3).normal(size=(2, 1, 6, 6))
         sess.infer(images)
-        assert sess.backend.cl1_level and sess.backend.alive_at_fl2 == 0
+        assert sess.backend.watched_level and sess.backend.alive_at_fl2 == 0
+
+    def test_inference_drops_fc_pre_activations(self):
+        sess = self.watched_session("FL1")
+        images = np.random.default_rng(3).normal(size=(2, 1, 6, 6))
+        sess.infer(images)
+        assert sess.backend.watched_level and sess.backend.alive_at_fl2 == 0
 
     def test_refining_keeps_them_for_the_backward_pass(self):
         sess = self.watched_session()
@@ -331,6 +340,57 @@ class TestWorkingSet:
         # the CL1 pre-activation cells: one per filter on the 1x1 output grid
         assert sess.geo.kernel_side_after(0) == 1
         assert sess.backend.alive_at_fl2 == self.CFG.conv[0].filters
+
+    def test_constant_slope_refining_caches_none(self):
+        # the constant-slope gradient never reads a pre-activation, so the
+        # squares free every one of them during the forward pass
+        sess = self.watched_session(exact=False)
+        rng = np.random.default_rng(3)
+        sess.refine(rng.normal(size=(2, 1, 6, 6)), np.array([0, 1]), lr=0.1)
+        assert sess.backend.watched_level and sess.backend.alive_at_fl2 == 0
+
+    @staticmethod
+    def steady_pool(cfg, params, r_mode, refine=False):
+        """The backend's free lists after two steps of ``cfg``."""
+        backend = SimulatorBackend(OpMeter())
+        sess = RefineSession(TeeService(backend, params, seed=1), cfg, params,
+                             r_mode=r_mode, exact_activation_grad=False)
+        sess.load_base_model(init_params(cfg, 1))
+        first = cfg.conv[0]
+        rng = np.random.default_rng(1)
+        images = rng.normal(size=(cfg.n, first.channels, first.input_side,
+                                  first.input_side)) * 0.2
+        labels = rng.integers(0, cfg.fc[-1].outputs, size=cfg.n)
+        for _ in range(2):
+            if refine:
+                sess.refine(images, labels, lr=0.05)
+            else:
+                sess.infer(images)
+        return sess, backend.free_buffers
+
+    # Peak pooled buffers of a steady step: each square frees a pre-activation
+    # as it squares it, so no square holds a layer's output twice.
+    def test_steady_cnn12_inference_peaks_at_70_buffers(self):
+        p = preset("cnn-1-2")
+        _, pool = self.steady_pool(p.model, p.lhe, "auto")
+        assert pool == {4096: 70}
+
+    def test_steady_wide_refining_inference_peaks_at_41_buffers(self):
+        p = preset("refining-2-2")
+        sess, pool = self.steady_pool(p.model, LheParams(32768, 10), "auto")
+        assert sess.r == 4 and pool == {32768: 41}
+
+    def test_steady_constant_slope_round_peaks_at_552_buffers(self):
+        # A round's peak is every updated layer's old and new cells (the
+        # rollback keeps the old ones to the end) plus bwd.CL1's working set;
+        # after the round the old cells are back in the free lists and the
+        # new ones are held.
+        p = preset("refining-2-2")
+        sess, pool = self.steady_pool(p.model, p.lhe, 1, refine=True)
+        params = [ct for packed in sess.filters + sess.weights
+                  for ct in packed.cells.values()]
+        assert len(params) == 260 and all(ct._free is not None for ct in params)
+        assert pool == {8192: 552 - 260}
 
     def test_steady_inference_allocates_little(self):
         sess = session_for(preset("cnn-1-2").model, preset("cnn-1-2").lhe)

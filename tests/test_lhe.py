@@ -801,6 +801,20 @@ class TestRecycling:
         assert np.array_equal(part, np.arange(2.0, 5.0) ** 2)
         assert not held.flags.writeable and not part.flags.writeable
 
+    def test_free_buffers_counts_what_the_lists_hold_per_slot_count(self, backend):
+        assert backend.free_buffers == {}
+        ctx = ctx8(backend)
+        big = backend.keygen(LheParams(16, 4), seed=1)
+        a, b = backend.encrypt(ctx, np.ones(8)), backend.encrypt(big, np.ones(16))
+        held = backend.add(a, a)
+        del a, b
+        assert backend.free_buffers == {8: 1, 16: 1}
+        # a result takes a listed buffer before any new one is made
+        x = backend.mul(held, held)
+        assert backend.free_buffers == {8: 0, 16: 1}
+        del x, held
+        assert backend.free_buffers == {8: 2, 16: 1}
+
     def test_rotation_outlives_its_source(self, backend):
         ctx = ctx8(backend)
         a = backend.encrypt(ctx, np.arange(8.0))

@@ -370,6 +370,42 @@ class TestRefine:
             assert packed.cells.keys() == kept.keys()
             assert all(packed.cells[k] is kept[k] for k in kept)
 
+    def test_a_round_that_fails_in_bwd_cl1_at_constant_slope_changes_no_parameter(
+            self, monkeypatch):
+        # bwd.CL1 is where a constant-slope round lets its cached inputs and
+        # gradients die as the packs take them.  A re-encryption that fails
+        # there, after both fc layers were stepped, leaves every parameter
+        # cell as it was, and the next round is the one a fresh session makes.
+        cfg, params = small_cfg(), LheParams(32, 16)
+        sess = make_session(cfg, params, seed=5, exact=False)
+        cells = [dict(packed.cells) for packed in sess.filters + sess.weights]
+        rng = np.random.default_rng(5)
+        images, labels = rng.normal(size=(4, 1, 4, 4)), rng.integers(0, 3, size=4)
+        reencrypt, scopes = sess.tee.reencrypt_batch, []
+
+        def failing(party, cts):
+            scopes.append(sess.meter.current_scope)
+            if scopes[-1] == "bwd.CL1":
+                raise ConnectionError("TEE unreachable")
+            return reencrypt(party, cts)
+
+        monkeypatch.setattr(sess.tee, "reencrypt_batch", failing)
+        with pytest.raises(ConnectionError):
+            sess.refine(images, labels, lr=0.1)
+        assert scopes == ["bwd.FL2", "bwd.FL1", "bwd.CL1"]
+        for packed, kept in zip(sess.filters + sess.weights, cells):
+            assert packed.cells.keys() == kept.keys()
+            assert all(packed.cells[k] is kept[k] for k in kept)
+
+        monkeypatch.undo()
+        fresh = make_session(cfg, params, seed=5, exact=False)
+        for s in (sess, fresh):
+            s.refine(images, labels, lr=0.1)
+        stored = lambda s: [(key, ct.level, ct.pending_rescale, ct.slots.tobytes())
+                            for packed in s.filters + s.weights
+                            for key, ct in packed.cells.items()]
+        assert stored(sess) == stored(fresh)
+
     @pytest.mark.parametrize("labels, match", [
         ([0, 1, 2, 0, 1, 3, 0, 1], r"integers in \[0, 3\)"),
         ([0, 1, 2, 0, 1, 2, 0], "7 labels for 8 images"),

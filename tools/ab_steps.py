@@ -9,7 +9,11 @@ steps in pairs: each pair runs one step on each side with the same batch,
 the side that runs first alternating from pair to pair.  It prints each
 side's p50 and p90 step time, the median of the per-pair ratios b/a, the
 pairs b won, and whether both sides revealed the same outputs (inference)
-or losses (refining) in every pair.
+or losses (refining) in every pair.  It also prints the slot buffers each
+side's backend holds in its free lists after the last pair, in buffers and
+in MB: the peak pooled working set of a step, less what the session still
+holds (its parameter cells, once a refining round has replaced them).  Peak
+RSS cannot tell two trees in one process apart; this count can.
 
 Pairs run back to back share the host's state, so a change of a few percent
 shows in a few hundred pairs where separate benchmark runs, whose medians
@@ -77,6 +81,15 @@ class Side:
         return np.asarray(out).tobytes()
 
 
+def free_buffers(backend) -> dict[int, int]:
+    """Slot buffers in ``backend``'s free lists, per slot count.  Trees older
+    than ``SimulatorBackend.free_buffers`` are read from their free lists."""
+    try:
+        return backend.free_buffers
+    except AttributeError:
+        return {n: len(free) for n, free in backend._free.items()}
+
+
 def workload(lib, name: str):
     """(model, LHE parameters, r mode, refines) of the named workload."""
     if name == "infer-cnn12":
@@ -134,6 +147,7 @@ def run(a_src: Path, b_src: Path, wl: str, pairs: int, warmup: int, seed: int) -
         "median_ratio": statistics.median(ratios),
         "b_won": sum(b < a for a, b in zip(a_ms, b_ms)),
         "same_outputs": same,
+        **{f"{side.name}_buffers": free_buffers(side.session.backend) for side in sides},
     }
 
 
@@ -152,6 +166,10 @@ def main(argv=None) -> int:
     print(f"{r['workload']}: {r['pairs']} pairs")
     print(f"  a  p50 {r['a_p50']:.2f} ms  p90 {r['a_p90']:.2f} ms")
     print(f"  b  p50 {r['b_p50']:.2f} ms  p90 {r['b_p90']:.2f} ms")
+    for name in "ab":
+        buffers = r[f"{name}_buffers"]
+        mb = sum(8 * n * count for n, count in buffers.items()) / 2**20
+        print(f"  {name}  free buffers {sum(buffers.values())} ({mb:.2f} MB)")
     print(f"  median ratio b/a {r['median_ratio']:.3f}; b faster in "
           f"{r['b_won']} of {r['pairs']} pairs")
     print(f"  same outputs in every pair: {'yes' if r['same_outputs'] else 'NO'}")
