@@ -24,8 +24,10 @@ one it was made for, or a rotation sharing it) is dropped, so a steady
 pipeline reuses its working set instead of allocating and page-faulting it
 anew on every pass.  An array anyone else still holds (``ct.slots``, or a
 slice or view of it) is never reused, nor is an array passed to the public
-:class:`Ciphertext` constructor or read by :func:`deserialize` or
-:func:`deserialize_many`.  The free lists belong to the backend alone: it
+:class:`Ciphertext` constructor, nor the slots the readers return:
+:func:`deserialize` and :func:`deserialize_many` view the bytes they parse,
+and :func:`map_many` maps a file and reads only its headers, so no slot page
+is read until a stage reads it.  The free lists belong to the backend alone: it
 keeps its peak working set in them until it is dropped, and a result that
 outlives it releases its buffer as usual.
 
@@ -61,6 +63,8 @@ budget.  Ciphertexts carry this as :attr:`Ciphertext.pending_rescale`; the
 
 from __future__ import annotations
 
+import mmap
+import os
 import secrets
 import struct
 import sys
@@ -689,37 +693,79 @@ def write_many(fh, cts: Iterable[Ciphertext]) -> None:
         fh.write(serialize(ct))
 
 
-def deserialize_many(buffer, ctx: KeyContext) -> list[Ciphertext]:
-    """Parse the sequence format from any bytes-like ``buffer``, each
-    ciphertext with the checks of :func:`deserialize`.  Nothing is copied:
-    every ciphertext's slots are a read-only view of ``buffer``.
-
-    The headers are checked together, one vectorised comparison per field;
-    when one fails, :func:`deserialize` parses the first cell that fails, so
-    the error is the one that cell alone raises."""
-    view = memoryview(buffer).cast("B")
-    s = ctx.params.slot_count
-    size = serialized_size(s)
-    if len(view) % size:
-        raise ValueError(f"{len(view)} bytes is not a whole number of "
-                         f"{size}-byte ciphertexts")
-    if not view:
-        return []
-    cells = np.frombuffer(view, dtype=np.dtype({
-        "names": ["magic", "slots", "level", "key_hash", "data"],
-        "formats": ["<u4", "<u4", "<u4", "<u4", ("<f8", (s,))],
-        "offsets": [0, 4, 8, 12, HEADER.size],
-        "itemsize": size,
-    }))
-    bad = ((cells["magic"] != int.from_bytes(MAGIC, "little"))
-           | (cells["slots"] != s)
-           | (cells["key_hash"] != ctx.key_hash)
-           | (cells["level"] > ctx.params.top_level))
+def _check_headers(headers: bytes, itemsize: int, ctx: KeyContext, cell) -> list[int]:
+    """The levels of the cell headers that begin every ``itemsize`` bytes of
+    ``headers``, after checking them together, one vectorised comparison per
+    field.  When one fails, :func:`deserialize` parses ``cell(k)``, the bytes
+    of the first cell ``k`` that fails, so the error is the one that cell
+    alone raises."""
+    fields = np.frombuffer(headers, np.dtype({
+        "names": ["magic", "slots", "level", "key_hash"], "formats": ["<u4"] * 4,
+        "offsets": [0, 4, 8, 12], "itemsize": itemsize}))
+    bad = ((fields["magic"] != int.from_bytes(MAGIC, "little"))
+           | (fields["slots"] != ctx.params.slot_count)
+           | (fields["key_hash"] != ctx.key_hash)
+           | (fields["level"] > ctx.params.top_level))
     if bad.any():
-        first = int(bad.argmax()) * size
-        deserialize(view[first:first + size], ctx)  # raises that cell's error
-    rows = cells["data"].astype(np.float64, copy=False)
+        k = int(bad.argmax())
+        deserialize(cell(k), ctx)  # raises that cell's error
+        raise ValueError(f"cell {k} changed while it was read")
+    return fields["level"].tolist()
+
+
+def _cell_count(nbytes: int, size: int) -> int:
+    if nbytes % size:
+        raise ValueError(f"{nbytes} bytes is not a whole number of "
+                         f"{size}-byte ciphertexts")
+    return nbytes // size
+
+
+def _views(buffer, levels: list[int], ctx: KeyContext) -> list[Ciphertext]:
+    """One ciphertext per level, its slots a read-only row view of the cells
+    that fill ``buffer``; making them reads no byte of ``buffer``."""
+    s = ctx.params.slot_count
+    rows = np.ndarray((len(levels), s), "<f8", buffer, HEADER.size,
+                      (serialized_size(s), 8)).astype(np.float64, copy=False)
     rows.setflags(write=False)
     key_id = ctx.key_id
-    return [_make(row, 0, level, key_id, False, None)
-            for row, level in zip(rows, cells["level"].tolist())]
+    return [_make(row, 0, level, key_id, False, None) for row, level in zip(rows, levels)]
+
+
+def deserialize_many(buffer, ctx: KeyContext) -> list[Ciphertext]:
+    """Parse the sequence format from any bytes-like ``buffer``, each
+    ciphertext with the checks of :func:`deserialize`, all headers checked
+    together.  Nothing is copied: every ciphertext's slots are a read-only
+    view of ``buffer``."""
+    view = memoryview(buffer).cast("B")
+    size = serialized_size(ctx.params.slot_count)
+    if not _cell_count(len(view), size):
+        return []
+    return _views(view, _check_headers(view, size, ctx,
+                                       lambda k: view[k * size:(k + 1) * size]), ctx)
+
+
+def map_many(fh, ctx: KeyContext) -> list[Ciphertext]:
+    """Read the sequence format from the binary file ``fh`` by its headers
+    alone, with the checks of :func:`deserialize_many`.  Each header comes
+    from one ``os.pread``; every ciphertext's slots are a read-only row of one
+    read-only mapping of the file, and no page of it is read until a
+    ciphertext's slots are.  Reading the headers through the mapping would
+    make the whole file resident, since the kernel maps the pages around
+    each one it faults in.
+
+    The mapping goes with the last ciphertext that uses it.  A writer that
+    rewrites the file in place changes what those ciphertexts read, and one
+    that truncates it makes the next read past the new end raise SIGBUS."""
+    fd = fh.fileno()
+    size = serialized_size(ctx.params.slot_count)
+    count = _cell_count(os.fstat(fd).st_size, size)
+    if not count:
+        return []
+    heads = [os.pread(fd, HEADER.size, k * size) for k in range(count)]
+    headers = b"".join(heads)
+    if len(headers) != count * HEADER.size:
+        k = next(k for k, head in enumerate(heads) if len(head) != HEADER.size)
+        raise ValueError(f"cell {k}: read {len(heads[k])} of its {HEADER.size} header "
+                         f"bytes; the file shrank while it was read")
+    levels = _check_headers(headers, HEADER.size, ctx, lambda k: os.pread(fd, size, k * size))
+    return _views(mmap.mmap(fd, count * size, access=mmap.ACCESS_READ), levels, ctx)

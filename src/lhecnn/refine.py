@@ -11,7 +11,6 @@ wire format's sequence form, in ``cell_keys()`` order.
 from __future__ import annotations
 
 import json
-import mmap
 import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -22,7 +21,7 @@ from . import backward as bwd
 from . import forward as fwd
 from .config import model_dict, model_from_dict
 from .geometry import CnnConfig, CombinedGeometry, combined_geometry
-from .lhe import LheParams, deserialize_many, serialized_size, write_many
+from .lhe import LheParams, map_many, serialized_size, write_many
 from .metering import CostTable, OpReport, build_report
 from .oracle import PlainParams
 from .packing import (
@@ -44,6 +43,8 @@ from .tee import BoundaryStats, TeeService
 
 MANIFEST_NAME = "session.manifest"
 FORMAT_TAG = "lhecnn-session-v2"
+MANIFEST_KEYS = ("key_hash", "model", "lhe", "n", "r", "layouts", "weight_kinds",
+                 "exact_activation_grad", "cells")
 
 
 def plan_layouts(cfg: CnnConfig, geo: CombinedGeometry, r_mode="auto") -> tuple[int, list[str]]:
@@ -392,6 +393,9 @@ class RefineSession:
                        if line.strip())
         if entries.get("format") != FORMAT_TAG:
             raise ValueError(f"unsupported session format {entries.get('format')!r}")
+        missing = [key for key in MANIFEST_KEYS if key not in entries]
+        if missing:
+            raise ValueError(f"session manifest lacks {', '.join(missing)}")
         lhe = json.loads(entries["lhe"])
         params = LheParams(lhe["slots"], lhe["levels"], lhe.get("noise_sigma", 0.0))
         cfg = model_from_dict(json.loads(entries["model"]), int(entries["n"]))
@@ -411,20 +415,13 @@ class RefineSession:
                 f"stored weight kinds {stored_kinds} do not match expected {expected_kinds}")
         targets = [(packed.cells, key) for packed in packed_filters + packed_weights
                    for key in packed.cell_keys()]
-        # Every cell is a read-only row of one read-only mapping of the file:
-        # a load copies no slot, and the mapping goes with the last cell that
-        # uses it.  The library never rewrites a cells file in place (a save
-        # writes a new one and unlinks the old), so only a writer outside it
-        # can change what a live session reads, or truncate the file under
-        # it, which raises SIGBUS on the next read past the new end.
         size = serialized_size(params.slot_count)
         with open(root / entries["cells"], "rb") as fh:
             stored = os.fstat(fh.fileno()).st_size
             if stored != len(targets) * size:
                 raise ValueError(f"{entries['cells']} holds {stored / size:g} cells of "
                                  f"{size} bytes, the model has {len(targets)}")
-            data = mmap.mmap(fh.fileno(), stored, access=mmap.ACCESS_READ)
-        for (cells, key), ct in zip(targets, deserialize_many(data, session.ctx)):
-            cells[key] = ct
+            for (cells, key), ct in zip(targets, map_many(fh, session.ctx)):
+                cells[key] = ct
         session.filters, session.weights = packed_filters, packed_weights
         return session

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,21 @@ def meter():
 @pytest.fixture
 def backend(meter):
     return SimulatorBackend(meter)
+
+
+def mapping_resident_kb(array: np.ndarray) -> int:
+    """Resident kB of the mapping of this process that holds ``array``'s
+    first byte, from ``/proc/self/smaps``."""
+    address = array.__array_interface__["data"][0]
+    inside = False
+    for line in Path("/proc/self/smaps").read_text().splitlines():
+        head = line.split(None, 1)[0]
+        if "-" in head and not head.endswith(":"):
+            start, end = (int(part, 16) for part in head.split("-"))
+            inside = start <= address < end
+        elif inside and head == "Rss:":
+            return int(line.split()[1])
+    raise LookupError(f"no mapping holds address {address:#x}")
 
 
 def loop_mul_sum(backend, pairs, acc=None):

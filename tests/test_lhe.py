@@ -1,4 +1,5 @@
 import copy
+import os
 import struct
 import sys
 import threading
@@ -20,6 +21,7 @@ from lhecnn.lhe import (
     SimulatorBackend,
     deserialize,
     deserialize_many,
+    map_many,
     serialize,
     serialize_many,
     serialized_size,
@@ -1003,3 +1005,61 @@ class TestSerialization:
             deserialize(cut[cell * size:(cell + 1) * size - 1], ctx)
         with pytest.raises(ValueError, match="399 bytes is not a whole number of 80-byte"):
             deserialize_many(cut, ctx)
+
+    @staticmethod
+    def map_file(tmp_path, blob, ctx):
+        path = tmp_path / "cts.lhe"
+        path.write_bytes(blob)
+        with open(path, "rb") as fh:
+            return map_many(fh, ctx)
+
+    def test_map_round_trips_as_rows_of_one_mapping(self, backend, tmp_path):
+        ctx = ctx8(backend)
+        x = backend.encrypt(ctx, np.arange(8.0))
+        cts = [x, backend.cmul(x, np.full(8, 2.0)), backend.rot(x, 3)]
+        got = self.map_file(tmp_path, serialize_many(cts), ctx)
+        assert got == cts
+        assert all(type(ct.level) is int for ct in got)
+        base = got[0].slots.base
+        assert all(ct.slots.base is base and not ct.slots.flags.writeable for ct in got)
+        assert self.map_file(tmp_path, b"", ctx) == []
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda b: b + b"\0", "161 bytes is not a whole number of 80-byte"),
+        (lambda b: b[:-1], "159 bytes is not a whole number of 80-byte"),
+    ], ids=["trailing", "truncated"])
+    def test_map_rejects_a_ragged_file(self, backend, tmp_path, edit, match):
+        ctx = ctx8(backend)
+        blob = serialize_many([backend.encrypt(ctx, np.zeros(8))] * 2)
+        with pytest.raises(ValueError, match=match):
+            self.map_file(tmp_path, edit(blob), ctx)
+
+    @pytest.mark.parametrize("field", sorted(HEADER_EDITS))
+    def test_map_raises_what_the_corrupt_cell_alone_raises(self, backend, tmp_path, field):
+        ctx = ctx8(backend)
+        size = serialized_size(8)
+        blob = serialize_many(backend.encrypt(ctx, np.full(8, float(k))) for k in range(5))
+        offset, value = self.HEADER_EDITS[field]
+        bad = _put_u32(blob, 2 * size + offset, value)
+        with pytest.raises(Exception) as alone:
+            deserialize(bad[2 * size:3 * size], ctx)
+        with pytest.raises(type(alone.value)) as mapped:
+            self.map_file(tmp_path, bad, ctx)
+        assert type(mapped.value) is type(alone.value)
+        assert str(mapped.value) == str(alone.value)
+
+    @pytest.mark.parametrize("got", [0, 15])
+    def test_map_names_the_cell_of_a_short_header_read(self, backend, tmp_path,
+                                                       monkeypatch, got):
+        # The file shrank after its size was read: the third header read
+        # comes back short, and the reader names that cell.
+        ctx = ctx8(backend)
+        blob = serialize_many([backend.encrypt(ctx, np.zeros(8))] * 5)
+        pread = os.pread
+
+        def short(fd, n, offset):
+            data = pread(fd, n, offset)
+            return data[:got] if offset == 2 * serialized_size(8) else data
+        monkeypatch.setattr(os, "pread", short)
+        with pytest.raises(ValueError, match=f"^cell 2: read {got} of its 16 header bytes"):
+            self.map_file(tmp_path, blob, ctx)

@@ -2,6 +2,7 @@ import dataclasses
 import os
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from lhecnn.oracle import init_params, plain_backward_step, plain_forward
 from lhecnn.refine import RefineSession
 from lhecnn.tee import BoundaryStats, TeeService
 
-from conftest import PerOpBackend
+from conftest import PerOpBackend, mapping_resident_kb
 
 
 def make_session(cfg, params, seed=0, exact=True, r_mode=1, backend_type=SimulatorBackend):
@@ -463,12 +464,48 @@ class TestPersistence:
         path.write_bytes(edit(path.read_bytes(), size))
 
         def parse(*args):
-            raise AssertionError("a cell was parsed")
-        monkeypatch.setattr("lhecnn.refine.deserialize_many", parse)
+            raise AssertionError("a cell was read")
+        monkeypatch.setattr("lhecnn.refine.map_many", parse)
+        monkeypatch.setattr(os, "pread", parse)
         tee = TeeService(SimulatorBackend(OpMeter()), params, seed=14)
         with pytest.raises(ValueError, match=f"holds {count + stored:g} cells of {size} "
                                              f"bytes, the model has {count}"):
             RefineSession.load(tee, tmp_path / "model")
+
+    def test_load_reads_no_slot(self, tmp_path):
+        # A load reads only the headers: the cells file's mapping has no page
+        # resident until a stage reads the slots, and then about all of them.
+        smaps = Path("/proc/self/smaps")
+        if not smaps.exists():
+            pytest.skip("no /proc/self/smaps")
+        cfg, params = small_cfg(), LheParams(4096, 12)
+        make_session(cfg, params, seed=17).save(tmp_path / "model")
+        (path,) = (tmp_path / "model").glob("cells-*.lhe")
+        tee = TeeService(SimulatorBackend(OpMeter()), params, seed=17)
+        loaded = RefineSession.load(tee, tmp_path / "model")
+        cells = [ct for packed in loaded.filters + loaded.weights
+                 for ct in packed.cells.values()]
+        assert mapping_resident_kb(cells[0].slots) == 0
+        loaded.infer(np.random.default_rng(17).normal(size=(4, 1, 4, 4)))
+        page_kb = os.sysconf("SC_PAGE_SIZE") // 1024
+        assert (path.stat().st_size // 1024 - len(cells) * page_kb
+                <= mapping_resident_kb(cells[0].slots)
+                <= -(-path.stat().st_size // 1024) + page_kb)
+
+    @pytest.mark.parametrize("missing", [("cells",), ("lhe",), ("lhe", "cells")])
+    def test_load_names_every_missing_manifest_key(self, tmp_path, monkeypatch, missing):
+        cfg, params = small_cfg(), LheParams(32, 12)
+        make_session(cfg, params, seed=14).save(tmp_path / "model")
+        manifest = tmp_path / "model" / "session.manifest"
+        manifest.write_text("".join(line for line in manifest.read_text().splitlines(True)
+                                    if line.split(" = ")[0] not in missing))
+        opened = []
+        monkeypatch.setattr("lhecnn.refine.open", lambda *args: opened.append(args),
+                            raising=False)
+        tee = TeeService(SimulatorBackend(OpMeter()), params, seed=14)
+        with pytest.raises(ValueError, match=f"^session manifest lacks {', '.join(missing)}$"):
+            RefineSession.load(tee, tmp_path / "model")
+        assert opened == [] and tee.attested_parties == frozenset()
 
     def test_load_rejects_a_corrupt_cell(self, tmp_path):
         cfg, params = small_cfg(), LheParams(32, 12)

@@ -15,6 +15,12 @@ in MB: the peak pooled working set of a step, less what the session still
 holds (its parameter cells, once a refining round has replaced them).  Peak
 RSS cannot tell two trees in one process apart; this count can.
 
+With ``--loads N`` it first times N loads of the saved session per side, in
+pairs in the same alternating order, and prints each side's median
+``RefineSession.load`` time and the resident kB of the loaded cells file's
+mapping right after a load (the most over the N loads, read from
+``/proc/self/smaps``; "n/a" where that file does not exist).
+
 Pairs run back to back share the host's state, so a change of a few percent
 shows in a few hundred pairs where separate benchmark runs, whose medians
 drift with the host, cannot resolve it.  The workloads are those of
@@ -90,6 +96,25 @@ def free_buffers(backend) -> dict[int, int]:
         return {n: len(free) for n, free in backend._free.items()}
 
 
+def mapping_resident_kb(array: np.ndarray) -> int | None:
+    """Resident kB of the mapping of this process that holds ``array``'s
+    first byte, from ``/proc/self/smaps``; None where that file does not
+    exist."""
+    smaps = Path("/proc/self/smaps")
+    if not smaps.exists():
+        return None
+    address = array.__array_interface__["data"][0]
+    inside = False
+    for line in smaps.read_text().splitlines():
+        head = line.split(None, 1)[0]
+        if "-" in head and not head.endswith(":"):
+            start, end = (int(part, 16) for part in head.split("-"))
+            inside = start <= address < end
+        elif inside and head == "Rss:":
+            return int(line.split()[1])
+    return None
+
+
 def workload(lib, name: str):
     """(model, LHE parameters, r mode, refines) of the named workload."""
     if name == "infer-cnn12":
@@ -116,11 +141,27 @@ def open_side(name: str, lib, wl: str, seed: int, tmp: Path) -> Side:
     return Side(name, lib, session, refine, [])
 
 
-def run(a_src: Path, b_src: Path, wl: str, pairs: int, warmup: int, seed: int) -> dict:
+def load_once(side: Side, wl: str, seed: int, tmp: Path) -> tuple[int, int | None]:
+    """One timed load of ``side``'s saved session: its time in ns, and the
+    resident kB of the mapping that holds its first cell right after it."""
+    lib = side.lib
+    tee = lib.TeeService(lib.SimulatorBackend(lib.OpMeter()), workload(lib, wl)[1], seed=seed)
+    start = time.perf_counter_ns()
+    session = lib.RefineSession.load(tee, tmp / side.name)
+    elapsed = time.perf_counter_ns() - start
+    return elapsed, mapping_resident_kb(next(iter(session.filters[0].cells.values())).slots)
+
+
+def run(a_src: Path, b_src: Path, wl: str, pairs: int, warmup: int, seed: int,
+        loads: int = 0) -> dict:
     tmp = Path(tempfile.mkdtemp(prefix="ab_steps-"))
     try:
         sides = [open_side(name, import_tree(src, f"lhecnn_ab_{name}"), wl, seed, tmp)
                  for name, src in (("a", a_src), ("b", b_src))]
+        loaded = {side.name: [] for side in sides}
+        for index in range(loads):
+            for side in (sides if index % 2 == 0 else sides[::-1]):
+                loaded[side.name].append(load_once(side, wl, seed, tmp))
         cfg = workload(sides[0].lib, wl)[0]
         first = cfg.conv[0]
         rng = np.random.default_rng(seed)
@@ -139,6 +180,12 @@ def run(a_src: Path, b_src: Path, wl: str, pairs: int, warmup: int, seed: int) -
         shutil.rmtree(tmp, ignore_errors=True)
     a_ms, b_ms = ([t / 1e6 for t in side.times_ns] for side in sides)
     ratios = [b / a for a, b in zip(a_ms, b_ms)]
+    load_stats = {}
+    for name, runs in loaded.items():
+        if runs:
+            kbs = [kb for _, kb in runs]
+            load_stats[f"{name}_load_ms"] = statistics.median(ns for ns, _ in runs) / 1e6
+            load_stats[f"{name}_load_kb"] = None if None in kbs else max(kbs)
     return {
         "workload": wl,
         "pairs": pairs,
@@ -148,6 +195,9 @@ def run(a_src: Path, b_src: Path, wl: str, pairs: int, warmup: int, seed: int) -
         "b_won": sum(b < a for a, b in zip(a_ms, b_ms)),
         "same_outputs": same,
         **{f"{side.name}_buffers": free_buffers(side.session.backend) for side in sides},
+        "loads": loads,
+        "loads_b_won": sum(b < a for (a, _), (b, _) in zip(loaded["a"], loaded["b"])),
+        **load_stats,
     }
 
 
@@ -159,11 +209,19 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=200)
     parser.add_argument("--warmup", type=int, default=3, help="untimed pairs first")
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--loads", type=int, default=0,
+                        help="timed loads per side, before the pairs")
     args = parser.parse_args(argv)
-    if args.pairs < 1 or args.warmup < 0:
-        parser.error("--pairs must be positive and --warmup nonnegative")
-    r = run(args.a, args.b, args.workload, args.pairs, args.warmup, args.seed)
+    if args.pairs < 1 or args.warmup < 0 or args.loads < 0:
+        parser.error("--pairs must be positive, --warmup and --loads nonnegative")
+    r = run(args.a, args.b, args.workload, args.pairs, args.warmup, args.seed, args.loads)
     print(f"{r['workload']}: {r['pairs']} pairs")
+    if r["loads"]:
+        for name in "ab":
+            kb = r[f"{name}_load_kb"]
+            print(f"  {name}  load p50 {r[f'{name}_load_ms']:.3f} ms over {r['loads']} loads; "
+                  f"cells mapping resident after a load {'n/a' if kb is None else f'{kb} kB'}")
+        print(f"  b loads faster in {r['loads_b_won']} of {r['loads']} load pairs")
     print(f"  a  p50 {r['a_p50']:.2f} ms  p90 {r['a_p90']:.2f} ms")
     print(f"  b  p50 {r['b_p50']:.2f} ms  p90 {r['b_p90']:.2f} ms")
     for name in "ab":
