@@ -6,13 +6,17 @@ there, each layer function reads its form from its parameters
 raw per-image weight gradients keyed by the parameter cell each updates
 (conv kernel gradients already folded over their grid positions), as a
 :class:`RawGradients` that holds only their operands: each gradient is made
-when :func:`noise_removal_update` packs it, and packed while it is fresh.
-:func:`noise_removal_update` packs them: a signed rotation plan sums
-each gradient over the n parallel inputs into a per-weight slot offset ``p``
-of every n-slot block, and the mask that keeps those slots rides in the same
-call, one :func:`~lhecnn.packing.signed_rotate_sum` per packed ciphertext
-of n gradients for the trusted service to re-encrypt.  After re-encryption,
-one :func:`~lhecnn.packing.signed_rotate_spread` per packed ciphertext keeps
+when :func:`refresh_gradients` packs it, and packed while it is fresh.
+
+The update has two halves, so a caller can run every layer's first half
+before any parameter changes.  :func:`refresh_gradients` packs: a signed
+rotation plan sums each gradient over the n parallel inputs into a
+per-weight slot offset ``p`` of every n-slot block, and the mask that keeps
+those slots rides in the same call, one
+:func:`~lhecnn.packing.signed_rotate_sum` per packed ciphertext of n
+gradients for the trusted service to re-encrypt.  It reads no parameter
+cell.  :func:`apply_refreshed` then runs one
+:func:`~lhecnn.packing.signed_rotate_spread` per refreshed pack, which keeps
 each slot ``p`` again and spreads it back over its blocks, added straight
 into the parameter cell under its gradient's key: the update is a plain
 homomorphic addition.
@@ -24,6 +28,7 @@ mean.
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Callable, Iterator, Mapping
 from dataclasses import replace
 
@@ -95,7 +100,7 @@ def fl_weight_gradients(backend: SimulatorBackend, out_grads: PackedTensor,
     """Raw weight-gradient ciphertexts, keyed by the weight cell each updates:
     the product of output gradient j with cached forward input i, one image
     per slot of each pi-set block, under ``weights.weight_key(j, i)``.
-    :func:`noise_removal_update` sums it over the n images."""
+    :func:`refresh_gradients` sums it over the n images."""
     grads = [out_grads.cells[(j,)] for j in range(weights.out_cts)]
     inputs = [cached_inputs.cells[(i,)] for i in range(weights.in_cts)]
     return RawGradients(backend.mul, {weights.weight_key(j, i): (grad, inp)
@@ -152,7 +157,7 @@ def conv_kernel_gradients(backend: SimulatorBackend, cached_inputs: PackedTensor
     output gradients.  Every pi-set block then holds a partial sum restricted
     to its grid position, so a full rotate-sum folds all blocks: each block
     holds the position total, one image per slot.
-    :func:`noise_removal_update` sums it over the n images.
+    :func:`refresh_gradients` sums it over the n images.
     """
     gamma = filters.filter_side
     n = out_grads.n
@@ -181,7 +186,7 @@ class RawGradients(Mapping):
     """A layer's raw gradients, keyed by the parameter cell each updates, in
     update order.  It holds their operands, not the gradients: each is made
     when it is read, and :meth:`pop` makes it and drops its key, so
-    :func:`noise_removal_update` makes each gradient as its pack takes it."""
+    :func:`refresh_gradients` makes each gradient as its pack takes it."""
 
     def __init__(self, make: Callable[..., Ciphertext], operands: dict[tuple, tuple]):
         self._make = make
@@ -222,13 +227,11 @@ def pack_count(gradient_count: int, n: int) -> int:
     return -(-gradient_count // n)
 
 
-def noise_removal_update(backend: SimulatorBackend, reencrypt,
-                         raw_grads: RawGradients,
-                         target_cells: dict[tuple, Ciphertext],
-                         lr: float, n: int) -> int:
-    """Pack raw gradients, refresh them through ``reencrypt``, unpack/spread,
-    and add each into the parameter ciphertext under its key in
-    ``target_cells``.
+def refresh_gradients(backend: SimulatorBackend, reencrypt,
+                      raw_grads: RawGradients, lr: float,
+                      n: int) -> deque[tuple[list[tuple], Ciphertext]]:
+    """Pack raw gradients and refresh the packs through ``reencrypt``: the
+    first half of the update, which reads and changes no parameter cell.
 
     The gradients go, in the iteration order of ``raw_grads``, n to a packed
     ciphertext: gradient ``idx`` is summed over the n images into slot offset
@@ -237,22 +240,60 @@ def noise_removal_update(backend: SimulatorBackend, reencrypt,
     the spread SGD step additively.  The pack pops each gradient from
     ``raw_grads`` as it takes it, which makes it then, so it is packed while
     it is fresh, and neither it nor its operands are alive at the
-    re-encryption unless the caller holds them elsewhere.  After
-    re-encryption, one :func:`signed_rotate_spread` per packed ciphertext
-    keeps each offset ``p`` again, replicates it over its block and adds it
-    into its gradient's parameter cell.  Returns the number of packed
-    ciphertexts re-encrypted.
+    re-encryption unless the caller holds them elsewhere.  All the packs go
+    to ``reencrypt`` in one call.  Returns each refreshed pack with its
+    gradients' keys, in order, as the queue :func:`apply_refreshed` takes.
+
+    The reply is checked here, so that its spread cannot refuse it once
+    parameter cells have begun to change: raises ValueError, naming both
+    counts, unless it holds one ciphertext per pack sent, and naming the
+    pack, unless each ciphertext has its pack's key and slot count and a
+    level of at least 1 for the spread's mask.
     """
     order = list(raw_grads)
     packs = [order[start:start + n] for start in range(0, len(order), n)]
     packed = [signed_rotate_sum(backend, _Popped(raw_grads, keys), n, -lr / n)
               for keys in packs]
     if not packed:
-        return 0
-
+        return deque()
     fresh = reencrypt(packed)
+    if len(fresh) != len(packed):
+        raise ValueError(f"re-encryption returned {len(fresh)} ciphertexts "
+                         f"for {len(packed)} packs sent")
+    for idx, (ct, pack) in enumerate(zip(fresh, packed)):
+        if (ct.key_id, ct.slot_count) != (pack.key_id, pack.slot_count) or ct.level < 1:
+            raise ValueError(f"re-encrypted pack {idx} of {len(packed)} has key "
+                             f"{ct.key_id!r}, {ct.slot_count} slots and level {ct.level}; "
+                             f"its pack has key {pack.key_id!r} and {pack.slot_count} "
+                             f"slots, and the spread needs a level of at least 1")
+    return deque(zip(packs, fresh))
 
-    for ct, keys in zip(fresh, packs):
-        target_cells.update(zip(keys, signed_rotate_spread(
-            backend, ct, n, [target_cells[key] for key in keys])))
-    return len(packed)
+
+def apply_refreshed(backend: SimulatorBackend,
+                    refreshed: deque[tuple[list[tuple], Ciphertext | list[Ciphertext]]],
+                    target_cells: dict[tuple, Ciphertext], n: int) -> None:
+    """Add each refreshed pack of :func:`refresh_gradients` into the
+    parameter cells under its keys in ``target_cells``: the second half of
+    the update.
+
+    One :func:`signed_rotate_spread` per pack keeps each offset ``p`` again,
+    replicates it over its block and adds it into its gradient's parameter
+    cell.  The new cells take the pack's place at the front of
+    ``refreshed``, then replace the old cells, and leave the queue: the pack
+    and the old cells die on the way, and their buffers go back to the free
+    lists for the next spread.
+
+    Called again with the queue an exception left, it applies each pack
+    exactly once.  An exception before a pack's new cells are queued leaves
+    its old cells in place and the pack at the front, so it is spread again
+    (and its ops metered again); one after that adds the queued cells in
+    again, which changes nothing.
+    """
+    while refreshed:
+        keys, cells = refreshed[0]
+        if isinstance(cells, Ciphertext):  # the pack, not yet spread
+            cells = signed_rotate_spread(backend, cells, n,
+                                         [target_cells[key] for key in keys])
+            refreshed[0] = keys, cells
+        target_cells.update(zip(keys, cells))
+        refreshed.popleft()

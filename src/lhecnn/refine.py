@@ -229,9 +229,12 @@ class RefineSession:
         """Run ``epochs`` passes over the data in batches of n images each.
 
         Each round: forward, TEE loss head, layer-by-layer backward with
-        gradient packing and TEE noise removal, additive parameter update.
-        The labels are checked before anything is encrypted, and a round
-        that raises leaves the parameters as that round found them.
+        gradient packing and TEE noise removal, then the additive parameter
+        update of every layer.  The labels are checked before anything is
+        encrypted, and each round is applied whole or not at all: one that
+        raises before its update (on a re-encryption reply that the update
+        could not spread, say) leaves the parameters as it found them, and
+        one interrupted during its update finishes the update first.
         """
         if not self.filters:
             raise RuntimeError("no model loaded")
@@ -260,19 +263,21 @@ class RefineSession:
         return RefineResult(losses, report, self.tee.stats.since(tee_before), rounds)
 
     def _refine_round(self, images: np.ndarray, labels: np.ndarray, lr: float) -> float:
-        """One round, applied whole or not at all: if anything raises, every
-        parameter cell is put back as it was and the error propagates.
-        Ciphertexts are immutable, so copying the cell dicts suffices."""
-        saved = [dict(packed.cells) for packed in self.filters + self.weights]
-        try:
-            return self._run_round(images, labels, lr)
-        except BaseException:
-            for packed, cells in zip(self.filters + self.weights, saved):
-                packed.cells.clear()
-                packed.cells.update(cells)
-            raise
+        """One round in two phases, so it is applied whole or not at all and
+        holds one model, not two.  The stages (forward, loss head, backward)
+        change no parameter cell: each backward stage keeps only its
+        refreshed gradient packs, so a failure in any stage leaves nothing
+        to restore.  The commit after the last stage then spreads every
+        stage's packs into its parameter cells."""
+        loss, stages = self._run_stages(images, labels, lr)
+        self._commit(stages)
+        return loss
 
-    def _run_round(self, images: np.ndarray, labels: np.ndarray, lr: float) -> float:
+    def _run_stages(self, images: np.ndarray, labels: np.ndarray,
+                    lr: float) -> tuple[float, list[tuple]]:
+        """Forward, loss head and backward stages of a round.  Returns the
+        loss and, per backward stage in order, its meter scope, the parameter
+        cells it updates and its refreshed packs."""
         meter, cfg, geo = self.meter, self.cfg, self.geo
         enc = self.encrypt_inputs(images)
         with meter.scope("enc.labels"):
@@ -287,31 +292,33 @@ class RefineSession:
                                             cfg.fc[-1].outputs)
         del logits, label_ct
         reenc = lambda cts: self.tee.reencrypt_batch(self.party, cts)
+        stages = []
 
         # Each layer's cached tensors are popped as its backward stage starts
         # and dropped once its raw gradients hold the operands they need, so
         # a cached cell dies as the last pack that reads it is made, before
-        # the re-encryption and the spread.  The raw gradients are made only
-        # as the noise-removal update packs them, after the layer's input
-        # gradients: each goes into its pack while it is fresh, and no layer's
-        # gradients are ever all alive at once.
+        # the re-encryption.  The raw gradients are made only as their packs
+        # take them, after the layer's input gradients: each goes into its
+        # pack while it is fresh, and no layer's gradients are ever all
+        # alive at once.
         for k in reversed(range(cfg.f)):
             pre, inputs = cache.fl_pre.pop(), cache.fl_inputs.pop()
-            weights = self.weights[k]
-            with meter.scope(f"bwd.FL{k + 1}"):
+            weights, scope = self.weights[k], f"bwd.FL{k + 1}"
+            with meter.scope(scope):
                 if k < cfg.f - 1:
                     grad = bwd.activation_gradient(self.backend, grad, pre,
                                                    self.exact_activation_grad)
                 raw = bwd.fl_weight_gradients(self.backend, grad, inputs, weights)
                 del pre, inputs
                 grad = bwd.fl_backward(self.backend, grad, weights)
-                bwd.noise_removal_update(self.backend, reenc, raw, weights.cells, lr, cfg.n)
+                stages.append((scope, weights.cells,
+                               bwd.refresh_gradients(self.backend, reenc, raw, lr, cfg.n)))
 
         grad = self._as_conv_grad(grad)
         for l in reversed(range(cfg.c)):
             pre, inputs = cache.conv_pre.pop(), cache.conv_inputs.pop()
-            out_grid = geo.kernel_side_after(l)
-            with meter.scope(f"bwd.CL{l + 1}"):
+            out_grid, scope = geo.kernel_side_after(l), f"bwd.CL{l + 1}"
+            with meter.scope(scope):
                 grad = bwd.activation_gradient(self.backend, grad, pre,
                                                self.exact_activation_grad)
                 raw = bwd.conv_kernel_gradients(self.backend, inputs, grad,
@@ -324,9 +331,31 @@ class RefineSession:
                                              geo.kernel_sides[l])
                 else:
                     del grad  # no later stage reads bwd.CL1's gradients
-                bwd.noise_removal_update(self.backend, reenc, raw, self.filters[l].cells,
-                                         lr, cfg.n)
-        return loss
+                stages.append((scope, self.filters[l].cells,
+                               bwd.refresh_gradients(self.backend, reenc, raw, lr, cfg.n)))
+        return loss, stages
+
+    def _commit(self, stages: list[tuple]) -> None:
+        """Spread each stage's refreshed packs into its parameter cells, in
+        stage order and inside that stage's meter scope.  Each old cell dies
+        as its pack's new cells replace it.  The stages have checked every
+        reply the spreads read, so only an exception from outside the data
+        (a KeyboardInterrupt, say) can stop the commit part-way; it does not
+        leave the round half applied: the packs not yet applied, the
+        interrupted one among them, are applied once each before it
+        propagates.  If the interrupt stopped a spread, that pack is spread
+        again, so the round's meter counts its ops twice."""
+        try:
+            self._apply(stages)
+        except BaseException:
+            self._apply(stages)
+            raise
+
+    def _apply(self, stages: list[tuple]) -> None:
+        """Apply the packs still queued in ``stages``."""
+        for scope, cells, refreshed in stages:
+            with self.meter.scope(scope):
+                bwd.apply_refreshed(self.backend, refreshed, cells, self.cfg.n)
 
     def _as_conv_grad(self, tensor: PackedTensor) -> PackedTensor:
         """Reshape fully-connected input gradients back onto the conv grid."""

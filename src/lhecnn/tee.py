@@ -358,9 +358,15 @@ class TeeSocketClient:
         return self._call(OP_ATTEST, self.party.encode()).decode()
 
     def reencrypt_batch(self, cts: list[Ciphertext]) -> list[Ciphertext]:
+        """Refresh ``cts`` through the service; raises ValueError, naming both
+        counts, unless the reply holds one ciphertext per ciphertext sent."""
         party = self.party.encode()
         body = self._call(OP_REENCRYPT, bytes([len(party)]) + party + serialize_many(cts))
-        return deserialize_many(body, self._ctx)
+        out = deserialize_many(body, self._ctx)
+        if len(out) != len(cts):
+            raise ValueError(f"re-encryption reply holds {len(out)} ciphertexts "
+                             f"for {len(cts)} sent")
+        return out
 
     def loss_head(self, logits: PackedTensor, labels: np.ndarray,
                   classes: int) -> tuple[float, list[Ciphertext]]:

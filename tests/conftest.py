@@ -1,3 +1,4 @@
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -118,24 +119,44 @@ def per_op_unpack_spreads(backend, ct, n, accs):
     return [per_op_select_rotate_add(backend, ct, g, n, acc) for g, acc in enumerate(accs)]
 
 
-def per_op_noise_removal_update(backend, reencrypt, raw_grads, target_cells, lr, n):
-    """``backward.noise_removal_update`` from per-op calls: each gradient, in
+def per_op_refresh_gradients(backend, reencrypt, raw_grads, lr, n):
+    """``backward.refresh_gradients`` from per-op calls: each gradient, in
     insertion order, has its batch sum made by a ``rotate_add`` chain masked
-    by a selector ``cmul`` and added into its pack; each refreshed gradient
-    is masked again, spread by the reversed chain and added into the
-    parameter cell its key names."""
+    by a selector ``cmul`` and added into its pack; the packs are refreshed
+    in one call and queued with their keys."""
     order = list(raw_grads)
     packed = {}
     for idx, key in enumerate(order):
         packed[idx // n] = per_op_rotate_add_select(
             backend, raw_grads.pop(key), idx % n, n, -lr / n, packed.get(idx // n))
-    if not packed:
-        return 0
-    fresh = reencrypt(list(packed.values()))
-    for idx, key in enumerate(order):
-        target_cells[key] = per_op_select_rotate_add(
-            backend, fresh[idx // n], idx % n, n, target_cells[key])
-    return len(packed)
+    fresh = reencrypt(list(packed.values())) if packed else []
+    return deque(zip([order[start:start + n] for start in range(0, len(order), n)], fresh))
+
+
+def per_op_apply_refreshed(backend, refreshed, target_cells, n):
+    """``backward.apply_refreshed`` from per-op calls: each refreshed
+    gradient is masked again, spread by the reversed chain and added into
+    the parameter cell its key names; each pack leaves the queue once
+    applied."""
+    while refreshed:
+        keys, ct = refreshed[0]
+        for g, key in enumerate(keys):
+            target_cells[key] = per_op_select_rotate_add(backend, ct, g, n, target_cells[key])
+        refreshed.popleft()
+
+
+def update_with(refresh, apply):
+    """The whole update from its halves: refresh the packs, then apply them;
+    returns the number of packs re-encrypted."""
+    def update(backend, reencrypt, raw_grads, target_cells, lr, n):
+        refreshed = refresh(backend, reencrypt, raw_grads, lr, n)
+        count = len(refreshed)
+        apply(backend, refreshed, target_cells, n)
+        return count
+    return update
+
+
+per_op_noise_removal_update = update_with(per_op_refresh_gradients, per_op_apply_refreshed)
 
 
 def make_tee(backend, slots=32, levels=8, seed=7, sigma=0.0):

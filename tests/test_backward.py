@@ -13,8 +13,9 @@ from lhecnn.backward import (
     fl_backward,
     fl_weight_gradients,
     RawGradients,
-    noise_removal_update,
+    apply_refreshed,
     pack_count,
+    refresh_gradients,
 )
 from lhecnn.geometry import CnnConfig, ConvLayer, FcLayer, combined_geometry, preset
 from lhecnn.lhe import Ciphertext, LheParams, SimulatorBackend
@@ -31,7 +32,15 @@ from lhecnn.packing import (
 from lhecnn.refine import RefineSession, _ForwardCache
 from lhecnn.tee import TeeService
 
-from conftest import encode_weights, per_op_noise_removal_update
+from conftest import (
+    encode_weights,
+    per_op_apply_refreshed,
+    per_op_noise_removal_update,
+    per_op_refresh_gradients,
+    update_with,
+)
+
+noise_removal_update = update_with(refresh_gradients, apply_refreshed)
 
 
 def made(grads: dict) -> RawGradients:
@@ -312,6 +321,38 @@ class TestNoiseRemovalUpdate:
             noise_removal_update(backend, reenc, raw, target, lr=0.1, n=2)
         assert all(target[k] is before[k] for k in before) and target.keys() == before.keys()
 
+    def test_an_apply_interrupted_after_a_cells_update_adds_each_pack_once(self, backend):
+        # 6 gradients, n = 4: two packs.  The interrupt lands once the first
+        # pack's new cells have replaced the old ones, before the pack leaves
+        # the queue.  Applying the queue again adds that pack in once, as an
+        # uninterrupted apply does.
+        ctx = backend.keygen(LheParams(8, 10), seed=1)
+        grads = {(j,): backend.encrypt(ctx, np.full(8, j + 1.0)) for j in range(6)}
+        start = {key: backend.encrypt(ctx, np.full(8, 0.5)) for key in grads}
+        reenc = lambda cts: [backend.reencrypt(ctx, ct) for ct in cts]
+
+        class InterruptedOnce(dict):
+            updates = 0
+
+            def update(self, *args):
+                super().update(*args)
+                InterruptedOnce.updates += 1
+                if InterruptedOnce.updates == 1:
+                    raise KeyboardInterrupt
+
+        clean, cells = dict(start), InterruptedOnce(start)
+        apply_refreshed(backend, refresh_gradients(backend, reenc, made(grads), 0.1, 4),
+                        clean, 4)
+        refreshed = refresh_gradients(backend, reenc, made(grads), 0.1, 4)
+        with pytest.raises(KeyboardInterrupt):
+            apply_refreshed(backend, refreshed, cells, 4)
+        assert len(refreshed) == 2 and cells[(0,)] is not start[(0,)]
+        apply_refreshed(backend, refreshed, cells, 4)
+        assert not refreshed and InterruptedOnce.updates == 3
+        stored = lambda d: {key: (ct.level, ct.pending_rescale, ct.slots.tobytes())
+                            for key, ct in d.items()}
+        assert stored(cells) == stored(clean)
+
     @pytest.mark.parametrize("count", [11, 3], ids=["three-packs", "part-of-one"])
     def test_matches_the_per_gradient_loop_and_builds_each_selector_once(self, count):
         # n = 4 offsets: 11 gradients fill three packs, the last one partly.
@@ -381,25 +422,40 @@ class TestNoiseRemovalUpdate:
 
     @pytest.mark.parametrize("sigma", [0.0, 1e-6], ids=["noiseless", "noisy"])
     def test_rounds_match_the_per_op_update_byte_for_byte(self, monkeypatch, sigma):
-        # Two refining rounds through the fused update and through the per-op
-        # reference (rotate_add, selector cmul, add): the same model, bit for
-        # bit, and the same op counts.
+        # Two refining rounds through the fused halves of the update and
+        # through their per-op references (rotate_add, selector cmul, add):
+        # the same model, bit for bit, and the same op counts.  Each half is
+        # patched where the round looks it up and counted, so a patch the
+        # round does not reach fails here.
         cfg = CnnConfig((ConvLayer(1, 6, 2, 2, 2),), (FcLayer(18, 4), FcLayer(4, 3)), 4)
         params = LheParams(256, 16, sigma)
         rng = np.random.default_rng(11)
         images = rng.normal(size=(4, 1, 6, 6))
         labels = rng.integers(0, 3, size=4)
 
-        def two_rounds(update):
-            monkeypatch.setattr(backward, "noise_removal_update", update)
+        def two_rounds(refresh, apply):
+            ran = Counter()
+
+            def counted(name, half):
+                def call(*args):
+                    ran[name] += 1
+                    return half(*args)
+                return call
+
+            monkeypatch.setattr(backward, "refresh_gradients", counted("refresh", refresh))
+            monkeypatch.setattr(backward, "apply_refreshed", counted("apply", apply))
             sess = make_session(cfg, params, seed=11)
             for _ in range(2):
                 sess.refine(images, labels, lr=0.2, epochs=1)
             model = sess.decrypted_model()
             return ([a.tobytes() for a in model.filters + model.weights],
-                    sess.meter.checkpoint())
+                    sess.meter.checkpoint()), ran
 
-        assert two_rounds(noise_removal_update) == two_rounds(per_op_noise_removal_update)
+        fused, fused_ran = two_rounds(refresh_gradients, apply_refreshed)
+        per_op, per_op_ran = two_rounds(per_op_refresh_gradients, per_op_apply_refreshed)
+        assert fused == per_op
+        # two rounds of three backward stages, each half once per stage
+        assert fused_ran == per_op_ran == {"refresh": 6, "apply": 6}
 
     def test_lr_zero_leaves_values_unchanged(self):
         cfg = CnnConfig((ConvLayer(1, 4, 2, 2, 2),), (FcLayer(8, 3),), 4)

@@ -380,17 +380,20 @@ class TestWorkingSet:
         sess, pool = self.steady_pool(p.model, LheParams(32768, 10), "auto")
         assert sess.r == 4 and pool == {32768: 41}
 
-    def test_steady_constant_slope_round_peaks_at_552_buffers(self):
-        # A round's peak is every updated layer's old and new cells (the
-        # rollback keeps the old ones to the end) plus bwd.CL1's working set;
-        # after the round the old cells are back in the free lists and the
-        # new ones are held.
+    def test_steady_constant_slope_round_peaks_at_391_buffers(self):
+        # The backward stages change no parameter, and the commit after them
+        # replaces one pack's cells at a time, so a round holds one model,
+        # not two.  Its peak is the commit's bwd.FL1 spread: the 260
+        # parameter cells, the 128 new cells of FL1's one pack beside the
+        # old ones they replace, and the three packs not yet applied.  After
+        # the round the old cells are back in the free lists and the new
+        # ones are held.
         p = preset("refining-2-2")
         sess, pool = self.steady_pool(p.model, p.lhe, 1, refine=True)
         params = [ct for packed in sess.filters + sess.weights
                   for ct in packed.cells.values()]
         assert len(params) == 260 and all(ct._free is not None for ct in params)
-        assert pool == {8192: 552 - 260}
+        assert pool == {8192: 391 - 260}
 
     def test_steady_inference_allocates_little(self):
         sess = session_for(preset("cnn-1-2").model, preset("cnn-1-2").lhe)

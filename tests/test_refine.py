@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lhecnn import backward
 from lhecnn.geometry import CnnConfig, ConvLayer, FcLayer, preset
-from lhecnn.lhe import LevelExhausted, LheParams, SimulatorBackend, serialized_size
+from lhecnn.lhe import Ciphertext, LevelExhausted, LheParams, SimulatorBackend, serialized_size
 from lhecnn.metering import OpMeter
 from lhecnn.oracle import init_params, plain_backward_step, plain_forward
 from lhecnn.refine import RefineSession
@@ -29,6 +30,13 @@ def make_session(cfg, params, seed=0, exact=True, r_mode=1, backend_type=Simulat
 def model_bytes(sess):
     model = sess.decrypted_model()
     return [a.tobytes() for a in model.filters + model.weights]
+
+
+def stored_cells(sess):
+    """Every parameter cell's key, level, rescale flag and slot bytes."""
+    return [(key, ct.level, ct.pending_rescale, ct.slots.tobytes())
+            for packed in sess.filters + sess.weights
+            for key, ct in packed.cells.items()]
 
 
 def small_cfg():
@@ -402,10 +410,85 @@ class TestRefine:
         fresh = make_session(cfg, params, seed=5, exact=False)
         for s in (sess, fresh):
             s.refine(images, labels, lr=0.1)
-        stored = lambda s: [(key, ct.level, ct.pending_rescale, ct.slots.tobytes())
-                            for packed in s.filters + s.weights
-                            for key, ct in packed.cells.items()]
-        assert stored(sess) == stored(fresh)
+        assert stored_cells(sess) == stored_cells(fresh)
+
+    @pytest.mark.parametrize("spoil, match", [
+        (lambda fresh: fresh[:-1], "returned 1 ciphertexts for 2 packs"),
+        (lambda fresh: fresh + fresh[:1], "returned 3 ciphertexts for 2 packs"),
+        (lambda fresh: fresh[:1] + [Ciphertext(fresh[1].slots, 0, fresh[1].key_id)],
+         "pack 1 of 2 has .*level 0"),
+        (lambda fresh: fresh[:1] + [Ciphertext(fresh[1].slots, fresh[1].level, "other")],
+         "pack 1 of 2 has key 'other'"),
+        (lambda fresh: fresh[:1] + [Ciphertext(np.tile(fresh[1].slots, 2), fresh[1].level,
+                                               fresh[1].key_id)],
+         "pack 1 of 2 has .*64 slots"),
+    ], ids=["short", "long", "level-0", "other-key", "other-slot-count"])
+    def test_a_reencryption_reply_the_spread_cannot_take_changes_no_parameter(
+            self, monkeypatch, spoil, match):
+        # bwd.FL1's reply for its two packs, after bwd.FL2's pack was
+        # refreshed, is one ciphertext short or one long, or its second
+        # ciphertext is at level 0 (a socket reply may hold any level up to
+        # the top), under another key or with other slots.  Zipped with the
+        # packs, a short reply would drop updates and a long one would go
+        # unread; the others the spread would refuse only once earlier packs
+        # were in the cells.  The stage refuses each, naming the counts or
+        # the pack, and no parameter cell changes.
+        cfg, params = small_cfg(), LheParams(32, 16)
+        sess = make_session(cfg, params, seed=5, exact=False)
+        cells = [dict(packed.cells) for packed in sess.filters + sess.weights]
+        rng = np.random.default_rng(5)
+        images, labels = rng.normal(size=(4, 1, 4, 4)), rng.integers(0, 3, size=4)
+        reencrypt, sent = sess.tee.reencrypt_batch, []
+
+        def spoiled(party, cts):
+            fresh = reencrypt(party, cts)
+            if sess.meter.current_scope != "bwd.FL1":
+                return fresh
+            sent.append(len(cts))
+            return spoil(fresh)
+
+        monkeypatch.setattr(sess.tee, "reencrypt_batch", spoiled)
+        with pytest.raises(ValueError, match=match):
+            sess.refine(images, labels, lr=0.1)
+        assert sent == [2]
+        for packed, kept in zip(sess.filters + sess.weights, cells):
+            assert packed.cells.keys() == kept.keys()
+            assert all(packed.cells[k] is kept[k] for k in kept)
+
+    @pytest.mark.parametrize("when", ["before", "after"])
+    def test_a_commit_interrupted_at_its_second_spread_applies_the_round_whole(
+            self, monkeypatch, when):
+        # The commit spreads bwd.FL2's pack, then bwd.FL1's two and bwd.CL1's
+        # two.  A KeyboardInterrupt at the second spread, before it runs or
+        # once its cells are made, still propagates, but only after that pack
+        # is spread again and every later one applied: the cells are a clean
+        # round's, and so is the next round.
+        cfg, params = small_cfg(), LheParams(32, 16)
+        rng = np.random.default_rng(5)
+        images, labels = rng.normal(size=(4, 1, 4, 4)), rng.integers(0, 3, size=4)
+        sess, clean = (make_session(cfg, params, seed=5, exact=False) for _ in range(2))
+        clean.refine(images, labels, lr=0.1)
+        spread, scopes = backward.signed_rotate_spread, []
+
+        def interrupted(*args):
+            scopes.append(sess.meter.current_scope)
+            if len(scopes) == 2 and when == "before":
+                raise KeyboardInterrupt
+            out = spread(*args)
+            if len(scopes) == 2:
+                raise KeyboardInterrupt
+            return out
+
+        monkeypatch.setattr(backward, "signed_rotate_spread", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            sess.refine(images, labels, lr=0.1)
+        assert scopes == ["bwd.FL2"] + ["bwd.FL1"] * 3 + ["bwd.CL1"] * 2
+        assert stored_cells(sess) == stored_cells(clean)
+
+        monkeypatch.undo()
+        for s in (sess, clean):
+            s.refine(images, labels, lr=0.1)
+        assert stored_cells(sess) == stored_cells(clean)
 
     @pytest.mark.parametrize("labels, match", [
         ([0, 1, 2, 0, 1, 3, 0, 1], r"integers in \[0, 3\)"),

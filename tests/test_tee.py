@@ -254,6 +254,23 @@ class TestSocketTransport:
         assert loss == want_loss
         assert [g.slots.tobytes() for g in grads] == [g.slots.tobytes() for g in want.cts()]
 
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+    def test_a_reencrypt_reply_of_the_wrong_count_is_rejected(self, backend, tmp_path,
+                                                              monkeypatch, extra):
+        tee = make_tee(backend, slots=16, levels=6)
+        path = str(tmp_path / "tee.sock")
+        ctx = tee.public_context()
+        reencrypt = tee.reencrypt_batch
+        monkeypatch.setattr(tee, "reencrypt_batch", lambda party, cts: (
+            reencrypt(party, cts) + cts)[:len(cts) + extra])
+        cts = [backend.encrypt(ctx, np.full(16, v)) for v in (1.0, 2.0)]
+        with TeeSocketServer(tee, path):
+            client = TeeSocketClient(path, ctx, "remote")
+            client.attest()
+            with pytest.raises(ValueError, match=f"holds {2 + extra} ciphertexts for 2 sent"):
+                client.reencrypt_batch(cts)
+            client.close()
+
     def test_multi_megabyte_batch_round_trips_exactly(self, backend, tmp_path):
         # 64 ciphertexts at S = 8192: a ~4 MB frame each way
         tee = make_tee(backend, slots=8192, levels=6)
