@@ -2,11 +2,13 @@
 
 Gradients flow in the mirror layouts of their forward counterparts, and, as
 there, each layer function reads its form from its parameters
-(:func:`fl_backward` from the weights' kind).  The layer functions return
-raw per-image weight gradients keyed by the parameter cell each updates
-(conv kernel gradients already folded over their grid positions), as a
-:class:`RawGradients` that holds only their operands: each gradient is made
-when :func:`refresh_gradients` packs it, and packed while it is fresh.
+(:func:`fl_backward` from the weights' kind).  The layer functions return a
+layer's raw per-image weight gradients as a plain dict keyed by the
+parameter cell each updates.  Each value is a zero-argument
+``functools.partial`` that makes its gradient (conv kernel gradients come
+out folded over their grid positions), so nothing is computed until
+:func:`refresh_gradients` calls it as the gradient's pack takes it, and each
+gradient is packed while it is fresh.
 
 The update has two halves, so a caller can run every layer's first half
 before any parameter changes.  :func:`refresh_gradients` packs: a signed
@@ -29,8 +31,9 @@ mean.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable, Iterator, Mapping
+from collections.abc import Callable, Iterator
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -96,16 +99,16 @@ def fl_backward(backend: SimulatorBackend, out_grads: PackedTensor,
 
 
 def fl_weight_gradients(backend: SimulatorBackend, out_grads: PackedTensor,
-                        cached_inputs: PackedTensor, weights: PackedWeights) -> RawGradients:
-    """Raw weight-gradient ciphertexts, keyed by the weight cell each updates:
-    the product of output gradient j with cached forward input i, one image
-    per slot of each pi-set block, under ``weights.weight_key(j, i)``.
+                        cached_inputs: PackedTensor,
+                        weights: PackedWeights) -> dict[tuple, Callable[[], Ciphertext]]:
+    """Raw weight gradients, keyed by the weight cell each updates: under
+    ``weights.weight_key(j, i)``, the maker of the product of output gradient
+    j with cached forward input i, one image per slot of each pi-set block.
     :func:`refresh_gradients` sums it over the n images."""
     grads = [out_grads.cells[(j,)] for j in range(weights.out_cts)]
     inputs = [cached_inputs.cells[(i,)] for i in range(weights.in_cts)]
-    return RawGradients(backend.mul, {weights.weight_key(j, i): (grad, inp)
-                                      for j, grad in enumerate(grads)
-                                      for i, inp in enumerate(inputs)})
+    return {weights.weight_key(j, i): partial(backend.mul, grad, inp)
+            for j, grad in enumerate(grads) for i, inp in enumerate(inputs)}
 
 
 # ---------------------------------------------------------------------------
@@ -149,9 +152,10 @@ def conv_backward(backend: SimulatorBackend, out_grads: PackedTensor,
 
 def conv_kernel_gradients(backend: SimulatorBackend, cached_inputs: PackedTensor,
                           out_grads: PackedTensor, filters: PackedFilters,
-                          out_grid: int, stride: int) -> RawGradients:
-    """Raw kernel-gradient ciphertexts for one conv layer, keyed by kernel
-    element ``(k, i, x, y)``.
+                          out_grid: int,
+                          stride: int) -> dict[tuple, Callable[[], Ciphertext]]:
+    """Raw kernel gradients for one conv layer: the maker of each, keyed by
+    kernel element ``(k, i, x, y)``.
 
     Each kernel element correlates the cached inputs it touched with the
     output gradients.  Every pi-set block then holds a partial sum restricted
@@ -172,9 +176,8 @@ def conv_kernel_gradients(backend: SimulatorBackend, cached_inputs: PackedTensor
     def kernel_gradient(window, grads_k):
         return fold_rotate_sum(backend, backend.mul_sum(zip(window, grads_k)), n, blocks)
 
-    return RawGradients(kernel_gradient, {(k, *cell): (window, grads_k)
-                                          for k, grads_k in enumerate(grads)
-                                          for cell, window in windows.items()})
+    return {(k, *cell): partial(kernel_gradient, window, grads_k)
+            for k, grads_k in enumerate(grads) for cell, window in windows.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -182,33 +185,9 @@ def conv_kernel_gradients(backend: SimulatorBackend, cached_inputs: PackedTensor
 # ---------------------------------------------------------------------------
 
 
-class RawGradients(Mapping):
-    """A layer's raw gradients, keyed by the parameter cell each updates, in
-    update order.  It holds their operands, not the gradients: each is made
-    when it is read, and :meth:`pop` makes it and drops its key, so
-    :func:`refresh_gradients` makes each gradient as its pack takes it."""
-
-    def __init__(self, make: Callable[..., Ciphertext], operands: dict[tuple, tuple]):
-        self._make = make
-        self._operands = operands
-
-    def __getitem__(self, key: tuple) -> Ciphertext:
-        return self._make(*self._operands[key])
-
-    def __iter__(self) -> Iterator[tuple]:
-        return iter(self._operands)
-
-    def __len__(self) -> int:
-        return len(self._operands)
-
-    def pop(self, key: tuple) -> Ciphertext:
-        """Make the gradient under ``key`` and drop the key."""
-        return self._make(*self._operands.pop(key))
-
-
 class _Popped:
-    """The gradients under ``keys``, each popped from ``grads`` as it is
-    iterated: a sized iterable that a pack reads once."""
+    """The gradients under ``keys``, each maker popped from ``grads`` and
+    called as it is iterated: a sized iterable that a pack reads once."""
 
     __slots__ = ("grads", "keys")
 
@@ -219,7 +198,7 @@ class _Popped:
         return len(self.keys)
 
     def __iter__(self) -> Iterator[Ciphertext]:
-        return map(self.grads.pop, self.keys)
+        return (self.grads.pop(key)() for key in self.keys)
 
 
 def pack_count(gradient_count: int, n: int) -> int:
@@ -228,7 +207,7 @@ def pack_count(gradient_count: int, n: int) -> int:
 
 
 def refresh_gradients(backend: SimulatorBackend, reencrypt,
-                      raw_grads: RawGradients, lr: float,
+                      raw_grads: dict[tuple, Callable[[], Ciphertext]], lr: float,
                       n: int) -> deque[tuple[list[tuple], Ciphertext]]:
     """Pack raw gradients and refresh the packs through ``reencrypt``: the
     first half of the update, which reads and changes no parameter cell.
@@ -237,9 +216,9 @@ def refresh_gradients(backend: SimulatorBackend, reencrypt,
     ciphertext: gradient ``idx`` is summed over the n images into slot offset
     ``p = idx mod n`` of every block and masked there with scale -lr/n, one
     :func:`signed_rotate_sum` per packed ciphertext, so the parameter receives
-    the spread SGD step additively.  The pack pops each gradient from
-    ``raw_grads`` as it takes it, which makes it then, so it is packed while
-    it is fresh, and neither it nor its operands are alive at the
+    the spread SGD step additively.  The pack pops each gradient's maker
+    from ``raw_grads`` and calls it as it takes the gradient, so it is packed
+    while it is fresh, and neither it nor its operands are alive at the
     re-encryption unless the caller holds them elsewhere.  All the packs go
     to ``reencrypt`` in one call.  Returns each refreshed pack with its
     gradients' keys, in order, as the queue :func:`apply_refreshed` takes.

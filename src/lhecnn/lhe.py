@@ -664,17 +664,10 @@ def deserialize(data, ctx: KeyContext) -> Ciphertext:
     slots are a read-only view of ``data``: no copy on a little-endian host."""
     if len(data) < HEADER.size:
         raise ValueError("truncated ciphertext header")
-    magic, s, level, key_hash = HEADER.unpack_from(data)
-    if magic != MAGIC:
-        raise ValueError(f"bad magic {magic!r}")
-    if s != ctx.params.slot_count:
-        raise ValueError(f"ciphertext holds {s} slots, expected {ctx.params.slot_count}")
-    if len(data) != serialized_size(s):
-        raise ValueError(f"expected {serialized_size(s)} bytes, got {len(data)}")
-    if key_hash != ctx.key_hash:
-        raise KeyMismatch("serialized ciphertext written under a different key")
-    if not 0 <= level <= ctx.params.top_level:
-        raise ValueError(f"level {level} outside [0, {ctx.params.top_level}]")
+    (level,) = _check_headers(memoryview(data)[:HEADER.size], HEADER.size, ctx)
+    if len(data) != serialized_size(ctx.params.slot_count):
+        raise ValueError(f"expected {serialized_size(ctx.params.slot_count)} bytes, "
+                         f"got {len(data)}")
     slots = np.frombuffer(data, dtype="<f8", offset=HEADER.size).astype(np.float64,
                                                                           copy=False)
     return Ciphertext(slots, level, ctx.key_id)
@@ -693,24 +686,28 @@ def write_many(fh, cts: Iterable[Ciphertext]) -> None:
         fh.write(serialize(ct))
 
 
-def _check_headers(headers: bytes, itemsize: int, ctx: KeyContext, cell) -> list[int]:
+def _check_headers(headers, itemsize: int, ctx: KeyContext) -> list[int]:
     """The levels of the cell headers that begin every ``itemsize`` bytes of
-    ``headers``, after checking them together, one vectorised comparison per
-    field.  When one fails, :func:`deserialize` parses ``cell(k)``, the bytes
-    of the first cell ``k`` that fails, so the error is the one that cell
-    alone raises."""
+    ``headers``, after the wire format's header rule: magic, slot count, key
+    hash and a level in ``0..top_level``, each field checked for every header
+    at once.  The first cell that fails raises the error of its first
+    failing field, in that order."""
     fields = np.frombuffer(headers, np.dtype({
         "names": ["magic", "slots", "level", "key_hash"], "formats": ["<u4"] * 4,
         "offsets": [0, 4, 8, 12], "itemsize": itemsize}))
-    bad = ((fields["magic"] != int.from_bytes(MAGIC, "little"))
-           | (fields["slots"] != ctx.params.slot_count)
-           | (fields["key_hash"] != ctx.key_hash)
-           | (fields["level"] > ctx.params.top_level))
+    magic, slots, levels = fields["magic"], fields["slots"], fields["level"]
+    s, top = ctx.params.slot_count, ctx.params.top_level
+    failed = [magic != int.from_bytes(MAGIC, "little"), slots != s,
+              fields["key_hash"] != ctx.key_hash, levels > top]
+    bad = np.logical_or.reduce(failed)
     if bad.any():
         k = int(bad.argmax())
-        deserialize(cell(k), ctx)  # raises that cell's error
-        raise ValueError(f"cell {k} changed while it was read")
-    return fields["level"].tolist()
+        errors = [ValueError(f"bad magic {int(magic[k]).to_bytes(4, 'little')!r}"),
+                  ValueError(f"ciphertext holds {slots[k]} slots, expected {s}"),
+                  KeyMismatch("serialized ciphertext written under a different key"),
+                  ValueError(f"level {levels[k]} outside [0, {top}]")]
+        raise next(error for fails, error in zip(failed, errors) if fails[k])
+    return levels.tolist()
 
 
 def _cell_count(nbytes: int, size: int) -> int:
@@ -740,8 +737,7 @@ def deserialize_many(buffer, ctx: KeyContext) -> list[Ciphertext]:
     size = serialized_size(ctx.params.slot_count)
     if not _cell_count(len(view), size):
         return []
-    return _views(view, _check_headers(view, size, ctx,
-                                       lambda k: view[k * size:(k + 1) * size]), ctx)
+    return _views(view, _check_headers(view, size, ctx), ctx)
 
 
 def map_many(fh, ctx: KeyContext) -> list[Ciphertext]:
@@ -767,5 +763,5 @@ def map_many(fh, ctx: KeyContext) -> list[Ciphertext]:
         k = next(k for k, head in enumerate(heads) if len(head) != HEADER.size)
         raise ValueError(f"cell {k}: read {len(heads[k])} of its {HEADER.size} header "
                          f"bytes; the file shrank while it was read")
-    levels = _check_headers(headers, HEADER.size, ctx, lambda k: os.pread(fd, size, k * size))
+    levels = _check_headers(headers, HEADER.size, ctx)
     return _views(mmap.mmap(fd, count * size, access=mmap.ACCESS_READ), levels, ctx)

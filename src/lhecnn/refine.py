@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -76,17 +76,6 @@ class RefineResult:
     report: OpReport
     tee_delta: BoundaryStats
     rounds: int
-
-
-@dataclass
-class _ForwardCache:
-    """What the backward pass reads, one entry per layer.  A pre-activation
-    is ``None`` unless activation gradients are exact."""
-
-    conv_inputs: list[PackedTensor] = field(default_factory=list)
-    conv_pre: list[PackedTensor | None] = field(default_factory=list)
-    fl_inputs: list[PackedTensor] = field(default_factory=list)
-    fl_pre: list[PackedTensor | None] = field(default_factory=list)
 
 
 class RefineSession:
@@ -171,37 +160,34 @@ class RefineSession:
                                  self.layouts[0], self.r)
 
     def _forward(self, tensor: PackedTensor,
-                 cache: _ForwardCache | None = None) -> PackedTensor:
-        """Forward pass to the logits.  With a ``cache``, each layer's input
-        goes into it, and so does its pre-activation when activation
-        gradients are exact (they read them), as the cache's own dict of the
-        same cells; otherwise ``None``.  Every other ciphertext is dropped once
-        its last reader is done: each square consumes its pre-activations."""
+                 cache: list[tuple] | None = None) -> PackedTensor:
+        """Forward pass to the logits.  With a ``cache``, each layer appends
+        the pair (input, pre-activation) to it, conv layers first.  The
+        pre-activation is ``None`` unless activation gradients are exact
+        (they read it); then it is the layer's output under a dict of its
+        own, as the square empties the output's.  Every other ciphertext is
+        dropped once its last reader is done: each square consumes its
+        pre-activations."""
         meter, geo, cfg = self.meter, self.geo, self.cfg
         keep = self.exact_activation_grad
         square_idx = 0
         for l, layer in enumerate(cfg.conv):
-            if cache is not None:
-                cache.conv_inputs.append(tensor)
-            out_grid = geo.kernel_side_after(l)
             with meter.scope(f"CL{l + 1}"):
-                tensor = fwd.conv_forward(self.backend, tensor, self.filters[l],
-                                          out_grid, layer.stride)
+                out = fwd.conv_forward(self.backend, tensor, self.filters[l],
+                                       geo.kernel_side_after(l), layer.stride)
             if cache is not None:
-                cache.conv_pre.append(replace(tensor, cells=dict(tensor.cells))
-                                      if keep else None)
+                cache.append((tensor, replace(out, cells=dict(out.cells)) if keep else None))
+            tensor = out
             square_idx += 1
             with meter.scope(f"Square{square_idx}"):
                 tensor = fwd.square_activation(self.backend, tensor)
         tensor = as_fl_input(tensor)
         for k in range(cfg.f):
-            if cache is not None:
-                cache.fl_inputs.append(tensor)
             with meter.scope(f"FL{k + 1}"):
-                tensor = fwd.fl_forward(self.backend, tensor, self.weights[k])
+                out = fwd.fl_forward(self.backend, tensor, self.weights[k])
             if cache is not None:
-                cache.fl_pre.append(replace(tensor, cells=dict(tensor.cells))
-                                    if keep else None)
+                cache.append((tensor, replace(out, cells=dict(out.cells)) if keep else None))
+            tensor = out
             if k < cfg.f - 1:  # no activation after the final layer
                 square_idx += 1
                 with meter.scope(f"Square{square_idx}"):
@@ -284,7 +270,7 @@ class RefineSession:
             vec = np.zeros(self.params.slot_count)
             vec[:cfg.n] = labels
             label_ct = self.backend.encrypt(self.ctx, vec)
-        cache = _ForwardCache()
+        cache = []
         logits = self._forward(enc, cache)
         del enc  # the cache holds the inputs for as long as bwd.CL1 reads them
         with meter.scope("tee.loss_head"):
@@ -294,15 +280,16 @@ class RefineSession:
         reenc = lambda cts: self.tee.reencrypt_batch(self.party, cts)
         stages = []
 
-        # Each layer's cached tensors are popped as its backward stage starts
-        # and dropped once its raw gradients hold the operands they need, so
-        # a cached cell dies as the last pack that reads it is made, before
-        # the re-encryption.  The raw gradients are made only as their packs
-        # take them, after the layer's input gradients: each goes into its
+        # Each layer's (input, pre-activation) pair is popped from the end of
+        # the cache as its backward stage starts, fc layers first, and
+        # dropped once the makers of its raw gradients hold the operands
+        # they need, so a cached cell dies as the last pack that reads it is
+        # made, before the re-encryption.  The packs call the makers after
+        # the layer's input gradients are made: each gradient goes into its
         # pack while it is fresh, and no layer's gradients are ever all
         # alive at once.
         for k in reversed(range(cfg.f)):
-            pre, inputs = cache.fl_pre.pop(), cache.fl_inputs.pop()
+            inputs, pre = cache.pop()
             weights, scope = self.weights[k], f"bwd.FL{k + 1}"
             with meter.scope(scope):
                 if k < cfg.f - 1:
@@ -316,7 +303,7 @@ class RefineSession:
 
         grad = self._as_conv_grad(grad)
         for l in reversed(range(cfg.c)):
-            pre, inputs = cache.conv_pre.pop(), cache.conv_inputs.pop()
+            inputs, pre = cache.pop()
             out_grid, scope = geo.kernel_side_after(l), f"bwd.CL{l + 1}"
             with meter.scope(scope):
                 grad = bwd.activation_gradient(self.backend, grad, pre,
@@ -364,13 +351,11 @@ class RefineSession:
                             self.geo.seg_slots)
 
     def expected_reencryptions_per_round(self) -> int:
-        """Loss-head outputs plus one per packed gradient ciphertext."""
+        """Loss-head outputs plus one per packed gradient ciphertext, where
+        each parameter cell takes one gradient."""
         total = self.weights[-1].out_cts
-        for w in self.weights:
-            total += bwd.pack_count(w.out_cts * w.in_cts, self.cfg.n)
-        for layer in self.cfg.conv:
-            total += bwd.pack_count(layer.filters * layer.channels * layer.filter_side**2,
-                                    self.cfg.n)
+        for packed in self.filters + self.weights:
+            total += bwd.pack_count(len(packed.cells), self.cfg.n)
         return total
 
     # -- persistence ---------------------------------------------------------

@@ -128,7 +128,7 @@ def per_op_refresh_gradients(backend, reencrypt, raw_grads, lr, n):
     packed = {}
     for idx, key in enumerate(order):
         packed[idx // n] = per_op_rotate_add_select(
-            backend, raw_grads.pop(key), idx % n, n, -lr / n, packed.get(idx // n))
+            backend, raw_grads.pop(key)(), idx % n, n, -lr / n, packed.get(idx // n))
     fresh = reencrypt(list(packed.values())) if packed else []
     return deque(zip([order[start:start + n] for start in range(0, len(order), n)], fresh))
 

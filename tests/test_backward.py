@@ -1,6 +1,7 @@
 import gc
 import tracemalloc
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from lhecnn.backward import (
     conv_kernel_gradients,
     fl_backward,
     fl_weight_gradients,
-    RawGradients,
     apply_refreshed,
     pack_count,
     refresh_gradients,
@@ -29,7 +29,7 @@ from lhecnn.packing import (
     encode_inputs,
     signed_rotate_sum,
 )
-from lhecnn.refine import RefineSession, _ForwardCache
+from lhecnn.refine import RefineSession
 from lhecnn.tee import TeeService
 
 from conftest import (
@@ -43,9 +43,10 @@ from conftest import (
 noise_removal_update = update_with(refresh_gradients, apply_refreshed)
 
 
-def made(grads: dict) -> RawGradients:
-    """Gradients already made, as the update takes them: each popped as is."""
-    return RawGradients(lambda ct: ct, {key: (ct,) for key, ct in grads.items()})
+def made(grads: dict) -> dict:
+    """Gradients already made, as the update takes them: each maker returns
+    its ciphertext as is."""
+    return {key: partial(lambda ct: ct, ct) for key, ct in grads.items()}
 
 
 def make_session(cfg, params, seed=0, exact=True):
@@ -141,7 +142,7 @@ class TestFlWeightGradients:
                                  "type1", n=2, in_cts=1, pi_per_ct=4)
         raw = fl_weight_gradients(backend, out_g, inp, weights)
         p = 0  # (j*in_cts + i) mod n = 0: the first gradient of its pack
-        got = backend.decrypt(ctx, signed_rotate_sum(backend, [raw[(0, 0)]], 2, 1.0))
+        got = backend.decrypt(ctx, signed_rotate_sum(backend, [raw[(0, 0)]()], 2, 1.0))
         assert got[0 * 2 + p] == 3 * 1 + 3 * 2
         assert got[1 * 2 + p] == 3 * 10 + 3 * 20
         assert got[2 * 2 + p] == 3 * 100 + 3 * 200
@@ -155,7 +156,7 @@ class TestFlWeightGradients:
         weights = encode_weights(backend, ctx, np.ones((1, 4)),
                                  "type1", n=2, in_cts=1, pi_per_ct=4)
         raw = fl_weight_gradients(backend, out_g, inp, weights)
-        assert all(np.array_equal(ct.slots, np.zeros(8)) for ct in raw.values())
+        assert all(np.array_equal(make().slots, np.zeros(8)) for make in raw.values())
 
     def test_gradient_matches_oracle_batch_sum(self):
         cfg = CnnConfig((ConvLayer(1, 4, 2, 2, 2),),
@@ -169,21 +170,55 @@ class TestFlWeightGradients:
         _, grads, _ = plain_gradients(cfg, plain, images, labels)
 
         enc = sess.encrypt_inputs(images)
-        cache = _ForwardCache()
+        cache = []
         logits = sess._forward(enc, cache)
         vec = np.zeros(params.slot_count)
         vec[:4] = labels
         label_ct = sess.backend.encrypt(sess.ctx, vec)
         _, g = sess.tee.loss_head(sess.party, logits, label_ct, 3)
-        raw = fl_weight_gradients(sess.backend, g, cache.fl_inputs[1], sess.weights[1])
+        raw = fl_weight_gradients(sess.backend, g, cache[2][0], sess.weights[1])
         # FL2 is type II: gradient for weight (row w, col i) sits in the batch
-        # sum of raw[(i, 0)], its type II cell, packed as gradient i of 4: at
+        # sum of raw[(i, 0)](), its type II cell, packed as gradient i of 4: at
         # slot w*n + i
-        summed = signed_rotate_sum(sess.backend, [raw[(i, 0)] for i in range(4)], 4, 1.0)
+        summed = signed_rotate_sum(sess.backend, [raw[(i, 0)]() for i in range(4)], 4, 1.0)
         slots = sess.tee.backend.decrypt(sess.tee._ctx, summed)
         for i in range(4):
             for w in range(3):
                 assert abs(slots[w * 4 + i] - grads.weights[1][w, i]) < 1e-9
+
+
+class TestGradientMakers:
+    @pytest.mark.parametrize("layer", ["fc", "conv"])
+    def test_a_layers_gradients_are_made_only_as_its_packs_call_them(self, backend, layer):
+        # Building the dict, its length, iterating it and `in` make no
+        # gradient; the update's packs make each one once.
+        ctx = backend.keygen(LheParams(8, 10), seed=1)
+        if layer == "fc":
+            out_g = PackedTensor({(j,): backend.encrypt(ctx, np.full(8, j + 1.0))
+                                  for j in range(3)}, FL_TYPE2, 2, pi_sets=1)
+            inp = PackedTensor({(i,): backend.encrypt(ctx, np.arange(8.0) + i)
+                                for i in range(2)}, FL_TYPE1, 2, pi_sets=2)
+            params = encode_weights(backend, ctx, np.ones((3, 4)), "type1", n=2,
+                                    in_cts=2, pi_per_ct=2)
+            build = lambda: fl_weight_gradients(backend, out_g, inp, params)
+        else:
+            cfg = CnnConfig((ConvLayer(1, 4, 1, 2, 2),), (FcLayer(4, 2),), 2)
+            geo = combined_geometry(cfg, LheParams(8, 10))
+            inputs = encode_inputs(backend, ctx, np.ones((2, 1, 4, 4)), geo)
+            params = encode_filters(backend, ctx, np.ones((1, 1, 2, 2)), geo)
+            g = PackedTensor({(0, 0, 0): backend.encrypt(ctx, np.full(8, 0.5))},
+                             "conv-basic", 2, geo.grid_side, geo.seg_slots)
+            build = lambda: conv_kernel_gradients(backend, inputs, g, params, 1, 2)
+        mark = backend.meter.checkpoint()
+        raw = build()
+        keys = list(raw)
+        assert len(raw) == len(params.cells) and all(key in raw for key in keys)
+        assert not backend.meter.since(mark)
+        reenc = lambda cts: [backend.reencrypt(ctx, ct) for ct in cts]
+        assert noise_removal_update(backend, reenc, raw, params.cells, 0.1, 2) == len(keys) // 2
+        muls = sum(count for (_, kind, _), count in backend.meter.since(mark).items()
+                   if kind == "mul")
+        assert muls == len(keys) and not raw  # one product per gradient, each made once
 
 
 class TestNoiseRemovalUpdate:
@@ -531,7 +566,7 @@ class TestConvKernelGradients:
         g = PackedTensor({(0, 0, 0): backend.encrypt(ctx, np.zeros(8))},
                          "conv-basic", 2, geo.grid_side, geo.seg_slots)
         raw = conv_kernel_gradients(backend, inputs, g, filters, 1, 2)
-        assert all(np.array_equal(ct.slots, np.zeros(8)) for ct in raw.values())
+        assert all(np.array_equal(make().slots, np.zeros(8)) for make in raw.values())
 
     def test_offset_assignment_covers_all_residues(self):
         # flat kernel index mod n must hit every offset when there are >= n
@@ -556,7 +591,7 @@ class TestConvKernelGradients:
         _, grads, _ = plain_gradients(cfg, plain, images, labels)
 
         enc = sess.encrypt_inputs(images)
-        cache = _ForwardCache()
+        cache = []
         logits = sess._forward(enc, cache)
         vec = np.zeros(params.slot_count)
         vec[:4] = labels
@@ -565,8 +600,9 @@ class TestConvKernelGradients:
         # propagate through the only fc layer, then the conv activation
         g = fl_backward(sess.backend, g, sess.weights[0])
         g = sess._as_conv_grad(g)
-        g = activation_gradient(sess.backend, g, cache.conv_pre[0], exact=True)
-        raw = conv_kernel_gradients(sess.backend, cache.conv_inputs[0], g,
+        inputs, pre = cache[0]
+        g = activation_gradient(sess.backend, g, pre, exact=True)
+        raw = conv_kernel_gradients(sess.backend, inputs, g,
                                     sess.filters[0], sess.geo.kernel_side_after(0),
                                     delta)
         n, keys = cfg.n, list(raw)
@@ -574,7 +610,7 @@ class TestConvKernelGradients:
         assert keys == sorted(keys)
         for start in range(0, len(keys), n):
             pack = keys[start:start + n]
-            summed = signed_rotate_sum(sess.backend, [raw[key] for key in pack], n, 1.0)
+            summed = signed_rotate_sum(sess.backend, [raw[key]() for key in pack], n, 1.0)
             slots = sess.tee.backend.decrypt(sess.tee._ctx, summed)
             for idx, key in enumerate(pack):
                 want = grads.filters[0][key]

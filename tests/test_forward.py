@@ -20,7 +20,7 @@ from lhecnn.packing import (
     encode_filters,
     encode_inputs,
 )
-from lhecnn.refine import RefineSession, _ForwardCache
+from lhecnn.refine import RefineSession
 from lhecnn.tee import TeeService
 
 from conftest import encode_weights
@@ -64,12 +64,12 @@ class TestConvForward:
         sess = session_for(cfg, params)
         rng = np.random.default_rng(0)
         enc = sess.encrypt_inputs(rng.normal(size=(2, 1, 4, 4)))
-        cache = _ForwardCache()
+        cache = []
         sess._forward(enc, cache)
         top = params.top_level
-        for l, pre in enumerate(cache.conv_pre):
+        for l, (inputs, pre) in enumerate(cache[:2]):
             assert pre.level() == top - 2 * l - 1
-            assert cache.conv_inputs[l].level() == top - 2 * l
+            assert inputs.level() == top - 2 * l
 
     def test_oracle_equivalence_basic(self):
         cfg = CnnConfig((ConvLayer(2, 7, 3, 3, 2), ConvLayer(3, 3, 2, 2, 1)),
@@ -245,12 +245,13 @@ class TestFlForward:
         sess = session_for(cfg, LheParams(16, 10))
         rng = np.random.default_rng(5)
         enc = sess.encrypt_inputs(rng.normal(size=(2, 1, 4, 4)))
-        cache = _ForwardCache()
+        cache = []
         sess._forward(enc, cache)
-        assert cache.fl_inputs[0].layout == FL_TYPE1
-        assert cache.fl_pre[0].layout == FL_TYPE2   # type I output
-        assert cache.fl_inputs[1].layout == FL_TYPE2
-        assert cache.fl_pre[1].layout == FL_TYPE1   # type II output
+        (fl1_in, fl1_pre), (fl2_in, fl2_pre) = cache[1:]
+        assert fl1_in.layout == FL_TYPE1
+        assert fl1_pre.layout == FL_TYPE2   # type I output
+        assert fl2_in.layout == FL_TYPE2
+        assert fl2_pre.layout == FL_TYPE1   # type II output
 
     @pytest.mark.parametrize("kind,expected,other",
                              [("type1", FL_TYPE1, FL_TYPE2), ("type2", FL_TYPE2, FL_TYPE1)])

@@ -87,15 +87,6 @@ class Side:
         return np.asarray(out).tobytes()
 
 
-def free_buffers(backend) -> dict[int, int]:
-    """Slot buffers in ``backend``'s free lists, per slot count.  Trees older
-    than ``SimulatorBackend.free_buffers`` are read from their free lists."""
-    try:
-        return backend.free_buffers
-    except AttributeError:
-        return {n: len(free) for n, free in backend._free.items()}
-
-
 def mapping_resident_kb(array: np.ndarray) -> int | None:
     """Resident kB of the mapping of this process that holds ``array``'s
     first byte, from ``/proc/self/smaps``; None where that file does not
@@ -194,7 +185,7 @@ def run(a_src: Path, b_src: Path, wl: str, pairs: int, warmup: int, seed: int,
         "median_ratio": statistics.median(ratios),
         "b_won": sum(b < a for a, b in zip(a_ms, b_ms)),
         "same_outputs": same,
-        **{f"{side.name}_buffers": free_buffers(side.session.backend) for side in sides},
+        **{f"{side.name}_buffers": side.session.backend.free_buffers for side in sides},
         "loads": loads,
         "loads_b_won": sum(b < a for (a, _), (b, _) in zip(loaded["a"], loaded["b"])),
         **load_stats,
