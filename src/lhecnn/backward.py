@@ -18,10 +18,10 @@ those slots rides in the same call, one
 :func:`~lhecnn.packing.signed_rotate_sum` per packed ciphertext of n
 gradients for the trusted service to re-encrypt.  It reads no parameter
 cell.  :func:`apply_refreshed` then runs one
-:func:`~lhecnn.packing.signed_rotate_spread` per refreshed pack, which keeps
-each slot ``p`` again and spreads it back over its blocks, added straight
-into the parameter cell under its gradient's key: the update is a plain
-homomorphic addition.
+:func:`~lhecnn.packing.signed_rotate_spread` per gradient of a refreshed
+pack, which keeps its slot ``p`` again and spreads it back over its blocks,
+added straight into the parameter cell under its key, and replaces that cell
+at once: the update is a plain homomorphic addition.
 
 The descent sign and learning-rate scaling ride in the packing mask (scale
 -lr/n at the kept slots), so the additive update performs SGD on the batch
@@ -208,7 +208,7 @@ def pack_count(gradient_count: int, n: int) -> int:
 
 def refresh_gradients(backend: SimulatorBackend, reencrypt,
                       raw_grads: dict[tuple, Callable[[], Ciphertext]], lr: float,
-                      n: int) -> deque[tuple[list[tuple], Ciphertext]]:
+                      n: int) -> deque[tuple[tuple, Ciphertext, int]]:
     """Pack raw gradients and refresh the packs through ``reencrypt``: the
     first half of the update, which reads and changes no parameter cell.
 
@@ -220,8 +220,9 @@ def refresh_gradients(backend: SimulatorBackend, reencrypt,
     from ``raw_grads`` and calls it as it takes the gradient, so it is packed
     while it is fresh, and neither it nor its operands are alive at the
     re-encryption unless the caller holds them elsewhere.  All the packs go
-    to ``reencrypt`` in one call.  Returns each refreshed pack with its
-    gradients' keys, in order, as the queue :func:`apply_refreshed` takes.
+    to ``reencrypt`` in one call.  Returns the queue :func:`apply_refreshed`
+    takes: one entry ``(key, pack, g)`` per gradient, in order, naming its
+    refreshed pack and its offset in it.
 
     The reply is checked here, so that its spread cannot refuse it once
     parameter cells have begun to change: raises ValueError, naming both
@@ -230,9 +231,8 @@ def refresh_gradients(backend: SimulatorBackend, reencrypt,
     level of at least 1 for the spread's mask.
     """
     order = list(raw_grads)
-    packs = [order[start:start + n] for start in range(0, len(order), n)]
-    packed = [signed_rotate_sum(backend, _Popped(raw_grads, keys), n, -lr / n)
-              for keys in packs]
+    packed = [signed_rotate_sum(backend, _Popped(raw_grads, order[start:start + n]), n, -lr / n)
+              for start in range(0, len(order), n)]
     if not packed:
         return deque()
     fresh = reencrypt(packed)
@@ -245,34 +245,34 @@ def refresh_gradients(backend: SimulatorBackend, reencrypt,
                              f"{ct.key_id!r}, {ct.slot_count} slots and level {ct.level}; "
                              f"its pack has key {pack.key_id!r} and {pack.slot_count} "
                              f"slots, and the spread needs a level of at least 1")
-    return deque(zip(packs, fresh))
+    return deque((key, fresh[idx // n], idx % n) for idx, key in enumerate(order))
 
 
 def apply_refreshed(backend: SimulatorBackend,
-                    refreshed: deque[tuple[list[tuple], Ciphertext | list[Ciphertext]]],
+                    refreshed: deque[tuple[tuple, Ciphertext, int | None]],
                     target_cells: dict[tuple, Ciphertext], n: int) -> None:
-    """Add each refreshed pack of :func:`refresh_gradients` into the
-    parameter cells under its keys in ``target_cells``: the second half of
+    """Add each refreshed gradient of :func:`refresh_gradients` into the
+    parameter cell under its key in ``target_cells``: the second half of
     the update.
 
-    One :func:`signed_rotate_spread` per pack keeps each offset ``p`` again,
-    replicates it over its block and adds it into its gradient's parameter
-    cell.  The new cells take the pack's place at the front of
-    ``refreshed``, then replace the old cells, and leave the queue: the pack
-    and the old cells die on the way, and their buffers go back to the free
+    One :func:`signed_rotate_spread` per gradient keeps its offset ``g`` of
+    the pack again, replicates it over its block and adds it into the
+    parameter cell.  The new cell takes the entry's place at the front of
+    ``refreshed`` (its offset ``None``), then replaces the old cell, and
+    leaves the queue: each old cell dies as its new one is made, and a pack
+    once its last gradient is spread, so their buffers go back to the free
     lists for the next spread.
 
-    Called again with the queue an exception left, it applies each pack
-    exactly once.  An exception before a pack's new cells are queued leaves
-    its old cells in place and the pack at the front, so it is spread again
-    (and its ops metered again); one after that adds the queued cells in
-    again, which changes nothing.
+    Called again with the queue an exception left, it applies each gradient
+    exactly once.  An exception before a gradient's new cell is queued
+    leaves its old cell in place and the entry at the front, so that one
+    gradient is spread again (and its ops metered again); one after that
+    assigns the queued cell again, which changes nothing.
     """
     while refreshed:
-        keys, cells = refreshed[0]
-        if isinstance(cells, Ciphertext):  # the pack, not yet spread
-            cells = signed_rotate_spread(backend, cells, n,
-                                         [target_cells[key] for key in keys])
-            refreshed[0] = keys, cells
-        target_cells.update(zip(keys, cells))
+        key, cell, g = refreshed[0]
+        if g is not None:  # the pack, not yet spread
+            cell = signed_rotate_spread(backend, cell, n, g, target_cells[key])
+            refreshed[0] = key, cell, None
+        target_cells[key] = cell
         refreshed.popleft()

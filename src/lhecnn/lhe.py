@@ -35,23 +35,23 @@ Batched primitives run the pipeline's hot patterns with fewer Python calls
 and the same arithmetic: ``mul_sum`` is the left fold of products
 ``a0*b0 + a1*b1 + ...`` (kernel windows, weight rows, and every term an input
 gradient cell gathers), and ``rotate_add`` is a chain ``v <- v + rot(v, s)``
-over a list of shifts (the folds).  Two more run the noise-removal update a
-packed ciphertext at a time with its mask folded in, computing only the slots
-that survive it: ``pack_sums`` sums the n-slot blocks of up to n gradients,
-gradient g into offset g, and keeps those slots times a scale, and
-``unpack_spreads`` spreads offset g of a refreshed pack over its block, into
-gradient g's parameter cell.  ``pack_sums`` reads its gradients once, in
-order, so the update makes each one only as the pack takes it, and packs it
-while its slots are still in cache.  Each primitive gives the level and
-rescale flag of the per-op calls it stands for, their slots (the masked two
-up to the sign of an exact zero), and meters the same ops at the same
-levels.  The Python cost of a call is kept off its terms and steps: operand
-keys and slot counts are checked inline, falling back to the per-op checks
-only to raise their errors, and the counts are tallied per level and
-recorded once per kind and level through :meth:`OpMeter.record_many`.  Only
-the spread makes its rotations through :meth:`SimulatorBackend.rot`, one per
-chain step, so that a traced backend can count them; no other chain step
-makes a ``rot`` call.
+over a list of shifts (the folds).  Two more run the noise-removal update
+with its mask folded in, computing only the slots that survive it:
+``pack_sums`` sums the n-slot blocks of up to n gradients into one packed
+ciphertext, gradient g into offset g, and keeps those slots times a scale,
+and ``unpack_spread`` spreads offset g of a refreshed pack over its block,
+into gradient g's parameter cell, one gradient a call.  ``pack_sums`` reads
+its gradients once, in order, so the update makes each one only as the pack
+takes it, and packs it while its slots are still in cache.  Each primitive
+gives the level and rescale flag of the per-op calls it stands for, their
+slots (the masked two up to the sign of an exact zero), and meters the same
+ops at the same levels.  The Python cost of a call is kept off its terms and
+steps: operand keys and slot counts are checked inline, falling back to the
+per-op checks only to raise their errors, and the counts of the sums and
+chains are tallied per level and recorded once per kind and level through
+:meth:`OpMeter.record_many`.  Only the spread makes its rotations through
+:meth:`SimulatorBackend.rot`, one per chain step, so that a traced backend
+can count them; no other chain step makes a ``rot`` call.
 
 Level accounting for the meter follows lazy rescaling: the product of a
 multiplication stays at its operands' modulus level until the next
@@ -601,16 +601,15 @@ class SimulatorBackend:
         pools[size].append(scratch_view)
         return _make(view, 0, out_level, first.key_id, True, free)
 
-    def unpack_spreads(self, ct: Ciphertext, n: int,
-                       accs: Sequence[Ciphertext]) -> list[Ciphertext]:
-        """``accs[g] + repeat(ct[g::n], n)`` for each accumulator g: the
-        per-op calls, gradient by gradient, of a ``cmul`` by the selector that
-        is 1.0 at ``g::n``, ``rotate_add`` by the reversed shifts of offset
-        g's signed plan and an ``add`` into ``accs[g]``.  The level, rescale
-        flag, errors (at the same gradient, after metering the ones before
-        it) and meter counts are those calls', and every chain step makes
-        its rotation through :meth:`rot`: ``2**k`` where bit k of g is set,
-        else ``-2**k``.  :func:`_check_pack` checks the pack's shape first.
+    def unpack_spread(self, ct: Ciphertext, n: int, g: int,
+                      acc: Ciphertext) -> Ciphertext:
+        """``acc + repeat(ct[g::n], n)``: the per-op calls of a ``cmul`` by
+        the selector that is 1.0 at ``g::n``, ``rotate_add`` by the reversed
+        shifts of offset g's signed plan and an ``add`` into ``acc``.  The
+        level, rescale flag, errors and meter counts are those calls', and
+        every chain step makes its rotation through :meth:`rot`: ``2**k``
+        where bit k of g is set, else ``-2**k``.  :func:`_check_pack` checks
+        the pack's shape and that ``0 <= g < n`` first.
 
         A signed plan's reversed chain carries every slot of a block to ``g``
         by exactly one term, so it adds each kept value to exact zeros only:
@@ -618,29 +617,23 @@ class SimulatorBackend:
         and up to the sign of an exact zero elsewhere, for finite slots.
         """
         size, level = ct._base.shape[0], ct.level
-        _check_pack(len(accs), n, size)
+        _check_pack(g + 1, n, size)
         if level < 1:
             raise LevelExhausted("cmul", level, self.meter.current_scope)
-        # the masked product each chain rotates: one level down, rescale pending
+        self.meter.record("cmul", level)
+        # the masked product the chain rotates: one level down, rescale pending
         masked = _make(ct._base, ct._shift, level - 1, ct.key_id, True, None)
-        blocks, counts, out = ct.slots.reshape(-1, n), defaultdict(int), []
         steps = n.bit_length() - 1
-        try:
-            for g, acc in enumerate(accs):
-                counts[("cmul", level)] += 1
-                for k in range(steps):
-                    self.rot(masked, 1 << k if g >> k & 1 else -1 << k)
-                counts[("add", level)] += steps
-                _check_pair(acc, ct)
-                counts[("add", min(acc.level + acc.pending_rescale, level))] += 1
-                cell, view, free = _buffer(self._free, size)
-                np.add(acc.slots.reshape(-1, n), blocks[:, g, None],
-                       cell.reshape(-1, n))
-                out.append(_make(view, 0, min(acc.level, level - 1), ct.key_id,
-                                 acc.pending_rescale, free))
-        finally:
-            self._record_counts(counts)
-        return out
+        for k in range(steps):
+            self.rot(masked, 1 << k if g >> k & 1 else -1 << k)
+        self.meter.record_many("add", level, steps)
+        _check_pair(acc, ct)
+        self.meter.record("add", min(acc.level + acc.pending_rescale, level))
+        cell, view, free = _buffer(self._free, size)
+        np.add(acc.slots.reshape(-1, n), ct.slots.reshape(-1, n)[:, g, None],
+               cell.reshape(-1, n))
+        return _make(view, 0, min(acc.level, level - 1), ct.key_id,
+                     acc.pending_rescale, free)
 
 
 # ---------------------------------------------------------------------------

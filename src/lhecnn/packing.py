@@ -311,12 +311,12 @@ def signed_rotate_sum(backend: SimulatorBackend, cts: Sequence[Ciphertext],
     return backend.pack_sums(cts, n, scale)
 
 
-def signed_rotate_spread(backend: SimulatorBackend, ct: Ciphertext, n: int,
-                         accs: Sequence[Ciphertext]) -> list[Ciphertext]:
-    """Inverse of :func:`signed_rotate_sum`: for each accumulator g, keep
-    each n-block's slot g of ``ct``, replicate it over the whole block and
-    add it to ``accs[g]``; returns one ciphertext per accumulator."""
-    return backend.unpack_spreads(ct, n, accs)
+def signed_rotate_spread(backend: SimulatorBackend, ct: Ciphertext, n: int, g: int,
+                         acc: Ciphertext) -> Ciphertext:
+    """Inverse of :func:`signed_rotate_sum` for gradient g: keep each
+    n-block's slot g of ``ct``, replicate it over the whole block and add
+    it to ``acc``."""
+    return backend.unpack_spread(ct, n, g, acc)
 
 
 # ---------------------------------------------------------------------------

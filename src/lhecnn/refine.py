@@ -254,7 +254,7 @@ class RefineSession:
         change no parameter cell: each backward stage keeps only its
         refreshed gradient packs, so a failure in any stage leaves nothing
         to restore.  The commit after the last stage then spreads every
-        stage's packs into its parameter cells."""
+        stage's refreshed gradients into its parameter cells."""
         loss, stages = self._run_stages(images, labels, lr)
         self._commit(stages)
         return loss
@@ -263,7 +263,7 @@ class RefineSession:
                     lr: float) -> tuple[float, list[tuple]]:
         """Forward, loss head and backward stages of a round.  Returns the
         loss and, per backward stage in order, its meter scope, the parameter
-        cells it updates and its refreshed packs."""
+        cells it updates and the queue of its refreshed gradients."""
         meter, cfg, geo = self.meter, self.cfg, self.geo
         enc = self.encrypt_inputs(images)
         with meter.scope("enc.labels"):
@@ -323,15 +323,15 @@ class RefineSession:
         return loss, stages
 
     def _commit(self, stages: list[tuple]) -> None:
-        """Spread each stage's refreshed packs into its parameter cells, in
-        stage order and inside that stage's meter scope.  Each old cell dies
-        as its pack's new cells replace it.  The stages have checked every
+        """Spread each stage's refreshed gradients into its parameter cells,
+        in stage order and inside that stage's meter scope.  Each old cell
+        dies as its new one replaces it.  The stages have checked every
         reply the spreads read, so only an exception from outside the data
         (a KeyboardInterrupt, say) can stop the commit part-way; it does not
-        leave the round half applied: the packs not yet applied, the
+        leave the round half applied: the gradients not yet applied, the
         interrupted one among them, are applied once each before it
-        propagates.  If the interrupt stopped a spread, that pack is spread
-        again, so the round's meter counts its ops twice."""
+        propagates.  If the interrupt stopped a spread, that one gradient is
+        spread again, so the round's meter counts its ops twice."""
         try:
             self._apply(stages)
         except BaseException:
@@ -339,7 +339,7 @@ class RefineSession:
             raise
 
     def _apply(self, stages: list[tuple]) -> None:
-        """Apply the packs still queued in ``stages``."""
+        """Apply the gradients still queued in ``stages``."""
         for scope, cells, refreshed in stages:
             with self.meter.scope(scope):
                 bwd.apply_refreshed(self.backend, refreshed, cells, self.cfg.n)

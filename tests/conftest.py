@@ -94,13 +94,13 @@ def per_op_rotate_add_select(backend, ct, g, n, scale, acc=None):
     return masked if acc is None else backend.add(acc, masked)
 
 
-def per_op_select_rotate_add(backend, ct, g, n, acc=None):
-    """Gradient ``g`` of ``SimulatorBackend.unpack_spreads`` as per-op calls:
-    a selector ``cmul``, the reversed chain of offset g and an ``add`` into
+def per_op_unpack_spread(backend, ct, n, g, acc):
+    """What ``SimulatorBackend.unpack_spread`` computes, as per-op calls: a
+    selector ``cmul``, the reversed chain of offset g and an ``add`` into
     ``acc``."""
     spread = backend.rotate_add(backend.cmul(ct, make_selector(g, n, ct.slot_count, 1.0)),
                                 [-s for s in plan_shifts(g, n)])
-    return spread if acc is None else backend.add(acc, spread)
+    return backend.add(acc, spread)
 
 
 def per_op_pack_sums(backend, cts, n, scale):
@@ -113,44 +113,37 @@ def per_op_pack_sums(backend, cts, n, scale):
     return acc
 
 
-def per_op_unpack_spreads(backend, ct, n, accs):
-    """What ``SimulatorBackend.unpack_spreads`` computes, as the per-op calls
-    of :func:`per_op_select_rotate_add` for each accumulator g in turn."""
-    return [per_op_select_rotate_add(backend, ct, g, n, acc) for g, acc in enumerate(accs)]
-
-
 def per_op_refresh_gradients(backend, reencrypt, raw_grads, lr, n):
     """``backward.refresh_gradients`` from per-op calls: each gradient, in
     insertion order, has its batch sum made by a ``rotate_add`` chain masked
     by a selector ``cmul`` and added into its pack; the packs are refreshed
-    in one call and queued with their keys."""
+    in one call and queued, one entry (key, pack, offset) per gradient."""
     order = list(raw_grads)
     packed = {}
     for idx, key in enumerate(order):
         packed[idx // n] = per_op_rotate_add_select(
             backend, raw_grads.pop(key)(), idx % n, n, -lr / n, packed.get(idx // n))
     fresh = reencrypt(list(packed.values())) if packed else []
-    return deque(zip([order[start:start + n] for start in range(0, len(order), n)], fresh))
+    return deque((key, fresh[idx // n], idx % n) for idx, key in enumerate(order))
 
 
 def per_op_apply_refreshed(backend, refreshed, target_cells, n):
     """``backward.apply_refreshed`` from per-op calls: each refreshed
     gradient is masked again, spread by the reversed chain and added into
-    the parameter cell its key names; each pack leaves the queue once
-    applied."""
+    the parameter cell its key names, and leaves the queue."""
     while refreshed:
-        keys, ct = refreshed[0]
-        for g, key in enumerate(keys):
-            target_cells[key] = per_op_select_rotate_add(backend, ct, g, n, target_cells[key])
+        key, ct, g = refreshed[0]
+        target_cells[key] = per_op_unpack_spread(backend, ct, n, g, target_cells[key])
         refreshed.popleft()
 
 
 def update_with(refresh, apply):
     """The whole update from its halves: refresh the packs, then apply them;
-    returns the number of packs re-encrypted."""
+    returns the number of packs re-encrypted (the queue's entries at
+    offset 0, where each pack starts)."""
     def update(backend, reencrypt, raw_grads, target_cells, lr, n):
         refreshed = refresh(backend, reencrypt, raw_grads, lr, n)
-        count = len(refreshed)
+        count = sum(g == 0 for _, _, g in refreshed)
         apply(backend, refreshed, target_cells, n)
         return count
     return update

@@ -357,10 +357,11 @@ class TestNoiseRemovalUpdate:
         assert all(target[k] is before[k] for k in before) and target.keys() == before.keys()
 
     def test_an_apply_interrupted_after_a_cells_update_adds_each_pack_once(self, backend):
-        # 6 gradients, n = 4: two packs.  The interrupt lands once the first
-        # pack's new cells have replaced the old ones, before the pack leaves
-        # the queue.  Applying the queue again adds that pack in once, as an
-        # uninterrupted apply does.
+        # 6 gradients, n = 4: two packs, six queue entries.  The interrupt
+        # lands once the first gradient's new cell has replaced the old one,
+        # before its entry leaves the queue.  Applying the queue again
+        # assigns that cell once more and adds every other gradient once, as
+        # an uninterrupted apply does.
         ctx = backend.keygen(LheParams(8, 10), seed=1)
         grads = {(j,): backend.encrypt(ctx, np.full(8, j + 1.0)) for j in range(6)}
         start = {key: backend.encrypt(ctx, np.full(8, 0.5)) for key in grads}
@@ -369,8 +370,8 @@ class TestNoiseRemovalUpdate:
         class InterruptedOnce(dict):
             updates = 0
 
-            def update(self, *args):
-                super().update(*args)
+            def __setitem__(self, key, value):
+                super().__setitem__(key, value)
                 InterruptedOnce.updates += 1
                 if InterruptedOnce.updates == 1:
                     raise KeyboardInterrupt
@@ -379,11 +380,14 @@ class TestNoiseRemovalUpdate:
         apply_refreshed(backend, refresh_gradients(backend, reenc, made(grads), 0.1, 4),
                         clean, 4)
         refreshed = refresh_gradients(backend, reenc, made(grads), 0.1, 4)
+        assert [g for _, _, g in refreshed] == [0, 1, 2, 3, 0, 1]
         with pytest.raises(KeyboardInterrupt):
             apply_refreshed(backend, refreshed, cells, 4)
-        assert len(refreshed) == 2 and cells[(0,)] is not start[(0,)]
+        assert len(refreshed) == 6 and cells[(0,)] is not start[(0,)]
+        key, cell, g = refreshed[0]  # the new cell, queued in the entry's place
+        assert (key, g) == ((0,), None) and cell is cells[(0,)]
         apply_refreshed(backend, refreshed, cells, 4)
-        assert not refreshed and InterruptedOnce.updates == 3
+        assert not refreshed and InterruptedOnce.updates == 7
         stored = lambda d: {key: (ct.level, ct.pending_rescale, ct.slots.tobytes())
                             for key, ct in d.items()}
         assert stored(cells) == stored(clean)

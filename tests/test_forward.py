@@ -381,20 +381,19 @@ class TestWorkingSet:
         sess, pool = self.steady_pool(p.model, LheParams(32768, 10), "auto")
         assert sess.r == 4 and pool == {32768: 41}
 
-    def test_steady_constant_slope_round_peaks_at_391_buffers(self):
+    def test_steady_constant_slope_round_peaks_at_384_buffers(self):
         # The backward stages change no parameter, and the commit after them
-        # replaces one pack's cells at a time, so a round holds one model,
-        # not two.  Its peak is the commit's bwd.FL1 spread: the 260
-        # parameter cells, the 128 new cells of FL1's one pack beside the
-        # old ones they replace, and the three packs not yet applied.  After
-        # the round the old cells are back in the free lists and the new
-        # ones are held.
+        # replaces each parameter cell as its new one is made, so a round
+        # holds one model, not two, and the commit holds at most one cell
+        # twice.  Its peak is a stage's, bwd.FL2's: the 260 parameter cells
+        # and 124 buffers of that stage's working set.  After the round the
+        # old cells are back in the free lists and the new ones are held.
         p = preset("refining-2-2")
         sess, pool = self.steady_pool(p.model, p.lhe, 1, refine=True)
         params = [ct for packed in sess.filters + sess.weights
                   for ct in packed.cells.values()]
         assert len(params) == 260 and all(ct._free is not None for ct in params)
-        assert pool == {8192: 391 - 260}
+        assert pool == {8192: 384 - 260}
 
     def test_steady_inference_allocates_little(self):
         sess = session_for(preset("cnn-1-2").model, preset("cnn-1-2").lhe)

@@ -6,6 +6,7 @@ import threading
 import tracemalloc
 import weakref
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from conftest import (
     loop_mul_sum,
     loop_rotate_add,
     per_op_pack_sums,
-    per_op_unpack_spreads,
+    per_op_unpack_spread,
 )
 
 
@@ -613,10 +614,15 @@ def packs(draw, pool_size, slot_count=16):
     return indices, n
 
 
+def spreads(spread, ct, n, accs):
+    """``spread(ct, n, g, accs[g])`` for each accumulator g in turn."""
+    return [spread(ct, n, g, acc) for g, acc in enumerate(accs)]
+
+
 class TestMaskedChains:
-    """``pack_sums`` and ``unpack_spreads`` against the per-op
+    """``pack_sums`` and ``unpack_spread`` against the per-op
     ``rotate_add``, selector ``cmul`` and ``add`` calls they fold together,
-    applied gradient by gradient: the same (scope, kind, level) counts, the
+    applied gradient by gradient (a spread of each gradient in turn): the same (scope, kind, level) counts, the
     same errors at the same gradient, slots equal under ``np.array_equal``
     and bit for bit at the kept slots ``p::n``.  The per-op product writes
     ``x * 0.0`` into the other slots, so there the two may differ in the sign
@@ -647,8 +653,8 @@ class TestMaskedChains:
         indices, n = data.draw(packs(len(pool)))
         accs = [pool[i] for i in indices]
         (got, got_counts), (want, want_counts) = side_by_side(
-            lambda b: b.unpack_spreads(ct, n, accs),
-            lambda b: per_op_unpack_spreads(b, ct, n, accs))
+            lambda b: spreads(b.unpack_spread, ct, n, accs),
+            lambda b: spreads(partial(per_op_unpack_spread, b), ct, n, accs))
         assert len(got) == len(want) == len(accs)
         for g, (cell, want_cell, acc) in enumerate(zip(got, want, accs)):
             assert_same_masked(cell, want_cell, range(n), n)
@@ -670,8 +676,8 @@ class TestMaskedChains:
         assert got_counts == want_counts
         accs = [pool[g % 9] for g in range(m)]
         (got, got_counts), (want, want_counts) = side_by_side(
-            lambda b: b.unpack_spreads(pool[7], n, accs),
-            lambda b: per_op_unpack_spreads(b, pool[7], n, accs))
+            lambda b: spreads(b.unpack_spread, pool[7], n, accs),
+            lambda b: spreads(partial(per_op_unpack_spread, b), pool[7], n, accs))
         for cell, want_cell in zip(got, want, strict=True):
             assert_same_masked(cell, want_cell, range(n), n)
         assert got_counts == want_counts
@@ -687,8 +693,8 @@ class TestMaskedChains:
         for fused, per_op in [
                 (lambda b: b.pack_sums(cts, 4, 0.5),
                  lambda b: per_op_pack_sums(b, cts, 4, 0.5)),
-                (lambda b: b.unpack_spreads(spent, 4, accs),
-                 lambda b: per_op_unpack_spreads(b, spent, 4, accs))]:
+                (lambda b: spreads(b.unpack_spread, spent, 4, accs),
+                 lambda b: spreads(partial(per_op_unpack_spread, b), spent, 4, accs))]:
             (got, got_counts), (want, want_counts) = side_by_side(fused, per_op)
             assert isinstance(got, LevelExhausted) and isinstance(want, LevelExhausted)
             assert (got.op, got.level, got.scope) == (want.op, want.level, want.scope)
@@ -706,8 +712,8 @@ class TestMaskedChains:
                  lambda b: per_op_pack_sums(b, last, 4, 0.5)),
                 (lambda b: b.pack_sums(first, 4, 0.5),
                  lambda b: per_op_pack_sums(b, first, 4, 0.5)),
-                (lambda b: b.unpack_spreads(pool[4], 4, middle),
-                 lambda b: per_op_unpack_spreads(b, pool[4], 4, middle))]:
+                (lambda b: spreads(b.unpack_spread, pool[4], 4, middle),
+                 lambda b: spreads(partial(per_op_unpack_spread, b), pool[4], 4, middle))]:
             (got, got_counts), (want, want_counts) = side_by_side(fused, per_op)
             assert isinstance(got, KeyMismatch) and isinstance(want, KeyMismatch)
             assert str(got) == str(want)
@@ -723,8 +729,18 @@ class TestMaskedChains:
         mark = backend.meter.checkpoint()
         with pytest.raises(ValueError):
             backend.pack_sums(pool[:count], n, 1.0)
+        assert backend.meter.since(mark) == {}  # raised before any op
+
+    @pytest.mark.parametrize("n, g", [
+        (4, -1), (4, 4), (1, 1), (0, 0), (3, 0), (32, 0),
+    ], ids=["g-negative", "g-n", "n1-g1", "n-zero", "n-three", "n-wider-than-S"])
+    def test_a_spread_takes_an_offset_of_its_pack(self, backend, n, g):
+        # gradient g sits at offset g of n-slot blocks, so 0 <= g < n, and n
+        # is a power of two no wider than the ciphertext
+        _, pool = self.operands(backend)
+        mark = backend.meter.checkpoint()
         with pytest.raises(ValueError):
-            backend.unpack_spreads(pool[6], n, pool[:count])
+            backend.unpack_spread(pool[6], n, g, pool[0])
         assert backend.meter.since(mark) == {}  # raised before any op
 
     def test_every_chain_step_rotates_through_rot(self):
@@ -742,7 +758,7 @@ class TestMaskedChains:
                         ("(unscoped)", "rot", pool[4].meter_level()): 3}
         mark = backend.meter.checkpoint()
         accs = [pool[i] for i in (1, 2, 3, 5, 6, 8)]
-        backend.unpack_spreads(pool[0], 8, accs)
+        spreads(backend.unpack_spread, pool[0], 8, accs)
         assert backend.calls == [-d << k for g in range(len(accs)) for k, d in
                                  enumerate(compute_rotation_plan(g, 8).directions)]
         assert backend.calls[15:18] == [1, -2, 4]  # offset 5: directions (-1, 1, -1)

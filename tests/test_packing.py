@@ -22,8 +22,7 @@ from conftest import (
     encode_weights,
     make_selector,
     per_op_pack_sums,
-    per_op_select_rotate_add,
-    per_op_unpack_spreads,
+    per_op_unpack_spread,
 )
 
 
@@ -122,7 +121,7 @@ class TestRotationPlan:
             ct = backend.encrypt(ctx, v)
             agg = backend.decrypt(ctx, signed_rotate_sum(backend, [zero] * p + [ct], 4, 1.0))
             assert np.allclose(agg, np.where(keep, plain_aggregate(v, plan), 0.0), atol=0)
-            spread = signed_rotate_spread(backend, ct, 4, [zero] * (p + 1))[p]
+            spread = signed_rotate_spread(backend, ct, 4, p, zero)
             assert np.allclose(backend.decrypt(ctx, spread),
                                plain_spread(np.where(keep, v, 0.0), plan), atol=0)
 
@@ -148,10 +147,10 @@ class TestRotateAddHelpers:
          lambda b, ct, acc: per_step_chain(b, ct, [])),
         (lambda b, ct, acc: signed_rotate_sum(b, [ct, acc] * 4, 8, 0.5),
          lambda b, ct, acc: per_op_pack_sums(b, [ct, acc] * 4, 8, 0.5)),
-        (lambda b, ct, acc: signed_rotate_spread(b, ct, 8, [acc] * 6)[5],
-         lambda b, ct, acc: per_op_unpack_spreads(b, ct, 8, [acc] * 6)[5]),
-        (lambda b, ct, acc: signed_rotate_spread(b, ct, 1, [acc])[0],
-         lambda b, ct, acc: per_op_select_rotate_add(b, ct, 0, 1, acc)),
+        (lambda b, ct, acc: signed_rotate_spread(b, ct, 8, 5, acc),
+         lambda b, ct, acc: per_op_unpack_spread(b, ct, 8, 5, acc)),
+        (lambda b, ct, acc: signed_rotate_spread(b, ct, 1, 0, acc),
+         lambda b, ct, acc: per_op_unpack_spread(b, ct, 1, 0, acc)),
     ], ids=["fold", "fold-one-block", "sum", "spread", "spread-n1"])
     def test_matches_per_step_loop(self, helper, reference):
         results = []

@@ -458,17 +458,33 @@ class TestRefine:
     @pytest.mark.parametrize("when", ["before", "after"])
     def test_a_commit_interrupted_at_its_second_spread_applies_the_round_whole(
             self, monkeypatch, when):
-        # The commit spreads bwd.FL2's pack, then bwd.FL1's two and bwd.CL1's
-        # two.  A KeyboardInterrupt at the second spread, before it runs or
-        # once its cells are made, still propagates, but only after that pack
-        # is spread again and every later one applied: the cells are a clean
-        # round's, and so is the next round.
+        # The commit spreads one gradient a call: bwd.FL2's first, then the
+        # rest in stage order.  A KeyboardInterrupt at the second spread,
+        # before it runs or once its cell is made, still propagates, but only
+        # after that gradient is spread again and every later one applied:
+        # the cells are a clean round's, and so is the next round.  Only the
+        # spread the interrupt stopped is metered twice: an interrupt before
+        # it meters nothing, and one after it meters that one gradient's ops
+        # again (at n = 4, a cmul, two chain rotations and adds, and the add
+        # into its cell).
         cfg, params = small_cfg(), LheParams(32, 16)
         rng = np.random.default_rng(5)
         images, labels = rng.normal(size=(4, 1, 4, 4)), rng.integers(0, 3, size=4)
         sess, clean = (make_session(cfg, params, seed=5, exact=False) for _ in range(2))
-        clean.refine(images, labels, lr=0.1)
         spread, scopes = backward.signed_rotate_spread, []
+
+        def watched(*args):
+            scopes.append(clean.meter.current_scope)
+            return spread(*args)
+
+        monkeypatch.setattr(backward, "signed_rotate_spread", watched)
+        mark = clean.meter.checkpoint()
+        clean.refine(images, labels, lr=0.1)
+        clean_counts, clean_scopes, scopes = clean.meter.since(mark), scopes, []
+        assert clean_scopes[:2] == ["bwd.FL2"] * 2 and len(clean_scopes) == sum(
+            len(packed.cells) for packed in clean.filters + clean.weights)
+        assert [clean.meter.totals(clean_counts)[k] for k in ("add", "rot", "cmul")] == [
+            182, 128, 46]
 
         def interrupted(*args):
             scopes.append(sess.meter.current_scope)
@@ -480,10 +496,19 @@ class TestRefine:
             return out
 
         monkeypatch.setattr(backward, "signed_rotate_spread", interrupted)
+        mark = sess.meter.checkpoint()
         with pytest.raises(KeyboardInterrupt):
             sess.refine(images, labels, lr=0.1)
-        assert scopes == ["bwd.FL2"] + ["bwd.FL1"] * 3 + ["bwd.CL1"] * 2
+        counts = sess.meter.since(mark)
+        assert scopes == clean_scopes[:2] + clean_scopes[1:]
         assert stored_cells(sess) == stored_cells(clean)
+        extra = counts - clean_counts
+        assert not clean_counts - counts
+        if when == "before":
+            assert not extra
+        else:
+            assert {scope for scope, _, _ in extra} == {"bwd.FL2"}
+            assert [sess.meter.totals(extra)[k] for k in ("add", "rot", "cmul")] == [3, 2, 1]
 
         monkeypatch.undo()
         for s in (sess, clean):
