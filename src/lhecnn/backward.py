@@ -252,27 +252,24 @@ def apply_refreshed(backend: SimulatorBackend,
                     refreshed: deque[tuple[tuple, Ciphertext, int | None]],
                     target_cells: dict[tuple, Ciphertext], n: int) -> None:
     """Add each refreshed gradient of :func:`refresh_gradients` into the
-    parameter cell under its key in ``target_cells``: the second half of
-    the update.
+    parameter cell under its key in ``target_cells``: the second half of the
+    update, one :func:`signed_rotate_spread` per gradient.
 
-    One :func:`signed_rotate_spread` per gradient keeps its offset ``g`` of
-    the pack again, replicates it over its block and adds it into the
-    parameter cell.  The new cell takes the entry's place at the front of
-    ``refreshed`` (its offset ``None``), then replaces the old cell, and
-    leaves the queue: each old cell dies as its new one is made, and a pack
-    once its last gradient is spread, so their buffers go back to the free
-    lists for the next spread.
+    The new cell takes its entry's place at the front of ``refreshed``
+    (offset ``None``), replaces the old cell and leaves the queue: each old
+    cell dies as its new one is made, and a pack once its last gradient is
+    spread, so their buffers go back to the free lists.
 
     Called again with the queue an exception left, it applies each gradient
-    exactly once.  An exception before a gradient's new cell is queued
-    leaves its old cell in place and the entry at the front, so that one
-    gradient is spread again (and its ops metered again); one after that
-    assigns the queued cell again, which changes nothing.
+    exactly once.  An exception before a new cell is queued leaves the old
+    cell and the entry in place, so that one gradient is spread again (and
+    its ops metered again); one after that assigns the queued cell again,
+    which changes nothing.
     """
     while refreshed:
-        key, cell, g = refreshed[0]
+        key, ct, g = refreshed[0]
         if g is not None:  # the pack, not yet spread
-            cell = signed_rotate_spread(backend, cell, n, g, target_cells[key])
-            refreshed[0] = key, cell, None
-        target_cells[key] = cell
+            ct = signed_rotate_spread(backend, ct, n, g, target_cells[key])
+            refreshed[0] = key, ct, None
+        target_cells[key] = ct
         refreshed.popleft()

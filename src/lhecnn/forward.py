@@ -64,7 +64,7 @@ def conv_forward(backend: SimulatorBackend, inputs: PackedTensor,
         for (u, v), in_window in zip(grid, in_windows):
             acc = backend.mul_sum(zip(in_window, filter_window))
             cells[(a, u, v)] = fold_rotate_sum(backend, acc, seg, r) if fold else acc
-    out_layout, group = conv_output_layout(layout, r, r * seg == inputs.slot_count)
+    out_layout, group = conv_output_layout(layout, r, seg, inputs.slot_count)
     return PackedTensor(cells, out_layout, inputs.n, inputs.grid_side, seg,
                         group_size=group)
 

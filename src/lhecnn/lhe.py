@@ -355,10 +355,6 @@ class SimulatorBackend:
 
     # -- internals --------------------------------------------------------
 
-    def _record_counts(self, counts: dict[tuple[str, int], int]) -> None:
-        for (kind, level), c in counts.items():
-            self.meter.record_many(kind, level, c)
-
     def _fresh(self, ctx: KeyContext, values: np.ndarray) -> Ciphertext:
         """A top-level ciphertext of ``values``, perturbed when noise is on."""
         out, view, free = _buffer(self._free, values.shape[0])
@@ -597,7 +593,8 @@ class SimulatorBackend:
                     x = half
                 np.multiply(x, scale, out.reshape(-1, n)[:, g])
         finally:
-            self._record_counts(counts)
+            for (kind, level), c in counts.items():
+                self.meter.record_many(kind, level, c)
         pools[size].append(scratch_view)
         return _make(view, 0, out_level, first.key_id, True, free)
 

@@ -150,19 +150,26 @@ class CostTable:
     extrapolated: set[tuple[str, int]] = field(default_factory=set)
 
     @classmethod
-    def default(cls) -> "CostTable":
-        """Measured table for levels 2..11 plus a level-1 linear extrapolation.
+    def default(cls, top_level: int = 11) -> "CostTable":
+        """Measured table for levels 2..11, continued linearly (the paper's
+        costs grow linearly with level): each row's first segment down to
+        level 1, and its last segment up to ``top_level``.
 
-        Level-1 entries are flagged in :attr:`extrapolated` and marked in
-        report output; levels outside 1..11 are reported as gaps.
+        Extrapolated entries are flagged in :attr:`extrapolated` and marked
+        in report output; levels outside 1..max(11, top_level) are reported
+        as gaps.
         """
         table: dict[tuple[str, int], float] = {}
         extrapolated: set[tuple[str, int]] = set()
+        top = _MEASURED_LEVELS[-1]
         for kind, row in _MEASURED_US.items():
             for level, us in zip(_MEASURED_LEVELS, row):
                 table[(kind, level)] = float(us)
             table[(kind, 1)] = float(2 * row[0] - row[1])
             extrapolated.add((kind, 1))
+            for level in range(top + 1, top_level + 1):
+                table[(kind, level)] = float(row[-1] + (level - top) * (row[-1] - row[-2]))
+                extrapolated.add((kind, level))
         return cls(table, extrapolated)
 
     def lookup(self, kind: str, level: int) -> float | None:
@@ -236,7 +243,9 @@ class OpReport:
         amo = ", ".join(f"{float(self.amortized[k]):.6g}" for k in PRIMITIVE_KINDS)
         lines.append(f"total:     ({tot})")
         lines.append(f"amortized: ({amo})  per input")
-        lines.append(f"estimated latency: {self.est_latency_us / 1e6:.3f} s")
+        uncosted = sum(count for _, _, count in self.gaps)
+        bound = f" (lower bound: {uncosted} ops uncosted)" if uncosted else ""
+        lines.append(f"estimated latency: {self.est_latency_us / 1e6:.3f} s{bound}")
         if self.extrapolated_used:
             used = ", ".join(f"{k}@{lv}" for k, lv in sorted(self.extrapolated_used))
             lines.append(f"  note: extrapolated cost entries used for {used}")

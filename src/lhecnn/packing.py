@@ -236,15 +236,17 @@ def conv_cell_counts(layout: str, r: int, filters: int, channels: int) -> tuple[
     raise ValueError(f"not a conv layout: {layout!r}")
 
 
-def conv_output_layout(layout: str, r: int, tiles: bool) -> tuple[str, int]:
+def conv_output_layout(layout: str, r: int, seg_slots: int,
+                       slot_count: int) -> tuple[str, int]:
     """Layout and group size of a conv layer's output, i.e. the next layer's
     input.  Cross-filter outputs hold one filter per segment (cross-channel
     packed); cross-channel outputs, folded over their r segments, hold r
     replicas (cross-filter packed) when those segments tile the ciphertext
-    (``tiles``), and only segment 0 (basic) otherwise."""
+    (``r * seg_slots == slot_count``), and only segment 0 (basic)
+    otherwise."""
     if layout == CONV_CROSS_FILTER:
         return CONV_CROSS_CHANNEL, r
-    if layout == CONV_CROSS_CHANNEL and tiles:
+    if layout == CONV_CROSS_CHANNEL and r * seg_slots == slot_count:
         return CONV_CROSS_FILTER, r
     return CONV_BASIC, 1
 

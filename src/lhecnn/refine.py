@@ -63,10 +63,9 @@ def plan_layouts(cfg: CnnConfig, geo: CombinedGeometry, r_mode="auto") -> tuple[
             raise ValueError(f"r must be a power of two <= {geo.packing_factor}")
     if r == 1:
         return 1, [CONV_BASIC] * cfg.c
-    tiles = r * geo.seg_slots == geo.slot_count
     layouts = [CONV_CROSS_CHANNEL if cfg.conv[0].channels > 1 else CONV_CROSS_FILTER]
     for _ in range(1, cfg.c):
-        layouts.append(conv_output_layout(layouts[-1], r, tiles)[0])
+        layouts.append(conv_output_layout(layouts[-1], r, geo.seg_slots, geo.slot_count)[0])
     return r, layouts
 
 
@@ -83,6 +82,8 @@ class RefineSession:
 
     def __init__(self, tee: TeeService, cfg: CnnConfig, params: LheParams, *,
                  r_mode="auto", exact_activation_grad: bool = True):
+        if params != tee.params:
+            raise ValueError(f"session parameters {params} differ from its TEE's {tee.params}")
         self.tee = tee
         self.backend = tee.backend
         self.meter = tee.backend.meter
@@ -107,8 +108,8 @@ class RefineSession:
                    for layout, layer in zip(self.layouts, cfg.conv)]
         last = cfg.conv[-1]
         in_cts, _ = conv_cell_counts(self.layouts[-1], r, last.filters, last.channels)
-        out_layout, group = conv_output_layout(self.layouts[-1], r,
-                                               r * geo.seg_slots == geo.slot_count)
+        out_layout, group = conv_output_layout(self.layouts[-1], r, geo.seg_slots,
+                                               geo.slot_count)
         pi = conv_output_pi_sets(out_layout, group, geo.grid_side)
         weights = []
         for k, layer in enumerate(cfg.fc):
@@ -201,8 +202,8 @@ class RefineSession:
             raise RuntimeError("no model loaded")
         mark = self.meter.checkpoint()
         logits = self._forward(self.encrypt_inputs(images))
-        report = build_report(self.meter, CostTable.default(), self.cfg.n,
-                              counts=self.meter.since(mark))
+        report = build_report(self.meter, CostTable.default(self.params.top_level),
+                              self.cfg.n, counts=self.meter.since(mark))
         return logits, report
 
     def reveal_outputs(self, logits: PackedTensor) -> np.ndarray:
@@ -244,7 +245,7 @@ class RefineSession:
                 losses.append(self._refine_round(images[start:start + n],
                                                  labels[start:start + n], lr))
                 rounds += 1
-        report = build_report(self.meter, CostTable.default(), n,
+        report = build_report(self.meter, CostTable.default(self.params.top_level), n,
                               counts=self.meter.since(mark))
         return RefineResult(losses, report, self.tee.stats.since(tee_before), rounds)
 

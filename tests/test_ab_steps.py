@@ -37,15 +37,16 @@ def test_both_sides_this_tree(tmp_path, workload, pairs):
 
 
 def test_loads_time_each_side_and_read_no_slot(tmp_path):
-    # --loads times that many loads per side before the pairs; this tree's
-    # load leaves the cells file's mapping with nothing resident
+    # --loads times that many set-ups (meter, backend, TEE and load) per
+    # side before the pairs; this tree's load leaves the cells file's
+    # mapping with nothing resident
     proc = subprocess.run(
         [sys.executable, "tools/ab_steps.py", "--a", "src", "--b", "src",
          "--workload", "infer-cnn12", "--pairs", "1", "--warmup", "0", "--loads", "4"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
         env={**os.environ, "TMPDIR": str(tmp_path)})
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
-    loads = [line.split() for line in proc.stdout.splitlines() if "load p50" in line]
+    loads = [line.split() for line in proc.stdout.splitlines() if "setup p50" in line]
     assert [fields[0] for fields in loads] == ["a", "b"]
     resident = "0 kB" if Path("/proc/self/smaps").exists() else "n/a"
     for fields in loads:

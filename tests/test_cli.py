@@ -249,6 +249,28 @@ class TestInferCommand:
                      "--inputs", data_path]) == 2
 
 
+    def test_a_config_whose_lhe_block_differs_from_the_models_exits_2(self, tmp_path,
+                                                                       capsys):
+        # The model was written at 10 levels; a 16-level config would build a
+        # TEE whose parameters are not the session's, and refine the model
+        # under them.  Both commands refuse it before any image is
+        # encrypted, naming both parameter sets, and the model is left as it
+        # was.
+        cfg_path = mnist_config(tmp_path, levels=10)
+        model_dir = str(tmp_path / "model")
+        assert main(["init-model", "--config", cfg_path, "--model", model_dir]) == 0
+        data_path, _, _ = make_dataset(tmp_path, cfg_path, 8)
+        (tmp_path / "other").mkdir()
+        other = mnist_config(tmp_path / "other", levels=16)
+        before = sorted((p.name, p.read_bytes()) for p in (tmp_path / "model").iterdir())
+        capsys.readouterr()
+        for args in (["infer", "--inputs", data_path], ["refine", "--data", data_path]):
+            assert main([*args[:1], "--config", other, "--model", model_dir, *args[1:]]) == 2
+            err = capsys.readouterr().err
+            assert "max_level=16" in err and "max_level=10" in err
+        assert sorted((p.name, p.read_bytes()) for p in (tmp_path / "model").iterdir()) == before
+
+
 class TestRefineCommand:
     def test_lr_zero_persists_identical_model(self, tmp_path, capsys):
         cfg_path = mnist_config(tmp_path, levels=16)

@@ -161,6 +161,18 @@ class TestCostTable:
     def test_all_entries_positive(self):
         CostTable.default().validate()
 
+    def test_levels_above_eleven_continue_the_last_segment_and_are_flagged(self):
+        cost = CostTable.default(top_level=15)
+        for kind, (at10, at11) in (("add", (443, 498)), ("mul", (57791, 68374)),
+                                   ("rot", (47144, 56366)), ("cmul", (8731, 9895))):
+            for level in range(12, 16):
+                assert cost.lookup(kind, level) == at11 + (level - 11) * (at11 - at10)
+                assert (kind, level) in cost.extrapolated
+            assert cost.lookup(kind, 16) is None and (kind, 11) not in cost.extrapolated
+        cost.validate()
+        # a top level the measured rows cover adds nothing
+        assert CostTable.default(top_level=5) == CostTable.default()
+
 
 class TestReports:
     def test_empty_meter_zero_report(self, meter):
@@ -197,6 +209,17 @@ class TestReports:
         backend.mul(a, a)
         report = build_report(meter, CostTable.default(), 1)
         assert report.gaps == [("mul", 12, 1)]
+
+    def test_a_report_with_gaps_says_its_total_is_a_lower_bound(self, backend, meter):
+        ctx = backend.keygen(LheParams(8, 14), seed=1)  # levels 12 and 13 exceed the table
+        a = backend.encrypt(ctx, np.ones(8))
+        b = backend.mul(a, a)     # mul at 13
+        backend.mul(b, backend.rot(b, 1))  # rot at 13 (rescale pending), mul at 12
+        backend.mul(backend.mul(b, b), b)  # mul at 12, mul at 11
+        text = build_report(meter, CostTable.default(), 1).to_text()
+        assert "estimated latency: 0.068 s (lower bound: 4 ops uncosted)" in text
+        text = build_report(meter, CostTable.default(top_level=13), 1).to_text()
+        assert "lower bound" not in text and "estimated latency: 0." in text
 
     def test_extrapolated_entries_surfaced(self, backend, meter):
         ctx = backend.keygen(LheParams(8, 2), seed=1)

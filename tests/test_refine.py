@@ -10,7 +10,7 @@ import pytest
 from lhecnn import backward
 from lhecnn.geometry import CnnConfig, ConvLayer, FcLayer, preset
 from lhecnn.lhe import Ciphertext, LevelExhausted, LheParams, SimulatorBackend, serialized_size
-from lhecnn.metering import OpMeter
+from lhecnn.metering import CostTable, OpMeter, build_report
 from lhecnn.oracle import init_params, plain_backward_step, plain_forward
 from lhecnn.refine import RefineSession
 from lhecnn.tee import BoundaryStats, TeeService
@@ -88,6 +88,18 @@ class TestModelOnboarding:
         want = plain_forward(cfg, plain, images).logits
         err = np.abs(sess.reveal_outputs(logits) - want).max()
         assert err / max(1.0, np.abs(want).max()) < 1e-9
+
+    def test_a_session_takes_its_tees_parameters(self):
+        # The TEE encrypts under its own parameters, so a session that kept
+        # other ones would refine under the TEE's levels and save a manifest
+        # of its own, which its cells do not fit.  It is refused up front,
+        # naming both parameter sets.
+        tee = TeeService(SimulatorBackend(OpMeter()), LheParams(32, 16), seed=5)
+        with pytest.raises(ValueError, match=r"max_level=10.*TEE's.*max_level=16"):
+            RefineSession(tee, small_cfg(), LheParams(32, 10))
+        with pytest.raises(ValueError, match=r"noise_sigma=1e-06.*noise_sigma=0.0"):
+            RefineSession(tee, small_cfg(), LheParams(32, 16, 1e-6))
+        assert RefineSession(tee, small_cfg(), LheParams(32, 16)).params == tee.params
 
     def test_reload_replaces_parameters_atomically(self):
         cfg = small_cfg()
@@ -346,6 +358,31 @@ class TestRefine:
         for _ in range(4):
             sess.refine(images, labels, lr=0.05, epochs=1)
         logits, _ = sess.infer(images)  # still serviceable
+
+    def test_an_exact_gradient_round_at_16_levels_is_costed_whole(self):
+        # Exact-gradient refining-2-2 fits only at L=16, where a steady round
+        # runs 5020 ops at levels 12-15, above the measured table.  The
+        # session's report continues the table to its top level, so nothing
+        # is left out; the level-11 table costs only a lower bound, and says
+        # so.
+        p = preset("refining-2-2")
+        params = dataclasses.replace(p.lhe, max_level=16)
+        sess = make_session(p.model, params, seed=3, exact=True)
+        first = p.model.conv[0]
+        rng = np.random.default_rng(3)
+        for _ in range(2):  # the second round is steady
+            images = rng.normal(size=(p.model.n, first.channels, first.input_side,
+                                      first.input_side)) * 0.2
+            labels = rng.integers(0, p.model.fc[-1].outputs, size=p.model.n)
+            report = sess.refine(images, labels, lr=0.05).report
+        assert report.gaps == [] and max(report.per_level) == 15
+        assert report.est_latency_us == pytest.approx(304_540_316)
+        assert "estimated latency: 304.540 s\n" in report.to_text()
+        measured = build_report(sess.meter, CostTable.default(), p.model.n,
+                                counts=report._raw)
+        assert sum(count for _, _, count in measured.gaps) == 5020
+        assert "estimated latency: 88.677 s (lower bound: 5020 ops uncosted)" in (
+            measured.to_text())
 
     def test_level_exhaustion_diagnostic_names_op_scope_level(self):
         cfg = small_cfg()

@@ -15,11 +15,13 @@ in MB: the peak pooled working set of a step, less what the session still
 holds (its parameter cells, once a refining round has replaced them).  Peak
 RSS cannot tell two trees in one process apart; this count can.
 
-With ``--loads N`` it first times N loads of the saved session per side, in
-pairs in the same alternating order, and prints each side's median
-``RefineSession.load`` time and the resident kB of the loaded cells file's
-mapping right after a load (the most over the N loads, read from
-``/proc/self/smaps``; "n/a" where that file does not exist).
+With ``--loads N`` it first sets up the saved session N times per side, in
+pairs in the same alternating order, and prints each side's median set-up
+time and the resident kB of the loaded cells file's mapping right after a
+load (the most over the N loads, read from ``/proc/self/smaps``; "n/a" where
+that file does not exist).  A set-up is timed as perfbench's ``setup_s``
+times it: building the meter, the backend and the TEE (key generation
+included), then ``RefineSession.load``.
 
 Pairs run back to back share the host's state, so a change of a few percent
 shows in a few hundred pairs where separate benchmark runs, whose medians
@@ -133,11 +135,13 @@ def open_side(name: str, lib, wl: str, seed: int, tmp: Path) -> Side:
 
 
 def load_once(side: Side, wl: str, seed: int, tmp: Path) -> tuple[int, int | None]:
-    """One timed load of ``side``'s saved session: its time in ns, and the
-    resident kB of the mapping that holds its first cell right after it."""
+    """One timed set-up of ``side``'s saved session (meter, backend, TEE and
+    load): its time in ns, and the resident kB of the mapping that holds its
+    first cell right after it."""
     lib = side.lib
-    tee = lib.TeeService(lib.SimulatorBackend(lib.OpMeter()), workload(lib, wl)[1], seed=seed)
+    lhe = workload(lib, wl)[1]
     start = time.perf_counter_ns()
+    tee = lib.TeeService(lib.SimulatorBackend(lib.OpMeter()), lhe, seed=seed)
     session = lib.RefineSession.load(tee, tmp / side.name)
     elapsed = time.perf_counter_ns() - start
     return elapsed, mapping_resident_kb(next(iter(session.filters[0].cells.values())).slots)
@@ -175,7 +179,7 @@ def run(a_src: Path, b_src: Path, wl: str, pairs: int, warmup: int, seed: int,
     for name, runs in loaded.items():
         if runs:
             kbs = [kb for _, kb in runs]
-            load_stats[f"{name}_load_ms"] = statistics.median(ns for ns, _ in runs) / 1e6
+            load_stats[f"{name}_setup_ms"] = statistics.median(ns for ns, _ in runs) / 1e6
             load_stats[f"{name}_load_kb"] = None if None in kbs else max(kbs)
     return {
         "workload": wl,
@@ -201,7 +205,8 @@ def main(argv=None) -> int:
     parser.add_argument("--warmup", type=int, default=3, help="untimed pairs first")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--loads", type=int, default=0,
-                        help="timed loads per side, before the pairs")
+                        help="timed set-ups (meter, backend, TEE, load) per side, "
+                             "before the pairs")
     args = parser.parse_args(argv)
     if args.pairs < 1 or args.warmup < 0 or args.loads < 0:
         parser.error("--pairs must be positive, --warmup and --loads nonnegative")
@@ -210,7 +215,7 @@ def main(argv=None) -> int:
     if r["loads"]:
         for name in "ab":
             kb = r[f"{name}_load_kb"]
-            print(f"  {name}  load p50 {r[f'{name}_load_ms']:.3f} ms over {r['loads']} loads; "
+            print(f"  {name}  setup p50 {r[f'{name}_setup_ms']:.3f} ms over {r['loads']} loads; "
                   f"cells mapping resident after a load {'n/a' if kb is None else f'{kb} kB'}")
         print(f"  b loads faster in {r['loads_b_won']} of {r['loads']} load pairs")
     print(f"  a  p50 {r['a_p50']:.2f} ms  p90 {r['a_p90']:.2f} ms")
