@@ -53,6 +53,27 @@ chains are tallied per level and recorded once per kind and level through
 :meth:`SimulatorBackend.rot`, one per chain step, so that a traced backend
 can count them; no other chain step makes a ``rot`` call.
 
+Products skip zero tails.  A packed ciphertext often fills only a prefix of
+its slots: a type I weight cell holds ``pi_per_ct * n`` values of a segment
+replicated ``r`` times, an fc layer's last output cell fewer, and the rest
+are zeros.  Each ciphertext therefore carries a bound, a slot from which on
+every slot is an exact zero, derived from the data alone, so no layout is
+passed in and noise or a changed cell cannot make it wrong.
+``encrypt`` and ``reencrypt`` measure it from the slots they write (one
+read when the last slot is not zero, as with any noise, a scan
+otherwise).  ``add``, ``cmul``, ``rotate_add`` and ``pack_sums`` give the
+full slot count.  A rotation keeps no bound and every reader takes the slot
+count for it: a prefix does not survive a rotation, and the spread's
+metering-only rotations pay nothing for the bound.  A ciphertext from the public constructor or the readers (``deserialize``,
+``deserialize_many``, ``map_many``) has no bound until the first product
+that reads it measures it and keeps it, so a load reads no slot.  ``mul``
+and each term of ``mul_sum`` compute a product only up to the smaller of
+its operands' bounds, and ``unpack_spread`` only the blocks the refreshed
+gradient or the cell it adds into reaches.  Past a product's bound the
+per-op product is ``x * 0.0``, so the slots equal the full computation's up
+to the sign of an exact zero, for finite slots, and the meter records the
+same ops at the same levels.
+
 Level accounting for the meter follows lazy rescaling: the product of a
 multiplication stays at its operands' modulus level until the next
 multiplication rescales it, so additions and rotations applied to a
@@ -169,10 +190,13 @@ class Ciphertext:
     The vector is held as a base array plus a cyclic left shift, so a rotation
     shares its operand's array instead of copying it.  :attr:`slots` is the
     rotated vector; it is built on each read of a shifted ciphertext and is
-    read-only either way.
+    read-only either way.  ``_bound`` is the slot from which on every slot
+    of :attr:`slots` is an exact zero, or -1 until the first product that
+    reads this ciphertext measures it; a rotation has none, and reads as
+    its slot count (see the module docstring).
     """
 
-    __slots__ = ("_base", "_shift", "level", "key_id", "pending_rescale")
+    __slots__ = ("_base", "_shift", "level", "key_id", "pending_rescale", "_bound")
     _free = None  # no free list: the base array is released as usual
 
     def __init__(self, slots: np.ndarray, level: int, key_id: str,
@@ -183,6 +207,7 @@ class Ciphertext:
         _set_level(self, level)
         _set_key_id(self, key_id)
         _set_pending(self, pending_rescale)
+        _set_bound(self, -1)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Ciphertext is immutable; cannot set {name!r}")
@@ -260,12 +285,16 @@ _set_shift = Ciphertext._shift.__set__
 _set_level = Ciphertext.level.__set__
 _set_key_id = Ciphertext.key_id.__set__
 _set_pending = Ciphertext.pending_rescale.__set__
+_set_bound = Ciphertext._bound.__set__
 _set_free = _Pooled._free.__set__
 
 
 def _make(base: np.ndarray, shift: int, level: int, key_id: str,
-          pending_rescale: bool, free: weakref.ref | None) -> Ciphertext:
-    """A ciphertext over ``base`` (already read-only) rotated left by ``shift``;
+          pending_rescale: bool, free: weakref.ref | None,
+          bound: int | None) -> Ciphertext:
+    """A ciphertext over ``base`` (already read-only) rotated left by ``shift``,
+    every slot of it from ``bound`` on an exact zero (-1: not known yet;
+    None: a rotation, which keeps no bound);
     ``base`` returns to the free list ``free`` refers to, if any, when its
     last holder is dropped."""
     if free is None:
@@ -278,7 +307,50 @@ def _make(base: np.ndarray, shift: int, level: int, key_id: str,
     _set_level(ct, level)
     _set_key_id(ct, key_id)
     _set_pending(ct, pending_rescale)
+    if bound is not None:
+        _set_bound(ct, bound)
     return ct
+
+
+def _extent(slots: np.ndarray) -> int:
+    """One past the last slot that is not an exact zero (NaN counts as not
+    zero), 0 when every slot is: one read when the last slot is not zero,
+    a scan otherwise."""
+    size = len(slots)
+    if slots[size - 1] != 0:
+        return size
+    return (slots != 0).tobytes().rfind(1) + 1
+
+
+def _measure(ct: Ciphertext) -> int:
+    """``ct``'s bound, measured from its slots once and kept on it.  The
+    slots never change, so two threads that measure it at once store the
+    same value."""
+    bound = _extent(ct.slots)
+    _set_bound(ct, bound)
+    return bound
+
+
+def _multiply(a: Ciphertext, b: Ciphertext, out: np.ndarray, size: int) -> int:
+    """Write ``a * b`` into ``out`` (``size`` slots) up to the smaller of the
+    operands' bounds, past which the product is an exact zero, and return
+    that bound; ``out`` past it is left as it was.  An operand's unknown
+    bound is measured here, and a rotation's is the slot count."""
+    try:
+        top, other = a._bound, b._bound
+    except AttributeError:  # a rotation keeps no bound: it reads as full
+        top, other = getattr(a, "_bound", size), getattr(b, "_bound", size)
+    if top < 0:
+        top = _measure(a)
+    if other < 0:
+        other = _measure(b)
+    if other < top:
+        top = other
+    if top == size:
+        np.multiply(a.slots, b.slots, out)
+    else:
+        np.multiply(a.slots[:top], b.slots[:top], out[:top])
+    return top
 
 
 def _buffer(pools: defaultdict, n: int) -> tuple[np.ndarray, np.ndarray, weakref.ref]:
@@ -310,16 +382,6 @@ def _check_pair(a: Ciphertext, b: Ciphertext) -> None:
         raise KeyMismatch(f"operands under different keys: {a.key_id} vs {b.key_id}")
     if a._base.shape[0] != b._base.shape[0]:
         raise ValueError(f"slot count mismatch: {a._base.shape[0]} vs {b._base.shape[0]}")
-
-
-def _elementwise(ufunc, a: Ciphertext, b: Ciphertext,
-                 pools: defaultdict) -> tuple[np.ndarray, weakref.ref]:
-    """``ufunc(a.slots, b.slots)`` computed into a buffer from ``pools``;
-    returns the buffer's view and free-list reference."""
-    _check_pair(a, b)
-    out, view, free = _buffer(pools, a._base.shape[0])
-    ufunc(a.slots, b.slots, out)
-    return view, free
 
 
 def as_slots(values, slot_count: int) -> np.ndarray:
@@ -363,7 +425,7 @@ class SimulatorBackend:
             np.add(values, ctx._rng.normal(0.0, sigma, size=values.shape), out)
         else:
             np.copyto(out, values)
-        return _make(view, 0, ctx.params.top_level, ctx.key_id, False, free)
+        return _make(view, 0, ctx.params.top_level, ctx.key_id, False, free, _extent(out))
 
     # -- key management and data boundary ----------------------------------
 
@@ -404,21 +466,35 @@ class SimulatorBackend:
 
     def add(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         """Elementwise sum; level = min of operand levels."""
-        view, free = _elementwise(np.add, a, b, self._free)
+        _check_pair(a, b)
+        size = len(a._base)
+        out, view, free = _buffer(self._free, size)
+        np.add(a.slots, b.slots, out)
         la, lb, pa, pb = a.level, b.level, a.pending_rescale, b.pending_rescale
         self.meter.record("add", min(la + pa, lb + pb))
         # Adding a rescaled operand to an unrescaled one aligns scales first,
         # so the sum stays unrescaled only when both operands are.
-        return _make(view, 0, min(la, lb), a.key_id, pa and pb, free)
+        return _make(view, 0, min(la, lb), a.key_id, pa and pb, free, size)
 
     def mul(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        """Elementwise ciphertext product; consumes one level."""
-        level = min(a.level, b.level)
-        view, free = _elementwise(np.multiply, a, b, self._free)
+        """Elementwise ciphertext product; consumes one level.
+
+        The product is computed only up to the smaller of the operands'
+        bounds and is zero past it, which is then its bound: equal to the
+        full product up to the sign of an exact zero, for finite slots.
+        """
+        level = a.level if a.level < b.level else b.level
+        size = len(a._base)
+        if a.key_id != b.key_id or len(b._base) != size:
+            _check_pair(a, b)
         if level < 1:
             raise LevelExhausted("mul", level, self.meter.current_scope)
         self.meter.record("mul", level)
-        return _make(view, 0, level - 1, a.key_id, True, free)
+        out, view, free = _buffer(self._free, size)
+        top = _multiply(a, b, out, size)
+        if top < size:
+            out[top:] = 0.0
+        return _make(view, 0, level - 1, a.key_id, True, free, top)
 
     def cmul(self, a: Ciphertext, pt) -> Ciphertext:
         """Elementwise plaintext product; consumes one level."""
@@ -430,18 +506,20 @@ class SimulatorBackend:
         self.meter.record("cmul", level)
         out, view, free = _buffer(self._free, n)
         np.multiply(a.slots, vec, out)
-        return _make(view, 0, level - 1, a.key_id, True, free)
+        return _make(view, 0, level - 1, a.key_id, True, free, n)
 
     def rot(self, a: Ciphertext, m: int) -> Ciphertext:
         """Cyclic left rotation by ``m`` slots (negative = right); level unchanged.
 
         The result shares ``a``'s slot array and composes the shift, so no
-        slots are copied; it is still metered as one rotation.
+        slots are copied, and keeps no bound; it is still metered as one
+        rotation.
         """
         base, level, pending = a._base, a.level, a.pending_rescale
-        shift = (a._shift + m) % base.shape[0]
+        size = len(base)
+        shift = (a._shift + m) % size
         self.meter.record("rot", level + pending)
-        return _make(base, shift, level, a.key_id, pending, a._free)
+        return _make(base, shift, level, a.key_id, pending, a._free, None)
 
     # -- batched primitives ------------------------------------------------
 
@@ -456,32 +534,58 @@ class SimulatorBackend:
         The products go through one scratch buffer and are summed in place
         into the result's buffer.  The counts are tallied per level and
         recorded once per kind and level, when the call ends.
+
+        Each product is computed and added only up to the smaller of its
+        operands' bounds (see the module docstring): the result is zero past
+        the first product's bound until a later product writes there, and
+        its bound is the largest of any product's.  Past a product's bound
+        the per-op fold adds exact zeros, so the slots equal the fold's up
+        to the sign of an exact zero, for finite slots.
         """
         muls, adds = {}, {}
         pairs = iter(pairs)
         try:
             for a, b in pairs:  # the first product starts the sum
-                first, key, size = a, a.key_id, a._base.shape[0]
+                first, key, size = a, a.key_id, len(a._base)
                 low = a.level if a.level < b.level else b.level
-                if b.key_id != key or b._base.shape[0] != size or low < 1:
+                if b.key_id != key or len(b._base) != size or low < 1:
                     self._term_error(a, a, b, low, muls)
                 muls[low] = 1
                 out, view, free = _buffer(self._free, size)
-                np.multiply(a.slots, b.slots, out)
+                high = _multiply(a, b, out, size)
+                if high < size:
+                    out[high:] = 0.0
                 break
             else:
                 raise ValueError("mul_sum needs at least one product")
             tmp = None
             for a, b in pairs:
                 lab = a.level if a.level < b.level else b.level
-                if (a.key_id != key or b.key_id != key or a._base.shape[0] != size
-                        or b._base.shape[0] != size or lab < 1):
+                if (a.key_id != key or b.key_id != key or len(a._base) != size
+                        or len(b._base) != size or lab < 1):
                     self._term_error(first, a, b, lab, muls)
                 muls[lab] = muls.get(lab, 0) + 1
                 if tmp is None:
                     tmp, tmp_view, _ = _buffer(self._free, size)
-                np.multiply(a.slots, b.slots, tmp)
-                np.add(out, tmp, out)
+                # _multiply and the add, inline: this loop runs every term
+                try:
+                    top, other = a._bound, b._bound
+                except AttributeError:  # a rotation keeps no bound
+                    top, other = getattr(a, "_bound", size), getattr(b, "_bound", size)
+                if top < 0:
+                    top = _measure(a)
+                if other < 0:
+                    other = _measure(b)
+                if other < top:
+                    top = other
+                if top == size:
+                    np.multiply(a.slots, b.slots, tmp)
+                    np.add(out, tmp, out)
+                else:
+                    np.multiply(a.slots[:top], b.slots[:top], tmp[:top])
+                    np.add(out[:top], tmp[:top], out[:top])
+                if top > high:
+                    high = top
                 # both summands have a rescale pending: the add runs at the
                 # lowest product level so far, one above the sum's budget
                 if lab < low:
@@ -495,7 +599,7 @@ class SimulatorBackend:
                 record("add", level, count)
         if tmp is not None:
             self._free[size].append(tmp_view)
-        return _make(view, 0, low - 1, key, True, free)
+        return _make(view, 0, low - 1, key, True, free, high)
 
     def _term_error(self, first: Ciphertext, a: Ciphertext, b: Ciphertext,
                     level: int, muls: dict[int, int]) -> None:
@@ -537,7 +641,7 @@ class SimulatorBackend:
         last, spare = (even_view, odd_view) if steps & 1 else (odd_view, even_view)
         if spare is not None:
             pools[size].append(spare)
-        return _make(last, 0, ct.level, ct.key_id, ct.pending_rescale, free)
+        return _make(last, 0, ct.level, ct.key_id, ct.pending_rescale, free, size)
 
     def pack_sums(self, cts: Iterable[Ciphertext], n: int, scale: float) -> Ciphertext:
         """One ciphertext holding ``scale`` times the n-slot block sums of
@@ -596,7 +700,7 @@ class SimulatorBackend:
             for (kind, level), c in counts.items():
                 self.meter.record_many(kind, level, c)
         pools[size].append(scratch_view)
-        return _make(view, 0, out_level, first.key_id, True, free)
+        return _make(view, 0, out_level, first.key_id, True, free, size)
 
     def unpack_spread(self, ct: Ciphertext, n: int, g: int,
                       acc: Ciphertext) -> Ciphertext:
@@ -612,25 +716,40 @@ class SimulatorBackend:
         by exactly one term, so it adds each kept value to exact zeros only:
         the result is the chain's bit for bit where the value is not zero,
         and up to the sign of an exact zero elsewhere, for finite slots.
+        The spread is zero from the first block wholly past the pack's
+        bound, so the result's bound is the larger of ``acc``'s and that
+        block's first slot, and only the blocks below it are computed.
         """
-        size, level = ct._base.shape[0], ct.level
+        size, level = len(ct._base), ct.level
         _check_pack(g + 1, n, size)
         if level < 1:
             raise LevelExhausted("cmul", level, self.meter.current_scope)
         self.meter.record("cmul", level)
         # the masked product the chain rotates: one level down, rescale pending
-        masked = _make(ct._base, ct._shift, level - 1, ct.key_id, True, None)
+        masked = _make(ct._base, ct._shift, level - 1, ct.key_id, True, None, None)
         steps = n.bit_length() - 1
         for k in range(steps):
             self.rot(masked, 1 << k if g >> k & 1 else -1 << k)
         self.meter.record_many("add", level, steps)
-        _check_pair(acc, ct)
+        if acc.key_id != ct.key_id or len(acc._base) != size:
+            _check_pair(acc, ct)
         self.meter.record("add", min(acc.level + acc.pending_rescale, level))
+        pack, bound = getattr(ct, "_bound", size), getattr(acc, "_bound", size)
+        if pack < 0:
+            pack = _measure(ct)
+        if bound < 0:
+            bound = _measure(acc)
+        pack = -(-pack // n) * n  # where the blocks the spread leaves zero begin
+        if pack > bound:
+            bound = pack
+        top = -(-bound // n) * n  # the whole blocks that hold the result
         cell, view, free = _buffer(self._free, size)
-        np.add(acc.slots.reshape(-1, n), ct.slots.reshape(-1, n)[:, g, None],
-               cell.reshape(-1, n))
+        np.add(acc.slots[:top].reshape(-1, n), ct.slots[:top].reshape(-1, n)[:, g, None],
+               cell[:top].reshape(-1, n))
+        if top < size:
+            cell[top:] = 0.0
         return _make(view, 0, min(acc.level, level - 1), ct.key_id,
-                     acc.pending_rescale, free)
+                     acc.pending_rescale, free, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -715,7 +834,17 @@ def _views(buffer, levels: list[int], ctx: KeyContext) -> list[Ciphertext]:
                       (serialized_size(s), 8)).astype(np.float64, copy=False)
     rows.setflags(write=False)
     key_id = ctx.key_id
-    return [_make(row, 0, level, key_id, False, None) for row, level in zip(rows, levels)]
+    cells = []
+    for row, level in zip(rows, levels):  # _make inlined: a load pays it per cell
+        ct = _new(Ciphertext)
+        _set_base(ct, row)
+        _set_shift(ct, 0)
+        _set_level(ct, level)
+        _set_key_id(ct, key_id)
+        _set_pending(ct, False)
+        _set_bound(ct, -1)  # not known until a product reads the slots
+        cells.append(ct)
+    return cells
 
 
 def deserialize_many(buffer, ctx: KeyContext) -> list[Ciphertext]:
@@ -740,8 +869,9 @@ def map_many(fh, ctx: KeyContext) -> list[Ciphertext]:
     each one it faults in.
 
     The mapping goes with the last ciphertext that uses it.  A writer that
-    rewrites the file in place changes what those ciphertexts read, and one
-    that truncates it makes the next read past the new end raise SIGBUS."""
+    rewrites the file in place changes what those ciphertexts read (and a
+    bound a product measured before it no longer holds), and one that
+    truncates it makes the next read past the new end raise SIGBUS."""
     fd = fh.fileno()
     size = serialized_size(ctx.params.slot_count)
     count = _cell_count(os.fstat(fd).st_size, size)

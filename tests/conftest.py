@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lhecnn.geometry import CnnConfig, ConvLayer, FcLayer
-from lhecnn.lhe import LheParams, SimulatorBackend
+from lhecnn.lhe import Ciphertext, LheParams, SimulatorBackend
 from lhecnn.metering import OpMeter
 from lhecnn.packing import compute_rotation_plan, empty_weights, encode_params
 from lhecnn.tee import TeeService
@@ -62,6 +62,20 @@ class PerOpBackend(SimulatorBackend):
 
     def rotate_add(self, ct, shifts):
         return loop_rotate_add(self, ct, shifts)
+
+
+class FullProductBackend(SimulatorBackend):
+    """The reference for products over zero tails: ``mul`` multiplies every
+    slot, whatever its operands' bounds, and ``mul_sum`` is the per-op fold
+    of that ``mul`` and ``add``.  Checks, errors, levels and meter counts are
+    :class:`SimulatorBackend`'s."""
+
+    def mul(self, a, b):
+        out = super().mul(a, b)
+        return Ciphertext(a.slots * b.slots, out.level, out.key_id, out.pending_rescale)
+
+    def mul_sum(self, pairs):
+        return loop_mul_sum(self, pairs)
 
 
 def encode_weights(backend, ctx, matrix, kind, n, in_cts=0, pi_per_ct=0):

@@ -54,3 +54,24 @@ def test_loads_time_each_side_and_read_no_slot(tmp_path):
         assert " ".join(fields[-2:]).endswith(resident)
     assert "b loads faster in" in proc.stdout and "of 4 load pairs" in proc.stdout
     assert list(tmp_path.iterdir()) == []
+
+
+def test_bias_check_times_a_against_a_copy_first(tmp_path):
+    # --bias-check first times side a against a copy of its tree and prints
+    # that ratio and the copy's wins beside the a/b ones; the copy goes with
+    # the sessions' temporary directory
+    proc = subprocess.run(
+        [sys.executable, "tools/ab_steps.py", "--a", "src", "--b", "src",
+         "--workload", "infer-cnn12", "--pairs", "2", "--warmup", "0", "--bias-check"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+        env={**os.environ, "TMPDIR": str(tmp_path)})
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    lines = [line.strip() for line in proc.stdout.splitlines()]
+    ratio = next(k for k, line in enumerate(lines) if line.startswith("median ratio b/a"))
+    fields = lines[ratio + 1].split()
+    assert fields[:5] == ["bias", "check:", "median", "ratio", "a"]
+    assert float(fields[6].rstrip(";")) > 0
+    assert lines[ratio + 1].endswith("of 2 pairs")
+    assert sum("free buffers" in line for line in lines) == 2
+    assert lines[-1] == "same outputs in every pair: yes"
+    assert list(tmp_path.iterdir()) == []

@@ -32,6 +32,7 @@ from lhecnn.metering import PRIMITIVE_KINDS, OpMeter
 from lhecnn.packing import compute_rotation_plan
 
 from conftest import (
+    FullProductBackend,
     loop_mul_sum,
     loop_rotate_add,
     per_op_pack_sums,
@@ -427,14 +428,15 @@ class TestLazyRotation:
         assert ct != backend.encrypt(ctx, v)
 
 
-def side_by_side(batched, per_op):
-    """Run ``batched(backend)`` and ``per_op(backend)`` on two metered
-    backends in the same scope; returns both results (or the exceptions
-    they raised) and both meter deltas."""
+def side_by_side(batched, per_op, reference=SimulatorBackend):
+    """Run ``batched(backend)`` on a metered :class:`SimulatorBackend` and
+    ``per_op(backend)`` on a metered ``reference`` backend, in the same
+    scope; returns both results (or the exceptions they raised) and both
+    meter deltas."""
     results = []
-    for run in (batched, per_op):
+    for run, kind in ((batched, SimulatorBackend), (per_op, reference)):
         meter = OpMeter()
-        backend = SimulatorBackend(meter)
+        backend = kind(meter)
         with meter.scope("S"):
             try:
                 out = run(backend)
@@ -786,6 +788,159 @@ class TestMaskedChains:
         assert packed.level == 1
         assert largest <= buffer
         assert peak < 3 * buffer  # the scratch and the output buffer
+
+
+def assert_same_up_to_zero_sign(got, want):
+    """Equal slots, bit for bit where not zero (past a bound the batched
+    primitives write +0.0 where a per-op sum of -0.0 terms is -0.0); the
+    same level, rescale flag and key."""
+    assert np.array_equal(got.slots, want.slots)
+    kept = got.slots != 0
+    assert got.slots[kept].tobytes() == want.slots[kept].tobytes()
+    assert (got.level, got.pending_rescale, got.key_id) == (
+        want.level, want.pending_rescale, want.key_id)
+
+
+def last_nonzero_end(ct) -> int:
+    """One past the last slot of ``ct`` that is not an exact zero."""
+    nonzero = np.flatnonzero(ct.slots)
+    return int(nonzero[-1]) + 1 if nonzero.size else 0
+
+
+class TestZeroTails:
+    """Products skip the zero tails of their operands: ``mul`` and
+    ``mul_sum`` against the per-op fold of full products
+    (:class:`FullProductBackend`), slots equal under ``np.array_equal`` (up
+    to the sign of an exact zero), the same level, rescale flag and (scope,
+    kind, level) counts; and every bound covers its last nonzero slot."""
+
+    BOUNDS = (0, 1, 5, 8, 13, 16)
+
+    @staticmethod
+    def tailed(slot_count=16):
+        """Ciphertexts of values of both signs up to each bound in
+        :data:`BOUNDS` and zeros past it, at two levels, with a rescale
+        pending on some; and the same values through the public constructor,
+        whose bound is not known until a product reads it."""
+        backend = SimulatorBackend()
+        ctx = backend.keygen(LheParams(slot_count, 8), seed=4)
+        rng = np.random.default_rng(4)
+        cts = []
+        for bound in TestZeroTails.BOUNDS:
+            values = np.zeros(slot_count)
+            values[:bound] = rng.normal(size=bound)
+            fresh = backend.encrypt(ctx, values)
+            cts += [fresh, backend.cmul(fresh, np.full(slot_count, -1.5)),
+                    Ciphertext(values.copy(), 5, ctx.key_id, True)]
+        return cts
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_mul_sum_and_mul_match_the_full_product_fold(self, data):
+        pool = self.tailed()
+        index = st.integers(0, len(pool) - 1)
+        pairs = [(pool[data.draw(index)], pool[data.draw(index)])
+                 for _ in range(data.draw(st.integers(1, 6), label="terms"))]
+        for op in (lambda b: b.mul_sum(pairs), lambda b: b.mul(*pairs[-1])):
+            (got, got_counts), (want, want_counts) = side_by_side(
+                op, op, FullProductBackend)
+            assert_same_up_to_zero_sign(got, want)
+            assert got_counts == want_counts
+            assert last_nonzero_end(got) <= got._bound <= 16
+
+    @pytest.mark.parametrize("bounds", [
+        (5, 13, 16), (1, 8), (0, 13), (0, 0), (16, 5, 0, 13)],
+        ids=["first-shortest", "first-shorter", "first-all-zero", "all-zero", "mixed"])
+    def test_a_first_term_shorter_than_later_ones(self, bounds):
+        # each term multiplies two operands of the same bound; the sum's
+        # slots past the first term's bound come from later terms alone
+        pool = self.tailed()
+        firsts = [3 * self.BOUNDS.index(bound) for bound in bounds]
+        pairs = [(pool[k], pool[k + 1]) for k in firsts]  # fresh, and times -1.5
+        (got, got_counts), (want, want_counts) = side_by_side(
+            lambda b: b.mul_sum(pairs), lambda b: b.mul_sum(pairs), FullProductBackend)
+        assert_same_up_to_zero_sign(got, want)
+        assert got_counts == want_counts
+        assert got._bound == max(bounds) == last_nonzero_end(got)
+
+    def test_an_all_zero_operand_has_bound_zero(self, backend):
+        # conv_backward's never-visited cell: the public constructor over
+        # zeros, measured when a product first reads it
+        ctx = backend.keygen(LheParams(16, 8), seed=4)
+        x = backend.encrypt(ctx, np.arange(1.0, 17.0))
+        zero = Ciphertext(np.zeros(16), 6, ctx.key_id, True)
+        assert zero._bound == -1
+        product = backend.mul(x, zero)
+        assert zero._bound == 0 and product._bound == 0
+        assert not product.slots.any() and product.level == 5
+        total = backend.mul_sum([(zero, x), (x, x)])
+        assert total._bound == 16 and np.array_equal(total.slots, x.slots * x.slots)
+
+    def test_a_noisy_encrypt_is_full_and_a_noiseless_one_is_measured(self, backend):
+        values = np.zeros(16)
+        values[:5] = -np.arange(1.0, 6.0)
+        for sigma, bound in ((0.0, 5), (1e-3, 16)):
+            ctx = backend.keygen(LheParams(16, 8, sigma), seed=4)
+            fresh = backend.encrypt(ctx, values)
+            assert fresh._bound == bound
+            assert backend.reencrypt(ctx, fresh)._bound == bound
+        # a negative zero is an exact zero
+        values[4:] = -0.0
+        assert backend.encrypt(backend.keygen(LheParams(16, 8), seed=4), values)._bound == 4
+
+    def test_a_rotated_operand_is_treated_as_full(self, backend):
+        ctx = backend.keygen(LheParams(16, 8), seed=4)
+        values = np.zeros(16)
+        values[:5] = np.arange(1.0, 6.0)
+        x = backend.encrypt(ctx, values)
+        ones = backend.encrypt(ctx, np.ones(16))
+        for ct in (backend.add(x, x), backend.cmul(x, np.ones(16)),
+                   backend.rotate_add(x, [-1, 2])):
+            assert ct._bound == 16
+        # a rotation keeps no bound; a product reads it as full
+        for shift, end in ((-3, 8), (16, 5)):
+            rotated = backend.rot(x, shift)
+            for product in (backend.mul(rotated, ones), backend.mul_sum([(ones, rotated)])):
+                assert np.array_equal(product.slots, np.roll(values, -shift))
+                assert product._bound == 16 and last_nonzero_end(product) == end
+            cell = backend.unpack_spread(rotated, 4, 1, backend.encrypt(ctx, np.zeros(16)))
+            assert cell._bound == 16 and np.array_equal(
+                cell.slots, np.repeat(np.roll(values, -shift)[1::4], 4))
+
+    def test_a_mapped_cell_is_measured_by_its_first_product(self, backend, tmp_path):
+        ctx = backend.keygen(LheParams(16, 8), seed=4)
+        values = np.zeros(16)
+        values[:7] = np.arange(-3.0, 4.0)
+        path = tmp_path / "cells.lhe"
+        path.write_bytes(serialize_many([backend.encrypt(ctx, values)] * 2))
+        with open(path, "rb") as fh:
+            cells = map_many(fh, ctx)
+        assert [cell._bound for cell in cells] == [-1, -1]  # the load read no slot
+        x = backend.encrypt(ctx, np.ones(16))
+        product = backend.mul_sum([(x, cells[0])])
+        assert [cell._bound for cell in cells] == [7, -1]
+        assert product._bound == 7 and np.array_equal(product.slots, values)
+        assert deserialize(serialize(cells[1]), ctx)._bound == -1
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_the_spread_matches_the_per_op_calls_over_tails(self, data):
+        # packs and accumulators with zero tails, the accumulator's shorter
+        # or longer than the pack's reach
+        pool = self.tailed()
+        ct = pool[data.draw(st.integers(0, len(pool) - 1), label="pack")]
+        indices, n = data.draw(packs(len(pool)))
+        accs = [pool[i] for i in indices]
+        (got, got_counts), (want, want_counts) = side_by_side(
+            lambda b: spreads(b.unpack_spread, ct, n, accs),
+            lambda b: spreads(partial(per_op_unpack_spread, b), ct, n, accs))
+        for cell, want_cell, acc in zip(got, want, accs, strict=True):
+            assert_same_up_to_zero_sign(cell, want_cell)
+            assert last_nonzero_end(cell) <= cell._bound <= 16
+            # the larger of the cell's bound and the pack's, rounded up to a
+            # whole block
+            assert cell._bound == max(acc._bound, -(-ct._bound // n) * n)
+        assert got_counts == want_counts
 
 
 class TestRecycling:

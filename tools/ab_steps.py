@@ -23,6 +23,13 @@ that file does not exist).  A set-up is timed as perfbench's ``setup_s``
 times it: building the meter, the backend and the TEE (key generation
 included), then ``RefineSession.load``.
 
+With ``--bias-check`` it first times side a against a copy of side a's
+tree, the same way and with as many pairs, and prints that median ratio and
+the pairs the copy won beside the a/b ones.  Two identical trees can read a
+ratio of a few percent away from 1 (which side was imported and set up
+first, where its arrays landed), so an a/b ratio inside that spread
+resolves nothing.
+
 Pairs run back to back share the host's state, so a change of a few percent
 shows in a few hundred pairs where separate benchmark runs, whose medians
 drift with the host, cannot resolve it.  The workloads are those of
@@ -147,34 +154,59 @@ def load_once(side: Side, wl: str, seed: int, tmp: Path) -> tuple[int, int | Non
     return elapsed, mapping_resident_kb(next(iter(session.filters[0].cells.values())).slots)
 
 
+def compare(a: Side, b: Side) -> dict:
+    """The median of the per-pair step time ratios b/a, and the pairs b won."""
+    ratios = [tb / ta for ta, tb in zip(a.times_ns, b.times_ns)]
+    return {"median_ratio": statistics.median(ratios),
+            "b_won": sum(ratio < 1 for ratio in ratios)}
+
+
+def time_pairs(sides: list[Side], wl: str, pairs: int, warmup: int, seed: int) -> bool:
+    """Time ``warmup + pairs`` pairs of steps on the two sides, the side
+    that runs first alternating, and keep the last ``pairs`` times on each
+    side; returns whether both revealed the same in every pair."""
+    cfg = workload(sides[0].lib, wl)[0]
+    first = cfg.conv[0]
+    rng = np.random.default_rng(seed)
+    same = True
+    for index in range(warmup + pairs):
+        images = rng.normal(size=(cfg.n, first.channels, first.input_side,
+                                  first.input_side)) * 0.2
+        labels = rng.integers(0, cfg.fc[-1].outputs, size=cfg.n)
+        order = sides if index % 2 == 0 else sides[::-1]
+        outs = [side.step(images, labels) for side in order]
+        same &= outs[0] == outs[1]
+        if index < warmup:
+            for side in sides:
+                side.times_ns.pop()
+    return same
+
+
 def run(a_src: Path, b_src: Path, wl: str, pairs: int, warmup: int, seed: int,
-        loads: int = 0) -> dict:
+        loads: int = 0, bias_check: bool = False) -> dict:
     tmp = Path(tempfile.mkdtemp(prefix="ab_steps-"))
     try:
-        sides = [open_side(name, import_tree(src, f"lhecnn_ab_{name}"), wl, seed, tmp)
-                 for name, src in (("a", a_src), ("b", b_src))]
+        a_lib = import_tree(a_src, "lhecnn_ab_a")
+        same, bias = True, {}
+        if bias_check:
+            copy = tmp / "a_copy"
+            shutil.copytree(Path(a_src) / "lhecnn", copy / "lhecnn",
+                            ignore=shutil.ignore_patterns("__pycache__"))
+            twins = [open_side(name, lib, wl, seed, tmp) for name, lib in
+                     (("a_twin", a_lib), ("a_copy", import_tree(copy, "lhecnn_ab_a_copy")))]
+            same = time_pairs(twins, wl, pairs, warmup, seed)
+            bias = {f"aa_{key}": value for key, value in compare(*twins).items()}
+            del twins
+        sides = [open_side(name, lib, wl, seed, tmp) for name, lib in
+                 (("a", a_lib), ("b", import_tree(b_src, "lhecnn_ab_b")))]
         loaded = {side.name: [] for side in sides}
         for index in range(loads):
             for side in (sides if index % 2 == 0 else sides[::-1]):
                 loaded[side.name].append(load_once(side, wl, seed, tmp))
-        cfg = workload(sides[0].lib, wl)[0]
-        first = cfg.conv[0]
-        rng = np.random.default_rng(seed)
-        same = True
-        for index in range(warmup + pairs):
-            images = rng.normal(size=(cfg.n, first.channels, first.input_side,
-                                      first.input_side)) * 0.2
-            labels = rng.integers(0, cfg.fc[-1].outputs, size=cfg.n)
-            order = sides if index % 2 == 0 else sides[::-1]
-            outs = {side.name: side.step(images, labels) for side in order}
-            same &= outs["a"] == outs["b"]
-            if index < warmup:
-                for side in sides:
-                    side.times_ns.pop()
+        same &= time_pairs(sides, wl, pairs, warmup, seed)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     a_ms, b_ms = ([t / 1e6 for t in side.times_ns] for side in sides)
-    ratios = [b / a for a, b in zip(a_ms, b_ms)]
     load_stats = {}
     for name, runs in loaded.items():
         if runs:
@@ -186,9 +218,9 @@ def run(a_src: Path, b_src: Path, wl: str, pairs: int, warmup: int, seed: int,
         "pairs": pairs,
         "a_p50": np.percentile(a_ms, 50), "a_p90": np.percentile(a_ms, 90),
         "b_p50": np.percentile(b_ms, 50), "b_p90": np.percentile(b_ms, 90),
-        "median_ratio": statistics.median(ratios),
-        "b_won": sum(b < a for a, b in zip(a_ms, b_ms)),
+        **compare(*sides),
         "same_outputs": same,
+        **bias,
         **{f"{side.name}_buffers": side.session.backend.free_buffers for side in sides},
         "loads": loads,
         "loads_b_won": sum(b < a for (a, _), (b, _) in zip(loaded["a"], loaded["b"])),
@@ -207,10 +239,13 @@ def main(argv=None) -> int:
     parser.add_argument("--loads", type=int, default=0,
                         help="timed set-ups (meter, backend, TEE, load) per side, "
                              "before the pairs")
+    parser.add_argument("--bias-check", action="store_true",
+                        help="first time a against a copy of a's tree, as many pairs")
     args = parser.parse_args(argv)
     if args.pairs < 1 or args.warmup < 0 or args.loads < 0:
         parser.error("--pairs must be positive, --warmup and --loads nonnegative")
-    r = run(args.a, args.b, args.workload, args.pairs, args.warmup, args.seed, args.loads)
+    r = run(args.a, args.b, args.workload, args.pairs, args.warmup, args.seed, args.loads,
+            args.bias_check)
     print(f"{r['workload']}: {r['pairs']} pairs")
     if r["loads"]:
         for name in "ab":
@@ -226,6 +261,9 @@ def main(argv=None) -> int:
         print(f"  {name}  free buffers {sum(buffers.values())} ({mb:.2f} MB)")
     print(f"  median ratio b/a {r['median_ratio']:.3f}; b faster in "
           f"{r['b_won']} of {r['pairs']} pairs")
+    if "aa_median_ratio" in r:
+        print(f"  bias check: median ratio a copy/a {r['aa_median_ratio']:.3f}; the copy "
+              f"faster in {r['aa_b_won']} of {r['pairs']} pairs")
     print(f"  same outputs in every pair: {'yes' if r['same_outputs'] else 'NO'}")
     return 0 if r["same_outputs"] else 1
 
