@@ -77,10 +77,11 @@ def fl_forward(backend: SimulatorBackend, inputs: PackedTensor,
 
     Type I weights take a many-pi-set input; a doubling rotate-sum then folds
     the pi-set blocks, so each output ciphertext holds S/n replicas of its n
-    per-image dot products (a type II input).  Type II weights take one
-    replicated pi-set per input neuron and need no rotation; each output
-    ciphertext packs S/n output neurons as consecutive pi-sets (a type I
-    input).
+    per-image dot products (a type II input).  Each replica sums the blocks
+    in its own order, so the replicas agree up to rounding, not bit for bit.
+    Type II weights take one replicated pi-set per input neuron and need no
+    rotation; each output ciphertext packs S/n output neurons as consecutive
+    pi-sets (a type I input).
     """
     type1 = weights.kind == "type1"
     expected = FL_TYPE1 if type1 else FL_TYPE2

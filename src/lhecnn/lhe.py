@@ -64,15 +64,31 @@ read when the last slot is not zero, as with any noise, a scan
 otherwise).  ``add``, ``cmul``, ``rotate_add`` and ``pack_sums`` give the
 full slot count.  A rotation keeps no bound and every reader takes the slot
 count for it: a prefix does not survive a rotation, and the spread's
-metering-only rotations pay nothing for the bound.  A ciphertext from the public constructor or the readers (``deserialize``,
-``deserialize_many``, ``map_many``) has no bound until the first product
-that reads it measures it and keeps it, so a load reads no slot.  ``mul``
+metering-only rotations pay nothing for the bound.  A ciphertext from the
+public constructor or the readers (``deserialize``, ``deserialize_many``,
+``map_many``) has no bound until the first product or fold that reads it
+measures it and keeps it, so a load reads no slot.  ``mul``
 and each term of ``mul_sum`` compute a product only up to the smaller of
 its operands' bounds, and ``unpack_spread`` only the blocks the refreshed
 gradient or the cell it adds into reaches.  Past a product's bound the
 per-op product is ``x * 0.0``, so the slots equal the full computation's up
 to the sign of an exact zero, for finite slots, and the meter records the
 same ops at the same levels.
+
+Folds compute only their run.  ``rotate_add`` reads its operand's bound as
+a product does, and tracks, inside the call alone, the run: the cyclic arc
+of slots that can be nonzero.  It starts as ``[0, bound)``, and a step by
+``s`` (``out[i] = x[i] + x[i + s]``) grows it to the shorter arc that covers
+it and it shifted by ``s``.  A type I fc fold at S=32768, n=128 whose input
+fills 64 of its 256 blocks thus runs over 65, 67, 71, 79, 95, 127 and 191
+blocks, and only its last step covers them all.  Each step computes only
+its new run, at the start of a buffer: an add where both terms lie in the
+old run, and ``v + 0.0`` where one does.  The step that covers every slot,
+or would leave a gap of zeros inside the run, or the chain's last, writes
+its buffer in full, zero where neither term lies in the run, and the steps
+after it add whole vectors, as every step of a full-bound operand's chain
+does.  For an operand whose tail is +0.0, as every product's is, each slot
+is the full chain's bit for bit, the sign of zero included.
 
 Level accounting for the meter follows lazy rescaling: the product of a
 multiplication stays at its operands' modulus level until the next
@@ -191,9 +207,9 @@ class Ciphertext:
     shares its operand's array instead of copying it.  :attr:`slots` is the
     rotated vector; it is built on each read of a shifted ciphertext and is
     read-only either way.  ``_bound`` is the slot from which on every slot
-    of :attr:`slots` is an exact zero, or -1 until the first product that
-    reads this ciphertext measures it; a rotation has none, and reads as
-    its slot count (see the module docstring).
+    of :attr:`slots` is an exact zero, or -1 until the first product or
+    fold that reads this ciphertext measures it; a rotation has none, and
+    reads as its slot count (see the module docstring).
     """
 
     __slots__ = ("_base", "_shift", "level", "key_id", "pending_rescale", "_bound")
@@ -351,6 +367,62 @@ def _multiply(a: Ciphertext, b: Ciphertext, out: np.ndarray, size: int) -> int:
     else:
         np.multiply(a.slots[:top], b.slots[:top], out[:top])
     return top
+
+
+def _run_steps(x: np.ndarray, bound: int, shifts: Sequence[int],
+               outs: Sequence[np.ndarray]) -> int:
+    """The first steps of :meth:`SimulatorBackend.rotate_add`'s chain over
+    ``x``, whose slots from ``bound`` on are zeros, step k by ``shifts[k]``
+    (not empty) writing ``outs[k]``; returns how many it ran, the last of
+    which wrote its buffer in full (see the module docstring).
+
+    The run, the cyclic arc of slots that can be nonzero, starts as ``[0,
+    bound)``, and each step grows it to the shorter arc that covers it and
+    it shifted by ``s``.  A step that leaves some slot outside it writes
+    only its new run, at the start of its buffer.  The step that would
+    cover every slot, or leave a gap of zeros inside the run (a shift
+    longer than the run), or the chain's last, writes its buffer in
+    full."""
+    size = len(x)
+    run, start, length = x, 0, bound  # run[:length] holds slots start, start + 1, ...
+    last = len(shifts) - 1
+    for k, (s, out) in enumerate(zip(shifts, outs)):
+        t = s % size
+        left = t <= size - t  # the new run begins t before the old one
+        d = t if left else size - t
+        if k == last or d > length or length + d >= size:
+            _lay_out(run, start, length, t, out)
+            return k + 1
+        # run[j] lies at offset j of the new run, and at offset j + d: the
+        # term x[i + s] at the first when the run grows left, else x[i]
+        np.add(run[:d], 0.0, out[:d])
+        if left:
+            np.add(run[:length - d], run[d:length], out[d:length])
+        else:
+            np.add(run[d:length], run[:length - d], out[d:length])
+        np.add(run[length - d:length], 0.0, out[length:length + d])
+        if left:
+            start = (start - t) % size
+        run, length = out, length + d
+
+
+def _lay_out(run: np.ndarray, start: int, length: int, t: int, out: np.ndarray) -> None:
+    """Write every slot of ``x + rot(x, t)`` into ``out``, where ``x`` holds
+    ``run[:length]`` at the cyclic run of slots from ``start`` and zeros
+    elsewhere: ``x[i] + x[i + t]`` where both terms lie in the run,
+    ``v + 0.0`` where one does, and zero where neither does."""
+    size = len(out)
+    # x[i] lies in the run from slot a on, x[i + t] from slot b on
+    a, b = start, (start - t) % size
+    cuts = sorted({0, size, a, (a + length) % size, b, (b + length) % size})
+    for p, q in zip(cuts, cuts[1:]):
+        i, j = (p - a) % size, (p - b) % size  # run offsets of x[p] and x[p + t]
+        if i < length:
+            np.add(run[i:i + q - p], run[j:j + q - p] if j < length else 0.0, out[p:q])
+        elif j < length:
+            np.add(run[j:j + q - p], 0.0, out[p:q])
+        else:
+            out[p:q] = 0.0
 
 
 def _buffer(pools: defaultdict, n: int) -> tuple[np.ndarray, np.ndarray, weakref.ref]:
@@ -618,9 +690,16 @@ class SimulatorBackend:
         the chain of :meth:`rot` and :meth:`add` calls, with its slots, level
         and meter counts.  Every step runs at ``ct``'s meter level, so its
         rotations and adds are metered in one batch each, and none goes
-        through :meth:`rot`.  The steps write into two buffers in turn, each
-        step as two slice adds split where its rotation wraps, so the
-        rotation is not copied.
+        through :meth:`rot`.  The steps write into two buffers in turn, and
+        no rotation is copied.
+
+        An operand with a zero tail (its bound, measured here when not yet
+        known) starts the steps of :func:`_run_steps`, each computing only
+        the run of slots that can be nonzero, until one covers every slot
+        or the chain ends (see the module docstring).  Every later step, and
+        every step over a full-bound operand, adds two slices of the whole
+        vector, split where its rotation wraps.  The result's bound is its
+        slot count.
         """
         steps = len(shifts)
         if not steps:
@@ -628,8 +707,14 @@ class SimulatorBackend:
         size, pools = ct._base.shape[0], self._free
         even, even_view, free = _buffer(pools, size)
         odd, odd_view, _ = _buffer(pools, size) if steps > 1 else (None, None, None)
-        x = ct.slots
-        for s, out in zip(shifts, (even, odd) * (steps + 1 >> 1)):
+        outs, x, done = (even, odd) * (steps + 1 >> 1), ct.slots, 0
+        bound = getattr(ct, "_bound", size)  # a rotation keeps no bound
+        if bound < 0:
+            bound = _measure(ct)
+        if bound < size:
+            done = _run_steps(x, bound, shifts, outs)
+            x = outs[done - 1]
+        for s, out in zip(shifts[done:], outs[done:]):
             cut = size - s % size
             np.add(x[:cut], x[-cut:], out[:cut])
             np.add(x[cut:], x[:-cut], out[cut:])
@@ -842,7 +927,7 @@ def _views(buffer, levels: list[int], ctx: KeyContext) -> list[Ciphertext]:
         _set_level(ct, level)
         _set_key_id(ct, key_id)
         _set_pending(ct, False)
-        _set_bound(ct, -1)  # not known until a product reads the slots
+        _set_bound(ct, -1)  # not known until a product or fold reads the slots
         cells.append(ct)
     return cells
 

@@ -1,6 +1,7 @@
 """Smoke run of ``tools/ab_steps.py`` with this tree on both sides."""
 
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,20 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# Appended to a copy of ``backward.py``: every spread cell's first slot one
+# ulp larger, which changes one parameter per cell
+PERTURB = """
+
+_spread = signed_rotate_spread
+
+
+def signed_rotate_spread(backend, ct, n, g, acc):
+    cell = _spread(backend, ct, n, g, acc)
+    slots = cell.slots.copy()
+    slots[0] = np.nextafter(slots[0], np.inf)
+    return Ciphertext(slots, cell.level, cell.key_id, cell.pending_rescale)
+"""
 
 
 @pytest.mark.parametrize("workload, pairs", [("infer-cnn12", 3), ("refine-r22", 2)])
@@ -33,7 +48,33 @@ def test_both_sides_this_tree(tmp_path, workload, pairs):
     assert int(count) > 0 and mb == f"{8 * slots * int(count) / 2**20:.2f} MB)"
     assert f"of {pairs} pairs" in proc.stdout
     assert lines[-1].strip() == "same outputs in every pair: yes"
+    # a refining workload also compares the two sides' models after the
+    # last pair; inference leaves the model as it was loaded
+    model = [line.strip() for line in lines if "same model" in line]
+    want = ["same model after the last pair: yes"] if workload == "refine-r22" else []
+    assert model == want
     assert list(tmp_path.iterdir()) == []
+
+
+def test_models_that_differ_fail_the_run(tmp_path):
+    # side b's tree adds one ulp to the first slot of every cell the spread
+    # makes: the losses still agree (a round's loss precedes its update),
+    # and the model comparison is what fails the run
+    tree = tmp_path / "b"
+    shutil.copytree(ROOT / "src" / "lhecnn", tree / "lhecnn",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    backward = tree / "lhecnn" / "backward.py"
+    backward.write_text(backward.read_text() + PERTURB)
+    proc = subprocess.run(
+        [sys.executable, "tools/ab_steps.py", "--a", "src", "--b", str(tree),
+         "--workload", "refine-r22", "--pairs", "1", "--warmup", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+        env={**os.environ, "TMPDIR": str(tmp_path)})
+    lines = [line.strip() for line in proc.stdout.splitlines()]
+    assert proc.returncode == 1, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert lines[-2:] == ["same model after the last pair: NO",
+                          "same outputs in every pair: yes"]
+    assert list(tmp_path.iterdir()) == [tree]
 
 
 def test_loads_time_each_side_and_read_no_slot(tmp_path):

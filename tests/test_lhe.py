@@ -942,6 +942,86 @@ class TestZeroTails:
             assert cell._bound == max(acc._bound, -(-ct._bound // n) * n)
         assert got_counts == want_counts
 
+    @staticmethod
+    def product(bound, slot_count=32, public=False, sparse=False):
+        """A product whose tail is +0.0 from ``bound`` on and whose last slot
+        before it is not zero.  Some slots before it are -0.0 (a zero times a
+        negative factor); when ``sparse``, all of them are +0.0 or -0.0, so
+        that sums of zeros show their sign.  When ``public``, the product
+        comes through the public constructor, whose bound is not known until
+        a fold or product reads it."""
+        backend = SimulatorBackend()
+        ctx = backend.keygen(LheParams(slot_count, 8), seed=4)
+        rng = np.random.default_rng(bound)
+        values = np.zeros(slot_count)
+        values[:bound] = rng.normal(size=bound)
+        values[1:bound - 1:3] = 0.0
+        if sparse:
+            values[:bound - 1] = 0.0
+        signs = np.where(rng.random(slot_count) < 0.5, -1.5, 1.5)
+        product = backend.mul(backend.encrypt(ctx, values), backend.encrypt(ctx, signs))
+        assert product._bound == bound and not np.signbit(product.slots[bound:]).any()
+        if public:
+            product = Ciphertext(product.slots.copy(), product.level, ctx.key_id, True)
+            assert product._bound == -1
+        return product
+
+    @staticmethod
+    def check_rotate_add(ct, shifts):
+        """``rotate_add`` against the per-op chain: the same bytes in every
+        slot (the sign of zero included), level, rescale flag and counts;
+        and, unless there are no shifts (the operand is returned), the
+        operand's bound measured and the result's never below its last
+        nonzero slot."""
+        def stale(backend):
+            # buffers of nonzero slots on the free list: a slot the chain
+            # fails to write shows
+            for _ in range(2):
+                view = np.full(ct.slot_count, 7.0).view()
+                view.setflags(write=False)
+                backend._free[ct.slot_count].append(view)
+            return backend
+
+        (got, got_counts), (want, want_counts) = side_by_side(
+            lambda b: stale(b).rotate_add(ct, shifts),
+            lambda b: loop_rotate_add(b, ct, shifts))
+        assert_same_ct(got, want)
+        assert got_counts == want_counts
+        if shifts:
+            assert ct._bound == last_nonzero_end(ct)
+            assert last_nonzero_end(got) <= got._bound <= ct.slot_count
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_rotate_add_matches_the_per_op_chain_over_tails(self, data):
+        size = 32
+        bound = data.draw(st.sampled_from([0, 1, size]) | st.integers(0, size),
+                          label="bound")
+        ct = self.product(bound, size, public=data.draw(st.booleans(), label="public"),
+                          sparse=data.draw(st.booleans(), label="sparse"))
+        shift = (st.sampled_from([0, size, -size, 2 * size + 3, -1, size // 2])
+                 | st.integers(-3 * size, 3 * size))
+        folds = st.builds(lambda n, steps: [n << k for k in range(steps)],
+                          st.sampled_from([1, 2, 4]), st.integers(1, 5))
+        self.check_rotate_add(ct, data.draw(st.lists(shift, max_size=8) | folds,
+                                            label="shifts"))
+
+    @pytest.mark.parametrize("bound, shifts", [
+        (8, [1, 2, 4, 8, 16]),   # a fold: 8 -> 9, 11, 15, 23 slots, then all
+        (4, [1, 2]),             # ends before the run covers the slots
+        (2, [10, 1]),            # a shift longer than the run: every slot at once
+        (5, [-3, -6, 33]),       # negative and past the slot count: the run grows right
+        (16, [16, 3]),           # half the slots: the first step covers them
+        (0, [4, 8, 16]),         # all zero
+        (31, [1, 2]),            # the first step covers the slots
+        (32, [1, 2, 4]),         # full: every step adds whole vectors
+    ], ids=["fold", "short", "gap", "right", "half", "zero", "nearly-full", "full"])
+    def test_rotate_add_chains_over_a_run(self, bound, shifts):
+        for public in (False, True):
+            for sparse in (False, True):
+                self.check_rotate_add(self.product(bound, public=public, sparse=sparse),
+                                      shifts)
+
 
 class TestRecycling:
     """Dropped results hand their slot buffers back; held arrays stay put."""

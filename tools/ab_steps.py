@@ -9,7 +9,10 @@ steps in pairs: each pair runs one step on each side with the same batch,
 the side that runs first alternating from pair to pair.  It prints each
 side's p50 and p90 step time, the median of the per-pair ratios b/a, the
 pairs b won, and whether both sides revealed the same outputs (inference)
-or losses (refining) in every pair.  It also prints the slot buffers each
+or losses (refining) in every pair.  A refining workload also compares the
+bytes of the two sides' decrypted models after the last pair: a round's
+loss is computed before its update, so the losses alone miss a parameter
+the last update got wrong.  It also prints the slot buffers each
 side's backend holds in its free lists after the last pair, in buffers and
 in MB: the peak pooled working set of a step, less what the session still
 holds (its parameter cells, once a refining round has replaced them).  Peak
@@ -154,6 +157,12 @@ def load_once(side: Side, wl: str, seed: int, tmp: Path) -> tuple[int, int | Non
     return elapsed, mapping_resident_kb(next(iter(session.filters[0].cells.values())).slots)
 
 
+def model_bytes(side: Side) -> bytes:
+    """The bytes of every parameter of ``side``'s decrypted model."""
+    model = side.session.decrypted_model()
+    return b"".join(array.tobytes() for array in model.filters + model.weights)
+
+
 def compare(a: Side, b: Side) -> dict:
     """The median of the per-pair step time ratios b/a, and the pairs b won."""
     ratios = [tb / ta for ta, tb in zip(a.times_ns, b.times_ns)]
@@ -204,6 +213,9 @@ def run(a_src: Path, b_src: Path, wl: str, pairs: int, warmup: int, seed: int,
             for side in (sides if index % 2 == 0 else sides[::-1]):
                 loaded[side.name].append(load_once(side, wl, seed, tmp))
         same &= time_pairs(sides, wl, pairs, warmup, seed)
+        same_model = None
+        if sides[0].refine:
+            same_model = model_bytes(sides[0]) == model_bytes(sides[1])
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     a_ms, b_ms = ([t / 1e6 for t in side.times_ns] for side in sides)
@@ -220,6 +232,7 @@ def run(a_src: Path, b_src: Path, wl: str, pairs: int, warmup: int, seed: int,
         "b_p50": np.percentile(b_ms, 50), "b_p90": np.percentile(b_ms, 90),
         **compare(*sides),
         "same_outputs": same,
+        "same_model": same_model,
         **bias,
         **{f"{side.name}_buffers": side.session.backend.free_buffers for side in sides},
         "loads": loads,
@@ -264,8 +277,10 @@ def main(argv=None) -> int:
     if "aa_median_ratio" in r:
         print(f"  bias check: median ratio a copy/a {r['aa_median_ratio']:.3f}; the copy "
               f"faster in {r['aa_b_won']} of {r['pairs']} pairs")
+    if r["same_model"] is not None:
+        print(f"  same model after the last pair: {'yes' if r['same_model'] else 'NO'}")
     print(f"  same outputs in every pair: {'yes' if r['same_outputs'] else 'NO'}")
-    return 0 if r["same_outputs"] else 1
+    return 0 if r["same_outputs"] and r["same_model"] is not False else 1
 
 
 if __name__ == "__main__":
