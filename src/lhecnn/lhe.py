@@ -67,7 +67,12 @@ count for it: a prefix does not survive a rotation, and the spread's
 metering-only rotations pay nothing for the bound.  A ciphertext from the
 public constructor or the readers (``deserialize``, ``deserialize_many``,
 ``map_many``) has no bound until the first product or fold that reads it
-measures it and keeps it, so a load reads no slot.  ``mul``
+measures it and keeps it, so a load reads no slot.  A saved session
+records each cell's bound, the one it carries or measured from the slots
+written, and its load passes them to ``map_many``: no product then scans
+a cell, so no page of a cell's zero tail is ever read.  Such a bound is
+taken as given, so a cells file rewritten outside the library can make it
+wrong, as it can make wrong a bound measured before the rewrite.  ``mul``
 and each term of ``mul_sum`` compute a product only up to the smaller of
 its operands' bounds, and ``unpack_spread`` only the blocks the refreshed
 gradient or the cell it adds into reaches.  Past a product's bound the
@@ -110,7 +115,7 @@ import zlib
 from collections import defaultdict
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -345,6 +350,13 @@ def _measure(ct: Ciphertext) -> int:
     bound = _extent(ct.slots)
     _set_bound(ct, bound)
     return bound
+
+
+def slot_bound(ct: Ciphertext) -> int:
+    """The slot from which on every slot of ``ct`` is an exact zero: the
+    bound it carries, else one measured from its slots (not kept)."""
+    bound = getattr(ct, "_bound", -1)  # a rotation keeps no bound
+    return bound if bound >= 0 else _extent(ct.slots)
 
 
 def _multiply(a: Ciphertext, b: Ciphertext, out: np.ndarray, size: int) -> int:
@@ -911,23 +923,26 @@ def _cell_count(nbytes: int, size: int) -> int:
     return nbytes // size
 
 
-def _views(buffer, levels: list[int], ctx: KeyContext) -> list[Ciphertext]:
+def _views(buffer, levels: list[int], ctx: KeyContext,
+           bounds: list[int] | None = None) -> list[Ciphertext]:
     """One ciphertext per level, its slots a read-only row view of the cells
-    that fill ``buffer``; making them reads no byte of ``buffer``."""
+    that fill ``buffer``, each with its bound from ``bounds`` (-1 for all
+    when None: not known until a product or fold reads the slots); making
+    them reads no byte of ``buffer``."""
     s = ctx.params.slot_count
     rows = np.ndarray((len(levels), s), "<f8", buffer, HEADER.size,
                       (serialized_size(s), 8)).astype(np.float64, copy=False)
     rows.setflags(write=False)
     key_id = ctx.key_id
     cells = []
-    for row, level in zip(rows, levels):  # _make inlined: a load pays it per cell
-        ct = _new(Ciphertext)
+    for row, level, bound in zip(rows, levels, bounds or repeat(-1)):
+        ct = _new(Ciphertext)  # _make inlined: a load pays it per cell
         _set_base(ct, row)
         _set_shift(ct, 0)
         _set_level(ct, level)
         _set_key_id(ct, key_id)
         _set_pending(ct, False)
-        _set_bound(ct, -1)  # not known until a product or fold reads the slots
+        _set_bound(ct, bound)
         cells.append(ct)
     return cells
 
@@ -944,7 +959,7 @@ def deserialize_many(buffer, ctx: KeyContext) -> list[Ciphertext]:
     return _views(view, _check_headers(view, size, ctx), ctx)
 
 
-def map_many(fh, ctx: KeyContext) -> list[Ciphertext]:
+def map_many(fh, ctx: KeyContext, bounds: list[int] | None = None) -> list[Ciphertext]:
     """Read the sequence format from the binary file ``fh`` by its headers
     alone, with the checks of :func:`deserialize_many`.  Each header comes
     from one ``os.pread``; every ciphertext's slots are a read-only row of one
@@ -953,13 +968,22 @@ def map_many(fh, ctx: KeyContext) -> list[Ciphertext]:
     make the whole file resident, since the kernel maps the pages around
     each one it faults in.
 
+    ``bounds``, one per cell in file order, are the cells' bounds as a
+    saved session records them (see the module docstring); they are taken
+    as given, so no product or fold measures a cell, and none reads a page
+    of its zero tail.  Without them each bound is measured when first read,
+    which scans a cell whose last slot is zero: every page of its tail.
+
     The mapping goes with the last ciphertext that uses it.  A writer that
-    rewrites the file in place changes what those ciphertexts read (and a
-    bound a product measured before it no longer holds), and one that
-    truncates it makes the next read past the new end raise SIGBUS."""
+    rewrites the file in place changes what those ciphertexts read, and
+    can make a bound wrong, given or measured before it (a product then
+    leaves out slots that are no longer zero); one that truncates it makes
+    the next read past the new end raise SIGBUS."""
     fd = fh.fileno()
     size = serialized_size(ctx.params.slot_count)
     count = _cell_count(os.fstat(fd).st_size, size)
+    if bounds is not None and len(bounds) != count:
+        raise ValueError(f"{len(bounds)} bounds for {count} cells")
     if not count:
         return []
     heads = [os.pread(fd, HEADER.size, k * size) for k in range(count)]
@@ -969,4 +993,4 @@ def map_many(fh, ctx: KeyContext) -> list[Ciphertext]:
         raise ValueError(f"cell {k}: read {len(heads[k])} of its {HEADER.size} header "
                          f"bytes; the file shrank while it was read")
     levels = _check_headers(headers, HEADER.size, ctx)
-    return _views(mmap.mmap(fd, count * size, access=mmap.ACCESS_READ), levels, ctx)
+    return _views(mmap.mmap(fd, count * size, access=mmap.ACCESS_READ), levels, ctx, bounds)

@@ -170,9 +170,11 @@ class PackedWeights:
         return [cells[(i, j)] for j in outputs]
 
     def cell_keys(self) -> list[tuple[int, int]]:
-        """Every cell key the layout calls for, in encryption order."""
-        return sorted(self.weight_key(j, i) for j in range(self.out_cts)
-                      for i in range(self.in_cts))
+        """Every cell key the layout calls for, in encryption order: sorted,
+        so the key's first index is the outer loop."""
+        outer, inner = ((self.out_cts, self.in_cts) if self.kind == "type1"
+                        else (self.in_cts, self.out_cts))
+        return [(a, b) for a in range(outer) for b in range(inner)]
 
     def slot_map(self, key: tuple[int, int]) -> list[tuple[int, int, tuple[int, int]]]:
         """``(start, stop, (row, col))`` per pi-set of cell ``key`` = ``(a, b)``:

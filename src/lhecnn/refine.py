@@ -5,7 +5,9 @@ against a :class:`~lhecnn.tee.TeeService`, and runs metered forward passes and
 full refining rounds (forward, TEE loss head, backward, gradient aggregation,
 TEE noise removal, additive update).  A saved session is ``session.manifest``
 (``key = value`` lines) plus one cells file: every parameter ciphertext in the
-wire format's sequence form, in ``cell_keys()`` order.
+wire format's sequence form, in ``cell_keys()`` order.  The manifest's
+``bounds`` holds each cell's bound in the same order (see :mod:`lhecnn.lhe`),
+so a loaded session reads no page of a cell's zero tail.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from . import backward as bwd
 from . import forward as fwd
 from .config import model_dict, model_from_dict
 from .geometry import CnnConfig, CombinedGeometry, combined_geometry
-from .lhe import LheParams, map_many, serialized_size, write_many
+from .lhe import LheParams, map_many, serialized_size, slot_bound, write_many
 from .metering import CostTable, OpReport, build_report
 from .oracle import PlainParams
 from .packing import (
@@ -42,9 +44,9 @@ from .packing import (
 from .tee import BoundaryStats, TeeService
 
 MANIFEST_NAME = "session.manifest"
-FORMAT_TAG = "lhecnn-session-v2"
+FORMAT_TAG = "lhecnn-session-v3"
 MANIFEST_KEYS = ("key_hash", "model", "lhe", "n", "r", "layouts", "weight_kinds",
-                 "exact_activation_grad", "cells")
+                 "exact_activation_grad", "cells", "bounds")
 
 
 def plan_layouts(cfg: CnnConfig, geo: CombinedGeometry, r_mode="auto") -> tuple[int, list[str]]:
@@ -368,6 +370,8 @@ class RefineSession:
         root = Path(path)
         root.mkdir(parents=True, exist_ok=True)
         cells = f"cells-{os.urandom(8).hex()}.lhe"
+        cts = [packed.cells[key] for packed in self.filters + self.weights
+               for key in packed.cell_keys()]
         lines = [
             f"format = {FORMAT_TAG}",
             f"key_hash = {self.ctx.key_hash}",
@@ -379,10 +383,10 @@ class RefineSession:
             f"weight_kinds = {','.join(w.kind for w in self.weights)}",
             f"exact_activation_grad = {str(self.exact_activation_grad).lower()}",
             f"cells = {cells}",
+            f"bounds = {','.join(str(slot_bound(ct)) for ct in cts)}",
         ]
         with open(root / cells, "xb") as fh:
-            write_many(fh, (packed.cells[key] for packed in self.filters + self.weights
-                            for key in packed.cell_keys()))
+            write_many(fh, cts)
             fh.flush()
             os.fsync(fh.fileno())
         staged = root / (MANIFEST_NAME + ".tmp")
@@ -398,8 +402,10 @@ class RefineSession:
     @classmethod
     def load(cls, tee: TeeService, path: str | Path, *,
              threads: int = 1) -> "RefineSession":
-        """Read a session written by :meth:`save`.  The pipeline runs on one
-        thread; ``threads`` stays only so that callers passing 1 keep working."""
+        """Read a session written by :meth:`save`: the manifest, its bounds
+        checked against the model before the cells file is opened, then
+        the cells' headers.  The pipeline runs on one thread; ``threads``
+        stays only so that callers passing 1 keep working."""
         if threads != 1:
             raise ValueError(f"threads={threads}: the pipeline runs on one thread")
         root = Path(path)
@@ -428,15 +434,28 @@ class RefineSession:
         if stored_kinds != expected_kinds:
             raise ValueError(
                 f"stored weight kinds {stored_kinds} do not match expected {expected_kinds}")
-        targets = [(packed.cells, key) for packed in packed_filters + packed_weights
-                   for key in packed.cell_keys()]
+        groups = [(packed.cells, packed.cell_keys())
+                  for packed in packed_filters + packed_weights]
+        count = sum(len(keys) for _, keys in groups)
+        try:
+            bounds = np.fromstring(entries["bounds"], dtype=np.int64, sep=",")
+        except ValueError:
+            raise ValueError("session manifest bounds is not a list of integers") from None
+        if len(bounds) != count:
+            raise ValueError(f"session manifest bounds holds {len(bounds)} bounds, "
+                             f"the model has {count} cells")
+        outside = bounds.view(np.uint64) > params.slot_count  # and every negative one
+        if outside.any():
+            raise ValueError(f"session manifest bounds holds {bounds[outside.argmax()]}, "
+                             f"outside 0..{params.slot_count}")
         size = serialized_size(params.slot_count)
         with open(root / entries["cells"], "rb") as fh:
             stored = os.fstat(fh.fileno()).st_size
-            if stored != len(targets) * size:
+            if stored != count * size:
                 raise ValueError(f"{entries['cells']} holds {stored / size:g} cells of "
-                                 f"{size} bytes, the model has {len(targets)}")
-            for (cells, key), ct in zip(targets, map_many(fh, session.ctx)):
-                cells[key] = ct
+                                 f"{size} bytes, the model has {count}")
+            cts = iter(map_many(fh, session.ctx, bounds.tolist()))
+            for cells, keys in groups:  # zip takes a key first: no cell is skipped
+                cells.update(zip(keys, cts))
         session.filters, session.weights = packed_filters, packed_weights
         return session

@@ -53,6 +53,15 @@ def test_both_sides_this_tree(tmp_path, workload, pairs):
     model = [line.strip() for line in lines if "same model" in line]
     want = ["same model after the last pair: yes"] if workload == "refine-r22" else []
     assert model == want
+    # inference also reads how much of each side's loaded cells file its
+    # steps made resident; a round replaces every cell, so refining does not
+    mapped = [line.split() for line in lines if "cells mapping resident after the last" in line]
+    assert [fields[0] for fields in mapped] == ([] if workload == "refine-r22" else ["a", "b"])
+    for fields in mapped:
+        if Path("/proc/self/smaps").exists():
+            assert fields[-1] == "kB" and int(fields[-2]) > 0
+        else:
+            assert fields[-1] == "n/a"
     assert list(tmp_path.iterdir()) == []
 
 

@@ -922,6 +922,23 @@ class TestZeroTails:
         assert product._bound == 7 and np.array_equal(product.slots, values)
         assert deserialize(serialize(cells[1]), ctx)._bound == -1
 
+    def test_a_mapped_cell_takes_the_bound_it_is_given(self, backend, tmp_path):
+        ctx = backend.keygen(LheParams(16, 8), seed=4)
+        values = np.zeros(16)
+        values[:7] = np.arange(-3.0, 4.0)
+        path = tmp_path / "cells.lhe"
+        path.write_bytes(serialize_many([backend.encrypt(ctx, values)] * 2))
+        with open(path, "rb") as fh:
+            cells = map_many(fh, ctx, [7, 16])
+            with pytest.raises(ValueError, match="^1 bounds for 2 cells$"):
+                map_many(fh, ctx, [7])
+        assert [cell._bound for cell in cells] == [7, 16]
+        x = backend.encrypt(ctx, np.ones(16))
+        for cell in cells:
+            product = backend.mul(x, cell)
+            assert product._bound == cell._bound and np.array_equal(product.slots, values)
+        assert [cell._bound for cell in cells] == [7, 16]
+
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_the_spread_matches_the_per_op_calls_over_tails(self, data):

@@ -11,6 +11,7 @@ from lhecnn.packing import (
     compute_rotation_plan,
     conv_cell_counts,
     conv_segments,
+    empty_weights,
     encode_filters,
     encode_inputs,
     fold_rotate_sum,
@@ -479,6 +480,16 @@ class TestWeightEncoding:
         packed = encode_weights(backend, ctx, m, "type2", n=2)
         assert np.array_equal(backend.decrypt(ctx, packed.cells[(0, 0)]),
                               [1, 1, 2, 2, 3, 3, 4, 4])
+
+    @pytest.mark.parametrize("packed", [
+        empty_weights("type1", (3, 8), 2, 8, in_cts=2, pi_per_ct=4),
+        empty_weights("type2", (10, 3), 2, 8),
+    ], ids=["type1", "type2"])
+    def test_cell_keys_are_every_weight_key_sorted(self, packed):
+        assert packed.out_cts > 1 and packed.in_cts > 1
+        assert packed.cell_keys() == sorted(packed.weight_key(j, i)
+                                            for j in range(packed.out_cts)
+                                            for i in range(packed.in_cts))
 
     def test_type1_capacity_validation(self, backend):
         ctx = backend.keygen(LheParams(8, 6), seed=1)

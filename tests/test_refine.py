@@ -9,10 +9,11 @@ import pytest
 
 from lhecnn import backward
 from lhecnn.geometry import CnnConfig, ConvLayer, FcLayer, preset
-from lhecnn.lhe import Ciphertext, LevelExhausted, LheParams, SimulatorBackend, serialized_size
+from lhecnn.lhe import (Ciphertext, LevelExhausted, LheParams, SimulatorBackend, _extent,
+                        serialized_size)
 from lhecnn.metering import CostTable, OpMeter, build_report
 from lhecnn.oracle import init_params, plain_backward_step, plain_forward
-from lhecnn.refine import RefineSession
+from lhecnn.refine import FORMAT_TAG, RefineSession
 from lhecnn.tee import BoundaryStats, TeeService
 
 from conftest import PerOpBackend, mapping_resident_kb
@@ -637,6 +638,76 @@ class TestPersistence:
                 <= mapping_resident_kb(cells[0].slots)
                 <= -(-path.stat().st_size // 1024) + page_kb)
 
+    def test_a_load_gives_each_cell_its_saved_bound(self, tmp_path, monkeypatch):
+        # each loaded cell carries the bound its slots give, read from the
+        # manifest, not measured; a noisy session's cells have no zero tail
+        def measure(slots):
+            raise AssertionError("a bound was measured")
+        for sigma in (0.0, 1e-6):
+            params, root = LheParams(256, 24, sigma), tmp_path / f"model-{sigma}"
+            make_session(three_fc_cfg(), params, seed=20).save(root)
+            bounds = next(line for line in (root / "session.manifest").read_text().splitlines()
+                          if line.startswith("bounds = "))
+            bounds = [int(b) for b in bounds.removeprefix("bounds = ").split(",")]
+            tee = TeeService(SimulatorBackend(OpMeter()), params, seed=20)
+            with monkeypatch.context() as patch:
+                patch.setattr("lhecnn.lhe._extent", measure)
+                loaded = RefineSession.load(tee, root)
+            cells = [packed.cells[key] for packed in loaded.filters + loaded.weights
+                     for key in packed.cell_keys()]
+            assert [ct._bound for ct in cells] == bounds
+            assert bounds == [_extent(ct.slots) for ct in cells]
+            if sigma:
+                assert set(bounds) == {256}
+            else:
+                assert min(bounds) < 256
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda bounds: bounds[:-1], "holds {short} bounds, the model has {count} cells"),
+        (lambda bounds: bounds + ["0"], "holds {long} bounds, the model has {count} cells"),
+        (lambda bounds: ["-1"] + bounds[1:], r"holds -1, outside 0\.\.32"),
+        (lambda bounds: bounds[:-1] + ["33"], r"holds 33, outside 0\.\.32"),
+        (lambda bounds: bounds[:-1] + ["1.5"], "is not a list of integers"),
+    ], ids=["short", "long", "negative", "past-the-slots", "not-an-integer"])
+    def test_load_rejects_bad_bounds_before_opening_the_cells(self, tmp_path, monkeypatch,
+                                                              edit, match):
+        cfg, params = small_cfg(), LheParams(32, 12)
+        sess = make_session(cfg, params, seed=14)
+        sess.save(tmp_path / "model")
+        count = sum(len(packed.cells) for packed in sess.filters + sess.weights)
+        manifest = tmp_path / "model" / "session.manifest"
+        lines = manifest.read_text().splitlines()
+        k = next(k for k, line in enumerate(lines) if line.startswith("bounds = "))
+        bounds = edit(lines[k].removeprefix("bounds = ").split(","))
+        lines[k] = "bounds = " + ",".join(bounds)
+        manifest.write_text("\n".join(lines) + "\n")
+        opened = []
+        monkeypatch.setattr("lhecnn.refine.open", lambda *args: opened.append(args),
+                            raising=False)
+        tee = TeeService(SimulatorBackend(OpMeter()), params, seed=14)
+        with pytest.raises(ValueError, match="^session manifest bounds " + match.format(
+                count=count, short=count - 1, long=count + 1) + "$"):
+            RefineSession.load(tee, tmp_path / "model")
+        assert opened == []
+
+    def test_inference_reads_no_page_of_a_zero_tail(self, tmp_path):
+        # At S=32768 every cell of this model ends in its first page, and the
+        # saved bounds keep each product to it: one inference leaves far less
+        # of the cells file resident than the file holds
+        smaps = Path("/proc/self/smaps")
+        if not smaps.exists():
+            pytest.skip("no /proc/self/smaps")
+        cfg, params = small_cfg(), LheParams(32768, 12)
+        make_session(cfg, params, seed=21).save(tmp_path / "model")
+        (path,) = (tmp_path / "model").glob("cells-*.lhe")
+        tee = TeeService(SimulatorBackend(OpMeter()), params, seed=21)
+        loaded = RefineSession.load(tee, tmp_path / "model")
+        cells = [ct for packed in loaded.filters + loaded.weights
+                 for ct in packed.cells.values()]
+        assert max(ct._bound for ct in cells) * 8 < os.sysconf("SC_PAGE_SIZE")
+        loaded.infer(np.random.default_rng(21).normal(size=(4, 1, 4, 4)))
+        assert 0 < mapping_resident_kb(cells[0].slots) <= path.stat().st_size // 1024 // 2
+
     @pytest.mark.parametrize("missing", [("cells",), ("lhe",), ("lhe", "cells")])
     def test_load_names_every_missing_manifest_key(self, tmp_path, monkeypatch, missing):
         cfg, params = small_cfg(), LheParams(32, 12)
@@ -663,14 +734,14 @@ class TestPersistence:
         with pytest.raises(ValueError, match="bad magic"):
             RefineSession.load(tee, tmp_path / "model")
 
-    def test_load_rejects_the_previous_format(self, tmp_path):
+    @pytest.mark.parametrize("old", ["v1", "v2"])
+    def test_load_rejects_the_previous_format(self, tmp_path, old):
         cfg, params = small_cfg(), LheParams(32, 12)
         make_session(cfg, params, seed=14).save(tmp_path / "model")
         manifest = tmp_path / "model" / "session.manifest"
-        manifest.write_text(manifest.read_text().replace("lhecnn-session-v2",
-                                                         "lhecnn-session-v1"))
+        manifest.write_text(manifest.read_text().replace(FORMAT_TAG, f"lhecnn-session-{old}"))
         tee = TeeService(SimulatorBackend(OpMeter()), params, seed=14)
-        with pytest.raises(ValueError, match="unsupported session format 'lhecnn-session-v1'"):
+        with pytest.raises(ValueError, match=f"unsupported session format 'lhecnn-session-{old}'"):
             RefineSession.load(tee, tmp_path / "model")
 
     def test_a_save_that_fails_before_its_commit_leaves_the_old_session(

@@ -16,7 +16,11 @@ the last update got wrong.  It also prints the slot buffers each
 side's backend holds in its free lists after the last pair, in buffers and
 in MB: the peak pooled working set of a step, less what the session still
 holds (its parameter cells, once a refining round has replaced them).  Peak
-RSS cannot tell two trees in one process apart; this count can.
+RSS cannot tell two trees in one process apart; this count can.  An
+inference workload, whose steps leave the loaded cells in place, also prints
+the resident kB of each side's cells-file mapping after the last pair
+(read from ``/proc/self/smaps``; "n/a" where that file does not exist): the
+pages of the saved model its steps have read.
 
 With ``--loads N`` it first sets up the saved session N times per side, in
 pairs in the same alternating order, and prints each side's median set-up
@@ -154,7 +158,13 @@ def load_once(side: Side, wl: str, seed: int, tmp: Path) -> tuple[int, int | Non
     tee = lib.TeeService(lib.SimulatorBackend(lib.OpMeter()), lhe, seed=seed)
     session = lib.RefineSession.load(tee, tmp / side.name)
     elapsed = time.perf_counter_ns() - start
-    return elapsed, mapping_resident_kb(next(iter(session.filters[0].cells.values())).slots)
+    return elapsed, cells_resident_kb(session)
+
+
+def cells_resident_kb(session) -> int | None:
+    """Resident kB of the mapping that holds ``session``'s first cell: its
+    loaded cells file, until a refining round replaces the cells."""
+    return mapping_resident_kb(next(iter(session.filters[0].cells.values())).slots)
 
 
 def model_bytes(side: Side) -> bytes:
@@ -213,9 +223,12 @@ def run(a_src: Path, b_src: Path, wl: str, pairs: int, warmup: int, seed: int,
             for side in (sides if index % 2 == 0 else sides[::-1]):
                 loaded[side.name].append(load_once(side, wl, seed, tmp))
         same &= time_pairs(sides, wl, pairs, warmup, seed)
-        same_model = None
+        same_model, mapped = None, {}
         if sides[0].refine:
             same_model = model_bytes(sides[0]) == model_bytes(sides[1])
+        else:
+            mapped = {f"{side.name}_mapped_kb": cells_resident_kb(side.session)
+                      for side in sides}
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     a_ms, b_ms = ([t / 1e6 for t in side.times_ns] for side in sides)
@@ -235,6 +248,7 @@ def run(a_src: Path, b_src: Path, wl: str, pairs: int, warmup: int, seed: int,
         "same_model": same_model,
         **bias,
         **{f"{side.name}_buffers": side.session.backend.free_buffers for side in sides},
+        **mapped,
         "loads": loads,
         "loads_b_won": sum(b < a for (a, _), (b, _) in zip(loaded["a"], loaded["b"])),
         **load_stats,
@@ -272,6 +286,10 @@ def main(argv=None) -> int:
         buffers = r[f"{name}_buffers"]
         mb = sum(8 * n * count for n, count in buffers.items()) / 2**20
         print(f"  {name}  free buffers {sum(buffers.values())} ({mb:.2f} MB)")
+        if f"{name}_mapped_kb" in r:
+            kb = r[f"{name}_mapped_kb"]
+            print(f"  {name}  cells mapping resident after the last pair "
+                  f"{'n/a' if kb is None else f'{kb} kB'}")
     print(f"  median ratio b/a {r['median_ratio']:.3f}; b faster in "
           f"{r['b_won']} of {r['pairs']} pairs")
     if "aa_median_ratio" in r:
