@@ -37,7 +37,7 @@ from functools import partial
 
 import numpy as np
 
-from .lhe import Ciphertext, SimulatorBackend
+from .lhe import Ciphertext, SimulatorBackend, release_pages
 from .packing import (
     CONV_BASIC,
     FL_TYPE1,
@@ -258,7 +258,11 @@ def apply_refreshed(backend: SimulatorBackend,
     The new cell takes its entry's place at the front of ``refreshed``
     (offset ``None``), replaces the old cell and leaves the queue: each old
     cell dies as its new one is made, and a pack once its last gradient is
-    spread, so their buffers go back to the free lists.
+    spread, so their buffers go back to the free lists.  An old cell that
+    is a row of a :func:`~lhecnn.lhe.map_many` mapping (a loaded session's,
+    until its first commit) gives back its pages through
+    :func:`~lhecnn.lhe.release_pages`, since the mapping stays until its
+    last row goes.
 
     Called again with the queue an exception left, it applies each gradient
     exactly once.  An exception before a new cell is queued leaves the old
@@ -271,5 +275,6 @@ def apply_refreshed(backend: SimulatorBackend,
         if g is not None:  # the pack, not yet spread
             ct = signed_rotate_spread(backend, ct, n, g, target_cells[key])
             refreshed[0] = key, ct, None
+        release_pages(target_cells[key])
         target_cells[key] = ct
         refreshed.popleft()

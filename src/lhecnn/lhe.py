@@ -27,9 +27,10 @@ slice or view of it) is never reused, nor is an array passed to the public
 :class:`Ciphertext` constructor, nor the slots the readers return:
 :func:`deserialize` and :func:`deserialize_many` view the bytes they parse,
 and :func:`map_many` maps a file and reads only its headers, so no slot page
-is read until a stage reads it.  The free lists belong to the backend alone: it
-keeps its peak working set in them until it is dropped, and a result that
-outlives it releases its buffer as usual.
+is read until a stage reads it; :func:`release_pages` gives back the pages
+of a mapped cell its holder has replaced.  The free lists belong to the
+backend alone: it keeps its peak working set in them until it is dropped,
+and a result that outlives it releases its buffer as usual.
 
 Batched primitives run the pipeline's hot patterns with fewer Python calls
 and the same arithmetic: ``mul_sum`` is the left fold of products
@@ -61,10 +62,16 @@ every slot is an exact zero, derived from the data alone, so no layout is
 passed in and noise or a changed cell cannot make it wrong.
 ``encrypt`` and ``reencrypt`` measure it from the slots they write (one
 read when the last slot is not zero, as with any noise, a scan
-otherwise).  ``add``, ``cmul``, ``rotate_add`` and ``pack_sums`` give the
-full slot count.  A rotation keeps no bound and every reader takes the slot
-count for it: a prefix does not survive a rotation, and the spread's
-metering-only rotations pay nothing for the bound.  A ciphertext from the
+otherwise).  Fresh ciphertexts leave zero tails unwritten: without noise,
+a buffer they make is a new private anonymous mapping, and they copy into
+it only up to the last slot whose bits are not all zero, so the pages of
+its tail are never written and never become resident (a recycled buffer
+takes every slot).  A read of such a page, as ``serialize`` makes, maps
+the kernel's shared zero page, which is not resident either.  ``add``,
+``cmul``, ``rotate_add`` and ``pack_sums`` give the full slot count.  A
+rotation keeps no bound and every reader takes the slot count for it: a
+prefix does not survive a rotation, and the spread's metering-only
+rotations pay nothing for the bound.  A ciphertext from the
 public constructor or the readers (``deserialize``, ``deserialize_many``,
 ``map_many``) has no bound until the first product or fold that reads it
 measures it and keeps it, so a load reads no slot.  A saved session
@@ -123,6 +130,7 @@ from .metering import OpMeter
 
 MAGIC = b"LHE1"
 HEADER = struct.Struct("<4sIII")  # magic, slot count, level, key hash
+_DONTNEED = getattr(mmap, "MADV_DONTNEED", None)  # None where the host lacks it
 
 
 class LheError(Exception):
@@ -502,14 +510,37 @@ class SimulatorBackend:
     # -- internals --------------------------------------------------------
 
     def _fresh(self, ctx: KeyContext, values: np.ndarray) -> Ciphertext:
-        """A top-level ciphertext of ``values``, perturbed when noise is on."""
-        out, view, free = _buffer(self._free, values.shape[0])
-        sigma = ctx.params.noise_sigma
+        """A top-level ciphertext of ``values``, perturbed when noise is on.
+
+        Without noise, a buffer made here is a new private anonymous
+        mapping, zero pages until written, and only the written prefix is
+        copied into it: the slots up to the last whose bits are not all
+        zero, so a -0.0 in the tail is copied too.  The pages of its tail
+        are never written, so they never become resident, whatever state
+        the allocator is in.  A recycled buffer takes every slot.  The
+        bound is measured from the slots, so an exact zero of either sign
+        counts as zero."""
+        size, sigma = values.shape[0], ctx.params.noise_sigma
         if sigma > 0 and ctx._rng is not None:
+            out, view, free = _buffer(self._free, size)
             np.add(values, ctx._rng.normal(0.0, sigma, size=values.shape), out)
+            return _make(view, 0, ctx.params.top_level, ctx.key_id, False, free,
+                         _extent(out))
+        pool = self._free[size]
+        try:
+            view = pool.pop()
+        except IndexError:
+            top = _extent(values.view(np.uint64))  # by the bits: a -0.0 is written
+            out = np.frombuffer(mmap.mmap(-1, 8 * size, mmap.MAP_PRIVATE), np.float64)
+            out[:top] = values[:top]
+            view = out.view()
+            view.setflags(write=False)
+            bound = _extent(out[:top]) if top else 0
         else:
+            out = view.base
             np.copyto(out, values)
-        return _make(view, 0, ctx.params.top_level, ctx.key_id, False, free, _extent(out))
+            bound = _extent(out)
+        return _make(view, 0, ctx.params.top_level, ctx.key_id, False, pool.ref, bound)
 
     # -- key management and data boundary ----------------------------------
 
@@ -974,11 +1005,14 @@ def map_many(fh, ctx: KeyContext, bounds: list[int] | None = None) -> list[Ciphe
     of its zero tail.  Without them each bound is measured when first read,
     which scans a cell whose last slot is zero: every page of its tail.
 
-    The mapping goes with the last ciphertext that uses it.  A writer that
-    rewrites the file in place changes what those ciphertexts read, and
-    can make a bound wrong, given or measured before it (a product then
-    leaves out slots that are no longer zero); one that truncates it makes
-    the next read past the new end raise SIGBUS."""
+    The mapping goes with the last ciphertext that uses it, and every page
+    read stays resident until then; a caller that replaces the cells one
+    by one gives back each one's pages with :func:`release_pages`, as a
+    refining round's commit does.  A writer that rewrites the file in
+    place changes what those ciphertexts read, and can make a bound wrong,
+    given or measured before it (a product then leaves out slots that are
+    no longer zero); one that truncates it makes the next read past the
+    new end raise SIGBUS."""
     fd = fh.fileno()
     size = serialized_size(ctx.params.slot_count)
     count = _cell_count(os.fstat(fd).st_size, size)
@@ -994,3 +1028,33 @@ def map_many(fh, ctx: KeyContext, bounds: list[int] | None = None) -> list[Ciphe
                          f"bytes; the file shrank while it was read")
     levels = _check_headers(headers, HEADER.size, ctx)
     return _views(mmap.mmap(fd, count * size, access=mmap.ACCESS_READ), levels, ctx, bounds)
+
+
+def release_pages(ct: Ciphertext) -> None:
+    """Give back the resident pages of a :func:`map_many` cell that its
+    holder is done with: ``madvise(MADV_DONTNEED)`` on the whole pages
+    strictly inside its row of the mapping, so the pages it shares with
+    its neighbours' rows are left alone.  Any other ciphertext, one over a
+    writable mapping among them (``DONTNEED`` would zero or revert its
+    pages), or a host without ``MADV_DONTNEED``, is left as it is.
+
+    The mapping is read-only and shared, so this changes no slot: a later
+    read of the cell, by anyone still holding it, faults its pages back in
+    from the file.  The mapping is found through the row's base chain, so
+    a load records nothing per cell.  The mapping itself goes only with
+    its last row, which is why a caller that replaces the rows one by one
+    gives back each one's pages here."""
+    owner = row = ct._base
+    while isinstance(owner, np.ndarray):
+        owner = owner.base
+    if _DONTNEED is None or not isinstance(owner, mmap.mmap):
+        return
+    whole = np.frombuffer(owner, np.uint8, 0)
+    if whole.flags.writeable:  # not a read-only file mapping: DONTNEED would zero it
+        return
+    page = mmap.PAGESIZE
+    begin = row.__array_interface__["data"][0] - whole.__array_interface__["data"][0]
+    start = -(-begin // page) * page
+    stop = (begin + row.nbytes) // page * page
+    if start < stop:
+        owner.madvise(_DONTNEED, start, stop - start)

@@ -7,7 +7,8 @@ TEE noise removal, additive update).  A saved session is ``session.manifest``
 (``key = value`` lines) plus one cells file: every parameter ciphertext in the
 wire format's sequence form, in ``cell_keys()`` order.  The manifest's
 ``bounds`` holds each cell's bound in the same order (see :mod:`lhecnn.lhe`),
-so a loaded session reads no page of a cell's zero tail.
+so a loaded session reads no page of a cell's zero tail, and its first
+commit gives back the pages of each cell it replaces.
 """
 
 from __future__ import annotations
@@ -328,13 +329,15 @@ class RefineSession:
     def _commit(self, stages: list[tuple]) -> None:
         """Spread each stage's refreshed gradients into its parameter cells,
         in stage order and inside that stage's meter scope.  Each old cell
-        dies as its new one replaces it.  The stages have checked every
-        reply the spreads read, so only an exception from outside the data
-        (a KeyboardInterrupt, say) can stop the commit part-way; it does not
-        leave the round half applied: the gradients not yet applied, the
-        interrupted one among them, are applied once each before it
-        propagates.  If the interrupt stopped a spread, that one gradient is
-        spread again, so the round's meter counts its ops twice."""
+        dies as its new one replaces it, and a loaded one gives back its
+        pages of the cells file's mapping then.  The stages have checked
+        every reply the spreads read, so only an exception from outside the
+        data (a KeyboardInterrupt, say) can stop the commit part-way; it
+        does not leave the round half applied: the gradients not yet
+        applied, the interrupted one among them, are applied once each
+        before it propagates.  If the interrupt stopped a spread, that one
+        gradient is spread again, so the round's meter counts its ops
+        twice."""
         try:
             self._apply(stages)
         except BaseException:

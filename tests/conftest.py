@@ -21,18 +21,26 @@ def backend(meter):
     return SimulatorBackend(meter)
 
 
-def mapping_resident_kb(array: np.ndarray) -> int:
-    """Resident kB of the mapping of this process that holds ``array``'s
-    first byte, from ``/proc/self/smaps``."""
-    address = array.__array_interface__["data"][0]
-    inside = False
+def mappings() -> list[tuple[int, int, int]]:
+    """The start and end address and the resident kB of each mapping of this
+    process, from ``/proc/self/smaps``."""
+    found = []
     for line in Path("/proc/self/smaps").read_text().splitlines():
         head = line.split(None, 1)[0]
         if "-" in head and not head.endswith(":"):
             start, end = (int(part, 16) for part in head.split("-"))
-            inside = start <= address < end
-        elif inside and head == "Rss:":
-            return int(line.split()[1])
+        elif head == "Rss:":
+            found.append((start, end, int(line.split()[1])))
+    return found
+
+
+def mapping_resident_kb(array: np.ndarray) -> int:
+    """Resident kB of the mapping of this process that holds ``array``'s
+    first byte, from ``/proc/self/smaps``."""
+    address = array.__array_interface__["data"][0]
+    for start, end, resident in mappings():
+        if start <= address < end:
+            return resident
     raise LookupError(f"no mapping holds address {address:#x}")
 
 

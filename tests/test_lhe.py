@@ -1,4 +1,5 @@
 import copy
+import mmap
 import os
 import struct
 import sys
@@ -20,9 +21,13 @@ from lhecnn.lhe import (
     LheParams,
     SecrecyViolation,
     SimulatorBackend,
+    _buffer,
+    _extent,
+    _make,
     deserialize,
     deserialize_many,
     map_many,
+    release_pages,
     serialize,
     serialize_many,
     serialized_size,
@@ -35,6 +40,7 @@ from conftest import (
     FullProductBackend,
     loop_mul_sum,
     loop_rotate_add,
+    mapping_resident_kb,
     per_op_pack_sums,
     per_op_unpack_spread,
 )
@@ -1150,6 +1156,62 @@ class TestRecycling:
             assert freed() is None   # released, not kept for reuse
 
 
+class FullCopyBackend(SimulatorBackend):
+    """The reference for ``_fresh``: every slot copied into a buffer from the
+    free list, or a new one, and the bound measured from the copy."""
+
+    def _fresh(self, ctx, values):
+        out, view, free = _buffer(self._free, values.shape[0])
+        sigma = ctx.params.noise_sigma
+        if sigma > 0 and ctx._rng is not None:
+            np.add(values, ctx._rng.normal(0.0, sigma, size=values.shape), out)
+        else:
+            np.copyto(out, values)
+        return _make(view, 0, ctx.params.top_level, ctx.key_id, False, free, _extent(out))
+
+
+def fresh_vectors():
+    """Slot vectors for ``encrypt`` and ``reencrypt``: values then zeros with a
+    -0.0 inside the tail or at its end, all +0.0, all -0.0, and all nonzero."""
+    tailed = np.zeros(16)
+    tailed[:5] = np.arange(-2.0, 3.0) + 0.5
+    inside, last = tailed.copy(), tailed.copy()
+    inside[9] = -0.0
+    last[15] = -0.0
+    return {"negative-zero-inside-the-tail": inside, "negative-zero-last": last,
+            "all-zero": np.zeros(16), "all-negative-zero": np.full(16, -0.0),
+            "full": np.arange(1.0, 17.0)}
+
+
+class TestFreshSlots:
+    """``encrypt`` and ``reencrypt`` copy only the written prefix of their
+    slots into a new buffer, left zero past it, and every slot into a
+    recycled one: bit for bit what a copy of every slot gives."""
+
+    @pytest.mark.parametrize("sigma", [0.0, 1e-3], ids=["noiseless", "noisy"])
+    @pytest.mark.parametrize("recycled", [False, True], ids=["new", "recycled"])
+    @pytest.mark.parametrize("name", list(fresh_vectors()))
+    def test_fresh_slots_match_a_full_copy(self, name, recycled, sigma):
+        values = fresh_vectors()[name]
+        seen = []
+        for kind in (SimulatorBackend, FullCopyBackend):
+            backend = kind(OpMeter())
+            ctx = backend.keygen(LheParams(16, 6, sigma), seed=5)
+            source = backend.encrypt(ctx, values)
+            if recycled:  # two buffers of nonzero garbage back on the free list
+                garbage = [backend.encrypt(ctx, np.full(16, np.nan)) for _ in range(2)]
+                del garbage
+            assert backend.free_buffers == {16: 2 if recycled else 0}
+            cts = [backend.encrypt(ctx, values), backend.reencrypt(ctx, source)]
+            assert backend.free_buffers == {16: 0}
+            seen.append(([(ct.slots.tobytes(), ct.level, ct.pending_rescale, ct._bound)
+                          for ct in cts], backend.meter.checkpoint()))
+        assert seen[0] == seen[1]
+        if not sigma:
+            assert seen[0][0][0][0] == values.tobytes()
+            assert seen[0][0][0][3] == _extent(values)
+
+
 class TestNoise:
     def test_noise_sigma_perturbs_and_defaults_off(self, backend):
         quiet = backend.keygen(LheParams(8, 6), seed=3)
@@ -1291,6 +1353,29 @@ class TestSerialization:
         base = got[0].slots.base
         assert all(ct.slots.base is base and not ct.slots.flags.writeable for ct in got)
         assert self.map_file(tmp_path, b"", ctx) == []
+
+    def test_release_pages_drops_only_a_mapped_row_and_changes_no_slot(
+            self, backend, tmp_path):
+        ctx = backend.keygen(LheParams(4096, 4), seed=6)
+        x = backend.encrypt(ctx, np.random.default_rng(6).normal(size=4096))
+        want = x.slots.tobytes()
+        mapped = self.map_file(tmp_path, serialize_many([x] * 3), ctx)
+        blob = serialize_many([x] * 2)
+        writable = mmap.mmap(-1, len(blob), mmap.MAP_PRIVATE)  # DONTNEED would zero it
+        writable.write(blob)
+        parsed = deserialize_many(writable, ctx)
+        assert all(ct == x for ct in mapped)  # every page of the file read
+        smaps = os.path.exists("/proc/self/smaps")
+        before = mapping_resident_kb(mapped[0].slots) if smaps else None
+        for ct in (x, parsed[0], mapped[1]):  # a new buffer, a writable mapping, a row
+            release_pages(ct)
+        if smaps:
+            # the whole pages of row 1, bytes [size + 16, 2 * size) of the file
+            page, size = os.sysconf("SC_PAGE_SIZE"), serialized_size(4096)
+            inside = (2 * size // page - -(-(size + 16) // page)) * page // 1024
+            assert before - mapping_resident_kb(mapped[0].slots) == inside > 0
+        for ct in [x, *parsed, *mapped]:
+            assert ct.slots.tobytes() == want
 
     @pytest.mark.parametrize("edit, match", [
         (lambda b: b + b"\0", "161 bytes is not a whole number of 80-byte"),

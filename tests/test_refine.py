@@ -16,7 +16,7 @@ from lhecnn.oracle import init_params, plain_backward_step, plain_forward
 from lhecnn.refine import FORMAT_TAG, RefineSession
 from lhecnn.tee import BoundaryStats, TeeService
 
-from conftest import PerOpBackend, mapping_resident_kb
+from conftest import PerOpBackend, mapping_resident_kb, mappings
 
 
 def make_session(cfg, params, seed=0, exact=True, r_mode=1, backend_type=SimulatorBackend):
@@ -119,6 +119,26 @@ class TestModelOnboarding:
         bad.weights[0] = np.zeros((5, 5))
         with pytest.raises(ValueError):
             sess.load_base_model(bad)
+
+    def test_onboarding_makes_only_the_written_prefixes_resident(self):
+        # Each cell's buffer is a new mapping, and only its prefix is
+        # written: the mappings that hold the cells have no page resident
+        # past the cells' prefixes but what else they hold.  Written in
+        # full, the cells would be 185 x 256 KB resident.
+        if not Path("/proc/self/smaps").exists():
+            pytest.skip("no /proc/self/smaps")
+        p, params = preset("refining-2-2"), LheParams(32768, 10)
+        sess = make_session(p.model, params, seed=23, exact=False, r_mode=4)
+        cells = [ct for packed in sess.filters + sess.weights
+                 for ct in packed.cells.values()]
+        addresses = [ct.slots.__array_interface__["data"][0] for ct in cells]
+        holding = {(start, end, resident) for start, end, resident in mappings()
+                   if any(start <= address < end for address in addresses)}
+        page = os.sysconf("SC_PAGE_SIZE")
+        prefixes = sum(-(-ct._bound * 8 // page) * page for ct in cells)
+        others = sum(end - start for start, end, _ in holding) - len(cells) * 8 * 32768
+        assert len(cells) == 185 and prefixes < len(cells) * 8 * 32768 // 3
+        assert 0 < sum(resident for *_, resident in holding) * 1024 <= prefixes + others
 
 
 class TestInfer:
@@ -707,6 +727,46 @@ class TestPersistence:
         assert max(ct._bound for ct in cells) * 8 < os.sysconf("SC_PAGE_SIZE")
         loaded.infer(np.random.default_rng(21).normal(size=(4, 1, 4, 4)))
         assert 0 < mapping_resident_kb(cells[0].slots) <= path.stat().st_size // 1024 // 2
+
+    @staticmethod
+    def first_commit(tmp_path):
+        """A loaded session's cells, the cells file, and the bytes it held,
+        after one inference and then one round: the round's commit replaces
+        every cell.  The caller holds the old cells."""
+        cfg, params = small_cfg(), LheParams(4096, 12)
+        make_session(cfg, params, seed=22).save(tmp_path / "model")
+        (path,) = (tmp_path / "model").glob("cells-*.lhe")
+        saved = path.read_bytes()
+        tee = TeeService(SimulatorBackend(OpMeter()), params, seed=22)
+        loaded = RefineSession.load(tee, tmp_path / "model")
+        old = [packed.cells[key] for packed in loaded.filters + loaded.weights
+               for key in packed.cell_keys()]
+        rng = np.random.default_rng(22)
+        images, labels = rng.normal(size=(4, 1, 4, 4)), rng.integers(0, 3, size=4)
+        loaded.infer(images)
+        resident = (mapping_resident_kb(old[0].slots)
+                    if Path("/proc/self/smaps").exists() else None)
+        loaded.refine(images, labels, lr=0.05)
+        assert {id(ct) for ct in old}.isdisjoint(
+            id(ct) for packed in loaded.filters + loaded.weights
+            for ct in packed.cells.values())
+        return old, path, saved, resident
+
+    def test_the_first_commit_gives_back_the_old_cells_pages(self, tmp_path):
+        # Only the pages a row shares with a neighbour or the first header
+        # may stay: one page at each of the len(old) + 1 row boundaries
+        if not Path("/proc/self/smaps").exists():
+            pytest.skip("no /proc/self/smaps")
+        old, path, _, before = self.first_commit(tmp_path)
+        page_kb = os.sysconf("SC_PAGE_SIZE") // 1024
+        assert before > path.stat().st_size // 1024 // 2
+        assert mapping_resident_kb(old[0].slots) <= (len(old) + 1) * page_kb
+
+    def test_an_old_cell_still_held_reads_back_its_saved_bytes(self, tmp_path):
+        old, _, saved, _ = self.first_commit(tmp_path)
+        size = serialized_size(4096)
+        assert [ct.slots.tobytes() for ct in old] == [
+            saved[k * size + 16:(k + 1) * size] for k in range(len(old))]
 
     @pytest.mark.parametrize("missing", [("cells",), ("lhe",), ("lhe", "cells")])
     def test_load_names_every_missing_manifest_key(self, tmp_path, monkeypatch, missing):
