@@ -57,35 +57,30 @@ can count them; no other chain step makes a ``rot`` call.
 Products skip zero tails.  A packed ciphertext often fills only a prefix of
 its slots: a type I weight cell holds ``pi_per_ct * n`` values of a segment
 replicated ``r`` times, an fc layer's last output cell fewer, and the rest
-are zeros.  Each ciphertext therefore carries a bound, a slot from which on
-every slot is an exact zero, derived from the data alone, so no layout is
-passed in and noise or a changed cell cannot make it wrong.
-``encrypt`` and ``reencrypt`` measure it from the slots they write (one
-read when the last slot is not zero, as with any noise, a scan
-otherwise).  Fresh ciphertexts leave zero tails unwritten: without noise,
-a buffer they make is a new private anonymous mapping, and they copy into
-it only up to the last slot whose bits are not all zero, so the pages of
-its tail are never written and never become resident (a recycled buffer
-takes every slot).  A read of such a page, as ``serialize`` makes, maps
-the kernel's shared zero page, which is not resident either.  ``add``,
-``cmul``, ``rotate_add`` and ``pack_sums`` give the full slot count.  A
-rotation keeps no bound and every reader takes the slot count for it: a
-prefix does not survive a rotation, and the spread's metering-only
-rotations pay nothing for the bound.  A ciphertext from the
-public constructor or the readers (``deserialize``, ``deserialize_many``,
-``map_many``) has no bound until the first product or fold that reads it
-measures it and keeps it, so a load reads no slot.  A saved session
-records each cell's bound, the one it carries or measured from the slots
-written, and its load passes them to ``map_many``: no product then scans
-a cell, so no page of a cell's zero tail is ever read.  Such a bound is
-taken as given, so a cells file rewritten outside the library can make it
-wrong, as it can make wrong a bound measured before the rewrite.  ``mul``
-and each term of ``mul_sum`` compute a product only up to the smaller of
-its operands' bounds, and ``unpack_spread`` only the blocks the refreshed
-gradient or the cell it adds into reaches.  Past a product's bound the
-per-op product is ``x * 0.0``, so the slots equal the full computation's up
-to the sign of an exact zero, for finite slots, and the meter records the
-same ops at the same levels.
+are zeros.  Every ciphertext therefore carries a bound from the moment it
+is made, a slot from which on every slot is an exact zero, derived from
+the data alone, so no layout is passed in and noise or a changed cell
+cannot make it wrong.  ``encrypt``, ``reencrypt``, the public constructor
+(so ``deserialize`` and unpickling too) and ``deserialize_many`` measure
+it from the slots (one read when the last slot is not zero, as with any
+noise, a scan otherwise).  Fresh ciphertexts leave zero tails unwritten: a
+buffer they make is a new private anonymous mapping, and they copy into it
+only up to the last slot whose bits are not all zero, so the pages of its
+tail are never written and never become resident (a recycled buffer takes
+every slot).  A read of such a page, as ``serialize`` makes, maps the
+kernel's shared zero page, which is not resident either.  ``add``,
+``cmul``, ``rot``, ``rotate_add`` and ``pack_sums`` give the full slot
+count: a prefix does not survive a rotation.  ``map_many`` requires the
+cells' bounds, one per cell, and reads no slot: a saved session records
+each cell's bound and its load passes them in, so no page of a cell's
+zero tail is ever read.  Such a bound is taken as given, so a cells file
+rewritten outside the library can make it wrong.  ``mul`` and each term
+of ``mul_sum`` compute a product only up to the smaller of its operands'
+bounds, and ``unpack_spread`` only the blocks the refreshed gradient or
+the cell it adds into reaches.  Past a product's bound the per-op product
+is ``x * 0.0``, so the slots equal the full computation's up to the sign
+of an exact zero, for finite slots, and the meter records the same ops at
+the same levels.
 
 Folds compute only their run.  ``rotate_add`` reads its operand's bound as
 a product does, and tracks, inside the call alone, the run: the cyclic arc
@@ -122,7 +117,7 @@ import zlib
 from collections import defaultdict
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
-from itertools import chain, repeat
+from itertools import chain
 
 import numpy as np
 
@@ -220,9 +215,8 @@ class Ciphertext:
     shares its operand's array instead of copying it.  :attr:`slots` is the
     rotated vector; it is built on each read of a shifted ciphertext and is
     read-only either way.  ``_bound`` is the slot from which on every slot
-    of :attr:`slots` is an exact zero, or -1 until the first product or
-    fold that reads this ciphertext measures it; a rotation has none, and
-    reads as its slot count (see the module docstring).
+    of :attr:`slots` is an exact zero, set when the ciphertext is made; the
+    constructor measures it (see the module docstring).
     """
 
     __slots__ = ("_base", "_shift", "level", "key_id", "pending_rescale", "_bound")
@@ -236,7 +230,7 @@ class Ciphertext:
         _set_level(self, level)
         _set_key_id(self, key_id)
         _set_pending(self, pending_rescale)
-        _set_bound(self, -1)
+        _set_bound(self, _extent(slots))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Ciphertext is immutable; cannot set {name!r}")
@@ -319,13 +313,10 @@ _set_free = _Pooled._free.__set__
 
 
 def _make(base: np.ndarray, shift: int, level: int, key_id: str,
-          pending_rescale: bool, free: weakref.ref | None,
-          bound: int | None) -> Ciphertext:
+          pending_rescale: bool, free: weakref.ref | None, bound: int) -> Ciphertext:
     """A ciphertext over ``base`` (already read-only) rotated left by ``shift``,
-    every slot of it from ``bound`` on an exact zero (-1: not known yet;
-    None: a rotation, which keeps no bound);
-    ``base`` returns to the free list ``free`` refers to, if any, when its
-    last holder is dropped."""
+    every slot of it from ``bound`` on an exact zero; ``base`` returns to the
+    free list ``free`` refers to, if any, when its last holder is dropped."""
     if free is None:
         ct = _new(Ciphertext)
     else:
@@ -336,8 +327,7 @@ def _make(base: np.ndarray, shift: int, level: int, key_id: str,
     _set_level(ct, level)
     _set_key_id(ct, key_id)
     _set_pending(ct, pending_rescale)
-    if bound is not None:
-        _set_bound(ct, bound)
+    _set_bound(ct, bound)
     return ct
 
 
@@ -351,35 +341,17 @@ def _extent(slots: np.ndarray) -> int:
     return (slots != 0).tobytes().rfind(1) + 1
 
 
-def _measure(ct: Ciphertext) -> int:
-    """``ct``'s bound, measured from its slots once and kept on it.  The
-    slots never change, so two threads that measure it at once store the
-    same value."""
-    bound = _extent(ct.slots)
-    _set_bound(ct, bound)
-    return bound
-
-
 def slot_bound(ct: Ciphertext) -> int:
     """The slot from which on every slot of ``ct`` is an exact zero: the
-    bound it carries, else one measured from its slots (not kept)."""
-    bound = getattr(ct, "_bound", -1)  # a rotation keeps no bound
-    return bound if bound >= 0 else _extent(ct.slots)
+    bound it carries."""
+    return ct._bound
 
 
 def _multiply(a: Ciphertext, b: Ciphertext, out: np.ndarray, size: int) -> int:
     """Write ``a * b`` into ``out`` (``size`` slots) up to the smaller of the
     operands' bounds, past which the product is an exact zero, and return
-    that bound; ``out`` past it is left as it was.  An operand's unknown
-    bound is measured here, and a rotation's is the slot count."""
-    try:
-        top, other = a._bound, b._bound
-    except AttributeError:  # a rotation keeps no bound: it reads as full
-        top, other = getattr(a, "_bound", size), getattr(b, "_bound", size)
-    if top < 0:
-        top = _measure(a)
-    if other < 0:
-        other = _measure(b)
+    that bound; ``out`` past it is left as it was."""
+    top, other = a._bound, b._bound
     if other < top:
         top = other
     if top == size:
@@ -510,22 +482,19 @@ class SimulatorBackend:
     # -- internals --------------------------------------------------------
 
     def _fresh(self, ctx: KeyContext, values: np.ndarray) -> Ciphertext:
-        """A top-level ciphertext of ``values``, perturbed when noise is on.
+        """A top-level ciphertext of ``values``, perturbed first when noise
+        is on.
 
-        Without noise, a buffer made here is a new private anonymous
-        mapping, zero pages until written, and only the written prefix is
-        copied into it: the slots up to the last whose bits are not all
-        zero, so a -0.0 in the tail is copied too.  The pages of its tail
-        are never written, so they never become resident, whatever state
-        the allocator is in.  A recycled buffer takes every slot.  The
-        bound is measured from the slots, so an exact zero of either sign
-        counts as zero."""
+        A buffer made here is a new private anonymous mapping, zero pages
+        until written, and only the written prefix is copied into it: the
+        slots up to the last whose bits are not all zero, so a -0.0 in the
+        tail is copied too.  The pages of its tail are never written, so
+        they never become resident, whatever state the allocator is in.  A
+        recycled buffer takes every slot.  The bound is measured from the
+        slots, so an exact zero of either sign counts as zero."""
         size, sigma = values.shape[0], ctx.params.noise_sigma
         if sigma > 0 and ctx._rng is not None:
-            out, view, free = _buffer(self._free, size)
-            np.add(values, ctx._rng.normal(0.0, sigma, size=values.shape), out)
-            return _make(view, 0, ctx.params.top_level, ctx.key_id, False, free,
-                         _extent(out))
+            values = values + ctx._rng.normal(0.0, sigma, size=values.shape)
         pool = self._free[size]
         try:
             view = pool.pop()
@@ -627,14 +596,14 @@ class SimulatorBackend:
         """Cyclic left rotation by ``m`` slots (negative = right); level unchanged.
 
         The result shares ``a``'s slot array and composes the shift, so no
-        slots are copied, and keeps no bound; it is still metered as one
-        rotation.
+        slots are copied, and its bound is the slot count; it is still
+        metered as one rotation.
         """
         base, level, pending = a._base, a.level, a.pending_rescale
         size = len(base)
         shift = (a._shift + m) % size
         self.meter.record("rot", level + pending)
-        return _make(base, shift, level, a.key_id, pending, a._free, None)
+        return _make(base, shift, level, a.key_id, pending, a._free, size)
 
     # -- batched primitives ------------------------------------------------
 
@@ -683,14 +652,7 @@ class SimulatorBackend:
                 if tmp is None:
                     tmp, tmp_view, _ = _buffer(self._free, size)
                 # _multiply and the add, inline: this loop runs every term
-                try:
-                    top, other = a._bound, b._bound
-                except AttributeError:  # a rotation keeps no bound
-                    top, other = getattr(a, "_bound", size), getattr(b, "_bound", size)
-                if top < 0:
-                    top = _measure(a)
-                if other < 0:
-                    other = _measure(b)
+                top, other = a._bound, b._bound
                 if other < top:
                     top = other
                 if top == size:
@@ -736,10 +698,10 @@ class SimulatorBackend:
         through :meth:`rot`.  The steps write into two buffers in turn, and
         no rotation is copied.
 
-        An operand with a zero tail (its bound, measured here when not yet
-        known) starts the steps of :func:`_run_steps`, each computing only
-        the run of slots that can be nonzero, until one covers every slot
-        or the chain ends (see the module docstring).  Every later step, and
+        An operand with a zero tail (a bound below its slot count) starts
+        the steps of :func:`_run_steps`, each computing only the run of
+        slots that can be nonzero, until one covers every slot or the chain
+        ends (see the module docstring).  Every later step, and
         every step over a full-bound operand, adds two slices of the whole
         vector, split where its rotation wraps.  The result's bound is its
         slot count.
@@ -751,11 +713,8 @@ class SimulatorBackend:
         even, even_view, free = _buffer(pools, size)
         odd, odd_view, _ = _buffer(pools, size) if steps > 1 else (None, None, None)
         outs, x, done = (even, odd) * (steps + 1 >> 1), ct.slots, 0
-        bound = getattr(ct, "_bound", size)  # a rotation keeps no bound
-        if bound < 0:
-            bound = _measure(ct)
-        if bound < size:
-            done = _run_steps(x, bound, shifts, outs)
+        if ct._bound < size:
+            done = _run_steps(x, ct._bound, shifts, outs)
             x = outs[done - 1]
         for s, out in zip(shifts[done:], outs[done:]):
             cut = size - s % size
@@ -854,7 +813,7 @@ class SimulatorBackend:
             raise LevelExhausted("cmul", level, self.meter.current_scope)
         self.meter.record("cmul", level)
         # the masked product the chain rotates: one level down, rescale pending
-        masked = _make(ct._base, ct._shift, level - 1, ct.key_id, True, None, None)
+        masked = _make(ct._base, ct._shift, level - 1, ct.key_id, True, None, size)
         steps = n.bit_length() - 1
         for k in range(steps):
             self.rot(masked, 1 << k if g >> k & 1 else -1 << k)
@@ -862,14 +821,8 @@ class SimulatorBackend:
         if acc.key_id != ct.key_id or len(acc._base) != size:
             _check_pair(acc, ct)
         self.meter.record("add", min(acc.level + acc.pending_rescale, level))
-        pack, bound = getattr(ct, "_bound", size), getattr(acc, "_bound", size)
-        if pack < 0:
-            pack = _measure(ct)
-        if bound < 0:
-            bound = _measure(acc)
-        pack = -(-pack // n) * n  # where the blocks the spread leaves zero begin
-        if pack > bound:
-            bound = pack
+        pack = -(-ct._bound // n) * n  # where the blocks the spread leaves zero begin
+        bound = acc._bound if acc._bound > pack else pack
         top = -(-bound // n) * n  # the whole blocks that hold the result
         cell, view, free = _buffer(self._free, size)
         np.add(acc.slots[:top].reshape(-1, n), ct.slots[:top].reshape(-1, n)[:, g, None],
@@ -954,19 +907,21 @@ def _cell_count(nbytes: int, size: int) -> int:
     return nbytes // size
 
 
-def _views(buffer, levels: list[int], ctx: KeyContext,
-           bounds: list[int] | None = None) -> list[Ciphertext]:
-    """One ciphertext per level, its slots a read-only row view of the cells
-    that fill ``buffer``, each with its bound from ``bounds`` (-1 for all
-    when None: not known until a product or fold reads the slots); making
-    them reads no byte of ``buffer``."""
+def _rows(buffer, count: int, ctx: KeyContext) -> np.ndarray:
+    """The read-only slot rows of the ``count`` cells that fill ``buffer``,
+    as views of it; making them reads no byte of ``buffer``."""
     s = ctx.params.slot_count
-    rows = np.ndarray((len(levels), s), "<f8", buffer, HEADER.size,
+    rows = np.ndarray((count, s), "<f8", buffer, HEADER.size,
                       (serialized_size(s), 8)).astype(np.float64, copy=False)
     rows.setflags(write=False)
-    key_id = ctx.key_id
+    return rows
+
+
+def _views(rows: np.ndarray, levels: list[int], bounds: Iterable[int],
+           key_id: str) -> list[Ciphertext]:
+    """One ciphertext per row of ``rows``, with its level and its bound."""
     cells = []
-    for row, level, bound in zip(rows, levels, bounds or repeat(-1)):
+    for row, level, bound in zip(rows, levels, bounds):
         ct = _new(Ciphertext)  # _make inlined: a load pays it per cell
         _set_base(ct, row)
         _set_shift(ct, 0)
@@ -981,16 +936,18 @@ def _views(buffer, levels: list[int], ctx: KeyContext,
 def deserialize_many(buffer, ctx: KeyContext) -> list[Ciphertext]:
     """Parse the sequence format from any bytes-like ``buffer``, each
     ciphertext with the checks of :func:`deserialize`, all headers checked
-    together.  Nothing is copied: every ciphertext's slots are a read-only
-    view of ``buffer``."""
+    together, and its bound measured from its slots.  Nothing is copied:
+    every ciphertext's slots are a read-only view of ``buffer``."""
     view = memoryview(buffer).cast("B")
     size = serialized_size(ctx.params.slot_count)
     if not _cell_count(len(view), size):
         return []
-    return _views(view, _check_headers(view, size, ctx), ctx)
+    levels = _check_headers(view, size, ctx)
+    rows = _rows(view, len(levels), ctx)
+    return _views(rows, levels, map(_extent, rows), ctx.key_id)
 
 
-def map_many(fh, ctx: KeyContext, bounds: list[int] | None = None) -> list[Ciphertext]:
+def map_many(fh, ctx: KeyContext, bounds: list[int]) -> list[Ciphertext]:
     """Read the sequence format from the binary file ``fh`` by its headers
     alone, with the checks of :func:`deserialize_many`.  Each header comes
     from one ``os.pread``; every ciphertext's slots are a read-only row of one
@@ -1001,22 +958,19 @@ def map_many(fh, ctx: KeyContext, bounds: list[int] | None = None) -> list[Ciphe
 
     ``bounds``, one per cell in file order, are the cells' bounds as a
     saved session records them (see the module docstring); they are taken
-    as given, so no product or fold measures a cell, and none reads a page
-    of its zero tail.  Without them each bound is measured when first read,
-    which scans a cell whose last slot is zero: every page of its tail.
+    as given, so no page of a cell's zero tail is ever read.
 
     The mapping goes with the last ciphertext that uses it, and every page
     read stays resident until then; a caller that replaces the cells one
     by one gives back each one's pages with :func:`release_pages`, as a
     refining round's commit does.  A writer that rewrites the file in
-    place changes what those ciphertexts read, and can make a bound wrong,
-    given or measured before it (a product then leaves out slots that are
-    no longer zero); one that truncates it makes the next read past the
-    new end raise SIGBUS."""
+    place changes what those ciphertexts read, and can make a bound wrong
+    (a product then leaves out slots that are no longer zero); one that
+    truncates it makes the next read past the new end raise SIGBUS."""
     fd = fh.fileno()
     size = serialized_size(ctx.params.slot_count)
     count = _cell_count(os.fstat(fd).st_size, size)
-    if bounds is not None and len(bounds) != count:
+    if len(bounds) != count:
         raise ValueError(f"{len(bounds)} bounds for {count} cells")
     if not count:
         return []
@@ -1027,7 +981,8 @@ def map_many(fh, ctx: KeyContext, bounds: list[int] | None = None) -> list[Ciphe
         raise ValueError(f"cell {k}: read {len(heads[k])} of its {HEADER.size} header "
                          f"bytes; the file shrank while it was read")
     levels = _check_headers(headers, HEADER.size, ctx)
-    return _views(mmap.mmap(fd, count * size, access=mmap.ACCESS_READ), levels, ctx, bounds)
+    rows = _rows(mmap.mmap(fd, count * size, access=mmap.ACCESS_READ), count, ctx)
+    return _views(rows, levels, bounds, ctx.key_id)
 
 
 def release_pages(ct: Ciphertext) -> None:

@@ -423,8 +423,15 @@ class RefineSession:
         lhe = json.loads(entries["lhe"])
         params = LheParams(lhe["slots"], lhe["levels"], lhe.get("noise_sigma", 0.0))
         cfg = model_from_dict(json.loads(entries["model"]), int(entries["n"]))
+        exact = entries["exact_activation_grad"]
+        if exact not in ("true", "false"):
+            raise ValueError(f"session manifest exact_activation_grad is {exact!r}, "
+                             f"not true or false")
+        cells_name = entries["cells"]
+        if cells_name in ("", "..") or Path(cells_name).name != cells_name:
+            raise ValueError(f"session manifest cells is {cells_name!r}, not a bare file name")
         session = cls(tee, cfg, params, r_mode=int(entries["r"]),
-                      exact_activation_grad=entries["exact_activation_grad"] == "true")
+                      exact_activation_grad=exact == "true")
         if int(entries["key_hash"]) != session.ctx.key_hash:
             raise ValueError("session was written under a different key")
         stored_layouts = entries["layouts"].split(",")
@@ -452,10 +459,10 @@ class RefineSession:
             raise ValueError(f"session manifest bounds holds {bounds[outside.argmax()]}, "
                              f"outside 0..{params.slot_count}")
         size = serialized_size(params.slot_count)
-        with open(root / entries["cells"], "rb") as fh:
+        with open(root / cells_name, "rb") as fh:
             stored = os.fstat(fh.fileno()).st_size
             if stored != count * size:
-                raise ValueError(f"{entries['cells']} holds {stored / size:g} cells of "
+                raise ValueError(f"{cells_name} holds {stored / size:g} cells of "
                                  f"{size} bytes, the model has {count}")
             cts = iter(map_many(fh, session.ctx, bounds.tolist()))
             for cells, keys in groups:  # zip takes a key first: no cell is skipped

@@ -24,6 +24,21 @@ def signed_rotate_spread(backend, ct, n, g, acc):
     return Ciphertext(slots, cell.level, cell.key_id, cell.pending_rescale)
 """
 
+# Appended to a copy of ``lhe.py``: every decryption also records one add,
+# which changes the counts of a step and nothing it reveals
+EXTRA_COUNT = """
+
+_decrypt = SimulatorBackend.decrypt
+
+
+def _decrypt_and_count(self, ctx, ct):
+    self.meter.record("add", ct.level)
+    return _decrypt(self, ctx, ct)
+
+
+SimulatorBackend.decrypt = _decrypt_and_count
+"""
+
 
 @pytest.mark.parametrize("workload, pairs", [("infer-cnn12", 3), ("refine-r22", 2)])
 def test_both_sides_this_tree(tmp_path, workload, pairs):
@@ -48,6 +63,9 @@ def test_both_sides_this_tree(tmp_path, workload, pairs):
     assert int(count) > 0 and mb == f"{8 * slots * int(count) / 2**20:.2f} MB)"
     assert f"of {pairs} pairs" in proc.stdout
     assert lines[-1].strip() == "same outputs in every pair: yes"
+    # the same tree records the same meter counts in each step of a pair
+    assert [line.strip() for line in lines if "same counts" in line] == [
+        "same counts in every pair: yes"]
     # a refining workload also compares the two sides' models after the
     # last pair; inference leaves the model as it was loaded
     model = [line.strip() for line in lines if "same model" in line]
@@ -81,7 +99,28 @@ def test_models_that_differ_fail_the_run(tmp_path):
         env={**os.environ, "TMPDIR": str(tmp_path)})
     lines = [line.strip() for line in proc.stdout.splitlines()]
     assert proc.returncode == 1, proc.stdout[-2000:] + proc.stderr[-2000:]
-    assert lines[-2:] == ["same model after the last pair: NO",
+    assert lines[-3:] == ["same counts in every pair: yes",
+                          "same model after the last pair: NO",
+                          "same outputs in every pair: yes"]
+    assert list(tmp_path.iterdir()) == [tree]
+
+
+def test_counts_that_differ_fail_the_run(tmp_path):
+    # side b's tree records one more add per decryption: its outputs agree
+    # with side a's, and the count comparison is what fails the run
+    tree = tmp_path / "b"
+    shutil.copytree(ROOT / "src" / "lhecnn", tree / "lhecnn",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    lhe = tree / "lhecnn" / "lhe.py"
+    lhe.write_text(lhe.read_text() + EXTRA_COUNT)
+    proc = subprocess.run(
+        [sys.executable, "tools/ab_steps.py", "--a", "src", "--b", str(tree),
+         "--workload", "infer-cnn12", "--pairs", "1", "--warmup", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+        env={**os.environ, "TMPDIR": str(tmp_path)})
+    lines = [line.strip() for line in proc.stdout.splitlines()]
+    assert proc.returncode == 1, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert lines[-2:] == ["same counts in every pair: NO",
                           "same outputs in every pair: yes"]
     assert list(tmp_path.iterdir()) == [tree]
 

@@ -827,7 +827,7 @@ class TestZeroTails:
         """Ciphertexts of values of both signs up to each bound in
         :data:`BOUNDS` and zeros past it, at two levels, with a rescale
         pending on some; and the same values through the public constructor,
-        whose bound is not known until a product reads it."""
+        which measures their bound."""
         backend = SimulatorBackend()
         ctx = backend.keygen(LheParams(slot_count, 8), seed=4)
         rng = np.random.default_rng(4)
@@ -871,13 +871,13 @@ class TestZeroTails:
 
     def test_an_all_zero_operand_has_bound_zero(self, backend):
         # conv_backward's never-visited cell: the public constructor over
-        # zeros, measured when a product first reads it
+        # zeros measures its bound
         ctx = backend.keygen(LheParams(16, 8), seed=4)
         x = backend.encrypt(ctx, np.arange(1.0, 17.0))
         zero = Ciphertext(np.zeros(16), 6, ctx.key_id, True)
-        assert zero._bound == -1
+        assert zero._bound == 0
         product = backend.mul(x, zero)
-        assert zero._bound == 0 and product._bound == 0
+        assert product._bound == 0
         assert not product.slots.any() and product.level == 5
         total = backend.mul_sum([(zero, x), (x, x)])
         assert total._bound == 16 and np.array_equal(total.slots, x.slots * x.slots)
@@ -903,30 +903,16 @@ class TestZeroTails:
         for ct in (backend.add(x, x), backend.cmul(x, np.ones(16)),
                    backend.rotate_add(x, [-1, 2])):
             assert ct._bound == 16
-        # a rotation keeps no bound; a product reads it as full
+        # a rotation's bound is its slot count: a prefix does not survive it
         for shift, end in ((-3, 8), (16, 5)):
             rotated = backend.rot(x, shift)
+            assert rotated._bound == 16
             for product in (backend.mul(rotated, ones), backend.mul_sum([(ones, rotated)])):
                 assert np.array_equal(product.slots, np.roll(values, -shift))
                 assert product._bound == 16 and last_nonzero_end(product) == end
             cell = backend.unpack_spread(rotated, 4, 1, backend.encrypt(ctx, np.zeros(16)))
             assert cell._bound == 16 and np.array_equal(
                 cell.slots, np.repeat(np.roll(values, -shift)[1::4], 4))
-
-    def test_a_mapped_cell_is_measured_by_its_first_product(self, backend, tmp_path):
-        ctx = backend.keygen(LheParams(16, 8), seed=4)
-        values = np.zeros(16)
-        values[:7] = np.arange(-3.0, 4.0)
-        path = tmp_path / "cells.lhe"
-        path.write_bytes(serialize_many([backend.encrypt(ctx, values)] * 2))
-        with open(path, "rb") as fh:
-            cells = map_many(fh, ctx)
-        assert [cell._bound for cell in cells] == [-1, -1]  # the load read no slot
-        x = backend.encrypt(ctx, np.ones(16))
-        product = backend.mul_sum([(x, cells[0])])
-        assert [cell._bound for cell in cells] == [7, -1]
-        assert product._bound == 7 and np.array_equal(product.slots, values)
-        assert deserialize(serialize(cells[1]), ctx)._bound == -1
 
     def test_a_mapped_cell_takes_the_bound_it_is_given(self, backend, tmp_path):
         ctx = backend.keygen(LheParams(16, 8), seed=4)
@@ -944,6 +930,54 @@ class TestZeroTails:
             product = backend.mul(x, cell)
             assert product._bound == cell._bound and np.array_equal(product.slots, values)
         assert [cell._bound for cell in cells] == [7, 16]
+
+    @staticmethod
+    def mapped(ctx, x, tmp_path):
+        """The second of two copies of ``x`` mapped from a file, with ``x``'s
+        bound as theirs."""
+        path = tmp_path / "cells.lhe"
+        path.write_bytes(serialize_many([x, x]))
+        with open(path, "rb") as fh:
+            return map_many(fh, ctx, [x._bound] * 2)[1]
+
+    # every way to make a ciphertext, from a fresh one, x, whose slots from
+    # 5 on are zeros (a -0.0 among them)
+    MAKERS = {
+        "constructor": lambda b, ctx, x, tmp: Ciphertext(x.slots.copy(), x.level, x.key_id),
+        "deserialize": lambda b, ctx, x, tmp: deserialize(serialize(x), ctx),
+        "deserialize_many": lambda b, ctx, x, tmp: deserialize_many(
+            serialize_many([x, x]), ctx)[1],
+        "map_many": lambda b, ctx, x, tmp: TestZeroTails.mapped(ctx, x, tmp),
+        "encrypt": lambda b, ctx, x, tmp: b.encrypt(ctx, x.slots),
+        "noisy-encrypt": lambda b, ctx, x, tmp: b.encrypt(
+            b.keygen(LheParams(16, 8, 1e-3), seed=4), x.slots),
+        "reencrypt": lambda b, ctx, x, tmp: b.reencrypt(ctx, x),
+        "add": lambda b, ctx, x, tmp: b.add(x, x),
+        "mul": lambda b, ctx, x, tmp: b.mul(x, x),
+        "cmul": lambda b, ctx, x, tmp: b.cmul(x, np.full(16, 2.0)),
+        "rot": lambda b, ctx, x, tmp: b.rot(x, 3),
+        "mul_sum": lambda b, ctx, x, tmp: b.mul_sum([(x, x), (x, x)]),
+        "rotate_add": lambda b, ctx, x, tmp: b.rotate_add(x, [1, 2]),
+        "pack_sums": lambda b, ctx, x, tmp: b.pack_sums([x, x], 4, 0.5),
+        "unpack_spread": lambda b, ctx, x, tmp: b.unpack_spread(x, 4, 1, x),
+    }
+
+    @pytest.mark.parametrize("make", list(MAKERS))
+    def test_every_ciphertext_carries_its_bound_from_birth(self, backend, tmp_path, make):
+        # an int bound that covers every nonzero slot, kept as it was when a
+        # product or fold reads the ciphertext
+        ctx = backend.keygen(LheParams(16, 8), seed=4)
+        values = np.zeros(16)
+        values[:5] = np.arange(-2.0, 3.0) + 0.5
+        values[9] = -0.0
+        ct = self.MAKERS[make](backend, ctx, backend.encrypt(ctx, values), tmp_path)
+        bound = ct._bound
+        assert type(bound) is int and last_nonzero_end(ct) <= bound <= 16
+        backend.mul(ct, ct)
+        backend.mul_sum([(ct, ct), (ct, ct)])
+        backend.rotate_add(ct, [1, 2])
+        backend.unpack_spread(ct, 4, 0, ct)
+        assert ct._bound == bound
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -966,13 +1000,11 @@ class TestZeroTails:
         assert got_counts == want_counts
 
     @staticmethod
-    def product(bound, slot_count=32, public=False, sparse=False):
+    def product(bound, slot_count=32, sparse=False):
         """A product whose tail is +0.0 from ``bound`` on and whose last slot
         before it is not zero.  Some slots before it are -0.0 (a zero times a
         negative factor); when ``sparse``, all of them are +0.0 or -0.0, so
-        that sums of zeros show their sign.  When ``public``, the product
-        comes through the public constructor, whose bound is not known until
-        a fold or product reads it."""
+        that sums of zeros show their sign."""
         backend = SimulatorBackend()
         ctx = backend.keygen(LheParams(slot_count, 8), seed=4)
         rng = np.random.default_rng(bound)
@@ -984,9 +1016,6 @@ class TestZeroTails:
         signs = np.where(rng.random(slot_count) < 0.5, -1.5, 1.5)
         product = backend.mul(backend.encrypt(ctx, values), backend.encrypt(ctx, signs))
         assert product._bound == bound and not np.signbit(product.slots[bound:]).any()
-        if public:
-            product = Ciphertext(product.slots.copy(), product.level, ctx.key_id, True)
-            assert product._bound == -1
         return product
 
     @staticmethod
@@ -994,7 +1023,7 @@ class TestZeroTails:
         """``rotate_add`` against the per-op chain: the same bytes in every
         slot (the sign of zero included), level, rescale flag and counts;
         and, unless there are no shifts (the operand is returned), the
-        operand's bound measured and the result's never below its last
+        operand's bound unchanged and the result's never below its last
         nonzero slot."""
         def stale(backend):
             # buffers of nonzero slots on the free list: a slot the chain
@@ -1020,8 +1049,7 @@ class TestZeroTails:
         size = 32
         bound = data.draw(st.sampled_from([0, 1, size]) | st.integers(0, size),
                           label="bound")
-        ct = self.product(bound, size, public=data.draw(st.booleans(), label="public"),
-                          sparse=data.draw(st.booleans(), label="sparse"))
+        ct = self.product(bound, size, sparse=data.draw(st.booleans(), label="sparse"))
         shift = (st.sampled_from([0, size, -size, 2 * size + 3, -1, size // 2])
                  | st.integers(-3 * size, 3 * size))
         folds = st.builds(lambda n, steps: [n << k for k in range(steps)],
@@ -1040,10 +1068,8 @@ class TestZeroTails:
         (32, [1, 2, 4]),         # full: every step adds whole vectors
     ], ids=["fold", "short", "gap", "right", "half", "zero", "nearly-full", "full"])
     def test_rotate_add_chains_over_a_run(self, bound, shifts):
-        for public in (False, True):
-            for sparse in (False, True):
-                self.check_rotate_add(self.product(bound, public=public, sparse=sparse),
-                                      shifts)
+        for sparse in (False, True):
+            self.check_rotate_add(self.product(bound, sparse=sparse), shifts)
 
 
 class TestRecycling:
@@ -1338,10 +1364,13 @@ class TestSerialization:
 
     @staticmethod
     def map_file(tmp_path, blob, ctx):
+        """The cells of ``blob`` mapped from a file, each with the slot count
+        as its bound."""
         path = tmp_path / "cts.lhe"
         path.write_bytes(blob)
+        s = ctx.params.slot_count
         with open(path, "rb") as fh:
-            return map_many(fh, ctx)
+            return map_many(fh, ctx, [s] * (len(blob) // serialized_size(s)))
 
     def test_map_round_trips_as_rows_of_one_mapping(self, backend, tmp_path):
         ctx = ctx8(backend)

@@ -783,6 +783,37 @@ class TestPersistence:
             RefineSession.load(tee, tmp_path / "model")
         assert opened == [] and tee.attested_parties == frozenset()
 
+    @pytest.mark.parametrize("key, value", [
+        ("exact_activation_grad", "yes"),
+        ("exact_activation_grad", "True"),
+        ("exact_activation_grad", ""),
+        ("cells", ""),
+        ("cells", ".."),
+        ("cells", "../model/{cells}"),
+        ("cells", "{root}/{cells}"),
+    ], ids=["yes", "capitalised", "empty-flag", "empty-name", "parent", "relative-path",
+            "absolute-path"])
+    def test_load_rejects_a_bad_flag_or_cells_name(self, tmp_path, monkeypatch, key, value):
+        # only the literals true and false set the flag, and cells names a
+        # file in the session's directory, even one a path would reach: each
+        # other value raises ValueError naming its key before the cells open
+        cfg, params = small_cfg(), LheParams(32, 12)
+        root = tmp_path / "model"
+        make_session(cfg, params, seed=14).save(root)
+        (cells,) = root.glob("cells-*.lhe")
+        manifest = root / "session.manifest"
+        lines = [f"{key} = {value.format(root=root, cells=cells.name)}"
+                 if line.startswith(f"{key} = ") else line
+                 for line in manifest.read_text().splitlines()]
+        manifest.write_text("\n".join(lines) + "\n")
+        opened = []
+        monkeypatch.setattr("lhecnn.refine.open", lambda *args: opened.append(args),
+                            raising=False)
+        tee = TeeService(SimulatorBackend(OpMeter()), params, seed=14)
+        with pytest.raises(ValueError, match=f"^session manifest {key} is "):
+            RefineSession.load(tee, root)
+        assert opened == []
+
     def test_load_rejects_a_corrupt_cell(self, tmp_path):
         cfg, params = small_cfg(), LheParams(32, 12)
         make_session(cfg, params, seed=14).save(tmp_path / "model")

@@ -8,8 +8,10 @@ this one process, opens one session per side on the same model, and times
 steps in pairs: each pair runs one step on each side with the same batch,
 the side that runs first alternating from pair to pair.  It prints each
 side's p50 and p90 step time, the median of the per-pair ratios b/a, the
-pairs b won, and whether both sides revealed the same outputs (inference)
-or losses (refining) in every pair.  A refining workload also compares the
+pairs b won, whether both sides revealed the same outputs (inference)
+or losses (refining) in every pair, and whether both steps of every pair
+recorded the same meter counts (each step's ``meter.since`` delta, keyed
+by scope, kind and level).  A refining workload also compares the
 bytes of the two sides' decrypted models after the last pair: a round's
 loss is computed before its update, so the losses alone miss a parameter
 the last update got wrong.  It also prints the slot buffers each
@@ -92,7 +94,10 @@ class Side:
     times_ns: list
 
     def step(self, images, labels):
-        """One timed step; returns what it revealed, to compare the sides."""
+        """One timed step; returns what it revealed and the meter counts it
+        recorded, to compare the sides."""
+        meter = self.session.meter
+        mark = meter.checkpoint()
         start = time.perf_counter_ns()
         if self.refine:
             out = self.session.refine(images, labels, lr=LR).losses[0]
@@ -100,7 +105,7 @@ class Side:
             logits, _ = self.session.infer(images)
             out = self.session.reveal_outputs(logits)
         self.times_ns.append(time.perf_counter_ns() - start)
-        return np.asarray(out).tobytes()
+        return np.asarray(out).tobytes(), meter.since(mark)
 
 
 def mapping_resident_kb(array: np.ndarray) -> int | None:
@@ -180,25 +185,28 @@ def compare(a: Side, b: Side) -> dict:
             "b_won": sum(ratio < 1 for ratio in ratios)}
 
 
-def time_pairs(sides: list[Side], wl: str, pairs: int, warmup: int, seed: int) -> bool:
+def time_pairs(sides: list[Side], wl: str, pairs: int, warmup: int,
+               seed: int) -> tuple[bool, bool]:
     """Time ``warmup + pairs`` pairs of steps on the two sides, the side
     that runs first alternating, and keep the last ``pairs`` times on each
-    side; returns whether both revealed the same in every pair."""
+    side; returns whether both revealed the same, and whether both recorded
+    the same meter counts, in every pair."""
     cfg = workload(sides[0].lib, wl)[0]
     first = cfg.conv[0]
     rng = np.random.default_rng(seed)
-    same = True
+    same = same_counts = True
     for index in range(warmup + pairs):
         images = rng.normal(size=(cfg.n, first.channels, first.input_side,
                                   first.input_side)) * 0.2
         labels = rng.integers(0, cfg.fc[-1].outputs, size=cfg.n)
         order = sides if index % 2 == 0 else sides[::-1]
-        outs = [side.step(images, labels) for side in order]
-        same &= outs[0] == outs[1]
+        (out, counts), (other, other_counts) = (side.step(images, labels) for side in order)
+        same &= out == other
+        same_counts &= counts == other_counts
         if index < warmup:
             for side in sides:
                 side.times_ns.pop()
-    return same
+    return same, same_counts
 
 
 def run(a_src: Path, b_src: Path, wl: str, pairs: int, warmup: int, seed: int,
@@ -206,14 +214,14 @@ def run(a_src: Path, b_src: Path, wl: str, pairs: int, warmup: int, seed: int,
     tmp = Path(tempfile.mkdtemp(prefix="ab_steps-"))
     try:
         a_lib = import_tree(a_src, "lhecnn_ab_a")
-        same, bias = True, {}
+        same, same_counts, bias = True, True, {}
         if bias_check:
             copy = tmp / "a_copy"
             shutil.copytree(Path(a_src) / "lhecnn", copy / "lhecnn",
                             ignore=shutil.ignore_patterns("__pycache__"))
             twins = [open_side(name, lib, wl, seed, tmp) for name, lib in
                      (("a_twin", a_lib), ("a_copy", import_tree(copy, "lhecnn_ab_a_copy")))]
-            same = time_pairs(twins, wl, pairs, warmup, seed)
+            same, same_counts = time_pairs(twins, wl, pairs, warmup, seed)
             bias = {f"aa_{key}": value for key, value in compare(*twins).items()}
             del twins
         sides = [open_side(name, lib, wl, seed, tmp) for name, lib in
@@ -222,7 +230,8 @@ def run(a_src: Path, b_src: Path, wl: str, pairs: int, warmup: int, seed: int,
         for index in range(loads):
             for side in (sides if index % 2 == 0 else sides[::-1]):
                 loaded[side.name].append(load_once(side, wl, seed, tmp))
-        same &= time_pairs(sides, wl, pairs, warmup, seed)
+        outputs, counts = time_pairs(sides, wl, pairs, warmup, seed)
+        same, same_counts = same and outputs, same_counts and counts
         same_model, mapped = None, {}
         if sides[0].refine:
             same_model = model_bytes(sides[0]) == model_bytes(sides[1])
@@ -245,6 +254,7 @@ def run(a_src: Path, b_src: Path, wl: str, pairs: int, warmup: int, seed: int,
         "b_p50": np.percentile(b_ms, 50), "b_p90": np.percentile(b_ms, 90),
         **compare(*sides),
         "same_outputs": same,
+        "same_counts": same_counts,
         "same_model": same_model,
         **bias,
         **{f"{side.name}_buffers": side.session.backend.free_buffers for side in sides},
@@ -295,10 +305,11 @@ def main(argv=None) -> int:
     if "aa_median_ratio" in r:
         print(f"  bias check: median ratio a copy/a {r['aa_median_ratio']:.3f}; the copy "
               f"faster in {r['aa_b_won']} of {r['pairs']} pairs")
+    print(f"  same counts in every pair: {'yes' if r['same_counts'] else 'NO'}")
     if r["same_model"] is not None:
         print(f"  same model after the last pair: {'yes' if r['same_model'] else 'NO'}")
     print(f"  same outputs in every pair: {'yes' if r['same_outputs'] else 'NO'}")
-    return 0 if r["same_outputs"] and r["same_model"] is not False else 1
+    return 0 if r["same_outputs"] and r["same_counts"] and r["same_model"] is not False else 1
 
 
 if __name__ == "__main__":
