@@ -73,11 +73,12 @@ kernel's shared zero page, which is not resident either.  ``add``,
 count: a prefix does not survive a rotation.  ``map_many`` requires the
 cells' bounds, one per cell, and reads no slot: a saved session records
 each cell's bound and its load passes them in, so no page of a cell's
-zero tail is ever read.  Such a bound is taken as given, so a cells file
-rewritten outside the library can make it wrong.  ``mul`` and each term
-of ``mul_sum`` compute a product only up to the smaller of its operands'
-bounds, and ``unpack_spread`` only the blocks the refreshed gradient or
-the cell it adds into reaches.  Past a product's bound the per-op product
+zero tail is ever read, and ``write_many`` leaves each zero tail a file
+hole, so no read fault maps one beside a page it reads.  Such a bound is
+taken as given, so a cells file rewritten outside the library can make it
+wrong.  ``mul`` and each term of ``mul_sum`` compute a product only up to
+the smaller of its operands' bounds, and ``unpack_spread`` only the
+blocks the refreshed gradient or the cell it adds into reaches.  Past a product's bound the per-op product
 is ``x * 0.0``, so the slots equal the full computation's up to the sign
 of an exact zero, for finite slots, and the meter records the same ops at
 the same levels.
@@ -417,6 +418,13 @@ def _lay_out(run: np.ndarray, start: int, length: int, t: int, out: np.ndarray) 
             out[p:q] = 0.0
 
 
+def _new_slots(n: int) -> np.ndarray:
+    """A new writable slot array of length ``n`` over its own private
+    anonymous mapping: page-aligned, so an elementwise op writing it is not
+    slowed by a misaligned output, and zero pages until written."""
+    return np.frombuffer(mmap.mmap(-1, 8 * n, mmap.MAP_PRIVATE), np.float64)
+
+
 def _buffer(pools: defaultdict, n: int) -> tuple[np.ndarray, np.ndarray, weakref.ref]:
     """A slot buffer of length ``n``: its writable owner, the read-only view a
     ciphertext holds, and a reference to the free list the view returns to."""
@@ -424,7 +432,7 @@ def _buffer(pools: defaultdict, n: int) -> tuple[np.ndarray, np.ndarray, weakref
     try:
         view = free.pop()
     except IndexError:
-        owner = np.empty(n)
+        owner = _new_slots(n)
         view = owner.view()
         view.setflags(write=False)
         return owner, view, free.ref
@@ -485,8 +493,8 @@ class SimulatorBackend:
         """A top-level ciphertext of ``values``, perturbed first when noise
         is on.
 
-        A buffer made here is a new private anonymous mapping, zero pages
-        until written, and only the written prefix is copied into it: the
+        A buffer made here (:func:`_new_slots`) is zero pages until
+        written, and only the written prefix is copied into it: the
         slots up to the last whose bits are not all zero, so a -0.0 in the
         tail is copied too.  The pages of its tail are never written, so
         they never become resident, whatever state the allocator is in.  A
@@ -500,7 +508,7 @@ class SimulatorBackend:
             view = pool.pop()
         except IndexError:
             top = _extent(values.view(np.uint64))  # by the bits: a -0.0 is written
-            out = np.frombuffer(mmap.mmap(-1, 8 * size, mmap.MAP_PRIVATE), np.float64)
+            out = _new_slots(size)
             out[:top] = values[:top]
             view = out.view()
             view.setflags(write=False)
@@ -842,10 +850,14 @@ def serialized_size(slot_count: int) -> int:
     return HEADER.size + 8 * slot_count
 
 
+def _header(ct: Ciphertext) -> bytes:
+    """The 16-byte wire header of ``ct``: magic, S, level, key hash."""
+    return HEADER.pack(MAGIC, ct.slot_count, ct.level, zlib.crc32(ct.key_id.encode()))
+
+
 def serialize(ct: Ciphertext) -> bytes:
     """16-byte header (magic, S, level, key hash) + S little-endian float64 slots."""
-    header = HEADER.pack(MAGIC, ct.slot_count, ct.level, zlib.crc32(ct.key_id.encode()))
-    return header + ct.slots.astype("<f8", copy=False).tobytes()
+    return _header(ct) + ct.slots.astype("<f8", copy=False).tobytes()
 
 
 def deserialize(data, ctx: KeyContext) -> Ciphertext:
@@ -870,10 +882,25 @@ def serialize_many(cts: Iterable[Ciphertext]) -> bytes:
 
 
 def write_many(fh, cts: Iterable[Ciphertext]) -> None:
-    """Write the sequence format of ``cts`` to the binary file ``fh`` one
-    ciphertext at a time, so no copy of the whole sequence is held."""
+    """Write the sequence format of ``cts`` to the seekable binary file
+    ``fh``, from its position on, one ciphertext at a time, so no copy of
+    the whole sequence is held; the file then ends where the sequence does.
+
+    Each ciphertext's zero tail is left as a file hole: its header and its
+    slots up to the last whose bits are not all zero go out in one write
+    (so a -0.0 in a tail is written), and the writer seeks past the rest.
+    A hole reads back as +0.0, so the file holds :func:`serialize_many`'s
+    bytes, but a filesystem that stores holes allocates no block for them
+    and keeps no page of them in its cache.  A read fault on a mapping of
+    the file (see :func:`map_many`) maps only cached pages around the one
+    it faults in, so reading a saved cell's prefix makes resident its
+    written pages, not its neighbours' zeros."""
     for ct in cts:
-        fh.write(serialize(ct))
+        slots = ct.slots.astype("<f8", copy=False)
+        top = _extent(slots.view(np.uint64))  # by the bits: a -0.0 is written
+        fh.write(_header(ct) + slots[:top].tobytes())
+        fh.seek(8 * (len(slots) - top), os.SEEK_CUR)
+    fh.truncate()
 
 
 def _check_headers(headers, itemsize: int, ctx: KeyContext) -> list[int]:
@@ -953,8 +980,11 @@ def map_many(fh, ctx: KeyContext, bounds: list[int]) -> list[Ciphertext]:
     from one ``os.pread``; every ciphertext's slots are a read-only row of one
     read-only mapping of the file, and no page of it is read until a
     ciphertext's slots are.  Reading the headers through the mapping would
-    make the whole file resident, since the kernel maps the pages around
-    each one it faults in.
+    make every cached page of the file resident, since the kernel maps the
+    cached pages around each one it faults in; a file :func:`write_many`
+    wrote keeps its zero tails as holes, which are in no cached page until
+    something reads them, so a read of a cell's prefix maps written pages
+    only.
 
     ``bounds``, one per cell in file order, are the cells' bounds as a
     saved session records them (see the module docstring); they are taken

@@ -409,17 +409,6 @@ def encode_params(backend: SimulatorBackend, ctx: KeyContext, values: np.ndarray
     return packed
 
 
-def encode_filters(backend: SimulatorBackend, ctx: KeyContext, filters: np.ndarray,
-                   geo: CombinedGeometry, layout: str = CONV_BASIC,
-                   r: int = 1) -> PackedFilters:
-    """Encrypt one conv layer's filter elements, of shape (filter_count,
-    channels, side, side), to match an input layout."""
-    _checked_span(layout, r, geo)
-    eps, alpha, gamma, _ = filters.shape
-    return encode_params(backend, ctx, filters, PackedFilters(
-        {}, layout, eps, alpha, gamma, geo.seg_slots, group_size=r))
-
-
 # ---------------------------------------------------------------------------
 # Layout transitions
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ TEE noise removal, additive update).  A saved session is ``session.manifest``
 (``key = value`` lines) plus one cells file: every parameter ciphertext in the
 wire format's sequence form, in ``cell_keys()`` order.  The manifest's
 ``bounds`` holds each cell's bound in the same order (see :mod:`lhecnn.lhe`),
-so a loaded session reads no page of a cell's zero tail, and its first
-commit gives back the pages of each cell it replaces.
+so a loaded session reads no page of a cell's zero tail, which the cells
+file stores as a hole, and its first commit gives back the pages of each
+cell it replaces.
 """
 
 from __future__ import annotations
@@ -48,6 +49,22 @@ MANIFEST_NAME = "session.manifest"
 FORMAT_TAG = "lhecnn-session-v3"
 MANIFEST_KEYS = ("key_hash", "model", "lhe", "n", "r", "layouts", "weight_kinds",
                  "exact_activation_grad", "cells", "bounds")
+
+
+def _manifest_object(entries: dict[str, str], key: str, build):
+    """``build`` applied to the JSON object the manifest holds at ``key``.
+    A value that is not a JSON object, or lacks a field ``build`` reads or
+    holds one it cannot take, raises ValueError naming the key."""
+    text = entries[key]
+    try:
+        value = json.loads(text)
+        if not isinstance(value, dict):
+            raise TypeError("not a JSON object")
+        return build(value)
+    except KeyError as exc:
+        raise ValueError(f"session manifest {key} is {text!r}: it lacks {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"session manifest {key} is {text!r}: {exc}") from None
 
 
 def plan_layouts(cfg: CnnConfig, geo: CombinedGeometry, r_mode="auto") -> tuple[int, list[str]]:
@@ -420,9 +437,10 @@ class RefineSession:
         missing = [key for key in MANIFEST_KEYS if key not in entries]
         if missing:
             raise ValueError(f"session manifest lacks {', '.join(missing)}")
-        lhe = json.loads(entries["lhe"])
-        params = LheParams(lhe["slots"], lhe["levels"], lhe.get("noise_sigma", 0.0))
-        cfg = model_from_dict(json.loads(entries["model"]), int(entries["n"]))
+        params = _manifest_object(entries, "lhe", lambda lhe: LheParams(
+            lhe["slots"], lhe["levels"], lhe.get("noise_sigma", 0.0)))
+        n = int(entries["n"])
+        cfg = _manifest_object(entries, "model", lambda model: model_from_dict(model, n))
         exact = entries["exact_activation_grad"]
         if exact not in ("true", "false"):
             raise ValueError(f"session manifest exact_activation_grad is {exact!r}, "

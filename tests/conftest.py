@@ -1,13 +1,21 @@
+import os
 from collections import deque
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lhecnn.geometry import CnnConfig, ConvLayer, FcLayer
-from lhecnn.lhe import Ciphertext, LheParams, SimulatorBackend
+from lhecnn.geometry import CnnConfig, CombinedGeometry, ConvLayer, FcLayer
+from lhecnn.lhe import HEADER, Ciphertext, LheParams, SimulatorBackend, serialized_size
 from lhecnn.metering import OpMeter
-from lhecnn.packing import compute_rotation_plan, empty_weights, encode_params
+from lhecnn.packing import (
+    CONV_BASIC,
+    PackedFilters,
+    _checked_span,
+    compute_rotation_plan,
+    empty_weights,
+    encode_params,
+)
 from lhecnn.tee import TeeService
 
 
@@ -42,6 +50,59 @@ def mapping_resident_kb(array: np.ndarray) -> int:
         if start <= address < end:
             return resident
     raise LookupError(f"no mapping holds address {address:#x}")
+
+
+def written_bytes(ct: Ciphertext) -> int:
+    """The bytes a saved cells file holds written for ``ct``: its header and
+    its slots up to the last whose bits are not all zero; the rest of its
+    cell is a hole."""
+    bits = ct.slots.view(np.uint64)
+    nonzero = np.flatnonzero(bits)
+    return HEADER.size + 8 * (int(nonzero[-1]) + 1 if len(nonzero) else 0)
+
+
+def written_pages_kb(cts: list[Ciphertext]) -> tuple[int, int]:
+    """For a cells file saved from ``cts``, in file order: the kB of the
+    pages that hold the first slot of a cell whose bound is not 0, and of
+    the pages that hold any written byte.  A read of each such cell's
+    first slot through a mapping of the file makes the first resident; no
+    read of it can make more than the second resident, since its holes
+    are in no page."""
+    page, size = os.sysconf("SC_PAGE_SIZE"), serialized_size(cts[0].slot_count)
+    first, written = set(), set()
+    for k, ct in enumerate(cts):
+        start = k * size
+        if ct._bound:
+            first.add((start + HEADER.size) // page)
+        written.update(range(start // page, (start + written_bytes(ct) - 1) // page + 1))
+    return len(first) * page // 1024, len(written) * page // 1024
+
+
+def stores_holes(directory: Path) -> bool:
+    """Whether the filesystem holding ``directory`` allocates no block for
+    a hole: a 1 MiB file written only at its ends takes less than 1 MiB."""
+    probe = directory / "holes-probe"
+    with open(probe, "wb") as fh:
+        fh.write(b"x")
+        fh.seek(2**20)
+        fh.write(b"x")
+        fh.flush()
+        os.fsync(fh.fileno())
+    try:
+        return os.stat(probe).st_blocks * 512 < 2**20
+    finally:
+        probe.unlink()
+
+
+def encode_filters(backend: SimulatorBackend, ctx, filters: np.ndarray,
+                   geo: CombinedGeometry, layout: str = CONV_BASIC,
+                   r: int = 1) -> PackedFilters:
+    """Encrypt one conv layer's filter elements, of shape (filter_count,
+    channels, side, side), to match an input layout."""
+    _checked_span(layout, r, geo)
+    eps, alpha, gamma, _ = filters.shape
+    return encode_params(backend, ctx, filters, PackedFilters(
+        {}, layout, eps, alpha, gamma, geo.seg_slots, group_size=r))
 
 
 def loop_mul_sum(backend, pairs, acc=None):

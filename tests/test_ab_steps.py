@@ -72,14 +72,20 @@ def test_both_sides_this_tree(tmp_path, workload, pairs):
     want = ["same model after the last pair: yes"] if workload == "refine-r22" else []
     assert model == want
     # inference also reads how much of each side's loaded cells file its
-    # steps made resident; a round replaces every cell, so refining does not
+    # steps made resident, and beside it how much of the file the
+    # filesystem allocated; a round replaces every cell, so refining does not
     mapped = [line.split() for line in lines if "cells mapping resident after the last" in line]
     assert [fields[0] for fields in mapped] == ([] if workload == "refine-r22" else ["a", "b"])
     for fields in mapped:
+        resident, allocated = " ".join(fields[8:]).split("; cells file allocated ")
         if Path("/proc/self/smaps").exists():
-            assert fields[-1] == "kB" and int(fields[-2]) > 0
+            assert resident.endswith(" kB") and int(resident.split()[0]) > 0
         else:
-            assert fields[-1] == "n/a"
+            assert resident == "n/a"
+        if hasattr(os.stat_result, "st_blocks"):
+            assert allocated.endswith(" kB") and int(allocated.split()[0]) > 0
+        else:
+            assert allocated == "n/a"
     assert list(tmp_path.iterdir()) == []
 
 

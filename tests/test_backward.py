@@ -25,7 +25,6 @@ from lhecnn.packing import (
     FL_TYPE1,
     FL_TYPE2,
     PackedTensor,
-    encode_filters,
     encode_inputs,
     signed_rotate_sum,
 )
@@ -33,6 +32,7 @@ from lhecnn.refine import RefineSession
 from lhecnn.tee import TeeService
 
 from conftest import (
+    encode_filters,
     encode_weights,
     per_op_apply_refreshed,
     per_op_noise_removal_update,

@@ -17,13 +17,12 @@ from lhecnn.packing import (
     FL_TYPE1,
     FL_TYPE2,
     PackedTensor,
-    encode_filters,
     encode_inputs,
 )
 from lhecnn.refine import RefineSession
 from lhecnn.tee import TeeService
 
-from conftest import encode_weights
+from conftest import encode_filters, encode_weights
 
 
 def session_for(cfg, params, r_mode=1, seed=0):

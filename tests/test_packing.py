@@ -12,7 +12,6 @@ from lhecnn.packing import (
     conv_cell_counts,
     conv_segments,
     empty_weights,
-    encode_filters,
     encode_inputs,
     fold_rotate_sum,
     signed_rotate_spread,
@@ -20,6 +19,7 @@ from lhecnn.packing import (
 )
 
 from conftest import (
+    encode_filters,
     encode_weights,
     make_selector,
     per_op_pack_sums,

@@ -10,13 +10,14 @@ import pytest
 from lhecnn import backward
 from lhecnn.geometry import CnnConfig, ConvLayer, FcLayer, preset
 from lhecnn.lhe import (Ciphertext, LevelExhausted, LheParams, SimulatorBackend, _extent,
-                        serialized_size)
+                        serialize_many, serialized_size)
 from lhecnn.metering import CostTable, OpMeter, build_report
 from lhecnn.oracle import init_params, plain_backward_step, plain_forward
 from lhecnn.refine import FORMAT_TAG, RefineSession
 from lhecnn.tee import BoundaryStats, TeeService
 
-from conftest import PerOpBackend, mapping_resident_kb, mappings
+from conftest import (PerOpBackend, mapping_resident_kb, mappings, stores_holes,
+                      written_bytes, written_pages_kb)
 
 
 def make_session(cfg, params, seed=0, exact=True, r_mode=1, backend_type=SimulatorBackend):
@@ -38,6 +39,12 @@ def stored_cells(sess):
     return [(key, ct.level, ct.pending_rescale, ct.slots.tobytes())
             for packed in sess.filters + sess.weights
             for key, ct in packed.cells.items()]
+
+
+def saved_cells(sess):
+    """Every parameter cell, in the order a save writes them."""
+    return [packed.cells[key] for packed in sess.filters + sess.weights
+            for key in packed.cell_keys()]
 
 
 def small_cfg():
@@ -640,23 +647,26 @@ class TestPersistence:
 
     def test_load_reads_no_slot(self, tmp_path):
         # A load reads only the headers: the cells file's mapping has no page
-        # resident until a stage reads the slots, and then about all of them.
+        # resident until a stage reads the slots.  Then the pages that hold
+        # each cell's first slot are, and no page of a zero tail: the save
+        # left the tails as holes, which no read fault maps around a page
+        # it reads.
         smaps = Path("/proc/self/smaps")
         if not smaps.exists():
             pytest.skip("no /proc/self/smaps")
         cfg, params = small_cfg(), LheParams(4096, 12)
-        make_session(cfg, params, seed=17).save(tmp_path / "model")
-        (path,) = (tmp_path / "model").glob("cells-*.lhe")
+        saved = make_session(cfg, params, seed=17)
+        saved.save(tmp_path / "model")
         tee = TeeService(SimulatorBackend(OpMeter()), params, seed=17)
         loaded = RefineSession.load(tee, tmp_path / "model")
         cells = [ct for packed in loaded.filters + loaded.weights
                  for ct in packed.cells.values()]
         assert mapping_resident_kb(cells[0].slots) == 0
         loaded.infer(np.random.default_rng(17).normal(size=(4, 1, 4, 4)))
-        page_kb = os.sysconf("SC_PAGE_SIZE") // 1024
-        assert (path.stat().st_size // 1024 - len(cells) * page_kb
-                <= mapping_resident_kb(cells[0].slots)
-                <= -(-path.stat().st_size // 1024) + page_kb)
+        least, most = written_pages_kb(saved_cells(saved))
+        assert 0 < least <= mapping_resident_kb(cells[0].slots) <= most
+        (path,) = (tmp_path / "model").glob("cells-*.lhe")
+        assert most < path.stat().st_size // 1024 // 4
 
     def test_a_load_gives_each_cell_its_saved_bound(self, tmp_path, monkeypatch):
         # each loaded cell carries the bound its slots give, read from the
@@ -712,21 +722,54 @@ class TestPersistence:
 
     def test_inference_reads_no_page_of_a_zero_tail(self, tmp_path):
         # At S=32768 every cell of this model ends in its first page, and the
-        # saved bounds keep each product to it: one inference leaves far less
-        # of the cells file resident than the file holds
+        # saved bounds keep each product to it: one inference leaves only
+        # the pages that hold the written prefixes resident
         smaps = Path("/proc/self/smaps")
         if not smaps.exists():
             pytest.skip("no /proc/self/smaps")
         cfg, params = small_cfg(), LheParams(32768, 12)
-        make_session(cfg, params, seed=21).save(tmp_path / "model")
-        (path,) = (tmp_path / "model").glob("cells-*.lhe")
+        saved = make_session(cfg, params, seed=21)
+        saved.save(tmp_path / "model")
         tee = TeeService(SimulatorBackend(OpMeter()), params, seed=21)
         loaded = RefineSession.load(tee, tmp_path / "model")
         cells = [ct for packed in loaded.filters + loaded.weights
                  for ct in packed.cells.values()]
         assert max(ct._bound for ct in cells) * 8 < os.sysconf("SC_PAGE_SIZE")
         loaded.infer(np.random.default_rng(21).normal(size=(4, 1, 4, 4)))
-        assert 0 < mapping_resident_kb(cells[0].slots) <= path.stat().st_size // 1024 // 2
+        least, most = written_pages_kb(saved_cells(saved))
+        assert 0 < least <= mapping_resident_kb(cells[0].slots) <= most
+
+    @pytest.mark.parametrize("sigma", [0.0, 1e-6], ids=["noiseless", "noisy"])
+    def test_a_saved_cells_file_reads_back_the_sequence_of_its_cells(self, tmp_path, sigma):
+        # the zero tails the save leaves as holes read back as +0.0: the file
+        # holds serialize_many's bytes, and a noisy session's, which has no
+        # zero tail, has no hole
+        params = LheParams(4096, 12, sigma)
+        saved = make_session(small_cfg(), params, seed=23)
+        saved.save(tmp_path / "model")
+        (path,) = (tmp_path / "model").glob("cells-*.lhe")
+        cts = saved_cells(saved)
+        assert path.read_bytes() == serialize_many(cts)
+        if sigma and hasattr(os, "SEEK_HOLE"):
+            with open(path, "rb") as fh:
+                assert os.lseek(fh.fileno(), 0, os.SEEK_HOLE) == path.stat().st_size
+        elif not sigma:
+            assert min(ct._bound for ct in cts) < 4096
+
+    def test_a_saved_cells_file_allocates_only_its_written_prefixes(self, tmp_path):
+        # each cell's header and slots up to its last with a bit set, plus at
+        # most one page where each prefix ends or begins part-way, and one
+        # for the filesystem's own record of where the file's data lies
+        if not stores_holes(tmp_path):
+            pytest.skip("this filesystem stores no holes")
+        saved = make_session(small_cfg(), LheParams(4096, 12), seed=24)
+        saved.save(tmp_path / "model")
+        (path,) = (tmp_path / "model").glob("cells-*.lhe")
+        cts = saved_cells(saved)
+        page, stat = os.sysconf("SC_PAGE_SIZE"), path.stat()
+        assert stat.st_size == len(cts) * serialized_size(4096)
+        written = sum(map(written_bytes, cts))
+        assert stat.st_blocks * 512 <= written + (len(cts) + 1) * page < stat.st_size // 4
 
     @staticmethod
     def first_commit(tmp_path):
@@ -736,7 +779,7 @@ class TestPersistence:
         cfg, params = small_cfg(), LheParams(4096, 12)
         make_session(cfg, params, seed=22).save(tmp_path / "model")
         (path,) = (tmp_path / "model").glob("cells-*.lhe")
-        saved = path.read_bytes()
+        saved = path.read_bytes()  # which caches the holes too: the inference maps them
         tee = TeeService(SimulatorBackend(OpMeter()), params, seed=22)
         loaded = RefineSession.load(tee, tmp_path / "model")
         old = [packed.cells[key] for packed in loaded.filters + loaded.weights
@@ -813,6 +856,35 @@ class TestPersistence:
         with pytest.raises(ValueError, match=f"^session manifest {key} is "):
             RefineSession.load(tee, root)
         assert opened == []
+
+    @pytest.mark.parametrize("key, value, reason", [
+        ("lhe", "-1", "not a JSON object"),
+        ("model", "-1", "not a JSON object"),
+        ("lhe", "[4096, 12]", "not a JSON object"),
+        ("lhe", "{}", "it lacks 'slots'"),
+        ("model", "{}", "it lacks 'conv'"),
+        ("lhe", '{"slots": 32}', "it lacks 'levels'"),
+        ("model", '{"conv": [{"channels": 1}], "fc": []}', "it lacks 'input_side'"),
+        ("lhe", '{"slots": "32", "levels": 12}', ""),
+    ], ids=["lhe-number", "model-number", "lhe-list", "lhe-empty", "model-empty",
+            "lhe-without-levels", "conv-layer-without-side", "lhe-slots-a-string"])
+    def test_load_rejects_an_lhe_or_model_value_without_its_fields(
+            self, tmp_path, monkeypatch, key, value, reason):
+        # each raises ValueError naming its key before the session is built
+        # or the cells file opened
+        root = tmp_path / "model"
+        make_session(small_cfg(), LheParams(32, 12), seed=14).save(root)
+        manifest = root / "session.manifest"
+        manifest.write_text("".join(f"{key} = {value}\n" if line.startswith(f"{key} = ")
+                                    else line for line in manifest.read_text().splitlines(True)))
+        opened = []
+        monkeypatch.setattr("lhecnn.refine.open", lambda *args: opened.append(args),
+                            raising=False)
+        tee = TeeService(SimulatorBackend(OpMeter()), LheParams(32, 12), seed=14)
+        with pytest.raises(ValueError) as info:
+            RefineSession.load(tee, root)
+        assert str(info.value).startswith(f"session manifest {key} is {value!r}: {reason}")
+        assert opened == [] and tee.attested_parties == frozenset()
 
     def test_load_rejects_a_corrupt_cell(self, tmp_path):
         cfg, params = small_cfg(), LheParams(32, 12)

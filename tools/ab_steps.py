@@ -22,7 +22,10 @@ RSS cannot tell two trees in one process apart; this count can.  An
 inference workload, whose steps leave the loaded cells in place, also prints
 the resident kB of each side's cells-file mapping after the last pair
 (read from ``/proc/self/smaps``; "n/a" where that file does not exist): the
-pages of the saved model its steps have read.
+pages of the saved model its steps have read.  Beside it stands the kB the
+filesystem allocated to that cells file (``st_blocks``; "n/a" where the
+platform does not report it): a save leaves zero tails as holes, so this is
+its written prefixes, not its size.
 
 With ``--loads N`` it first sets up the saved session N times per side, in
 pairs in the same alternating order, and prints each side's median set-up
@@ -125,6 +128,14 @@ def mapping_resident_kb(array: np.ndarray) -> int | None:
         elif inside and head == "Rss:":
             return int(line.split()[1])
     return None
+
+
+def allocated_kb(directory: Path) -> int | None:
+    """kB the filesystem allocated to the cells file saved in ``directory``;
+    None where the platform does not report it."""
+    (path,) = directory.glob("cells-*.lhe")
+    blocks = getattr(path.stat(), "st_blocks", None)
+    return None if blocks is None else blocks * 512 // 1024
 
 
 def workload(lib, name: str):
@@ -236,8 +247,9 @@ def run(a_src: Path, b_src: Path, wl: str, pairs: int, warmup: int, seed: int,
         if sides[0].refine:
             same_model = model_bytes(sides[0]) == model_bytes(sides[1])
         else:
-            mapped = {f"{side.name}_mapped_kb": cells_resident_kb(side.session)
-                      for side in sides}
+            for side in sides:
+                mapped[f"{side.name}_mapped_kb"] = cells_resident_kb(side.session)
+                mapped[f"{side.name}_file_kb"] = allocated_kb(tmp / side.name)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     a_ms, b_ms = ([t / 1e6 for t in side.times_ns] for side in sides)
@@ -297,9 +309,10 @@ def main(argv=None) -> int:
         mb = sum(8 * n * count for n, count in buffers.items()) / 2**20
         print(f"  {name}  free buffers {sum(buffers.values())} ({mb:.2f} MB)")
         if f"{name}_mapped_kb" in r:
-            kb = r[f"{name}_mapped_kb"]
+            kb, file_kb = r[f"{name}_mapped_kb"], r[f"{name}_file_kb"]
             print(f"  {name}  cells mapping resident after the last pair "
-                  f"{'n/a' if kb is None else f'{kb} kB'}")
+                  f"{'n/a' if kb is None else f'{kb} kB'}; cells file allocated "
+                  f"{'n/a' if file_kb is None else f'{file_kb} kB'}")
     print(f"  median ratio b/a {r['median_ratio']:.3f}; b faster in "
           f"{r['b_won']} of {r['pairs']} pairs")
     if "aa_median_ratio" in r:
