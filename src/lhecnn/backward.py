@@ -8,7 +8,13 @@ parameter cell each updates.  Each value is a zero-argument
 ``functools.partial`` that makes its gradient (conv kernel gradients come
 out folded over their grid positions), so nothing is computed until
 :func:`refresh_gradients` calls it as the gradient's pack takes it, and each
-gradient is packed while it is fresh.
+gradient is packed while it is fresh.  A stage packs its weight gradients
+before it makes its input gradients (:func:`fl_backward`,
+:func:`conv_backward`): the makers are the last readers of the cached layer
+input, so it is freed before the input gradients are allocated.  Like the
+forward square, :func:`activation_gradient` consumes the tensor it is given,
+so each of the previous stage's input gradients is freed as its replacement
+is made.
 
 The update has two halves, so a caller can run every layer's first half
 before any parameter changes.  :func:`refresh_gradients` packs: a signed
@@ -59,17 +65,23 @@ def activation_gradient(backend: SimulatorBackend, grads: PackedTensor,
     ``exact=False`` drops the cached pre-activation factor and applies only
     the constant 2, which saves two levels per layer (one multiplication and
     the cached operand's level cap) at the cost of a distorted gradient.
+
+    Consumes ``grads``, as :func:`~lhecnn.forward.square_activation` does its
+    tensor: each cell is popped from ``grads.cells`` once its product is
+    made, so an output gradient nobody else holds is freed as its
+    replacement is made, and ``grads`` is left with no cells.  ``preacts``
+    may be ``grads`` itself.
     """
-    slot_count = grads.slot_count
-    two = np.full(slot_count, 2.0)
-    cells = {}
-    for key, ct in grads.cells.items():
-        g = backend.cmul(ct, two)
+    if exact and preacts is None:
+        raise ValueError("exact activation gradient needs cached pre-activations")
+    two = np.full(grads.slot_count, 2.0)
+    src, cells = grads.cells, {}
+    for key in list(src):
+        g = backend.cmul(src[key], two)
         if exact:
-            if preacts is None:
-                raise ValueError("exact activation gradient needs cached pre-activations")
             g = backend.mul(g, preacts.cells[key])
         cells[key] = g
+        del src[key]
     return replace(grads, cells=cells)
 
 

@@ -67,6 +67,20 @@ def _manifest_object(entries: dict[str, str], key: str, build):
         raise ValueError(f"session manifest {key} is {text!r}: {exc}") from None
 
 
+def _manifest_int(entries: dict[str, str], key: str, power_of_two: bool = False) -> int:
+    """The integer the manifest holds at ``key``.  A value that is not an
+    integer, or with ``power_of_two`` not a positive power of two, raises
+    ValueError naming the key."""
+    text = entries[key]
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValueError(f"session manifest {key} is {text!r}: not an integer") from None
+    if power_of_two and (value < 1 or value & (value - 1)):
+        raise ValueError(f"session manifest {key} is {text!r}: not a positive power of two")
+    return value
+
+
 def plan_layouts(cfg: CnnConfig, geo: CombinedGeometry, r_mode="auto") -> tuple[int, list[str]]:
     """Pick the packing factor and a per-conv-layer layout.
 
@@ -304,11 +318,13 @@ class RefineSession:
         # Each layer's (input, pre-activation) pair is popped from the end of
         # the cache as its backward stage starts, fc layers first, and
         # dropped once the makers of its raw gradients hold the operands
-        # they need, so a cached cell dies as the last pack that reads it is
-        # made, before the re-encryption.  The packs call the makers after
-        # the layer's input gradients are made: each gradient goes into its
-        # pack while it is fresh, and no layer's gradients are ever all
-        # alive at once.
+        # they need.  The packs call the makers at once, before the layer's
+        # input gradients are made: each gradient goes into its pack while
+        # it is fresh, no layer's gradients are ever all alive at once, and
+        # a cached input dies as the last pack that reads it is made, so it
+        # is gone before the input gradients are allocated.  The activation
+        # gradient consumes the previous stage's input gradients, so each
+        # dies as its replacement is made.
         for k in reversed(range(cfg.f)):
             inputs, pre = cache.pop()
             weights, scope = self.weights[k], f"bwd.FL{k + 1}"
@@ -318,9 +334,9 @@ class RefineSession:
                                                    self.exact_activation_grad)
                 raw = bwd.fl_weight_gradients(self.backend, grad, inputs, weights)
                 del pre, inputs
+                refreshed = bwd.refresh_gradients(self.backend, reenc, raw, lr, cfg.n)
                 grad = bwd.fl_backward(self.backend, grad, weights)
-                stages.append((scope, weights.cells,
-                               bwd.refresh_gradients(self.backend, reenc, raw, lr, cfg.n)))
+                stages.append((scope, weights.cells, refreshed))
 
         grad = self._as_conv_grad(grad)
         for l in reversed(range(cfg.c)):
@@ -333,14 +349,14 @@ class RefineSession:
                                                 self.filters[l], out_grid,
                                                 cfg.conv[l].stride)
                 del pre, inputs
+                refreshed = bwd.refresh_gradients(self.backend, reenc, raw, lr, cfg.n)
                 if l > 0:
                     grad = bwd.conv_backward(self.backend, grad, self.filters[l],
                                              out_grid, cfg.conv[l].stride,
                                              geo.kernel_sides[l])
                 else:
                     del grad  # no later stage reads bwd.CL1's gradients
-                stages.append((scope, self.filters[l].cells,
-                               bwd.refresh_gradients(self.backend, reenc, raw, lr, cfg.n)))
+                stages.append((scope, self.filters[l].cells, refreshed))
         return loss, stages
 
     def _commit(self, stages: list[tuple]) -> None:
@@ -439,7 +455,7 @@ class RefineSession:
             raise ValueError(f"session manifest lacks {', '.join(missing)}")
         params = _manifest_object(entries, "lhe", lambda lhe: LheParams(
             lhe["slots"], lhe["levels"], lhe.get("noise_sigma", 0.0)))
-        n = int(entries["n"])
+        n = _manifest_int(entries, "n", power_of_two=True)
         cfg = _manifest_object(entries, "model", lambda model: model_from_dict(model, n))
         exact = entries["exact_activation_grad"]
         if exact not in ("true", "false"):
@@ -448,9 +464,10 @@ class RefineSession:
         cells_name = entries["cells"]
         if cells_name in ("", "..") or Path(cells_name).name != cells_name:
             raise ValueError(f"session manifest cells is {cells_name!r}, not a bare file name")
-        session = cls(tee, cfg, params, r_mode=int(entries["r"]),
-                      exact_activation_grad=exact == "true")
-        if int(entries["key_hash"]) != session.ctx.key_hash:
+        r = _manifest_int(entries, "r", power_of_two=True)
+        key_hash = _manifest_int(entries, "key_hash")
+        session = cls(tee, cfg, params, r_mode=r, exact_activation_grad=exact == "true")
+        if key_hash != session.ctx.key_hash:
             raise ValueError("session was written under a different key")
         stored_layouts = entries["layouts"].split(",")
         if stored_layouts != session.layouts:

@@ -1,6 +1,7 @@
 import gc
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -49,6 +50,19 @@ def made(grads: dict) -> dict:
     return {key: partial(lambda ct: ct, ct) for key, ct in grads.items()}
 
 
+def activation_gradient_kept(backend, grads, preacts, exact=True):
+    """:func:`activation_gradient` as it was before it consumed ``grads``:
+    every output gradient stays alive until the whole result exists."""
+    two = np.full(grads.slot_count, 2.0)
+    cells = {}
+    for key, ct in grads.cells.items():
+        g = backend.cmul(ct, two)
+        if exact:
+            g = backend.mul(g, preacts.cells[key])
+        cells[key] = g
+    return replace(grads, cells=cells)
+
+
 def make_session(cfg, params, seed=0, exact=True):
     backend = SimulatorBackend(OpMeter())
     tee = TeeService(backend, params, seed=seed)
@@ -71,12 +85,46 @@ class TestActivationGradient:
     def test_level_consumption(self, backend):
         # exact mode: one plaintext and one ciphertext multiplication
         ctx = backend.keygen(LheParams(8, 8), seed=1)
-        g = PackedTensor({(0,): backend.encrypt(ctx, np.ones(8))},
-                         FL_TYPE2, 2, pi_sets=1)
-        z = PackedTensor({(0,): backend.encrypt(ctx, np.ones(8))},
-                         FL_TYPE2, 2, pi_sets=1)
-        assert activation_gradient(backend, g, z, exact=True).level() == 5
-        assert activation_gradient(backend, g, None, exact=False).level() == 6
+
+        def ones():  # a fresh tensor per call: the gradient consumes its input
+            return PackedTensor({(0,): backend.encrypt(ctx, np.ones(8))},
+                                FL_TYPE2, 2, pi_sets=1)
+
+        assert activation_gradient(backend, ones(), ones(), exact=True).level() == 5
+        assert activation_gradient(backend, ones(), None, exact=False).level() == 6
+
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("same", [False, True], ids=["preacts", "grads-is-preacts"])
+    def test_consumes_grads_and_matches_the_kept_loop(self, backend, exact, same):
+        ctx = backend.keygen(LheParams(16, 8), seed=1)
+        rng = np.random.default_rng(5)
+
+        def tensor(values):
+            return PackedTensor({(i,): backend.encrypt(ctx, v) for i, v in enumerate(values)},
+                                FL_TYPE2, 2, pi_sets=1)
+
+        g_values, z_values = rng.normal(size=(3, 16)), rng.normal(size=(3, 16))
+        runs = []
+        for gradient in (activation_gradient_kept, activation_gradient):
+            g = tensor(g_values)
+            z = g if same else tensor(z_values)
+            mark = backend.meter.checkpoint()
+            runs.append((g, gradient(backend, g, z, exact), backend.meter.since(mark)))
+        (_, want, want_counts), (g, out, counts) = runs
+        assert g.cells == {}
+        assert counts == want_counts
+        assert sum(c for (_, kind, _), c in counts.items() if kind == "mul") == 3 * exact
+        assert list(out.cells) == list(want.cells)
+        for key, ct in out.cells.items():
+            assert ct.level == want.cells[key].level
+            assert np.array_equal(backend.decrypt(ctx, ct), backend.decrypt(ctx, want.cells[key]))
+
+    def test_exact_without_preacts_raises_and_keeps_grads(self, backend):
+        ctx = backend.keygen(LheParams(8, 8), seed=1)
+        g = PackedTensor({(0,): backend.encrypt(ctx, np.ones(8))}, FL_TYPE2, 2, pi_sets=1)
+        with pytest.raises(ValueError, match="pre-activations"):
+            activation_gradient(backend, g, None, exact=True)
+        assert list(g.cells) == [(0,)]
 
 
 class TestFlBackward:
@@ -101,9 +149,10 @@ class TestFlBackward:
                            FL_TYPE2, 2, pi_sets=1)
         weights = encode_weights(backend, ctx, np.ones((1, 4)),
                                  "type1", n=2, in_cts=1, pi_per_ct=4)
+        top = out_g.level()  # read first: the activation gradient consumes out_g
         g = activation_gradient(backend, out_g, pre, exact=True)
         out = fl_backward(backend, g, weights)
-        assert out.level() == out_g.level() - 3  # cmul x2, preact mul, weight mul
+        assert out.level() == top - 3  # cmul x2, preact mul, weight mul
 
     def test_type2_identity_single_neuron(self, backend):
         ctx = backend.keygen(LheParams(8, 10), seed=1)

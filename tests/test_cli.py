@@ -281,6 +281,23 @@ class TestInferCommand:
         assert (f"bad configuration: session manifest {key} is {value!r}: "
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("key, value", [
+        ("n", "x"), ("r", "x"), ("key_hash", "x"), ("n", "0"),
+    ], ids=["n-word", "r-word", "key-hash-word", "n-zero"])
+    def test_a_manifest_integer_that_is_not_one_exits_2(self, tmp_path, capsys, key, value):
+        cfg_path = mnist_config(tmp_path)
+        model_dir = tmp_path / "model"
+        assert main(["init-model", "--config", cfg_path, "--model", str(model_dir)]) == 0
+        data_path, _, _ = make_dataset(tmp_path, cfg_path, 8)
+        manifest = model_dir / "session.manifest"
+        manifest.write_text("".join(f"{key} = {value}\n" if line.startswith(f"{key} = ")
+                                    else line for line in manifest.read_text().splitlines(True)))
+        capsys.readouterr()
+        assert main(["infer", "--config", cfg_path, "--model", str(model_dir),
+                     "--inputs", data_path]) == 2
+        assert (f"bad configuration: session manifest {key} is {value!r}: "
+                in capsys.readouterr().err)
+
     def test_a_config_whose_lhe_block_differs_from_the_models_exits_2(self, tmp_path,
                                                                        capsys):
         # The model was written at 10 levels; a 16-level config would build a

@@ -350,11 +350,11 @@ class TestWorkingSet:
         assert sess.backend.watched_level and sess.backend.alive_at_fl2 == 0
 
     @staticmethod
-    def steady_pool(cfg, params, r_mode, refine=False):
+    def steady_pool(cfg, params, r_mode, refine=False, exact=False):
         """The backend's free lists after two steps of ``cfg``."""
         backend = SimulatorBackend(OpMeter())
         sess = RefineSession(TeeService(backend, params, seed=1), cfg, params,
-                             r_mode=r_mode, exact_activation_grad=False)
+                             r_mode=r_mode, exact_activation_grad=exact)
         sess.load_base_model(init_params(cfg, 1))
         first = cfg.conv[0]
         rng = np.random.default_rng(1)
@@ -380,19 +380,31 @@ class TestWorkingSet:
         sess, pool = self.steady_pool(p.model, LheParams(32768, 10), "auto")
         assert sess.r == 4 and pool == {32768: 41}
 
-    def test_steady_constant_slope_round_peaks_at_384_buffers(self):
+    def test_steady_constant_slope_round_peaks_at_354_buffers(self):
         # The backward stages change no parameter, and the commit after them
         # replaces each parameter cell as its new one is made, so a round
         # holds one model, not two, and the commit holds at most one cell
-        # twice.  Its peak is a stage's, bwd.FL2's: the 260 parameter cells
-        # and 124 buffers of that stage's working set.  After the round the
-        # old cells are back in the free lists and the new ones are held.
+        # twice.  Its peak is a stage's, bwd.FL1's: the 260 parameter cells
+        # and 94 buffers of that stage's working set.  Each backward stage
+        # packs its weight gradients before it makes its input gradients, so
+        # the cached layer input is gone by then, and the activation
+        # gradient frees each of the previous stage's input gradients as it
+        # replaces it.  After the round the old cells are back in the free
+        # lists and the new ones are held.
         p = preset("refining-2-2")
         sess, pool = self.steady_pool(p.model, p.lhe, 1, refine=True)
         params = [ct for packed in sess.filters + sess.weights
                   for ct in packed.cells.values()]
         assert len(params) == 260 and all(ct._free is not None for ct in params)
-        assert pool == {8192: 384 - 260}
+        assert pool == {8192: 354 - 260}
+
+    def test_steady_exact_gradient_round_keeps_144_free_buffers(self):
+        # Exact gradients also cache each layer's pre-activations, at the 16
+        # levels they need: the peak is 260 parameter cells and 144 buffers.
+        p = preset("refining-2-2")
+        _, pool = self.steady_pool(p.model, LheParams(p.lhe.slot_count, 16), 1,
+                                   refine=True, exact=True)
+        assert pool == {8192: 144}
 
     def test_steady_inference_allocates_little(self):
         sess = session_for(preset("cnn-1-2").model, preset("cnn-1-2").lhe)

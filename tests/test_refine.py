@@ -886,6 +886,36 @@ class TestPersistence:
         assert str(info.value).startswith(f"session manifest {key} is {value!r}: {reason}")
         assert opened == [] and tee.attested_parties == frozenset()
 
+    @pytest.mark.parametrize("key, value, reason", [
+        ("n", "x", "not an integer"),
+        ("r", "x", "not an integer"),
+        ("key_hash", "x", "not an integer"),
+        ("key_hash", "", "not an integer"),
+        ("n", "1.5", "not an integer"),
+        ("n", "0", "not a positive power of two"),
+        ("n", "3", "not a positive power of two"),
+        ("r", "0", "not a positive power of two"),
+        ("r", "-2", "not a positive power of two"),
+    ], ids=["n-word", "r-word", "key-hash-word", "key-hash-empty", "n-fraction", "n-zero",
+            "n-three", "r-zero", "r-negative"])
+    def test_load_rejects_a_bad_integer(self, tmp_path, monkeypatch, key, value, reason):
+        # n, r and key_hash are integers, n and r powers of two: each other
+        # value raises ValueError naming its key before the session is built
+        # or the cells file opened
+        root = tmp_path / "model"
+        make_session(small_cfg(), LheParams(32, 12), seed=14).save(root)
+        manifest = root / "session.manifest"
+        manifest.write_text("".join(f"{key} = {value}\n" if line.startswith(f"{key} = ")
+                                    else line for line in manifest.read_text().splitlines(True)))
+        opened = []
+        monkeypatch.setattr("lhecnn.refine.open", lambda *args: opened.append(args),
+                            raising=False)
+        tee = TeeService(SimulatorBackend(OpMeter()), LheParams(32, 12), seed=14)
+        with pytest.raises(ValueError) as info:
+            RefineSession.load(tee, root)
+        assert str(info.value) == f"session manifest {key} is {value!r}: {reason}"
+        assert opened == [] and tee.attested_parties == frozenset()
+
     def test_load_rejects_a_corrupt_cell(self, tmp_path):
         cfg, params = small_cfg(), LheParams(32, 12)
         make_session(cfg, params, seed=14).save(tmp_path / "model")
