@@ -27,7 +27,8 @@ cell.  :func:`apply_refreshed` then runs one
 :func:`~lhecnn.packing.signed_rotate_spread` per gradient of a refreshed
 pack, which keeps its slot ``p`` again and spreads it back over its blocks,
 added straight into the parameter cell under its key, and replaces that cell
-at once: the update is a plain homomorphic addition.
+at once, handing the old one to the backend's ``retire``: the update is a
+plain homomorphic addition.
 
 The descent sign and learning-rate scaling ride in the packing mask (scale
 -lr/n at the kept slots), so the additive update performs SGD on the batch
@@ -43,7 +44,7 @@ from functools import partial
 
 import numpy as np
 
-from .lhe import Ciphertext, SimulatorBackend, release_pages
+from .lhe import Ciphertext, SimulatorBackend
 from .packing import (
     CONV_BASIC,
     FL_TYPE1,
@@ -149,11 +150,7 @@ def conv_backward(backend: SimulatorBackend, out_grads: PackedTensor,
                             (out_grads.ct(k, u, v), filters.cells[(k, i, x, y)])
                             for k in range(filters.filter_count))
     cells = {target: backend.mul_sum(pairs) for target, pairs in terms.items()}
-    # Never-visited positions carry an exact zero; represent it directly
-    # (the additive identity needs no encryption).
-    sample = next(iter(cells.values()))
-    zero = Ciphertext(np.zeros(sample.slot_count), sample.level, sample.key_id,
-                      sample.pending_rescale)
+    zero = backend.zero_like(next(iter(cells.values())))
     for i in range(filters.channel_count):
         for a in range(in_grid):
             for b in range(in_grid):
@@ -268,13 +265,10 @@ def apply_refreshed(backend: SimulatorBackend,
     update, one :func:`signed_rotate_spread` per gradient.
 
     The new cell takes its entry's place at the front of ``refreshed``
-    (offset ``None``), replaces the old cell and leaves the queue: each old
-    cell dies as its new one is made, and a pack once its last gradient is
-    spread, so their buffers go back to the free lists.  An old cell that
-    is a row of a :func:`~lhecnn.lhe.map_many` mapping (a loaded session's,
-    until its first commit) gives back its pages through
-    :func:`~lhecnn.lhe.release_pages`, since the mapping stays until its
-    last row goes.
+    (offset ``None``), replaces the old cell, which goes to the backend's
+    :meth:`~lhecnn.lhe.SimulatorBackend.retire`, and leaves the queue: each
+    old cell dies as its new one is made, and a pack once its last gradient
+    is spread.
 
     Called again with the queue an exception left, it applies each gradient
     exactly once.  An exception before a new cell is queued leaves the old
@@ -287,6 +281,6 @@ def apply_refreshed(backend: SimulatorBackend,
         if g is not None:  # the pack, not yet spread
             ct = signed_rotate_spread(backend, ct, n, g, target_cells[key])
             refreshed[0] = key, ct, None
-        release_pages(target_cells[key])
+        backend.retire(target_cells[key])
         target_cells[key] = ct
         refreshed.popleft()

@@ -24,13 +24,18 @@ one it was made for, or a rotation sharing it) is dropped, so a steady
 pipeline reuses its working set instead of allocating and page-faulting it
 anew on every pass.  An array anyone else still holds (``ct.slots``, or a
 slice or view of it) is never reused, nor is an array passed to the public
-:class:`Ciphertext` constructor, nor the slots the readers return:
-:func:`deserialize` and :func:`deserialize_many` view the bytes they parse,
-and :func:`map_many` maps a file and reads only its headers, so no slot page
-is read until a stage reads it; :func:`release_pages` gives back the pages
-of a mapped cell its holder has replaced.  The free lists belong to the
-backend alone: it keeps its peak working set in them until it is dropped,
-and a result that outlives it releases its buffer as usual.
+:class:`Ciphertext` constructor, nor the slots the readers return, which
+view the bytes they parse or the file they map.  The free lists belong to
+the backend alone: it keeps its peak working set in them until it is
+dropped, and a result that outlives it releases its buffer as usual.
+
+The pipeline stores and sizes ciphertexts only through the backend, so how
+the simulator keeps slots is known in this module alone.
+:meth:`~SimulatorBackend.save_cells` writes a sequence of cells and returns
+what reading it back needs, :meth:`~SimulatorBackend.open_cells` reads it
+back, :meth:`~SimulatorBackend.retire` takes a read cell its holder has
+replaced, :meth:`~SimulatorBackend.zero_like` makes an exact zero and
+:meth:`~SimulatorBackend.wire_size` sizes a ciphertext crossing to the TEE.
 
 Batched primitives run the pipeline's hot patterns with fewer Python calls
 and the same arithmetic: ``mul_sum`` is the left fold of products
@@ -63,21 +68,15 @@ the data alone, so no layout is passed in and noise or a changed cell
 cannot make it wrong.  ``encrypt``, ``reencrypt``, the public constructor
 (so ``deserialize`` and unpickling too) and ``deserialize_many`` measure
 it from the slots (one read when the last slot is not zero, as with any
-noise, a scan otherwise).  Fresh ciphertexts leave zero tails unwritten: a
-buffer they make is a new private anonymous mapping, and they copy into it
-only up to the last slot whose bits are not all zero, so the pages of its
-tail are never written and never become resident (a recycled buffer takes
-every slot).  A read of such a page, as ``serialize`` makes, maps the
-kernel's shared zero page, which is not resident either.  ``add``,
-``cmul``, ``rot``, ``rotate_add`` and ``pack_sums`` give the full slot
-count: a prefix does not survive a rotation.  ``map_many`` requires the
-cells' bounds, one per cell, and reads no slot: a saved session records
-each cell's bound and its load passes them in, so no page of a cell's
-zero tail is ever read, and ``write_many`` leaves each zero tail a file
-hole, so no read fault maps one beside a page it reads.  Such a bound is
-taken as given, so a cells file rewritten outside the library can make it
-wrong.  ``mul`` and each term of ``mul_sum`` compute a product only up to
-the smaller of its operands' bounds, and ``unpack_spread`` only the
+noise, a scan otherwise), and fresh ones leave their zero tails unwritten
+(see :meth:`SimulatorBackend._fresh`).  ``add``, ``cmul``, ``rot``,
+``rotate_add`` and ``pack_sums`` give the full slot count: a prefix does
+not survive a rotation.  ``save_cells`` returns the cells' bounds and leaves
+each zero tail a file hole, and ``open_cells`` takes the bounds back and
+reads no slot, so no page of a cell's zero tail is ever read.  Such a bound
+is taken as given, so a cells file rewritten outside the library can make
+it wrong.  ``mul`` and each term of ``mul_sum`` compute a product only up
+to the smaller of its operands' bounds, and ``unpack_spread`` only the
 blocks the refreshed gradient or the cell it adds into reaches.  Past a product's bound the per-op product
 is ``x * 0.0``, so the slots equal the full computation's up to the sign
 of an exact zero, for finite slots, and the meter records the same ops at
@@ -342,12 +341,6 @@ def _extent(slots: np.ndarray) -> int:
     return (slots != 0).tobytes().rfind(1) + 1
 
 
-def slot_bound(ct: Ciphertext) -> int:
-    """The slot from which on every slot of ``ct`` is an exact zero: the
-    bound it carries."""
-    return ct._bound
-
-
 def _multiply(a: Ciphertext, b: Ciphertext, out: np.ndarray, size: int) -> int:
     """Write ``a * b`` into ``out`` (``size`` slots) up to the smaller of the
     operands' bounds, past which the product is an exact zero, and return
@@ -497,8 +490,10 @@ class SimulatorBackend:
         written, and only the written prefix is copied into it: the
         slots up to the last whose bits are not all zero, so a -0.0 in the
         tail is copied too.  The pages of its tail are never written, so
-        they never become resident, whatever state the allocator is in.  A
-        recycled buffer takes every slot.  The bound is measured from the
+        they never become resident, whatever state the allocator is in; a
+        read of one, as ``serialize`` makes, maps the kernel's shared zero
+        page, which is not resident either.  A recycled buffer takes every
+        slot.  The bound is measured from the
         slots, so an exact zero of either sign counts as zero."""
         size, sigma = values.shape[0], ctx.params.noise_sigma
         if sigma > 0 and ctx._rng is not None:
@@ -840,6 +835,128 @@ class SimulatorBackend:
         return _make(view, 0, min(acc.level, level - 1), ct.key_id,
                      acc.pending_rescale, free, bound)
 
+    # -- storage -------------------------------------------------------------
+
+    def zero_like(self, ct: Ciphertext) -> Ciphertext:
+        """An exact zero with ``ct``'s key, slot count, level and rescale
+        flag: the additive identity, which needs no encryption and meters
+        nothing."""
+        zeros = np.zeros(ct.slot_count)
+        zeros.setflags(write=False)
+        return _make(zeros, 0, ct.level, ct.key_id, ct.pending_rescale, None, 0)
+
+    def wire_size(self, ct: Ciphertext) -> int:
+        """Bytes ``ct`` takes in the wire format: ``16 + 8 * S`` at any level."""
+        return serialized_size(ct.slot_count)
+
+    def save_cells(self, fh, cts: Iterable[Ciphertext]) -> str:
+        """Write the sequence format of ``cts`` to the seekable binary file
+        ``fh``, from its position on, one ciphertext at a time, so no copy of
+        the whole sequence is held; the file then ends where the sequence
+        does.  Returns what :meth:`open_cells` needs besides the file: each
+        cell's bound, in order, comma-separated.
+
+        Each ciphertext's zero tail is left as a file hole: its header and its
+        slots up to the last whose bits are not all zero go out in one write
+        (so a -0.0 in a tail is written), and the writer seeks past the rest.
+        A hole reads back as +0.0, so the file holds :func:`serialize_many`'s
+        bytes, but a filesystem that stores holes allocates no block for them
+        and keeps no page of them in its cache."""
+        bounds = []
+        for ct in cts:
+            slots = ct.slots.astype("<f8", copy=False)
+            top = _extent(slots.view(np.uint64))  # by the bits: a -0.0 is written
+            fh.write(_header(ct) + slots[:top].tobytes())
+            fh.seek(8 * (len(slots) - top), os.SEEK_CUR)
+            bounds.append(str(ct._bound))
+        fh.truncate()
+        return ",".join(bounds)
+
+    def open_cells(self, path, ctx: KeyContext, count: int, meta: str) -> list[Ciphertext]:
+        """The ``count`` ciphertexts :meth:`save_cells` wrote to the file at
+        ``path``, given ``meta``, the value it returned (a saved session keeps
+        it as its manifest's ``bounds``).  ``meta`` must hold ``count``
+        integers in ``0..S``, checked before the file is opened; then the file
+        must hold ``count`` cells whose headers pass :func:`deserialize`'s
+        checks, all checked together.
+
+        Each header comes from one ``os.pread``; every ciphertext's slots are
+        a read-only row of one read-only mapping of the file, and no page of
+        it is read until a ciphertext's slots are.  A read fault maps the
+        cached pages around the one it faults in, so reading the headers
+        through the mapping would make every cached page resident; the holes
+        are in no cached page, so a read of a cell's prefix maps written
+        pages only.  Each cell takes its bound from ``meta`` as given, so no
+        page of its zero tail is ever read.
+
+        The mapping goes with the last ciphertext that uses it, and every page
+        read stays resident until then: a holder that replaces the cells one
+        by one passes each old one to :meth:`retire`.  A writer that rewrites
+        the file in place changes what those ciphertexts read, and can make a
+        bound wrong (a product then leaves out slots that are no longer zero);
+        one that truncates it makes the next read past the new end raise
+        SIGBUS."""
+        s = ctx.params.slot_count
+        try:
+            bounds = np.fromstring(meta, dtype=np.int64, sep=",")
+        except ValueError:
+            raise ValueError("session manifest bounds is not a list of integers") from None
+        if len(bounds) != count:
+            raise ValueError(f"session manifest bounds holds {len(bounds)} bounds, "
+                             f"the model has {count} cells")
+        outside = bounds.view(np.uint64) > s  # and every negative one
+        if outside.any():
+            raise ValueError(f"session manifest bounds holds {bounds[outside.argmax()]}, "
+                             f"outside 0..{s}")
+        size = serialized_size(s)
+        with open(path, "rb") as fh:
+            fd = fh.fileno()
+            stored = os.fstat(fd).st_size
+            if stored != count * size:
+                raise ValueError(f"{os.path.basename(path)} holds {stored / size:g} cells "
+                                 f"of {size} bytes, the model has {count}")
+            if not count:
+                return []
+            heads = [os.pread(fd, HEADER.size, k * size) for k in range(count)]
+            headers = b"".join(heads)
+            if len(headers) != count * HEADER.size:
+                k = next(k for k, head in enumerate(heads) if len(head) != HEADER.size)
+                raise ValueError(f"cell {k}: read {len(heads[k])} of its {HEADER.size} "
+                                 f"header bytes; the file shrank while it was read")
+            levels = _check_headers(headers, HEADER.size, ctx)
+            rows = _rows(mmap.mmap(fd, count * size, access=mmap.ACCESS_READ), count, ctx)
+        return _views(rows, levels, bounds.tolist(), ctx.key_id)
+
+    def retire(self, ct: Ciphertext) -> None:
+        """Take a cell its holder has replaced.  A cell :meth:`open_cells`
+        read gives back its resident pages: ``madvise(MADV_DONTNEED)`` on the
+        whole pages strictly inside its row of the mapping, so the pages it
+        shares with its neighbours' rows are left alone.  Any other
+        ciphertext, one over a writable mapping among them (``DONTNEED``
+        would zero or revert its pages), or a host without
+        ``MADV_DONTNEED``, is left as it is.
+
+        The mapping is read-only and shared, so this changes no slot: a later
+        read of the cell, by anyone still holding it, faults its pages back
+        in from the file.  The mapping is found through the row's base chain,
+        so a load records nothing per cell.  The mapping itself goes only
+        with its last row, which is why a holder that replaces the rows one
+        by one retires each."""
+        owner = row = ct._base
+        while isinstance(owner, np.ndarray):
+            owner = owner.base
+        if _DONTNEED is None or not isinstance(owner, mmap.mmap):
+            return
+        whole = np.frombuffer(owner, np.uint8, 0)
+        if whole.flags.writeable:  # not a read-only file mapping: DONTNEED would zero it
+            return
+        page = mmap.PAGESIZE
+        begin = row.__array_interface__["data"][0] - whole.__array_interface__["data"][0]
+        start = -(-begin // page) * page
+        stop = (begin + row.nbytes) // page * page
+        if start < stop:
+            owner.madvise(_DONTNEED, start, stop - start)
+
 
 # ---------------------------------------------------------------------------
 # Wire format
@@ -881,28 +998,6 @@ def serialize_many(cts: Iterable[Ciphertext]) -> bytes:
     return b"".join(map(serialize, cts))
 
 
-def write_many(fh, cts: Iterable[Ciphertext]) -> None:
-    """Write the sequence format of ``cts`` to the seekable binary file
-    ``fh``, from its position on, one ciphertext at a time, so no copy of
-    the whole sequence is held; the file then ends where the sequence does.
-
-    Each ciphertext's zero tail is left as a file hole: its header and its
-    slots up to the last whose bits are not all zero go out in one write
-    (so a -0.0 in a tail is written), and the writer seeks past the rest.
-    A hole reads back as +0.0, so the file holds :func:`serialize_many`'s
-    bytes, but a filesystem that stores holes allocates no block for them
-    and keeps no page of them in its cache.  A read fault on a mapping of
-    the file (see :func:`map_many`) maps only cached pages around the one
-    it faults in, so reading a saved cell's prefix makes resident its
-    written pages, not its neighbours' zeros."""
-    for ct in cts:
-        slots = ct.slots.astype("<f8", copy=False)
-        top = _extent(slots.view(np.uint64))  # by the bits: a -0.0 is written
-        fh.write(_header(ct) + slots[:top].tobytes())
-        fh.seek(8 * (len(slots) - top), os.SEEK_CUR)
-    fh.truncate()
-
-
 def _check_headers(headers, itemsize: int, ctx: KeyContext) -> list[int]:
     """The levels of the cell headers that begin every ``itemsize`` bytes of
     ``headers``, after the wire format's header rule: magic, slot count, key
@@ -925,13 +1020,6 @@ def _check_headers(headers, itemsize: int, ctx: KeyContext) -> list[int]:
                   ValueError(f"level {levels[k]} outside [0, {top}]")]
         raise next(error for fails, error in zip(failed, errors) if fails[k])
     return levels.tolist()
-
-
-def _cell_count(nbytes: int, size: int) -> int:
-    if nbytes % size:
-        raise ValueError(f"{nbytes} bytes is not a whole number of "
-                         f"{size}-byte ciphertexts")
-    return nbytes // size
 
 
 def _rows(buffer, count: int, ctx: KeyContext) -> np.ndarray:
@@ -967,79 +1055,11 @@ def deserialize_many(buffer, ctx: KeyContext) -> list[Ciphertext]:
     every ciphertext's slots are a read-only view of ``buffer``."""
     view = memoryview(buffer).cast("B")
     size = serialized_size(ctx.params.slot_count)
-    if not _cell_count(len(view), size):
+    if len(view) % size:
+        raise ValueError(f"{len(view)} bytes is not a whole number of {size}-byte "
+                         f"ciphertexts")
+    if not view:
         return []
     levels = _check_headers(view, size, ctx)
     rows = _rows(view, len(levels), ctx)
     return _views(rows, levels, map(_extent, rows), ctx.key_id)
-
-
-def map_many(fh, ctx: KeyContext, bounds: list[int]) -> list[Ciphertext]:
-    """Read the sequence format from the binary file ``fh`` by its headers
-    alone, with the checks of :func:`deserialize_many`.  Each header comes
-    from one ``os.pread``; every ciphertext's slots are a read-only row of one
-    read-only mapping of the file, and no page of it is read until a
-    ciphertext's slots are.  Reading the headers through the mapping would
-    make every cached page of the file resident, since the kernel maps the
-    cached pages around each one it faults in; a file :func:`write_many`
-    wrote keeps its zero tails as holes, which are in no cached page until
-    something reads them, so a read of a cell's prefix maps written pages
-    only.
-
-    ``bounds``, one per cell in file order, are the cells' bounds as a
-    saved session records them (see the module docstring); they are taken
-    as given, so no page of a cell's zero tail is ever read.
-
-    The mapping goes with the last ciphertext that uses it, and every page
-    read stays resident until then; a caller that replaces the cells one
-    by one gives back each one's pages with :func:`release_pages`, as a
-    refining round's commit does.  A writer that rewrites the file in
-    place changes what those ciphertexts read, and can make a bound wrong
-    (a product then leaves out slots that are no longer zero); one that
-    truncates it makes the next read past the new end raise SIGBUS."""
-    fd = fh.fileno()
-    size = serialized_size(ctx.params.slot_count)
-    count = _cell_count(os.fstat(fd).st_size, size)
-    if len(bounds) != count:
-        raise ValueError(f"{len(bounds)} bounds for {count} cells")
-    if not count:
-        return []
-    heads = [os.pread(fd, HEADER.size, k * size) for k in range(count)]
-    headers = b"".join(heads)
-    if len(headers) != count * HEADER.size:
-        k = next(k for k, head in enumerate(heads) if len(head) != HEADER.size)
-        raise ValueError(f"cell {k}: read {len(heads[k])} of its {HEADER.size} header "
-                         f"bytes; the file shrank while it was read")
-    levels = _check_headers(headers, HEADER.size, ctx)
-    rows = _rows(mmap.mmap(fd, count * size, access=mmap.ACCESS_READ), count, ctx)
-    return _views(rows, levels, bounds, ctx.key_id)
-
-
-def release_pages(ct: Ciphertext) -> None:
-    """Give back the resident pages of a :func:`map_many` cell that its
-    holder is done with: ``madvise(MADV_DONTNEED)`` on the whole pages
-    strictly inside its row of the mapping, so the pages it shares with
-    its neighbours' rows are left alone.  Any other ciphertext, one over a
-    writable mapping among them (``DONTNEED`` would zero or revert its
-    pages), or a host without ``MADV_DONTNEED``, is left as it is.
-
-    The mapping is read-only and shared, so this changes no slot: a later
-    read of the cell, by anyone still holding it, faults its pages back in
-    from the file.  The mapping is found through the row's base chain, so
-    a load records nothing per cell.  The mapping itself goes only with
-    its last row, which is why a caller that replaces the rows one by one
-    gives back each one's pages here."""
-    owner = row = ct._base
-    while isinstance(owner, np.ndarray):
-        owner = owner.base
-    if _DONTNEED is None or not isinstance(owner, mmap.mmap):
-        return
-    whole = np.frombuffer(owner, np.uint8, 0)
-    if whole.flags.writeable:  # not a read-only file mapping: DONTNEED would zero it
-        return
-    page = mmap.PAGESIZE
-    begin = row.__array_interface__["data"][0] - whole.__array_interface__["data"][0]
-    start = -(-begin // page) * page
-    stop = (begin + row.nbytes) // page * page
-    if start < stop:
-        owner.madvise(_DONTNEED, start, stop - start)

@@ -5,17 +5,17 @@ against a :class:`~lhecnn.tee.TeeService`, and runs metered forward passes and
 full refining rounds (forward, TEE loss head, backward, gradient aggregation,
 TEE noise removal, additive update).  A saved session is ``session.manifest``
 (``key = value`` lines) plus one cells file: every parameter ciphertext in the
-wire format's sequence form, in ``cell_keys()`` order.  The manifest's
-``bounds`` holds each cell's bound in the same order (see :mod:`lhecnn.lhe`),
-so a loaded session reads no page of a cell's zero tail, which the cells
-file stores as a hole, and its first commit gives back the pages of each
-cell it replaces.
+wire format's sequence form, in ``cell_keys()`` order, written by the
+backend's ``save_cells`` and read back by its ``open_cells``.  The manifest's
+``bounds`` holds the value ``save_cells`` returned, which ``open_cells``
+takes back.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -25,7 +25,7 @@ from . import backward as bwd
 from . import forward as fwd
 from .config import model_dict, model_from_dict
 from .geometry import CnnConfig, CombinedGeometry, combined_geometry
-from .lhe import LheParams, map_many, serialized_size, slot_bound, write_many
+from .lhe import LheParams
 from .metering import CostTable, OpReport, build_report
 from .oracle import PlainParams
 from .packing import (
@@ -68,14 +68,13 @@ def _manifest_object(entries: dict[str, str], key: str, build):
 
 
 def _manifest_int(entries: dict[str, str], key: str, power_of_two: bool = False) -> int:
-    """The integer the manifest holds at ``key``.  A value that is not an
-    integer, or with ``power_of_two`` not a positive power of two, raises
-    ValueError naming the key."""
+    """The integer the manifest holds at ``key``: ASCII decimal digits, with
+    an optional minus sign.  Any other value, or with ``power_of_two`` one
+    that is not a positive power of two, raises ValueError naming the key."""
     text = entries[key]
-    try:
-        value = int(text)
-    except ValueError:
-        raise ValueError(f"session manifest {key} is {text!r}: not an integer") from None
+    if not re.fullmatch("-?[0-9]+", text):
+        raise ValueError(f"session manifest {key} is {text!r}: not an integer")
+    value = int(text)
     if power_of_two and (value < 1 or value & (value - 1)):
         raise ValueError(f"session manifest {key} is {text!r}: not a positive power of two")
     return value
@@ -362,8 +361,7 @@ class RefineSession:
     def _commit(self, stages: list[tuple]) -> None:
         """Spread each stage's refreshed gradients into its parameter cells,
         in stage order and inside that stage's meter scope.  Each old cell
-        dies as its new one replaces it, and a loaded one gives back its
-        pages of the cells file's mapping then.  The stages have checked
+        is retired as its new one replaces it.  The stages have checked
         every reply the spreads read, so only an exception from outside the
         data (a KeyboardInterrupt, say) can stop the commit part-way; it
         does not leave the round half applied: the gradients not yet
@@ -418,13 +416,12 @@ class RefineSession:
             f"layouts = {','.join(self.layouts)}",
             f"weight_kinds = {','.join(w.kind for w in self.weights)}",
             f"exact_activation_grad = {str(self.exact_activation_grad).lower()}",
-            f"cells = {cells}",
-            f"bounds = {','.join(str(slot_bound(ct)) for ct in cts)}",
         ]
         with open(root / cells, "xb") as fh:
-            write_many(fh, cts)
+            bounds = self.backend.save_cells(fh, cts)
             fh.flush()
             os.fsync(fh.fileno())
+        lines += [f"cells = {cells}", f"bounds = {bounds}"]
         staged = root / (MANIFEST_NAME + ".tmp")
         with open(staged, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -438,16 +435,19 @@ class RefineSession:
     @classmethod
     def load(cls, tee: TeeService, path: str | Path, *,
              threads: int = 1) -> "RefineSession":
-        """Read a session written by :meth:`save`: the manifest, its bounds
-        checked against the model before the cells file is opened, then
-        the cells' headers.  The pipeline runs on one thread; ``threads``
-        stays only so that callers passing 1 keep working."""
+        """Read a session written by :meth:`save`: the manifest, each value
+        checked by key and a key given twice refused, then the cells through
+        the backend's ``open_cells``.  The pipeline runs on one thread;
+        ``threads`` stays only so that callers passing 1 keep working."""
         if threads != 1:
             raise ValueError(f"threads={threads}: the pipeline runs on one thread")
         root = Path(path)
-        entries = dict(line.partition(" = ")[::2] for line in
-                       (root / MANIFEST_NAME).read_text(encoding="utf-8").splitlines()
-                       if line.strip())
+        entries = {}
+        lines = (root / MANIFEST_NAME).read_text(encoding="utf-8").splitlines()
+        for key, _, value in (line.partition(" = ") for line in lines if line.strip()):
+            if key in entries:
+                raise ValueError(f"session manifest holds {key} twice")
+            entries[key] = value
         if entries.get("format") != FORMAT_TAG:
             raise ValueError(f"unsupported session format {entries.get('format')!r}")
         missing = [key for key in MANIFEST_KEYS if key not in entries]
@@ -482,25 +482,9 @@ class RefineSession:
         groups = [(packed.cells, packed.cell_keys())
                   for packed in packed_filters + packed_weights]
         count = sum(len(keys) for _, keys in groups)
-        try:
-            bounds = np.fromstring(entries["bounds"], dtype=np.int64, sep=",")
-        except ValueError:
-            raise ValueError("session manifest bounds is not a list of integers") from None
-        if len(bounds) != count:
-            raise ValueError(f"session manifest bounds holds {len(bounds)} bounds, "
-                             f"the model has {count} cells")
-        outside = bounds.view(np.uint64) > params.slot_count  # and every negative one
-        if outside.any():
-            raise ValueError(f"session manifest bounds holds {bounds[outside.argmax()]}, "
-                             f"outside 0..{params.slot_count}")
-        size = serialized_size(params.slot_count)
-        with open(root / cells_name, "rb") as fh:
-            stored = os.fstat(fh.fileno()).st_size
-            if stored != count * size:
-                raise ValueError(f"{cells_name} holds {stored / size:g} cells of "
-                                 f"{size} bytes, the model has {count}")
-            cts = iter(map_many(fh, session.ctx, bounds.tolist()))
-            for cells, keys in groups:  # zip takes a key first: no cell is skipped
-                cells.update(zip(keys, cts))
+        cts = iter(session.backend.open_cells(root / cells_name, session.ctx, count,
+                                              entries["bounds"]))
+        for cells, keys in groups:  # zip takes a key first: no cell is skipped
+            cells.update(zip(keys, cts))
         session.filters, session.weights = packed_filters, packed_weights
         return session

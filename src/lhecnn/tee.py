@@ -3,8 +3,8 @@
 The service is the sole holder of the decryption capability: untrusted code
 receives only a public key context and interacts through attestation,
 re-encryption, the plaintext loss head, and result revelation.  Every
-ciphertext crossing the boundary is counted (ciphertexts and wire-format
-bytes, each way).
+ciphertext crossing the boundary is counted (ciphertexts, and bytes as the
+backend's ``wire_size`` gives them, each way).
 
 An optional local-socket mode exposes the same operations over a Unix domain
 socket with length-prefixed frames.
@@ -100,11 +100,11 @@ class TeeService:
 
     def _count_in(self, cts) -> None:
         self.stats.cts_in += len(cts)
-        self.stats.bytes_in += sum(serialized_size(ct.slot_count) for ct in cts)
+        self.stats.bytes_in += sum(map(self.backend.wire_size, cts))
 
     def _count_out(self, cts) -> None:
         self.stats.cts_out += len(cts)
-        self.stats.bytes_out += sum(serialized_size(ct.slot_count) for ct in cts)
+        self.stats.bytes_out += sum(map(self.backend.wire_size, cts))
 
     # -- services ------------------------------------------------------------
 

@@ -39,6 +39,27 @@ def _decrypt_and_count(self, ctx, ct):
 SimulatorBackend.decrypt = _decrypt_and_count
 """
 
+# Appended to a copy of ``lhe.py``: every save writes the last slot of its
+# last cell, an exact zero, as -0.0, which changes one slot of the saved
+# file and nothing a step reveals or counts
+NEGATIVE_ZERO_SAVE = """
+
+_save_cells = SimulatorBackend.save_cells
+
+
+def _save_one_slot_apart(self, fh, cts):
+    cts = list(cts)
+    last = cts[-1]
+    assert last.slots[-1] == 0
+    slots = last.slots.copy()
+    slots[-1] = -0.0
+    cts[-1] = Ciphertext(slots, last.level, last.key_id, last.pending_rescale)
+    return _save_cells(self, fh, cts)
+
+
+SimulatorBackend.save_cells = _save_one_slot_apart
+"""
+
 
 @pytest.mark.parametrize("workload, pairs", [("infer-cnn12", 3), ("refine-r22", 2)])
 def test_both_sides_this_tree(tmp_path, workload, pairs):
@@ -63,9 +84,12 @@ def test_both_sides_this_tree(tmp_path, workload, pairs):
     assert int(count) > 0 and mb == f"{8 * slots * int(count) / 2**20:.2f} MB)"
     assert f"of {pairs} pairs" in proc.stdout
     assert lines[-1].strip() == "same outputs in every pair: yes"
-    # the same tree records the same meter counts in each step of a pair
+    # the same tree records the same meter counts in each step of a pair,
+    # and saves the same session
     assert [line.strip() for line in lines if "same counts" in line] == [
         "same counts in every pair: yes"]
+    assert [line.strip() for line in lines if "same saved session" in line] == [
+        "same saved session: yes"]
     # a refining workload also compares the two sides' models after the
     # last pair; inference leaves the model as it was loaded
     model = [line.strip() for line in lines if "same model" in line]
@@ -105,7 +129,8 @@ def test_models_that_differ_fail_the_run(tmp_path):
         env={**os.environ, "TMPDIR": str(tmp_path)})
     lines = [line.strip() for line in proc.stdout.splitlines()]
     assert proc.returncode == 1, proc.stdout[-2000:] + proc.stderr[-2000:]
-    assert lines[-3:] == ["same counts in every pair: yes",
+    assert lines[-4:] == ["same saved session: yes",
+                          "same counts in every pair: yes",
                           "same model after the last pair: NO",
                           "same outputs in every pair: yes"]
     assert list(tmp_path.iterdir()) == [tree]
@@ -127,6 +152,28 @@ def test_counts_that_differ_fail_the_run(tmp_path):
     lines = [line.strip() for line in proc.stdout.splitlines()]
     assert proc.returncode == 1, proc.stdout[-2000:] + proc.stderr[-2000:]
     assert lines[-2:] == ["same counts in every pair: NO",
+                          "same outputs in every pair: yes"]
+    assert list(tmp_path.iterdir()) == [tree]
+
+
+def test_saves_that_differ_fail_the_run(tmp_path):
+    # side b's tree saves one slot of its cells file apart, a zero written
+    # as -0.0: its steps reveal and count the same as side a's, and the
+    # comparison of the saved sessions is what fails the run
+    tree = tmp_path / "b"
+    shutil.copytree(ROOT / "src" / "lhecnn", tree / "lhecnn",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    lhe = tree / "lhecnn" / "lhe.py"
+    lhe.write_text(lhe.read_text() + NEGATIVE_ZERO_SAVE)
+    proc = subprocess.run(
+        [sys.executable, "tools/ab_steps.py", "--a", "src", "--b", str(tree),
+         "--workload", "infer-cnn12", "--pairs", "1", "--warmup", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+        env={**os.environ, "TMPDIR": str(tmp_path)})
+    lines = [line.strip() for line in proc.stdout.splitlines()]
+    assert proc.returncode == 1, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert lines[-3:] == ["same saved session: NO",
+                          "same counts in every pair: yes",
                           "same outputs in every pair: yes"]
     assert list(tmp_path.iterdir()) == [tree]
 

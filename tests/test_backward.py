@@ -338,7 +338,8 @@ class TestNoiseRemovalUpdate:
         assert packed == 2 and calls == [2]
 
     def test_raw_gradients_are_freed_before_reencryption(self, backend):
-        ctx = backend.keygen(LheParams(8, 10), seed=1)
+        # a key of its own, which no ciphertext another test left alive holds
+        ctx = backend.keygen(LheParams(8, 10))
         grads = {}
         for key in range(6):
             ct = backend.encrypt(ctx, np.full(8, key + 1.0))

@@ -282,8 +282,9 @@ class TestInferCommand:
                 in capsys.readouterr().err)
 
     @pytest.mark.parametrize("key, value", [
-        ("n", "x"), ("r", "x"), ("key_hash", "x"), ("n", "0"),
-    ], ids=["n-word", "r-word", "key-hash-word", "n-zero"])
+        ("n", "x"), ("r", "x"), ("key_hash", "x"), ("n", "0"), ("n", " 8"), ("n", "٨"),
+    ], ids=["n-word", "r-word", "key-hash-word", "n-zero", "n-leading-space",
+            "n-arabic-indic-digit"])
     def test_a_manifest_integer_that_is_not_one_exits_2(self, tmp_path, capsys, key, value):
         cfg_path = mnist_config(tmp_path)
         model_dir = tmp_path / "model"
@@ -297,6 +298,18 @@ class TestInferCommand:
                      "--inputs", data_path]) == 2
         assert (f"bad configuration: session manifest {key} is {value!r}: "
                 in capsys.readouterr().err)
+
+    def test_a_manifest_key_given_twice_exits_2(self, tmp_path, capsys):
+        cfg_path = mnist_config(tmp_path)
+        model_dir = tmp_path / "model"
+        assert main(["init-model", "--config", cfg_path, "--model", str(model_dir)]) == 0
+        data_path, _, _ = make_dataset(tmp_path, cfg_path, 8)
+        manifest = model_dir / "session.manifest"
+        manifest.write_text(manifest.read_text() + "n = 8\n")
+        capsys.readouterr()
+        assert main(["infer", "--config", cfg_path, "--model", str(model_dir),
+                     "--inputs", data_path]) == 2
+        assert "bad configuration: session manifest holds n twice" in capsys.readouterr().err
 
     def test_a_config_whose_lhe_block_differs_from_the_models_exits_2(self, tmp_path,
                                                                        capsys):

@@ -26,12 +26,9 @@ from lhecnn.lhe import (
     _make,
     deserialize,
     deserialize_many,
-    map_many,
-    release_pages,
     serialize,
     serialize_many,
     serialized_size,
-    write_many,
 )
 from lhecnn.metering import PRIMITIVE_KINDS, OpMeter
 from lhecnn.packing import compute_rotation_plan
@@ -914,16 +911,27 @@ class TestZeroTails:
             assert cell._bound == 16 and np.array_equal(
                 cell.slots, np.repeat(np.roll(values, -shift)[1::4], 4))
 
+    def test_zero_like_is_an_exact_zero_at_its_samples_level(self, backend):
+        ctx = backend.keygen(LheParams(16, 8), seed=4)
+        x = backend.encrypt(ctx, np.arange(16.0))
+        for sample in (x, backend.mul(x, x)):  # with a rescale pending and without
+            mark = backend.meter.checkpoint()
+            zero = backend.zero_like(sample)
+            assert backend.meter.since(mark) == Counter()
+            assert (zero._bound, zero.level, zero.pending_rescale, zero.key_id) == (
+                0, sample.level, sample.pending_rescale, sample.key_id)
+            assert zero.slots.tobytes() == bytes(8 * 16) and not zero.slots.flags.writeable
+
     def test_a_mapped_cell_takes_the_bound_it_is_given(self, backend, tmp_path):
         ctx = backend.keygen(LheParams(16, 8), seed=4)
         values = np.zeros(16)
         values[:7] = np.arange(-3.0, 4.0)
         path = tmp_path / "cells.lhe"
         path.write_bytes(serialize_many([backend.encrypt(ctx, values)] * 2))
-        with open(path, "rb") as fh:
-            cells = map_many(fh, ctx, [7, 16])
-            with pytest.raises(ValueError, match="^1 bounds for 2 cells$"):
-                map_many(fh, ctx, [7])
+        cells = backend.open_cells(path, ctx, 2, "7,16")
+        with pytest.raises(ValueError, match="^session manifest bounds holds 1 bounds, "
+                                             "the model has 2 cells$"):
+            backend.open_cells(path, ctx, 2, "7")
         assert [cell._bound for cell in cells] == [7, 16]
         x = backend.encrypt(ctx, np.ones(16))
         for cell in cells:
@@ -932,13 +940,12 @@ class TestZeroTails:
         assert [cell._bound for cell in cells] == [7, 16]
 
     @staticmethod
-    def mapped(ctx, x, tmp_path):
-        """The second of two copies of ``x`` mapped from a file, with ``x``'s
+    def mapped(backend, ctx, x, tmp_path):
+        """The second of two copies of ``x`` opened from a file, with ``x``'s
         bound as theirs."""
         path = tmp_path / "cells.lhe"
         path.write_bytes(serialize_many([x, x]))
-        with open(path, "rb") as fh:
-            return map_many(fh, ctx, [x._bound] * 2)[1]
+        return backend.open_cells(path, ctx, 2, f"{x._bound},{x._bound}")[1]
 
     # every way to make a ciphertext, from a fresh one, x, whose slots from
     # 5 on are zeros (a -0.0 among them)
@@ -947,7 +954,7 @@ class TestZeroTails:
         "deserialize": lambda b, ctx, x, tmp: deserialize(serialize(x), ctx),
         "deserialize_many": lambda b, ctx, x, tmp: deserialize_many(
             serialize_many([x, x]), ctx)[1],
-        "map_many": lambda b, ctx, x, tmp: TestZeroTails.mapped(ctx, x, tmp),
+        "open_cells": lambda b, ctx, x, tmp: TestZeroTails.mapped(b, ctx, x, tmp),
         "encrypt": lambda b, ctx, x, tmp: b.encrypt(ctx, x.slots),
         "noisy-encrypt": lambda b, ctx, x, tmp: b.encrypt(
             b.keygen(LheParams(16, 8, 1e-3), seed=4), x.slots),
@@ -1295,7 +1302,8 @@ class TestSerialization:
             deserialize(blob[:20], ctx)
 
     @pytest.mark.parametrize("last", list(fresh_vectors()) + ["zero-tail"])
-    def test_write_many_writes_the_sequence_format_over_holes(self, tmp_path, last):
+    def test_save_cells_writes_the_sequence_format_over_holes(self, backend, tmp_path,
+                                                              last):
         # each zero tail is left as a hole, which reads back as +0.0, but a
         # -0.0 in it is written; whichever cell comes last, the file ends
         # where the sequence does
@@ -1306,11 +1314,12 @@ class TestSerialization:
                if name != last] + [Ciphertext(vectors[last], 2, "key")]
         path = tmp_path / "cts.lhe"
         with open(path, "xb") as fh:
-            write_many(fh, cts)
+            bounds = backend.save_cells(fh, cts)
         assert path.stat().st_size == len(cts) * serialized_size(1024)
         assert path.read_bytes() == serialize_many(cts)
+        assert bounds == ",".join(str(ct._bound) for ct in cts)
 
-    def test_write_many_writes_each_cell_once(self, tmp_path):
+    def test_save_cells_writes_each_cell_once(self, backend, tmp_path):
         # one write of its header and written prefix per cell, and one seek
         # past its tail
         class Recording:
@@ -1334,7 +1343,7 @@ class TestSerialization:
                for name in ("negative-zero-inside-the-tail", "all-zero", "full")]
         with open(tmp_path / "cts.lhe", "xb") as fh:
             recording = Recording(fh)
-            write_many(recording, cts)
+            backend.save_cells(recording, cts)
         prefix = 16 + 8 * (1024 * 9 // 16 + 1)
         assert recording.calls == [
             ("write", prefix), ("seek", serialized_size(1024) - prefix),
@@ -1349,7 +1358,7 @@ class TestSerialization:
         assert blob == b"".join(serialize(ct) for ct in cts)
         path = tmp_path / "cts.lhe"
         with open(path, "wb") as fh:
-            write_many(fh, iter(cts))
+            backend.save_cells(fh, iter(cts))
         assert path.read_bytes() == blob
         buf = np.frombuffer(blob, np.uint8).copy()   # writable: its cells are read-only
         got = deserialize_many(buf, ctx)
@@ -1423,13 +1432,13 @@ class TestSerialization:
 
     @staticmethod
     def map_file(tmp_path, blob, ctx):
-        """The cells of ``blob`` mapped from a file, each with the slot count
+        """The cells of ``blob`` opened from a file, each with the slot count
         as its bound."""
         path = tmp_path / "cts.lhe"
         path.write_bytes(blob)
         s = ctx.params.slot_count
-        with open(path, "rb") as fh:
-            return map_many(fh, ctx, [s] * (len(blob) // serialized_size(s)))
+        count = len(blob) // serialized_size(s)
+        return SimulatorBackend().open_cells(path, ctx, count, ",".join([str(s)] * count))
 
     def test_map_round_trips_as_rows_of_one_mapping(self, backend, tmp_path):
         ctx = ctx8(backend)
@@ -1442,7 +1451,7 @@ class TestSerialization:
         assert all(ct.slots.base is base and not ct.slots.flags.writeable for ct in got)
         assert self.map_file(tmp_path, b"", ctx) == []
 
-    def test_release_pages_drops_only_a_mapped_row_and_changes_no_slot(
+    def test_retire_drops_only_a_mapped_row_and_changes_no_slot(
             self, backend, tmp_path):
         ctx = backend.keygen(LheParams(4096, 4), seed=6)
         x = backend.encrypt(ctx, np.random.default_rng(6).normal(size=4096))
@@ -1456,7 +1465,7 @@ class TestSerialization:
         smaps = os.path.exists("/proc/self/smaps")
         before = mapping_resident_kb(mapped[0].slots) if smaps else None
         for ct in (x, parsed[0], mapped[1]):  # a new buffer, a writable mapping, a row
-            release_pages(ct)
+            backend.retire(ct)
         if smaps:
             # the whole pages of row 1, bytes [size + 16, 2 * size) of the file
             page, size = os.sysconf("SC_PAGE_SIZE"), serialized_size(4096)
@@ -1466,8 +1475,8 @@ class TestSerialization:
             assert ct.slots.tobytes() == want
 
     @pytest.mark.parametrize("edit, match", [
-        (lambda b: b + b"\0", "161 bytes is not a whole number of 80-byte"),
-        (lambda b: b[:-1], "159 bytes is not a whole number of 80-byte"),
+        (lambda b: b + b"\0", "^cts.lhe holds 2.0125 cells of 80 bytes, the model has 2$"),
+        (lambda b: b[:-1], "^cts.lhe holds 1.9875 cells of 80 bytes, the model has 1$"),
     ], ids=["trailing", "truncated"])
     def test_map_rejects_a_ragged_file(self, backend, tmp_path, edit, match):
         ctx = ctx8(backend)

@@ -264,6 +264,51 @@ class TestPerOpReference:
 
 
 class TestRefine:
+    def test_the_backends_wire_size_alone_sizes_the_tee_bytes(self):
+        # a backend that sizes each ciphertext as RNS CKKS would at N=16384
+        # (two polynomials of level + 1 primes) moves the TEE's byte counts
+        # and nothing else the round reports
+        class CkksSized(SimulatorBackend):
+            def wire_size(self, ct):
+                return 2 * 16384 * (ct.level + 1) * 8
+
+        cfg, params = small_cfg(), LheParams(32, 16)
+        rng = np.random.default_rng(5)
+        images, labels = rng.normal(size=(4, 1, 4, 4)), rng.integers(0, 3, size=4)
+        plain, sized = (make_session(cfg, params, seed=5, backend_type=kind)
+                        .refine(images, labels, lr=0.1)
+                        for kind in (SimulatorBackend, CkksSized))
+        assert sized.losses == plain.losses and sized.report == plain.report
+        top = 2 * 16384 * params.max_level * 8  # every reply is at the top level
+        was, now = plain.tee_delta, sized.tee_delta
+        assert (was.bytes_in, was.bytes_out) == (was.cts_in * serialized_size(32),
+                                                 was.cts_out * serialized_size(32))
+        assert now.bytes_out == now.cts_out * top and 0 < now.bytes_in < now.cts_in * top
+        assert dataclasses.replace(now, bytes_in=was.bytes_in, bytes_out=was.bytes_out) == was
+
+    def test_each_refining_round_retires_every_replaced_cell_once(self):
+        # refining-2-2 holds 260 parameter cells, and a round replaces each
+        class Retiring(SimulatorBackend):
+            def __init__(self, meter):
+                super().__init__(meter)
+                self.retired = []
+
+            def retire(self, ct):
+                self.retired.append(ct)
+                super().retire(ct)
+
+        r22 = preset("refining-2-2")
+        sess = make_session(r22.model, r22.lhe, seed=9, exact=False, backend_type=Retiring)
+        rng = np.random.default_rng(9)
+        for _ in range(2):
+            before = [ct for packed in sess.filters + sess.weights
+                      for ct in packed.cells.values()]
+            sess.backend.retired.clear()
+            sess.refine(rng.normal(size=(r22.model.n, 1, 28, 28)) * 0.2,
+                        rng.integers(0, 10, size=r22.model.n), lr=0.05)
+            assert len(before) == 260
+            assert sorted(map(id, sess.backend.retired)) == sorted(map(id, before))
+
     def test_a_backend_built_without_a_meter_meters_a_round(self):
         # SimulatorBackend() builds its own meter: a session on it runs a
         # round and meters it as a session on a meter passed in does
@@ -638,7 +683,6 @@ class TestPersistence:
 
         def parse(*args):
             raise AssertionError("a cell was read")
-        monkeypatch.setattr("lhecnn.refine.map_many", parse)
         monkeypatch.setattr(os, "pread", parse)
         tee = TeeService(SimulatorBackend(OpMeter()), params, seed=14)
         with pytest.raises(ValueError, match=f"holds {count + stored:g} cells of {size} "
@@ -712,7 +756,7 @@ class TestPersistence:
         lines[k] = "bounds = " + ",".join(bounds)
         manifest.write_text("\n".join(lines) + "\n")
         opened = []
-        monkeypatch.setattr("lhecnn.refine.open", lambda *args: opened.append(args),
+        monkeypatch.setattr("lhecnn.lhe.open", lambda *args: opened.append(args),
                             raising=False)
         tee = TeeService(SimulatorBackend(OpMeter()), params, seed=14)
         with pytest.raises(ValueError, match="^session manifest bounds " + match.format(
@@ -819,7 +863,7 @@ class TestPersistence:
         manifest.write_text("".join(line for line in manifest.read_text().splitlines(True)
                                     if line.split(" = ")[0] not in missing))
         opened = []
-        monkeypatch.setattr("lhecnn.refine.open", lambda *args: opened.append(args),
+        monkeypatch.setattr("lhecnn.lhe.open", lambda *args: opened.append(args),
                             raising=False)
         tee = TeeService(SimulatorBackend(OpMeter()), params, seed=14)
         with pytest.raises(ValueError, match=f"^session manifest lacks {', '.join(missing)}$"):
@@ -850,7 +894,7 @@ class TestPersistence:
                  for line in manifest.read_text().splitlines()]
         manifest.write_text("\n".join(lines) + "\n")
         opened = []
-        monkeypatch.setattr("lhecnn.refine.open", lambda *args: opened.append(args),
+        monkeypatch.setattr("lhecnn.lhe.open", lambda *args: opened.append(args),
                             raising=False)
         tee = TeeService(SimulatorBackend(OpMeter()), params, seed=14)
         with pytest.raises(ValueError, match=f"^session manifest {key} is "):
@@ -878,7 +922,7 @@ class TestPersistence:
         manifest.write_text("".join(f"{key} = {value}\n" if line.startswith(f"{key} = ")
                                     else line for line in manifest.read_text().splitlines(True)))
         opened = []
-        monkeypatch.setattr("lhecnn.refine.open", lambda *args: opened.append(args),
+        monkeypatch.setattr("lhecnn.lhe.open", lambda *args: opened.append(args),
                             raising=False)
         tee = TeeService(SimulatorBackend(OpMeter()), LheParams(32, 12), seed=14)
         with pytest.raises(ValueError) as info:
@@ -896,24 +940,49 @@ class TestPersistence:
         ("n", "3", "not a positive power of two"),
         ("r", "0", "not a positive power of two"),
         ("r", "-2", "not a positive power of two"),
+        ("n", " 4", "not an integer"),
+        ("n", "4 ", "not an integer"),
+        ("n", "٤", "not an integer"),
+        ("r", "+1", "not an integer"),
+        ("key_hash", "1_0", "not an integer"),
     ], ids=["n-word", "r-word", "key-hash-word", "key-hash-empty", "n-fraction", "n-zero",
-            "n-three", "r-zero", "r-negative"])
+            "n-three", "r-zero", "r-negative", "n-leading-space", "n-trailing-space",
+            "n-arabic-indic-digit", "r-plus", "key-hash-underscore"])
     def test_load_rejects_a_bad_integer(self, tmp_path, monkeypatch, key, value, reason):
-        # n, r and key_hash are integers, n and r powers of two: each other
-        # value raises ValueError naming its key before the session is built
-        # or the cells file opened
+        # n, r and key_hash are integers in ASCII decimal digits, n and r
+        # powers of two: each other value, even one int() reads as the saved
+        # value (n = 4, r = 1), raises ValueError naming its key before the
+        # session is built or the cells file opened
         root = tmp_path / "model"
         make_session(small_cfg(), LheParams(32, 12), seed=14).save(root)
         manifest = root / "session.manifest"
         manifest.write_text("".join(f"{key} = {value}\n" if line.startswith(f"{key} = ")
                                     else line for line in manifest.read_text().splitlines(True)))
         opened = []
-        monkeypatch.setattr("lhecnn.refine.open", lambda *args: opened.append(args),
+        monkeypatch.setattr("lhecnn.lhe.open", lambda *args: opened.append(args),
                             raising=False)
         tee = TeeService(SimulatorBackend(OpMeter()), LheParams(32, 12), seed=14)
         with pytest.raises(ValueError) as info:
             RefineSession.load(tee, root)
         assert str(info.value) == f"session manifest {key} is {value!r}: {reason}"
+        assert opened == [] and tee.attested_parties == frozenset()
+
+    @pytest.mark.parametrize("key", ["format", "n", "cells", "bounds"])
+    def test_load_rejects_a_key_given_twice(self, tmp_path, monkeypatch, key):
+        # a repeated line, even one with the same value, raises ValueError
+        # naming its key before the session is built or the cells file opened
+        root = tmp_path / "model"
+        make_session(small_cfg(), LheParams(32, 12), seed=14).save(root)
+        manifest = root / "session.manifest"
+        text = manifest.read_text()
+        manifest.write_text(text + next(line for line in text.splitlines(True)
+                                        if line.startswith(f"{key} = ")))
+        opened = []
+        monkeypatch.setattr("lhecnn.lhe.open", lambda *args: opened.append(args),
+                            raising=False)
+        tee = TeeService(SimulatorBackend(OpMeter()), LheParams(32, 12), seed=14)
+        with pytest.raises(ValueError, match=f"^session manifest holds {key} twice$"):
+            RefineSession.load(tee, root)
         assert opened == [] and tee.attested_parties == frozenset()
 
     def test_load_rejects_a_corrupt_cell(self, tmp_path):

@@ -27,6 +27,12 @@ filesystem allocated to that cells file (``st_blocks``; "n/a" where the
 platform does not report it): a save leaves zero tails as holes, so this is
 its written prefixes, not its size.
 
+Each side saves the session it then loads, and the run compares the two
+saves: the bytes of the cells files, and the manifests' lines other than
+``cells``, which names each file by a random name.  It prints whether they
+are the same; a run whose saves differ fails, as one whose outputs, counts
+or models differ does.
+
 With ``--loads N`` it first sets up the saved session N times per side, in
 pairs in the same alternating order, and prints each side's median set-up
 time and the resident kB of the loaded cells file's mapping right after a
@@ -189,6 +195,15 @@ def model_bytes(side: Side) -> bytes:
     return b"".join(array.tobytes() for array in model.filters + model.weights)
 
 
+def saved_session(directory: Path) -> tuple[bytes, list[str]]:
+    """The bytes of the cells file saved in ``directory``, and its manifest's
+    lines other than ``cells``."""
+    (path,) = directory.glob("cells-*.lhe")
+    manifest = (directory / "session.manifest").read_text(encoding="utf-8")
+    return path.read_bytes(), [line for line in manifest.splitlines()
+                               if not line.startswith("cells = ")]
+
+
 def compare(a: Side, b: Side) -> dict:
     """The median of the per-pair step time ratios b/a, and the pairs b won."""
     ratios = [tb / ta for ta, tb in zip(a.times_ns, b.times_ns)]
@@ -250,6 +265,9 @@ def run(a_src: Path, b_src: Path, wl: str, pairs: int, warmup: int, seed: int,
             for side in sides:
                 mapped[f"{side.name}_mapped_kb"] = cells_resident_kb(side.session)
                 mapped[f"{side.name}_file_kb"] = allocated_kb(tmp / side.name)
+        # read last: reading a cells file caches its holes, which the loaded
+        # sessions' mappings would then show as resident
+        same_save = saved_session(tmp / "a") == saved_session(tmp / "b")
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     a_ms, b_ms = ([t / 1e6 for t in side.times_ns] for side in sides)
@@ -268,6 +286,7 @@ def run(a_src: Path, b_src: Path, wl: str, pairs: int, warmup: int, seed: int,
         "same_outputs": same,
         "same_counts": same_counts,
         "same_model": same_model,
+        "same_save": same_save,
         **bias,
         **{f"{side.name}_buffers": side.session.backend.free_buffers for side in sides},
         **mapped,
@@ -318,11 +337,13 @@ def main(argv=None) -> int:
     if "aa_median_ratio" in r:
         print(f"  bias check: median ratio a copy/a {r['aa_median_ratio']:.3f}; the copy "
               f"faster in {r['aa_b_won']} of {r['pairs']} pairs")
+    print(f"  same saved session: {'yes' if r['same_save'] else 'NO'}")
     print(f"  same counts in every pair: {'yes' if r['same_counts'] else 'NO'}")
     if r["same_model"] is not None:
         print(f"  same model after the last pair: {'yes' if r['same_model'] else 'NO'}")
     print(f"  same outputs in every pair: {'yes' if r['same_outputs'] else 'NO'}")
-    return 0 if r["same_outputs"] and r["same_counts"] and r["same_model"] is not False else 1
+    same = r["same_outputs"] and r["same_counts"] and r["same_save"]
+    return 0 if same and r["same_model"] is not False else 1
 
 
 if __name__ == "__main__":
