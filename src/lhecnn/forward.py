@@ -8,18 +8,34 @@ separately so pipelines can meter it under its own stage label and skip it
 after the final layer.  It takes ownership of the pre-activation tensor and
 frees each cell as it squares it: a pipeline whose backward pass reads the
 pre-activations caches its own dict of the same cells first.
+
+The layer functions consume their input tensors too: each input cell is
+popped from the tensor's cells by its last reader, so one that nobody else
+holds is freed there, and a pipeline that keeps a layer's input holds its
+own dict of the cells before the layer runs.  Cells may be made on first
+read (a :class:`~lhecnn.packing.LazyCells`, as
+:func:`~lhecnn.packing.encode_inputs` gives): :func:`conv_forward` then
+makes each input at its first window and drops it after its last, and
+:func:`fl_forward` with one output cell makes, reads and drops its inputs
+one at a time.  :func:`fl_squares` is :func:`fl_forward` and the square
+after it, made so: it makes each output as the next layer first reads it,
+metered under the labels it is given, as the work runs inside the next
+layer's sums.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import replace
+from functools import partial
 
-from .lhe import SimulatorBackend
+from .lhe import Ciphertext, SimulatorBackend
 from .packing import (
     CONV_CROSS_CHANNEL,
     CONV_CROSS_FILTER,
     FL_TYPE1,
     FL_TYPE2,
+    LazyCells,
     PackedFilters,
     PackedTensor,
     PackedWeights,
@@ -39,6 +55,13 @@ def conv_forward(backend: SimulatorBackend, inputs: PackedTensor,
     folds its r channel segments together with log2(r) rotate-adds.  The
     output layout is :func:`~lhecnn.packing.conv_output_layout`'s (where only
     segment 0 is valid, later stages zero-mask the rest).
+
+    Consumes ``inputs``: the last window that reads an input cell pops it
+    from ``inputs.cells`` as its product is made, so each input is dropped
+    after its last reader (a cell no window reads is left in place).  With
+    cells made on first read (:func:`~lhecnn.packing.encode_inputs`), a
+    layer whose windows do not overlap and whose filters fit one cell holds
+    one input at a time.
     """
     layout, r = filters.layout, filters.group_size
     if inputs.layout != layout:
@@ -52,28 +75,60 @@ def conv_forward(backend: SimulatorBackend, inputs: PackedTensor,
     fold = layout == CONV_CROSS_CHANNEL and r > 1
     window = [(x, y, b) for x in range(gamma) for y in range(gamma)
               for b in range(channel_cells)]
-    # each operand list is read from the cells once: an input window per
-    # output position, shared by every filter cell, and a window per filter
     grid = [(u, v) for u in range(out_grid) for v in range(out_grid)]
+    in_keys = [[(b, stride * u + x, stride * v + y) for x, y, b in window]
+               for u, v in grid]
+    last = {key: w for w, keys in enumerate(in_keys) for key in keys}
     in_cells, kernel_cells = inputs.cells, filters.cells
-    in_windows = [[in_cells[(b, stride * u + x, stride * v + y)] for x, y, b in window]
-                  for u, v in grid]
     cells = {}
     for a in range(filter_cells):
         filter_window = [kernel_cells[(a, b, x, y)] for x, y, b in window]
-        for (u, v), in_window in zip(grid, in_windows):
-            acc = backend.mul_sum(zip(in_window, filter_window))
+        for w, ((u, v), keys) in enumerate(zip(grid, in_keys)):
+            if a < filter_cells - 1:
+                operands = map(in_cells.__getitem__, keys)
+            else:  # the last filter cell: each input's last window drops it
+                operands = (in_cells.pop(key) if last[key] == w else in_cells[key]
+                            for key in keys)
+            acc = backend.mul_sum(zip(operands, filter_window))
             cells[(a, u, v)] = fold_rotate_sum(backend, acc, seg, r) if fold else acc
-    out_layout, group = conv_output_layout(layout, r, seg, inputs.slot_count)
+    out_layout, group = conv_output_layout(layout, r, seg, acc.slot_count)
     return PackedTensor(cells, out_layout, inputs.n, inputs.grid_side, seg,
                         group_size=group)
+
+
+def _fl_layout(inputs: PackedTensor, weights: PackedWeights) -> None:
+    """Raises unless ``inputs`` is in the form ``weights`` take."""
+    expected = FL_TYPE1 if weights.kind == "type1" else FL_TYPE2
+    if inputs.layout != expected:
+        raise ValueError(f"{weights.kind} weights expect {expected} input, "
+                         f"got {inputs.layout}")
+
+
+def _fl_output(cells: dict | LazyCells, weights: PackedWeights, n: int,
+               slot_count: int) -> PackedTensor:
+    """The output tensor of an fc layer over ``cells``."""
+    if weights.kind == "type1":
+        return PackedTensor(cells, FL_TYPE2, n, pi_sets=1)
+    return PackedTensor(cells, FL_TYPE1, n, pi_sets=slot_count // n)
+
+
+def fl_cell(backend: SimulatorBackend, cts: Iterable[Ciphertext],
+            weights: PackedWeights, j: int) -> Ciphertext:
+    """Output cell j of an fc layer, from its input cells ``cts`` in order,
+    read in one pass: the sum of their products with the weight cells of
+    ``weights.row(j)``, folded over the pi-set blocks for type I weights."""
+    acc = backend.mul_sum(zip(cts, weights.row(j)))
+    if weights.kind == "type1":
+        n = weights.n
+        return fold_rotate_sum(backend, acc, n, acc.slot_count // n)
+    return acc
 
 
 def fl_forward(backend: SimulatorBackend, inputs: PackedTensor,
                weights: PackedWeights) -> PackedTensor:
     """Fully-connected layer in the weights' form: output cell j sums the
     products of every input ciphertext i with weight cell
-    ``weights.weight_key(j, i)``.
+    ``weights.weight_key(j, i)`` (:func:`fl_cell`).
 
     Type I weights take a many-pi-set input; a doubling rotate-sum then folds
     the pi-set blocks, so each output ciphertext holds S/n replicas of its n
@@ -82,22 +137,48 @@ def fl_forward(backend: SimulatorBackend, inputs: PackedTensor,
     Type II weights take one replicated pi-set per input neuron and need no
     rotation; each output ciphertext packs S/n output neurons as consecutive
     pi-sets (a type I input).
+
+    Consumes ``inputs``: the last output cell pops each input from
+    ``inputs.cells`` as it reads it.  A layer with one output cell thus
+    holds one input at a time when its inputs are made on first read
+    (:func:`fl_squares`).
     """
-    type1 = weights.kind == "type1"
-    expected = FL_TYPE1 if type1 else FL_TYPE2
-    if inputs.layout != expected:
-        raise ValueError(f"{weights.kind} weights expect {expected} input, "
-                         f"got {inputs.layout}")
-    n = inputs.n
-    blocks = inputs.slot_count // n
-    in_cts = [inputs.cells[(i,)] for i in range(weights.in_cts)]
+    _fl_layout(inputs, weights)
+    in_cells, keys = inputs.cells, [(i,) for i in range(weights.in_cts)]
     cells = {}
     for j in range(weights.out_cts):
-        acc = backend.mul_sum(zip(in_cts, weights.row(j)))
-        cells[(j,)] = fold_rotate_sum(backend, acc, n, blocks) if type1 else acc
-    if type1:
-        return PackedTensor(cells, FL_TYPE2, n, pi_sets=1)
-    return PackedTensor(cells, FL_TYPE1, n, pi_sets=blocks)
+        take = in_cells.pop if j == weights.out_cts - 1 else in_cells.__getitem__
+        cells[(j,)] = fl_cell(backend, map(take, keys), weights, j)
+    return _fl_output(cells, weights, inputs.n, cells[(0,)].slot_count)
+
+
+def fl_squares(backend: SimulatorBackend, inputs: PackedTensor, weights: PackedWeights,
+               label: str, square_label: str,
+               pre: dict | None = None) -> PackedTensor:
+    """The squared output of an fc layer, each cell made on first read (a
+    :class:`~lhecnn.packing.LazyCells`): output j is made by :func:`fl_cell`
+    in meter scope ``label``, then squared in scope ``square_label``, so
+    the next layer reads each one as it is made and can drop it before the
+    next.  With ``pre``, each pre-activation is put there as it is made.
+
+    Consumes ``inputs`` at once; they are held until the last output is
+    made.  A scope is entered and left around each cell's work, so a
+    reader's own scope is open again when it gets the cell.
+    """
+    _fl_layout(inputs, weights)
+    in_cells, scope = inputs.cells, backend.meter.scope
+    in_cts = [in_cells.pop((i,)) for i in range(weights.in_cts)]
+
+    def make(j: int) -> Ciphertext:
+        with scope(label):
+            ct = fl_cell(backend, in_cts, weights, j)
+        if pre is not None:
+            pre[(j,)] = ct
+        with scope(square_label):
+            return backend.mul(ct, ct)
+
+    cells = LazyCells({(j,): partial(make, j) for j in range(weights.out_cts)})
+    return _fl_output(cells, weights, inputs.n, in_cts[0].slot_count)
 
 
 def square_activation(backend: SimulatorBackend, tensor: PackedTensor) -> PackedTensor:

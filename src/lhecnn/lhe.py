@@ -109,6 +109,7 @@ from __future__ import annotations
 
 import mmap
 import os
+import re
 import secrets
 import struct
 import sys
@@ -430,6 +431,11 @@ def _buffer(pools: defaultdict, n: int) -> tuple[np.ndarray, np.ndarray, weakref
         view.setflags(write=False)
         return owner, view, free.ref
     return view.base, view, free.ref
+
+
+# what save_cells returns: integers, comma-separated (none for no cells); the
+# possessive repeats need no backtracking state, so a load scans it faster
+_BOUNDS = re.compile("(?:-?[0-9]++(?:,-?[0-9]++)*+)?")
 
 
 def _check_pack(count: int, n: int, slot_count: int) -> None:
@@ -876,7 +882,9 @@ class SimulatorBackend:
         """The ``count`` ciphertexts :meth:`save_cells` wrote to the file at
         ``path``, given ``meta``, the value it returned (a saved session keeps
         it as its manifest's ``bounds``).  ``meta`` must hold ``count``
-        integers in ``0..S``, checked before the file is opened; then the file
+        integers in ``0..S``, comma-separated, each ASCII decimal digits with
+        an optional minus sign and nothing around them, checked before the
+        file is opened; then the file
         must hold ``count`` cells whose headers pass :func:`deserialize`'s
         checks, all checked together.
 
@@ -897,10 +905,9 @@ class SimulatorBackend:
         one that truncates it makes the next read past the new end raise
         SIGBUS."""
         s = ctx.params.slot_count
-        try:
-            bounds = np.fromstring(meta, dtype=np.int64, sep=",")
-        except ValueError:
-            raise ValueError("session manifest bounds is not a list of integers") from None
+        if not _BOUNDS.fullmatch(meta):
+            raise ValueError("session manifest bounds is not a list of integers")
+        bounds = np.fromstring(meta, dtype=np.int64, sep=",")
         if len(bounds) != count:
             raise ValueError(f"session manifest bounds holds {len(bounds)} bounds, "
                              f"the model has {count} cells")

@@ -13,7 +13,6 @@ import csv
 import io
 import threading
 from collections import Counter
-from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -35,35 +34,38 @@ class OpMeter:
     Scopes nest; a call is attributed to the innermost active label only.
     Counts never decrease.  The scope stack lives in a context variable, so
     each thread has its own: the TEE socket server's thread starts unscoped,
-    and the ops it runs never land in a session's open scope.
+    and the ops it runs never land in a session's open scope.  The variable
+    holds a list of labels, set by the first scope a thread opens and then
+    pushed to and popped from, so entering a scope sets no variable (a
+    context copied within a thread shares its list).
     """
 
     def __init__(self):
         self._counts: Counter[tuple[str, str, int]] = Counter()
-        self._stack: ContextVar[tuple[str, ...]] = ContextVar(
-            "OpMeter.scope", default=())
+        self._stack: ContextVar[list[str]] = ContextVar("OpMeter.scope")
+        self._scopes: dict[str, _Scope] = {}
         self._lock = threading.Lock()
 
     @property
     def current_scope(self) -> str:
-        stack = self._stack.get()
+        stack = self._stack.get(())
         return stack[-1] if stack else UNSCOPED
 
-    @contextmanager
-    def scope(self, label: str):
-        """Attribute all primitive calls inside the block to ``label``."""
-        if not label:
-            raise ValueError("scope label must be nonempty")
-        token = self._stack.set(self._stack.get() + (label,))
+    def scope(self, label: str) -> "_Scope":
+        """Attribute all primitive calls inside the ``with`` block to
+        ``label``; the block's target is this meter.  A scope keeps nothing
+        per entry, so one is made per label and handed out again: pipelines
+        enter a scope per cell."""
         try:
-            yield self
-        finally:
-            self._stack.reset(token)
+            return self._scopes[label]
+        except KeyError:
+            scope = self._scopes[label] = _Scope(self, label)
+            return scope
 
     def record(self, kind: str, level: int) -> None:
         if kind not in _OP_KIND_SET:
             raise ValueError(f"unknown op kind {kind!r}")
-        stack = self._stack.get()
+        stack = self._stack.get(())
         key = (stack[-1] if stack else UNSCOPED, kind, int(level))
         counts = self._counts
         with self._lock:
@@ -77,7 +79,7 @@ class OpMeter:
             raise ValueError(f"negative op count {count}")
         if not count:
             return
-        stack = self._stack.get()
+        stack = self._stack.get(())
         key = (stack[-1] if stack else UNSCOPED, kind, int(level))
         counts = self._counts
         with self._lock:
@@ -125,6 +127,31 @@ class OpMeter:
         """(add, mul, rot, cmul) totals for one scope, in reporting order."""
         per = self.scope_totals(counts).get(scope, {})
         return tuple(per.get(k, 0) for k in PRIMITIVE_KINDS)  # type: ignore[return-value]
+
+
+class _Scope:
+    """The context manager :meth:`OpMeter.scope` returns: entering it pushes
+    ``label`` onto the meter's scope stack in the current thread, and
+    leaving it pops the stack's last label.  A class, not a generator, and
+    it keeps nothing per entry, so threads and nested blocks can share it;
+    nested ``with`` blocks leave the stack as they found it."""
+
+    __slots__ = ("meter", "label", "stack")
+
+    def __init__(self, meter: OpMeter, label: str):
+        if not label:
+            raise ValueError("scope label must be nonempty")
+        self.meter, self.label, self.stack = meter, label, meter._stack
+
+    def __enter__(self) -> OpMeter:
+        try:
+            self.stack.get().append(self.label)
+        except LookupError:  # the thread's first scope
+            self.stack.set([self.label])
+        return self.meter
+
+    def __exit__(self, kind, value, traceback) -> None:
+        self.stack.get().pop()
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,9 @@ into its own ``slot_map``: which slot ranges of a cell hold which parameter.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -43,18 +43,61 @@ FL_TYPE2 = "fl-type2"
 LAYOUTS = (CONV_BASIC, CONV_CROSS_CHANNEL, CONV_CROSS_FILTER, FL_TYPE1, FL_TYPE2)
 
 
+class LazyCells(Mapping):
+    """Cells made on first read: each key holds a zero-argument maker until
+    its first ``[]`` (or ``pop``) calls it, and then the cell it made.  Keys
+    iterate in the makers' order, and ``len`` and ``in`` make nothing, so a
+    reader of a plain dict of cells reads this the same way; a maker that
+    raises leaves its key unmade."""
+
+    __slots__ = ("_cells", "_unmade")
+
+    def __init__(self, makers: dict[tuple, Callable[[], Ciphertext]]):
+        self._cells = dict(makers)
+        self._unmade = set(makers)
+
+    def __getitem__(self, key: tuple) -> Ciphertext:
+        cell = self._cells[key]
+        if key in self._unmade:
+            cell = self._cells[key] = cell()
+            self._unmade.remove(key)
+        return cell
+
+    def pop(self, key: tuple, *default) -> Ciphertext:
+        """The cell under ``key``, made if it was not, and removed; as
+        ``dict.pop``, a ``default`` is returned for a missing key."""
+        if default and key not in self._cells:
+            return default[0]
+        cell = self._cells[key]
+        if key in self._unmade:
+            cell = cell()
+            self._unmade.remove(key)
+        del self._cells[key]
+        return cell
+
+    def __contains__(self, key) -> bool:
+        return key in self._cells
+
+    def __iter__(self) -> Iterator[tuple]:
+        return iter(self._cells)
+
+    def __len__(self) -> int:
+        return len(self._cells)
+
+
 @dataclass
 class PackedTensor:
     """An indexed grid of ciphertexts carrying one layer's packed values.
 
     Conv layouts key cells by ``(channel_or_group, u, v)``; fully-connected
-    layouts key by ``(j,)``.  ``group_size`` is the cross-packing factor r
-    (channels per ciphertext, or replicas available to cross-filter
-    multiplication); ``pi_sets`` is the per-ciphertext pi-set count for
-    fully-connected layouts.
+    layouts key by ``(j,)``.  ``cells`` is a dict, or a :class:`LazyCells`
+    whose cells are made as they are first read.  ``group_size`` is the
+    cross-packing factor r (channels per ciphertext, or replicas available
+    to cross-filter multiplication); ``pi_sets`` is the per-ciphertext pi-set
+    count for fully-connected layouts.
     """
 
-    cells: dict[tuple, Ciphertext]
+    cells: dict[tuple, Ciphertext] | LazyCells
     layout: str
     n: int
     grid_side: int = 0
@@ -350,7 +393,15 @@ def encode_inputs(backend: SimulatorBackend, ctx: KeyContext, images: np.ndarray
     The segment of channel c for cell (u, v) holds, at pi-set ``s*b + t``,
     pixel ``(u + stride*s, v + stride*t)`` of every image: one gather from
     the flat images, whose indices are those of channel 0 and cell (0, 0)
-    offset by ``(c*side + u)*side + v``."""
+    offset by ``(c*side + u)*side + v``.
+
+    The images are checked here, but each cell is gathered from them and
+    encrypted only when it is first read (the tensor's cells are a
+    :class:`LazyCells`), under the meter scope that was open when this was
+    called; so ``images`` must not change until every cell is read.  A
+    reader that drops each cell after its last read, as
+    :func:`~lhecnn.forward.conv_forward` does, holds only the cells between
+    their first and last readers, and noise is drawn in read order."""
     n, channels, side, _ = images.shape
     if n != geo.n:
         raise ValueError(f"expected {geo.n} images, got {n}")
@@ -365,27 +416,31 @@ def encode_inputs(backend: SimulatorBackend, ctx: KeyContext, images: np.ndarray
     steps = stride * np.arange(grid)
     gather = (steps[:, None, None] * side + steps[None, :, None]
               + np.arange(n) * (channels * side * side)).reshape(-1)
-    _, groups = conv_cell_counts(layout, r, 0, channels)
-    cells = {}
     vec = np.zeros(geo.slot_count)  # one scratch vector: encrypt copies it
-    for b in range(groups):
-        segments = [(q, c) for q, _, c in conv_segments(layout, r, 0, b) if c < channels]
-        tiles = len(segments) * seg == geo.slot_count
-        for u in range(gamma0):
-            for v in range(gamma0):
-                if not tiles:
-                    vec.fill(0.0)
-                gathered = {}  # cross-filter segments repeat one channel: gather it once
-                for q, c in segments:
-                    out = vec[q * seg:(q + 1) * seg]
-                    if c in gathered:
-                        out[:] = gathered[c]
-                        continue
-                    # every index is in range (checked above): "clip" clips
-                    # nothing, and unlike "raise" it writes straight into out
-                    flat[(c * side + u) * side + v:].take(gather, out=out, mode="clip")
-                    gathered[c] = out
-                cells[(b, u, v)] = backend.encrypt(ctx, vec)
+    scope, label = backend.meter.scope, backend.meter.current_scope
+    _, groups = conv_cell_counts(layout, r, 0, channels)
+    segments_of = [[(q, c) for q, _, c in conv_segments(layout, r, 0, b) if c < channels]
+                   for b in range(groups)]
+
+    def make(b: int, u: int, v: int) -> Ciphertext:
+        segments = segments_of[b]
+        with scope(label):
+            if len(segments) * seg != geo.slot_count:
+                vec.fill(0.0)
+            gathered = {}  # cross-filter segments repeat one channel: gather it once
+            for q, c in segments:
+                out = vec[q * seg:(q + 1) * seg]
+                if c in gathered:
+                    out[:] = gathered[c]
+                    continue
+                # every index is in range (checked above): "clip" clips
+                # nothing, and unlike "raise" it writes straight into out
+                flat[(c * side + u) * side + v:].take(gather, out=out, mode="clip")
+                gathered[c] = out
+            return backend.encrypt(ctx, vec)
+
+    cells = LazyCells({(b, u, v): partial(make, b, u, v) for b in range(groups)
+                       for u in range(gamma0) for v in range(gamma0)})
     return PackedTensor(cells, layout, geo.n, geo.grid_side, seg, group_size=span)
 
 

@@ -3,7 +3,13 @@
 A :class:`RefineSession` owns the encrypted parameters of one model, attests
 against a :class:`~lhecnn.tee.TeeService`, and runs metered forward passes and
 full refining rounds (forward, TEE loss head, backward, gradient aggregation,
-TEE noise removal, additive update).  A saved session is ``session.manifest``
+TEE noise removal, additive update).  Both run the one streamed forward
+pass: an inference encrypts each input cell as CL1 first reads it and drops
+it after its last read, and makes each output of an fc layer but the last
+only as the next layer reads it.  A refining round
+makes every input cell before it encrypts the labels, as its cache holds
+them all until bwd.CL1, and its cache keeps its own dict of each layer's
+input.  A saved session is ``session.manifest``
 (``key = value`` lines) plus one cells file: every parameter ciphertext in the
 wire format's sequence form, in ``cell_keys()`` order, written by the
 backend's ``save_cells`` and read back by its ``open_cells``.  The manifest's
@@ -188,6 +194,9 @@ class RefineSession:
     # -- forward -------------------------------------------------------------
 
     def encrypt_inputs(self, images: np.ndarray) -> PackedTensor:
+        """The packed input tensor of ``images``: each cell is encrypted, and
+        metered under ``enc.inputs``, when it is first read
+        (:func:`~lhecnn.packing.encode_inputs`)."""
         images = np.asarray(images, dtype=np.float64)
         with self.meter.scope("enc.inputs"):
             return encode_inputs(self.backend, self.ctx, images, self.geo,
@@ -195,42 +204,54 @@ class RefineSession:
 
     def _forward(self, tensor: PackedTensor,
                  cache: list[tuple] | None = None) -> PackedTensor:
-        """Forward pass to the logits.  With a ``cache``, each layer appends
-        the pair (input, pre-activation) to it, conv layers first.  The
-        pre-activation is ``None`` unless activation gradients are exact
-        (they read it); then it is the layer's output under a dict of its
-        own, as the square empties the output's.  Every other ciphertext is
-        dropped once its last reader is done: each square consumes its
-        pre-activations."""
-        meter, geo, cfg = self.meter, self.geo, self.cfg
-        keep = self.exact_activation_grad
-        square_idx = 0
+        """Forward pass to the logits, streamed: each layer consumes its
+        input tensor, dropping each cell after its last reader (see
+        :mod:`~lhecnn.forward`), and each square its pre-activations.  Every
+        fc layer but the last makes, folds and squares each of its outputs
+        only as the next layer first reads it (``fl_squares``); a next layer
+        of one output cell, as in both presets, then holds one at a time.
+
+        With a ``cache``, each layer appends the pair (input,
+        pre-activation) to it, conv layers first, each under a dict of its
+        own, which reading makes whole.  The pre-activation is ``None``
+        unless activation gradients are exact (they read it)."""
+        meter, backend, geo, cfg = self.meter, self.backend, self.geo, self.cfg
+        keep = cache is not None and self.exact_activation_grad
+
+        def held(t: PackedTensor) -> PackedTensor:
+            return replace(t, cells=dict(t.cells))
+
         for l, layer in enumerate(cfg.conv):
+            inputs = held(tensor) if cache is not None else None
             with meter.scope(f"CL{l + 1}"):
-                out = fwd.conv_forward(self.backend, tensor, self.filters[l],
+                out = fwd.conv_forward(backend, tensor, self.filters[l],
                                        geo.kernel_side_after(l), layer.stride)
             if cache is not None:
-                cache.append((tensor, replace(out, cells=dict(out.cells)) if keep else None))
-            tensor = out
-            square_idx += 1
-            with meter.scope(f"Square{square_idx}"):
-                tensor = fwd.square_activation(self.backend, tensor)
+                cache.append((inputs, held(out) if keep else None))
+            with meter.scope(f"Square{l + 1}"):
+                tensor = fwd.square_activation(backend, out)
         tensor = as_fl_input(tensor)
-        for k in range(cfg.f):
-            with meter.scope(f"FL{k + 1}"):
-                out = fwd.fl_forward(self.backend, tensor, self.weights[k])
+        for k, weights in enumerate(self.weights):
+            inputs = held(tensor) if cache is not None else None
+            if k < cfg.f - 1:
+                pre = {} if keep else None
+                out = fwd.fl_squares(backend, tensor, weights, f"FL{k + 1}",
+                                     f"Square{cfg.c + k + 1}", pre)
+                pre = replace(out, cells=pre) if keep else None
+            else:  # no activation after the final layer
+                with meter.scope(f"FL{k + 1}"):
+                    out = fwd.fl_forward(backend, tensor, weights)
+                pre = held(out) if keep else None
             if cache is not None:
-                cache.append((tensor, replace(out, cells=dict(out.cells)) if keep else None))
+                cache.append((inputs, pre))
             tensor = out
-            if k < cfg.f - 1:  # no activation after the final layer
-                square_idx += 1
-                with meter.scope(f"Square{square_idx}"):
-                    tensor = fwd.square_activation(self.backend, tensor)
         return tensor
 
     def infer(self, images: np.ndarray) -> tuple[PackedTensor, OpReport]:
         """Encrypted forward pass; returns the logits tensor and an op report
-        covering exactly this call."""
+        covering exactly this call.  Each input cell is encrypted as the pass
+        first reads it, so with noise on, its noise is drawn in read
+        order."""
         if not self.filters:
             raise RuntimeError("no model loaded")
         mark = self.meter.checkpoint()
@@ -299,14 +320,17 @@ class RefineSession:
         loss and, per backward stage in order, its meter scope, the parameter
         cells it updates and the queue of its refreshed gradients."""
         meter, cfg, geo = self.meter, self.cfg, self.geo
+        # every input is made now, in key order, before the labels: the cache
+        # holds them all until bwd.CL1 anyway, and noise is drawn as before
         enc = self.encrypt_inputs(images)
+        enc = replace(enc, cells=dict(enc.cells))
         with meter.scope("enc.labels"):
             vec = np.zeros(self.params.slot_count)
             vec[:cfg.n] = labels
             label_ct = self.backend.encrypt(self.ctx, vec)
         cache = []
         logits = self._forward(enc, cache)
-        del enc  # the cache holds the inputs for as long as bwd.CL1 reads them
+        del enc  # CL1 emptied it: the cache holds the inputs for bwd.CL1
         with meter.scope("tee.loss_head"):
             loss, grad = self.tee.loss_head(self.party, logits, label_ct,
                                             cfg.fc[-1].outputs)

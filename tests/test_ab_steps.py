@@ -82,6 +82,16 @@ def test_both_sides_this_tree(tmp_path, workload, pairs):
     count, mb = counts["a"].removeprefix("free buffers ").split(" (")
     slots = {"infer-cnn12": 4096, "refine-r22": 8192}[workload]
     assert int(count) > 0 and mb == f"{8 * slots * int(count) / 2**20:.2f} MB)"
+    # each side's peak pooled working set, counted live during a steady
+    # step, and the stage it sits in: an inference step keeps no pooled
+    # buffer, so its peak is what its free lists hold after it; a refining
+    # round's also holds the 260 pooled parameter cells
+    peaks = {line.split()[0]: line.split(None, 1)[1] for line in lines
+             if "peak pooled buffers" in line}
+    assert peaks.keys() == {"a", "b"} and peaks["a"] == peaks["b"]
+    want = {"infer-cnn12": f"{count}, in scope CL1",
+            "refine-r22": f"{int(count) + 260}, in scope bwd.FL1"}[workload]
+    assert peaks["a"] == "peak pooled buffers " + want
     assert f"of {pairs} pairs" in proc.stdout
     assert lines[-1].strip() == "same outputs in every pair: yes"
     # the same tree records the same meter counts in each step of a pair,

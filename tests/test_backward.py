@@ -254,6 +254,7 @@ class TestGradientMakers:
             cfg = CnnConfig((ConvLayer(1, 4, 1, 2, 2),), (FcLayer(4, 2),), 2)
             geo = combined_geometry(cfg, LheParams(8, 10))
             inputs = encode_inputs(backend, ctx, np.ones((2, 1, 4, 4)), geo)
+            inputs.cts()  # the input cells are made on first read: read them here
             params = encode_filters(backend, ctx, np.ones((1, 1, 2, 2)), geo)
             g = PackedTensor({(0, 0, 0): backend.encrypt(ctx, np.full(8, 0.5))},
                              "conv-basic", 2, geo.grid_side, geo.seg_slots)

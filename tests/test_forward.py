@@ -49,11 +49,11 @@ class TestConvForward:
         ctx = backend.keygen(params, seed=1)
         images = np.arange(8.0).reshape(2, 1, 2, 2)
         inputs = encode_inputs(backend, ctx, images, geo)
+        want = backend.decrypt(ctx, inputs.cells[(0, 0, 0)]) ** 2  # conv_forward drops it
         filters = encode_filters(backend, ctx, np.ones((1, 1, 1, 1)), geo)
         pre = conv_forward(backend, inputs, filters, geo.kernel_side_after(0), 1)
         out = square_activation(backend, pre)
         got = backend.decrypt(ctx, out.cells[(0, 0, 0)])
-        want = backend.decrypt(ctx, inputs.cells[(0, 0, 0)]) ** 2
         assert np.array_equal(got, want)
 
     def test_level_drops_two_per_layer_with_activation(self):
@@ -369,16 +369,24 @@ class TestWorkingSet:
         return sess, backend.free_buffers
 
     # Peak pooled buffers of a steady step: each square frees a pre-activation
-    # as it squares it, so no square holds a layer's output twice.
-    def test_steady_cnn12_inference_peaks_at_70_buffers(self):
+    # as it squares it, so no square holds a layer's output twice, and each
+    # layer drops an input cell after its last reader.
+    def test_steady_cnn12_inference_peaks_at_54_buffers(self):
+        # CL1's 4 filter cells each read all 49 input cells, so CL1 holds
+        # them all until its last filter cell: 49 inputs, its outputs and
+        # the sum it is making.  FL1's 64 outputs are made one at a time as
+        # FL2, a layer of one output cell, reads them.
         p = preset("cnn-1-2")
         _, pool = self.steady_pool(p.model, p.lhe, "auto")
-        assert pool == {4096: 70}
+        assert pool == {4096: 54}
 
-    def test_steady_wide_refining_inference_peaks_at_41_buffers(self):
+    def test_steady_wide_refining_inference_peaks_at_11_buffers(self):
+        # CL1 has one filter cell and windows that do not overlap, so each
+        # of its 36 input cells is made, read and dropped in turn; FL1's 32
+        # outputs stream into FL2 as above.
         p = preset("refining-2-2")
         sess, pool = self.steady_pool(p.model, LheParams(32768, 10), "auto")
-        assert sess.r == 4 and pool == {32768: 41}
+        assert sess.r == 4 and pool == {32768: 11}
 
     def test_steady_constant_slope_round_peaks_at_354_buffers(self):
         # The backward stages change no parameter, and the commit after them

@@ -45,6 +45,26 @@ class TestScopes:
             with meter.scope(""):
                 pass
 
+    def test_a_scope_yields_the_meter_and_can_be_entered_again(self, meter):
+        # a scope keeps nothing per entry: one object nests in itself and is
+        # entered again after it is left, also when its block raised
+        outer = meter.scope("FL2")
+        with outer as m:
+            assert m is meter and meter.current_scope == "FL2"
+            with meter.scope("FL1"):
+                with pytest.raises(KeyError):
+                    with meter.scope("Square3"):
+                        assert meter.current_scope == "Square3"
+                        raise KeyError("cell")
+                assert meter.current_scope == "FL1"
+                with outer:
+                    assert meter.current_scope == "FL2"
+                assert meter.current_scope == "FL1"
+            assert meter.current_scope == "FL2"
+        assert meter.current_scope == UNSCOPED
+        with outer:
+            assert meter.current_scope == "FL2"
+
     def test_unscoped_calls_still_counted(self, backend, meter):
         ctx = backend.keygen(LheParams(8, 8), seed=1)
         backend.encrypt(ctx, np.ones(8))

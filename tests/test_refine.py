@@ -742,7 +742,11 @@ class TestPersistence:
         (lambda bounds: ["-1"] + bounds[1:], r"holds -1, outside 0\.\.32"),
         (lambda bounds: bounds[:-1] + ["33"], r"holds 33, outside 0\.\.32"),
         (lambda bounds: bounds[:-1] + ["1.5"], "is not a list of integers"),
-    ], ids=["short", "long", "negative", "past-the-slots", "not-an-integer"])
+        (lambda bounds: [" " + bound for bound in bounds], "is not a list of integers"),
+        (lambda bounds: ["+" + bounds[0]] + bounds[1:], "is not a list of integers"),
+        (lambda bounds: bounds + [""], "is not a list of integers"),
+    ], ids=["short", "long", "negative", "past-the-slots", "not-an-integer", "spaces",
+            "plus-sign", "trailing-comma"])
     def test_load_rejects_bad_bounds_before_opening_the_cells(self, tmp_path, monkeypatch,
                                                               edit, match):
         cfg, params = small_cfg(), LheParams(32, 12)

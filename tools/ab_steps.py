@@ -33,6 +33,15 @@ saves: the bytes of the cells files, and the manifests' lines other than
 are the same; a run whose saves differ fails, as one whose outputs, counts
 or models differ does.
 
+After the timed pairs it runs two more steps per side, untimed, on a new
+session of that side's saved model whose backend counts the pooled slot
+buffers alive: one more as a buffer is taken from a free list (or made, when
+the list is empty) and one less as it goes back.  It prints the most alive
+during the second step and the meter scope that step was in when the count
+peaked, so where a workload's peak sits needs no hand tally.  The first
+step is not counted: in a refining workload it replaces the loaded cells
+with pooled ones, so the second is a steady round.
+
 With ``--loads N`` it first sets up the saved session N times per side, in
 pairs in the same alternating order, and prints each side's median set-up
 time and the resident kB of the loaded cells file's mapping right after a
@@ -65,6 +74,7 @@ import statistics
 import sys
 import tempfile
 import time
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -170,6 +180,61 @@ def open_side(name: str, lib, wl: str, seed: int, tmp: Path) -> Side:
     return Side(name, lib, session, refine, [])
 
 
+def counting_backend(lib):
+    """A subclass of ``lib``'s ``SimulatorBackend`` whose free lists count
+    the pooled buffers alive: ``live`` goes up by one as a buffer is taken
+    from a list (or made, when the list is empty) and down by one as one
+    goes back, and ``peak`` and ``peak_scope`` keep its most and the meter
+    scope it was reached in."""
+
+    class CountingList(lib.lhe._FreeList):
+        __slots__ = ("backend",)
+
+        def __init__(self, backend):
+            super().__init__()
+            self.backend = backend
+
+        def pop(self):
+            backend = self.backend
+            backend.live += 1
+            if backend.live > backend.peak:
+                backend.peak, backend.peak_scope = backend.live, backend.meter.current_scope
+            return super().pop()
+
+        def append(self, view):
+            self.backend.live -= 1
+            super().append(view)
+
+    class CountingBackend(lib.SimulatorBackend):
+        def __init__(self, meter=None):
+            super().__init__(meter)
+            self.live = self.peak = 0
+            self.peak_scope = None
+            self._free = defaultdict(lambda: CountingList(self))
+
+    return CountingBackend
+
+
+def peak_buffers(side: Side, wl: str, seed: int, tmp: Path) -> tuple[int, str]:
+    """The most pooled buffers alive during the second of two untimed steps
+    of a new session of ``side``'s saved model, and the meter scope the step
+    was in when they were."""
+    lib = side.lib
+    cfg, lhe, _, refine = workload(lib, wl)
+    backend = counting_backend(lib)(lib.OpMeter())
+    session = lib.RefineSession.load(lib.TeeService(backend, lhe, seed=seed), tmp / side.name)
+    counted = Side(side.name, lib, session, refine, [])
+    first = cfg.conv[0]
+    rng = np.random.default_rng(seed)
+    images = rng.normal(size=(cfg.n, first.channels, first.input_side,
+                              first.input_side)) * 0.2
+    labels = rng.integers(0, cfg.fc[-1].outputs, size=cfg.n)
+    counted.step(images, labels)
+    backend.peak, backend.peak_scope = backend.live, None
+    counted.step(images, labels)
+    return backend.peak, backend.peak_scope
+
+
 def load_once(side: Side, wl: str, seed: int, tmp: Path) -> tuple[int, int | None]:
     """One timed set-up of ``side``'s saved session (meter, backend, TEE and
     load): its time in ns, and the resident kB of the mapping that holds its
@@ -258,6 +323,7 @@ def run(a_src: Path, b_src: Path, wl: str, pairs: int, warmup: int, seed: int,
                 loaded[side.name].append(load_once(side, wl, seed, tmp))
         outputs, counts = time_pairs(sides, wl, pairs, warmup, seed)
         same, same_counts = same and outputs, same_counts and counts
+        peaks = {side.name: peak_buffers(side, wl, seed, tmp) for side in sides}
         same_model, mapped = None, {}
         if sides[0].refine:
             same_model = model_bytes(sides[0]) == model_bytes(sides[1])
@@ -289,6 +355,7 @@ def run(a_src: Path, b_src: Path, wl: str, pairs: int, warmup: int, seed: int,
         "same_save": same_save,
         **bias,
         **{f"{side.name}_buffers": side.session.backend.free_buffers for side in sides},
+        **{f"{name}_peak": peak for name, peak in peaks.items()},
         **mapped,
         "loads": loads,
         "loads_b_won": sum(b < a for (a, _), (b, _) in zip(loaded["a"], loaded["b"])),
@@ -327,6 +394,8 @@ def main(argv=None) -> int:
         buffers = r[f"{name}_buffers"]
         mb = sum(8 * n * count for n, count in buffers.items()) / 2**20
         print(f"  {name}  free buffers {sum(buffers.values())} ({mb:.2f} MB)")
+        peak, scope = r[f"{name}_peak"]
+        print(f"  {name}  peak pooled buffers {peak}, in scope {scope}")
         if f"{name}_mapped_kb" in r:
             kb, file_kb = r[f"{name}_mapped_kb"], r[f"{name}_file_kb"]
             print(f"  {name}  cells mapping resident after the last pair "
