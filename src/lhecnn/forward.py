@@ -9,11 +9,11 @@ after the final layer.  It takes ownership of the pre-activation tensor and
 frees each cell as it squares it: a pipeline whose backward pass reads the
 pre-activations caches its own dict of the same cells first.
 
-The layer functions consume their input tensors too: each input cell is
-popped from the tensor's cells by its last reader, so one that nobody else
-holds is freed there, and a pipeline that keeps a layer's input holds its
-own dict of the cells before the layer runs.  Cells may be made on first
-read (a :class:`~lhecnn.packing.LazyCells`, as
+The layer functions consume their input tensors too: they pop each input
+cell from the tensor's cells, so one that nobody else holds is freed once
+the layer is done with it, and a pipeline that keeps a layer's input holds
+its own dict of the cells before the layer runs.  Cells may be made on
+first read (a :class:`~lhecnn.packing.LazyCells`, as
 :func:`~lhecnn.packing.encode_inputs` gives): :func:`conv_forward` then
 makes each input at its first window and drops it after its last, and
 :func:`fl_forward` with one output cell makes, reads and drops its inputs
@@ -56,12 +56,13 @@ def conv_forward(backend: SimulatorBackend, inputs: PackedTensor,
     output layout is :func:`~lhecnn.packing.conv_output_layout`'s (where only
     segment 0 is valid, later stages zero-mask the rest).
 
-    Consumes ``inputs``: the last window that reads an input cell pops it
-    from ``inputs.cells`` as its product is made, so each input is dropped
-    after its last reader (a cell no window reads is left in place).  With
-    cells made on first read (:func:`~lhecnn.packing.encode_inputs`), a
-    layer whose windows do not overlap and whose filters fit one cell holds
-    one input at a time.
+    The windows run in turn, each read once by every filter cell, and
+    ``inputs`` is consumed: the last window that reads an input cell pops
+    it from ``inputs.cells``, so each input is dropped after its last
+    window (a cell no window reads is left in place).  With cells made on
+    first read (:func:`~lhecnn.packing.encode_inputs`), a layer whose
+    windows do not overlap holds one window's inputs at a time, and one
+    input at a time if its filters fit one cell.
     """
     layout, r = filters.layout, filters.group_size
     if inputs.layout != layout:
@@ -80,15 +81,14 @@ def conv_forward(backend: SimulatorBackend, inputs: PackedTensor,
                for u, v in grid]
     last = {key: w for w, keys in enumerate(in_keys) for key in keys}
     in_cells, kernel_cells = inputs.cells, filters.cells
+    filter_windows = [[kernel_cells[(a, b, x, y)] for x, y, b in window]
+                      for a in range(filter_cells)]
     cells = {}
-    for a in range(filter_cells):
-        filter_window = [kernel_cells[(a, b, x, y)] for x, y, b in window]
-        for w, ((u, v), keys) in enumerate(zip(grid, in_keys)):
-            if a < filter_cells - 1:
-                operands = map(in_cells.__getitem__, keys)
-            else:  # the last filter cell: each input's last window drops it
-                operands = (in_cells.pop(key) if last[key] == w else in_cells[key]
-                            for key in keys)
+    for w, ((u, v), keys) in enumerate(zip(grid, in_keys)):
+        operands = (in_cells.pop(key) if last[key] == w else in_cells[key] for key in keys)
+        if filter_cells > 1:  # every filter cell reads the window
+            operands = list(operands)
+        for a, filter_window in enumerate(filter_windows):
             acc = backend.mul_sum(zip(operands, filter_window))
             cells[(a, u, v)] = fold_rotate_sum(backend, acc, seg, r) if fold else acc
     out_layout, group = conv_output_layout(layout, r, seg, acc.slot_count)
@@ -138,28 +138,28 @@ def fl_forward(backend: SimulatorBackend, inputs: PackedTensor,
     rotation; each output ciphertext packs S/n output neurons as consecutive
     pi-sets (a type I input).
 
-    Consumes ``inputs``: the last output cell pops each input from
-    ``inputs.cells`` as it reads it.  A layer with one output cell thus
-    holds one input at a time when its inputs are made on first read
-    (:func:`fl_squares`).
+    Consumes ``inputs``: they are popped from ``inputs.cells`` and dropped
+    when the layer is done.  A layer with one output cell reads each input
+    once, so it pops, reads and drops them in turn, and holds one at a time
+    when they are made on first read (:func:`fl_squares`).
     """
     _fl_layout(inputs, weights)
     in_cells, keys = inputs.cells, [(i,) for i in range(weights.in_cts)]
-    cells = {}
-    for j in range(weights.out_cts):
-        take = in_cells.pop if j == weights.out_cts - 1 else in_cells.__getitem__
-        cells[(j,)] = fl_cell(backend, map(take, keys), weights, j)
+    if weights.out_cts == 1:
+        cells = {(0,): fl_cell(backend, map(in_cells.pop, keys), weights, 0)}
+    else:
+        in_cts = [in_cells.pop(key) for key in keys]
+        cells = {(j,): fl_cell(backend, in_cts, weights, j) for j in range(weights.out_cts)}
     return _fl_output(cells, weights, inputs.n, cells[(0,)].slot_count)
 
 
 def fl_squares(backend: SimulatorBackend, inputs: PackedTensor, weights: PackedWeights,
-               label: str, square_label: str,
-               pre: dict | None = None) -> PackedTensor:
+               label: str, square_label: str) -> PackedTensor:
     """The squared output of an fc layer, each cell made on first read (a
     :class:`~lhecnn.packing.LazyCells`): output j is made by :func:`fl_cell`
     in meter scope ``label``, then squared in scope ``square_label``, so
     the next layer reads each one as it is made and can drop it before the
-    next.  With ``pre``, each pre-activation is put there as it is made.
+    next.
 
     Consumes ``inputs`` at once; they are held until the last output is
     made.  A scope is entered and left around each cell's work, so a
@@ -172,8 +172,6 @@ def fl_squares(backend: SimulatorBackend, inputs: PackedTensor, weights: PackedW
     def make(j: int) -> Ciphertext:
         with scope(label):
             ct = fl_cell(backend, in_cts, weights, j)
-        if pre is not None:
-            pre[(j,)] = ct
         with scope(square_label):
             return backend.mul(ct, ct)
 

@@ -433,9 +433,8 @@ def _buffer(pools: defaultdict, n: int) -> tuple[np.ndarray, np.ndarray, weakref
     return view.base, view, free.ref
 
 
-# what save_cells returns: integers, comma-separated (none for no cells); the
-# possessive repeats need no backtracking state, so a load scans it faster
-_BOUNDS = re.compile("(?:-?[0-9]++(?:,-?[0-9]++)*+)?")
+# what save_cells returns: integers, comma-separated (none for no cells)
+_BOUNDS = re.compile("(?:-?[0-9]+(?:,-?[0-9]+)*)?")
 
 
 def _check_pack(count: int, n: int, slot_count: int) -> None:

@@ -13,7 +13,6 @@ import csv
 import io
 import threading
 from collections import Counter
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -32,23 +31,21 @@ class OpMeter:
     """Thread-safe counter of primitive calls by (scope, kind, level).
 
     Scopes nest; a call is attributed to the innermost active label only.
-    Counts never decrease.  The scope stack lives in a context variable, so
-    each thread has its own: the TEE socket server's thread starts unscoped,
-    and the ops it runs never land in a session's open scope.  The variable
-    holds a list of labels, set by the first scope a thread opens and then
-    pushed to and popped from, so entering a scope sets no variable (a
-    context copied within a thread shares its list).
+    Counts never decrease.  The scope stack is a list of labels in
+    thread-local storage, so each thread has its own, whatever context it
+    was started with: the TEE socket server's thread starts unscoped, and
+    the ops it runs never land in a session's open scope.
     """
 
     def __init__(self):
         self._counts: Counter[tuple[str, str, int]] = Counter()
-        self._stack: ContextVar[list[str]] = ContextVar("OpMeter.scope")
+        self._local = threading.local()  # .stack: this thread's labels
         self._scopes: dict[str, _Scope] = {}
         self._lock = threading.Lock()
 
     @property
     def current_scope(self) -> str:
-        stack = self._stack.get(())
+        stack = getattr(self._local, "stack", ())
         return stack[-1] if stack else UNSCOPED
 
     def scope(self, label: str) -> "_Scope":
@@ -65,7 +62,7 @@ class OpMeter:
     def record(self, kind: str, level: int) -> None:
         if kind not in _OP_KIND_SET:
             raise ValueError(f"unknown op kind {kind!r}")
-        stack = self._stack.get(())
+        stack = getattr(self._local, "stack", ())
         key = (stack[-1] if stack else UNSCOPED, kind, int(level))
         counts = self._counts
         with self._lock:
@@ -79,7 +76,7 @@ class OpMeter:
             raise ValueError(f"negative op count {count}")
         if not count:
             return
-        stack = self._stack.get(())
+        stack = getattr(self._local, "stack", ())
         key = (stack[-1] if stack else UNSCOPED, kind, int(level))
         counts = self._counts
         with self._lock:
@@ -131,27 +128,27 @@ class OpMeter:
 
 class _Scope:
     """The context manager :meth:`OpMeter.scope` returns: entering it pushes
-    ``label`` onto the meter's scope stack in the current thread, and
-    leaving it pops the stack's last label.  A class, not a generator, and
-    it keeps nothing per entry, so threads and nested blocks can share it;
-    nested ``with`` blocks leave the stack as they found it."""
+    ``label`` onto the current thread's scope stack, and leaving it pops the
+    stack's last label.  A class, not a generator, and it keeps nothing per
+    entry, so threads and nested blocks can share it; nested ``with`` blocks
+    leave the stack as they found it."""
 
-    __slots__ = ("meter", "label", "stack")
+    __slots__ = ("meter", "label", "local")
 
     def __init__(self, meter: OpMeter, label: str):
         if not label:
             raise ValueError("scope label must be nonempty")
-        self.meter, self.label, self.stack = meter, label, meter._stack
+        self.meter, self.label, self.local = meter, label, meter._local
 
     def __enter__(self) -> OpMeter:
         try:
-            self.stack.get().append(self.label)
-        except LookupError:  # the thread's first scope
-            self.stack.set([self.label])
+            self.local.stack.append(self.label)
+        except AttributeError:  # the thread's first scope
+            self.local.stack = [self.label]
         return self.meter
 
     def __exit__(self, kind, value, traceback) -> None:
-        self.stack.get().pop()
+        self.local.stack.pop()
 
 
 # ---------------------------------------------------------------------------

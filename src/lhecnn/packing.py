@@ -63,11 +63,8 @@ class LazyCells(Mapping):
             self._unmade.remove(key)
         return cell
 
-    def pop(self, key: tuple, *default) -> Ciphertext:
-        """The cell under ``key``, made if it was not, and removed; as
-        ``dict.pop``, a ``default`` is returned for a missing key."""
-        if default and key not in self._cells:
-            return default[0]
+    def pop(self, key: tuple) -> Ciphertext:
+        """The cell under ``key``, made if it was not, and removed."""
         cell = self._cells[key]
         if key in self._unmade:
             cell = cell()
@@ -383,7 +380,7 @@ def _checked_span(layout: str, r: int, geo: CombinedGeometry) -> int:
 
 def encode_inputs(backend: SimulatorBackend, ctx: KeyContext, images: np.ndarray,
                   geo: CombinedGeometry, layout: str = CONV_BASIC,
-                  r: int = 1) -> PackedTensor:
+                  r: int = 1, lazy: bool = True) -> PackedTensor:
     """Pack n images into a conv input layout: one ciphertext per channel
     cell ``b`` and combined-kernel cell ``(u, v)``, whose segments hold the
     channels :func:`conv_segments` places there.  Cross-channel cells stack
@@ -401,7 +398,8 @@ def encode_inputs(backend: SimulatorBackend, ctx: KeyContext, images: np.ndarray
     called; so ``images`` must not change until every cell is read.  A
     reader that drops each cell after its last read, as
     :func:`~lhecnn.forward.conv_forward` does, holds only the cells between
-    their first and last readers, and noise is drawn in read order."""
+    their first and last readers, and noise is drawn in read order.  With
+    ``lazy=False`` every cell is made here, in key order, in a plain dict."""
     n, channels, side, _ = images.shape
     if n != geo.n:
         raise ValueError(f"expected {geo.n} images, got {n}")
@@ -417,30 +415,37 @@ def encode_inputs(backend: SimulatorBackend, ctx: KeyContext, images: np.ndarray
     gather = (steps[:, None, None] * side + steps[None, :, None]
               + np.arange(n) * (channels * side * side)).reshape(-1)
     vec = np.zeros(geo.slot_count)  # one scratch vector: encrypt copies it
-    scope, label = backend.meter.scope, backend.meter.current_scope
     _, groups = conv_cell_counts(layout, r, 0, channels)
     segments_of = [[(q, c) for q, _, c in conv_segments(layout, r, 0, b) if c < channels]
                    for b in range(groups)]
 
     def make(b: int, u: int, v: int) -> Ciphertext:
         segments = segments_of[b]
-        with scope(label):
-            if len(segments) * seg != geo.slot_count:
-                vec.fill(0.0)
-            gathered = {}  # cross-filter segments repeat one channel: gather it once
-            for q, c in segments:
-                out = vec[q * seg:(q + 1) * seg]
-                if c in gathered:
-                    out[:] = gathered[c]
-                    continue
-                # every index is in range (checked above): "clip" clips
-                # nothing, and unlike "raise" it writes straight into out
-                flat[(c * side + u) * side + v:].take(gather, out=out, mode="clip")
-                gathered[c] = out
-            return backend.encrypt(ctx, vec)
+        if len(segments) * seg != geo.slot_count:
+            vec.fill(0.0)
+        gathered = {}  # cross-filter segments repeat one channel: gather it once
+        for q, c in segments:
+            out = vec[q * seg:(q + 1) * seg]
+            if c in gathered:
+                out[:] = gathered[c]
+                continue
+            # every index is in range (checked above): "clip" clips
+            # nothing, and unlike "raise" it writes straight into out
+            flat[(c * side + u) * side + v:].take(gather, out=out, mode="clip")
+            gathered[c] = out
+        return backend.encrypt(ctx, vec)
 
-    cells = LazyCells({(b, u, v): partial(make, b, u, v) for b in range(groups)
-                       for u in range(gamma0) for v in range(gamma0)})
+    keys = [(b, u, v) for b in range(groups) for u in range(gamma0) for v in range(gamma0)]
+    if not lazy:
+        cells = {key: make(*key) for key in keys}
+    else:
+        scope, label = backend.meter.scope, backend.meter.current_scope
+
+        def made(key: tuple) -> Ciphertext:
+            with scope(label):
+                return make(*key)
+
+        cells = LazyCells({key: partial(made, key) for key in keys})
     return PackedTensor(cells, layout, geo.n, geo.grid_side, seg, group_size=span)
 
 

@@ -3,13 +3,13 @@
 A :class:`RefineSession` owns the encrypted parameters of one model, attests
 against a :class:`~lhecnn.tee.TeeService`, and runs metered forward passes and
 full refining rounds (forward, TEE loss head, backward, gradient aggregation,
-TEE noise removal, additive update).  Both run the one streamed forward
-pass: an inference encrypts each input cell as CL1 first reads it and drops
-it after its last read, and makes each output of an fc layer but the last
-only as the next layer reads it.  A refining round
-makes every input cell before it encrypts the labels, as its cache holds
-them all until bwd.CL1, and its cache keeps its own dict of each layer's
-input.  A saved session is ``session.manifest``
+TEE noise removal, additive update).  Both run one forward pass, whose
+layers drop each input cell after its last read.  An inference streams it:
+it encrypts each input cell as CL1 first reads it, and makes each output of
+an fc layer but the last only as the next layer reads it.  A refining round
+caches every layer's input and pre-activations until its backward stage
+reads them, so it makes every input cell before it encrypts the labels and
+each layer's output whole.  A saved session is ``session.manifest``
 (``key = value`` lines) plus one cells file: every parameter ciphertext in the
 wire format's sequence form, in ``cell_keys()`` order, written by the
 backend's ``save_cells`` and read back by its ``open_cells``.  The manifest's
@@ -193,30 +193,33 @@ class RefineSession:
 
     # -- forward -------------------------------------------------------------
 
-    def encrypt_inputs(self, images: np.ndarray) -> PackedTensor:
-        """The packed input tensor of ``images``: each cell is encrypted, and
-        metered under ``enc.inputs``, when it is first read
-        (:func:`~lhecnn.packing.encode_inputs`)."""
+    def encrypt_inputs(self, images: np.ndarray, lazy: bool = True) -> PackedTensor:
+        """The packed input tensor of ``images``, metered under
+        ``enc.inputs`` (:func:`~lhecnn.packing.encode_inputs`).  Its cells
+        are gathered from ``images`` and encrypted as they are first read,
+        so ``images`` must not change until every cell is read; with
+        ``lazy=False`` they are all made here, in key order."""
         images = np.asarray(images, dtype=np.float64)
         with self.meter.scope("enc.inputs"):
             return encode_inputs(self.backend, self.ctx, images, self.geo,
-                                 self.layouts[0], self.r)
+                                 self.layouts[0], self.r, lazy)
 
     def _forward(self, tensor: PackedTensor,
                  cache: list[tuple] | None = None) -> PackedTensor:
-        """Forward pass to the logits, streamed: each layer consumes its
-        input tensor, dropping each cell after its last reader (see
-        :mod:`~lhecnn.forward`), and each square its pre-activations.  Every
-        fc layer but the last makes, folds and squares each of its outputs
-        only as the next layer first reads it (``fl_squares``); a next layer
-        of one output cell, as in both presets, then holds one at a time.
+        """Forward pass to the logits.  Each layer consumes its input tensor,
+        dropping each cell after its last reader (see :mod:`~lhecnn.forward`),
+        and each square its pre-activations.
 
-        With a ``cache``, each layer appends the pair (input,
-        pre-activation) to it, conv layers first, each under a dict of its
-        own, which reading makes whole.  The pre-activation is ``None``
-        unless activation gradients are exact (they read it)."""
+        Without a ``cache`` the pass streams: every fc layer but the last
+        makes, folds and squares each of its outputs only as the next layer
+        first reads it (``fl_squares``), so a next layer of one output cell,
+        as in both presets, holds one at a time.  With a ``cache`` every
+        layer's output is made whole, and each layer appends the pair
+        (input, pre-activation) to it, conv layers first, each under a dict
+        of its own.  The pre-activation is ``None`` unless activation
+        gradients are exact (they read it)."""
         meter, backend, geo, cfg = self.meter, self.backend, self.geo, self.cfg
-        keep = cache is not None and self.exact_activation_grad
+        keep = self.exact_activation_grad
 
         def held(t: PackedTensor) -> PackedTensor:
             return replace(t, cells=dict(t.cells))
@@ -232,19 +235,19 @@ class RefineSession:
                 tensor = fwd.square_activation(backend, out)
         tensor = as_fl_input(tensor)
         for k, weights in enumerate(self.weights):
+            square = f"Square{cfg.c + k + 1}" if k < cfg.f - 1 else None
+            if cache is None and square:
+                tensor = fwd.fl_squares(backend, tensor, weights, f"FL{k + 1}", square)
+                continue
             inputs = held(tensor) if cache is not None else None
-            if k < cfg.f - 1:
-                pre = {} if keep else None
-                out = fwd.fl_squares(backend, tensor, weights, f"FL{k + 1}",
-                                     f"Square{cfg.c + k + 1}", pre)
-                pre = replace(out, cells=pre) if keep else None
-            else:  # no activation after the final layer
-                with meter.scope(f"FL{k + 1}"):
-                    out = fwd.fl_forward(backend, tensor, weights)
-                pre = held(out) if keep else None
+            with meter.scope(f"FL{k + 1}"):
+                out = fwd.fl_forward(backend, tensor, weights)
             if cache is not None:
-                cache.append((inputs, pre))
+                cache.append((inputs, held(out) if keep else None))
             tensor = out
+            if square:  # no activation after the final layer
+                with meter.scope(square):
+                    tensor = fwd.square_activation(backend, tensor)
         return tensor
 
     def infer(self, images: np.ndarray) -> tuple[PackedTensor, OpReport]:
@@ -320,10 +323,8 @@ class RefineSession:
         loss and, per backward stage in order, its meter scope, the parameter
         cells it updates and the queue of its refreshed gradients."""
         meter, cfg, geo = self.meter, self.cfg, self.geo
-        # every input is made now, in key order, before the labels: the cache
-        # holds them all until bwd.CL1 anyway, and noise is drawn as before
-        enc = self.encrypt_inputs(images)
-        enc = replace(enc, cells=dict(enc.cells))
+        # the cache holds every input until bwd.CL1: make them all now
+        enc = self.encrypt_inputs(images, lazy=False)
         with meter.scope("enc.labels"):
             vec = np.zeros(self.params.slot_count)
             vec[:cfg.n] = labels

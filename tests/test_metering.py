@@ -1,3 +1,4 @@
+import contextvars
 import threading
 from fractions import Fraction
 
@@ -92,6 +93,33 @@ class TestScopes:
         per = meter.scope_totals()
         assert (per["A"]["add"], per["B"]["add"]) == (3, 5)
         assert meter.current_scope == UNSCOPED
+
+    @pytest.mark.parametrize("context", ["fresh", "copied"])
+    def test_a_thread_started_in_a_scope_starts_unscoped(self, backend, meter, context):
+        # a thread may start with a copy of its starter's context (as
+        # free-threaded builds give it); neither kind sees the open scope
+        ctx = backend.keygen(LheParams(8, 8), seed=1)
+        ct = backend.encrypt(ctx, np.ones(8))
+        seen = []
+
+        def server():
+            seen.append(meter.current_scope)
+            with meter.scope("server"):
+                backend.add(ct, ct)
+            backend.add(ct, ct)
+
+        with meter.scope("session"):
+            run = contextvars.copy_context().run if context == "copied" else None
+            thread = (threading.Thread(target=run, args=(server,)) if run
+                      else threading.Thread(target=server))
+            thread.start()
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+            assert meter.current_scope == "session"
+            backend.add(ct, ct)
+        per = meter.scope_totals()
+        assert seen == [UNSCOPED]
+        assert (per["server"]["add"], per[UNSCOPED]["add"], per["session"]["add"]) == (1, 1, 1)
 
 
 class TestCounts:

@@ -260,6 +260,19 @@ class TestInputEncoding:
         for key, vec in want.items():
             assert packed.cells[key].slots.tobytes() == vec.tobytes(), key
 
+    def test_eager_cells_are_made_at_once_and_match_the_lazy_ones(self, backend):
+        cfg, geo = example_geometry()
+        ctx = backend.keygen(LheParams(8, 6), seed=1)
+        images = np.arange(2 * 64, dtype=float).reshape(2, 1, 8, 8)
+        lazy = encode_inputs(backend, ctx, images, geo)
+        assert backend.meter.totals()["encrypt"] == 0
+        with backend.meter.scope("enc.inputs"):
+            eager = encode_inputs(backend, ctx, images, geo, lazy=False)
+        assert type(eager.cells) is dict and list(eager.cells) == list(lazy.cells)
+        assert backend.meter.scope_totals()["enc.inputs"]["encrypt"] == 16
+        for key, ct in eager.cells.items():
+            assert ct.slots.tobytes() == lazy.cells[key].slots.tobytes(), key
+
     def test_worked_example_shape(self, backend):
         cfg, geo = example_geometry()
         ctx = backend.keygen(LheParams(8, 6), seed=1)
