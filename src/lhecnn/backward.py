@@ -1,20 +1,22 @@
 """Backward propagation and TEE-assisted parameter updates.
 
-Gradients flow in the mirror layouts of their forward counterparts, and, as
-there, each layer function reads its form from its parameters
-(:func:`fl_backward` from the weights' kind).  The layer functions return a
+Gradients flow in the mirror layouts of their forward counterparts.  An fc
+layer's input gradients are its output gradients times the transposed
+weights, and a type I layer read backwards is a type II layer over the same
+cells (and the reverse), so the pipeline makes them with
+:func:`~lhecnn.forward.fl_forward` on ``weights.transposed()``; a conv
+layer's are :func:`conv_backward`'s.  The layer functions here return a
 layer's raw per-image weight gradients as a plain dict keyed by the
 parameter cell each updates.  Each value is a zero-argument
 ``functools.partial`` that makes its gradient (conv kernel gradients come
 out folded over their grid positions), so nothing is computed until
 :func:`refresh_gradients` calls it as the gradient's pack takes it, and each
 gradient is packed while it is fresh.  A stage packs its weight gradients
-before it makes its input gradients (:func:`fl_backward`,
-:func:`conv_backward`): the makers are the last readers of the cached layer
-input, so it is freed before the input gradients are allocated.  Like the
-forward square, :func:`activation_gradient` consumes the tensor it is given,
-so each of the previous stage's input gradients is freed as its replacement
-is made.
+before it makes its input gradients: the makers are the last readers of the
+cached layer input, so it is freed before the input gradients are
+allocated.  Like the forward square, :func:`activation_gradient` consumes
+the tensor it is given, so each of the previous stage's input gradients is
+freed as its replacement is made.
 
 The update has two halves, so a caller can run every layer's first half
 before any parameter changes.  :func:`refresh_gradients` packs: a signed
@@ -47,8 +49,6 @@ import numpy as np
 from .lhe import Ciphertext, SimulatorBackend
 from .packing import (
     CONV_BASIC,
-    FL_TYPE1,
-    FL_TYPE2,
     PackedFilters,
     PackedTensor,
     PackedWeights,
@@ -89,26 +89,6 @@ def activation_gradient(backend: SimulatorBackend, grads: PackedTensor,
 # ---------------------------------------------------------------------------
 # Fully-connected layers
 # ---------------------------------------------------------------------------
-
-
-def fl_backward(backend: SimulatorBackend, out_grads: PackedTensor,
-                weights: PackedWeights) -> PackedTensor:
-    """Input gradients of a fully-connected layer, in its input layout: input
-    cell i sums the products of every output gradient j with weight cell
-    ``weights.weight_key(j, i)``.  A type II layer then folds the pi-set
-    blocks, so each input gradient is replicated (type II layout); a type I
-    layer's gradients keep its many-pi-set input layout."""
-    type2 = weights.kind == "type2"
-    n = out_grads.n
-    blocks = out_grads.slot_count // n
-    grads = [out_grads.cells[(j,)] for j in range(weights.out_cts)]
-    cells = {}
-    for i in range(weights.in_cts):
-        acc = backend.mul_sum(zip(grads, weights.column(i)))
-        cells[(i,)] = fold_rotate_sum(backend, acc, n, blocks) if type2 else acc
-    if type2:
-        return PackedTensor(cells, FL_TYPE2, n, pi_sets=1)
-    return PackedTensor(cells, FL_TYPE1, n, pi_sets=weights.pi_per_ct)
 
 
 def fl_weight_gradients(backend: SimulatorBackend, out_grads: PackedTensor,

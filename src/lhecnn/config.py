@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import CnnConfig, ConvLayer, FcLayer, preset
-from .lhe import LheParams
+from .lhe import LheParams, check_ints
 
 
 @dataclass(frozen=True)
@@ -36,6 +36,10 @@ class RunSettings:
     epochs: int = 1
     seed: int = 0
     exact_activation_grad: bool = True
+
+    def __post_init__(self):
+        ints = ("epochs", "seed") if self.r_mode == "auto" else ("epochs", "seed", "r_mode")
+        check_ints(self, *ints)
 
 
 @dataclass(frozen=True)
@@ -58,31 +62,27 @@ def model_dict(cfg: CnnConfig) -> dict:
 def model_from_dict(model: dict, n: int) -> CnnConfig:
     """Inverse of :func:`model_dict`, for ``n`` parallel inputs."""
     return CnnConfig(
-        conv=tuple(ConvLayer(int(c["channels"]), int(c["input_side"]),
-                             int(c["filters"]), int(c["filter_side"]),
-                             int(c["stride"])) for c in model["conv"]),
-        fc=tuple(FcLayer(int(f["inputs"]), int(f["outputs"])) for f in model["fc"]),
+        conv=tuple(ConvLayer(c["channels"], c["input_side"], c["filters"],
+                             c["filter_side"], c["stride"]) for c in model["conv"]),
+        fc=tuple(FcLayer(f["inputs"], f["outputs"]) for f in model["fc"]),
         n=n,
     )
 
 
 def parse_config(data: dict) -> RunConfig:
     run, defaults = data.get("run", {}), RunSettings()
-    cfg = model_from_dict(data["model"], int(run.get("n", 1)))
+    cfg = model_from_dict(data["model"], run.get("n", 1))
     lhe = data.get("lhe", {})
-    params = LheParams(int(lhe.get("slots", 4096)), int(lhe.get("levels", 6)),
+    params = LheParams(lhe.get("slots", 4096), lhe.get("levels", 6),
                        float(lhe.get("noise_sigma", 0.0)))
-    r_mode = run.get("r_mode", defaults.r_mode)
-    if r_mode != "auto":
-        r_mode = int(r_mode)
     exact = run.get("exact_activation_grad", defaults.exact_activation_grad)
     if not isinstance(exact, bool):
         raise ValueError(f"run.exact_activation_grad must be true or false, got {exact!r}")
     settings = RunSettings(
-        r_mode=r_mode,
+        r_mode=run.get("r_mode", defaults.r_mode),
         lr=float(run.get("lr", defaults.lr)),
-        epochs=int(run.get("epochs", defaults.epochs)),
-        seed=int(run.get("seed", defaults.seed)),
+        epochs=run.get("epochs", defaults.epochs),
+        seed=run.get("seed", defaults.seed),
         exact_activation_grad=exact,
     )
     return RunConfig(cfg, params, settings)

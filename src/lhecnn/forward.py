@@ -128,7 +128,9 @@ def fl_forward(backend: SimulatorBackend, inputs: PackedTensor,
                weights: PackedWeights) -> PackedTensor:
     """Fully-connected layer in the weights' form: output cell j sums the
     products of every input ciphertext i with weight cell
-    ``weights.weight_key(j, i)`` (:func:`fl_cell`).
+    ``weights.weight_key(j, i)`` (:func:`fl_cell`).  On
+    ``weights.transposed()`` it takes the layer's output gradients and gives
+    its input gradients, in its input layout.
 
     Type I weights take a many-pi-set input; a doubling rotate-sum then folds
     the pi-set blocks, so each output ciphertext holds S/n replicas of its n

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .lhe import LheParams
+from .lhe import LheParams, check_ints
 
 
 class GeometryError(ValueError):
@@ -30,6 +30,7 @@ class ConvLayer:
     stride: int
 
     def __post_init__(self):
+        check_ints(self, "channels", "input_side", "filters", "filter_side", "stride")
         if min(self.channels, self.input_side, self.filters, self.filter_side) < 1:
             raise GeometryError("conv layer dimensions must be positive")
         if self.stride < 1:
@@ -52,6 +53,7 @@ class FcLayer:
     outputs: int
 
     def __post_init__(self):
+        check_ints(self, "inputs", "outputs")
         if self.inputs < 1 or self.outputs < 1:
             raise GeometryError("fc layer dimensions must be positive")
 
@@ -68,6 +70,7 @@ class CnnConfig:
     def __post_init__(self):
         if not self.conv or not self.fc:
             raise GeometryError("need at least one conv and one fc layer")
+        check_ints(self, "n")
         if self.n < 1 or self.n & (self.n - 1):
             raise GeometryError(f"n must be a power of two, got {self.n}")
         for a, b in zip(self.conv, self.conv[1:]):

@@ -152,6 +152,16 @@ class SecrecyViolation(LheError):
     """A secret-key operation was attempted with a public-only context."""
 
 
+def check_ints(obj, *names: str) -> None:
+    """Raises ValueError naming the first of ``obj``'s fields ``names`` that
+    holds no integer; a Python or numpy integer passes, kept as an int."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        object.__setattr__(obj, name, int(value))
+
+
 @dataclass(frozen=True)
 class LheParams:
     """Scheme parameters: slot count S (power of two), level count L, noise."""
@@ -161,6 +171,7 @@ class LheParams:
     noise_sigma: float = 0.0
 
     def __post_init__(self):
+        check_ints(self, "slot_count", "max_level")
         s = self.slot_count
         if s < 2 or s & (s - 1):
             raise ValueError(f"slot_count must be a power of two >= 2, got {s}")

@@ -201,13 +201,13 @@ class PackedWeights:
             return [cells[(j, i)] for i in inputs]
         return [cells[(i, j)] for i in inputs]
 
-    def column(self, i: int) -> list[Ciphertext]:
-        """The cells input-ct ``i`` feeds, by output-ct index ``j``: the cell
-        under ``weight_key(j, i)`` for each j."""
-        cells, outputs = self.cells, range(self.out_cts)
-        if self.kind == "type1":
-            return [cells[(j, i)] for j in outputs]
-        return [cells[(i, j)] for j in outputs]
+    def transposed(self) -> PackedWeights:
+        """The transposed matrix over the same cells, in the other kind: a
+        type I layer read backwards is a type II layer, and the reverse, so
+        ``transposed().row(i)`` is the cells input-ct ``i`` feeds."""
+        return PackedWeights(self.cells, "type2" if self.kind == "type1" else "type1",
+                             self.in_neurons, self.out_neurons, self.out_cts,
+                             self.in_cts, self.pi_per_ct, self.n)
 
     def cell_keys(self) -> list[tuple[int, int]]:
         """Every cell key the layout calls for, in encryption order: sorted,

@@ -195,11 +195,14 @@ class RefineSession:
 
     def encrypt_inputs(self, images: np.ndarray, lazy: bool = True) -> PackedTensor:
         """The packed input tensor of ``images``, metered under
-        ``enc.inputs`` (:func:`~lhecnn.packing.encode_inputs`).  Its cells
-        are gathered from ``images`` and encrypted as they are first read,
-        so ``images`` must not change until every cell is read; with
-        ``lazy=False`` they are all made here, in key order."""
-        images = np.asarray(images, dtype=np.float64)
+        ``enc.inputs`` (:func:`~lhecnn.packing.encode_inputs`), once their
+        shape is checked.  Its cells are gathered from ``images`` and
+        encrypted as they are first read, so ``images`` must not change
+        until every cell is read; ``lazy=False`` makes them here, in key order."""
+        images, first = np.asarray(images, dtype=np.float64), self.cfg.conv[0]
+        shape = (first.channels, first.input_side, first.input_side)
+        if images.shape[1:] != shape:
+            raise ValueError(f"images of shape {images.shape[1:]}: the model takes {shape}")
         with self.meter.scope("enc.inputs"):
             return encode_inputs(self.backend, self.ctx, images, self.geo,
                                  self.layouts[0], self.r, lazy)
@@ -359,7 +362,7 @@ class RefineSession:
                 raw = bwd.fl_weight_gradients(self.backend, grad, inputs, weights)
                 del pre, inputs
                 refreshed = bwd.refresh_gradients(self.backend, reenc, raw, lr, cfg.n)
-                grad = bwd.fl_backward(self.backend, grad, weights)
+                grad = fwd.fl_forward(self.backend, grad, weights.transposed())
                 stages.append((scope, weights.cells, refreshed))
 
         grad = self._as_conv_grad(grad)

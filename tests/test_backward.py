@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -12,12 +13,12 @@ from lhecnn.backward import (
     activation_gradient,
     conv_backward,
     conv_kernel_gradients,
-    fl_backward,
     fl_weight_gradients,
     apply_refreshed,
     pack_count,
     refresh_gradients,
 )
+from lhecnn.forward import fl_forward
 from lhecnn.geometry import CnnConfig, ConvLayer, FcLayer, combined_geometry, preset
 from lhecnn.lhe import Ciphertext, LheParams, SimulatorBackend
 from lhecnn.metering import OpMeter
@@ -42,6 +43,10 @@ from conftest import (
 )
 
 noise_removal_update = update_with(refresh_gradients, apply_refreshed)
+
+
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
 
 
 def made(grads: dict) -> dict:
@@ -138,7 +143,7 @@ class TestFlBackward:
         weights = encode_weights(backend, ctx, np.ones((1, 4)),
                                  "type1", n=2, in_cts=1, pi_per_ct=4)
         g = activation_gradient(backend, out_g, pre, exact=True)
-        out = fl_backward(backend, g, weights)
+        out = fl_forward(backend, g, weights.transposed())
         assert np.array_equal(backend.decrypt(ctx, out.cells[(0,)]), np.full(8, 10.0))
 
     def test_input_grads_three_levels_below_output_grads(self, backend):
@@ -151,7 +156,7 @@ class TestFlBackward:
                                  "type1", n=2, in_cts=1, pi_per_ct=4)
         top = out_g.level()  # read first: the activation gradient consumes out_g
         g = activation_gradient(backend, out_g, pre, exact=True)
-        out = fl_backward(backend, g, weights)
+        out = fl_forward(backend, g, weights.transposed())
         assert out.level() == top - 3  # cmul x2, preact mul, weight mul
 
     def test_type2_identity_single_neuron(self, backend):
@@ -162,7 +167,7 @@ class TestFlBackward:
                            FL_TYPE1, 2, pi_sets=4)
         weights = encode_weights(backend, ctx, np.array([[1.0]]), "type2", n=2)
         g = activation_gradient(backend, out_g, pre, exact=True)
-        out = fl_backward(backend, g, weights)
+        out = fl_forward(backend, g, weights.transposed())
         assert out.layout == FL_TYPE2
         # grad value per image replicated over the whole ciphertext: only the
         # first block of the type-II output carries the single output row
@@ -174,8 +179,68 @@ class TestFlBackward:
         out_g = PackedTensor({(0,): backend.encrypt(ctx, np.ones(8))},
                              FL_TYPE1, 2, pi_sets=4)
         weights = encode_weights(backend, ctx, np.ones((2, 3)), "type2", n=2)
-        out = fl_backward(backend, activation_gradient(backend, out_g, out_g), weights)
+        out = fl_forward(backend, activation_gradient(backend, out_g, out_g),
+                         weights.transposed())
         assert out.layout == FL_TYPE2 and len(out.cells) == 3
+
+    @pytest.mark.parametrize("kind, sizes", [("type1", {"in_cts": 1, "pi_per_ct": 4}),
+                                             ("type2", {})], ids=["type1", "type2"])
+    def test_transposing_twice_gives_the_weights_back(self, backend, kind, sizes):
+        ctx = backend.keygen(LheParams(8, 10), seed=1)
+        weights = encode_weights(backend, ctx, np.arange(12.0).reshape(3, 4), kind,
+                                 n=2, **sizes)
+        t = weights.transposed()
+        assert t.kind != weights.kind and t.cells is weights.cells
+        assert (t.shape, t.in_cts, t.out_cts) == ((4, 3), weights.out_cts, weights.in_cts)
+        assert t.transposed() == weights
+
+    def test_output_gradients_in_the_wrong_layout_raise(self, backend):
+        ctx = backend.keygen(LheParams(8, 10), seed=1)
+        weights = encode_weights(backend, ctx, np.ones((1, 4)), "type1", n=2,
+                                 in_cts=1, pi_per_ct=4)
+        out_g = PackedTensor({(0,): backend.encrypt(ctx, np.ones(8))},
+                             FL_TYPE1, 2, pi_sets=4)
+        with pytest.raises(ValueError, match="type2 weights expect fl-type2 input, got fl-type1"):
+            fl_forward(backend, out_g, weights.transposed())
+
+    # Recorded from the input-gradient product before it ran through
+    # fl_forward: per fc layer, the gradients' layout, cell count and pi-set
+    # count, a digest of their slots, levels and rescale flags, and one of
+    # the (scope, kind, level) counts.  Only the pi-set count of type II
+    # weights' gradients at S=8192 differs: it read the weights' pi_per_ct
+    # (64), and reads S/n (128) as every fl_forward output of that layout
+    # does.  No reader of a gradient tensor reads the field.
+    @pytest.mark.parametrize("name, lhe, layers", [
+        ("cnn-1-2", LheParams(4096, 6), [
+            (FL_TYPE1, 4, 64, "ba3e178851f7432c", "bff9eb203e167bab"),
+            (FL_TYPE2, 64, 1, "7e8091be62c79f11", "6d00ca45806d7c8f")]),
+        ("cnn-1-2", LheParams(8192, 6), [
+            (FL_TYPE1, 4, 128, "926f65fd5752d6b8", "bff9eb203e167bab"),
+            (FL_TYPE2, 64, 1, "a198f646af40a6a5", "1e546ac69d0e581b")]),
+        ("refining-2-2", LheParams(8192, 10), [
+            (FL_TYPE1, 4, 64, "c9877733f7476735", "21d1fc8dd06a18f9"),
+            (FL_TYPE2, 32, 1, "6f5b23c2fe8256ac", "14eb999950514b7c")]),
+    ], ids=["cnn-1-2-S4096", "cnn-1-2-S8192", "refining-2-2"])
+    def test_every_fc_layer_gives_the_recorded_input_gradients(self, name, lhe, layers):
+        cfg = preset(name).model
+        sess = make_session(cfg, lhe, seed=5, exact=False)
+        rng = np.random.default_rng(5)
+        got = []
+        for k, weights in enumerate(sess.weights):
+            layout = FL_TYPE2 if weights.kind == "type1" else FL_TYPE1
+            cells = {(j,): sess.backend.encrypt(sess.ctx, rng.normal(size=lhe.slot_count))
+                     for j in range(weights.out_cts)}
+            mark = sess.meter.checkpoint()
+            with sess.meter.scope(f"bwd.FL{k + 1}"):
+                out = fl_forward(sess.backend, PackedTensor(cells, layout, cfg.n, pi_sets=1),
+                                 weights.transposed())
+            cts = [out.cells[key] for key in sorted(out.cells)]
+            flags = repr([(ct.level, ct.pending_rescale) for ct in cts]).encode()
+            counts = repr(sorted(sess.meter.since(mark).items())).encode()
+            got.append((out.layout, len(cts), out.pi_sets,
+                        digest(b"".join(ct.slots.tobytes() for ct in cts) + flags),
+                        digest(counts)))
+        assert got == layers
 
 
 class TestFlWeightGradients:
@@ -653,7 +718,7 @@ class TestConvKernelGradients:
         label_ct = sess.backend.encrypt(sess.ctx, vec)
         _, g = sess.tee.loss_head(sess.party, logits, label_ct, 3)
         # propagate through the only fc layer, then the conv activation
-        g = fl_backward(sess.backend, g, sess.weights[0])
+        g = fl_forward(sess.backend, g, sess.weights[0].transposed())
         g = sess._as_conv_grad(g)
         inputs, pre = cache[0]
         g = activation_gradient(sess.backend, g, pre, exact=True)

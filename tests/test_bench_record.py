@@ -3,6 +3,8 @@ short recorded run."""
 
 import importlib.util
 import json
+import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -56,18 +58,37 @@ def test_parse_rejects_a_run_it_cannot_read(edit, match):
         bench_record.parse(edit(CANNED))
 
 
-def test_a_short_run_writes_its_record_with_the_pins(tmp_path):
+def short_run(root: Path, out: Path, **env) -> dict:
+    """The record a one-second infer-cnn12 run of ``root``'s tool writes."""
     proc = subprocess.run(
         [sys.executable, "tools/bench_record.py", "--workload", "infer-cnn12",
-         "--seconds", "1", "--seed", "2", "--out", str(tmp_path)],
-        cwd=ROOT, capture_output=True, text=True, timeout=300)
+         "--seconds", "1", "--seed", "2", "--out", str(out)],
+        cwd=root, capture_output=True, text=True, timeout=300, env={**os.environ, **env})
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
-    assert [path.name for path in tmp_path.iterdir()] == ["BENCH_infer-cnn12.json"]
-    data = json.loads((tmp_path / "BENCH_infer-cnn12.json").read_text())
+    assert [path.name for path in out.iterdir()] == ["BENCH_infer-cnn12.json"]
+    return json.loads((out / "BENCH_infer-cnn12.json").read_text())
+
+
+def test_a_short_run_writes_its_record_with_the_pins(tmp_path):
+    data = short_run(ROOT, tmp_path)
     assert (data["workload"], data["seed"], data["seconds"], data["correct"]) == (
         "infer-cnn12", 2, 1, True)
-    assert len(data["git_head"]) == 40 and len(data["src_sha256"]) == 64
+    assert data["git_head"] == bench_record.git("rev-parse", "HEAD")
+    assert len(data["src_sha256"]) == 64
     assert data["metrics"]["timed_steps"]["value"] >= 1
     assert data["metrics"]["tee_bytes_per_step"]["value"] == data["pins"]["bytes_in"]
     assert data["pins"]["ops"] == [831, 584, 384, 0]
     assert data["pins"]["modelled_us"] == 10_030_337.0
+
+
+def test_a_tree_outside_a_git_checkout_records_no_head(tmp_path):
+    # a copy of the tree with no .git above it: git finds no repository
+    copy, out = tmp_path / "tree", tmp_path / "out"
+    for part in ("src", "perfbench", "tools"):
+        shutil.copytree(ROOT / part, copy / part,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(ROOT / "BENCHMARK.json", copy)
+    out.mkdir()
+    data = short_run(copy, out, GIT_CEILING_DIRECTORIES=str(tmp_path))
+    assert (data["git_head"], data["git_dirty"], data["correct"]) == (None, None, True)
+    assert data["src_sha256"] == bench_record.src_digest()

@@ -14,7 +14,7 @@ from lhecnn.config import (
     write_dataset,
 )
 from lhecnn.geometry import preset
-from lhecnn.lhe import serialized_size
+from lhecnn.lhe import LheParams, serialized_size
 
 
 def mnist_config(tmp_path, n=8, slots=512, levels=6, lr=0.3, epochs=1, seed=3):
@@ -88,6 +88,32 @@ class TestConfigParsing:
         Path(path).write_text(json.dumps(data))
         assert main(["plan", "--config", path]) == 2
         assert "must be true or false" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("block, key, value, field", [
+        ("lhe", "slots", 512.7, "slot_count"), ("lhe", "levels", "6", "max_level"),
+        ("run", "n", 8.0, "n"), ("run", "epochs", 2.9, "epochs"),
+        ("run", "seed", True, "seed"), ("run", "r_mode", "1", "r_mode"),
+        ("conv", "stride", 3.9, "stride"), ("conv", "filters", False, "filters"),
+        ("fc", "outputs", "4", "outputs"),
+    ])
+    def test_an_integer_field_takes_only_an_integer(self, tmp_path, capsys, block, key,
+                                                    value, field):
+        path = mnist_config(tmp_path)
+        data = json.loads(Path(path).read_text())
+        target = data["model"][block][0] if block in ("conv", "fc") else data[block]
+        target[key] = value
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            parse_config(data)
+        Path(path).write_text(json.dumps(data))
+        assert main(["plan", "--config", path]) == 2
+        assert f"{field} must be an integer" in capsys.readouterr().err
+
+    def test_a_numpy_integer_is_kept_as_a_python_int(self):
+        params = LheParams(np.int64(512), np.int32(6))
+        settings = RunSettings(r_mode=np.int64(2), epochs=np.int16(3), seed=np.uint8(4))
+        assert (params, settings) == (LheParams(512, 6), RunSettings(2, epochs=3, seed=4))
+        assert {type(v) for v in (params.slot_count, params.max_level, settings.r_mode,
+                                  settings.epochs, settings.seed)} == {int}
 
     @pytest.mark.parametrize("value", [True, False])
     def test_exact_activation_grad_reads_a_boolean(self, tmp_path, value):
@@ -264,8 +290,9 @@ class TestInferCommand:
 
     @pytest.mark.parametrize("key, value", [
         ("lhe", "-1"), ("model", "-1"), ("lhe", "{}"), ("model", "{}"),
-        ("lhe", '{"slots": 4096}'),
-    ], ids=["lhe-number", "model-number", "lhe-empty", "model-empty", "lhe-without-levels"])
+        ("lhe", '{"slots": 4096}'), ("lhe", '{"slots": 512, "levels": 6.5}'),
+    ], ids=["lhe-number", "model-number", "lhe-empty", "model-empty", "lhe-without-levels",
+            "lhe-levels-a-float"])
     def test_a_manifest_lhe_or_model_without_its_fields_exits_2(self, tmp_path, capsys,
                                                                  key, value):
         cfg_path = mnist_config(tmp_path)

@@ -51,6 +51,11 @@ def small_cfg():
     return CnnConfig((ConvLayer(1, 4, 2, 2, 2),), (FcLayer(8, 4), FcLayer(4, 3)), 4)
 
 
+# small_cfg()'s model as a saved session's manifest holds it
+SMALL_MODEL = ('{"conv": [{"channels": 1, "input_side": 4, "filters": 2, "filter_side": 2, '
+               '"stride": 2}], "fc": [{"inputs": 8, "outputs": 4}, {"inputs": 4, "outputs": 3}]}')
+
+
 def padded_cfg(channels):
     """Two conv layers of 3 filters each: with r = 2 the last filter or channel
     group is half padding."""
@@ -207,6 +212,21 @@ class TestInfer:
                        if scope.startswith("enc.")}
         assert encryptions == {"enc.inputs": 49, "enc.filters": 196,
                                "enc.weights.FL1": 256, "enc.weights.FL2": 64}
+
+    @pytest.mark.parametrize("shape", [(2, 28, 28), (1, 28, 27), (1, 30, 30)],
+                             ids=["two-channels", "28x27", "30x30"])
+    def test_images_of_another_shape_raise_before_anything_is_encrypted(self, shape):
+        # cnn-1-2 takes 1x28x28 images: a second channel would be ignored,
+        # a short row would gather the wrong pixels and a wider image would
+        # be cropped
+        p = preset("cnn-1-2")
+        sess = make_session(p.model, p.lhe)
+        images, labels = np.zeros((p.model.n, *shape)), np.zeros(p.model.n, dtype=int)
+        mark = sess.meter.checkpoint()
+        for run in (lambda: sess.infer(images), lambda: sess.refine(images, labels, 0.05)):
+            with pytest.raises(ValueError, match=r"the model takes \(1, 28, 28\)"):
+                run()
+        assert sess.meter.since(mark) == Counter()
 
 
 class TestPerOpReference:
@@ -914,8 +934,19 @@ class TestPersistence:
         ("lhe", '{"slots": 32}', "it lacks 'levels'"),
         ("model", '{"conv": [{"channels": 1}], "fc": []}', "it lacks 'input_side'"),
         ("lhe", '{"slots": "32", "levels": 12}', ""),
+        ("lhe", '{"slots": 32, "levels": 6.5}', "max_level must be an integer, got 6.5"),
+        ("model", SMALL_MODEL.replace('"stride": 2', '"stride": 2.9'),
+         "stride must be an integer, got 2.9"),
+        ("model", SMALL_MODEL.replace('"stride": 2', '"stride": "2"'),
+         "stride must be an integer, got '2'"),
+        ("model", SMALL_MODEL.replace('"stride": 2', '"stride": true'),
+         "stride must be an integer, got True"),
+        ("model", SMALL_MODEL.replace('"outputs": 3', '"outputs": 3.0'),
+         "outputs must be an integer, got 3.0"),
     ], ids=["lhe-number", "model-number", "lhe-list", "lhe-empty", "model-empty",
-            "lhe-without-levels", "conv-layer-without-side", "lhe-slots-a-string"])
+            "lhe-without-levels", "conv-layer-without-side", "lhe-slots-a-string",
+            "lhe-levels-a-float", "stride-a-float", "stride-a-string", "stride-a-bool",
+            "fc-outputs-a-float"])
     def test_load_rejects_an_lhe_or_model_value_without_its_fields(
             self, tmp_path, monkeypatch, key, value, reason):
         # each raises ValueError naming its key before the session is built

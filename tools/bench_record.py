@@ -8,11 +8,12 @@ process and unchanged, and parses the lines it prints: every metric line
 (name, value, unit) and the closing JSON line, whose full-precision values
 replace the printed ones for the metrics it carries.  Each file holds the
 git HEAD the tree was recorded on and whether ``src/`` or ``perfbench/``
-differed from it, a digest of the library's sources, the seed and seconds,
-the run's correctness, its printed metrics (``timed_steps``, wall p50 and
-p90, ``setup_s``, ``peak_rss_mb``, ``host.spin_ms``, ``modelled_he_s``,
-``tee_bytes_per_step`` and the rest), and the workload's exact ``Pins``
-from ``perfbench/workloads.py``, which an untraced run does not print.
+differed from it (both null outside a git checkout), a digest of the
+library's sources, the seed and seconds, the run's correctness, its printed
+metrics (``timed_steps``, wall p50 and p90, ``setup_s``, ``peak_rss_mb``,
+``host.spin_ms``, ``modelled_he_s``, ``tee_bytes_per_step`` and the rest),
+and the workload's exact ``Pins`` from ``perfbench/workloads.py``, which an
+untraced run does not print.
 
 A run that fails (a step not correct, or a nonzero exit) writes no file, and
 the tool exits 1 after the other workloads.  A change that claims a
@@ -57,9 +58,14 @@ def parse(stdout: str) -> dict:
             "failed": result["failed"], "metrics": metrics}
 
 
-def git(*args: str) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
-                          check=True).stdout.strip()
+def git(*args: str) -> str | None:
+    """git's output for ``args`` in the tree, or None when the tree is not
+    a git checkout (or git is not installed)."""
+    try:
+        return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
+                              check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return None
 
 
 def src_digest() -> str:
@@ -93,10 +99,12 @@ def record(workload: str, seed: int, seconds: int) -> tuple[dict | None, str]:
         run = None
     if run is None or proc.returncode or not run["correct"]:
         return None, proc.stdout + proc.stderr
+    head = git("rev-parse", "HEAD")
     return {
         "workload": workload,
-        "git_head": git("rev-parse", "HEAD"),
-        "git_dirty": bool(git("status", "--porcelain", "--", "src", "perfbench")),
+        "git_head": head,
+        "git_dirty": None if head is None else bool(
+            git("status", "--porcelain", "--", "src", "perfbench")),
         "src_sha256": src_digest(),
         "seed": seed,
         "seconds": seconds,
