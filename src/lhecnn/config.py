@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import CnnConfig, ConvLayer, FcLayer, preset
-from .lhe import LheParams, check_ints
+from .lhe import LheParams, check_floats, check_ints
 
 
 @dataclass(frozen=True)
@@ -40,6 +40,7 @@ class RunSettings:
     def __post_init__(self):
         ints = ("epochs", "seed") if self.r_mode == "auto" else ("epochs", "seed", "r_mode")
         check_ints(self, *ints)
+        check_floats(self, "lr")
 
 
 @dataclass(frozen=True)
@@ -74,13 +75,13 @@ def parse_config(data: dict) -> RunConfig:
     cfg = model_from_dict(data["model"], run.get("n", 1))
     lhe = data.get("lhe", {})
     params = LheParams(lhe.get("slots", 4096), lhe.get("levels", 6),
-                       float(lhe.get("noise_sigma", 0.0)))
+                       lhe.get("noise_sigma", 0.0))
     exact = run.get("exact_activation_grad", defaults.exact_activation_grad)
     if not isinstance(exact, bool):
         raise ValueError(f"run.exact_activation_grad must be true or false, got {exact!r}")
     settings = RunSettings(
         r_mode=run.get("r_mode", defaults.r_mode),
-        lr=float(run.get("lr", defaults.lr)),
+        lr=run.get("lr", defaults.lr),
         epochs=run.get("epochs", defaults.epochs),
         seed=run.get("seed", defaults.seed),
         exact_activation_grad=exact,

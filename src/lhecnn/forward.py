@@ -16,6 +16,9 @@ its own dict of the cells before the layer runs.  Cells may be made on
 first read (a :class:`~lhecnn.packing.LazyCells`, as
 :func:`~lhecnn.packing.encode_inputs` gives): :func:`conv_forward` then
 makes each input at its first window and drops it after its last, and
+reads each window in one pass for all its filter cells
+(:meth:`~lhecnn.lhe.SimulatorBackend.mul_sums`), so a window holds its
+running sums and the input being read, not all its inputs; and
 :func:`fl_forward` with one output cell makes, reads and drops its inputs
 one at a time.  :func:`fl_squares` is :func:`fl_forward` and the square
 after it, made so: it makes each output as the next layer first reads it,
@@ -56,13 +59,16 @@ def conv_forward(backend: SimulatorBackend, inputs: PackedTensor,
     output layout is :func:`~lhecnn.packing.conv_output_layout`'s (where only
     segment 0 is valid, later stages zero-mask the rest).
 
-    The windows run in turn, each read once by every filter cell, and
-    ``inputs`` is consumed: the last window that reads an input cell pops
-    it from ``inputs.cells``, so each input is dropped after its last
-    window (a cell no window reads is left in place).  With cells made on
-    first read (:func:`~lhecnn.packing.encode_inputs`), a layer whose
-    windows do not overlap holds one window's inputs at a time, and one
-    input at a time if its filters fit one cell.
+    The windows run in turn, and each makes its outputs in one
+    :meth:`~lhecnn.lhe.SimulatorBackend.mul_sums` call: one pass over the
+    window's input cells that adds each into the running sum of every
+    filter cell before the next is read.  ``inputs`` is consumed: the last
+    window that reads an input cell pops it from ``inputs.cells``, so each
+    input is dropped after its last window (a cell no window reads is left
+    in place).  With cells made on first read
+    (:func:`~lhecnn.packing.encode_inputs`), a layer whose windows do not
+    overlap makes, reads and drops its inputs one at a time, beside one
+    running sum per filter cell.
     """
     layout, r = filters.layout, filters.group_size
     if inputs.layout != layout:
@@ -86,10 +92,7 @@ def conv_forward(backend: SimulatorBackend, inputs: PackedTensor,
     cells = {}
     for w, ((u, v), keys) in enumerate(zip(grid, in_keys)):
         operands = (in_cells.pop(key) if last[key] == w else in_cells[key] for key in keys)
-        if filter_cells > 1:  # every filter cell reads the window
-            operands = list(operands)
-        for a, filter_window in enumerate(filter_windows):
-            acc = backend.mul_sum(zip(operands, filter_window))
+        for a, acc in enumerate(backend.mul_sums(operands, filter_windows)):
             cells[(a, u, v)] = fold_rotate_sum(backend, acc, seg, r) if fold else acc
     out_layout, group = conv_output_layout(layout, r, seg, acc.slot_count)
     return PackedTensor(cells, out_layout, inputs.n, inputs.grid_side, seg,

@@ -39,8 +39,10 @@ replaced, :meth:`~SimulatorBackend.zero_like` makes an exact zero and
 
 Batched primitives run the pipeline's hot patterns with fewer Python calls
 and the same arithmetic: ``mul_sum`` is the left fold of products
-``a0*b0 + a1*b1 + ...`` (kernel windows, weight rows, and every term an input
-gradient cell gathers), and ``rotate_add`` is a chain ``v <- v + rot(v, s)``
+``a0*b0 + a1*b1 + ...`` (weight rows, and every term an input gradient cell
+gathers), ``mul_sums`` makes several such folds over the same ciphertexts in
+one pass over them (a kernel window read by every filter cell), and
+``rotate_add`` is a chain ``v <- v + rot(v, s)``
 over a list of shifts (the folds).  Two more run the noise-removal update
 with its mask folded in, computing only the slots that survive it:
 ``pack_sums`` sums the n-slot blocks of up to n gradients into one packed
@@ -75,10 +77,11 @@ not survive a rotation.  ``save_cells`` returns the cells' bounds and leaves
 each zero tail a file hole, and ``open_cells`` takes the bounds back and
 reads no slot, so no page of a cell's zero tail is ever read.  Such a bound
 is taken as given, so a cells file rewritten outside the library can make
-it wrong.  ``mul`` and each term of ``mul_sum`` compute a product only up
-to the smaller of its operands' bounds, and ``unpack_spread`` only the
-blocks the refreshed gradient or the cell it adds into reaches.  Past a product's bound the per-op product
-is ``x * 0.0``, so the slots equal the full computation's up to the sign
+it wrong.  ``mul`` and each term of ``mul_sum`` and ``mul_sums`` compute a
+product only up to the smaller of its operands' bounds, and
+``unpack_spread`` only the blocks the refreshed gradient or the cell it
+adds into reaches.  Past a product's bound the per-op product is
+``x * 0.0``, so the slots equal the full computation's up to the sign
 of an exact zero, for finite slots, and the meter records the same ops at
 the same levels.
 
@@ -162,6 +165,18 @@ def check_ints(obj, *names: str) -> None:
         object.__setattr__(obj, name, int(value))
 
 
+def check_floats(obj, *names: str) -> None:
+    """Raises ValueError naming the first of ``obj``'s fields ``names`` that
+    holds no number; a Python or numpy integer or float passes, kept as a
+    float, and a bool or a string does not."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, (int, float, np.integer,
+                                                             np.floating)):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+        object.__setattr__(obj, name, float(value))
+
+
 @dataclass(frozen=True)
 class LheParams:
     """Scheme parameters: slot count S (power of two), level count L, noise."""
@@ -172,6 +187,7 @@ class LheParams:
 
     def __post_init__(self):
         check_ints(self, "slot_count", "max_level")
+        check_floats(self, "noise_sigma")
         s = self.slot_count
         if s < 2 or s & (s - 1):
             raise ValueError(f"slot_count must be a power of two >= 2, got {s}")
@@ -696,6 +712,87 @@ class SimulatorBackend:
         if tmp is not None:
             self._free[size].append(tmp_view)
         return _make(view, 0, low - 1, key, True, free, high)
+
+    def mul_sums(self, cts: Iterable[Ciphertext],
+                 rows: Sequence[Sequence[Ciphertext]]) -> list[Ciphertext]:
+        """``[mul_sum(zip(cts, row)) for row in rows]`` in one pass over
+        ``cts``: each ciphertext is read by every row before the next is
+        taken, so one made for the call alone is dropped as the next is
+        taken, not held until the last row has read it.  Every output has
+        its :meth:`mul_sum`'s slots, level, rescale flag and bound, and the
+        meter counts are theirs.
+
+        The terms run input-major, ``cts[i]`` against ``rows[0][i]``, ...,
+        ``rows[-1][i]`` before ``cts[i + 1]``, and a bad term raises what
+        the per-op folds raise there, after metering the terms before it.
+        The rows must share one length.  Every term is one of
+        :meth:`mul_sum`'s, through one scratch buffer shared by the rows, and
+        the counts are recorded once per kind and level; one row is
+        :meth:`mul_sum` itself.
+        """
+        if not rows or len({len(row) for row in rows}) != 1:
+            raise ValueError("mul_sums needs at least one row, all of one length")
+        if len(rows) == 1:  # mul_sum's loop, without the per-row lists
+            return [self.mul_sum(zip(cts, rows[0]))]
+        muls, adds, pools = {}, {}, self._free
+        columns = zip(cts, zip(*rows))
+        try:
+            for first, bs in columns:  # the first products start the sums
+                key, size, la = first.key_id, len(first._base), first.level
+                outs, views, lows, highs = [], [], [], []
+                for b in bs:
+                    low = la if la < b.level else b.level
+                    if b.key_id != key or len(b._base) != size or low < 1:
+                        self._term_error(first, first, b, low, muls)
+                    muls[low] = muls.get(low, 0) + 1
+                    out, view, free = _buffer(pools, size)
+                    high = _multiply(first, b, out, size)
+                    if high < size:
+                        out[high:] = 0.0
+                    outs.append(out)
+                    views.append(view)
+                    lows.append(low)
+                    highs.append(high)
+                break
+            else:
+                raise ValueError("mul_sums needs at least one product")
+            tmp = None
+            for a, bs in columns:
+                la, a_bound = a.level, a._bound
+                bad = a.key_id != key or len(a._base) != size
+                if tmp is None:
+                    tmp, tmp_view, _ = _buffer(pools, size)
+                for j, b in enumerate(bs):
+                    lab = la if la < b.level else b.level
+                    if bad or b.key_id != key or len(b._base) != size or lab < 1:
+                        self._term_error(first, a, b, lab, muls)
+                    muls[lab] = muls.get(lab, 0) + 1
+                    # mul_sum's term, against row j's sum
+                    top, out = b._bound, outs[j]
+                    if a_bound < top:
+                        top = a_bound
+                    if top == size:
+                        np.multiply(a.slots, b.slots, tmp)
+                        np.add(out, tmp, out)
+                    else:
+                        np.multiply(a.slots[:top], b.slots[:top], tmp[:top])
+                        np.add(out[:top], tmp[:top], out[:top])
+                    if top > highs[j]:
+                        highs[j] = top
+                    low = lows[j]
+                    if lab < low:
+                        lows[j] = low = lab
+                    adds[low] = adds.get(low, 0) + 1
+        finally:
+            record = self.meter.record_many
+            for level, count in muls.items():
+                record("mul", level, count)
+            for level, count in adds.items():
+                record("add", level, count)
+        if tmp is not None:
+            pools[size].append(tmp_view)
+        return [_make(view, 0, low - 1, key, True, free, high)
+                for view, low, high in zip(views, lows, highs)]
 
     def _term_error(self, first: Ciphertext, a: Ciphertext, b: Ciphertext,
                     level: int, muls: dict[int, int]) -> None:

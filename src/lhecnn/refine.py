@@ -93,9 +93,15 @@ def plan_layouts(cfg: CnnConfig, geo: CombinedGeometry, r_mode="auto") -> tuple[
     packs across channels when it has several, or replicates inputs for
     cross-filter processing when it does not, and each later layer takes the
     layout its predecessor outputs (:func:`~lhecnn.packing.conv_output_layout`).
+
+    ``r_mode`` is ``"auto"`` (the geometry's packing factor) or an integer
+    r, Python or numpy; anything else, a bool or a float included, raises
+    ValueError.
     """
-    if r_mode == "auto":
+    if isinstance(r_mode, str) and r_mode == "auto":
         r = geo.packing_factor
+    elif isinstance(r_mode, bool) or not isinstance(r_mode, (int, np.integer)):
+        raise ValueError(f"r_mode must be 'auto' or an integer, got {r_mode!r}")
     else:
         r = int(r_mode)
         if r < 1 or r & (r - 1) or r > geo.packing_factor:

@@ -114,6 +114,17 @@ def loop_mul_sum(backend, pairs, acc=None):
     return acc
 
 
+def loop_mul_sums(backend, cts, rows):
+    """The per-op folds :meth:`SimulatorBackend.mul_sums` replaces, one
+    :func:`loop_mul_sum` fold per row, run input-major: every row takes its
+    term of an input before the next input is read."""
+    accs = [None] * len(rows)
+    for i, ct in enumerate(cts):
+        for j, row in enumerate(rows):
+            accs[j] = loop_mul_sum(backend, [(ct, row[i])], accs[j])
+    return accs
+
+
 def loop_rotate_add(backend, ct, shifts):
     """The per-op chain :meth:`SimulatorBackend.rotate_add` replaces."""
     for s in shifts:
@@ -122,12 +133,15 @@ def loop_rotate_add(backend, ct, shifts):
 
 
 class PerOpBackend(SimulatorBackend):
-    """The reference for the batched primitives: ``mul_sum`` and
-    ``rotate_add`` run as the per-op ``mul``/``add``/``rot`` loops they
+    """The reference for the batched primitives: ``mul_sum``, ``mul_sums``
+    and ``rotate_add`` run as the per-op ``mul``/``add``/``rot`` loops they
     stand for, one call per op."""
 
     def mul_sum(self, pairs):
         return loop_mul_sum(self, pairs)
+
+    def mul_sums(self, cts, rows):
+        return loop_mul_sums(self, cts, rows)
 
     def rotate_add(self, ct, shifts):
         return loop_rotate_add(self, ct, shifts)
@@ -135,9 +149,9 @@ class PerOpBackend(SimulatorBackend):
 
 class FullProductBackend(SimulatorBackend):
     """The reference for products over zero tails: ``mul`` multiplies every
-    slot, whatever its operands' bounds, and ``mul_sum`` is the per-op fold
-    of that ``mul`` and ``add``.  Checks, errors, levels and meter counts are
-    :class:`SimulatorBackend`'s."""
+    slot, whatever its operands' bounds, and ``mul_sum`` and ``mul_sums``
+    are the per-op folds of that ``mul`` and ``add``.  Checks, errors, levels
+    and meter counts are :class:`SimulatorBackend`'s."""
 
     def mul(self, a, b):
         out = super().mul(a, b)
@@ -145,6 +159,9 @@ class FullProductBackend(SimulatorBackend):
 
     def mul_sum(self, pairs):
         return loop_mul_sum(self, pairs)
+
+    def mul_sums(self, cts, rows):
+        return loop_mul_sums(self, cts, rows)
 
 
 def encode_weights(backend, ctx, matrix, kind, n, in_cts=0, pi_per_ct=0):

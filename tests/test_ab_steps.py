@@ -89,7 +89,7 @@ def test_both_sides_this_tree(tmp_path, workload, pairs):
     peaks = {line.split()[0]: line.split(None, 1)[1] for line in lines
              if "peak pooled buffers" in line}
     assert peaks.keys() == {"a", "b"} and peaks["a"] == peaks["b"]
-    want = {"infer-cnn12": f"{count}, in scope CL1",
+    want = {"infer-cnn12": f"{count}, in scope FL1",
             "refine-r22": f"{int(count) + 260}, in scope bwd.FL1"}[workload]
     assert peaks["a"] == "peak pooled buffers " + want
     assert f"of {pairs} pairs" in proc.stdout

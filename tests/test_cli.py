@@ -1,4 +1,5 @@
 import json
+import re
 import time
 from pathlib import Path
 
@@ -107,6 +108,28 @@ class TestConfigParsing:
         Path(path).write_text(json.dumps(data))
         assert main(["plan", "--config", path]) == 2
         assert f"{field} must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("block, key, value", [
+        ("lhe", "noise_sigma", True), ("lhe", "noise_sigma", "0"), ("lhe", "noise_sigma", None),
+        ("run", "lr", "0.3"), ("run", "lr", False), ("run", "lr", [0.3]),
+    ])
+    def test_a_float_field_takes_only_a_number(self, tmp_path, capsys, block, key, value):
+        # a bool or a string is not read as the number it resembles
+        path = mnist_config(tmp_path)
+        data = json.loads(Path(path).read_text())
+        data[block][key] = value
+        with pytest.raises(ValueError, match=f"^{key} must be a number, got "
+                                             f"{re.escape(repr(value))}$"):
+            parse_config(data)
+        Path(path).write_text(json.dumps(data))
+        assert main(["plan", "--config", path]) == 2
+        assert f"{key} must be a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [0, 1, 0.25, np.float32(0.5), np.int64(2)])
+    def test_a_float_field_takes_an_integer_or_a_float_as_a_float(self, value):
+        params, settings = LheParams(512, 6, value), RunSettings(lr=value)
+        assert params.noise_sigma == settings.lr == float(value)
+        assert type(params.noise_sigma) is type(settings.lr) is float
 
     def test_a_numpy_integer_is_kept_as_a_python_int(self):
         params = LheParams(np.int64(512), np.int32(6))

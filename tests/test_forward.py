@@ -307,6 +307,9 @@ class _ScopeWatch(SimulatorBackend):
     def mul_sum(self, pairs):
         return self._watch(super().mul_sum(pairs))
 
+    def mul_sums(self, cts, rows):
+        return [self._watch(out) for out in super().mul_sums(cts, rows)]
+
     def rotate_add(self, ct, shifts):
         return self._watch(super().rotate_add(ct, shifts))
 
@@ -371,14 +374,17 @@ class TestWorkingSet:
     # Peak pooled buffers of a steady step: each square frees a pre-activation
     # as it squares it, so no square holds a layer's output twice, and each
     # layer drops an input cell after its last reader.
-    def test_steady_cnn12_inference_peaks_at_54_buffers(self):
-        # CL1's 4 filter cells each read all 49 input cells, so CL1 holds
-        # them all until its last filter cell: 49 inputs, its outputs and
-        # the sum it is making.  FL1's 64 outputs are made one at a time as
-        # FL2, a layer of one output cell, reads them.
+    def test_steady_cnn12_inference_peaks_at_11_buffers(self):
+        # CL1 is one window of 49 input cells read by 4 filter cells in one
+        # pass: each input is made, read by all 4 sums and dropped before
+        # the next is made, so CL1 holds its 4 sums, the scratch product and
+        # an input or two, not the 49.  The peak is FL1's: Square1's 4
+        # outputs, held until FL1's last output, beside the one output it
+        # makes and folds inside FL2's sum as FL2, a layer of one output
+        # cell, reads its 64 outputs one at a time.
         p = preset("cnn-1-2")
         _, pool = self.steady_pool(p.model, p.lhe, "auto")
-        assert pool == {4096: 54}
+        assert pool == {4096: 11}
 
     def test_steady_wide_refining_inference_peaks_at_11_buffers(self):
         # CL1 has one filter cell and windows that do not overlap, so each

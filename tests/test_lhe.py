@@ -36,6 +36,7 @@ from lhecnn.packing import compute_rotation_plan
 from conftest import (
     FullProductBackend,
     loop_mul_sum,
+    loop_mul_sums,
     loop_rotate_add,
     mapping_resident_kb,
     per_op_pack_sums,
@@ -468,9 +469,9 @@ class CountingRot(SimulatorBackend):
 
 
 class TestBatchedPrimitives:
-    """``mul_sum`` and ``rotate_add`` against the per-op loops they replace:
-    bit-identical slots, the same level and rescale flag, the same errors and
-    the same (scope, kind, level) counts."""
+    """``mul_sum``, ``mul_sums`` and ``rotate_add`` against the per-op loops
+    they replace: bit-identical slots, the same level and rescale flag, the
+    same errors and the same (scope, kind, level) counts."""
 
     @staticmethod
     def operands(backend, slot_count=16):
@@ -550,6 +551,98 @@ class TestBatchedPrimitives:
         assert isinstance(got, KeyMismatch) and isinstance(want, KeyMismatch)
         assert str(got) == str(want)
         assert got_counts == want_counts
+
+    @staticmethod
+    def faults(backend):
+        """Operands no term of :meth:`operands` can take: spent, under
+        another key, and of another slot count."""
+        faults = {"spent": (16, 1, 2), "foreign key": (16, 8, 9), "slot count": (32, 8, 2)}
+        return {fault: backend.encrypt(backend.keygen(LheParams(slots, levels), seed=seed),
+                                       np.ones(slots))
+                for fault, (slots, levels, seed) in faults.items()}
+
+    @staticmethod
+    def draw_sums(data, pool):
+        """Inputs and rows of weights for ``mul_sums``, drawn from ``pool``."""
+        index = st.integers(0, len(pool) - 1)
+        terms = data.draw(st.integers(1, 5), label="terms")
+        cts = [pool[data.draw(index)] for _ in range(terms)]
+        rows = [[pool[data.draw(index)] for _ in range(terms)]
+                for _ in range(data.draw(st.integers(1, 4), label="rows"))]
+        return cts, rows
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_mul_sums_match_one_per_op_fold_per_row(self, data):
+        # each row's sum is the per-op fold's in slots, level and rescale
+        # flag, and mul_sum's in bound; a bad term (a spent operand, a
+        # foreign key or another slot count) raises what the per-op folds
+        # raise, run input-major, with the terms before it metered
+        backend = SimulatorBackend()
+        _, pool = self.operands(backend)
+        cts, rows = self.draw_sums(data, pool)
+        bad = data.draw(st.sampled_from([None, *self.faults(backend).values()]), label="bad")
+        if bad is not None:
+            i = data.draw(st.integers(0, len(cts) - 1), label="at input")
+            j = data.draw(st.integers(-1, len(rows) - 1), label="in row (-1: the input)")
+            (rows[j] if j >= 0 else cts)[i] = bad
+        reads = []
+
+        def batched(b):
+            return b.mul_sums((reads.append(k) or ct for k, ct in enumerate(cts)), rows)
+
+        (got, got_counts), (want, want_counts) = side_by_side(
+            batched, lambda b: loop_mul_sums(b, cts, rows))
+        assert got_counts == want_counts
+        if isinstance(want, Exception):
+            assert type(got) is type(want) and str(got) == str(want)
+            return
+        assert reads == list(range(len(cts)))  # one pass over the inputs
+        for out, fold, row in zip(got, want, rows, strict=True):
+            assert_same_ct(out, fold)
+            assert out._bound == SimulatorBackend().mul_sum(zip(cts, row))._bound
+
+    @pytest.mark.parametrize("fault", ["spent", "foreign key", "slot count"])
+    def test_mul_sums_raise_the_per_op_error_at_every_term(self, fault):
+        # a bad operand at each input and each weight in turn raises what
+        # the input-major per-op folds raise, after the same terms
+        backend = SimulatorBackend()
+        _, pool = self.operands(backend)
+        bad = self.faults(backend)[fault]
+        for i in range(3):
+            for j in range(-1, 3):
+                cts, rows = pool[:3], [pool[3:6], pool[4:7], pool[6:9]]
+                (rows[j] if j >= 0 else cts)[i] = bad
+                (got, got_counts), (want, want_counts) = side_by_side(
+                    lambda b: b.mul_sums(cts, rows), lambda b: loop_mul_sums(b, cts, rows))
+                assert isinstance(want, (LevelExhausted, KeyMismatch, ValueError))
+                assert type(got) is type(want) and str(got) == str(want)
+                assert got_counts == want_counts
+
+    @pytest.mark.parametrize("inputs, lengths", [(0, [0]), (0, [0, 0]), (1, []), (2, [2, 1])],
+                             ids=["no product", "no product in two rows", "no row",
+                                  "rows of two lengths"])
+    def test_mul_sums_needs_rows_of_one_length_and_a_product(self, backend, inputs, lengths):
+        _, pool = self.operands(backend)
+        with pytest.raises(ValueError, match="needs at least one"):
+            backend.mul_sums(pool[:inputs], [pool[:length] for length in lengths])
+
+    def test_mul_sums_hands_back_each_input_it_drops(self, backend):
+        # inputs made one at a time and held by no one else go back to the
+        # free list as they are dropped, inside the call: a steady caller
+        # reuses the same buffers and makes none
+        ctx, pool = self.operands(backend)
+        rows = [pool[:4], pool[2:6]]
+
+        def sums():
+            made = (backend.encrypt(ctx, np.full(16, k + 1.0)) for k in range(4))
+            return backend.mul_sums(made, rows)
+
+        sums()
+        kept = [weakref.ref(view) for view in backend._free[16]]
+        for _ in range(3):
+            sums()
+        assert sorted(map(id, backend._free[16])) == sorted(id(ref()) for ref in kept)
 
     @settings(max_examples=120, deadline=None)
     @given(st.data())
@@ -850,6 +943,25 @@ class TestZeroTails:
             assert_same_up_to_zero_sign(got, want)
             assert got_counts == want_counts
             assert last_nonzero_end(got) <= got._bound <= 16
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_mul_sums_match_the_full_product_folds_and_mul_sum(self, data):
+        # each row's sum equals the full products' fold up to the sign of an
+        # exact zero, and mul_sum's over the same terms bit for bit, bound
+        # included
+        pool = self.tailed()
+        cts, rows = TestBatchedPrimitives.draw_sums(data, pool)
+        (got, got_counts), (want, want_counts) = side_by_side(
+            lambda b: b.mul_sums(cts, rows), lambda b: b.mul_sums(cts, rows),
+            FullProductBackend)
+        assert got_counts == want_counts
+        for out, fold, row in zip(got, want, rows, strict=True):
+            assert_same_up_to_zero_sign(out, fold)
+            single = SimulatorBackend().mul_sum(zip(cts, row))
+            assert_same_ct(out, single)
+            assert out._bound == single._bound
+            assert last_nonzero_end(out) <= out._bound
 
     @pytest.mark.parametrize("bounds", [
         (5, 13, 16), (1, 8), (0, 13), (0, 0), (16, 5, 0, 13)],

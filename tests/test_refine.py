@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -8,12 +9,12 @@ import numpy as np
 import pytest
 
 from lhecnn import backward
-from lhecnn.geometry import CnnConfig, ConvLayer, FcLayer, preset
+from lhecnn.geometry import CnnConfig, ConvLayer, FcLayer, combined_geometry, preset
 from lhecnn.lhe import (Ciphertext, LevelExhausted, LheParams, SimulatorBackend, _extent,
                         serialize_many, serialized_size)
 from lhecnn.metering import CostTable, OpMeter, build_report
 from lhecnn.oracle import init_params, plain_backward_step, plain_forward
-from lhecnn.refine import FORMAT_TAG, RefineSession
+from lhecnn.refine import FORMAT_TAG, RefineSession, plan_layouts
 from lhecnn.tee import BoundaryStats, TeeService
 
 from conftest import (PerOpBackend, mapping_resident_kb, mappings, stores_holes,
@@ -231,8 +232,8 @@ class TestInfer:
 
 class TestPerOpReference:
     """The presets' pipelines through the batched primitives and through
-    :class:`conftest.PerOpBackend`, whose ``mul_sum`` and ``rotate_add`` are
-    the per-op loops: byte-identical slots and equal (scope, kind, level)
+    :class:`conftest.PerOpBackend`, whose ``mul_sum``, ``mul_sums`` and
+    ``rotate_add`` are the per-op loops: byte-identical slots and equal (scope, kind, level)
     count maps."""
 
     @staticmethod
@@ -1203,3 +1204,18 @@ class TestLayoutPlanning:
             RefineSession(tee, cfg, LheParams(32, 12), r_mode=3)
         with pytest.raises(ValueError):
             RefineSession(tee, cfg, LheParams(32, 12), r_mode=64)
+
+    @pytest.mark.parametrize("r_mode", [1.9, 1.0, True, False, "1", "Auto", None])
+    def test_r_mode_takes_only_auto_or_an_integer(self, r_mode):
+        # a float or a bool is not truncated to an r, nor a string read as one
+        cfg = small_cfg()
+        geo = combined_geometry(cfg, LheParams(32, 12))
+        with pytest.raises(ValueError, match=f"^r_mode must be 'auto' or an integer, "
+                                             f"got {re.escape(repr(r_mode))}$"):
+            plan_layouts(cfg, geo, r_mode)
+
+    @pytest.mark.parametrize("r_mode", [1, np.int64(1), np.uint8(1)])
+    def test_r_mode_takes_a_python_or_numpy_integer(self, r_mode):
+        cfg = small_cfg()
+        geo = combined_geometry(cfg, LheParams(32, 12))
+        assert plan_layouts(cfg, geo, r_mode) == (1, ["conv-basic"] * cfg.c)
